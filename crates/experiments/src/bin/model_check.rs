@@ -64,9 +64,9 @@ use kset_experiments::campaign::{
     manifest::read_manifest, resume_campaign, run_campaign, CampaignOptions, CampaignOutcome,
 };
 use kset_experiments::checker::{
-    check_cell, cross_validate, parse_adversary_model, parse_protocol, parse_validity,
+    check_cell_gauged, cross_validate, parse_adversary_model, parse_protocol, parse_validity,
     read_counterexample, parse_fork_mode, replay_fired, to_run_records, write_counterexample,
-    AdversaryModel, CellVerdict, CheckerConfig, ForkMode,
+    AdversaryModel, CellVerdict, CheckerConfig, ForkMode, VisitedGauge,
 };
 use kset_experiments::exhaustive::QuorumProtocol;
 use kset_experiments::record_sink::JsonlSink;
@@ -141,25 +141,34 @@ fn parse_args() -> Args {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().unwrap_or_else(|| panic!("{flag} needs a value"));
+        let mut value = |flag: &str| {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+        };
         match arg.as_str() {
             "--protocol" => {
                 let raw = value("--protocol");
-                parsed.protocol =
-                    Some(parse_protocol(&raw).unwrap_or_else(|| panic!("unknown protocol {raw:?}")));
+                parsed.protocol = Some(parse_protocol(&raw).unwrap_or_else(|| {
+                    usage_error(&format!("--protocol wants floodmin|a|b|e|f, got {raw:?}"))
+                }));
             }
-            "--n" => parsed.n = Some(value("--n").parse().expect("--n must be a number")),
-            "--k" => parsed.k = Some(value("--k").parse().expect("--k must be a number")),
-            "--t" => parsed.t = Some(value("--t").parse().expect("--t must be a number")),
+            "--n" => parsed.n = Some(number("--n", value("--n"))),
+            "--k" => parsed.k = Some(number("--k", value("--k"))),
+            "--t" => parsed.t = Some(number("--t", value("--t"))),
             "--validity" => {
                 let raw = value("--validity");
-                parsed.validity =
-                    Some(parse_validity(&raw).unwrap_or_else(|| panic!("unknown validity {raw:?}")));
+                parsed.validity = Some(parse_validity(&raw).unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "--validity wants SV1|SV2|RV1|RV2|WV1|WV2, got {raw:?}"
+                    ))
+                }));
             }
             "--model" => {
                 let raw = value("--model");
                 parsed.model = Some(parse_adversary_model(&raw).unwrap_or_else(|| {
-                    panic!("--model wants mp_crash|sm_crash|mp_byz|sm_byz|mp_lossy, got {raw:?}")
+                    usage_error(&format!(
+                        "--model wants mp_crash|sm_crash|mp_byz|sm_byz|mp_lossy, got {raw:?}"
+                    ))
                 }));
             }
             "--byz-menu" => {
@@ -167,35 +176,34 @@ fn parse_args() -> Args {
             }
             "--byz-silence" => parsed.byz_silence = true,
             "--loss-budget" => {
-                parsed.loss_budget = Some(value("--loss-budget").parse().expect("--loss-budget"))
+                parsed.loss_budget = Some(number("--loss-budget", value("--loss-budget")))
             }
             "--inputs" => parsed.inputs = Some(parse_u64_list(&value("--inputs"), "--inputs")),
-            "--depth" => parsed.depth = Some(value("--depth").parse().expect("--depth")),
+            "--depth" => parsed.depth = Some(number("--depth", value("--depth"))),
             "--preemptions" => {
-                parsed.preemptions = Some(value("--preemptions").parse().expect("--preemptions"))
+                parsed.preemptions = Some(number("--preemptions", value("--preemptions")))
             }
-            "--max-runs" => parsed.max_runs = Some(value("--max-runs").parse().expect("--max-runs")),
+            "--max-runs" => parsed.max_runs = Some(number("--max-runs", value("--max-runs"))),
             "--max-states" => {
-                parsed.max_states = Some(value("--max-states").parse().expect("--max-states"))
+                parsed.max_states = Some(number("--max-states", value("--max-states")))
             }
             "--no-por" => parsed.no_por = true,
             "--no-dedup" => parsed.no_dedup = true,
             "--symmetry" => parsed.symmetry = true,
             "--no-symmetry" => parsed.no_symmetry = true,
-            "--progress" => parsed.progress = Some(value("--progress").parse().expect("--progress")),
+            "--progress" => parsed.progress = Some(number("--progress", value("--progress"))),
             "--threads" => {
                 let raw = value("--threads");
-                parsed.threads = Some(
-                    kset_experiments::engine::parse_threads(&raw)
-                        .unwrap_or_else(|| panic!("--threads wants a count, 0 or 'auto', got {raw:?}")),
-                );
+                parsed.threads =
+                    Some(kset_experiments::engine::parse_threads(&raw).unwrap_or_else(|| {
+                        usage_error(&format!("--threads wants a count, 0 or 'auto', got {raw:?}"))
+                    }));
             }
             "--fork-mode" => {
                 let raw = value("--fork-mode");
-                parsed.fork = Some(
-                    parse_fork_mode(&raw)
-                        .unwrap_or_else(|| panic!("--fork-mode wants fork|replay|auto, got {raw:?}")),
-                );
+                parsed.fork = Some(parse_fork_mode(&raw).unwrap_or_else(|| {
+                    usage_error(&format!("--fork-mode wants fork|replay|auto, got {raw:?}"))
+                }));
             }
             "--counterexample" => parsed.counterexample = Some(value("--counterexample").into()),
             "--replay" => parsed.replay = Some(value("--replay").into()),
@@ -205,19 +213,18 @@ fn parse_args() -> Args {
             "--campaign-dir" => parsed.campaign_dir = Some(value("--campaign-dir").into()),
             "--checkpoint-every" => {
                 parsed.checkpoint_every =
-                    Some(value("--checkpoint-every").parse().expect("--checkpoint-every"))
+                    Some(number("--checkpoint-every", value("--checkpoint-every")))
             }
             "--campaign-shards" => {
                 parsed.campaign_shards =
-                    Some(value("--campaign-shards").parse().expect("--campaign-shards"))
+                    Some(number("--campaign-shards", value("--campaign-shards")))
             }
             "--resume" => parsed.resume = true,
             "--pause-after-checkpoints" => {
-                parsed.pause_after_checkpoints = Some(
-                    value("--pause-after-checkpoints")
-                        .parse()
-                        .expect("--pause-after-checkpoints"),
-                )
+                parsed.pause_after_checkpoints = Some(number(
+                    "--pause-after-checkpoints",
+                    value("--pause-after-checkpoints"),
+                ))
             }
             other => {
                 eprintln!("unknown argument {other:?}");
@@ -228,13 +235,27 @@ fn parse_args() -> Args {
     parsed
 }
 
+/// Reports a bad command line and exits 2: a usage error, not a panic.
+fn usage_error(message: &str) -> ! {
+    eprintln!("model_check: usage error: {message}");
+    std::process::exit(2);
+}
+
+/// Parses a numeric flag value, or exits with a usage error.
+fn number<T: std::str::FromStr>(flag: &str, raw: String) -> T {
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} wants a number, got {raw:?}")))
+}
+
 fn parse_u64_list(raw: &str, flag: &str) -> Vec<u64> {
     raw.split(',')
         .map(str::trim)
         .filter(|token| !token.is_empty())
         .map(|token| {
             token.parse().unwrap_or_else(|_| {
-                panic!("{flag} wants a comma-separated list of numbers, got {raw:?}")
+                usage_error(&format!(
+                    "{flag} wants a comma-separated list of numbers, got {raw:?}"
+                ))
             })
         })
         .collect()
@@ -305,11 +326,19 @@ struct BenchCell {
     runs: u64,
     states: usize,
     tasks: u64,
+    /// The in-memory visited store at its largest; `None` for campaigns,
+    /// whose store occupancy is in the MANIFEST instead.
+    visited: Option<VisitedGauge>,
     wall_s: f64,
 }
 
 impl BenchCell {
-    fn from_verdict(cfg: &CheckerConfig, verdict: &CellVerdict, wall_s: f64) -> Self {
+    fn from_verdict(
+        cfg: &CheckerConfig,
+        verdict: &CellVerdict,
+        visited: Option<VisitedGauge>,
+        wall_s: f64,
+    ) -> Self {
         BenchCell {
             label: format!(
                 "{} SC(k={},t={},{}) n={}",
@@ -326,6 +355,7 @@ impl BenchCell {
             runs: verdict.runs,
             states: verdict.patterns.iter().map(|p| p.states).sum(),
             tasks: verdict.patterns.iter().map(|p| p.tasks).sum(),
+            visited,
             wall_s,
         }
     }
@@ -360,8 +390,14 @@ fn write_bench_json(
     ));
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
+        let visited = c.visited.map_or(String::new(), |gauge| {
+            format!(
+                "\"visited_entries\": {}, \"visited_bytes\": {}, ",
+                gauge.entries, gauge.bytes
+            )
+        });
         out.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"model\": \"{}\", \"verdict\": \"{}\", \"bounded\": {}, \"patterns\": {}, \"runs\": {}, \"states\": {}, \"tasks\": {}, \"wall_s\": {:.3}, \"runs_per_s\": {:.0}}}{}\n",
+            "    {{\"cell\": \"{}\", \"model\": \"{}\", \"verdict\": \"{}\", \"bounded\": {}, \"patterns\": {}, \"runs\": {}, \"states\": {}, \"tasks\": {}, {}\"wall_s\": {:.3}, \"runs_per_s\": {:.0}}}{}\n",
             c.label,
             c.model,
             c.verdict,
@@ -370,6 +406,7 @@ fn write_bench_json(
             c.runs,
             c.states,
             c.tasks,
+            visited,
             c.wall_s,
             c.runs as f64 / c.wall_s.max(1e-9),
             if i + 1 < cells.len() { "," } else { "" },
@@ -418,13 +455,14 @@ fn run_cell(
     bench: &mut Vec<BenchCell>,
 ) -> (bool, CellVerdict) {
     let started = Instant::now();
-    let verdict = check_cell(cfg);
+    let (verdict, visited) = check_cell_gauged(cfg);
     let ok = report_cell(
         cfg,
         args,
         expect_holds,
         bench,
         &verdict,
+        Some(visited),
         started.elapsed().as_secs_f64(),
     );
     (ok, verdict)
@@ -432,16 +470,17 @@ fn run_cell(
 
 /// The reporting half of [`run_cell`], shared with campaign mode (which
 /// produces its verdict through the checkpointed driver instead of
-/// [`check_cell`] but emits the identical output from it).
+/// [`check_cell_gauged`] but emits the identical output from it).
 fn report_cell(
     cfg: &CheckerConfig,
     args: &Args,
     expect_holds: Option<bool>,
     bench: &mut Vec<BenchCell>,
     verdict: &CellVerdict,
+    visited: Option<VisitedGauge>,
     wall_s: f64,
 ) -> bool {
-    bench.push(BenchCell::from_verdict(cfg, verdict, wall_s));
+    bench.push(BenchCell::from_verdict(cfg, verdict, visited, wall_s));
     println!(
         "SC(k={}, t={}, {}) for {} at n={}: {}",
         cfg.k,
@@ -517,7 +556,9 @@ fn main() -> ExitCode {
     let args = parse_args();
 
     if let Some(path) = &args.replay {
-        let saved = read_counterexample(path).expect("read counterexample");
+        let saved = read_counterexample(path).unwrap_or_else(|e| {
+            usage_error(&format!("cannot read counterexample {}: {e}", path.display()))
+        });
         let (violation, divergences) = replay_fired(&saved);
         println!(
             "replayed {} ({} at n={}, k={}, t={}, {}; model={}; crashed={:?}; byzantine={:?}): {} divergence(s)",
@@ -558,10 +599,12 @@ fn main() -> ExitCode {
         // resumable on-disk job (see CAMPAIGNS.md). On --resume the cell
         // may be omitted; the campaign manifest restores it.
         let cfg = if let Some(protocol) = args.protocol {
-            let n = args.n.expect("--campaign-dir needs --n");
-            let k = args.k.expect("--campaign-dir needs --k");
-            let t = args.t.expect("--campaign-dir needs --t");
-            let validity = args.validity.expect("--campaign-dir needs --validity");
+            let n = args.n.unwrap_or_else(|| usage_error("--campaign-dir needs --n"));
+            let k = args.k.unwrap_or_else(|| usage_error("--campaign-dir needs --k"));
+            let t = args.t.unwrap_or_else(|| usage_error("--campaign-dir needs --t"));
+            let validity = args
+                .validity
+                .unwrap_or_else(|| usage_error("--campaign-dir needs --validity"));
             let mut cfg = CheckerConfig::new(protocol, n, k, t, validity);
             apply_adversary(&mut cfg, &args);
             apply_bounds(&mut cfg, &args);
@@ -621,6 +664,7 @@ fn main() -> ExitCode {
                     None,
                     &mut bench,
                     &verdict,
+                    None,
                     started.elapsed().as_secs_f64(),
                 );
                 if let Ok(manifest) = read_manifest(dir) {
@@ -644,10 +688,12 @@ fn main() -> ExitCode {
 
     if let Some(protocol) = args.protocol {
         // Explicit single-cell mode.
-        let n = args.n.expect("--protocol needs --n");
-        let k = args.k.expect("--protocol needs --k");
-        let t = args.t.expect("--protocol needs --t");
-        let validity = args.validity.expect("--protocol needs --validity");
+        let n = args.n.unwrap_or_else(|| usage_error("--protocol needs --n"));
+        let k = args.k.unwrap_or_else(|| usage_error("--protocol needs --k"));
+        let t = args.t.unwrap_or_else(|| usage_error("--protocol needs --t"));
+        let validity = args
+            .validity
+            .unwrap_or_else(|| usage_error("--protocol needs --validity"));
         let mut cfg = CheckerConfig::new(protocol, n, k, t, validity);
         apply_adversary(&mut cfg, &args);
         apply_bounds(&mut cfg, &args);

@@ -23,6 +23,18 @@ use kset_experiments::{counterexamples, json, report};
 use kset_regions::{render, Atlas, Model};
 use kset_sim::MetricsConfig;
 
+/// Reports a bad command line and exits 2: a usage error, not a panic.
+fn usage_error(message: &str) -> ! {
+    eprintln!("reproduce_all: usage error: {message}");
+    std::process::exit(2);
+}
+
+/// Parses a numeric flag value, or exits with a usage error.
+fn number<T: std::str::FromStr>(flag: &str, raw: String) -> T {
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} wants a number, got {raw:?}")))
+}
+
 fn main() {
     let mut empirical_n = 8usize;
     let mut seeds = 5u64;
@@ -30,26 +42,21 @@ fn main() {
     let mut threads = engine::available_threads();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = |flag: &str| {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+        };
         match arg.as_str() {
-            "--empirical-n" => {
-                empirical_n = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--empirical-n needs a number")
-            }
-            "--seeds" => {
-                seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds needs a number")
-            }
-            "--json" => {
-                json_path = Some(args.next().expect("--json needs a path"));
-            }
+            "--empirical-n" => empirical_n = number("--empirical-n", value("--empirical-n")),
+            "--seeds" => seeds = number("--seeds", value("--seeds")),
+            "--json" => json_path = Some(value("--json")),
             "--threads" => {
-                let raw = args.next().expect("--threads needs a value");
-                threads = engine::parse_threads(&raw)
-                    .unwrap_or_else(|| panic!("--threads wants a count, 0 or 'auto', got {raw:?}"));
+                let raw = value("--threads");
+                threads = engine::parse_threads(&raw).unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "--threads wants a count, 0 or 'auto', got {raw:?}"
+                    ))
+                });
             }
             other => {
                 eprintln!("unknown argument {other:?}");

@@ -1,14 +1,11 @@
 //! One hash partition of the disk-backed visited store: an append-log
-//! file mirrored by an in-memory compacted open-addressing table.
+//! file mirrored by an in-memory [`Visited`] table.
 //!
 //! The table maps a 64-bit state fingerprint to the minimal antichain of
-//! sleep sets it was expanded under — the same data the checker's
-//! [`Visited`](crate::checker::Visited) keeps, laid out for identity
-//! hashing: fingerprints are already avalanched (`PERFORMANCE.md`), so
-//! the probe sequence starts at the fingerprint's low bits directly and
-//! linear probing stays clustered-free without re-hashing. (The shard
-//! *partition* uses high bits — [`super::store::DiskStore`] — so the two
-//! never correlate.)
+//! sleep sets it was expanded under, exactly as the checker's in-memory
+//! store does; it indexes fingerprints by their low bits, while the shard
+//! *partition* uses high bits ([`super::store::DiskStore`]), so the two
+//! never correlate.
 //!
 //! The log is append-only between checkpoints: an insertion that
 //! supersedes earlier entries (a subset arriving after its supersets)
@@ -18,44 +15,31 @@
 //! subset covers too — and it keeps the durable write path a pure append.
 //! Compaction ([`Shard::rewrite_to`]) rewrites the log from the live
 //! table when the stale fraction grows, as part of a generation switch.
+//!
+//! A record is `[fingerprint][count][(id, target) × count]`, every field
+//! a little-endian `u64`. The table keeps event ids only, so `target` is
+//! written as `0` and ignored on load; logs written when it still carried
+//! the event's target process load unchanged.
 
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use kset_sim::EventId;
-
-use crate::checker::{sleep_subset, SleepEntry};
+use crate::checker::{SleepEntry, Visited};
+use crate::visited::{ids_of, with_bitmap, Set};
 
 use super::store::{put_u64, take_u64};
-
-/// Grow the slot array when distinct fingerprints exceed 3/4 of it.
-const MAX_LOAD_NUM: usize = 3;
-const MAX_LOAD_DEN: usize = 4;
 
 /// Compact once a log holds this many records *and* more than four times
 /// the live entry count (i.e. is at least 3/4 stale).
 const COMPACT_MIN_RECORDS: u64 = 1 << 14;
 
-/// One fingerprint's bucket: the minimal antichain of sleep sets it was
-/// expanded under.
-#[derive(Debug)]
-struct Bucket {
-    fingerprint: u64,
-    antichain: Vec<Box<[SleepEntry]>>,
-}
-
-/// One shard: the in-memory open-addressing table plus the bookkeeping
-/// of its on-disk append log (the file itself is owned by
-/// [`super::store::DiskStore`], which hands paths in).
+/// One shard: the in-memory table plus the bookkeeping of its on-disk
+/// append log (the file itself is owned by [`super::store::DiskStore`],
+/// which hands paths in).
 #[derive(Debug, Default)]
 pub struct Shard {
-    /// Open-addressing slot array (power-of-two length): `0` = empty,
-    /// else an index+1 into `buckets`.
-    slots: Vec<u32>,
-    buckets: Vec<Bucket>,
-    /// Live minimal entries across all buckets.
-    live: u64,
+    table: Visited,
     /// Serialized records absorbed since the last flush.
     pending: Vec<u8>,
     pending_records: u64,
@@ -71,33 +55,33 @@ impl Shard {
         Shard::default()
     }
 
-    /// The subset-rule query, identical in semantics to
-    /// [`Visited::covers`](crate::checker::Visited::covers).
+    /// The subset-rule query,
+    /// [`Visited::covers`](crate::checker::Visited::covers) on the
+    /// shard's table.
     pub fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
-        self.find(fingerprint).is_some_and(|idx| {
-            self.buckets[idx]
-                .antichain
-                .iter()
-                .any(|s| sleep_subset(s, sleep))
-        })
+        self.table.covers(fingerprint, sleep)
     }
 
     /// Absorbs one entry: skipped if covered, otherwise inserted (stored
     /// supersets dropped, keeping the antichain minimal) and buffered for
     /// the next log flush. Returns whether the entry was new.
     pub fn absorb(&mut self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
-        if self.covers(fingerprint, sleep) {
+        with_bitmap(ids_of(sleep), |set| self.absorb_bits(fingerprint, set))
+    }
+
+    /// [`Shard::absorb`] for an already-encoded set bitmap.
+    pub(crate) fn absorb_bits(&mut self, fingerprint: u64, set: &[u64]) -> bool {
+        if !self.table.absorb_bits(fingerprint, set) {
             return false;
         }
-        self.insert_minimal(fingerprint, sleep);
-        encode_record(&mut self.pending, fingerprint, sleep);
+        encode_record(&mut self.pending, fingerprint, Set::Bits(set));
         self.pending_records += 1;
         true
     }
 
     /// Live minimal entries in the table.
     pub fn live_entries(&self) -> u64 {
-        self.live
+        self.table.live_entries()
     }
 
     /// Durable log bytes (the watermark a snapshot records). Unflushed
@@ -114,15 +98,13 @@ impl Shard {
     /// Whether the log is mostly stale records a compaction would drop.
     pub fn wants_compaction(&self) -> bool {
         let total = self.log_records + self.pending_records;
-        total >= COMPACT_MIN_RECORDS && total > 4 * self.live
+        total >= COMPACT_MIN_RECORDS && total > 4 * self.live_entries()
     }
 
     /// Empties the table and forgets the log (the caller starts a fresh
     /// generation).
     pub fn clear(&mut self) {
-        self.slots.clear();
-        self.buckets.clear();
-        self.live = 0;
+        self.table = Visited::default();
         self.pending.clear();
         self.pending_records = 0;
         self.log_bytes = 0;
@@ -159,9 +141,9 @@ impl Shard {
     /// Propagates I/O errors.
     pub fn rewrite_to(&mut self, path: &Path) -> io::Result<()> {
         let mut out = Vec::new();
-        for bucket in &self.buckets {
-            for sleep in &bucket.antichain {
-                encode_record(&mut out, bucket.fingerprint, sleep);
+        for (fingerprint, bucket) in self.table.buckets() {
+            for set in bucket.sets() {
+                encode_record(&mut out, fingerprint, set);
             }
         }
         let tmp = path.with_extension("log.tmp");
@@ -172,7 +154,7 @@ impl Shard {
         }
         fs::rename(&tmp, path)?;
         self.log_bytes = out.len() as u64;
-        self.log_records = self.live;
+        self.log_records = self.table.live_entries();
         self.pending.clear();
         self.pending_records = 0;
         Ok(())
@@ -190,6 +172,7 @@ impl Shard {
     pub fn load(&mut self, bytes: &[u8], path: &Path) -> io::Result<()> {
         let mut at = 0;
         let mut records = 0u64;
+        let mut ids = Vec::new();
         while at < bytes.len() {
             let record_start = at;
             let torn = move || {
@@ -203,112 +186,37 @@ impl Shard {
             };
             let fingerprint = take_u64(bytes, &mut at).ok_or_else(torn)?;
             let len = take_u64(bytes, &mut at).ok_or_else(torn)? as usize;
-            let mut sleep = Vec::with_capacity(len);
+            ids.clear();
             for _ in 0..len {
-                let id = take_u64(bytes, &mut at).ok_or_else(torn)?;
-                let target = take_u64(bytes, &mut at).ok_or_else(torn)? as usize;
-                sleep.push(SleepEntry {
-                    id: EventId::from_u64(id),
-                    target,
-                });
+                ids.push(take_u64(bytes, &mut at).ok_or_else(torn)?);
+                take_u64(bytes, &mut at).ok_or_else(torn)?; // target, unused
             }
-            if !self.covers(fingerprint, &sleep) {
-                self.insert_minimal(fingerprint, &sleep);
-            }
+            with_bitmap(ids.iter().copied(), |set| {
+                self.table.absorb_bits(fingerprint, set)
+            });
             records += 1;
         }
         self.log_bytes = bytes.len() as u64;
         self.log_records = records;
         Ok(())
     }
-
-    /// Index of `fingerprint`'s bucket, if present.
-    fn find(&self, fingerprint: u64) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (fingerprint as usize) & mask;
-        loop {
-            match self.slots[i] {
-                0 => return None,
-                slot => {
-                    let idx = (slot - 1) as usize;
-                    if self.buckets[idx].fingerprint == fingerprint {
-                        return Some(idx);
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Inserts without the covers check (callers have already done it),
-    /// dropping stored supersets of `sleep`.
-    fn insert_minimal(&mut self, fingerprint: u64, sleep: &[SleepEntry]) {
-        let idx = match self.find(fingerprint) {
-            Some(idx) => idx,
-            None => {
-                self.grow_if_needed();
-                let idx = self.buckets.len();
-                self.buckets.push(Bucket {
-                    fingerprint,
-                    antichain: Vec::new(),
-                });
-                let mask = self.slots.len() - 1;
-                let mut i = (fingerprint as usize) & mask;
-                while self.slots[i] != 0 {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] =
-                    u32::try_from(idx + 1).expect("shard bucket count fits u32");
-                idx
-            }
-        };
-        let antichain = &mut self.buckets[idx].antichain;
-        let before = antichain.len();
-        antichain.retain(|s| !sleep_subset(sleep, s));
-        self.live -= (before - antichain.len()) as u64;
-        antichain.push(sleep.to_vec().into_boxed_slice());
-        self.live += 1;
-    }
-
-    fn grow_if_needed(&mut self) {
-        if self.slots.is_empty() {
-            self.slots = vec![0; 1024];
-            return;
-        }
-        if (self.buckets.len() + 1) * MAX_LOAD_DEN <= self.slots.len() * MAX_LOAD_NUM {
-            return;
-        }
-        let new_len = self.slots.len() * 2;
-        let mut slots = vec![0u32; new_len];
-        let mask = new_len - 1;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            let mut i = (bucket.fingerprint as usize) & mask;
-            while slots[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            slots[i] = u32::try_from(idx + 1).expect("shard bucket count fits u32");
-        }
-        self.slots = slots;
-    }
 }
 
-/// Serializes one `(fingerprint, sleep set)` log record.
-fn encode_record(out: &mut Vec<u8>, fingerprint: u64, sleep: &[SleepEntry]) {
+/// Serializes one `(fingerprint, sleep set)` log record, ids ascending
+/// and every `target` zero.
+fn encode_record(out: &mut Vec<u8>, fingerprint: u64, set: Set<'_>) {
     put_u64(out, fingerprint);
-    put_u64(out, sleep.len() as u64);
-    for entry in sleep {
-        put_u64(out, entry.id.as_u64());
-        put_u64(out, entry.target as u64);
+    put_u64(out, set.ids().count() as u64);
+    for id in set.ids() {
+        put_u64(out, id);
+        put_u64(out, 0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::Visited;
+    use kset_sim::EventId;
 
     fn entry(id: u64, target: usize) -> SleepEntry {
         SleepEntry {

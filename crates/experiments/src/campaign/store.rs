@@ -12,10 +12,9 @@
 //!   it directly. This is the pre-campaign behavior, bit for bit: the
 //!   in-memory path pays no indirection (the drain is generic, not
 //!   dynamic) and no persistence cost.
-//! * [`DiskStore`] shards entries across hash-partitioned append-logs
-//!   with a compacted open-addressing table per shard
-//!   ([`super::shard`]), making the store durable and the campaign
-//!   resumable.
+//! * [`DiskStore`] shards entries across hash-partitioned append-logs,
+//!   each mirrored by an in-memory `Visited` table ([`super::shard`]),
+//!   making the store durable and the campaign resumable.
 //!
 //! Both implementations maintain the same *minimal antichain* per
 //! fingerprint (insertions drop stored supersets), and minimal-set
@@ -36,7 +35,7 @@ use super::shard::Shard;
 /// Implementations must preserve minimal-antichain semantics: after any
 /// sequence of [`CampaignStore::absorb`] calls, [`CampaignStore::covers`]
 /// answers exactly as a [`Visited`] table fed the same sequence through
-/// [`Visited::merge_from`] would. The checker's determinism contract
+/// [`Visited::merge`] would. The checker's determinism contract
 /// (byte-identical verdicts, counters and counterexamples for every
 /// thread count *and every store*) rests on that equivalence.
 pub trait CampaignStore {
@@ -47,8 +46,7 @@ pub trait CampaignStore {
     /// Folds one task's visited table in at the wave barrier. Entries
     /// already covered are skipped; new entries drop their stored
     /// supersets, keeping each fingerprint's antichain minimal. Takes the
-    /// table by value — it is dead after the barrier, so the in-memory
-    /// store can steal its allocations ([`Visited::merge_move`]).
+    /// table by value: it is dead after the barrier.
     fn absorb(&mut self, tasks: Visited);
 
     /// Minimal entries currently stored (occupancy, for reporting).
@@ -61,11 +59,11 @@ impl CampaignStore for Visited {
     }
 
     fn absorb(&mut self, tasks: Visited) {
-        self.merge_move(tasks);
+        self.merge(&tasks);
     }
 
     fn entries(&self) -> u64 {
-        self.iter().map(|(_, bucket)| bucket.count() as u64).sum()
+        self.live_entries()
     }
 }
 
@@ -111,10 +109,8 @@ pub struct StoreOccupancy {
 }
 
 /// The disk-backed campaign store: `shards` hash-partitioned
-/// [`Shard`]s, each an append-log file plus an in-memory compacted
-/// open-addressing table over the already-avalanched 64-bit fingerprints
-/// (identity hashing carries over from the checker's visited table —
-/// see `PERFORMANCE.md`).
+/// [`Shard`]s, each an append-log file plus an in-memory [`Visited`]
+/// table.
 ///
 /// Durability protocol (see `CAMPAIGNS.md` for the full story):
 ///
@@ -340,10 +336,10 @@ impl CampaignStore for DiskStore {
     }
 
     fn absorb(&mut self, tasks: Visited) {
-        for (fingerprint, bucket) in tasks.iter() {
+        for (fingerprint, bucket) in tasks.buckets() {
             let shard = self.shard_of(fingerprint);
-            for sleep in bucket {
-                self.shards[shard].absorb(fingerprint, sleep);
+            for set in bucket.sets() {
+                set.with_bits(|bits| self.shards[shard].absorb_bits(fingerprint, bits));
             }
         }
     }

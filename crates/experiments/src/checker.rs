@@ -98,7 +98,6 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::fs;
-use std::hash::BuildHasherDefault;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::rc::Rc;
@@ -895,9 +894,8 @@ pub struct PatternVerdict {
 /// plumbing — everything here is either `pub` because the
 /// [`crate::campaign::store::CampaignStore`] trait is public API
 /// ([`SleepEntry`]), or `pub(crate)` for the campaign snapshot codec
-/// ([`WorkItem`], [`PatternState`]) and the sleep-set subset rule the
-/// disk-backed store re-implements ([`sleep_subset`]). Nothing else in the
-/// checker is visible outside this file.
+/// ([`WorkItem`], [`PatternState`]). Nothing else in the checker is
+/// visible outside this file.
 pub(crate) mod frontier {
     use super::{EventId, PatternVerdict, ProcessId};
 
@@ -915,11 +913,6 @@ pub(crate) mod frontier {
         pub id: EventId,
         /// The event's target process (dependency key for wake-ups).
         pub target: ProcessId,
-    }
-
-    /// `a ⊆ b` by event id.
-    pub fn sleep_subset(a: &[SleepEntry], b: &[SleepEntry]) -> bool {
-        a.iter().all(|x| b.iter().any(|y| y.id == x.id))
     }
 
     /// One work item of the re-execution DFS: run `prefix`, then branch
@@ -955,7 +948,8 @@ pub(crate) mod frontier {
 }
 
 pub use frontier::SleepEntry;
-pub(crate) use frontier::{sleep_subset, PatternState, WorkItem};
+pub(crate) use frontier::{PatternState, WorkItem};
+pub use crate::visited::Visited;
 
 /// Runs one exploration task may execute before it spills the rest of its
 /// DFS stack back to the scheduler as a single continuation task. The
@@ -970,183 +964,6 @@ pub(crate) use frontier::{sleep_subset, PatternState, WorkItem};
 /// heavily-overlapping regions into the same wave, exactly where they
 /// cannot share dedup state.
 const TASK_BUDGET: u64 = 2048;
-
-/// A visited table: node fingerprints already expanded, each with the
-/// minimal antichain of sleep sets it was expanded under.
-///
-/// The subset rule needs *every* incomparable sleep set a fingerprint was
-/// expanded with — but it never needs a superset of another entry: if
-/// `small ⊆ big` are both stored, any query pruned by `big` (`big ⊆ q`)
-/// is already pruned by `small`. [`Visited::insert`] therefore drops
-/// stored supersets of each new entry, keeping buckets minimal — which is
-/// also what keeps the per-visit subset scan from degrading into the
-/// O(visits²) behaviour the original flat-list buckets had on cells whose
-/// states are revisited under many incomparable sleep sets.
-///
-/// `Visited` is both the per-task table of the exploration engine and the
-/// in-memory [`crate::campaign::store::CampaignStore`] — the zero-overhead
-/// fast path the disk-backed campaign store is checked against.
-///
-/// Each fingerprint's antichain is stored *flat*: one contiguous
-/// `Vec<SleepEntry>` holding every stored sleep set as a length-prefixed
-/// group (the prefix entry's `id` carries the group length). A `covers`
-/// probe — the single hottest operation of a certification, issued by the
-/// walk's dedup rule and again by the forking executor's snapshot gate —
-/// then touches exactly two cache lines' worth of pointer chasing (the
-/// hash bucket, the flat buffer) instead of one heap box per stored set.
-/// Buckets average a handful of small groups, so the compaction that
-/// [`Visited::insert`] does to drop supersets is a short `memmove`, not a
-/// structural rebuild.
-#[derive(Default, Debug)]
-pub struct Visited {
-    map: HashMap<u64, Vec<SleepEntry>, BuildHasherDefault<FingerprintHasher>>,
-    /// Cumulative insertions (the memoization budget `max_states` caps).
-    inserted: usize,
-}
-
-/// Passes a 64-bit fingerprint key through unchanged instead of re-hashing
-/// it.
-///
-/// [`Visited`] keys are [`kset_sim::Mix64`]-avalanched digests, already
-/// uniformly distributed over `u64`, so feeding them through the standard
-/// library's SipHash again costs a measurable slice of every certification
-/// (`Visited::covers`/`merge_from` showed ≈18% of a profiled n=4 cell,
-/// much of it hashing) and adds no dispersion. Only `u64` keys are ever
-/// written; any other write is a logic error, not a fallback.
-#[derive(Clone, Copy, Default)]
-struct FingerprintHasher(u64);
-
-impl std::hash::Hasher for FingerprintHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("fingerprint keys hash as u64, never as raw bytes");
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-impl Visited {
-    /// The subset-rule check: was `fingerprint` expanded under a sleep set
-    /// contained in `sleep`? (If so, that visit explored a superset of
-    /// this node's successors and the node can be pruned.)
-    pub fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
-        self.map
-            .get(&fingerprint)
-            .is_some_and(|seen| Groups(seen).any(|s| sleep_subset(s, sleep)))
-    }
-
-    /// Records that `fingerprint` is being expanded under `sleep`,
-    /// dropping stored supersets of `sleep` so the bucket stays a minimal
-    /// antichain.
-    pub fn insert(&mut self, fingerprint: u64, sleep: &[SleepEntry]) {
-        bucket_insert(self.map.entry(fingerprint).or_default(), sleep);
-        self.inserted += 1;
-    }
-
-    /// Folds another table into this one, keeping each bucket a minimal
-    /// antichain. Entries already covered here are skipped, so the merged
-    /// *set* of minimal elements — and with it every future
-    /// [`Visited::covers`] answer — is independent of merge order (only
-    /// the unobservable bucket layout varies).
-    pub fn merge_from(&mut self, other: &Visited) {
-        for (&fingerprint, bucket) in &other.map {
-            for sleep in Groups(bucket) {
-                if !self.covers(fingerprint, sleep) {
-                    self.insert(fingerprint, sleep);
-                }
-            }
-        }
-    }
-
-    /// Consuming [`Visited::merge_from`]: folds `other` in by *moving* its
-    /// flat buckets wholesale for fingerprints this table has never seen,
-    /// instead of re-copying each entry. A task bucket is itself a minimal
-    /// antichain (its inserts maintain that), so the wholesale move equals
-    /// feeding each group through [`Visited::insert`] in turn: same
-    /// minimal sets, same `inserted` count, same every future
-    /// [`Visited::covers`] answer. The wave barrier absorbs task tables
-    /// through this; the tables are dead afterwards, so the per-bucket
-    /// allocation+copy that [`Visited::merge_from`] would pay is pure
-    /// waste.
-    pub fn merge_move(&mut self, other: Visited) {
-        use std::collections::hash_map::Entry;
-        for (fingerprint, bucket) in other.map {
-            match self.map.entry(fingerprint) {
-                Entry::Vacant(slot) => {
-                    self.inserted += Groups(&bucket).count();
-                    slot.insert(bucket);
-                }
-                Entry::Occupied(mut slot) => {
-                    let seen = slot.get_mut();
-                    for sleep in Groups(&bucket) {
-                        if Groups(seen).any(|s| sleep_subset(s, sleep)) {
-                            continue;
-                        }
-                        bucket_insert(seen, sleep);
-                        self.inserted += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Cumulative [`Visited::insert`] calls (distinct minimal entries ever
-    /// recorded — the quantity `max_states` budgets).
-    pub fn inserted(&self) -> usize {
-        self.inserted
-    }
-
-    /// Iterates the stored `(fingerprint, minimal sleep-set antichain)`
-    /// pairs, in the table's (deterministic, but unspecified) bucket
-    /// order. The campaign store absorbs task tables through this.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, Groups<'_>)> {
-        self.map.iter().map(|(&fp, bucket)| (fp, Groups(bucket)))
-    }
-}
-
-/// Iterator over the sleep-set groups of one flat [`Visited`] bucket, in
-/// storage order (see the [`Visited`] docs for the length-prefixed
-/// layout).
-#[derive(Clone, Copy, Debug)]
-pub struct Groups<'a>(&'a [SleepEntry]);
-
-impl<'a> Iterator for Groups<'a> {
-    type Item = &'a [SleepEntry];
-
-    fn next(&mut self) -> Option<&'a [SleepEntry]> {
-        let (prefix, rest) = self.0.split_first()?;
-        let (group, rest) = rest.split_at(prefix.id.as_u64() as usize);
-        self.0 = rest;
-        Some(group)
-    }
-}
-
-/// Appends `sleep` to a flat bucket as a new length-prefixed group,
-/// first compacting away every stored superset of it (the minimal
-/// antichain rule of [`Visited::insert`]). The prefix entry's `target` is
-/// meaningless and kept zero.
-fn bucket_insert(bucket: &mut Vec<SleepEntry>, sleep: &[SleepEntry]) {
-    let (mut read, mut write) = (0, 0);
-    while read < bucket.len() {
-        let len = bucket[read].id.as_u64() as usize + 1;
-        if !sleep_subset(sleep, &bucket[read + 1..read + len]) {
-            if write != read {
-                bucket.copy_within(read..read + len, write);
-            }
-            write += len;
-        }
-        read += len;
-    }
-    bucket.truncate(write);
-    bucket.push(SleepEntry {
-        id: EventId::from_u64(sleep.len() as u64),
-        target: 0,
-    });
-    bucket.extend_from_slice(sleep);
-}
 
 /// Counters and outcome of one exploration task (a subtree DFS), merged
 /// by [`explore_pattern`] in task order.
@@ -1264,7 +1081,7 @@ fn walk_run<S: CampaignStore>(
                 out.dedup_hits += 1;
                 break;
             }
-            if out.visited.inserted < cfg.max_states {
+            if out.visited.inserted() < cfg.max_states {
                 out.visited.insert(fingerprint, &sleep);
                 out.states += 1;
             }
@@ -1650,11 +1467,13 @@ fn progress_line(cfg: &CheckerConfig, crashed: &[ProcessId], out: &TaskOutcome, 
     if let Some(every) = cfg.progress {
         if out.runs % every == 0 {
             eprintln!(
-                "[model_check] {} crashed={:?}: task at {} runs, {} states, {} frontier, {} dedup hits, {} sleep skips",
+                "[model_check] {} crashed={:?}: task at {} runs, {} states, {} visited entries, {} visited bytes, {} frontier, {} dedup hits, {} sleep skips",
                 cfg.protocol.name(),
                 crashed,
                 out.runs,
                 out.states,
+                out.visited.live_entries(),
+                out.visited.resident_bytes(),
                 frontier,
                 out.dedup_hits,
                 out.sleep_skips,
@@ -1827,12 +1646,53 @@ pub fn explore_pattern(
     spec: &ProblemSpec,
     plan: &FaultPlan,
 ) -> PatternVerdict {
+    explore_pattern_gauged(cfg, inputs, spec, plan).0
+}
+
+/// [`explore_pattern`], also reporting the shared store's size at its
+/// largest wave barrier.
+fn explore_pattern_gauged(
+    cfg: &CheckerConfig,
+    inputs: &[u64],
+    spec: &ProblemSpec,
+    plan: &FaultPlan,
+) -> (PatternVerdict, VisitedGauge) {
     let (state, root_visited) = seed_pattern(cfg, inputs, spec, plan);
     let mut store = root_visited;
-    let (verdict, _) = drain_pattern(cfg, inputs, spec, plan, &mut store, state, |_, _, _| {
+    let mut gauge = VisitedGauge::of(&store);
+    let (verdict, _) = drain_pattern(cfg, inputs, spec, plan, &mut store, state, |store, _, _| {
+        gauge = gauge.max(VisitedGauge::of(store));
         WaveControl::Continue
     });
-    verdict
+    (verdict, gauge.max(VisitedGauge::of(&store)))
+}
+
+/// The memory gauge of a cell's exploration: the largest in-memory
+/// visited store any of its patterns kept, read at wave barriers (where
+/// the store has just absorbed a wave and is largest). Operational, not
+/// contract-covered: `bytes` depends on the table's layout history.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct VisitedGauge {
+    /// Most live minimal entries ([`Visited::live_entries`]).
+    pub entries: u64,
+    /// Most resident bytes ([`Visited::resident_bytes`]).
+    pub bytes: u64,
+}
+
+impl VisitedGauge {
+    fn of(store: &Visited) -> Self {
+        VisitedGauge {
+            entries: store.live_entries(),
+            bytes: store.resident_bytes(),
+        }
+    }
+
+    fn max(self, other: Self) -> Self {
+        VisitedGauge {
+            entries: self.entries.max(other.entries),
+            bytes: self.bytes.max(other.bytes),
+        }
+    }
 }
 
 /// Greedily shrinks a violating choice prefix: first each entry is driven
@@ -1958,6 +1818,16 @@ impl fmt::Display for CellVerdict {
 /// or — the hard guard against certifying the wrong model — if the
 /// configuration fails [`CheckerConfig::validate`].
 pub fn check_cell(cfg: &CheckerConfig) -> CellVerdict {
+    check_cell_gauged(cfg).0
+}
+
+/// [`check_cell`], also reporting the [`VisitedGauge`] of the
+/// exploration (the memory figure of `model_check --bench-json` rows).
+///
+/// # Panics
+///
+/// As [`check_cell`].
+pub fn check_cell_gauged(cfg: &CheckerConfig) -> (CellVerdict, VisitedGauge) {
     if let Err(message) = cfg.validate() {
         panic!("invalid checker configuration: {message}");
     }
@@ -1971,8 +1841,10 @@ pub fn check_cell(cfg: &CheckerConfig) -> CellVerdict {
         runs: 0,
         counterexample: None,
     };
+    let mut gauge = VisitedGauge::default();
     for plan in cfg.fault_plans() {
-        let mut pattern = explore_pattern(cfg, &inputs, &spec, &plan);
+        let (mut pattern, pattern_gauge) = explore_pattern_gauged(cfg, &inputs, &spec, &plan);
+        gauge = gauge.max(pattern_gauge);
         verdict.worst_agreement = verdict.worst_agreement.max(pattern.worst_agreement);
         verdict.runs += pattern.runs;
         verdict.complete &= pattern.complete;
@@ -1985,7 +1857,7 @@ pub fn check_cell(cfg: &CheckerConfig) -> CellVerdict {
         }
         verdict.patterns.push(pattern);
     }
-    verdict
+    (verdict, gauge)
 }
 
 /// Re-runs one representative schedule per explored pattern with metrics

@@ -32,3 +32,4 @@ pub mod explorer;
 pub mod json;
 pub mod record_sink;
 pub mod report;
+pub mod visited;

@@ -17,3 +17,81 @@ fn exhaustive_check_rejects_bad_positionals_with_exit_2() {
         assert!(out.stdout.is_empty(), "{args:?} did work before failing");
     }
 }
+
+/// Runs `bin` with `args` and asserts a usage error: exit 2, a
+/// `<name>: usage error` line on stderr naming the flag, and no work
+/// done before failing.
+fn assert_usage_error(bin: &str, name: &str, args: &[&str]) {
+    let out = Command::new(bin).args(args).output().expect("run binary");
+    assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with(&format!("{name}: usage error: ")),
+        "{name} {args:?}: {stderr}"
+    );
+    assert!(
+        stderr.contains(args[0]),
+        "{name} {args:?} must name the flag: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{name} {args:?} did work before failing"
+    );
+}
+
+#[test]
+fn model_check_rejects_bad_flag_values_with_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_model_check");
+    let numeric = [
+        "--n",
+        "--k",
+        "--t",
+        "--loss-budget",
+        "--depth",
+        "--preemptions",
+        "--max-runs",
+        "--max-states",
+        "--progress",
+        "--checkpoint-every",
+        "--campaign-shards",
+        "--pause-after-checkpoints",
+    ];
+    for flag in numeric {
+        assert_usage_error(bin, "model_check", &[flag, "x"]);
+        assert_usage_error(bin, "model_check", &[flag, "-1"]);
+        assert_usage_error(bin, "model_check", &[flag]);
+    }
+    for args in [
+        &["--threads", "x"][..],
+        &["--byz-menu", "0,x"],
+        &["--inputs", "1,,y"],
+        &["--protocol", "paxos"],
+        &["--validity", "SV9"],
+        &["--model", "mp_magic"],
+        &["--fork-mode", "sometimes"],
+        &["--json"],
+        &["--bench-json"],
+        &["--counterexample"],
+        &["--replay"],
+        &["--campaign-dir"],
+    ] {
+        assert_usage_error(bin, "model_check", args);
+    }
+}
+
+#[test]
+fn reproduce_all_rejects_bad_flag_values_with_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_reproduce_all");
+    for args in [
+        &["--empirical-n", "x"][..],
+        &["--empirical-n", "-3"],
+        &["--empirical-n"],
+        &["--seeds", "many"],
+        &["--seeds"],
+        &["--threads", "x"],
+        &["--threads"],
+        &["--json"],
+    ] {
+        assert_usage_error(bin, "reproduce_all", args);
+    }
+}
