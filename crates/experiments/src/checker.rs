@@ -112,9 +112,10 @@ use kset_protocols::{FloodMin, ProtocolA, ProtocolB, ProtocolE, ProtocolF};
 use kset_regions::Model;
 use kset_shmem::{DynSmProcess, SmSubstrate};
 use kset_sim::{
-    ChoiceLog, ChoiceScheduler, Deviation, DeviationPolicy, DigestMode, EventId, FaultKind,
-    FaultPlan, FaultSpec, ForkConfig, ForkGate, ForkSession, MetricsConfig, ProcessId, RunArena,
-    RunMetrics, RunSnapshot, RunStats, SimError, SubstrateFork, System,
+    ChoiceLog, ChoiceScheduler, Delivery, Deviation, DeviantDelivery, DeviationPolicy, DigestMode,
+    EventId, FaultKind, FaultPlan, FaultSpec, ForkConfig, ForkGate, ForkSession, MetricsConfig,
+    ProcessId, RunArena, RunMetrics, RunSnapshot, RunStats, SimError, SubstrateAdv, SubstrateFork,
+    System,
 };
 
 use crate::cells::DEFAULT_VALUE;
@@ -460,8 +461,9 @@ impl CheckerConfig {
     /// The deviation policy *one pattern's* exploration runs under: the
     /// cell policy, dropped entirely for Byzantine-adversary patterns
     /// without a single Byzantine slot. Such patterns cannot deviate, and
-    /// taking the literal crash-only code path (including forking-executor
-    /// eligibility) keeps them byte-identical to the crash checker.
+    /// taking the literal crash-only code path (the statically faithful
+    /// delivery on either executor) keeps them byte-identical to the crash
+    /// checker.
     pub fn pattern_policy(&self, plan: &FaultPlan) -> Option<DeviationPolicy> {
         let policy = self.deviation_policy()?;
         if self.adversary.is_byzantine() && !plan.has_byzantine() {
@@ -628,6 +630,11 @@ fn distinct_correct_decisions_dense(decisions: &[Option<u64>], faulty: &[Process
     count
 }
 
+/// The fail-closed panic of both executors for a fault plan with
+/// Byzantine slots but no deviation policy.
+const BYZANTINE_WITHOUT_POLICY: &str = "fault plan contains Byzantine slots but no deviation \
+     policy was supplied; the run would certify crash semantics under a Byzantine label";
+
 /// Executes one schedule of `protocol` under `plan`, following `prefix`
 /// and then scheduler defaults, against the real kernel. `policy` is the
 /// pattern's deviation space ([`CheckerConfig::pattern_policy`]); `None`
@@ -698,8 +705,7 @@ pub fn execute_schedule_in(
     // [`CheckerConfig::pattern_policy`]) before reaching the executor.
     assert!(
         policy.is_some() || !plan.has_byzantine(),
-        "fault plan contains Byzantine slots but no deviation policy was supplied; \
-         the run would certify crash semantics under a Byzantine label"
+        "{BYZANTINE_WITHOUT_POLICY}"
     );
     let n = inputs.len();
     // The prefix is consumed (the scheduler owns it for the run), so the
@@ -1183,10 +1189,11 @@ fn walk_run<S: CampaignStore>(
 /// [`ForkMode::Auto`] the task runs on the forking executor
 /// ([`explore_task_fork`]), which resumes each work item from the
 /// snapshot taken at its branch point instead of replaying the prefix
-/// from the initial state. If the protocol's processes are unforkable
-/// (a [`kset_sim::SubstrateFork`] hook returning `None`) the task
-/// silently degrades to replay — the two executors are pinned to
-/// identical observables, so the mode is free to vary per task.
+/// from the initial state — crash and deviation patterns alike. If the
+/// protocol's processes are unforkable (a [`kset_sim::SubstrateFork`]
+/// hook returning `None`) the task silently degrades to replay — the two
+/// executors are pinned to identical observables, so the mode is free to
+/// vary per task.
 fn explore_task<S: CampaignStore>(
     cfg: &CheckerConfig,
     inputs: &[u64],
@@ -1196,29 +1203,73 @@ fn explore_task<S: CampaignStore>(
     global: &S,
     stack: Vec<WorkItem>,
 ) -> TaskOutcome {
-    // The forking executor resumes kernels from mid-run snapshots and
-    // does not carry the deviation scratch a pattern with an active
-    // policy needs, so such patterns always run on the replay executor.
-    // Patterns without deviations (every crash pattern, and Byzantine
-    // patterns with zero Byzantine slots) keep full fork eligibility.
-    if cfg.fork != ForkMode::Replay && cfg.pattern_policy(plan).is_none() {
-        if cfg.protocol.shared_memory() {
-            if let Some(mut session) = ForkSession::<SmSubstrate<u64, u64>>::new(
-                cfg.fork_config(),
-                plan.clone(),
-                sm_processes(cfg.protocol, inputs, cfg.t),
-            ) {
-                return explore_task_fork(cfg, inputs, spec, crashed, global, &mut session, stack);
-            }
-        } else if let Some(mut session) = ForkSession::<MpSubstrate<u64, u64>>::new(
-            cfg.fork_config(),
-            plan.clone(),
-            mp_processes(cfg.protocol, inputs, cfg.t),
+    let stack = if cfg.fork == ForkMode::Replay {
+        stack
+    } else if cfg.protocol.shared_memory() {
+        let procs = sm_processes(cfg.protocol, inputs, cfg.t);
+        match try_fork::<SmSubstrate<u64, u64>, S>(
+            cfg, inputs, spec, plan, crashed, global, stack, procs,
         ) {
-            return explore_task_fork(cfg, inputs, spec, crashed, global, &mut session, stack);
+            Ok(out) => return out,
+            Err(stack) => stack,
         }
-    }
+    } else {
+        let procs = mp_processes(cfg.protocol, inputs, cfg.t);
+        match try_fork::<MpSubstrate<u64, u64>, S>(
+            cfg, inputs, spec, plan, crashed, global, stack, procs,
+        ) {
+            Ok(out) => return out,
+            Err(stack) => stack,
+        }
+    };
     explore_task_replay(cfg, inputs, spec, plan, crashed, global, stack)
+}
+
+/// Builds the pattern's [`ForkSession`] — the statically faithful one
+/// without a deviation policy, a [`ForkSession::deviant`] one under it —
+/// and runs the task on it; hands the stack back when a process is
+/// unforkable.
+#[allow(clippy::too_many_arguments)]
+fn try_fork<Sub, S>(
+    cfg: &CheckerConfig,
+    inputs: &[u64],
+    spec: &ProblemSpec,
+    plan: &FaultPlan,
+    crashed: &[ProcessId],
+    global: &S,
+    stack: Vec<WorkItem>,
+    procs: Vec<Sub::Process>,
+) -> Result<TaskOutcome, Vec<WorkItem>>
+where
+    Sub: SubstrateFork<Output = u64> + SubstrateAdv,
+    S: CampaignStore,
+{
+    let config = cfg.fork_config();
+    match cfg.pattern_policy(plan) {
+        None => {
+            // The same fail-closed rule as [`execute_schedule_in`]: a
+            // Byzantine slot on the faithful path would certify crash
+            // semantics under a Byzantine label.
+            assert!(!plan.has_byzantine(), "{BYZANTINE_WITHOUT_POLICY}");
+            match ForkSession::<Sub>::new(config, plan.clone(), procs) {
+                Some(mut session) => Ok(explore_task_fork(
+                    cfg, inputs, spec, plan, crashed, global, &mut session, stack,
+                )),
+                None => Err(stack),
+            }
+        }
+        Some(policy) => match ForkSession::<Sub, DeviantDelivery>::deviant(
+            config,
+            plan.clone(),
+            procs,
+            policy,
+        ) {
+            Some(mut session) => Ok(explore_task_fork(
+                cfg, inputs, spec, plan, crashed, global, &mut session, stack,
+            )),
+            None => Err(stack),
+        },
+    }
 }
 
 /// The stateless executor: every work item re-executes its prefix from
@@ -1361,17 +1412,20 @@ impl<S: CampaignStore> ForkGate for WalkGate<'_, S> {
 /// snapshots to the children it stages. All observables — verdicts,
 /// counters, counterexample bytes — are identical to the replay executor
 /// (`tests/fork_parity.rs` pins this).
-fn explore_task_fork<Sub, S>(
+#[allow(clippy::too_many_arguments)]
+fn explore_task_fork<Sub, D, S>(
     cfg: &CheckerConfig,
     inputs: &[u64],
     spec: &ProblemSpec,
+    plan: &FaultPlan,
     crashed: &[ProcessId],
     global: &S,
-    session: &mut ForkSession<Sub>,
+    session: &mut ForkSession<Sub, D>,
     stack: Vec<WorkItem>,
 ) -> TaskOutcome
 where
     Sub: SubstrateFork<Output = u64>,
+    D: Delivery<Sub>,
     S: CampaignStore,
 {
     let mut out = TaskOutcome::new();
@@ -1428,12 +1482,10 @@ where
             violation_of_dense(spec, inputs, decisions, crashed, session.terminated())
         {
             let log = session.log();
-            // The fork executor only ever runs deviation-free patterns
-            // (see [`explore_task`]), so the script is all-faithful and
-            // there are no Byzantine slots to record.
+            let (plan_crashed, plan_byzantine) = plan_slots(plan);
             out.violation = Some(Counterexample {
-                crashed: crashed.to_vec(),
-                byzantine: Vec::new(),
+                crashed: plan_crashed,
+                byzantine: plan_byzantine,
                 choices: log.taken_indices(),
                 fired: log.fired_script(),
                 violation: message,

@@ -10,10 +10,10 @@
 //!   schedule body — to the crash-only checker's, across every fork mode
 //!   and thread count.
 //! * **Active deviation spaces are execution-strategy-invariant.** A
-//!   Byzantine cell's verdict, counters and recorded deviation script do
-//!   not depend on `--fork-mode` or `--threads`, and survive a campaign
-//!   kill/resume cycle bit-identically (the checkpoint codec round-trips
-//!   Byzantine slots and deviations).
+//!   Byzantine or lossy cell's verdict, counters and recorded deviation
+//!   script do not depend on `--fork-mode` or `--threads`, and a Byzantine
+//!   cell survives a campaign kill/resume cycle bit-identically (the
+//!   checkpoint codec round-trips Byzantine slots and deviations).
 
 use std::fs;
 use std::path::PathBuf;
@@ -171,6 +171,59 @@ fn active_byzantine_cell_is_mode_and_thread_invariant() {
             );
         }
     }
+}
+
+/// The lossy-network FloodMin RV1 cell with one message the network may
+/// lose: violated (a lost message starves a correct process).
+fn mp_lossy_cell() -> CheckerConfig {
+    let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
+    cfg.adversary = AdversaryModel::MpLossy;
+    cfg.loss_budget = 1;
+    cfg
+}
+
+#[test]
+fn active_lossy_cell_is_mode_and_thread_invariant() {
+    // Verdict, counters and the v2 counterexample file — deviation script
+    // included — must not depend on the executor or the thread count.
+    let dir = std::env::temp_dir().join(format!(
+        "kset_adversary_parity_lossy_{}",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let write = |cfg: &CheckerConfig, verdict: &CellVerdict, name: &str| -> Vec<u8> {
+        let ce = verdict.counterexample.as_ref().expect("violation recorded");
+        let path = dir.join(name);
+        write_counterexample(&path, cfg, ce).unwrap();
+        fs::read(&path).unwrap()
+    };
+    let mut reference = mp_lossy_cell();
+    reference.fork = ForkMode::Replay;
+    reference.threads = 1;
+    let oracle = check_cell(&reference);
+    assert!(!oracle.holds(), "the MP/lossy RV1 cell must be violated");
+    let oracle_bytes = write(&reference, &oracle, "oracle.schedule");
+    assert!(
+        std::str::from_utf8(&oracle_bytes).unwrap().contains("drop"),
+        "the lossy counterexample must record its drop"
+    );
+    for mode in [ForkMode::Replay, ForkMode::Fork, ForkMode::Auto] {
+        for threads in [1usize, 2] {
+            let scoped = format!("mp_lossy [{mode}, {threads} thread(s)]");
+            let mut cfg = mp_lossy_cell();
+            cfg.fork = mode;
+            cfg.threads = threads;
+            let verdict = check_cell(&cfg);
+            assert_identical(&scoped, &oracle, &verdict);
+            assert_eq!(
+                write(&cfg, &verdict, &format!("{mode}_{threads}.schedule")),
+                oracle_bytes,
+                "{scoped}: counterexample bytes differ"
+            );
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

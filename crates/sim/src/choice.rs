@@ -271,8 +271,15 @@ impl ChoiceScheduler {
     /// `None` — leaves every code path exactly as it was, so crash-model
     /// exploration is unaffected byte for byte.
     pub fn with_policy(mut self, policy: Option<DeviationPolicy>) -> Self {
-        self.policy = policy.filter(DeviationPolicy::is_active);
+        self.set_policy(policy);
         self
+    }
+
+    /// [`ChoiceScheduler::with_policy`] in place, for a scheduler already
+    /// shared with a kernel (the forking executor installs its session's
+    /// policy this way). Takes effect from the next pick.
+    pub fn set_policy(&mut self, policy: Option<DeviationPolicy>) {
+        self.policy = policy.filter(DeviationPolicy::is_active);
     }
 
     /// A handle on the shared log, kept by the caller across the run.

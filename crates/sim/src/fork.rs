@@ -33,6 +33,16 @@
 //! the restored kernel reproduces the same event ids, digests and run
 //! statistics. The replay path stays in-tree as the cross-checked oracle.
 //!
+//! Deviation patterns fork too. A session built with
+//! [`ForkSession::deviant`] installs the pattern's [`DeviationPolicy`] on
+//! its scheduler and dispatches through [`DeviantDelivery`], the very
+//! drop/forge code the replay entry points (`System::run_digested_adv_in`)
+//! step through. A branch point is then a pending event *variant* — each
+//! Byzantine forge or drop, each lossy drop is a sibling — and the drop
+//! count and Byzantine marks ride in the kernel's run state, which every
+//! snapshot carries. Sessions built with [`ForkSession::new`] keep the
+//! statically faithful dispatch of the crash model.
+//!
 //! Snapshots are a pure optimization with two throttles. A caller-supplied
 //! [`ForkGate`] predicts — from the same visited-store coverage check the
 //! explorer's walk performs afterwards — whether the walk can still branch
@@ -41,19 +51,23 @@
 //! degrading gracefully to replay-from-root when exceeded.
 
 use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::mem::size_of;
 use std::rc::Rc;
 
 use crate::arena::{DigestMode, RunArena};
 use crate::choice::{ChoiceLog, ChoiceScheduler};
+use crate::deviate::DeviationPolicy;
 use crate::digest::StateDigest;
 use crate::error::SimError;
 use crate::event::{EventId, EventKind, EventMeta, ProcessId};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::kernel::{Kernel, KernelSnapshot};
 use crate::outcome::Outcome;
-use crate::session::{self, DigestEngine, Payload, RunCore};
-use crate::substrate::SubstrateFork;
+use crate::session::{
+    self, Delivery, DeviantDelivery, DigestEngine, FaithfulDelivery, Payload, RunCore,
+};
+use crate::substrate::{SubstrateAdv, SubstrateFork};
 
 /// How the explorer steers snapshot taking during a forked run.
 ///
@@ -213,13 +227,22 @@ impl<S: SubstrateFork> Drop for RunSnapshot<S> {
 /// [`RunSnapshot`]s at prospective branch points and resuming siblings
 /// from them instead of replaying the shared prefix.
 ///
+/// The delivery discipline `D` is the same sealed seam the stepped
+/// [`Session`](crate::Session) uses: [`FaithfulDelivery`] (built by
+/// [`ForkSession::new`]) for crash patterns, [`DeviantDelivery`] (built by
+/// [`ForkSession::deviant`]) for Byzantine and lossy-network patterns.
+///
 /// Tracing and metrics are unconditionally disabled — the checker's hot
 /// path never enables them, and [`Kernel::snapshot`] requires it.
-pub struct ForkSession<S: SubstrateFork>
+pub struct ForkSession<S: SubstrateFork, D = FaithfulDelivery>
 where
     S::Output: StateDigest + Clone,
 {
     por: bool,
+    /// The deviation space installed on the scheduler, mirrored here so
+    /// branch prediction counts the same variants the picks expand; `None`
+    /// for faithful sessions.
+    policy: Option<DeviationPolicy>,
     max_branch_depth: usize,
     budget_bytes: Option<usize>,
     live_bytes: Rc<Cell<usize>>,
@@ -242,9 +265,10 @@ where
     pool: Rc<RefCell<Vec<SnapshotBufs<S>>>>,
     cur_prefix_len: usize,
     last_terminated: bool,
+    _delivery: PhantomData<D>,
 }
 
-impl<S: SubstrateFork> std::fmt::Debug for ForkSession<S>
+impl<S: SubstrateFork, D> std::fmt::Debug for ForkSession<S, D>
 where
     S::Output: StateDigest + Clone,
 {
@@ -266,7 +290,46 @@ where
     /// under `plan`, or `None` when any process is not forkable
     /// ([`SubstrateFork::fork_process`] returned `None`) — the caller then
     /// falls back to replay execution.
+    ///
+    /// Every delivery is faithful: Byzantine slots of `plan` are marked in
+    /// the run state but never deviate. Build a deviation pattern's
+    /// session with [`ForkSession::deviant`] instead.
     pub fn new(config: ForkConfig, plan: FaultPlan, procs: Vec<S::Process>) -> Option<Self> {
+        Self::build(config, plan, procs)
+    }
+}
+
+impl<S: SubstrateFork + SubstrateAdv> ForkSession<S, DeviantDelivery>
+where
+    S::Output: StateDigest + Clone,
+{
+    /// [`ForkSession::new`] for a deviation pattern: installs `policy` on
+    /// the session's scheduler, so every pick expands the pending events'
+    /// deviation variants exactly as `System::run_digested_adv_in` under a
+    /// `ChoiceScheduler::with_policy` scheduler does, and dispatches fired
+    /// events through [`DeviantDelivery`]. Resumed runs are bit-identical
+    /// — choice log with deviations, digests, decisions — to those
+    /// replays. An inactive `policy` behaves like [`ForkSession::new`].
+    pub fn deviant(
+        config: ForkConfig,
+        plan: FaultPlan,
+        procs: Vec<S::Process>,
+        policy: DeviationPolicy,
+    ) -> Option<Self> {
+        let mut session = Self::build(config, plan, procs)?;
+        session.picker.borrow_mut().set_policy(Some(policy.clone()));
+        session.policy = policy.is_active().then_some(policy);
+        Some(session)
+    }
+}
+
+impl<S: SubstrateFork, D: Delivery<S>> ForkSession<S, D>
+where
+    S::Output: StateDigest + Clone,
+{
+    /// The shared constructor of every delivery discipline; the scheduler
+    /// starts policy-free.
+    fn build(config: ForkConfig, plan: FaultPlan, procs: Vec<S::Process>) -> Option<Self> {
         let n = config.n;
         assert!(n > 0, "fork session needs at least one process");
         assert_eq!(procs.len(), n, "one process per slot");
@@ -319,6 +382,7 @@ where
 
         Some(ForkSession {
             por: config.por,
+            policy: None,
             max_branch_depth: config.max_branch_depth,
             budget_bytes: config.budget_bytes,
             live_bytes,
@@ -332,6 +396,7 @@ where
             pool,
             cur_prefix_len: 0,
             last_terminated: false,
+            _delivery: PhantomData,
         })
     }
 
@@ -521,10 +586,12 @@ where
             // the next *branchy* point, so a run can waste snapshots at
             // branchy points past the walk's dedup cut-off when the
             // cut-off itself lands on a non-branchy depth.
+            // A lone pending event can still branch under a policy: its
+            // forge/drop variants are siblings of its faithful delivery.
             if gate_open
                 && depth >= self.cur_prefix_len
                 && depth < self.max_branch_depth
-                && self.kernel.pending_len() > 1
+                && (self.kernel.pending_len() > 1 || self.policy.is_some())
                 && self.point_is_branchy(&*gate)
             {
                 if depth > 0 && !gate.branches_beyond(depth, self.dig.digests[depth - 1]) {
@@ -538,7 +605,7 @@ where
             let Some((meta, payload)) = self.kernel.next_checked()? else {
                 break;
             };
-            self.core.step_event(&mut self.kernel, &meta, payload)?;
+            D::deliver(&mut self.core, &mut self.kernel, &meta, payload)?;
             self.dig.observe::<S>(
                 &meta,
                 &self.kernel,
@@ -564,15 +631,20 @@ where
     /// * Otherwise the scheduler takes the minimum-id pending event, and an
     ///   alternative seeds a child only if it is not a no-op and not in the
     ///   explorer's sleep set ([`ForkGate::is_asleep`]).
+    /// * Under a policy each live event contributes one alternative per
+    ///   deviation variant ([`DeviationPolicy::for_each_deviation`]); the
+    ///   default pick is the minimum-id event's faithful variant, so its
+    ///   own forge/drop variants are siblings too.
     ///
     /// Imprecision here is performance-only: a false positive wastes one
     /// snapshot the walk never consumes, a false negative degrades that
     /// point's siblings to replay-from-root.
     fn point_is_branchy(&self, gate: &impl ForkGate) -> bool {
         // One pass computes the noop census, the minimum id and the count
-        // of live (non-noop, awake) events; ids are unique, so "not the
-        // minimum-id event" is exactly "not the running minimum's slot".
+        // of live (non-noop, awake) alternatives; ids are unique, so "not
+        // the minimum-id event" is exactly "not the running minimum's slot".
         let state = self.kernel.state();
+        let policy = self.policy.as_ref();
         let mut min_id: Option<EventId> = None;
         let mut min_live = false;
         let mut live = 0usize;
@@ -581,7 +653,12 @@ where
             let noop = state.has_decided(m.target) || state.has_crashed(m.target);
             any_noop |= noop;
             let alive = !noop && !gate.is_asleep(m.id);
-            live += usize::from(alive);
+            if alive {
+                match policy {
+                    None => live += 1,
+                    Some(policy) => policy.for_each_deviation(m, false, state, |_| live += 1),
+                }
+            }
             if min_id.map_or(true, |id| m.id < id) {
                 min_id = Some(m.id);
                 min_live = alive;

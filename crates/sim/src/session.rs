@@ -13,9 +13,11 @@
 //! free of deviation branches: [`FaithfulDelivery`] dispatches every fired
 //! event as-is, [`DeviantDelivery`] honours the scheduler's
 //! [`Deviation`]s (drop, forge) for Byzantine and lossy-network
-//! adversaries. The forking executor (`crate::fork`) reuses the same
-//! [`RunCore`] event-dispatch methods and [`DigestEngine`] verbatim, so
-//! replayed, forked, and stepped runs agree on semantics by construction.
+//! adversaries. A discipline dispatches into the `(RunCore, Kernel)` pair
+//! rather than into a whole session, so the forking executor
+//! (`crate::fork`) runs the very same drop/forge code under either
+//! discipline, along with the same [`DigestEngine`]: replayed, forked, and
+//! stepped runs agree on semantics by construction.
 
 use std::marker::PhantomData;
 
@@ -65,21 +67,24 @@ mod sealed {
     impl Sealed for super::DeviantDelivery {}
 }
 
-/// How fired events turn into process callbacks inside a [`Session`]: the
-/// static seam between the crash-model run loop (every delivery is
-/// faithful) and the adversarial one (the scheduler's [`Deviation`] may
-/// drop or corrupt a delivery in transit). A sealed trait with unit-struct
-/// implementations rather than a runtime branch, so the crash-model hot
-/// path compiles exactly as before — no per-event match on a deviation
-/// that is statically known to be [`Deviation::Faithful`].
+/// How fired events turn into process callbacks inside a [`Session`] or a
+/// [`ForkSession`](crate::ForkSession): the static seam between the
+/// crash-model run loop (every delivery is faithful) and the adversarial
+/// one (the scheduler's [`Deviation`] may drop or corrupt a delivery in
+/// transit). A sealed trait with unit-struct implementations rather than a
+/// runtime branch, so the crash-model hot path compiles exactly as before
+/// — no per-event match on a deviation that is statically known to be
+/// [`Deviation::Faithful`].
 pub trait Delivery<S: Substrate>: sealed::Sealed + Sized {
-    /// Dispatches one fired event into the session per this discipline.
+    /// Dispatches one fired event into the run state per this discipline.
     ///
     /// # Errors
     ///
     /// Any error surfaced by [`Substrate::apply`].
+    #[doc(hidden)]
     fn deliver(
-        session: &mut Session<S, Self>,
+        core: &mut RunCore<S>,
+        kernel: &mut Kernel<Payload<S::Payload>>,
         meta: &EventMeta,
         payload: Payload<S::Payload>,
     ) -> Result<(), SimError>;
@@ -87,22 +92,23 @@ pub trait Delivery<S: Substrate>: sealed::Sealed + Sized {
 
 /// Every delivery is faithful; a scheduler deviation reaching this loop is
 /// a harness bug (the checker must route active adversary spaces through
-/// the `*_adv` entry points).
+/// the `*_adv` entry points or a deviant fork session).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaithfulDelivery;
 
 impl<S: Substrate> Delivery<S> for FaithfulDelivery {
     fn deliver(
-        session: &mut Session<S, Self>,
+        core: &mut RunCore<S>,
+        kernel: &mut Kernel<Payload<S::Payload>>,
         meta: &EventMeta,
         payload: Payload<S::Payload>,
     ) -> Result<(), SimError> {
         debug_assert!(
-            matches!(session.kernel.last_deviation(), Deviation::Faithful),
+            matches!(kernel.last_deviation(), Deviation::Faithful),
             "scheduler produced a deviation on the faithful run loop; \
              use a `*_adv` entry point"
         );
-        session.core.step_event(&mut session.kernel, meta, payload)
+        core.step_event(kernel, meta, payload)
     }
 }
 
@@ -114,23 +120,22 @@ pub struct DeviantDelivery;
 
 impl<S: SubstrateAdv> Delivery<S> for DeviantDelivery {
     fn deliver(
-        session: &mut Session<S, Self>,
+        core: &mut RunCore<S>,
+        kernel: &mut Kernel<Payload<S::Payload>>,
         meta: &EventMeta,
         payload: Payload<S::Payload>,
     ) -> Result<(), SimError> {
-        match session.kernel.last_deviation() {
-            Deviation::Faithful => session.core.step_event(&mut session.kernel, meta, payload),
+        match kernel.last_deviation() {
+            Deviation::Faithful => core.step_event(kernel, meta, payload),
             Deviation::Drop => {
                 // The delivery is suppressed outright: no callback runs, no
                 // lazy start fires (the target never observes the event).
                 // The charge makes the loss state-visible, so dedup cannot
                 // merge a run that spent loss budget with one that did not.
-                session.kernel.state_mut().charge_drop();
+                kernel.state_mut().charge_drop();
                 Ok(())
             }
-            Deviation::Forge(v) => session
-                .core
-                .forged_event(&mut session.kernel, meta, payload, v),
+            Deviation::Forge(v) => core.forged_event(kernel, meta, payload, v),
         }
     }
 }
@@ -140,7 +145,11 @@ impl<S: SubstrateAdv> Delivery<S> for DeviantDelivery {
 /// kernel so one event's dispatch borrows both halves disjointly — and so
 /// the forking executor (`crate::fork`) can snapshot/restore this state
 /// while calling the very same dispatch methods the stepped run loop uses.
-pub(crate) struct RunCore<S: Substrate> {
+///
+/// Declared `pub` only because the sealed [`Delivery`] seam names it; the
+/// module is private and the type is not re-exported, so nothing outside
+/// the crate can name or build one.
+pub struct RunCore<S: Substrate> {
     pub(crate) n: usize,
     pub(crate) plan: FaultPlan,
     pub(crate) procs: Vec<S::Process>,
@@ -148,6 +157,15 @@ pub(crate) struct RunCore<S: Substrate> {
     pub(crate) decisions: Vec<Option<S::Output>>,
     pub(crate) started: Vec<bool>,
     pub(crate) buf: Vec<S::Action>,
+}
+
+impl<S: Substrate> std::fmt::Debug for RunCore<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunCore")
+            .field("n", &self.n)
+            .field("started", &self.started)
+            .finish()
+    }
 }
 
 impl<S: Substrate> RunCore<S> {
@@ -434,8 +452,9 @@ impl DigestEngine {
     /// decisions, per-process shared state and pending events.
     ///
     /// Each process contributes an id-free *component* — its remaining
-    /// crash budget, protocol-state digest, crashed flag, decision, and its
-    /// slice of the shared state ([`SubstrateDigest::digest_shared_of`]).
+    /// crash budget, its Byzantine role, protocol-state digest, crashed
+    /// flag, decision, and its slice of the shared state
+    /// ([`SubstrateDigest::digest_shared_of`]).
     /// The state fingerprint is the hash of the *sorted* component list
     /// plus a pool sum whose events are re-keyed by the components of their
     /// target and source (with the id-free payload hash) instead of by raw
@@ -479,6 +498,13 @@ impl DigestEngine {
                     ch.mix(1);
                     ch.mix(b);
                 }
+            }
+            // So is the Byzantine role: a Byzantine slot's outgoing
+            // deliveries may deviate, a correct one's may not, and the
+            // budget above reads `None` for both. Mixed only when set, so
+            // crash-plan components stay bit-identical.
+            if kernel.state().is_byzantine(pid) {
+                ch.mix(0xB2);
             }
             ch.mix(self.proc_digests[pid]);
             ch.mix(u64::from(kernel.state().has_crashed(pid)));
@@ -683,7 +709,7 @@ impl<S: Substrate, D: Delivery<S>> Session<S, D> {
         let Some((meta, payload)) = self.kernel.next_checked()? else {
             return Ok(Poll::Idle);
         };
-        D::deliver(self, &meta, payload)?;
+        D::deliver(&mut self.core, &mut self.kernel, &meta, payload)?;
         if let Some(observe) = self.observe {
             observe(&meta, &self.kernel, &self.core, &mut self.dig);
         }
@@ -905,4 +931,73 @@ where
     h.mix(pool);
     mix_drops(&mut h, kernel.state().drops());
     h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sched::FifoScheduler;
+    use crate::substrate::CallInfo;
+
+    /// A two-line substrate whose processes are bare state words: enough
+    /// to feed [`DigestEngine::canonical`] hand-built component inputs.
+    struct Words;
+
+    impl Substrate for Words {
+        type Payload = ();
+        type Process = u64;
+        type Action = ();
+        type Output = u64;
+        type Shared = ();
+
+        fn new_shared(_n: usize) {}
+        fn on_start(_: &mut u64, _: &(), _: CallInfo, _: &mut Vec<()>) {}
+        fn on_step(_: &mut u64, _: &(), _: CallInfo, _: &mut Vec<()>) {}
+        fn on_payload(
+            _: &mut u64,
+            _: (),
+            _: Option<ProcessId>,
+            _: &(),
+            _: CallInfo,
+            _: &mut Vec<()>,
+        ) {
+        }
+        fn apply(_: (), _: ProcessId, _: usize, _: &mut ()) -> Result<Effect<(), u64>, SimError> {
+            Ok(Effect::Step)
+        }
+    }
+
+    impl SubstrateDigest for Words {
+        fn digest_process(proc: &u64) -> u64 {
+            *proc
+        }
+        fn digest_payload(_: &(), _: &mut Fnv64) {}
+        fn digest_shared(_: &(), _: &mut Fnv64) {}
+    }
+
+    /// The canonical digest of the quiescent state where process `p` holds
+    /// `states[p]` and the slots in `byzantine` are marked Byzantine.
+    fn canonical_of(states: [u64; 2], byzantine: &[ProcessId]) -> u64 {
+        let plan = FaultPlan::byzantine(2, byzantine);
+        let mut kernel: Kernel<Payload<()>> =
+            Kernel::with_processes(FifoScheduler, 2).event_hasher(event_hashes::<Words>);
+        for &p in byzantine {
+            kernel.state_mut().mark_byzantine(p);
+        }
+        let mut dig = DigestEngine::new(DigestMode::Canonical, Some(plan));
+        dig.proc_digests = states.to_vec();
+        dig.canonical::<Words>(2, &kernel, &[None, None], &())
+    }
+
+    #[test]
+    fn canonical_digest_separates_byzantine_roles() {
+        // The same protocol states with the Byzantine mark on a different
+        // process: its deviation options differ, so symmetry must not
+        // merge the two.
+        assert_ne!(canonical_of([3, 5], &[0]), canonical_of([3, 5], &[1]));
+        // Swapping states *and* the mark together is a true permutation.
+        assert_eq!(canonical_of([3, 5], &[0]), canonical_of([5, 3], &[1]));
+        // Crash-model states (no mark) stay permutation-invariant.
+        assert_eq!(canonical_of([3, 5], &[]), canonical_of([5, 3], &[]));
+    }
 }
