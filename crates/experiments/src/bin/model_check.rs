@@ -66,7 +66,7 @@ use kset_experiments::campaign::{
 use kset_experiments::checker::{
     check_cell_gauged, cross_validate, parse_adversary_model, parse_protocol, parse_validity,
     read_counterexample, parse_fork_mode, replay_fired, to_run_records, write_counterexample,
-    AdversaryModel, CellVerdict, CheckerConfig, ForkMode, VisitedGauge,
+    AdversaryModel, CellVerdict, CheckerConfig, ForkMode, RunGauge, VisitedGauge,
 };
 use kset_experiments::exhaustive::QuorumProtocol;
 use kset_experiments::record_sink::JsonlSink;
@@ -326,9 +326,10 @@ struct BenchCell {
     runs: u64,
     states: usize,
     tasks: u64,
-    /// The in-memory visited store at its largest; `None` for campaigns,
-    /// whose store occupancy is in the MANIFEST instead.
-    visited: Option<VisitedGauge>,
+    /// The in-memory visited store at its largest and the execution
+    /// counters; `None` for campaigns, whose store occupancy is in the
+    /// MANIFEST instead and whose execution spans resumes.
+    gauges: Option<(VisitedGauge, RunGauge)>,
     wall_s: f64,
 }
 
@@ -336,7 +337,7 @@ impl BenchCell {
     fn from_verdict(
         cfg: &CheckerConfig,
         verdict: &CellVerdict,
-        visited: Option<VisitedGauge>,
+        gauges: Option<(VisitedGauge, RunGauge)>,
         wall_s: f64,
     ) -> Self {
         BenchCell {
@@ -355,7 +356,7 @@ impl BenchCell {
             runs: verdict.runs,
             states: verdict.patterns.iter().map(|p| p.states).sum(),
             tasks: verdict.patterns.iter().map(|p| p.tasks).sum(),
-            visited,
+            gauges,
             wall_s,
         }
     }
@@ -390,10 +391,10 @@ fn write_bench_json(
     ));
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
-        let visited = c.visited.map_or(String::new(), |gauge| {
+        let gauges = c.gauges.map_or(String::new(), |(visited, runs)| {
             format!(
-                "\"visited_entries\": {}, \"visited_bytes\": {}, ",
-                gauge.entries, gauge.bytes
+                "\"visited_entries\": {}, \"visited_bytes\": {}, \"events_fired\": {}, \"truncated_runs\": {}, ",
+                visited.entries, visited.bytes, runs.events_fired, runs.truncated_runs
             )
         });
         out.push_str(&format!(
@@ -406,7 +407,7 @@ fn write_bench_json(
             c.runs,
             c.states,
             c.tasks,
-            visited,
+            gauges,
             c.wall_s,
             c.runs as f64 / c.wall_s.max(1e-9),
             if i + 1 < cells.len() { "," } else { "" },
@@ -455,14 +456,14 @@ fn run_cell(
     bench: &mut Vec<BenchCell>,
 ) -> (bool, CellVerdict) {
     let started = Instant::now();
-    let (verdict, visited) = check_cell_gauged(cfg);
+    let (verdict, visited, runs) = check_cell_gauged(cfg);
     let ok = report_cell(
         cfg,
         args,
         expect_holds,
         bench,
         &verdict,
-        Some(visited),
+        Some((visited, runs)),
         started.elapsed().as_secs_f64(),
     );
     (ok, verdict)
@@ -477,10 +478,10 @@ fn report_cell(
     expect_holds: Option<bool>,
     bench: &mut Vec<BenchCell>,
     verdict: &CellVerdict,
-    visited: Option<VisitedGauge>,
+    gauges: Option<(VisitedGauge, RunGauge)>,
     wall_s: f64,
 ) -> bool {
-    bench.push(BenchCell::from_verdict(cfg, verdict, visited, wall_s));
+    bench.push(BenchCell::from_verdict(cfg, verdict, gauges, wall_s));
     println!(
         "SC(k={}, t={}, {}) for {} at n={}: {}",
         cfg.k,

@@ -357,7 +357,7 @@ fn drive(
         };
         let done_runs: u64 = patterns_done.iter().map(|p| p.runs).sum();
         let mut checkpoint_error: Option<io::Error> = None;
-        let (verdict, exit) = {
+        let (verdict, exit, _) = {
             let manifest = &mut manifest;
             let patterns_done = &patterns_done;
             let last_checkpoint_runs = &mut last_checkpoint_runs;

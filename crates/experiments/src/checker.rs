@@ -21,10 +21,13 @@
 //! The checker is a *stateless* (re-execution based) explorer in the style
 //! of systematic concurrency testers: a schedule is a sequence of canonical
 //! choice indices (see [`kset_sim::ChoiceScheduler`]); the engine runs the
-//! kernel to completion under a prefix, reads the recorded
-//! [`kset_sim::ChoiceLog`] back, and pushes one work item per untried
-//! alternative at every beyond-prefix decision point. Because the kernel is
-//! deterministic given the prefix, re-execution is exact.
+//! kernel under a prefix, reads the recorded [`kset_sim::ChoiceLog`] back,
+//! and pushes one work item per untried alternative at every beyond-prefix
+//! decision point. Because the kernel is deterministic given the prefix,
+//! re-execution is exact. The replay executor runs every schedule to
+//! termination; the forking executor stops a run at its first state the
+//! visited stores already cover (see [`ForkMode`]), the point where the
+//! walk would stop reading it anyway.
 //!
 //! Three reductions keep the tree tractable without losing soundness:
 //!
@@ -214,13 +217,16 @@ pub struct CheckerConfig {
 /// [`CheckerConfig::fork`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ForkMode {
-    /// Re-execute every work item's prefix from the initial state — the
-    /// stateless baseline, kept as the cross-checking oracle for the
-    /// forking executor.
+    /// Re-execute every work item's prefix from the initial state and run
+    /// it to termination — the stateless baseline, kept as the
+    /// cross-checking oracle for the forking executor.
     Replay,
     /// Resume every work item from the snapshot taken at its branch
     /// point, with no snapshot byte budget. Items whose snapshot was
-    /// elided (gate-closed points, spilled continuations) still replay.
+    /// elided (spilled continuations) still replay. Unless the search is
+    /// depth- or preemption-bounded, a run stops at its first state the
+    /// visited stores already cover, where the walk would stop reading
+    /// it: all of its continuations are explored from the covering state.
     Fork,
     /// Fork, but stop taking new snapshots while a task's live snapshot
     /// bytes exceed a fixed budget — those points degrade to replay.
@@ -975,6 +981,11 @@ const TASK_BUDGET: u64 = 2048;
 /// by [`explore_pattern`] in task order.
 struct TaskOutcome {
     runs: u64,
+    /// Kernel events executed, shared prefixes resumed from a snapshot
+    /// excluded (operational: see [`RunGauge`]).
+    events_fired: u64,
+    /// Forked runs stopped at a covered state (operational).
+    truncated_runs: u64,
     states: usize,
     sleep_skips: u64,
     dedup_hits: u64,
@@ -993,6 +1004,8 @@ impl TaskOutcome {
     fn new() -> Self {
         TaskOutcome {
             runs: 0,
+            events_fired: 0,
+            truncated_runs: 0,
             states: 0,
             sleep_skips: 0,
             dedup_hits: 0,
@@ -1038,7 +1051,8 @@ struct WalkScratch {
 /// fields; the prefix itself was consumed by [`execute_schedule_in`], and
 /// only its length matters here (in-prefix points were already walked when
 /// the prefix was recorded — the [`kset_sim::ChoiceScheduler`] does not
-/// even log their options).
+/// even log their options). `proof` is what the forking executor's gate
+/// already established about the run's states against `global`.
 #[allow(clippy::too_many_arguments)]
 fn walk_run<S: CampaignStore>(
     cfg: &CheckerConfig,
@@ -1047,7 +1061,7 @@ fn walk_run<S: CampaignStore>(
     sleep: Vec<SleepEntry>,
     log: &ChoiceLog,
     digests: &[u64],
-    verified_cut: Option<usize>,
+    proof: GateProof,
     global: &S,
     out: &mut TaskOutcome,
     push: &mut impl FnMut(WorkItem),
@@ -1062,6 +1076,10 @@ fn walk_run<S: CampaignStore>(
     } = scratch;
     taken.clear();
     taken.extend((0..log.len()).map(|i| log.taken(i)));
+    // The gate already saw the frozen `global` miss at every depth the run
+    // reached; only this task's table, which has grown since, is re-probed.
+    let probe_global = proof == GateProof::None;
+    let mut cut = false;
     for d in prefix_len..log.len() {
         let point = log.point(d);
 
@@ -1070,21 +1088,14 @@ fn walk_run<S: CampaignStore>(
         // pattern anyway). `global` is the frozen pre-wave snapshot; new
         // insertions go to the task-local table.
         if cfg.dedup && d > 0 {
-            // The forking executor's gate may have proved this exact
-            // point covered mid-execution ([`WalkGate`] records where it
-            // closed). Visited stores only grow and the gate's sleep set
-            // evolves exactly as this walk's, so its TRUE answer still
-            // holds here — skip the (table-chasing) probe. A cut at an
-            // earlier point just leaves the hint unused.
-            if verified_cut == Some(d) {
-                out.dedup_hits += 1;
-                break;
-            }
             let fingerprint = digests[d - 1];
             // Task-local table first: it is small and cache-hot, and `||`
             // makes the probe order invisible to the verdict.
-            if out.visited.covers(fingerprint, &sleep) || global.covers(fingerprint, &sleep) {
+            if out.visited.covers(fingerprint, &sleep)
+                || (probe_global && global.covers(fingerprint, &sleep))
+            {
                 out.dedup_hits += 1;
+                cut = true;
                 break;
             }
             if out.visited.inserted() < cfg.max_states {
@@ -1174,8 +1185,29 @@ fn walk_run<S: CampaignStore>(
         // Firing the taken event wakes its dependents.
         sleep.retain(|s| s.target != taken_meta.target);
     }
+    // A run the gate stopped at a covered state ends where the walk would
+    // have cut it: the cover the gate saw there still holds (stores only
+    // grow, and the gate's sleep set evolved exactly as this walk's).
+    if !cut && proof == GateProof::Covered {
+        out.dedup_hits += 1;
+    }
     // The walked item's sleep vector feeds the free list.
     sleeps.push(sleep);
+}
+
+/// What a forked run's [`WalkGate`] established while the run executed,
+/// handed to [`walk_run`] so it does not re-prove it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum GateProof {
+    /// Nothing: the replay executor, or a search that does not stop runs
+    /// early. The walk probes both stores.
+    None,
+    /// The frozen wave store missed at every beyond-prefix state the run
+    /// reached, and the run ran to termination.
+    Misses,
+    /// As [`GateProof::Misses`] below the log's end, and the stores cover
+    /// the state at the log's end: the run stopped there.
+    Covered,
 }
 
 /// Runs one exploration task: a serial DFS over the stack segment
@@ -1323,6 +1355,7 @@ fn explore_task_replay<S: CampaignStore>(
         )
         .expect("checker-built system configurations are valid");
         out.runs += 1;
+        out.events_fired += run.digests.len() as u64;
         progress_line(cfg, crashed, &out, stack.len());
 
         out.worst_agreement = out.worst_agreement.max(run.distinct_correct_decisions());
@@ -1343,7 +1376,7 @@ fn explore_task_replay<S: CampaignStore>(
             sleep,
             &run.log,
             &run.digests,
-            None,
+            GateProof::None,
             global,
             &mut out,
             &mut |child| stack.push(child),
@@ -1355,44 +1388,41 @@ fn explore_task_replay<S: CampaignStore>(
     out
 }
 
-/// The checker's [`ForkGate`]: a mirror of [`walk_run`]'s pruning that
-/// runs *during* execution, so the forking executor only snapshots
-/// decision points whose siblings the walk will actually visit.
+/// The checker's [`ForkGate`]: a mirror of [`walk_run`]'s dedup rule that
+/// runs *during* execution, so the forking executor stops a run at the
+/// first beyond-prefix state the walk would cut it at.
 ///
-/// `branches_beyond` answers false exactly when the walk's dedup rule
-/// would cut the run off at (or before) that depth — the state was
-/// already expanded under a subset sleep set — at which point no deeper
-/// sibling of this run can ever be popped, so snapshots past it would be
-/// pure waste. Because visited stores only grow, a cover observed here
-/// still holds when the walk re-checks it. The sleep set evolves exactly
-/// as the walk's: `on_fired` wakes dependents of each beyond-prefix
-/// fired event.
+/// `covered` probes the task-local table as it stood when the run started
+/// and the frozen wave store — never this run's own insertions, which the
+/// walk makes only after the run, so a state repeated within one run never
+/// stops it. Because visited stores only grow, a cover observed here still
+/// holds when the walk reaches the same depth, and the walk cuts there or
+/// earlier. The sleep set evolves exactly as the walk's: `on_fired` wakes
+/// dependents of each beyond-prefix fired event. Since the run ends at the
+/// cut, every point it reaches can still branch: `branches_beyond` always
+/// answers true.
 ///
-/// A closing cover is remembered in `closed_at`: the decision-point
-/// depth where the gate proved (fingerprint, sleep) covered. The walk
-/// reuses that proof as its `verified_cut` and skips re-probing the
-/// stores at that depth — sound because covers are monotone (stores
-/// only grow between the gate's probe and the walk's).
+/// Stopping at a covered state rests on the premise dedup already rests
+/// on: the first expansion of `(fingerprint, sleep ⊆ current)` explores
+/// every continuation, the canonical one included. Depth- and
+/// preemption-bounded searches do not guarantee that premise, so `active`
+/// is off for them (and without dedup); the gate then never stops a run.
 struct WalkGate<'a, S: CampaignStore> {
-    dedup: bool,
+    active: bool,
     global: &'a S,
     visited: &'a Visited,
     sleep: Vec<SleepEntry>,
-    closed_at: Option<usize>,
 }
 
 impl<S: CampaignStore> ForkGate for WalkGate<'_, S> {
-    fn branches_beyond(&mut self, depth: usize, fingerprint: u64) -> bool {
-        if !self.dedup {
-            return true;
-        }
-        if self.visited.covers(fingerprint, &self.sleep)
-            || self.global.covers(fingerprint, &self.sleep)
-        {
-            self.closed_at = Some(depth);
-            return false;
-        }
+    fn branches_beyond(&mut self, _depth: usize, _fingerprint: u64) -> bool {
         true
+    }
+
+    fn covered(&mut self, _depth: usize, fingerprint: u64) -> bool {
+        self.active
+            && (self.visited.covers(fingerprint, &self.sleep)
+                || self.global.covers(fingerprint, &self.sleep))
     }
 
     fn on_fired(&mut self, target: ProcessId) {
@@ -1407,10 +1437,12 @@ impl<S: CampaignStore> ForkGate for WalkGate<'_, S> {
 /// [`explore_task_replay`] on the forking executor: one [`ForkSession`]
 /// owns the kernel, process and digest state for the whole task, each
 /// work item resumes from the snapshot captured at its branch point (or
-/// replays from the root when none was — gate-closed point, byte budget,
-/// restored continuation), and the walk attaches the current run's
-/// snapshots to the children it stages. All observables — verdicts,
-/// counters, counterexample bytes — are identical to the replay executor
+/// replays from the root when none was — byte budget, restored
+/// continuation), and the walk attaches the current run's snapshots to the
+/// children it stages. A run stops at its first covered state
+/// ([`WalkGate`]); it still counts as a run, but its partial decisions are
+/// neither checked nor scored. All observables — verdicts, counters,
+/// counterexample bytes — are identical to the replay executor
 /// (`tests/fork_parity.rs` pins this).
 #[allow(clippy::too_many_arguments)]
 fn explore_task_fork<Sub, D, S>(
@@ -1437,6 +1469,9 @@ where
     let mut stack: Vec<(WorkItem, Option<Rc<RunSnapshot<Sub>>>)> =
         stack.into_iter().map(|item| (item, None)).collect();
     let mut scratch = WalkScratch::default();
+    // Derived, not a knob: see [`WalkGate`] for why bounded searches run
+    // every schedule to termination.
+    let truncate = cfg.dedup && cfg.depth == usize::MAX && cfg.preemptions.is_none();
     while let Some((item, snap)) = stack.pop() {
         if out.runs >= cfg.max_runs {
             out.complete = false;
@@ -1456,41 +1491,53 @@ where
             preemptions,
         } = item;
         let prefix_len = prefix.len();
+        let resumed_at = snap.as_ref().map_or(0, |snapshot| snapshot.depth());
         let mut gate = WalkGate {
-            dedup: cfg.dedup,
+            active: truncate,
             global,
             visited: &out.visited,
             sleep: sleep.clone(),
-            closed_at: None,
         };
         match snap {
             Some(snapshot) => session.resume_rc(snapshot, prefix, &mut gate),
             None => session.run_root(prefix, &mut gate),
         }
         .expect("checker-built system configurations are valid");
-        let verified_cut = gate.closed_at;
-        // Read the run's observables in place — no per-run export copies,
-        // and `crashed` doubles as the (task-constant) faulty set.
-        let decisions = session.decisions();
+        let truncated = session.truncated();
+        let proof = match (truncate, truncated) {
+            (false, _) => GateProof::None,
+            (true, false) => GateProof::Misses,
+            (true, true) => GateProof::Covered,
+        };
         out.runs += 1;
+        out.events_fired += (session.digests().len() - resumed_at) as u64;
+        out.truncated_runs += u64::from(truncated);
         progress_line(cfg, crashed, &out, stack.len());
 
-        out.worst_agreement = out
-            .worst_agreement
-            .max(distinct_correct_decisions_dense(decisions, crashed));
-        if let Some(message) =
-            violation_of_dense(spec, inputs, decisions, crashed, session.terminated())
-        {
-            let log = session.log();
-            let (plan_crashed, plan_byzantine) = plan_slots(plan);
-            out.violation = Some(Counterexample {
-                crashed: plan_crashed,
-                byzantine: plan_byzantine,
-                choices: log.taken_indices(),
-                fired: log.fired_script(),
-                violation: message,
-            });
-            break;
+        // A truncated run's decisions are partial; the expansion that
+        // covers its last state checks every continuation from there.
+        if !truncated {
+            // Read the run's observables in place — no per-run export
+            // copies, and `crashed` doubles as the (task-constant) faulty
+            // set.
+            let decisions = session.decisions();
+            out.worst_agreement = out
+                .worst_agreement
+                .max(distinct_correct_decisions_dense(decisions, crashed));
+            if let Some(message) =
+                violation_of_dense(spec, inputs, decisions, crashed, session.terminated())
+            {
+                let log = session.log();
+                let (plan_crashed, plan_byzantine) = plan_slots(plan);
+                out.violation = Some(Counterexample {
+                    crashed: plan_crashed,
+                    byzantine: plan_byzantine,
+                    choices: log.taken_indices(),
+                    fired: log.fired_script(),
+                    violation: message,
+                });
+                break;
+            }
         }
         let log = session.log();
         walk_run(
@@ -1500,7 +1547,7 @@ where
             sleep,
             &log,
             session.digests(),
-            verified_cut,
+            proof,
             global,
             &mut out,
             &mut |child: WorkItem| {
@@ -1519,7 +1566,7 @@ fn progress_line(cfg: &CheckerConfig, crashed: &[ProcessId], out: &TaskOutcome, 
     if let Some(every) = cfg.progress {
         if out.runs % every == 0 {
             eprintln!(
-                "[model_check] {} crashed={:?}: task at {} runs, {} states, {} visited entries, {} visited bytes, {} frontier, {} dedup hits, {} sleep skips",
+                "[model_check] {} crashed={:?}: task at {} runs, {} states, {} visited entries, {} visited bytes, {} frontier, {} dedup hits, {} sleep skips, {} events fired, {} truncated runs",
                 cfg.protocol.name(),
                 crashed,
                 out.runs,
@@ -1529,6 +1576,8 @@ fn progress_line(cfg: &CheckerConfig, crashed: &[ProcessId], out: &TaskOutcome, 
                 frontier,
                 out.dedup_hits,
                 out.sleep_skips,
+                out.events_fired,
+                out.truncated_runs,
             );
         }
     }
@@ -1588,7 +1637,7 @@ pub(crate) fn seed_pattern(
             Vec::new(),
             &root_run.log,
             &root_run.digests,
-            None,
+            GateProof::None,
             &empty,
             &mut root_out,
             &mut |item| seeded.push(item),
@@ -1625,7 +1674,9 @@ pub(crate) fn seed_pattern(
 /// the remaining queue; returning [`WaveControl::Pause`] ends the drain
 /// with [`DrainExit::Paused`] (the campaign layer checkpoints there).
 /// The observer never influences exploration, so verdicts and counters
-/// are independent of when — or whether — it pauses.
+/// are independent of when — or whether — it pauses. The drained tasks'
+/// operational counters come back in a [`RunGauge`], outside the verdict
+/// a checkpoint persists.
 pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
     cfg: &CheckerConfig,
     inputs: &[u64],
@@ -1634,22 +1685,24 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
     store: &mut S,
     state: PatternState,
     mut on_wave: impl FnMut(&mut S, &PatternVerdict, &VecDeque<Vec<WorkItem>>) -> WaveControl,
-) -> (PatternVerdict, DrainExit) {
+) -> (PatternVerdict, DrainExit, RunGauge) {
     let PatternState { verdict, queue } = state;
     let crashed = verdict.crashed.clone();
     if verdict.violation.is_some() || queue.is_empty() {
-        return (verdict, DrainExit::Drained);
+        return (verdict, DrainExit::Drained, RunGauge::default());
     }
-    let mut drain_state = (store, verdict);
+    let mut drain_state = (store, verdict, RunGauge::default());
     let exit = crate::engine::parallel_drain_watched(
         cfg.threads,
         queue,
         &mut drain_state,
-        |_, (store, _), stack| {
+        |_, (store, _, _), stack| {
             explore_task(cfg, inputs, spec, plan, &crashed, &**store, stack)
         },
-        |(store, v), mut out, queue| {
+        |(store, v, gauge), mut out, queue| {
             store.absorb(std::mem::take(&mut out.visited));
+            gauge.events_fired += out.events_fired;
+            gauge.truncated_runs += out.truncated_runs;
             v.runs += out.runs;
             v.states += out.states;
             v.sleep_skips += out.sleep_skips;
@@ -1665,14 +1718,14 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
             }
             v.violation.is_some() || v.runs >= cfg.max_runs
         },
-        |(store, v), queue| on_wave(store, v, queue),
+        |(store, v, _), queue| on_wave(store, v, queue),
     );
-    let mut verdict = drain_state.1;
+    let (_, mut verdict, gauge) = drain_state;
     if matches!(exit, DrainExit::Stopped { work_left: true }) && verdict.violation.is_none() {
         // The pattern-level run budget cut the drain short.
         verdict.complete = false;
     }
-    (verdict, exit)
+    (verdict, exit, gauge)
 }
 
 /// Explores every schedule of `protocol` under one crash pattern,
@@ -1702,21 +1755,22 @@ pub fn explore_pattern(
 }
 
 /// [`explore_pattern`], also reporting the shared store's size at its
-/// largest wave barrier.
+/// largest wave barrier and the drained tasks' execution counters.
 fn explore_pattern_gauged(
     cfg: &CheckerConfig,
     inputs: &[u64],
     spec: &ProblemSpec,
     plan: &FaultPlan,
-) -> (PatternVerdict, VisitedGauge) {
+) -> (PatternVerdict, VisitedGauge, RunGauge) {
     let (state, root_visited) = seed_pattern(cfg, inputs, spec, plan);
     let mut store = root_visited;
     let mut gauge = VisitedGauge::of(&store);
-    let (verdict, _) = drain_pattern(cfg, inputs, spec, plan, &mut store, state, |store, _, _| {
-        gauge = gauge.max(VisitedGauge::of(store));
-        WaveControl::Continue
-    });
-    (verdict, gauge.max(VisitedGauge::of(&store)))
+    let (verdict, _, runs) =
+        drain_pattern(cfg, inputs, spec, plan, &mut store, state, |store, _, _| {
+            gauge = gauge.max(VisitedGauge::of(store));
+            WaveControl::Continue
+        });
+    (verdict, gauge.max(VisitedGauge::of(&store)), runs)
 }
 
 /// The memory gauge of a cell's exploration: the largest in-memory
@@ -1745,6 +1799,21 @@ impl VisitedGauge {
             bytes: self.bytes.max(other.bytes),
         }
     }
+}
+
+/// The execution gauge of a cell's exploration: how much kernel work its
+/// exploration tasks did. Operational, not contract-covered: the forking
+/// executor resumes shared prefixes from snapshots and stops runs at
+/// covered states, the replay executor does neither, so both figures
+/// depend on the fork mode while every verdict counter does not. The
+/// canonical seed run of each pattern is not counted.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct RunGauge {
+    /// Kernel events fired, shared prefixes resumed from a snapshot
+    /// excluded.
+    pub events_fired: u64,
+    /// Forked runs stopped at a state the visited stores already covered.
+    pub truncated_runs: u64,
 }
 
 /// Greedily shrinks a violating choice prefix: first each entry is driven
@@ -1873,13 +1942,14 @@ pub fn check_cell(cfg: &CheckerConfig) -> CellVerdict {
     check_cell_gauged(cfg).0
 }
 
-/// [`check_cell`], also reporting the [`VisitedGauge`] of the
-/// exploration (the memory figure of `model_check --bench-json` rows).
+/// [`check_cell`], also reporting the [`VisitedGauge`] and the
+/// [`RunGauge`] of the exploration (the memory and execution figures of
+/// `model_check --bench-json` rows).
 ///
 /// # Panics
 ///
 /// As [`check_cell`].
-pub fn check_cell_gauged(cfg: &CheckerConfig) -> (CellVerdict, VisitedGauge) {
+pub fn check_cell_gauged(cfg: &CheckerConfig) -> (CellVerdict, VisitedGauge, RunGauge) {
     if let Err(message) = cfg.validate() {
         panic!("invalid checker configuration: {message}");
     }
@@ -1894,9 +1964,13 @@ pub fn check_cell_gauged(cfg: &CheckerConfig) -> (CellVerdict, VisitedGauge) {
         counterexample: None,
     };
     let mut gauge = VisitedGauge::default();
+    let mut runs = RunGauge::default();
     for plan in cfg.fault_plans() {
-        let (mut pattern, pattern_gauge) = explore_pattern_gauged(cfg, &inputs, &spec, &plan);
+        let (mut pattern, pattern_gauge, pattern_runs) =
+            explore_pattern_gauged(cfg, &inputs, &spec, &plan);
         gauge = gauge.max(pattern_gauge);
+        runs.events_fired += pattern_runs.events_fired;
+        runs.truncated_runs += pattern_runs.truncated_runs;
         verdict.worst_agreement = verdict.worst_agreement.max(pattern.worst_agreement);
         verdict.runs += pattern.runs;
         verdict.complete &= pattern.complete;
@@ -1909,7 +1983,7 @@ pub fn check_cell_gauged(cfg: &CheckerConfig) -> (CellVerdict, VisitedGauge) {
         }
         verdict.patterns.push(pattern);
     }
-    (verdict, gauge)
+    (verdict, gauge, runs)
 }
 
 /// Re-runs one representative schedule per explored pattern with metrics

@@ -7,7 +7,10 @@
 //! identical to the `ForkMode::Replay` oracle. This suite pins that on
 //! both substrates (message passing and shared memory), across a
 //! deterministic pseudo-random sweep of cells and configurations, and
-//! through a campaign kill/resume cycle running in fork mode.
+//! through a campaign kill/resume cycle running in fork mode. The forking
+//! executor also stops runs at states the visited stores already cover,
+//! which replay never does; `truncation_is_unobservable` pins that this
+//! changes no observable either.
 
 use std::fs;
 use std::path::PathBuf;
@@ -17,7 +20,8 @@ use kset_experiments::campaign::{
     resume_campaign, run_campaign, CampaignOptions, CampaignOutcome,
 };
 use kset_experiments::checker::{
-    check_cell, write_counterexample, CellVerdict, CheckerConfig, ForkMode,
+    check_cell, check_cell_gauged, write_counterexample, AdversaryModel, CellVerdict,
+    CheckerConfig, ForkMode,
 };
 use kset_experiments::exhaustive::QuorumProtocol;
 
@@ -230,5 +234,121 @@ fn campaign_kill_resume_under_fork_mode() {
     };
     assert!(interruptions > 0, "the pause hook never fired");
     assert_identical("fork-mode campaign vs replay reference", &reference, &verdict);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The counterexample file of `verdict` as `cfg` writes it (v2 for the
+/// deviation cells), or `None` when the cell holds.
+fn counterexample_bytes(dir: &std::path::Path, cfg: &CheckerConfig, verdict: &CellVerdict) -> Option<Vec<u8>> {
+    let ce = verdict.counterexample.as_ref()?;
+    let path = dir.join("cell.schedule");
+    write_counterexample(&path, cfg, ce).unwrap();
+    Some(fs::read(&path).unwrap())
+}
+
+#[test]
+fn truncation_is_unobservable() {
+    // Fork and auto stop runs at covered states; replay runs every
+    // schedule to termination. Across crash, Byzantine and lossy cells,
+    // in memory at one and two threads and through the disk-backed
+    // campaign store, the two must agree on every verdict field and
+    // counterexample byte — and truncation must actually have fired.
+    let mut cells: Vec<(String, CheckerConfig)> = Vec::new();
+    for (protocol, n, k, t) in [
+        (QuorumProtocol::FloodMin, 3, 2, 1),
+        (QuorumProtocol::FloodMin, 3, 1, 1),
+        (QuorumProtocol::FloodMin, 4, 3, 2),
+        (QuorumProtocol::FloodMin, 4, 2, 2), // violated
+        (QuorumProtocol::ProtocolA, 3, 2, 1),
+        (QuorumProtocol::ProtocolB, 3, 2, 1),
+        (QuorumProtocol::ProtocolE, 3, 2, 1),
+        (QuorumProtocol::ProtocolE, 3, 1, 1),
+        (QuorumProtocol::ProtocolF, 3, 2, 1),
+        (QuorumProtocol::ProtocolF, 3, 1, 1),
+    ] {
+        let mut cfg = CheckerConfig::new(protocol, n, k, t, ValidityCondition::RV1);
+        cfg.max_runs = 30_000;
+        cells.push((format!("{protocol:?} n={n} k={k} t={t}"), cfg));
+    }
+    // Lemma 4.9: a forged register read breaks Protocol E's RV2.
+    let mut sm_byz =
+        CheckerConfig::new(QuorumProtocol::ProtocolE, 3, 2, 2, ValidityCondition::RV2);
+    sm_byz.adversary = AdversaryModel::SmByz;
+    sm_byz.byz_menu = vec![0];
+    sm_byz.inputs = Some(vec![1, 1, 1]);
+    cells.push(("ProtocolE n=3 k=2 t=2 RV2 sm_byz".into(), sm_byz));
+    let mut lossy = CheckerConfig::new(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
+    lossy.adversary = AdversaryModel::MpLossy;
+    lossy.loss_budget = 1;
+    cells.push(("FloodMin n=3 k=2 t=1 mp_lossy".into(), lossy));
+
+    let dir: PathBuf = std::env::temp_dir().join(format!(
+        "kset_fork_parity_truncation_{}",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let mut violated = 0;
+    let mut truncated_cells = 0;
+    for (name, cell) in &cells {
+        let mut truncated_runs = 0;
+        let mut replay_cfg = cell.clone();
+        replay_cfg.fork = ForkMode::Replay;
+        replay_cfg.threads = 1;
+        let (oracle, _, replay_gauge) = check_cell_gauged(&replay_cfg);
+        assert_eq!(replay_gauge.truncated_runs, 0, "{name}: replay truncated a run");
+        let oracle_bytes = counterexample_bytes(&dir, &replay_cfg, &oracle);
+        violated += usize::from(oracle_bytes.is_some());
+        for mode in [ForkMode::Fork, ForkMode::Auto] {
+            for threads in [1, 2] {
+                let context = format!("{name} [{mode}, {threads} thread(s)]");
+                let mut cfg = cell.clone();
+                cfg.fork = mode;
+                cfg.threads = threads;
+                let (verdict, _, gauge) = check_cell_gauged(&cfg);
+                assert_identical(&context, &oracle, &verdict);
+                assert_eq!(
+                    counterexample_bytes(&dir, &cfg, &verdict),
+                    oracle_bytes,
+                    "{context}: counterexample bytes differ"
+                );
+                truncated_runs += gauge.truncated_runs;
+            }
+        }
+        let mut cfg = cell.clone();
+        cfg.fork = ForkMode::Auto;
+        cfg.threads = 2;
+        let campaign_dir = dir.join("campaign");
+        let _ = fs::remove_dir_all(&campaign_dir);
+        let opts = CampaignOptions {
+            shards: 4,
+            checkpoint_every: u64::MAX,
+            pause_after_checkpoints: None,
+        };
+        let CampaignOutcome::Finished(verdict) =
+            run_campaign(&cfg, &campaign_dir, &opts).expect("campaign")
+        else {
+            panic!("{name}: an unpaused campaign paused");
+        };
+        // Every cell whose walk cut a run somewhere must have stopped a
+        // forked run early. The RV1 cells of Protocols A, B, E and F
+        // violate on their root run, so they never fork.
+        let dedup_hits: u64 = oracle.patterns.iter().map(|p| p.dedup_hits).sum();
+        assert_eq!(
+            truncated_runs > 0,
+            dedup_hits > 0,
+            "{name}: {truncated_runs} truncated runs against {dedup_hits} dedup hits"
+        );
+        truncated_cells += usize::from(truncated_runs > 0);
+        let context = format!("{name} [campaign]");
+        assert_identical(&context, &oracle, &verdict);
+        assert_eq!(
+            counterexample_bytes(&dir, &cfg, &verdict),
+            oracle_bytes,
+            "{context}: counterexample bytes differ"
+        );
+    }
+    assert!(violated >= 3, "the violated cells lost their violations");
+    assert_eq!(truncated_cells, 6, "cells that truncated a run");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -44,11 +44,17 @@
 //! statically faithful dispatch of the crash model.
 //!
 //! Snapshots are a pure optimization with two throttles. A caller-supplied
-//! [`ForkGate`] predicts — from the same visited-store coverage check the
-//! explorer's walk performs afterwards — whether the walk can still branch
-//! beyond a given point; once it cannot, the rest of the run takes no
-//! snapshots. And an optional byte budget bounds the live snapshot spine,
-//! degrading gracefully to replay-from-root when exceeded.
+//! [`ForkGate`] predicts whether the walk can still branch beyond a given
+//! point; once it cannot, the rest of the run takes no snapshots. And an
+//! optional byte budget bounds the live snapshot spine, degrading
+//! gracefully to replay-from-root when exceeded.
+//!
+//! The same gate can also end a run early. [`ForkGate::covered`] answers
+//! the explorer's visited-store coverage check at each beyond-prefix state;
+//! once a state is covered the explorer's walk stops reading the run there,
+//! so the session stops executing it there too ([`ForkSession::truncated`]).
+//! Such a run's log and digests are a prefix of the full run's; resuming a
+//! sibling from any earlier snapshot is unaffected.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
@@ -69,24 +75,39 @@ use crate::session::{
 };
 use crate::substrate::{SubstrateAdv, SubstrateFork};
 
-/// How the explorer steers snapshot taking during a forked run.
+/// How the explorer steers a forked run: where it takes snapshots and
+/// where it stops.
 ///
-/// The session consults the gate at each candidate decision point, in
-/// execution order. The gate mirrors the explorer's own post-run walk: if
-/// the coverage check that walk performs at depth `d` would make it stop
-/// there, no branch at depth `≥ d` can ever be scheduled, so snapshots past
-/// that point are dead weight. Because the visited store only grows, a
-/// `false` answer at execution time is already final — the walk, running
-/// later against a superset store, stops at or before the same depth.
+/// The gate mirrors the explorer's own post-run walk. If the coverage
+/// check that walk performs at depth `d` would make it stop there, no
+/// branch at depth `≥ d` can ever be scheduled and nothing the run does
+/// past `d` is ever read. Because the visited store only grows, a cover
+/// seen at execution time is already final — the walk, running later
+/// against a superset store, stops at or before the same depth.
+///
+/// [`ForkGate::covered`] acts on that directly: the session stops the run
+/// at the first covered state. [`ForkGate::branches_beyond`] is the milder
+/// throttle for gates that let every run finish: it only stops snapshot
+/// taking.
 pub trait ForkGate {
     /// Whether the explorer's walk can still branch at or beyond the
     /// decision point at `depth` (fired events so far), whose
-    /// *predecessor* state digests to `fp`. A `false` return permanently
-    /// disables snapshotting for the rest of the run. `depth` lets the
-    /// gate remember *where* its coverage check fired, so the explorer
-    /// can skip re-proving the same (depth, fingerprint, sleep) cover in
-    /// its post-run walk.
+    /// *predecessor* state digests to `fp`. Consulted only at branchy
+    /// beyond-prefix points; a `false` return permanently disables
+    /// snapshotting for the rest of the run, which still executes to
+    /// termination.
     fn branches_beyond(&mut self, depth: usize, fp: u64) -> bool;
+
+    /// Whether the beyond-prefix state after `depth > 0` fired events,
+    /// which digests to `fp`, is already covered, so the run can stop
+    /// before its `depth`-th pick. Consulted at every beyond-prefix depth
+    /// while some correct process is undecided and an event is pending; a
+    /// `true` return ends the run there ([`ForkSession::truncated`]). The
+    /// default never stops a run.
+    fn covered(&mut self, depth: usize, fp: u64) -> bool {
+        let _ = (depth, fp);
+        false
+    }
 
     /// Observes one beyond-prefix fired event, so the gate can evolve any
     /// per-run state the walk's coverage check depends on (the explorer's
@@ -106,8 +127,8 @@ pub trait ForkGate {
     }
 }
 
-/// The trivial gate: always predicts a branch, never evolves. Snapshot
-/// taking is then throttled only by the byte budget.
+/// The trivial gate: always predicts a branch, never evolves, never stops
+/// a run. Snapshot taking is then throttled only by the byte budget.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AlwaysBranch;
 
@@ -265,6 +286,7 @@ where
     pool: Rc<RefCell<Vec<SnapshotBufs<S>>>>,
     cur_prefix_len: usize,
     last_terminated: bool,
+    last_truncated: bool,
     _delivery: PhantomData<D>,
 }
 
@@ -396,6 +418,7 @@ where
             pool,
             cur_prefix_len: 0,
             last_terminated: false,
+            last_truncated: false,
             _delivery: PhantomData,
         })
     }
@@ -565,27 +588,50 @@ where
         self.last_terminated
     }
 
+    /// Whether the just-finished run stopped at a state the gate reported
+    /// [covered](ForkGate::covered) instead of running to termination. Its
+    /// log and digests then end at that state, and its decisions are the
+    /// partial ones made so far.
+    pub fn truncated(&self) -> bool {
+        self.last_truncated
+    }
+
     /// Read access to the session's choice log — after a run completes,
-    /// the full log of that run, shared prefix included. Release the
-    /// borrow before the next [`ForkSession::resume`].
+    /// the log of that run up to where it stopped, shared prefix
+    /// included. Release the borrow before the next
+    /// [`ForkSession::resume`].
     pub fn log(&self) -> std::cell::Ref<'_, ChoiceLog> {
         self.log.borrow()
     }
 
+    /// Executes the current schedule until every correct process has
+    /// decided, nothing is pending, or `gate` reports a covered state.
     fn run_to_completion(&mut self, gate: &mut impl ForkGate) -> Result<(), SimError> {
         let mut gate_open = true;
+        self.last_truncated = false;
         loop {
             if self.kernel.state().all_correct_decided() {
                 break;
             }
             let depth = self.dig.digests.len();
+            // A covered beyond-prefix state ends the run before its pick:
+            // the walk stops reading the run here, so nothing past it is
+            // observed. A state with nothing pending is terminal anyway
+            // and never counts as truncated.
+            if depth > 0
+                && depth >= self.cur_prefix_len
+                && self.kernel.pending_len() > 0
+                && gate.covered(depth, self.dig.digests[depth - 1])
+            {
+                self.last_truncated = true;
+                break;
+            }
             // Branchiness (a scan of the small pending pool) is checked
-            // before the gate (hash probes into the explorer's visited
-            // stores), so non-branchy points — the majority — cost no
-            // probe. The trade: a covered depth is then only discovered at
-            // the next *branchy* point, so a run can waste snapshots at
-            // branchy points past the walk's dedup cut-off when the
-            // cut-off itself lands on a non-branchy depth.
+            // before `branches_beyond`, so non-branchy points — the
+            // majority — cost that gate nothing. A gate that stops runs
+            // at covered states never reaches a point past the walk's cut;
+            // one that lets runs finish learns of the cut only at the next
+            // *branchy* point.
             // A lone pending event can still branch under a policy: its
             // forge/drop variants are siblings of its faithful delivery.
             if gate_open
