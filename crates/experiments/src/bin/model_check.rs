@@ -27,20 +27,21 @@
 //! `--depth D`, `--preemptions P`, `--max-runs R`, `--max-states S`.
 //! Parallelism: `--threads N` (`0`/`auto` = available parallelism, the
 //! default; every verdict, counter and counterexample byte is identical
-//! for every `N`). Reductions: `--symmetry` deduplicates on fingerprints
-//! canonicalized modulo process-id permutation (off by default — on the
-//! canonical all-distinct inputs it merges nothing and measurably loses;
-//! see `PERFORMANCE.md`), `--no-symmetry` forces it off explicitly.
-//! Ablation: `--no-por`, `--no-dedup`. Execution strategy:
-//! `--fork-mode {fork|replay|auto}` selects how work items reach their
-//! branch points — `fork` resumes from branch-point snapshots, `replay`
-//! re-executes prefixes from the root (the oracle), `auto` (default)
-//! forks under a byte budget with replay fallback; verdicts, counters and
-//! counterexample bytes are identical for every mode. Observability:
-//! `--progress N` (stderr counters every N runs), `--json PATH` (one
-//! `RunRecord` per explored crash pattern, schema in `OBSERVABILITY.md`),
-//! `--bench-json PATH` (machine-readable wall-clock/throughput summary of
-//! the checked cells — the format recorded in `BENCH_model_check.json`).
+//! for every `N`). Symmetry reduction has no flag: a cell whose inputs
+//! repeat a value deduplicates on fingerprints canonicalized modulo
+//! process-id permutation, a cell with all-distinct inputs on plain ones
+//! (see `PERFORMANCE.md`). Ablation: `--no-por`, `--no-dedup`. Execution
+//! strategy: `--fork-mode {auto|replay}` selects how work items reach
+//! their branch points — `auto` (default) resumes from branch-point
+//! snapshots under a byte budget with replay fallback, `replay`
+//! re-executes prefixes from the root (the oracle); verdicts, counters and
+//! counterexample bytes are identical for both. Observability:
+//! `--progress N` (a stderr counter line each time a fault pattern's runs
+//! pass a multiple of N), `--json PATH` (one `RunRecord` per explored
+//! crash pattern, schema in `OBSERVABILITY.md`), `--bench-json PATH`
+//! (machine-readable wall-clock/throughput summary of the checked cells,
+//! with the digest mode each ran under — the format recorded in
+//! `BENCH_model_check.json`).
 //! Counterexamples are written to `--counterexample PATH` (default
 //! `target/model_check/<cell>.schedule`) and replayed with `--replay`.
 //!
@@ -70,6 +71,7 @@ use kset_experiments::checker::{
 };
 use kset_experiments::exhaustive::QuorumProtocol;
 use kset_experiments::record_sink::JsonlSink;
+use kset_sim::DigestMode;
 
 struct Args {
     protocol: Option<QuorumProtocol>,
@@ -88,8 +90,6 @@ struct Args {
     max_states: Option<usize>,
     no_por: bool,
     no_dedup: bool,
-    symmetry: bool,
-    no_symmetry: bool,
     progress: Option<u64>,
     threads: Option<usize>,
     fork: Option<ForkMode>,
@@ -123,8 +123,6 @@ fn parse_args() -> Args {
         max_states: None,
         no_por: false,
         no_dedup: false,
-        symmetry: false,
-        no_symmetry: false,
         progress: None,
         threads: None,
         fork: None,
@@ -189,8 +187,6 @@ fn parse_args() -> Args {
             }
             "--no-por" => parsed.no_por = true,
             "--no-dedup" => parsed.no_dedup = true,
-            "--symmetry" => parsed.symmetry = true,
-            "--no-symmetry" => parsed.no_symmetry = true,
             "--progress" => parsed.progress = Some(number("--progress", value("--progress"))),
             "--threads" => {
                 let raw = value("--threads");
@@ -202,7 +198,7 @@ fn parse_args() -> Args {
             "--fork-mode" => {
                 let raw = value("--fork-mode");
                 parsed.fork = Some(parse_fork_mode(&raw).unwrap_or_else(|| {
-                    usage_error(&format!("--fork-mode wants fork|replay|auto, got {raw:?}"))
+                    usage_error(&format!("--fork-mode wants auto|replay, got {raw:?}"))
                 }));
             }
             "--counterexample" => parsed.counterexample = Some(value("--counterexample").into()),
@@ -226,10 +222,7 @@ fn parse_args() -> Args {
                     value("--pause-after-checkpoints"),
                 ))
             }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     parsed
@@ -300,9 +293,6 @@ fn apply_bounds(cfg: &mut CheckerConfig, args: &Args) {
     }
     cfg.por = !args.no_por;
     cfg.dedup = !args.no_dedup;
-    // Off by default; `--symmetry` opts in, `--no-symmetry` pins the
-    // default explicitly (and wins if both are given).
-    cfg.symmetry = args.symmetry && !args.no_symmetry;
     cfg.progress = args.progress;
     if let Some(threads) = args.threads {
         cfg.threads = threads;
@@ -322,6 +312,8 @@ struct BenchCell {
     /// certification, and the JSON says so explicitly so the row cannot
     /// be misread as one.
     bounded: bool,
+    /// The digest mode the cell's inputs selected.
+    digest: DigestMode,
     patterns: usize,
     runs: u64,
     states: usize,
@@ -352,6 +344,7 @@ impl BenchCell {
             model: cfg.adversary.to_string(),
             verdict: if verdict.holds() { "holds" } else { "violated" },
             bounded: !verdict.complete,
+            digest: cfg.digest(),
             patterns: verdict.patterns.len(),
             runs: verdict.runs,
             states: verdict.patterns.iter().map(|p| p.states).sum(),
@@ -368,7 +361,6 @@ impl BenchCell {
 fn write_bench_json(
     path: &PathBuf,
     threads: usize,
-    symmetry: bool,
     fork: ForkMode,
     cells: &[BenchCell],
 ) -> std::io::Result<()> {
@@ -383,7 +375,6 @@ fn write_bench_json(
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"model_check_certification\",\n");
     out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"symmetry\": {symmetry},\n"));
     out.push_str(&format!("  \"fork_mode\": \"{fork}\",\n"));
     out.push_str(&format!(
         "  \"host_logical_cpus\": {},\n",
@@ -398,11 +389,15 @@ fn write_bench_json(
             )
         });
         out.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"model\": \"{}\", \"verdict\": \"{}\", \"bounded\": {}, \"patterns\": {}, \"runs\": {}, \"states\": {}, \"tasks\": {}, {}\"wall_s\": {:.3}, \"runs_per_s\": {:.0}}}{}\n",
+            "    {{\"cell\": \"{}\", \"model\": \"{}\", \"verdict\": \"{}\", \"bounded\": {}, \"digest\": \"{}\", \"patterns\": {}, \"runs\": {}, \"states\": {}, \"tasks\": {}, {}\"wall_s\": {:.3}, \"runs_per_s\": {:.0}}}{}\n",
             c.label,
             c.model,
             c.verdict,
             c.bounded,
+            match c.digest {
+                DigestMode::Plain => "plain",
+                DigestMode::Canonical => "canonical",
+            },
             c.patterns,
             c.runs,
             c.states,
@@ -589,7 +584,7 @@ fn main() -> ExitCode {
     let mut bench: Vec<BenchCell> = Vec::new();
     let report_bench = |bench: &[BenchCell], threads: usize, fork: ForkMode| {
         if let Some(path) = &args.bench_json {
-            write_bench_json(path, threads, args.symmetry && !args.no_symmetry, fork, bench)
+            write_bench_json(path, threads, fork, bench)
                 .expect("write --bench-json");
             println!("  (timing summary written to {})", path.display());
         }

@@ -26,6 +26,7 @@ use crate::checker::{
 };
 use crate::exhaustive::QuorumProtocol;
 use kset_core::ValidityCondition;
+use kset_sim::DigestMode;
 
 use super::store::fnv1a;
 
@@ -83,7 +84,10 @@ pub struct Manifest {
     pub t: usize,
     /// Validity condition.
     pub validity: ValidityCondition,
-    /// Whether symmetry reduction (canonical digests) is on.
+    /// Whether the campaign runs on canonical (symmetry-reduced) digests.
+    /// Derived from the inputs when the campaign is created
+    /// ([`CheckerConfig::digest`]) and recorded so that resume can refuse a
+    /// campaign an older build explored under the other mode.
     pub symmetry: bool,
     /// Depth bound (`usize::MAX` = unbounded).
     pub depth: usize,
@@ -139,10 +143,15 @@ pub struct Manifest {
 /// counters, or counterexample bytes: the cell coordinates, the digest
 /// mode, and all exploration bounds and reduction switches.
 ///
+/// The text layout predates derived digest modes: `symmetry=` now holds
+/// the mode [`CheckerConfig::digest`] derives from the inputs, so a
+/// distinct-input campaign written when the mode was a flag (always off)
+/// hashes identically and still resumes.
+///
 /// Deliberately **excluded**: `threads` (the determinism contract already
 /// covers every thread count), `fork` (execution strategy, not search
-/// state — fork, replay and auto produce byte-identical verdicts,
-/// counters and counterexamples, pinned by `tests/fork_parity.rs`),
+/// state — replay and auto produce byte-identical verdicts, counters and
+/// counterexamples, pinned by `tests/fork_parity.rs`),
 /// `progress` (stderr only), and the checkpoint cadence (checkpoints
 /// observe, never steer — see `CAMPAIGNS.md`). A campaign may therefore
 /// be resumed with a different `--threads`, `--fork-mode`, `--progress`,
@@ -155,7 +164,7 @@ pub fn config_digest(cfg: &CheckerConfig) -> u64 {
         cfg.k,
         cfg.t,
         cfg.validity,
-        cfg.symmetry,
+        uses_canonical_digests(cfg),
         cfg.depth,
         cfg.preemptions.map_or(-1i64, |p| p as i64),
         cfg.max_runs,
@@ -179,6 +188,12 @@ pub fn config_digest(cfg: &CheckerConfig) -> u64 {
     fnv1a(text.as_bytes())
 }
 
+/// Whether `cfg`'s inputs select canonical digests — the manifest's
+/// `symmetry` value.
+pub(crate) fn uses_canonical_digests(cfg: &CheckerConfig) -> bool {
+    cfg.digest() == DigestMode::Canonical
+}
+
 /// Whether `cfg`'s adversary differs from the protocol substrate's
 /// default crash adversary (the pre-adversary-model behaviour).
 fn adversary_is_non_default(cfg: &CheckerConfig) -> bool {
@@ -200,7 +215,7 @@ impl Manifest {
             k: cfg.k,
             t: cfg.t,
             validity: cfg.validity,
-            symmetry: cfg.symmetry,
+            symmetry: uses_canonical_digests(cfg),
             depth: cfg.depth,
             preemptions: cfg.preemptions,
             max_runs: cfg.max_runs,
@@ -236,7 +251,6 @@ impl Manifest {
     /// so a resume does not have to restate the cell and bounds.
     pub fn checker_config(&self) -> CheckerConfig {
         let mut cfg = CheckerConfig::new(self.protocol, self.n, self.k, self.t, self.validity);
-        cfg.symmetry = self.symmetry;
         cfg.depth = self.depth;
         cfg.preemptions = self.preemptions;
         cfg.max_runs = self.max_runs;
@@ -558,14 +572,35 @@ mod tests {
         other.max_runs += 1;
         assert_ne!(config_digest(&other), d0);
         let mut other = base.clone();
-        other.symmetry = true;
-        assert_ne!(config_digest(&other), d0);
-        let mut other = base.clone();
         other.preemptions = None;
         assert_ne!(config_digest(&other), d0);
         let mut other = base.clone();
         other.protocol = QuorumProtocol::ProtocolA;
         assert_ne!(config_digest(&other), d0);
+    }
+
+    #[test]
+    fn derived_digest_mode_keeps_the_digest_text_layout() {
+        // Campaigns created while the mode was a flag (off by default)
+        // hashed this exact text; a distinct-input cell reproduces it.
+        let cfg = sample_config();
+        let layout = |symmetry: bool, inputs: &str| {
+            format!(
+                "protocol=FloodMin;n=4;k=2;t=1;validity=RV1;symmetry={symmetry};depth={};\
+                 preemptions=3;max_runs=123456;max_states={};por=true;dedup=true{inputs}",
+                usize::MAX,
+                cfg.max_states,
+            )
+        };
+        assert_eq!(config_digest(&cfg), fnv1a(layout(false, "").as_bytes()));
+        assert!(!Manifest::new(&cfg, 4).symmetry);
+        let mut unanimous = cfg.clone();
+        unanimous.inputs = Some(vec![1, 1, 1, 1]);
+        assert_eq!(
+            config_digest(&unanimous),
+            fnv1a(layout(true, ";inputs=[1, 1, 1, 1]").as_bytes())
+        );
+        assert!(Manifest::new(&unanimous, 4).symmetry);
     }
 
     #[test]

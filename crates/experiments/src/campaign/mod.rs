@@ -39,6 +39,7 @@ pub(crate) mod snapshot;
 pub mod shard;
 pub mod store;
 
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -52,7 +53,8 @@ use crate::checker::{drain_pattern, seed_pattern};
 use crate::engine::{DrainExit, WaveControl};
 
 use manifest::{
-    config_digest, manifest_path, read_manifest, write_manifest, CampaignStatus, Manifest,
+    config_digest, manifest_path, read_manifest, uses_canonical_digests, write_manifest,
+    CampaignStatus, Manifest,
 };
 use snapshot::{read_snapshot, write_snapshot, Snapshot};
 use store::{CampaignStore, DiskStore};
@@ -100,6 +102,35 @@ pub enum CampaignOutcome {
         runs: u64,
     },
 }
+
+/// Why [`resume_campaign`] refused a campaign whose MANIFEST records a
+/// digest mode other than the one its inputs select — for example a
+/// unanimous-input campaign an older build explored with plain digests.
+/// Its visited store holds fingerprints of the other mode, so resuming
+/// would mix two state partitions. Carried as the payload of the
+/// [`io::ErrorKind::InvalidData`] error; the directory is left untouched.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DigestModeMismatch {
+    /// The MANIFEST's `symmetry:` value.
+    pub recorded: bool,
+    /// Whether the campaign's inputs select canonical digests.
+    pub derived: bool,
+}
+
+impl fmt::Display for DigestModeMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mode = |canonical: bool| if canonical { "canonical" } else { "plain" };
+        write!(
+            f,
+            "campaign was explored with {} digests but its inputs select {} digests; \
+             start a new campaign",
+            mode(self.recorded),
+            mode(self.derived),
+        )
+    }
+}
+
+impl std::error::Error for DigestModeMismatch {}
 
 /// Creates a fresh campaign in `dir` and drives it (to completion, or to
 /// a [`CampaignOutcome::Paused`] stop).
@@ -151,8 +182,10 @@ pub fn run_campaign(
 /// # Errors
 ///
 /// [`io::ErrorKind::NotFound`] if `dir` has no manifest;
-/// [`io::ErrorKind::InvalidData`] on a configuration mismatch, an
-/// already-finished campaign, or corrupt campaign files.
+/// [`io::ErrorKind::InvalidData`] on a configuration mismatch (a
+/// [`DigestModeMismatch`] payload when the recorded digest mode is not the
+/// one the inputs select), an already-finished campaign, or corrupt
+/// campaign files. A refused resume writes nothing.
 ///
 /// # Panics
 ///
@@ -169,6 +202,16 @@ pub fn resume_campaign(
         ));
     }
     let mut manifest = read_manifest(dir)?;
+    let derived = uses_canonical_digests(&manifest.checker_config());
+    if manifest.symmetry != derived {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            DigestModeMismatch {
+                recorded: manifest.symmetry,
+                derived,
+            },
+        ));
+    }
     let digest = config_digest(cfg);
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     if manifest.config_digest != digest {
@@ -478,23 +521,6 @@ mod tests {
         cfg
     }
 
-    fn assert_same_verdict(a: &CellVerdict, b: &CellVerdict) {
-        assert_eq!(a.holds(), b.holds());
-        assert_eq!(a.runs, b.runs);
-        assert_eq!(a.complete, b.complete);
-        assert_eq!(a.worst_agreement, b.worst_agreement);
-        assert_eq!(a.patterns.len(), b.patterns.len());
-        for (x, y) in a.patterns.iter().zip(&b.patterns) {
-            assert_eq!(x.crashed, y.crashed);
-            assert_eq!(x.runs, y.runs);
-            assert_eq!(x.states, y.states);
-            assert_eq!(x.dedup_hits, y.dedup_hits);
-            assert_eq!(x.sleep_skips, y.sleep_skips);
-            assert_eq!(x.violation, y.violation);
-        }
-        assert_eq!(a.counterexample, b.counterexample);
-    }
-
     #[test]
     fn uninterrupted_campaign_matches_check_cell() {
         let dir = tmp_dir("uninterrupted");
@@ -503,7 +529,7 @@ mod tests {
         let CampaignOutcome::Finished(verdict) = outcome else {
             panic!("no pause requested");
         };
-        assert_same_verdict(&verdict, &check_cell(&cfg));
+        assert_eq!(*verdict, check_cell(&cfg));
         // Finished campaigns refuse both re-creation and resumption.
         let again = run_campaign(&cfg, &dir, &CampaignOptions::default()).unwrap_err();
         assert_eq!(again.kind(), io::ErrorKind::AlreadyExists);
@@ -535,12 +561,61 @@ mod tests {
             }
         };
         assert!(pauses > 0, "the pause hook never fired");
-        assert_same_verdict(&verdict, &check_cell(&cfg));
+        assert_eq!(*verdict, check_cell(&cfg));
         let manifest = read_manifest(&dir).unwrap();
         assert_eq!(manifest.status, CampaignStatus::Holds);
         assert_eq!(manifest.resumes, pauses);
         assert_eq!(manifest.runs, verdict.runs);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every file under `dir` with its bytes.
+    fn directory_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .map(|path| (path.clone(), fs::read(&path).unwrap()))
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn resume_refuses_a_recorded_digest_mode_the_inputs_do_not_select() {
+        // The unanimous case is what an older build left behind: inputs
+        // that now select canonical digests, explored with plain ones.
+        let mut unanimous = n3_cfg();
+        unanimous.inputs = Some(vec![1, 1, 1]);
+        for (cfg, canonical) in [(n3_cfg(), false), (unanimous, true)] {
+            let dir = tmp_dir(&format!("digest_mode_{canonical}"));
+            let opts = CampaignOptions {
+                shards: 2,
+                checkpoint_every: 0,
+                pause_after_checkpoints: Some(1),
+            };
+            let outcome = run_campaign(&cfg, &dir, &opts).unwrap();
+            assert!(matches!(outcome, CampaignOutcome::Paused { .. }));
+            let path = manifest_path(&dir);
+            let text = fs::read_to_string(&path).unwrap();
+            let recorded = format!("symmetry: {canonical}");
+            assert!(text.contains(&recorded), "{text}");
+            fs::write(&path, text.replace(&recorded, &format!("symmetry: {}", !canonical)))
+                .unwrap();
+            let before = directory_bytes(&dir);
+            let err = resume_campaign(&cfg, &dir, &opts).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let mismatch = err.get_ref().and_then(|e| e.downcast_ref::<DigestModeMismatch>());
+            assert_eq!(
+                mismatch,
+                Some(&DigestModeMismatch {
+                    recorded: !canonical,
+                    derived: canonical,
+                }),
+                "{err}"
+            );
+            assert_eq!(directory_bytes(&dir), before, "a refused resume wrote");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -570,7 +645,7 @@ mod tests {
         let CampaignOutcome::Finished(verdict) = outcome else {
             panic!("no pause requested");
         };
-        assert_same_verdict(&verdict, &check_cell(&cfg));
+        assert_eq!(*verdict, check_cell(&cfg));
         let _ = fs::remove_dir_all(&dir);
     }
 }

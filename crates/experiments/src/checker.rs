@@ -28,6 +28,8 @@
 //! termination; the forking executor stops a run at its first state the
 //! visited stores already cover (see [`ForkMode`]), the point where the
 //! walk would stop reading it anyway.
+//! States are fingerprinted under a digest mode the cell's inputs select
+//! (see [`CheckerConfig::digest`]).
 //!
 //! Three reductions keep the tree tractable without losing soundness:
 //!
@@ -160,29 +162,17 @@ pub struct CheckerConfig {
     pub por: bool,
     /// State-digest deduplication.
     pub dedup: bool,
-    /// Symmetry reduction: deduplicate on fingerprints canonicalized
-    /// modulo permutation of process ids ([`DigestMode::Canonical`])
-    /// instead of the id-sensitive plain digest. Sound for the symmetric
-    /// protocols this checker drives, and verdicts and counterexamples
-    /// are identical either way — only the dedup accounting differs.
-    ///
-    /// **Off by default**: on the canonical all-distinct input vector
-    /// every orbit is a singleton, so canonicalization merges nothing
-    /// while its crash-budget component makes the partition strictly
-    /// *finer* on multi-crash patterns — measurably more states and more
-    /// time (see `PERFORMANCE.md` for the accounting). Enable it
-    /// (`--symmetry`) for workloads with genuinely symmetric inputs.
-    pub symmetry: bool,
-    /// Emit a progress line to stderr every this many runs.
+    /// Emit a progress line to stderr at the first wave barrier after
+    /// each multiple of this many runs of a fault pattern.
     pub progress: Option<u64>,
     /// Worker threads for the parallel exploration engine. Verdicts,
     /// counters and counterexamples are identical for every value (see
     /// the module docs); only wall-clock time changes.
     pub threads: usize,
     /// How work items reach their first beyond-prefix decision point:
-    /// replay from the root, resume from a branch-point snapshot, or
-    /// (the default) snapshots under a byte budget with replay as the
-    /// fallback. Like `threads`, this is a pure execution strategy —
+    /// replay from the root, or (the default) resume from a branch-point
+    /// snapshot under a byte budget with replay as the fallback. Like
+    /// `threads`, this is a pure execution strategy —
     /// verdicts, counters and counterexample bytes are identical for
     /// every value (pinned by `tests/fork_parity.rs`).
     pub fork: ForkMode,
@@ -222,15 +212,13 @@ pub enum ForkMode {
     /// cross-checking oracle for the forking executor.
     Replay,
     /// Resume every work item from the snapshot taken at its branch
-    /// point, with no snapshot byte budget. Items whose snapshot was
-    /// elided (spilled continuations) still replay. Unless the search is
-    /// depth- or preemption-bounded, a run stops at its first state the
-    /// visited stores already cover, where the walk would stop reading
-    /// it: all of its continuations are explored from the covering state.
-    Fork,
-    /// Fork, but stop taking new snapshots while a task's live snapshot
-    /// bytes exceed a fixed budget — those points degrade to replay.
-    /// The default.
+    /// point. Items whose snapshot was elided replay: spilled
+    /// continuations, and points reached while a task's live snapshot
+    /// bytes exceed a fixed budget. Unless the search is depth- or
+    /// preemption-bounded, a run stops at its first state the visited
+    /// stores already cover, where the walk would stop reading it: all of
+    /// its continuations are explored from the covering state. The
+    /// default.
     Auto,
 }
 
@@ -244,18 +232,16 @@ impl fmt::Display for ForkMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ForkMode::Replay => "replay",
-            ForkMode::Fork => "fork",
             ForkMode::Auto => "auto",
         })
     }
 }
 
 /// Parses a fork mode as accepted by the `model_check` binary
-/// (`fork`/`replay`/`auto`, case-insensitive).
+/// (`replay`/`auto`, case-insensitive).
 pub fn parse_fork_mode(arg: &str) -> Option<ForkMode> {
     Some(match arg.trim().to_ascii_lowercase().as_str() {
         "replay" => ForkMode::Replay,
-        "fork" => ForkMode::Fork,
         "auto" => ForkMode::Auto,
         _ => return None,
     })
@@ -341,10 +327,8 @@ pub fn parse_adversary_model(arg: &str) -> Option<AdversaryModel> {
 
 impl CheckerConfig {
     /// A configuration with effectively unbounded exploration (the
-    /// practical limits `max_runs`/`max_states` still apply), partial-order
-    /// reduction and dedup enabled, and symmetry reduction off (see
-    /// [`CheckerConfig::symmetry`] for why that is the better default on
-    /// the canonical inputs).
+    /// practical limits `max_runs`/`max_states` still apply), and
+    /// partial-order reduction and dedup enabled.
     pub fn new(
         protocol: QuorumProtocol,
         n: usize,
@@ -364,7 +348,6 @@ impl CheckerConfig {
             max_states: 1 << 22,
             por: true,
             dedup: true,
-            symmetry: false,
             progress: None,
             threads: crate::engine::available_threads(),
             fork: ForkMode::Auto,
@@ -494,33 +477,43 @@ impl CheckerConfig {
         }
     }
 
-    /// The digest mode exploration runs under: canonical fingerprints when
-    /// symmetry reduction is on, the plain id-sensitive digest otherwise.
-    fn digest_mode(&self) -> DigestMode {
-        if self.symmetry {
-            DigestMode::Canonical
-        } else {
-            DigestMode::Plain
-        }
+    /// The digest mode this cell's exploration runs under, derived from
+    /// [`CheckerConfig::cell_inputs`]: [`DigestMode::Canonical`] when some
+    /// input value repeats, [`DigestMode::Plain`] otherwise. Reported, not
+    /// configurable.
+    pub fn digest(&self) -> DigestMode {
+        digest_mode(&self.cell_inputs())
     }
 
-    /// The forking executor's configuration for this cell: same `n`,
-    /// reductions and digest mode as the replay path, branch snapshots cut
-    /// off at the explorer's depth bound (beyond it nothing branches, so a
-    /// snapshot could never be consumed), and the byte budget of the
-    /// selected [`ForkMode`].
-    fn fork_config(&self) -> ForkConfig {
+    /// The forking executor's configuration for an exploration over
+    /// `inputs`: same `n`, reductions and digest mode as the replay path,
+    /// branch snapshots cut off at the explorer's depth bound (beyond it
+    /// nothing branches, so a snapshot could never be consumed), and the
+    /// [`ForkMode::Auto`] byte budget.
+    fn fork_config(&self, inputs: &[u64]) -> ForkConfig {
         ForkConfig {
             n: self.n,
             por: self.por,
-            digest: self.digest_mode(),
+            digest: digest_mode(inputs),
             event_limit: None,
             max_branch_depth: self.depth,
-            budget_bytes: match self.fork {
-                ForkMode::Auto => Some(AUTO_FORK_BUDGET),
-                _ => None,
-            },
+            budget_bytes: Some(AUTO_FORK_BUDGET),
         }
+    }
+}
+
+/// The digest mode of an exploration over `inputs`. Canonical digests
+/// merge states that differ only by a permutation of process ids (symmetry
+/// reduction). Processes holding the same input are interchangeable, so a
+/// repeated value is where the canonical digest merges states and pays
+/// for itself; with all-distinct inputs it merges nothing and only costs
+/// (`PERFORMANCE.md` has both sides measured). Verdicts, worst agreement
+/// and counterexample bytes are identical under either mode.
+fn digest_mode(inputs: &[u64]) -> DigestMode {
+    if (1..inputs.len()).any(|i| inputs[..i].contains(&inputs[i])) {
+        DigestMode::Canonical
+    } else {
+        DigestMode::Plain
     }
 }
 
@@ -871,7 +864,7 @@ fn plan_slots(plan: &FaultPlan) -> (Vec<ProcessId>, Vec<ProcessId>) {
 }
 
 /// Verdict of exploring one crash pattern's schedule tree.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PatternVerdict {
     /// The planned faulty processes of the pattern — silently crashed
     /// slots and (under a Byzantine adversary) Byzantine slots alike.
@@ -1217,8 +1210,8 @@ enum GateProof {
 /// incomplete), or at [`TASK_BUDGET`] — in which case the unexplored
 /// stack is spilled back to the scheduler, not dropped.
 ///
-/// Dispatches on [`CheckerConfig::fork`]: under [`ForkMode::Fork`] and
-/// [`ForkMode::Auto`] the task runs on the forking executor
+/// Dispatches on [`CheckerConfig::fork`]: under [`ForkMode::Auto`] the
+/// task runs on the forking executor
 /// ([`explore_task_fork`]), which resumes each work item from the
 /// snapshot taken at its branch point instead of replaying the prefix
 /// from the initial state — crash and deviation patterns alike. If the
@@ -1254,7 +1247,7 @@ fn explore_task<S: CampaignStore>(
             Err(stack) => stack,
         }
     };
-    explore_task_replay(cfg, inputs, spec, plan, crashed, global, stack)
+    explore_task_replay(cfg, inputs, spec, plan, global, stack)
 }
 
 /// Builds the pattern's [`ForkSession`] — the statically faithful one
@@ -1276,7 +1269,7 @@ where
     Sub: SubstrateFork<Output = u64> + SubstrateAdv,
     S: CampaignStore,
 {
-    let config = cfg.fork_config();
+    let config = cfg.fork_config(inputs);
     match cfg.pattern_policy(plan) {
         None => {
             // The same fail-closed rule as [`execute_schedule_in`]: a
@@ -1312,13 +1305,13 @@ fn explore_task_replay<S: CampaignStore>(
     inputs: &[u64],
     spec: &ProblemSpec,
     plan: &FaultPlan,
-    crashed: &[ProcessId],
     global: &S,
     stack: Vec<WorkItem>,
 ) -> TaskOutcome {
     let mut out = TaskOutcome::new();
     let mut stack = stack;
     let policy = cfg.pattern_policy(plan);
+    let mode = digest_mode(inputs);
     let (plan_crashed, plan_byzantine) = plan_slots(plan);
     // The arena and walk scratch live for the whole task: every run of the
     // task's (up to TASK_BUDGET-schedule) DFS reuses the same kernel
@@ -1350,13 +1343,12 @@ fn explore_task_replay<S: CampaignStore>(
             prefix,
             cfg.por,
             false,
-            cfg.digest_mode(),
+            mode,
             &mut arena,
         )
         .expect("checker-built system configurations are valid");
         out.runs += 1;
         out.events_fired += run.digests.len() as u64;
-        progress_line(cfg, crashed, &out, stack.len());
 
         out.worst_agreement = out.worst_agreement.max(run.distinct_correct_decisions());
         if let Some(message) = violation_of(spec, inputs, &run) {
@@ -1512,7 +1504,6 @@ where
         out.runs += 1;
         out.events_fired += (session.digests().len() - resumed_at) as u64;
         out.truncated_runs += u64::from(truncated);
-        progress_line(cfg, crashed, &out, stack.len());
 
         // A truncated run's decisions are partial; the expansion that
         // covers its last state checks every continuation from there.
@@ -1561,28 +1552,6 @@ where
     out
 }
 
-/// The shared per-run progress line of both executors.
-fn progress_line(cfg: &CheckerConfig, crashed: &[ProcessId], out: &TaskOutcome, frontier: usize) {
-    if let Some(every) = cfg.progress {
-        if out.runs % every == 0 {
-            eprintln!(
-                "[model_check] {} crashed={:?}: task at {} runs, {} states, {} visited entries, {} visited bytes, {} frontier, {} dedup hits, {} sleep skips, {} events fired, {} truncated runs",
-                cfg.protocol.name(),
-                crashed,
-                out.runs,
-                out.states,
-                out.visited.live_entries(),
-                out.visited.resident_bytes(),
-                frontier,
-                out.dedup_hits,
-                out.sleep_skips,
-                out.events_fired,
-                out.truncated_runs,
-            );
-        }
-    }
-}
-
 /// Phase 1 of a pattern's exploration: executes the canonical
 /// (empty-prefix) run, seeds the first-deviation task queue, and returns
 /// the root task's visited table (which the caller absorbs into the
@@ -1612,7 +1581,7 @@ pub(crate) fn seed_pattern(
         Vec::new(),
         cfg.por,
         false,
-        cfg.digest_mode(),
+        digest_mode(inputs),
         &mut root_arena,
     )
     .expect("checker-built system configurations are valid");
@@ -1677,6 +1646,10 @@ pub(crate) fn seed_pattern(
 /// are independent of when — or whether — it pauses. The drained tasks'
 /// operational counters come back in a [`RunGauge`], outside the verdict
 /// a checkpoint persists.
+///
+/// With [`CheckerConfig::progress`] set to `N`, the first wave barrier
+/// after the pattern's cumulative runs pass each multiple of `N` prints
+/// one progress line to stderr (see `OBSERVABILITY.md`).
 pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
     cfg: &CheckerConfig,
     inputs: &[u64],
@@ -1692,6 +1665,7 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
         return (verdict, DrainExit::Drained, RunGauge::default());
     }
     let mut drain_state = (store, verdict, RunGauge::default());
+    let mut reported = drain_state.1.runs;
     let exit = crate::engine::parallel_drain_watched(
         cfg.threads,
         queue,
@@ -1718,7 +1692,27 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
             }
             v.violation.is_some() || v.runs >= cfg.max_runs
         },
-        |(store, v, _), queue| on_wave(store, v, queue),
+        |(store, v, gauge), queue| {
+            if let Some(every) = cfg.progress.filter(|&every| every > 0) {
+                if v.runs / every > reported / every {
+                    reported = v.runs;
+                    eprintln!(
+                        "[model_check] {} crashed={:?}: pattern at {} runs, {} states, {} dedup hits, {} sleep skips, {} queued tasks, {} store entries, {} events fired, {} truncated runs",
+                        cfg.protocol.name(),
+                        v.crashed,
+                        v.runs,
+                        v.states,
+                        v.dedup_hits,
+                        v.sleep_skips,
+                        queue.len(),
+                        store.entries(),
+                        gauge.events_fired,
+                        gauge.truncated_runs,
+                    );
+                }
+            }
+            on_wave(store, v, queue)
+        },
     );
     let (_, mut verdict, gauge) = drain_state;
     if matches!(exit, DrainExit::Stopped { work_left: true }) && verdict.violation.is_none() {
@@ -1880,7 +1874,7 @@ pub fn shrink_counterexample(
 }
 
 /// Verdict of model-checking one cell across every crash pattern.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CellVerdict {
     /// Per-pattern results, in [`CheckerConfig::fault_plans`] order. The
     /// search stops at the first violating pattern, so later patterns may
@@ -2651,6 +2645,20 @@ mod tests {
         assert!(records.iter().all(|r| r.protocol == "MC(FloodMin)"));
         assert!(records.iter().all(|r| r.outcome.clean()));
         assert!(records.iter().all(|r| r.metrics.is_some()));
+    }
+
+    #[test]
+    fn repeated_inputs_select_canonical_digests() {
+        for n in 1..=5 {
+            assert_eq!(digest_mode(&canonical_inputs(n)), DigestMode::Plain, "n = {n}");
+        }
+        assert_eq!(digest_mode(&[1, 1, 1]), DigestMode::Canonical);
+        assert_eq!(digest_mode(&[0, 0, 1, 2]), DigestMode::Canonical);
+        assert_eq!(digest_mode(&[2, 0, 1, 0]), DigestMode::Canonical);
+        let mut cell = cfg(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
+        assert_eq!(cell.digest(), DigestMode::Plain);
+        cell.inputs = Some(vec![1, 1, 1]);
+        assert_eq!(cell.digest(), DigestMode::Canonical);
     }
 
     #[test]

@@ -27,39 +27,6 @@ use kset_experiments::checker::{
 };
 use kset_experiments::exhaustive::QuorumProtocol;
 
-/// Full structural equality of two cell verdicts — verdict, counters,
-/// counterexample — field by field.
-fn assert_identical(context: &str, a: &CellVerdict, b: &CellVerdict) {
-    assert_eq!(a.holds(), b.holds(), "{context}: verdict differs");
-    assert_eq!(a.runs, b.runs, "{context}: run counters differ");
-    assert_eq!(a.complete, b.complete, "{context}: completeness differs");
-    assert_eq!(
-        a.worst_agreement, b.worst_agreement,
-        "{context}: worst agreement differs"
-    );
-    assert_eq!(
-        a.counterexample, b.counterexample,
-        "{context}: counterexamples differ"
-    );
-    assert_eq!(
-        a.patterns.len(),
-        b.patterns.len(),
-        "{context}: pattern counts differ"
-    );
-    for (x, y) in a.patterns.iter().zip(&b.patterns) {
-        let pat = format!("{context}, pattern {:?}", x.crashed);
-        assert_eq!(x.crashed, y.crashed, "{pat}: crash set");
-        assert_eq!(x.runs, y.runs, "{pat}: runs");
-        assert_eq!(x.states, y.states, "{pat}: states");
-        assert_eq!(x.sleep_skips, y.sleep_skips, "{pat}: sleep skips");
-        assert_eq!(x.dedup_hits, y.dedup_hits, "{pat}: dedup hits");
-        assert_eq!(x.complete, y.complete, "{pat}: completeness");
-        assert_eq!(x.worst_agreement, y.worst_agreement, "{pat}: agreement");
-        assert_eq!(x.tasks, y.tasks, "{pat}: task count");
-        assert_eq!(x.violation, y.violation, "{pat}: violation");
-    }
-}
-
 /// The schedule body of a counterexample file: everything after the
 /// `# ...` header block. The headers necessarily name the adversary the
 /// file was recorded under; the body is the schedule itself and must not
@@ -82,7 +49,7 @@ fn assert_crash_parity(context: &str, crash: &CheckerConfig, deviant: &CheckerCo
     ));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    for mode in [ForkMode::Replay, ForkMode::Fork, ForkMode::Auto] {
+    for mode in [ForkMode::Replay, ForkMode::Auto] {
         for threads in [1usize, 2] {
             let scoped = format!("{context} [{mode}, {threads} thread(s)]");
             let mut crash = crash.clone();
@@ -93,7 +60,7 @@ fn assert_crash_parity(context: &str, crash: &CheckerConfig, deviant: &CheckerCo
             deviant.threads = threads;
             let cv = check_cell(&crash);
             let dv = check_cell(&deviant);
-            assert_identical(&scoped, &cv, &dv);
+            assert_eq!(dv, cv, "{scoped}");
             if let (Some(c), Some(d)) = (&cv.counterexample, &dv.counterexample) {
                 let crash_path = dir.join(format!("crash_{mode}_{threads}.schedule"));
                 let deviant_path = dir.join(format!("deviant_{mode}_{threads}.schedule"));
@@ -158,17 +125,13 @@ fn active_byzantine_cell_is_mode_and_thread_invariant() {
     assert!(!oracle.holds(), "the MP/Byz RV1 cell must be violated");
     let ce = oracle.counterexample.as_ref().expect("violation recorded");
     assert!(!ce.byzantine.is_empty());
-    for mode in [ForkMode::Replay, ForkMode::Fork, ForkMode::Auto] {
+    for mode in [ForkMode::Replay, ForkMode::Auto] {
         for threads in [1usize, 2, 4] {
             let mut cfg = mp_byz_cell();
             cfg.fork = mode;
             cfg.threads = threads;
             let verdict = check_cell(&cfg);
-            assert_identical(
-                &format!("mp_byz [{mode}, {threads} thread(s)]"),
-                &oracle,
-                &verdict,
-            );
+            assert_eq!(verdict, oracle, "mp_byz [{mode}, {threads} thread(s)]");
         }
     }
 }
@@ -208,14 +171,14 @@ fn active_lossy_cell_is_mode_and_thread_invariant() {
         std::str::from_utf8(&oracle_bytes).unwrap().contains("drop"),
         "the lossy counterexample must record its drop"
     );
-    for mode in [ForkMode::Replay, ForkMode::Fork, ForkMode::Auto] {
+    for mode in [ForkMode::Replay, ForkMode::Auto] {
         for threads in [1usize, 2] {
             let scoped = format!("mp_lossy [{mode}, {threads} thread(s)]");
             let mut cfg = mp_lossy_cell();
             cfg.fork = mode;
             cfg.threads = threads;
             let verdict = check_cell(&cfg);
-            assert_identical(&scoped, &oracle, &verdict);
+            assert_eq!(verdict, oracle, "{scoped}");
             assert_eq!(
                 write(&cfg, &verdict, &format!("{mode}_{threads}.schedule")),
                 oracle_bytes,
@@ -257,7 +220,7 @@ fn byzantine_campaign_kill_resume_matches_in_memory_verdict() {
         }
     };
     assert!(interruptions > 0, "the pause hook never fired");
-    assert_identical("byzantine campaign vs in-memory", &reference, &verdict);
+    assert_eq!(verdict, reference, "byzantine campaign vs in-memory");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -30,28 +30,6 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Full structural equality of two cell verdicts, field by field — the
-/// "identical verdicts and counters" half of the contract.
-fn assert_identical(a: &CellVerdict, b: &CellVerdict) {
-    assert_eq!(a.holds(), b.holds());
-    assert_eq!(a.runs, b.runs);
-    assert_eq!(a.complete, b.complete);
-    assert_eq!(a.worst_agreement, b.worst_agreement);
-    assert_eq!(a.counterexample, b.counterexample);
-    assert_eq!(a.patterns.len(), b.patterns.len());
-    for (x, y) in a.patterns.iter().zip(&b.patterns) {
-        assert_eq!(x.crashed, y.crashed);
-        assert_eq!(x.runs, y.runs);
-        assert_eq!(x.states, y.states);
-        assert_eq!(x.sleep_skips, y.sleep_skips);
-        assert_eq!(x.dedup_hits, y.dedup_hits);
-        assert_eq!(x.complete, y.complete);
-        assert_eq!(x.worst_agreement, y.worst_agreement);
-        assert_eq!(x.tasks, y.tasks);
-        assert_eq!(x.violation, y.violation);
-    }
-}
-
 /// Drives a campaign to completion through repeated pause/resume cycles —
 /// each cycle is a clean kill at a durable checkpoint — and returns the
 /// final verdict plus the number of interruptions survived.
@@ -96,7 +74,7 @@ fn n3_holds_cell_survives_interruption_at_every_checkpoint_cadence() {
                 interruptions > 0,
                 "threads={threads} every={checkpoint_every}: pause hook never fired"
             );
-            assert_identical(&verdict, &reference);
+            assert_eq!(verdict, reference);
             let manifest = read_manifest(&dir).unwrap();
             assert_eq!(manifest.status, CampaignStatus::Holds);
             assert_eq!(manifest.runs, reference.runs);
@@ -125,7 +103,7 @@ fn n3_violated_cell_reproduces_counterexample_bytes() {
         pause_after_checkpoints: Some(1),
     };
     let (verdict, _) = run_interrupted(&cfg, &dir, &opts);
-    assert_identical(&verdict, &reference);
+    assert_eq!(verdict, reference);
 
     // Byte-level: the emitted replay scripts are identical.
     let ref_path = dir.join("reference.schedule");
@@ -170,7 +148,7 @@ fn n4_cells_match_check_cell_after_interruptions() {
         if expect_pauses {
             assert!(interruptions > 0, "{name}: pause hook never fired");
         }
-        assert_identical(&verdict, &reference);
+        assert_eq!(verdict, reference, "{name}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -69,6 +69,11 @@ fn model_check_rejects_bad_flag_values_with_exit_2() {
         &["--validity", "SV9"],
         &["--model", "mp_magic"],
         &["--fork-mode", "sometimes"],
+        // Retired: the digest mode follows from the inputs, and `auto`
+        // is the forking executor.
+        &["--symmetry"],
+        &["--no-symmetry"],
+        &["--fork-mode", "fork"],
         &["--json"],
         &["--bench-json"],
         &["--counterexample"],

@@ -1,13 +1,13 @@
 //! Fork-mode == replay-mode bit-identity of the exploration engine.
 //!
 //! The forking executor's contract (`CheckerConfig::fork`): execution
-//! strategy is unobservable. For every cell, every thread count, and
-//! every configuration knob, `ForkMode::Fork` and `ForkMode::Auto`
-//! produce verdicts, per-pattern counters, and counterexample bytes
-//! identical to the `ForkMode::Replay` oracle. This suite pins that on
-//! both substrates (message passing and shared memory), across a
-//! deterministic pseudo-random sweep of cells and configurations, and
-//! through a campaign kill/resume cycle running in fork mode. The forking
+//! strategy is unobservable. For every cell, every thread count, every
+//! configuration knob and both digest modes, `ForkMode::Auto` produces
+//! verdicts, per-pattern counters, and counterexample bytes identical to
+//! the `ForkMode::Replay` oracle. This suite pins that on both substrates
+//! (message passing and shared memory), across a deterministic
+//! pseudo-random sweep of cells, inputs and configurations, and through a
+//! campaign kill/resume cycle running on the forking executor. The forking
 //! executor also stops runs at states the visited stores already cover,
 //! which replay never does; `truncation_is_unobservable` pins that this
 //! changes no observable either.
@@ -24,53 +24,6 @@ use kset_experiments::checker::{
     CheckerConfig, ForkMode,
 };
 use kset_experiments::exhaustive::QuorumProtocol;
-
-/// Full structural equality of two cell verdicts — verdict, counters,
-/// counterexample — field by field.
-fn assert_identical(context: &str, a: &CellVerdict, b: &CellVerdict) {
-    assert_eq!(a.holds(), b.holds(), "{context}: verdict differs");
-    assert_eq!(a.runs, b.runs, "{context}: run counters differ");
-    assert_eq!(a.complete, b.complete, "{context}: completeness differs");
-    assert_eq!(
-        a.worst_agreement, b.worst_agreement,
-        "{context}: worst agreement differs"
-    );
-    assert_eq!(
-        a.counterexample, b.counterexample,
-        "{context}: counterexamples differ"
-    );
-    assert_eq!(
-        a.patterns.len(),
-        b.patterns.len(),
-        "{context}: pattern counts differ"
-    );
-    for (x, y) in a.patterns.iter().zip(&b.patterns) {
-        let pat = format!("{context}, pattern {:?}", x.crashed);
-        assert_eq!(x.crashed, y.crashed, "{pat}: crash set");
-        assert_eq!(x.runs, y.runs, "{pat}: runs");
-        assert_eq!(x.states, y.states, "{pat}: states");
-        assert_eq!(x.sleep_skips, y.sleep_skips, "{pat}: sleep skips");
-        assert_eq!(x.dedup_hits, y.dedup_hits, "{pat}: dedup hits");
-        assert_eq!(x.complete, y.complete, "{pat}: completeness");
-        assert_eq!(x.worst_agreement, y.worst_agreement, "{pat}: agreement");
-        assert_eq!(x.tasks, y.tasks, "{pat}: task count");
-        assert_eq!(x.violation, y.violation, "{pat}: violation");
-    }
-}
-
-/// Checks `cfg` under all three fork modes and asserts the fork and auto
-/// results are identical to the replay oracle's.
-fn assert_fork_parity(context: &str, cfg: &CheckerConfig) {
-    let mut replay_cfg = cfg.clone();
-    replay_cfg.fork = ForkMode::Replay;
-    let oracle = check_cell(&replay_cfg);
-    for mode in [ForkMode::Fork, ForkMode::Auto] {
-        let mut fork_cfg = cfg.clone();
-        fork_cfg.fork = mode;
-        let verdict = check_cell(&fork_cfg);
-        assert_identical(&format!("{context} [{mode}]"), &oracle, &verdict);
-    }
-}
 
 /// xorshift64*: a tiny deterministic generator for the config sweep (the
 /// suite must be reproducible — no entropy sources).
@@ -90,46 +43,11 @@ impl XorShift {
 }
 
 #[test]
-fn message_passing_cells_match_replay() {
-    // Hand-picked MP cells spanning holds and violated verdicts, all
-    // three forkable MP protocols, and both t = 0 and crashy plans.
-    for (protocol, n, k, t) in [
-        (QuorumProtocol::FloodMin, 3, 2, 1), // holds
-        (QuorumProtocol::FloodMin, 3, 1, 1), // violated
-        (QuorumProtocol::FloodMin, 4, 3, 2), // holds, multi-crash plans
-        (QuorumProtocol::FloodMin, 4, 2, 2), // violated
-        (QuorumProtocol::ProtocolA, 3, 2, 1),
-        (QuorumProtocol::ProtocolB, 3, 2, 1),
-    ] {
-        let mut cfg = CheckerConfig::new(protocol, n, k, t, ValidityCondition::RV1);
-        cfg.threads = 1;
-        cfg.max_runs = 30_000;
-        assert_fork_parity(&format!("{protocol:?} n={n} k={k} t={t}"), &cfg);
-    }
-}
-
-#[test]
-fn shared_memory_cells_match_replay() {
-    // The SM substrate forks atomic-snapshot memory alongside the
-    // processes; both SM protocols, a holds and a violated shape each.
-    for (protocol, n, k, t) in [
-        (QuorumProtocol::ProtocolE, 3, 2, 1),
-        (QuorumProtocol::ProtocolE, 3, 1, 1),
-        (QuorumProtocol::ProtocolF, 3, 2, 1),
-        (QuorumProtocol::ProtocolF, 3, 1, 1),
-    ] {
-        let mut cfg = CheckerConfig::new(protocol, n, k, t, ValidityCondition::RV1);
-        cfg.threads = 1;
-        cfg.max_runs = 30_000;
-        assert_fork_parity(&format!("{protocol:?} n={n} k={k} t={t}"), &cfg);
-    }
-}
-
-#[test]
 fn random_configurations_match_replay() {
     // A deterministic sweep over the configuration space: protocol,
-    // cell shape, POR/dedup/symmetry toggles, depth and preemption
-    // bounds, run truncation, thread count. Every sampled point must be
+    // cell shape, POR/dedup toggles, repeated inputs (1 in 3 cells, which
+    // then run on canonical digests), depth and preemption bounds, run
+    // truncation, thread count. Every sampled point must be
     // mode-invariant — including truncated (incomplete) verdicts, where
     // the exact cut depends on run order and would expose any divergence
     // between the executors.
@@ -149,7 +67,10 @@ fn random_configurations_match_replay() {
         let mut cfg = CheckerConfig::new(protocol, n, k, t, ValidityCondition::RV1);
         cfg.por = rng.below(4) != 0;
         cfg.dedup = rng.below(4) != 0;
-        cfg.symmetry = rng.below(3) == 0;
+        if rng.below(3) == 0 {
+            // The last two processes share a value: canonical digests.
+            cfg.inputs = Some((0..n as u64).map(|p| p.min(n as u64 - 2)).collect());
+        }
         if rng.below(3) == 0 {
             cfg.depth = 4 + rng.below(8) as usize;
         }
@@ -158,14 +79,14 @@ fn random_configurations_match_replay() {
         }
         cfg.max_runs = 500 + rng.below(4_000);
         cfg.threads = 1 + rng.below(3) as usize;
-        assert_fork_parity(
-            &format!(
-                "sample {sample}: {protocol:?} n={n} k={k} t={t} por={} dedup={} sym={} \
-                 depth={} preempt={:?} max_runs={} threads={}",
-                cfg.por, cfg.dedup, cfg.symmetry, cfg.depth, cfg.preemptions, cfg.max_runs,
-                cfg.threads
-            ),
-            &cfg,
+        let mut replay_cfg = cfg.clone();
+        replay_cfg.fork = ForkMode::Replay;
+        assert_eq!(
+            check_cell(&cfg),
+            check_cell(&replay_cfg),
+            "sample {sample}: {protocol:?} n={n} k={k} t={t} por={} dedup={} inputs={:?} \
+             depth={} preempt={:?} max_runs={} threads={}",
+            cfg.por, cfg.dedup, cfg.inputs, cfg.depth, cfg.preemptions, cfg.max_runs, cfg.threads
         );
     }
 }
@@ -180,7 +101,7 @@ fn counterexample_scripts_are_byte_identical() {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     let mut scripts = Vec::new();
-    for mode in [ForkMode::Replay, ForkMode::Fork, ForkMode::Auto] {
+    for mode in [ForkMode::Replay, ForkMode::Auto] {
         let mut cfg = cfg.clone();
         cfg.fork = mode;
         let verdict = check_cell(&cfg);
@@ -189,14 +110,13 @@ fn counterexample_scripts_are_byte_identical() {
         write_counterexample(&path, &cfg, ce).unwrap();
         scripts.push(fs::read(&path).unwrap());
     }
-    assert_eq!(scripts[0], scripts[1], "fork script differs from replay");
-    assert_eq!(scripts[0], scripts[2], "auto script differs from replay");
+    assert_eq!(scripts[0], scripts[1], "auto script differs from replay");
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn campaign_kill_resume_under_fork_mode() {
-    // A campaign driven in fork mode, killed at every checkpoint (the
+    // A campaign driven on the forking executor, killed at every checkpoint (the
     // deterministic pause hook) and resumed to completion, must converge
     // to the replay-mode in-memory verdict. Spilled continuations cross
     // the checkpoint boundary as replayable work items — this exercises
@@ -214,7 +134,7 @@ fn campaign_kill_resume_under_fork_mode() {
     ));
     let _ = fs::remove_dir_all(&dir);
     let mut cfg = reference_cfg.clone();
-    cfg.fork = ForkMode::Fork;
+    cfg.fork = ForkMode::Auto;
     let opts = CampaignOptions {
         shards: 4,
         checkpoint_every: 0,
@@ -233,7 +153,7 @@ fn campaign_kill_resume_under_fork_mode() {
         }
     };
     assert!(interruptions > 0, "the pause hook never fired");
-    assert_identical("fork-mode campaign vs replay reference", &reference, &verdict);
+    assert_eq!(verdict, reference, "forking campaign vs replay reference");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -248,11 +168,12 @@ fn counterexample_bytes(dir: &std::path::Path, cfg: &CheckerConfig, verdict: &Ce
 
 #[test]
 fn truncation_is_unobservable() {
-    // Fork and auto stop runs at covered states; replay runs every
-    // schedule to termination. Across crash, Byzantine and lossy cells,
-    // in memory at one and two threads and through the disk-backed
-    // campaign store, the two must agree on every verdict field and
-    // counterexample byte — and truncation must actually have fired.
+    // Auto stops runs at covered states; replay runs every schedule to
+    // termination. Across crash, Byzantine and lossy cells, on plain and
+    // canonical digests, in memory at one and two threads and through the
+    // disk-backed campaign store, the two must agree on every verdict
+    // field and counterexample byte — and truncation must actually have
+    // fired.
     let mut cells: Vec<(String, CheckerConfig)> = Vec::new();
     for (protocol, n, k, t) in [
         (QuorumProtocol::FloodMin, 3, 2, 1),
@@ -269,6 +190,13 @@ fn truncation_is_unobservable() {
         let mut cfg = CheckerConfig::new(protocol, n, k, t, ValidityCondition::RV1);
         cfg.max_runs = 30_000;
         cells.push((format!("{protocol:?} n={n} k={k} t={t}"), cfg));
+    }
+    // Repeated inputs run on canonical digests: a holding and a violated
+    // crash cell.
+    for (k, t) in [(2, 1), (1, 1)] {
+        let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 3, k, t, ValidityCondition::RV1);
+        cfg.inputs = Some(vec![0, 1, 1]);
+        cells.push((format!("FloodMin n=3 k={k} t={t} inputs 0,1,1"), cfg));
     }
     // Lemma 4.9: a forged register read breaks Protocol E's RV2.
     let mut sm_byz =
@@ -299,21 +227,19 @@ fn truncation_is_unobservable() {
         assert_eq!(replay_gauge.truncated_runs, 0, "{name}: replay truncated a run");
         let oracle_bytes = counterexample_bytes(&dir, &replay_cfg, &oracle);
         violated += usize::from(oracle_bytes.is_some());
-        for mode in [ForkMode::Fork, ForkMode::Auto] {
-            for threads in [1, 2] {
-                let context = format!("{name} [{mode}, {threads} thread(s)]");
-                let mut cfg = cell.clone();
-                cfg.fork = mode;
-                cfg.threads = threads;
-                let (verdict, _, gauge) = check_cell_gauged(&cfg);
-                assert_identical(&context, &oracle, &verdict);
-                assert_eq!(
-                    counterexample_bytes(&dir, &cfg, &verdict),
-                    oracle_bytes,
-                    "{context}: counterexample bytes differ"
-                );
-                truncated_runs += gauge.truncated_runs;
-            }
+        for threads in [1, 2] {
+            let context = format!("{name} [auto, {threads} thread(s)]");
+            let mut cfg = cell.clone();
+            cfg.fork = ForkMode::Auto;
+            cfg.threads = threads;
+            let (verdict, _, gauge) = check_cell_gauged(&cfg);
+            assert_eq!(verdict, oracle, "{context}");
+            assert_eq!(
+                counterexample_bytes(&dir, &cfg, &verdict),
+                oracle_bytes,
+                "{context}: counterexample bytes differ"
+            );
+            truncated_runs += gauge.truncated_runs;
         }
         let mut cfg = cell.clone();
         cfg.fork = ForkMode::Auto;
@@ -341,7 +267,7 @@ fn truncation_is_unobservable() {
         );
         truncated_cells += usize::from(truncated_runs > 0);
         let context = format!("{name} [campaign]");
-        assert_identical(&context, &oracle, &verdict);
+        assert_eq!(*verdict, oracle, "{context}");
         assert_eq!(
             counterexample_bytes(&dir, &cfg, &verdict),
             oracle_bytes,
@@ -349,6 +275,6 @@ fn truncation_is_unobservable() {
         );
     }
     assert!(violated >= 3, "the violated cells lost their violations");
-    assert_eq!(truncated_cells, 6, "cells that truncated a run");
+    assert_eq!(truncated_cells, 8, "cells that truncated a run");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -104,3 +104,29 @@ fn bounded_exploration_is_reported_as_incomplete_not_as_a_verdict() {
     assert_eq!(disagreements.len(), 1);
     assert!(disagreements[0].contains("bounded"), "{disagreements:?}");
 }
+
+#[test]
+fn progress_lines_fire_on_patterns_longer_than_a_task() {
+    // A task stops at 2048 runs, so `--progress 3000` fires only if it
+    // counts a whole pattern: each of this cell's patterns runs past
+    // 3 × 2048 schedules.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_model_check"))
+        .args(["--protocol", "a", "--n", "3", "--k", "3", "--t", "1", "--validity", "WV2"])
+        .args(["--model", "mp_byz", "--byz-menu", "0", "--byz-silence", "--inputs", "1,1,1"])
+        .args(["--threads", "1", "--progress", "3000"])
+        .output()
+        .expect("run model_check");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let runs: Vec<u64> = stderr
+        .lines()
+        .filter_map(|line| line.strip_prefix("[model_check] Protocol A crashed="))
+        .map(|line| {
+            assert!(line.contains(" queued tasks, ") && line.contains(" store entries, "), "{line}");
+            let (_, rest) = line.split_once(": pattern at ").expect(line);
+            rest.split_once(" runs,").and_then(|(r, _)| r.parse().ok()).expect(line)
+        })
+        .collect();
+    assert!(!runs.is_empty(), "no progress line: {stderr}");
+    assert!(runs.iter().all(|&r| r >= 3000), "{runs:?}");
+}

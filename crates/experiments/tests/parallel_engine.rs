@@ -9,32 +9,13 @@
 //! one where it is violated (early exit and shrinking are exercised).
 
 use kset_core::ValidityCondition;
-use kset_experiments::checker::{check_cell, write_counterexample, CellVerdict, CheckerConfig};
+use kset_experiments::checker::{check_cell, write_counterexample, CheckerConfig};
 use kset_experiments::exhaustive::QuorumProtocol;
 
 fn cell(k: usize, t: usize, threads: usize) -> CheckerConfig {
     let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 3, k, t, ValidityCondition::RV1);
     cfg.threads = threads;
     cfg
-}
-
-/// Every observable field of two verdicts must match, pattern by pattern.
-fn assert_identical(a: &CellVerdict, b: &CellVerdict) {
-    assert_eq!(a.runs, b.runs, "total runs");
-    assert_eq!(a.worst_agreement, b.worst_agreement, "worst agreement");
-    assert_eq!(a.complete, b.complete, "completeness");
-    assert_eq!(a.counterexample, b.counterexample, "counterexample");
-    assert_eq!(a.patterns.len(), b.patterns.len(), "patterns explored");
-    for (pa, pb) in a.patterns.iter().zip(&b.patterns) {
-        assert_eq!(pa.crashed, pb.crashed);
-        assert_eq!(pa.runs, pb.runs, "runs for {:?}", pa.crashed);
-        assert_eq!(pa.states, pb.states, "states for {:?}", pa.crashed);
-        assert_eq!(pa.sleep_skips, pb.sleep_skips, "sleep skips for {:?}", pa.crashed);
-        assert_eq!(pa.dedup_hits, pb.dedup_hits, "dedup hits for {:?}", pa.crashed);
-        assert_eq!(pa.tasks, pb.tasks, "tasks for {:?}", pa.crashed);
-        assert_eq!(pa.complete, pb.complete);
-        assert_eq!(pa.worst_agreement, pb.worst_agreement);
-    }
 }
 
 #[test]
@@ -45,7 +26,7 @@ fn holding_cell_verdict_is_thread_count_independent() {
     let serial = check_cell(&cell(2, 1, 1));
     let parallel = check_cell(&cell(2, 1, 4));
     assert!(serial.complete && serial.holds(), "{serial}");
-    assert_identical(&serial, &parallel);
+    assert_eq!(serial, parallel);
 }
 
 #[test]
@@ -56,7 +37,7 @@ fn violated_cell_counterexample_is_byte_identical_across_thread_counts() {
     let serial = check_cell(&cell(1, 1, 1));
     let parallel = check_cell(&cell(1, 1, 4));
     assert!(!serial.holds(), "{serial}");
-    assert_identical(&serial, &parallel);
+    assert_eq!(serial, parallel);
 
     // The emitted schedule files must be byte-identical, not merely
     // equal as structs.
@@ -81,6 +62,6 @@ fn oversubscription_and_odd_thread_counts_agree_too() {
     let baseline = check_cell(&cell(2, 1, 1));
     for threads in [3, 7, 32] {
         let other = check_cell(&cell(2, 1, threads));
-        assert_identical(&baseline, &other);
+        assert_eq!(baseline, other);
     }
 }

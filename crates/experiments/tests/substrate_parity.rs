@@ -43,7 +43,7 @@ use kset_experiments::exhaustive::QuorumProtocol;
 use kset_net::{DynMpProcess, MpSubstrate, MpSystem};
 use kset_protocols::{FloodMin, ProtocolE};
 use kset_shmem::{DynSmProcess, RegisterId, SmSubstrate, SmSystem};
-use kset_sim::{Fnv64, MetricsConfig, System};
+use kset_sim::{Fnv64, MetricsConfig, RunArena, System};
 
 /// Fnv64 chain over a digest sequence: one number pinning every step of a
 /// run's digested evolution.
@@ -112,7 +112,7 @@ fn sm_facade_and_generic_system_are_byte_identical() {
         .seed(11)
         .fault_plan(plans::last_t_silent(3, 1))
         .metrics(MetricsConfig::enabled())
-        .run_digested_shared::<SmSubstrate<u64, u64>>(sm_procs())
+        .run_digested_in::<SmSubstrate<u64, u64>>(sm_procs(), &mut RunArena::new())
         .expect("generic run");
 
     assert_eq!(*facade, generic); // deref: the substrate-generic part

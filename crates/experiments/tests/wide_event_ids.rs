@@ -14,7 +14,7 @@ use std::fs;
 use kset_core::ValidityCondition;
 use kset_experiments::campaign::{run_campaign, CampaignOptions, CampaignOutcome};
 use kset_experiments::checker::{
-    check_cell, execute_schedule, CellVerdict, CheckerConfig, ForkMode,
+    check_cell, execute_schedule, CheckerConfig, ForkMode,
 };
 use kset_experiments::exhaustive::QuorumProtocol;
 
@@ -24,31 +24,6 @@ fn wide_cell() -> CheckerConfig {
     let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 9, 2, 1, ValidityCondition::RV1);
     cfg.max_runs = 300;
     cfg
-}
-
-/// Full structural equality of two cell verdicts, field by field.
-fn assert_identical(context: &str, a: &CellVerdict, b: &CellVerdict) {
-    assert_eq!(a.holds(), b.holds(), "{context}: verdict");
-    assert_eq!(a.runs, b.runs, "{context}: runs");
-    assert_eq!(a.complete, b.complete, "{context}: completeness");
-    assert_eq!(a.worst_agreement, b.worst_agreement, "{context}: agreement");
-    assert_eq!(
-        a.counterexample, b.counterexample,
-        "{context}: counterexample"
-    );
-    assert_eq!(a.patterns.len(), b.patterns.len(), "{context}: patterns");
-    for (x, y) in a.patterns.iter().zip(&b.patterns) {
-        let pat = format!("{context}, pattern {:?}", x.crashed);
-        assert_eq!(x.crashed, y.crashed, "{pat}: crash set");
-        assert_eq!(x.runs, y.runs, "{pat}: runs");
-        assert_eq!(x.states, y.states, "{pat}: states");
-        assert_eq!(x.sleep_skips, y.sleep_skips, "{pat}: sleep skips");
-        assert_eq!(x.dedup_hits, y.dedup_hits, "{pat}: dedup hits");
-        assert_eq!(x.complete, y.complete, "{pat}: completeness");
-        assert_eq!(x.worst_agreement, y.worst_agreement, "{pat}: agreement");
-        assert_eq!(x.tasks, y.tasks, "{pat}: tasks");
-        assert_eq!(x.violation, y.violation, "{pat}: violation");
-    }
 }
 
 #[test]
@@ -95,18 +70,14 @@ fn wide_cell_is_identical_across_executors_threads_and_stores() {
         "every pattern must store and hit visited entries"
     );
     for (fork, threads) in [
-        (ForkMode::Fork, 1),
+        (ForkMode::Auto, 1),
         (ForkMode::Auto, 2),
         (ForkMode::Replay, 2),
     ] {
         let mut cfg = wide_cell();
         cfg.fork = fork;
         cfg.threads = threads;
-        assert_identical(
-            &format!("{fork}, {threads} thread(s)"),
-            &oracle,
-            &check_cell(&cfg),
-        );
+        assert_eq!(check_cell(&cfg), oracle, "{fork}, {threads} thread(s)");
     }
 
     let dir = std::env::temp_dir().join(format!("kset_wide_event_ids_{}", std::process::id()));
@@ -119,7 +90,7 @@ fn wide_cell_is_identical_across_executors_threads_and_stores() {
     let mut cfg = wide_cell();
     cfg.threads = 2;
     match run_campaign(&cfg, &dir, &opts).expect("campaign") {
-        CampaignOutcome::Finished(verdict) => assert_identical("disk store", &oracle, &verdict),
+        CampaignOutcome::Finished(verdict) => assert_eq!(*verdict, oracle, "disk store"),
         CampaignOutcome::Paused { .. } => panic!("campaign paused without a pause budget"),
     }
     let _ = fs::remove_dir_all(&dir);

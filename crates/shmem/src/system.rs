@@ -4,9 +4,9 @@
 use std::marker::PhantomData;
 
 use kset_sim::{
-    CallInfo, DelayRule, Effect, EventKind, FaultPlan, Fnv64, MetricsConfig, ProcessId, Scheduler,
-    Session, SimError, StateDigest, Substrate, SubstrateAdv, SubstrateDigest, SubstrateFork,
-    System,
+    CallInfo, DelayRule, Effect, EventKind, FaultPlan, Fnv64, MetricsConfig, ProcessId, RunArena,
+    Scheduler, Session, SimError, StateDigest, Substrate, SubstrateAdv, SubstrateDigest,
+    SubstrateFork, System,
 };
 
 use crate::outcome::SmOutcome;
@@ -331,7 +331,9 @@ impl SmSystem {
         Val: Clone + StateDigest,
         Out: StateDigest,
     {
-        let (run, digests, memory) = self.0.run_digested_shared::<SmSubstrate<Val, Out>>(procs)?;
+        let (run, digests, memory) = self
+            .0
+            .run_digested_in::<SmSubstrate<Val, Out>>(procs, &mut RunArena::new())?;
         Ok((
             SmOutcome {
                 memory: memory.snapshot(),

@@ -20,7 +20,7 @@ use crate::session::{
 use crate::substrate::{Substrate, SubstrateAdv, SubstrateDigest};
 use crate::System;
 
-/// Everything [`System::run_digested_shared`] returns: the outcome, the
+/// Everything [`System::run_digested_in`] returns: the outcome, the
 /// per-event [`StateDigest`] sequence, and the substrate's final shared
 /// state (e.g. the register store).
 pub type DigestedRun<S> = (
@@ -64,17 +64,7 @@ impl System {
         self,
         procs: Vec<S::Process>,
     ) -> Result<Session<S, FaithfulDelivery>, SimError> {
-        let config = self.into_config(procs.len())?;
-        let mode = config.digest_mode;
-        let mut arena = RunArena::new();
-        Ok(Session::build(
-            config,
-            procs,
-            &mut arena,
-            None,
-            None,
-            DigestEngine::new(mode, None),
-        ))
+        self.undigested_session(procs)
     }
 
     /// [`System::session`] honouring delivery
@@ -88,6 +78,15 @@ impl System {
         self,
         procs: Vec<S::Process>,
     ) -> Result<Session<S, DeviantDelivery>, SimError> {
+        self.undigested_session(procs)
+    }
+
+    /// The one construction behind [`System::session`] and
+    /// [`System::session_adv`]: delivery discipline `D`, no digesting.
+    fn undigested_session<S: Substrate, D: Delivery<S>>(
+        self,
+        procs: Vec<S::Process>,
+    ) -> Result<Session<S, D>, SimError> {
         let config = self.into_config(procs.len())?;
         let mode = config.digest_mode;
         let mut arena = RunArena::new();
@@ -141,18 +140,8 @@ impl System {
         self,
         procs: Vec<S::Process>,
     ) -> Result<(Outcome<S::Output>, S::Shared), SimError> {
-        let mut scratch = RunArena::new();
-        let config = self.into_config(procs.len())?;
-        let mode = config.digest_mode;
-        let session: Session<S, FaithfulDelivery> = Session::build(
-            config,
-            procs,
-            &mut scratch,
-            None,
-            None,
-            DigestEngine::new(mode, None),
-        );
-        drive(session, &mut scratch).map(|(outcome, _digests, shared)| (outcome, shared))
+        drive(self.session::<S>(procs)?, &mut RunArena::new())
+            .map(|(outcome, _digests, shared)| (outcome, shared))
     }
 
     /// Runs the system like [`System::run`] but honours delivery
@@ -169,30 +158,8 @@ impl System {
         self,
         procs: Vec<S::Process>,
     ) -> Result<Outcome<S::Output>, SimError> {
-        self.run_shared_adv::<S>(procs).map(|(outcome, _)| outcome)
-    }
-
-    /// [`System::run_adv`] plus the final shared state.
-    ///
-    /// # Errors
-    ///
-    /// See [`System::run`].
-    pub fn run_shared_adv<S: SubstrateAdv>(
-        self,
-        procs: Vec<S::Process>,
-    ) -> Result<(Outcome<S::Output>, S::Shared), SimError> {
-        let mut scratch = RunArena::new();
-        let config = self.into_config(procs.len())?;
-        let mode = config.digest_mode;
-        let session: Session<S, DeviantDelivery> = Session::build(
-            config,
-            procs,
-            &mut scratch,
-            None,
-            None,
-            DigestEngine::new(mode, None),
-        );
-        drive(session, &mut scratch).map(|(outcome, _digests, shared)| (outcome, shared))
+        drive(self.session_adv::<S>(procs)?, &mut RunArena::new())
+            .map(|(outcome, _digests, _shared)| outcome)
     }
 
     /// Runs the system like [`System::run`], additionally computing a
@@ -234,24 +201,9 @@ impl System {
             .map(|(outcome, digests, _)| (outcome, digests))
     }
 
-    /// [`System::run_digested`] plus the final shared state.
-    ///
-    /// # Errors
-    ///
-    /// See [`System::run`].
-    pub fn run_digested_shared<S: SubstrateDigest>(
-        self,
-        procs: Vec<S::Process>,
-    ) -> Result<DigestedRun<S>, SimError>
-    where
-        S::Output: StateDigest,
-    {
-        let mut arena = RunArena::new();
-        self.run_digested_in::<S>(procs, &mut arena)
-    }
-
-    /// [`System::run_digested_shared`], recycling per-run storage from a
-    /// caller-held [`RunArena`] — the model checker's hot entry point.
+    /// [`System::run_digested`] plus the final shared state, recycling
+    /// per-run storage from a caller-held [`RunArena`] — the model
+    /// checker's hot entry point. A one-off caller passes a fresh arena.
     ///
     /// The arena lends the kernel its pool buffers and the digest engine
     /// its scratch vectors; all are returned (with grown capacity) when
