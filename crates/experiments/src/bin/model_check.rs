@@ -388,8 +388,12 @@ fn write_bench_json(
                 visited.entries, visited.bytes, runs.events_fired, runs.truncated_runs
             )
         });
+        // The barrier gauges come last, after the fields CI greps.
+        let barrier = c.gauges.map_or(String::new(), |(_, runs)| {
+            format!(", \"fold_s\": {:.3}, \"waves\": {}", runs.fold_s, runs.waves)
+        });
         out.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"model\": \"{}\", \"verdict\": \"{}\", \"bounded\": {}, \"digest\": \"{}\", \"patterns\": {}, \"runs\": {}, \"states\": {}, \"tasks\": {}, {}\"wall_s\": {:.3}, \"runs_per_s\": {:.0}}}{}\n",
+            "    {{\"cell\": \"{}\", \"model\": \"{}\", \"verdict\": \"{}\", \"bounded\": {}, \"digest\": \"{}\", \"patterns\": {}, \"runs\": {}, \"states\": {}, \"tasks\": {}, {}\"wall_s\": {:.3}, \"runs_per_s\": {:.0}{}}}{}\n",
             c.label,
             c.model,
             c.verdict,
@@ -405,6 +409,7 @@ fn write_bench_json(
             gauges,
             c.wall_s,
             c.runs as f64 / c.wall_s.max(1e-9),
+            barrier,
             if i + 1 < cells.len() { "," } else { "" },
         ));
     }

@@ -394,7 +394,8 @@ fn drive(
             Some(state) => state,
             None => {
                 let (state, root_visited) = seed_pattern(cfg, &inputs, &spec, plan);
-                store.absorb(root_visited);
+                let root = root_visited.partition(store.shard_count());
+                store.absorb(&[root], cfg.threads);
                 state
             }
         };

@@ -4,8 +4,12 @@
 //! The table maps a 64-bit state fingerprint to the minimal antichain of
 //! sleep sets it was expanded under, exactly as the checker's in-memory
 //! store does; it indexes fingerprints by their low bits, while the shard
-//! *partition* uses high bits ([`super::store::DiskStore`]), so the two
-//! never correlate.
+//! *partition* uses high bits ([`crate::visited::shard_of`]), so the two
+//! never correlate. A [`super::store::DiskStore`] is a
+//! [`crate::visited::Sharded`] store of these shards, folded at each wave
+//! barrier shard by shard in parallel: a shard absorbs its entries in the
+//! same order for every worker count, so its log bytes are
+//! thread-count independent too.
 //!
 //! The log is append-only between checkpoints: an insertion that
 //! supersedes earlier entries (a subset arriving after its supersets)
@@ -26,7 +30,7 @@ use std::io::{self, Write as _};
 use std::path::Path;
 
 use crate::checker::{SleepEntry, Visited};
-use crate::visited::{ids_of, with_bitmap, Set};
+use crate::visited::{ids_of, with_bitmap, Set, ShardTable};
 
 use super::store::{put_u64, take_u64};
 
@@ -199,6 +203,20 @@ impl Shard {
         self.log_bytes = bytes.len() as u64;
         self.log_records = records;
         Ok(())
+    }
+}
+
+impl ShardTable for Shard {
+    fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
+        Shard::covers(self, fingerprint, sleep)
+    }
+
+    fn absorb_bits(&mut self, fingerprint: u64, set: &[u64]) -> bool {
+        Shard::absorb_bits(self, fingerprint, set)
+    }
+
+    fn live_entries(&self) -> u64 {
+        Shard::live_entries(self)
     }
 }
 

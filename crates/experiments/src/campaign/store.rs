@@ -2,19 +2,21 @@
 //! abstract, with an in-memory fast path and a disk-backed campaign
 //! implementation.
 //!
-//! [`drain_pattern`](crate::checker) folds every task's visited table
-//! into one shared store at each wave barrier and lets later waves prune
+//! [`drain_pattern`](crate::checker) folds every wave's task tables into
+//! one shared store at the wave barrier and lets later waves prune
 //! against it. The checker only ever needs two operations — the
 //! subset-rule query ([`CampaignStore::covers`]) and the wave-barrier
-//! merge ([`CampaignStore::absorb`]) — so the store is a trait:
+//! fold ([`CampaignStore::absorb`]) — so the store is a trait. Both
+//! implementations are one sharded layout ([`Sharded`], partitioned by
+//! [`shard_of`](crate::visited::shard_of)) over different shard tables:
 //!
-//! * [`kset-experiments`' `Visited`](crate::checker::Visited) implements
-//!   it directly. This is the pre-campaign behavior, bit for bit: the
-//!   in-memory path pays no indirection (the drain is generic, not
-//!   dynamic) and no persistence cost.
-//! * [`DiskStore`] shards entries across hash-partitioned append-logs,
-//!   each mirrored by an in-memory `Visited` table ([`super::shard`]),
-//!   making the store durable and the campaign resumable.
+//! * The in-memory store is a `Sharded<Visited>` of
+//!   [`SHARDS`](crate::visited::SHARDS) shards. The drain is generic, not
+//!   dynamic, so it pays no indirection and no persistence cost.
+//! * [`DiskStore`] is a `Sharded<Shard>` of `--campaign-shards` shards,
+//!   each an append-log mirrored by an in-memory `Visited` table
+//!   ([`super::shard`]), making the store durable and the campaign
+//!   resumable.
 //!
 //! Both implementations maintain the same *minimal antichain* per
 //! fingerprint (insertions drop stored supersets), and minimal-set
@@ -26,7 +28,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::checker::{SleepEntry, Visited};
+use crate::checker::SleepEntry;
+use crate::visited::{Partitioned, ShardTable, Sharded};
 
 use super::shard::Shard;
 
@@ -34,8 +37,9 @@ use super::shard::Shard;
 ///
 /// Implementations must preserve minimal-antichain semantics: after any
 /// sequence of [`CampaignStore::absorb`] calls, [`CampaignStore::covers`]
-/// answers exactly as a [`Visited`] table fed the same sequence through
-/// [`Visited::merge`] would. The checker's determinism contract
+/// answers exactly as one [`Visited`](crate::visited::Visited) table fed
+/// the same tables through
+/// [`Visited::merge`](crate::visited::Visited::merge) would. The checker's determinism contract
 /// (byte-identical verdicts, counters and counterexamples for every
 /// thread count *and every store*) rests on that equivalence.
 pub trait CampaignStore {
@@ -43,23 +47,33 @@ pub trait CampaignStore {
     /// set contained in `sleep`?
     fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool;
 
-    /// Folds one task's visited table in at the wave barrier. Entries
-    /// already covered are skipped; new entries drop their stored
-    /// supersets, keeping each fingerprint's antichain minimal. Takes the
-    /// table by value: it is dead after the barrier.
-    fn absorb(&mut self, tasks: Visited);
+    /// The shard count tables must be
+    /// [partitioned](crate::visited::Visited::partition) for before
+    /// [`CampaignStore::absorb`] takes them.
+    fn shard_count(&self) -> usize;
+
+    /// Folds one wave's task tables in at the wave barrier, on up to
+    /// `threads` workers: per shard, the tables in claim order (their
+    /// order in `wave`) and each table's entries in its index order.
+    /// Entries already covered are skipped; new entries drop their stored
+    /// supersets, keeping each fingerprint's antichain minimal.
+    fn absorb(&mut self, wave: &[Partitioned], threads: usize);
 
     /// Minimal entries currently stored (occupancy, for reporting).
     fn entries(&self) -> u64;
 }
 
-impl CampaignStore for Visited {
+impl<T: ShardTable> CampaignStore for Sharded<T> {
     fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
-        Visited::covers(self, fingerprint, sleep)
+        Sharded::covers(self, fingerprint, sleep)
     }
 
-    fn absorb(&mut self, tasks: Visited) {
-        self.merge(&tasks);
+    fn shard_count(&self) -> usize {
+        self.tables().len()
+    }
+
+    fn absorb(&mut self, wave: &[Partitioned], threads: usize) {
+        self.fold(wave, threads);
     }
 
     fn entries(&self) -> u64 {
@@ -108,9 +122,10 @@ pub struct StoreOccupancy {
     pub log_records: u64,
 }
 
-/// The disk-backed campaign store: `shards` hash-partitioned
-/// [`Shard`]s, each an append-log file plus an in-memory [`Visited`]
-/// table.
+/// The disk-backed campaign store: a [`Sharded`] store of [`Shard`]s,
+/// each an append-log file plus an in-memory
+/// [`Visited`](crate::visited::Visited) table, and the directory and log
+/// generation around them.
 ///
 /// Durability protocol (see `CAMPAIGNS.md` for the full story):
 ///
@@ -128,7 +143,7 @@ pub struct StoreOccupancy {
 pub struct DiskStore {
     dir: PathBuf,
     generation: u64,
-    shards: Vec<Shard>,
+    shards: Sharded<Shard>,
 }
 
 impl DiskStore {
@@ -149,7 +164,7 @@ impl DiskStore {
         let store = DiskStore {
             dir: dir.to_path_buf(),
             generation: 0,
-            shards: (0..shards).map(|_| Shard::new()).collect(),
+            shards: Sharded::new(shards),
         };
         for index in 0..shards {
             fs::write(store.log_path(index, 0), [])?;
@@ -172,7 +187,7 @@ impl DiskStore {
         let mut store = DiskStore {
             dir: dir.to_path_buf(),
             generation,
-            shards: (0..watermarks.len()).map(|_| Shard::new()).collect(),
+            shards: Sharded::new(watermarks.len()),
         };
         for (index, &watermark) in watermarks.iter().enumerate() {
             let path = store.log_path(index, generation);
@@ -199,7 +214,7 @@ impl DiskStore {
                 let file = fs::OpenOptions::new().write(true).open(&path)?;
                 file.set_len(watermark)?;
             }
-            store.shards[index].load(&bytes[..watermark as usize], &path)?;
+            store.shards.tables_mut()[index].load(&bytes[..watermark as usize], &path)?;
         }
         store.delete_other_generations()?;
         Ok(store)
@@ -214,18 +229,15 @@ impl DiskStore {
     ///
     /// Propagates I/O errors.
     pub fn flush(&mut self) -> io::Result<(u64, Vec<u64>)> {
-        if self.shards.iter().any(Shard::wants_compaction) {
+        if self.shards.tables().iter().any(Shard::wants_compaction) {
             self.rewrite_generation()?;
         } else {
-            for index in 0..self.shards.len() {
+            for index in 0..self.shard_count() {
                 let path = self.log_path(index, self.generation);
-                self.shards[index].flush_to(&path)?;
+                self.shards.tables_mut()[index].flush_to(&path)?;
             }
         }
-        Ok((
-            self.generation,
-            self.shards.iter().map(Shard::log_bytes).collect(),
-        ))
+        Ok((self.generation, self.watermarks()))
     }
 
     /// Compacts every shard: rewrites the logs as a fresh generation
@@ -239,10 +251,7 @@ impl DiskStore {
     /// Propagates I/O errors.
     pub fn compact(&mut self) -> io::Result<(u64, Vec<u64>)> {
         self.rewrite_generation()?;
-        Ok((
-            self.generation,
-            self.shards.iter().map(Shard::log_bytes).collect(),
-        ))
+        Ok((self.generation, self.watermarks()))
     }
 
     /// Clears the store for the next crash pattern: empties every shard
@@ -254,7 +263,7 @@ impl DiskStore {
     ///
     /// Propagates I/O errors.
     pub fn reset(&mut self) -> io::Result<()> {
-        for shard in &mut self.shards {
+        for shard in self.shards.tables_mut() {
             shard.clear();
         }
         self.rewrite_generation()
@@ -273,24 +282,22 @@ impl DiskStore {
 
     /// Occupancy counters for manifests and progress reporting.
     pub fn occupancy(&self) -> StoreOccupancy {
+        let shards = self.shards.tables();
         StoreOccupancy {
-            entries: self.shards.iter().map(Shard::live_entries).sum(),
-            log_bytes: self.shards.iter().map(Shard::log_bytes).sum(),
-            log_records: self.shards.iter().map(Shard::log_records).sum(),
+            entries: self.shards.live_entries(),
+            log_bytes: shards.iter().map(Shard::log_bytes).sum(),
+            log_records: shards.iter().map(Shard::log_records).sum(),
         }
     }
 
     /// Number of shards (fixed at campaign creation).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards.tables().len()
     }
 
-    /// The shard a fingerprint lives in. Uses high bits so the partition
-    /// is independent of the low bits the open-addressing probe consumes;
-    /// fingerprints are already avalanched, so any disjoint bit range is
-    /// uniform.
-    fn shard_of(&self, fingerprint: u64) -> usize {
-        ((fingerprint >> 32) % self.shards.len() as u64) as usize
+    /// Every shard's durable log bytes, in shard order.
+    fn watermarks(&self) -> Vec<u64> {
+        self.shards.tables().iter().map(Shard::log_bytes).collect()
     }
 
     fn log_path(&self, index: usize, generation: u64) -> PathBuf {
@@ -303,16 +310,16 @@ impl DiskStore {
     /// are implicitly flushed: live tables already contain them.
     fn rewrite_generation(&mut self) -> io::Result<()> {
         let next = self.generation + 1;
-        for index in 0..self.shards.len() {
+        for index in 0..self.shard_count() {
             let path = self.log_path(index, next);
-            self.shards[index].rewrite_to(&path)?;
+            self.shards.tables_mut()[index].rewrite_to(&path)?;
         }
         self.generation = next;
         Ok(())
     }
 
     fn delete_other_generations(&self) -> io::Result<()> {
-        let keep: Vec<PathBuf> = (0..self.shards.len())
+        let keep: Vec<PathBuf> = (0..self.shard_count())
             .map(|i| self.log_path(i, self.generation))
             .collect();
         for entry in fs::read_dir(&self.dir)? {
@@ -332,19 +339,83 @@ impl DiskStore {
 
 impl CampaignStore for DiskStore {
     fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
-        self.shards[self.shard_of(fingerprint)].covers(fingerprint, sleep)
+        self.shards.covers(fingerprint, sleep)
     }
 
-    fn absorb(&mut self, tasks: Visited) {
-        for (fingerprint, bucket) in tasks.buckets() {
-            let shard = self.shard_of(fingerprint);
-            for set in bucket.sets() {
-                set.with_bits(|bits| self.shards[shard].absorb_bits(fingerprint, bits));
-            }
-        }
+    fn shard_count(&self) -> usize {
+        DiskStore::shard_count(self)
+    }
+
+    fn absorb(&mut self, wave: &[Partitioned], threads: usize) {
+        self.shards.fold(wave, threads);
     }
 
     fn entries(&self) -> u64 {
-        self.occupancy().entries
+        self.shards.live_entries()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use kset_prop::SplitMix64;
+
+    use super::*;
+    use crate::visited::{shard_of, with_bitmap, Visited};
+
+    #[test]
+    fn parallel_wave_fold_writes_the_serial_log_bytes() {
+        const SHARDS: usize = 5;
+        // Few distinct fingerprints, so later tables hit earlier buckets
+        // and subsets replace stored supersets.
+        let waves = || -> Vec<Vec<Visited>> {
+            let mut rng = SplitMix64::new(11);
+            let fingerprints: Vec<u64> = (0..300).map(|_| rng.next_u64()).collect();
+            let mut table = || {
+                let mut table = Visited::default();
+                for _ in 0..rng.next_u64() % 120 {
+                    let fingerprint = fingerprints[(rng.next_u64() % 300) as usize];
+                    let ids: Vec<u64> = (0..rng.next_u64() % 4).map(|_| rng.next_u64() % 20).collect();
+                    with_bitmap(ids.into_iter(), |set| table.absorb_bits(fingerprint, set));
+                }
+                table
+            };
+            (0..6).map(|wave| (0..1 + wave % 4).map(|_| table()).collect()).collect()
+        };
+        let root = std::env::temp_dir().join(format!("kset_store_fold_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        // The per-entry serial absorb: every table in claim order, its
+        // entries in index order, each into its shard.
+        let mut serial: Vec<Shard> = (0..SHARDS).map(|_| Shard::new()).collect();
+        let serial_dir = root.join("serial");
+        fs::create_dir_all(&serial_dir).unwrap();
+        for table in waves().iter().flatten() {
+            for (fingerprint, bucket) in table.buckets() {
+                let shard = &mut serial[shard_of(fingerprint, SHARDS)];
+                for set in bucket.sets() {
+                    set.with_bits(|bits| shard.absorb_bits(fingerprint, bits));
+                }
+            }
+        }
+        for (index, shard) in serial.iter_mut().enumerate() {
+            shard.flush_to(&serial_dir.join(format!("{index}.log"))).unwrap();
+        }
+        for threads in [1, 2, 3, 7] {
+            let dir = root.join(format!("threads-{threads}"));
+            let mut store = DiskStore::create(&dir, SHARDS).unwrap();
+            for wave in waves() {
+                let parts: Vec<Partitioned> =
+                    wave.into_iter().map(|table| table.partition(SHARDS)).collect();
+                store.absorb(&parts, threads);
+            }
+            assert_eq!(store.flush().unwrap().0, 0, "no compaction");
+            for index in 0..SHARDS {
+                assert_eq!(
+                    fs::read(store.log_path(index, 0)).unwrap(),
+                    fs::read(serial_dir.join(format!("{index}.log"))).unwrap(),
+                    "shard {index} at {threads} threads"
+                );
+            }
+        }
+        let _ = fs::remove_dir_all(&root);
     }
 }

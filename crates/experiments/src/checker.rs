@@ -65,28 +65,35 @@
 //! [`explore_pattern`] shards each crash pattern's tree at its **first
 //! deviation from the canonical run**: the empty-prefix run is executed
 //! once, every sibling it would enqueue becomes an independent *task*, and
-//! [`crate::engine::parallel_drain_chunked`] drains the tasks across
-//! [`CheckerConfig::threads`] workers stealing from a shared queue. Tasks
-//! are not subtrees run to completion: after a constant run budget
-//! (`TASK_BUDGET` schedules) a task spills its remaining DFS stack back
-//! into the queue as fresh tasks, which both load-balances wildly skewed
-//! subtrees and bounds how stale any worker's view of the dedup table can
-//! get.
+//! [`crate::engine::parallel_drain_watched`] drains the tasks in waves
+//! across [`CheckerConfig::threads`] workers, each claiming the next task
+//! from one shared FIFO queue. Tasks are not subtrees run to completion:
+//! after a constant run budget (`TASK_BUDGET` schedules) a task spills its
+//! remaining DFS stack back into the queue as fresh tasks, which both
+//! load-balances wildly skewed subtrees and bounds how stale any worker's
+//! view of the dedup table can get.
 //!
-//! Three rules keep every observable — verdicts, counters, counterexample
+//! Four rules keep every observable — verdicts, counters, counterexample
 //! bytes — **identical for every thread count**:
 //!
 //! * **Dedup sharing is chunk-synchronized.** Unrestricted sharing of the
 //!   visited table would stay *sound* under concurrent insertion
 //!   (deduplication only ever over-approximates "explore again"; a missed
 //!   or lost hit costs time, never coverage), but whether a hit lands
-//!   would depend on worker timing, and with it the run counters. So the
-//!   table is sharded by task instead: a task prunes against a **frozen
-//!   snapshot** — the tables of every task in *earlier* waves, merged in
-//!   task order at the wave barrier — plus its own insertions. What a task
-//!   can see is then a function of its index alone. The price is the hits
-//!   two tasks in the *same* wave could have fed each other; that is the
-//!   whole time-vs-determinism trade, and it is bounded by the wave width.
+//!   would depend on worker timing, and with it the run counters. So each
+//!   task inserts into a table of its own and prunes against it plus a
+//!   **frozen snapshot**: the shared store holding the tables of every
+//!   task in *earlier* waves. What a task can see is then a function of
+//!   its index alone. The price is the hits two tasks in the *same* wave
+//!   could have fed each other; that is the whole time-vs-determinism
+//!   trade, and it is bounded by the wave width.
+//! * **The barrier fold is partitioned, not raced.** The shared store is
+//!   split into [`crate::visited::SHARDS`] tables by fingerprint bits
+//!   ([`crate::visited::shard_of`]). Each task groups its table's entries
+//!   by shard before it returns; at the barrier the workers fold the
+//!   shards in parallel, each shard on one worker, the wave's tables in
+//!   claim order. Every shard then absorbs its entries in the order one
+//!   serial fold would, for any worker count.
 //! * **Early exit is chunk-aligned.** Tasks are processed in fixed-size
 //!   waves; a violation stops the search at the next wave boundary, and
 //!   every task of a processed wave runs to completion. The executed set
@@ -106,6 +113,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::rc::Rc;
+use std::time::Instant;
 
 use crate::campaign::store::CampaignStore;
 use crate::engine::{DrainExit, WaveControl};
@@ -955,6 +963,7 @@ pub(crate) mod frontier {
 pub use frontier::SleepEntry;
 pub(crate) use frontier::{PatternState, WorkItem};
 pub use crate::visited::Visited;
+use crate::visited::{Sharded, SHARDS};
 
 /// Runs one exploration task may execute before it spills the rest of its
 /// DFS stack back to the scheduler as a single continuation task. The
@@ -1597,7 +1606,7 @@ pub(crate) fn seed_pattern(
             violation: message,
         });
     } else {
-        let empty = Visited::default();
+        let empty = Sharded::<Visited>::new(1);
         let mut scratch = WalkScratch::default();
         walk_run(
             cfg,
@@ -1634,10 +1643,12 @@ pub(crate) fn seed_pattern(
 
 /// Phase 2 of a pattern's exploration, generic over the shared visited
 /// store and resumable at any wave boundary: drains the task queue in
-/// waves, folding each task's visited table into `store` — and its
-/// counters into the verdict — at the wave barrier, in claim order.
-/// Tasks that exhaust [`TASK_BUDGET`] spill their remaining stack back
-/// into the queue as fresh tasks.
+/// waves. Each task partitions its visited table by the store's shards
+/// before it returns; at the wave barrier the tasks' counters are folded
+/// into the verdict in claim order, and their tables into `store` in one
+/// [`CampaignStore::absorb`] call, shard by shard on the engine's
+/// workers. Tasks that exhaust [`TASK_BUDGET`] spill their remaining
+/// stack back into the queue as fresh tasks.
 ///
 /// `on_wave` runs between waves with the store, the verdict so far, and
 /// the remaining queue; returning [`WaveControl::Pause`] ends the drain
@@ -1671,25 +1682,34 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
         queue,
         &mut drain_state,
         |_, (store, _, _), stack| {
-            explore_task(cfg, inputs, spec, plan, &crashed, &**store, stack)
+            let mut out = explore_task(cfg, inputs, spec, plan, &crashed, &**store, stack);
+            let table = std::mem::take(&mut out.visited).partition(store.shard_count());
+            (out, table)
         },
-        |(store, v, gauge), mut out, queue| {
-            store.absorb(std::mem::take(&mut out.visited));
-            gauge.events_fired += out.events_fired;
-            gauge.truncated_runs += out.truncated_runs;
-            v.runs += out.runs;
-            v.states += out.states;
-            v.sleep_skips += out.sleep_skips;
-            v.dedup_hits += out.dedup_hits;
-            v.complete &= out.complete;
-            v.worst_agreement = v.worst_agreement.max(out.worst_agreement);
-            v.tasks += 1;
-            if !out.spill.is_empty() {
-                queue.push(out.spill);
+        |(store, v, gauge), wave, queue| {
+            let mut tables = Vec::with_capacity(wave.len());
+            for (out, table) in wave {
+                tables.push(table);
+                gauge.events_fired += out.events_fired;
+                gauge.truncated_runs += out.truncated_runs;
+                v.runs += out.runs;
+                v.states += out.states;
+                v.sleep_skips += out.sleep_skips;
+                v.dedup_hits += out.dedup_hits;
+                v.complete &= out.complete;
+                v.worst_agreement = v.worst_agreement.max(out.worst_agreement);
+                v.tasks += 1;
+                if !out.spill.is_empty() {
+                    queue.push(out.spill);
+                }
+                if v.violation.is_none() {
+                    v.violation = out.violation;
+                }
             }
-            if v.violation.is_none() {
-                v.violation = out.violation;
-            }
+            let folding = Instant::now();
+            store.absorb(&tables, cfg.threads);
+            gauge.fold_s += folding.elapsed().as_secs_f64();
+            gauge.waves += 1;
             v.violation.is_some() || v.runs >= cfg.max_runs
         },
         |(store, v, gauge), queue| {
@@ -1697,7 +1717,7 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
                 if v.runs / every > reported / every {
                     reported = v.runs;
                     eprintln!(
-                        "[model_check] {} crashed={:?}: pattern at {} runs, {} states, {} dedup hits, {} sleep skips, {} queued tasks, {} store entries, {} events fired, {} truncated runs",
+                        "[model_check] {} crashed={:?}: pattern at {} runs, {} states, {} dedup hits, {} sleep skips, {} queued tasks, {} store entries, {} events fired, {} truncated runs, {} waves, {:.3} s folding",
                         cfg.protocol.name(),
                         v.crashed,
                         v.runs,
@@ -1708,6 +1728,8 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
                         store.entries(),
                         gauge.events_fired,
                         gauge.truncated_runs,
+                        gauge.waves,
+                        gauge.fold_s,
                     );
                 }
             }
@@ -1729,11 +1751,11 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
 /// boundary. Every field of the verdict is identical for every thread
 /// count (see the module docs).
 ///
-/// This is the in-memory fast path: the shared store is a plain
-/// [`Visited`] table. The campaign layer (`crate::campaign`) runs the
-/// same `seed_pattern`/`drain_pattern` machinery against a disk-backed
-/// store with checkpoint hooks, and is pinned to produce bit-identical
-/// verdicts.
+/// This is the in-memory fast path: the shared store is a [`Sharded`]
+/// store of [`SHARDS`] [`Visited`] tables. The campaign layer
+/// (`crate::campaign`) runs the same `seed_pattern`/`drain_pattern`
+/// machinery against a disk-backed store with checkpoint hooks, and is
+/// pinned to produce bit-identical verdicts.
 ///
 /// # Panics
 ///
@@ -1757,7 +1779,8 @@ fn explore_pattern_gauged(
     plan: &FaultPlan,
 ) -> (PatternVerdict, VisitedGauge, RunGauge) {
     let (state, root_visited) = seed_pattern(cfg, inputs, spec, plan);
-    let mut store = root_visited;
+    let mut store = Sharded::<Visited>::new(SHARDS);
+    store.fold(&[root_visited.partition(SHARDS)], cfg.threads);
     let mut gauge = VisitedGauge::of(&store);
     let (verdict, _, runs) =
         drain_pattern(cfg, inputs, spec, plan, &mut store, state, |store, _, _| {
@@ -1769,8 +1792,9 @@ fn explore_pattern_gauged(
 
 /// The memory gauge of a cell's exploration: the largest in-memory
 /// visited store any of its patterns kept, read at wave barriers (where
-/// the store has just absorbed a wave and is largest). Operational, not
-/// contract-covered: `bytes` depends on the table's layout history.
+/// the store has just absorbed a wave and is largest), summed over the
+/// store's shards. Operational, not contract-covered: `bytes` depends on
+/// the tables' layout history.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct VisitedGauge {
     /// Most live minimal entries ([`Visited::live_entries`]).
@@ -1780,10 +1804,10 @@ pub struct VisitedGauge {
 }
 
 impl VisitedGauge {
-    fn of(store: &Visited) -> Self {
+    fn of(store: &Sharded<Visited>) -> Self {
         VisitedGauge {
             entries: store.live_entries(),
-            bytes: store.resident_bytes(),
+            bytes: store.tables().iter().map(Visited::resident_bytes).sum(),
         }
     }
 
@@ -1796,18 +1820,25 @@ impl VisitedGauge {
 }
 
 /// The execution gauge of a cell's exploration: how much kernel work its
-/// exploration tasks did. Operational, not contract-covered: the forking
-/// executor resumes shared prefixes from snapshots and stops runs at
-/// covered states, the replay executor does neither, so both figures
-/// depend on the fork mode while every verdict counter does not. The
-/// canonical seed run of each pattern is not counted.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+/// exploration tasks did, and what its wave barriers cost. Operational,
+/// not contract-covered: the forking executor resumes shared prefixes
+/// from snapshots and stops runs at covered states, the replay executor
+/// does neither, so the event figures depend on the fork mode while every
+/// verdict counter does not, and `fold_s` is a wall-clock time. The
+/// canonical seed run of each pattern, and the fold of its table, are not
+/// counted.
+#[derive(Clone, Copy, Default, PartialEq, Debug)]
 pub struct RunGauge {
     /// Kernel events fired, shared prefixes resumed from a snapshot
     /// excluded.
     pub events_fired: u64,
     /// Forked runs stopped at a state the visited stores already covered.
     pub truncated_runs: u64,
+    /// Wall-clock seconds spent folding task tables into the shared
+    /// store at wave barriers.
+    pub fold_s: f64,
+    /// Waves drained, each ending at one barrier fold.
+    pub waves: u64,
 }
 
 /// Greedily shrinks a violating choice prefix: first each entry is driven
@@ -1965,6 +1996,8 @@ pub fn check_cell_gauged(cfg: &CheckerConfig) -> (CellVerdict, VisitedGauge, Run
         gauge = gauge.max(pattern_gauge);
         runs.events_fired += pattern_runs.events_fired;
         runs.truncated_runs += pattern_runs.truncated_runs;
+        runs.fold_s += pattern_runs.fold_s;
+        runs.waves += pattern_runs.waves;
         verdict.worst_agreement = verdict.worst_agreement.max(pattern.worst_agreement);
         verdict.runs += pattern.runs;
         verdict.complete &= pattern.complete;

@@ -30,17 +30,21 @@
 //! *want* sharing — the model checker's dedup table — and to searches
 //! that want early exit or deterministic work splitting. It processes a
 //! queue in fixed-size waves with a barrier between waves; every task in
-//! a wave reads the same frozen snapshot of the shared state, results are
-//! folded into the state in claim order at the barrier (optionally
-//! enqueueing follow-up tasks), and no further waves are claimed once a
-//! completed wave requests a stop. Because the wave boundaries are a
-//! constant of the algorithm (not of the thread count or of timing), what
-//! each task observes, the set of executed tasks, and the follow-ups they
-//! spawn — and therefore every merged counter — are again identical for
-//! every `threads` value. The model checker leans on exactly this: even
-//! its *counters* (runs explored, states cached) are
+//! a wave reads the same frozen snapshot of the shared state, the wave's
+//! results are handed to the state in claim order at the barrier
+//! (optionally enqueueing follow-up tasks), and no further waves are
+//! claimed once a completed wave requests a stop. Because the wave
+//! boundaries are a constant of the algorithm (not of the thread count or
+//! of timing), what each task observes, the set of executed tasks, and
+//! the follow-ups they spawn — and therefore every merged counter — are
+//! again identical for every `threads` value. The model checker leans on
+//! exactly this: even its *counters* (runs explored, states cached) are
 //! thread-count-independent, because workers never race on the shared
-//! table (see `checker` module docs for the time-vs-sharing trade).
+//! table. The barrier itself may run in parallel: the checker folds the
+//! wave's tables into a store partitioned by fingerprint
+//! ([`crate::visited::Sharded`]), each shard on one worker and in claim
+//! order, so the folded state is thread-count independent as well (see
+//! `checker` module docs for the time-vs-sharing trade).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -125,7 +129,8 @@ where
 /// * after a wave completes, `absorb(state, result, queue)` folds each
 ///   result into the state **in claim order**; it may push follow-up
 ///   tasks onto the back of the queue (deterministic task *splitting*),
-///   and its `bool` return marks a stop request;
+///   and its `bool` return marks a stop request (the wave's remaining
+///   results are still absorbed);
 /// * once a completed wave requests a stop, no further waves are claimed
 ///   and the rest of the queue is dropped.
 ///
@@ -144,7 +149,7 @@ pub fn parallel_drain_chunked<T, R, S, F>(
     initial: Vec<T>,
     state: &mut S,
     f: F,
-    absorb: impl FnMut(&mut S, R, &mut Vec<T>) -> bool,
+    mut absorb: impl FnMut(&mut S, R, &mut Vec<T>) -> bool,
 ) -> bool
 where
     T: Send,
@@ -152,7 +157,14 @@ where
     S: Sync,
     F: Fn(usize, &S, T) -> R + Sync,
 {
-    match parallel_drain_watched(threads, initial, state, f, absorb, |_, _| {
+    let absorb_wave = |state: &mut S, results: Vec<R>, queue: &mut Vec<T>| {
+        let mut stop = false;
+        for result in results {
+            stop |= absorb(state, result, queue);
+        }
+        stop
+    };
+    match parallel_drain_watched(threads, initial, state, f, absorb_wave, |_, _| {
         WaveControl::Continue
     }) {
         DrainExit::Stopped { work_left } => work_left,
@@ -188,9 +200,13 @@ pub enum DrainExit {
     Paused,
 }
 
-/// [`parallel_drain_chunked`] with a **wave observer**: after every wave's
-/// results are absorbed (and its follow-up tasks queued), `on_wave` sees
-/// the mutable state and the remaining queue, and may pause the drain.
+/// [`parallel_drain_chunked`] with whole-wave absorbs and a **wave
+/// observer**. `absorb(state, results, queue)` receives a completed
+/// wave's results in claim order, in one call, so it can fold them
+/// together (in parallel, if it keeps the outcome independent of the
+/// worker count); its `bool` return marks a stop request. After every
+/// wave is absorbed (and its follow-up tasks queued), `on_wave` sees the
+/// mutable state and the remaining queue, and may pause the drain.
 ///
 /// This is the checkpointing seam of the campaign layer (`crate::campaign`):
 /// a wave boundary is the only moment the shared state is both quiescent
@@ -206,7 +222,7 @@ pub fn parallel_drain_watched<T, R, S, F>(
     initial: Vec<T>,
     state: &mut S,
     f: F,
-    mut absorb: impl FnMut(&mut S, R, &mut Vec<T>) -> bool,
+    mut absorb: impl FnMut(&mut S, Vec<R>, &mut Vec<T>) -> bool,
     mut on_wave: impl FnMut(&mut S, &VecDeque<T>) -> WaveControl,
 ) -> DrainExit
 where
@@ -224,10 +240,7 @@ where
         let frozen: &S = state;
         let wave_results = parallel_map(threads, wave, |i, t| f(base + i, frozen, t));
         let mut followups: Vec<T> = Vec::new();
-        let mut stop = false;
-        for result in wave_results {
-            stop |= absorb(state, result, &mut followups);
-        }
+        let stop = absorb(state, wave_results, &mut followups);
         queue.extend(followups);
         if stop {
             return DrainExit::Stopped {

@@ -35,18 +35,46 @@
 //!   below that; the format keeps the table linear for any id, such as
 //!   the large synthetic ids of the campaign shard tests.
 //! * **Rewrites.** An insertion into the bucket at the arena end edits it
-//!   in place; any other changed bucket is rewritten at the arena end and
-//!   its old words become dead. Once dead words pass a quarter of the
-//!   arena, [`Visited`] compacts it *in place*, sliding live buckets down
-//!   in start order — compacting into a second buffer would double the
+//!   in place. Any other changed bucket is rewritten over its old words
+//!   when it still fits (a subset replaced stored supersets), its freed
+//!   tail words becoming dead, and at the arena end otherwise, all its
+//!   old words dead. Once dead words pass a quarter of the arena,
+//!   [`Visited`] compacts it *in place*, sliding live buckets down in
+//!   start order — compacting into a second buffer would double the
 //!   table's peak footprint at exactly its largest moment.
 //!
-//! `Visited` is the per-task table of the exploration engine, the
-//! in-memory [`crate::campaign::store::CampaignStore`], and the
-//! in-memory half of every disk-backed campaign shard
-//! ([`crate::campaign::shard`]).
+//! # Shards
+//!
+//! The store every task of a wave prunes against is a [`Sharded`] store:
+//! one table per shard, a fingerprint living in shard [`shard_of`]. Each
+//! task groups its own table's entries by shard before it returns
+//! ([`Visited::partition`]), in parallel with the other tasks of its
+//! wave; at the wave barrier [`Sharded::fold`] folds every shard on one
+//! worker, the wave's tables in claim order and each table's entries in
+//! index order. That is the order a single table would have absorbed the
+//! shard's entries in, so a shard's content is independent of the worker
+//! count. The checker's in-memory store has [`SHARDS`] shards of
+//! `Visited`; a disk-backed campaign has `--campaign-shards` shards of
+//! [`crate::campaign::shard::Shard`], each a `Visited` plus its log
+//! buffer, partitioned by the same [`shard_of`].
 
 use crate::checker::SleepEntry;
+use crate::engine::parallel_map;
+
+/// Shards of the checker's in-memory visited store: a constant of the
+/// algorithm, like [`crate::engine::CHUNK`], never the worker count, so
+/// every shard's content is the same for every `threads` value. 64 gives
+/// two workers (or a few more) even shares of the barrier fold.
+pub const SHARDS: usize = 64;
+
+/// The shard `fingerprint` lives in among `shards`. Uses the high bits,
+/// so the partition is independent of the low bits a table's index probe
+/// consumes; fingerprints are avalanched, so any disjoint bit range is
+/// uniform. The in-memory store and the campaign store both partition by
+/// it, so campaign directories keep their layout.
+pub fn shard_of(fingerprint: u64, shards: usize) -> usize {
+    ((fingerprint >> 32) % shards as u64) as usize
+}
 
 /// Widest set bitmap a bucket stores (event ids below 512), and the
 /// widest query bitmap encoded on the stack.
@@ -193,11 +221,14 @@ impl Visited {
             width.max(bits.len() as u64)
         };
         let new = NewSet::of(bits, lists);
-        if target == width && start + len == self.arena.len() {
-            // The bucket is the arena's tail and keeps its format: drop
-            // the supersets in place and append.
+        // The rebuilt bucket is `arena[start..kept]` followed by `fresh`.
+        let mut fresh = std::mem::take(&mut self.scratch);
+        fresh.clear();
+        let kept = if target == width {
+            // Same format: slide the kept sets down over the dropped
+            // supersets.
             let (mut read, mut write) = (start + 1, start + 1);
-            while read < self.arena.len() {
+            while read < start + len {
                 let span = if width == ID_LISTS {
                     1 + self.arena[read] as usize
                 } else {
@@ -213,12 +244,9 @@ impl Visited {
                 }
                 read += span;
             }
-            self.arena.truncate(write);
-            new.push(&mut self.arena, width);
+            write
         } else {
-            // Rebuild the bucket at the arena end, in its new format.
-            let mut fresh = std::mem::take(&mut self.scratch);
-            fresh.clear();
+            // New format: rebuild the kept sets in `fresh`.
             fresh.push(target);
             let mut dropped = 0;
             for stored in self.bucket(&self.index[at]).sets() {
@@ -228,14 +256,27 @@ impl Visited {
                     stored.push(&mut fresh, target);
                 }
             }
-            new.push(&mut fresh, target);
             self.live -= dropped;
+            start
+        };
+        new.push(&mut fresh, target);
+        let size = kept - start + fresh.len();
+        if start + len == self.arena.len() {
+            // The arena's tail: edit it in place.
+            self.arena.truncate(kept);
+            self.arena.extend_from_slice(&fresh);
+        } else if size <= len {
+            // A subset replaced supersets: the bucket still fits.
+            self.arena[kept..kept + fresh.len()].copy_from_slice(&fresh);
+            self.dead += len - size;
+        } else {
             self.dead += len;
             self.index[at].start = word_offset(self.arena.len());
+            self.arena.extend_from_within(start..kept);
             self.arena.extend_from_slice(&fresh);
-            self.scratch = fresh;
         }
-        self.index[at].len = word_offset(self.arena.len() - self.index[at].start as usize);
+        self.index[at].len = word_offset(size);
+        self.scratch = fresh;
         if self.arena.len() >= COMPACT_MIN_WORDS && self.dead * 4 > self.arena.len() {
             self.compact();
         }
@@ -315,6 +356,158 @@ impl Visited {
         }
         self.arena.truncate(write);
         self.dead = 0;
+    }
+}
+
+/// A task's visited table regrouped by shard ([`Visited::partition`]),
+/// ready for a [`Sharded::fold`]: each shard's buckets copied into one
+/// contiguous run, so the fold reads them in order.
+#[derive(Debug)]
+pub struct Partitioned {
+    /// Records `[fingerprint][bucket length][bucket words…]`, grouped by
+    /// shard and in the table's index order within a shard.
+    words: Vec<u64>,
+    /// Shard `s` owns `words[bounds[s]..bounds[s + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl Visited {
+    /// Regroups the table's entries by [`shard_of`] among `shards`,
+    /// keeping index order within each shard, and frees the table.
+    pub fn partition(self, shards: usize) -> Partitioned {
+        let occupied = || self.index.iter().filter(|slot| slot.len != 0);
+        let mut bounds = vec![0; shards + 1];
+        for slot in occupied() {
+            bounds[shard_of(slot.fingerprint, shards) + 1] += 2 + slot.len as usize;
+        }
+        for shard in 0..shards {
+            bounds[shard + 1] += bounds[shard];
+        }
+        let mut next = bounds.clone();
+        let mut words = vec![0; bounds[shards]];
+        for slot in occupied() {
+            let at = &mut next[shard_of(slot.fingerprint, shards)];
+            let (start, len) = (slot.start as usize, slot.len as usize);
+            words[*at] = slot.fingerprint;
+            words[*at + 1] = len as u64;
+            words[*at + 2..*at + 2 + len].copy_from_slice(&self.arena[start..start + len]);
+            *at += 2 + len;
+        }
+        Partitioned { words, bounds }
+    }
+}
+
+impl Partitioned {
+    /// The shard count the table was partitioned for.
+    fn shards(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Folds the table's entries of `shard` into `into`, in index order,
+    /// each bucket's sets in storage order.
+    fn fold_into<T: ShardTable>(&self, shard: usize, into: &mut T) {
+        let mut rest = &self.words[self.bounds[shard]..self.bounds[shard + 1]];
+        while let [fingerprint, len, tail @ ..] = rest {
+            let (bucket, next) = tail.split_at(*len as usize);
+            let bucket = Bucket {
+                width: bucket[0],
+                body: &bucket[1..],
+            };
+            for set in bucket.sets() {
+                set.with_bits(|bits| into.absorb_bits(*fingerprint, bits));
+            }
+            rest = next;
+        }
+    }
+}
+
+/// The table one shard of a [`Sharded`] store keeps.
+pub trait ShardTable: Default + Send {
+    /// The subset-rule query ([`Visited::covers`]).
+    fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool;
+
+    /// Inserts a set, given as a bitmap with bit `id` set for each of its
+    /// event ids, unless the table already covers it; returns whether it
+    /// was inserted.
+    fn absorb_bits(&mut self, fingerprint: u64, set: &[u64]) -> bool;
+
+    /// Minimal entries currently stored.
+    fn live_entries(&self) -> u64;
+}
+
+impl ShardTable for Visited {
+    fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
+        Visited::covers(self, fingerprint, sleep)
+    }
+
+    fn absorb_bits(&mut self, fingerprint: u64, set: &[u64]) -> bool {
+        Visited::absorb_bits(self, fingerprint, set)
+    }
+
+    fn live_entries(&self) -> u64 {
+        Visited::live_entries(self)
+    }
+}
+
+/// A visited store partitioned into shards by [`shard_of`] (see the
+/// [module docs](self#shards)).
+#[derive(Debug)]
+pub struct Sharded<T> {
+    tables: Vec<T>,
+}
+
+impl<T: ShardTable> Sharded<T> {
+    /// A store of `shards` empty tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    pub fn new(shards: usize) -> Self {
+        assert!(shards > 0, "a sharded store needs at least one shard");
+        Sharded {
+            tables: (0..shards).map(|_| T::default()).collect(),
+        }
+    }
+
+    /// The subset-rule query, asked of `fingerprint`'s shard.
+    pub fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
+        self.tables[shard_of(fingerprint, self.tables.len())].covers(fingerprint, sleep)
+    }
+
+    /// Folds one wave's tables in, each shard on one of `threads`
+    /// workers: the tables in claim order (their order in `wave`), each
+    /// table's entries in index order. Entries already covered are
+    /// skipped; new ones drop their stored supersets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a table was partitioned for another shard count.
+    pub fn fold(&mut self, wave: &[Partitioned], threads: usize) {
+        let shards = self.tables.len();
+        assert!(
+            wave.iter().all(|table| table.shards() == shards),
+            "tables partitioned for another shard count"
+        );
+        parallel_map(threads, self.tables.iter_mut().collect(), |shard, into| {
+            for table in wave {
+                table.fold_into(shard, into);
+            }
+        });
+    }
+
+    /// Minimal entries stored across all shards.
+    pub fn live_entries(&self) -> u64 {
+        self.tables.iter().map(T::live_entries).sum()
+    }
+
+    /// The shard tables, in shard order.
+    pub fn tables(&self) -> &[T] {
+        &self.tables
+    }
+
+    /// The shard tables, mutably, in shard order.
+    pub fn tables_mut(&mut self) -> &mut [T] {
+        &mut self.tables
     }
 }
 
@@ -717,8 +910,39 @@ mod tests {
         Ok(compactions)
     }
 
+    /// Inserts `ids` under `fingerprint` unless the table covers them.
+    fn absorb_ids(table: &mut Visited, fingerprint: u64, ids: &[u64]) {
+        let sleep = sleep_of(&ids.iter().copied().collect());
+        if !table.covers(fingerprint, &sleep) {
+            table.insert(fingerprint, &sleep);
+        }
+    }
+
     #[test]
     fn table_matches_reference_model() {
+        // A subset replacing two supersets in a bucket that is not the
+        // arena's tail, as bitmaps and as id lists: the model agrees, and
+        // the bucket is rebuilt over its old words, the freed ones dead.
+        for big in [2, 600] {
+            let ops: Vec<Op> = vec![
+                (0, 0, 0, 0, vec![1, big]),
+                (0, 0, 0, 0, vec![1, big + 1]),
+                (0, 0, 0, 1, vec![3]),
+                (0, 0, 0, 0, vec![1]),
+            ];
+            replay(&ops, &[0, 1, 2]).unwrap();
+            let mut table = Visited::default();
+            for (_, _, _, fingerprint, ids) in &ops[..3] {
+                absorb_ids(&mut table, FINGERPRINTS[*fingerprint], ids);
+            }
+            let (before, words) = (*table.find(FINGERPRINTS[0]).unwrap(), table.arena.len());
+            absorb_ids(&mut table, FINGERPRINTS[0], &[1]);
+            let after = *table.find(FINGERPRINTS[0]).unwrap();
+            assert_eq!(after.start, before.start, "rebuilt in place");
+            assert_eq!(table.arena.len(), words);
+            assert!(after.len < before.len);
+            assert_eq!(table.dead, (before.len - after.len) as usize);
+        }
         let op = (
             in_range(0u8..4),
             in_range(0..TABLES),
@@ -739,6 +963,71 @@ mod tests {
             |(ops, order)| {
                 let outcome = replay(&ops, &order);
                 prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn sharded_fold_matches_serial_merge() {
+        // An entry: a fingerprint (one of FINGERPRINTS, its high bits
+        // shifted so entries spread over the shards) and a sleep set.
+        let entry = (
+            in_range(0..FINGERPRINTS.len()),
+            in_range(0u64..96),
+            vec_in(choice(IDS.to_vec()), 0..6),
+        );
+        let wave = vec_in(vec_in(entry, 0..40), 1..6);
+        Runner::new("sharded_fold_matches_serial_merge").cases(48).run(
+            (
+                vec_in(wave, 1..5),
+                choice(vec![1usize, 2, 3, 7]),
+                choice(vec![1usize, 16, SHARDS]),
+            ),
+            |(waves, threads, shards)| {
+                let mut serial = Visited::default();
+                let mut sharded = Sharded::<Visited>::new(shards);
+                let mut queries = Vec::new();
+                for wave in &waves {
+                    let tables: Vec<Visited> = wave
+                        .iter()
+                        .map(|entries| {
+                            let mut table = Visited::default();
+                            for (at, high, ids) in entries {
+                                let fp = FINGERPRINTS[*at].wrapping_add(high << 32);
+                                absorb_ids(&mut table, fp, ids);
+                                queries.push((fp, ids.clone()));
+                            }
+                            table
+                        })
+                        .collect();
+                    for table in &tables {
+                        serial.merge(table);
+                    }
+                    let parts: Vec<Partitioned> =
+                        tables.into_iter().map(|table| table.partition(shards)).collect();
+                    sharded.fold(&parts, threads);
+                    prop_assert!(
+                        sharded.live_entries() == serial.live_entries(),
+                        "live entries {} sharded, {} serial",
+                        sharded.live_entries(),
+                        serial.live_entries()
+                    );
+                }
+                // Every inserted set, without its least id, and with one
+                // more id, as queries.
+                for (fp, ids) in queries {
+                    let set: BTreeSet<u64> = ids.into_iter().collect();
+                    let smaller = set.iter().skip(1).copied().collect();
+                    let larger = |id| set.iter().copied().chain([id]).collect();
+                    for query in [set.clone(), smaller, larger(3), larger(513)] {
+                        let sleep = sleep_of(&query);
+                        prop_assert!(
+                            sharded.covers(fp, &sleep) == serial.covers(fp, &sleep),
+                            "fp={fp} query={query:?}"
+                        );
+                    }
+                }
                 Ok(())
             },
         );
