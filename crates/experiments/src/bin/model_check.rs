@@ -390,7 +390,10 @@ fn write_bench_json(
         });
         // The barrier gauges come last, after the fields CI greps.
         let barrier = c.gauges.map_or(String::new(), |(_, runs)| {
-            format!(", \"fold_s\": {:.3}, \"waves\": {}", runs.fold_s, runs.waves)
+            format!(
+                ", \"fold_s\": {:.3}, \"waves\": {}, \"snapshots\": {}, \"resumes_copied\": {}, \"resumes_moved\": {}",
+                runs.fold_s, runs.waves, runs.snapshots, runs.resumes_copied, runs.resumes_moved
+            )
         });
         out.push_str(&format!(
             "    {{\"cell\": \"{}\", \"model\": \"{}\", \"verdict\": \"{}\", \"bounded\": {}, \"digest\": \"{}\", \"patterns\": {}, \"runs\": {}, \"states\": {}, \"tasks\": {}, {}\"wall_s\": {:.3}, \"runs_per_s\": {:.0}{}}}{}\n",

@@ -126,9 +126,9 @@ use kset_regions::Model;
 use kset_shmem::{DynSmProcess, SmSubstrate};
 use kset_sim::{
     ChoiceLog, ChoiceScheduler, Delivery, Deviation, DeviantDelivery, DeviationPolicy, DigestMode,
-    EventId, FaultKind, FaultPlan, FaultSpec, ForkConfig, ForkGate, ForkSession, MetricsConfig,
-    ProcessId, RunArena, RunMetrics, RunSnapshot, RunStats, SimError, SubstrateAdv, SubstrateFork,
-    System,
+    EventId, FaultKind, FaultPlan, FaultSpec, ForkConfig, ForkCounters, ForkGate, ForkSession,
+    MetricsConfig, ProcessId, RunArena, RunMetrics, RunSnapshot, RunStats, SimError, SubstrateAdv,
+    SubstrateFork, System,
 };
 
 use crate::cells::DEFAULT_VALUE;
@@ -988,6 +988,9 @@ struct TaskOutcome {
     events_fired: u64,
     /// Forked runs stopped at a covered state (operational).
     truncated_runs: u64,
+    /// The task's fork session's snapshot and resume counts (operational;
+    /// zero on the replay executor).
+    fork: ForkCounters,
     states: usize,
     sleep_skips: u64,
     dedup_hits: u64,
@@ -1008,6 +1011,7 @@ impl TaskOutcome {
             runs: 0,
             events_fired: 0,
             truncated_runs: 0,
+            fork: ForkCounters::default(),
             states: 0,
             sleep_skips: 0,
             dedup_hits: 0,
@@ -1022,10 +1026,9 @@ impl TaskOutcome {
 
 /// Reusable buffers for [`walk_run`], owned by one exploration task. The
 /// walk's transient storage (taken indices, staged siblings, explored
-/// entries) keeps its capacity across runs, and sleep vectors recycled
-/// from completed work items back a free list that child items draw from —
-/// in the steady state the walk allocates only for genuinely new child
-/// prefixes.
+/// entries) keeps its capacity across runs, and the sleep and prefix
+/// vectors of completed work items back free lists that child items draw
+/// from — in the steady state the walk allocates nothing.
 #[derive(Default)]
 struct WalkScratch {
     /// The current run's taken canonical indices (child-prefix source).
@@ -1037,6 +1040,10 @@ struct WalkScratch {
     children: Vec<WorkItem>,
     /// Free list of sleep vectors recycled from completed work items.
     sleeps: Vec<Vec<SleepEntry>>,
+    /// Free list of prefix vectors recycled from executed work items (the
+    /// forking executor hands them back; see
+    /// [`ForkSession::take_spent_prefix`]).
+    prefixes: Vec<Vec<usize>>,
 }
 
 /// Walks the beyond-prefix decision points of one executed run: dedup
@@ -1075,6 +1082,7 @@ fn walk_run<S: CampaignStore>(
         explored,
         children,
         sleeps,
+        prefixes,
     } = scratch;
     taken.clear();
     taken.extend((0..log.len()).map(|i| log.taken(i)));
@@ -1091,18 +1099,27 @@ fn walk_run<S: CampaignStore>(
         // insertions go to the task-local table.
         if cfg.dedup && d > 0 {
             let fingerprint = digests[d - 1];
-            // Task-local table first: it is small and cache-hot, and `||`
-            // makes the probe order invisible to the verdict.
-            if out.visited.covers(fingerprint, &sleep)
-                || (probe_global && global.covers(fingerprint, &sleep))
-            {
+            let covered = if !probe_global && out.visited.inserted() < cfg.max_states {
+                // Only the task-local table is asked: one probe decides
+                // and records.
+                let inserted = out.visited.insert_unless_covered(fingerprint, &sleep);
+                out.states += usize::from(inserted);
+                !inserted
+            } else {
+                // Task-local table first: it is small and cache-hot, and
+                // `||` makes the probe order invisible to the verdict.
+                let covered = out.visited.covers(fingerprint, &sleep)
+                    || (probe_global && global.covers(fingerprint, &sleep));
+                if !covered && out.visited.inserted() < cfg.max_states {
+                    out.visited.insert(fingerprint, &sleep);
+                    out.states += 1;
+                }
+                covered
+            };
+            if covered {
                 out.dedup_hits += 1;
                 cut = true;
                 break;
-            }
-            if out.visited.inserted() < cfg.max_states {
-                out.visited.insert(fingerprint, &sleep);
-                out.states += 1;
             }
         }
 
@@ -1154,7 +1171,9 @@ fn walk_run<S: CampaignStore>(
                             continue;
                         }
                     }
-                    let mut prefix = Vec::with_capacity(d + 1);
+                    let mut prefix = prefixes.pop().unwrap_or_default();
+                    prefix.clear();
+                    prefix.reserve(d + 1);
                     prefix.extend_from_slice(&taken[..d]);
                     prefix.push(i);
                     let mut child_sleep = sleeps.pop().unwrap_or_default();
@@ -1470,6 +1489,8 @@ where
     let mut stack: Vec<(WorkItem, Option<Rc<RunSnapshot<Sub>>>)> =
         stack.into_iter().map(|item| (item, None)).collect();
     let mut scratch = WalkScratch::default();
+    // The gate's copy of each item's sleep set, refilled in place per run.
+    let mut gate_sleep = Vec::new();
     // Derived, not a knob: see [`WalkGate`] for why bounded searches run
     // every schedule to termination.
     let truncate = cfg.dedup && cfg.depth == usize::MAX && cfg.preemptions.is_none();
@@ -1493,17 +1514,21 @@ where
         } = item;
         let prefix_len = prefix.len();
         let resumed_at = snap.as_ref().map_or(0, |snapshot| snapshot.depth());
+        gate_sleep.clear();
+        gate_sleep.extend_from_slice(&sleep);
         let mut gate = WalkGate {
             active: truncate,
             global,
             visited: &out.visited,
-            sleep: sleep.clone(),
+            sleep: gate_sleep,
         };
         match snap {
             Some(snapshot) => session.resume_rc(snapshot, prefix, &mut gate),
             None => session.run_root(prefix, &mut gate),
         }
         .expect("checker-built system configurations are valid");
+        gate_sleep = gate.sleep;
+        scratch.prefixes.push(session.take_spent_prefix());
         let truncated = session.truncated();
         let proof = match (truncate, truncated) {
             (false, _) => GateProof::None,
@@ -1558,6 +1583,7 @@ where
         );
         drop(log);
     }
+    out.fork = session.counters();
     out
 }
 
@@ -1690,8 +1716,7 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
             let mut tables = Vec::with_capacity(wave.len());
             for (out, table) in wave {
                 tables.push(table);
-                gauge.events_fired += out.events_fired;
-                gauge.truncated_runs += out.truncated_runs;
+                gauge.add_task(&out);
                 v.runs += out.runs;
                 v.states += out.states;
                 v.sleep_skips += out.sleep_skips;
@@ -1717,7 +1742,7 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
                 if v.runs / every > reported / every {
                     reported = v.runs;
                     eprintln!(
-                        "[model_check] {} crashed={:?}: pattern at {} runs, {} states, {} dedup hits, {} sleep skips, {} queued tasks, {} store entries, {} events fired, {} truncated runs, {} waves, {:.3} s folding",
+                        "[model_check] {} crashed={:?}: pattern at {} runs, {} states, {} dedup hits, {} sleep skips, {} queued tasks, {} store entries, {} events fired, {} truncated runs, {} waves, {:.3} s folding, {} snapshots, {} copied resumes, {} moved resumes",
                         cfg.protocol.name(),
                         v.crashed,
                         v.runs,
@@ -1730,6 +1755,9 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
                         gauge.truncated_runs,
                         gauge.waves,
                         gauge.fold_s,
+                        gauge.snapshots,
+                        gauge.resumes_copied,
+                        gauge.resumes_moved,
                     );
                 }
             }
@@ -1839,6 +1867,36 @@ pub struct RunGauge {
     pub fold_s: f64,
     /// Waves drained, each ending at one barrier fold.
     pub waves: u64,
+    /// Fork snapshots taken at branch points.
+    pub snapshots: u64,
+    /// Forked runs that started by copying a snapshot's state (runs from
+    /// the root included).
+    pub resumes_copied: u64,
+    /// Forked runs that started by taking over a snapshot no other work
+    /// item held.
+    pub resumes_moved: u64,
+}
+
+impl RunGauge {
+    /// Adds one exploration task's execution counters.
+    fn add_task(&mut self, out: &TaskOutcome) {
+        self.events_fired += out.events_fired;
+        self.truncated_runs += out.truncated_runs;
+        self.snapshots += out.fork.snapshots;
+        self.resumes_copied += out.fork.resumes_copied;
+        self.resumes_moved += out.fork.resumes_moved;
+    }
+
+    /// Adds another pattern's gauge.
+    fn add(&mut self, other: &RunGauge) {
+        self.events_fired += other.events_fired;
+        self.truncated_runs += other.truncated_runs;
+        self.fold_s += other.fold_s;
+        self.waves += other.waves;
+        self.snapshots += other.snapshots;
+        self.resumes_copied += other.resumes_copied;
+        self.resumes_moved += other.resumes_moved;
+    }
 }
 
 /// Greedily shrinks a violating choice prefix: first each entry is driven
@@ -1994,10 +2052,7 @@ pub fn check_cell_gauged(cfg: &CheckerConfig) -> (CellVerdict, VisitedGauge, Run
         let (mut pattern, pattern_gauge, pattern_runs) =
             explore_pattern_gauged(cfg, &inputs, &spec, &plan);
         gauge = gauge.max(pattern_gauge);
-        runs.events_fired += pattern_runs.events_fired;
-        runs.truncated_runs += pattern_runs.truncated_runs;
-        runs.fold_s += pattern_runs.fold_s;
-        runs.waves += pattern_runs.waves;
+        runs.add(&pattern_runs);
         verdict.worst_agreement = verdict.worst_agreement.max(pattern.worst_agreement);
         verdict.runs += pattern.runs;
         verdict.complete &= pattern.complete;

@@ -140,6 +140,13 @@ impl Visited {
         });
     }
 
+    /// [`Visited::covers`] then, on a miss, [`Visited::insert`], with one
+    /// index probe and one bitmap encoding; returns whether `sleep` was
+    /// inserted (`false`: the table already covers it).
+    pub fn insert_unless_covered(&mut self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
+        with_bitmap(ids_of(sleep), |set| self.absorb_bits(fingerprint, set))
+    }
+
     /// Folds another table into this one: each of its sets, in storage
     /// order, is skipped if already covered here and inserted otherwise.
     /// The merged minimal sets — and with them every future

@@ -9,7 +9,9 @@
 //! one where it is violated (early exit and shrinking are exercised).
 
 use kset_core::ValidityCondition;
-use kset_experiments::checker::{check_cell, write_counterexample, CheckerConfig};
+use kset_experiments::checker::{
+    check_cell, check_cell_gauged, write_counterexample, CheckerConfig, ForkMode,
+};
 use kset_experiments::exhaustive::QuorumProtocol;
 
 fn cell(k: usize, t: usize, threads: usize) -> CheckerConfig {
@@ -27,6 +29,30 @@ fn holding_cell_verdict_is_thread_count_independent() {
     let parallel = check_cell(&cell(2, 1, 4));
     assert!(serial.complete && serial.holds(), "{serial}");
     assert_eq!(serial, parallel);
+}
+
+#[test]
+fn fork_gauges_count_every_forked_run_at_any_thread_count() {
+    // Every run past a pattern's canonical seed run starts on the forking
+    // executor, by copying a snapshot or by taking one over; each task
+    // runs on its own session, so the gauges follow the task list, not
+    // the workers.
+    let mut gauges = Vec::new();
+    for threads in [1, 2] {
+        let mut cfg = cell(2, 1, threads);
+        cfg.fork = ForkMode::Auto;
+        let (verdict, _, gauge) = check_cell_gauged(&cfg);
+        assert!(verdict.complete && verdict.holds(), "{verdict}");
+        let seed_runs = verdict.patterns.len() as u64;
+        assert_eq!(
+            gauge.resumes_copied + gauge.resumes_moved,
+            verdict.runs - seed_runs,
+            "{threads} thread(s): {gauge:?}"
+        );
+        assert!(gauge.snapshots > 0 && gauge.resumes_moved > 0, "{gauge:?}");
+        gauges.push((gauge.snapshots, gauge.resumes_copied, gauge.resumes_moved));
+    }
+    assert_eq!(gauges[0], gauges[1], "fork gauges depend on the thread count");
 }
 
 #[test]

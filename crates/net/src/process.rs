@@ -1,5 +1,6 @@
 //! The message-passing process trait and its effect context.
 
+use std::any::Any;
 use std::ops::Deref;
 
 use kset_sim::{CallInfo, ContextCore, ProcessId};
@@ -159,6 +160,48 @@ pub trait MpProcess {
     fn fork(&self) -> Option<DynMpProcess<Self::Msg, Self::Output>> {
         None
     }
+
+    /// [`MpProcess::fork`] into an existing box: overwrites `dst` with a copy
+    /// of this process in its current state, reusing `dst`'s allocation
+    /// where possible. Returns `false`, leaving `dst` as it was, when the
+    /// process is unforkable.
+    ///
+    /// The forking executor calls this on every snapshot and resume. The
+    /// default replaces `dst` with a fresh [`MpProcess::fork`] box; protocols
+    /// with `Clone` state machines override it (together with
+    /// [`MpProcess::as_any_mut`]) with [`fork_in_place`], which copies into a
+    /// `dst` that already boxes the same type without allocating.
+    fn fork_into(&self, dst: &mut DynMpProcess<Self::Msg, Self::Output>) -> bool {
+        match self.fork() {
+            Some(copy) => {
+                *dst = copy;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// This process as [`Any`], for [`fork_in_place`]'s downcast; `None`
+    /// (the default) when the process does not support in-place copies.
+    /// Override with `Some(self)`.
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        None
+    }
+}
+
+/// The in-place [`MpProcess::fork_into`] of a `Clone` protocol `P`: when `dst`
+/// already boxes a `P`, copies `src` into it with `clone_from` (which
+/// allocates nothing once `P`'s buffers are large enough); otherwise
+/// replaces `dst` with a fresh box. Always returns `true`.
+pub fn fork_in_place<P>(src: &P, dst: &mut DynMpProcess<P::Msg, P::Output>) -> bool
+where
+    P: MpProcess + Clone + 'static,
+{
+    match (**dst).as_any_mut().and_then(|any| any.downcast_mut::<P>()) {
+        Some(slot) => slot.clone_from(src),
+        None => *dst = Box::new(src.clone()),
+    }
+    true
 }
 
 /// Boxed process with erased concrete type, the unit the runtime stores.
@@ -189,6 +232,14 @@ impl<M: Clone, V> MpProcess for DynMpProcess<M, V> {
 
     fn fork(&self) -> Option<DynMpProcess<M, V>> {
         (**self).fork()
+    }
+
+    fn fork_into(&self, dst: &mut DynMpProcess<M, V>) -> bool {
+        (**self).fork_into(dst)
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        (**self).as_any_mut()
     }
 }
 

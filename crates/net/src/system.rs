@@ -142,6 +142,10 @@ where
         proc.fork()
     }
 
+    fn fork_process_into(src: &Self::Process, dst: &mut Self::Process) -> bool {
+        src.fork_into(dst)
+    }
+
     fn fork_shared(_shared: &Self::Shared) -> Self::Shared {}
 }
 

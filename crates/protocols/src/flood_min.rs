@@ -9,6 +9,8 @@
 //! smallest inputs — at most `t + 1 <= k` distinct decisions. Every decision
 //! is somebody's input, giving RV1.
 
+use std::any::Any;
+
 use kset_core::Value;
 use kset_net::{DynMpProcess, MpContext, MpProcess};
 use kset_sim::{Fnv64, ProcessId, StateDigest};
@@ -74,6 +76,14 @@ impl<V: Value + StateDigest + 'static> MpProcess for FloodMin<V> {
 
     fn fork(&self) -> Option<DynMpProcess<V, V>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn fork_into(&self, dst: &mut DynMpProcess<V, V>) -> bool {
+        kset_net::fork_in_place(self, dst)
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        Some(self)
     }
 
     fn state_digest(&self) -> u64 {

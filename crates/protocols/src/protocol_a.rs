@@ -11,6 +11,8 @@
 //!   `t < n/2, k >= (n-t)/(n-2t) + 1` (Lemma 3.12) and for
 //!   `t >= n/2, k >= t + 1` (Lemma 3.13).
 
+use std::any::Any;
+
 use kset_core::Value;
 use kset_net::{DynMpProcess, MpContext, MpProcess};
 use kset_sim::{Fnv64, ProcessId, StateDigest};
@@ -30,13 +32,35 @@ use crate::check_params;
 /// assert_eq!(outcome.correct_decision_set(), vec![9]);
 /// # Ok::<(), kset_sim::SimError>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ProtocolA<V> {
     n: usize,
     t: usize,
     input: V,
     default: V,
     seen: Vec<V>,
+}
+
+/// Written out so that `clone_from` reuses `seen`'s buffer: the forking
+/// executor copies processes in place on every snapshot and resume.
+impl<V: Clone> Clone for ProtocolA<V> {
+    fn clone(&self) -> Self {
+        ProtocolA {
+            n: self.n,
+            t: self.t,
+            input: self.input.clone(),
+            default: self.default.clone(),
+            seen: self.seen.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.t = source.t;
+        self.input.clone_from(&source.input);
+        self.default.clone_from(&source.default);
+        self.seen.clone_from(&source.seen);
+    }
 }
 
 impl<V: Value> ProtocolA<V> {
@@ -73,6 +97,14 @@ impl<V: Value + StateDigest + 'static> MpProcess for ProtocolA<V> {
 
     fn fork(&self) -> Option<DynMpProcess<V, V>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn fork_into(&self, dst: &mut DynMpProcess<V, V>) -> bool {
+        kset_net::fork_in_place(self, dst)
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        Some(self)
     }
 
     fn state_digest(&self) -> u64 {

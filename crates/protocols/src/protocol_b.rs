@@ -15,6 +15,8 @@
 //! deliveries of which one will be the self-delivery (the substrate
 //! delivers broadcasts to the sender too).
 
+use std::any::Any;
+
 use kset_core::Value;
 use kset_net::{DynMpProcess, MpContext, MpProcess};
 use kset_sim::{Fnv64, ProcessId, StateDigest};
@@ -89,6 +91,14 @@ impl<V: Value + StateDigest + 'static> MpProcess for ProtocolB<V> {
 
     fn fork(&self) -> Option<DynMpProcess<V, V>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn fork_into(&self, dst: &mut DynMpProcess<V, V>) -> bool {
+        kset_net::fork_in_place(self, dst)
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        Some(self)
     }
 
     fn state_digest(&self) -> u64 {

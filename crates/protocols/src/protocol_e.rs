@@ -20,6 +20,8 @@
 //! written and so the only possible decision value" — which would fail if
 //! a scan racing a slow writer's `⊥` fell to the default.
 
+use std::any::Any;
+
 use kset_core::Value;
 use kset_shmem::{DynSmProcess, RegisterId, SmContext, SmProcess};
 use kset_sim::{Fnv64, StateDigest};
@@ -98,6 +100,14 @@ impl<V: Value + StateDigest + 'static> SmProcess for ProtocolE<V> {
 
     fn fork(&self) -> Option<DynSmProcess<V, V>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn fork_into(&self, dst: &mut DynSmProcess<V, V>) -> bool {
+        kset_shmem::fork_in_place(self, dst)
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        Some(self)
     }
 
     fn state_digest(&self) -> u64 {

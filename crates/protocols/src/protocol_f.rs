@@ -17,6 +17,8 @@
 //! needs `i` copies of `v`, which pins `v` to one of the first `t + 1`
 //! written values — at most `t + 2` decisions including the default.
 
+use std::any::Any;
+
 use kset_core::Value;
 use kset_shmem::{DynSmProcess, RegisterId, SmContext, SmProcess};
 use kset_sim::{Fnv64, StateDigest};
@@ -36,7 +38,7 @@ use crate::check_params;
 /// assert_eq!(outcome.correct_decision_set(), vec![8]);
 /// # Ok::<(), kset_sim::SimError>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ProtocolF<V> {
     n: usize,
     t: usize,
@@ -46,6 +48,30 @@ pub struct ProtocolF<V> {
     pending: usize,
     /// Successfully-read values of the current scan.
     scan: Vec<V>,
+}
+
+/// Written out so that `clone_from` reuses `scan`'s buffer: the forking
+/// executor copies processes in place on every snapshot and resume.
+impl<V: Clone> Clone for ProtocolF<V> {
+    fn clone(&self) -> Self {
+        ProtocolF {
+            n: self.n,
+            t: self.t,
+            input: self.input.clone(),
+            default: self.default.clone(),
+            pending: self.pending,
+            scan: self.scan.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.t = source.t;
+        self.input.clone_from(&source.input);
+        self.default.clone_from(&source.default);
+        self.pending = source.pending;
+        self.scan.clone_from(&source.scan);
+    }
 }
 
 impl<V: Value> ProtocolF<V> {
@@ -109,6 +135,14 @@ impl<V: Value + StateDigest + 'static> SmProcess for ProtocolF<V> {
 
     fn fork(&self) -> Option<DynSmProcess<V, V>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn fork_into(&self, dst: &mut DynSmProcess<V, V>) -> bool {
+        kset_shmem::fork_in_place(self, dst)
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        Some(self)
     }
 
     fn state_digest(&self) -> u64 {

@@ -87,6 +87,6 @@ mod register;
 mod system;
 
 pub use outcome::SmOutcome;
-pub use process::{DynSmProcess, RawSmAction, SmContext, SmProcess};
+pub use process::{fork_in_place, DynSmProcess, RawSmAction, SmContext, SmProcess};
 pub use register::{Memory, RegisterId};
 pub use system::{SmOp, SmSession, SmSubstrate, SmSystem};

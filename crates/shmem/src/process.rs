@@ -1,5 +1,6 @@
 //! The shared-memory process trait and its effect context.
 
+use std::any::Any;
 use std::ops::Deref;
 
 use kset_sim::{CallInfo, ContextCore, ProcessId};
@@ -163,6 +164,48 @@ pub trait SmProcess {
     fn fork(&self) -> Option<DynSmProcess<Self::Val, Self::Output>> {
         None
     }
+
+    /// [`SmProcess::fork`] into an existing box: overwrites `dst` with a copy
+    /// of this process in its current state, reusing `dst`'s allocation
+    /// where possible. Returns `false`, leaving `dst` as it was, when the
+    /// process is unforkable.
+    ///
+    /// The forking executor calls this on every snapshot and resume. The
+    /// default replaces `dst` with a fresh [`SmProcess::fork`] box; protocols
+    /// with `Clone` state machines override it (together with
+    /// [`SmProcess::as_any_mut`]) with [`fork_in_place`], which copies into a
+    /// `dst` that already boxes the same type without allocating.
+    fn fork_into(&self, dst: &mut DynSmProcess<Self::Val, Self::Output>) -> bool {
+        match self.fork() {
+            Some(copy) => {
+                *dst = copy;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// This process as [`Any`], for [`fork_in_place`]'s downcast; `None`
+    /// (the default) when the process does not support in-place copies.
+    /// Override with `Some(self)`.
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        None
+    }
+}
+
+/// The in-place [`SmProcess::fork_into`] of a `Clone` protocol `P`: when `dst`
+/// already boxes a `P`, copies `src` into it with `clone_from` (which
+/// allocates nothing once `P`'s buffers are large enough); otherwise
+/// replaces `dst` with a fresh box. Always returns `true`.
+pub fn fork_in_place<P>(src: &P, dst: &mut DynSmProcess<P::Val, P::Output>) -> bool
+where
+    P: SmProcess + Clone + 'static,
+{
+    match (**dst).as_any_mut().and_then(|any| any.downcast_mut::<P>()) {
+        Some(slot) => slot.clone_from(src),
+        None => *dst = Box::new(src.clone()),
+    }
+    true
 }
 
 /// Boxed process with erased concrete type, the unit the runtime stores.
@@ -194,6 +237,14 @@ impl<Val: Clone, Out> SmProcess for DynSmProcess<Val, Out> {
 
     fn fork(&self) -> Option<DynSmProcess<Val, Out>> {
         (**self).fork()
+    }
+
+    fn fork_into(&self, dst: &mut DynSmProcess<Val, Out>) -> bool {
+        (**self).fork_into(dst)
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        (**self).as_any_mut()
     }
 }
 

@@ -212,8 +212,16 @@ where
         proc.fork()
     }
 
+    fn fork_process_into(src: &Self::Process, dst: &mut Self::Process) -> bool {
+        src.fork_into(dst)
+    }
+
     fn fork_shared(shared: &Self::Shared) -> Self::Shared {
         shared.clone()
+    }
+
+    fn fork_shared_into(src: &Self::Shared, dst: &mut Self::Shared) {
+        dst.clone_from(src);
     }
 }
 

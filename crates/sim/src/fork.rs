@@ -162,6 +162,21 @@ pub struct ForkConfig {
     pub budget_bytes: Option<usize>,
 }
 
+/// How a [`ForkSession`]'s runs started and how many snapshots they took,
+/// counted since the session was built ([`ForkSession::counters`]).
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct ForkCounters {
+    /// Snapshots taken at branch points.
+    pub snapshots: u64,
+    /// Runs that started by copying a snapshot's state into the session:
+    /// every [`ForkSession::run_root`] and [`ForkSession::resume`], and each
+    /// [`ForkSession::resume_rc`] whose snapshot still had other owners.
+    pub resumes_copied: u64,
+    /// Runs that started by taking over the buffers of a snapshot no one
+    /// else held ([`ForkSession::resume_rc`]'s swap path).
+    pub resumes_moved: u64,
+}
+
 /// Cap on the session's free list of reclaimed snapshot buffers. Far above
 /// any live spine depth the explorer produces; purely a leak guard.
 const SNAPSHOT_POOL_CAP: usize = 256;
@@ -169,12 +184,18 @@ const SNAPSHOT_POOL_CAP: usize = 256;
 /// The owned buffers of one snapshot, split out from [`RunSnapshot`]'s
 /// metadata so they can be recycled: a dropped snapshot pushes its buffers
 /// onto the session's free-list pool, and the next snapshot refills them in
-/// place (`clone_from` / [`Kernel::snapshot_into`]) instead of allocating
-/// afresh. Boxed process clones are the one per-snapshot allocation this
-/// cannot recover.
+/// place (`clone_from`, [`Kernel::snapshot_into`], and the substrate's
+/// [`SubstrateFork::fork_process_into`] and
+/// [`SubstrateFork::fork_shared_into`]) instead of allocating afresh. A
+/// snapshot's process boxes are the one thing not pooled: each snapshot
+/// boxes its `n` process copies anew, and a resume copies them into the
+/// session's own boxes in place.
 struct SnapshotBufs<S: SubstrateFork> {
     kernel: KernelSnapshot<Payload<S::Payload>>,
     procs: Vec<S::Process>,
+    /// A pool seed holds an empty placeholder (`Substrate::new_shared(0)`);
+    /// every snapshot overwrites it.
+    shared: S::Shared,
     decisions: Vec<Option<S::Output>>,
     started: Vec<bool>,
     proc_digests: Vec<u64>,
@@ -185,6 +206,7 @@ impl<S: SubstrateFork> Default for SnapshotBufs<S> {
         SnapshotBufs {
             kernel: KernelSnapshot::default(),
             procs: Vec::new(),
+            shared: S::new_shared(0),
             decisions: Vec::new(),
             started: Vec::new(),
             proc_digests: Vec::new(),
@@ -200,7 +222,6 @@ impl<S: SubstrateFork> Default for SnapshotBufs<S> {
 pub struct RunSnapshot<S: SubstrateFork> {
     depth: usize,
     bufs: SnapshotBufs<S>,
-    shared: S::Shared,
     bytes: usize,
     live_bytes: Rc<Cell<usize>>,
     pool: Rc<RefCell<Vec<SnapshotBufs<S>>>>,
@@ -234,7 +255,10 @@ impl<S: SubstrateFork> Drop for RunSnapshot<S> {
     fn drop(&mut self) {
         let live = self.live_bytes.get();
         self.live_bytes.set(live.saturating_sub(self.bytes));
-        // Drop the boxed process clones now; recycle every other buffer.
+        // Free the process boxes and recycle every other buffer. Pooling the
+        // boxes too spared each snapshot its `n` allocations but measured a
+        // higher peak RSS on the Byzantine certification cell
+        // (PERFORMANCE.md, "Allocation-free forked runs").
         self.bufs.procs.clear();
         let mut pool = self.pool.borrow_mut();
         if pool.len() < SNAPSHOT_POOL_CAP {
@@ -284,6 +308,10 @@ where
     snaps: Vec<Rc<RunSnapshot<S>>>,
     /// Free list of buffers reclaimed from dropped snapshots.
     pool: Rc<RefCell<Vec<SnapshotBufs<S>>>>,
+    /// The prefix the latest resume replaced, kept for
+    /// [`ForkSession::take_spent_prefix`].
+    spent_prefix: Vec<usize>,
+    counters: ForkCounters,
     cur_prefix_len: usize,
     last_terminated: bool,
     last_truncated: bool,
@@ -389,6 +417,7 @@ where
             bufs: SnapshotBufs {
                 kernel: kernel.snapshot(),
                 procs: forked,
+                shared: S::fork_shared(&core.shared),
                 decisions: (0..n).map(|_| None).collect(),
                 started: vec![false; n],
                 // Empty on purpose: the incremental digest cache lazy-inits
@@ -396,7 +425,6 @@ where
                 // does.
                 proc_digests: Vec::new(),
             },
-            shared: S::fork_shared(&core.shared),
             bytes: 0,
             live_bytes: Rc::clone(&live_bytes),
             pool: Rc::clone(&pool),
@@ -416,6 +444,8 @@ where
             dig: DigestEngine::new(config.digest, canonical_plan),
             snaps: Vec::new(),
             pool,
+            spent_prefix: Vec::new(),
+            counters: ForkCounters::default(),
             cur_prefix_len: 0,
             last_terminated: false,
             last_truncated: false,
@@ -453,19 +483,15 @@ where
         debug_assert!(depth <= prefix.len(), "snapshot deeper than its prefix");
         self.snaps.clear();
         self.cur_prefix_len = prefix.len();
+        self.counters.resumes_copied += 1;
 
         self.kernel.restore(&snap.bufs.kernel);
-        self.core.procs.clear();
-        self.core.procs.extend(snap.bufs.procs.iter().map(|p| {
-            S::fork_process(p).expect("processes were forkable at session creation")
-        }));
-        self.core.shared = S::fork_shared(&snap.shared);
+        fork_procs::<S>(&snap.bufs.procs, &mut self.core.procs);
+        S::fork_shared_into(&snap.bufs.shared, &mut self.core.shared);
         self.core.decisions.clone_from(&snap.bufs.decisions);
         self.core.started.clone_from(&snap.bufs.started);
         self.dig.proc_digests.clone_from(&snap.bufs.proc_digests);
-        self.dig.digests.truncate(depth);
-        self.log.borrow_mut().truncate(depth);
-        self.picker.borrow_mut().rewind(prefix, depth);
+        self.rewind(prefix, depth);
 
         self.run_to_completion(gate)
     }
@@ -498,21 +524,43 @@ where
         let depth = owned.depth;
         debug_assert!(depth <= prefix.len(), "snapshot deeper than its prefix");
         self.cur_prefix_len = prefix.len();
+        self.counters.resumes_moved += 1;
 
         self.kernel.restore_swap(&mut owned.bufs.kernel);
         std::mem::swap(&mut self.core.procs, &mut owned.bufs.procs);
-        std::mem::swap(&mut self.core.shared, &mut owned.shared);
+        std::mem::swap(&mut self.core.shared, &mut owned.bufs.shared);
         std::mem::swap(&mut self.core.decisions, &mut owned.bufs.decisions);
         std::mem::swap(&mut self.core.started, &mut owned.bufs.started);
         std::mem::swap(&mut self.dig.proc_digests, &mut owned.bufs.proc_digests);
         // Reclaim the swapped-out buffers before the run so its first
         // snapshot finds them in the pool.
         drop(owned);
-        self.dig.digests.truncate(depth);
-        self.log.borrow_mut().truncate(depth);
-        self.picker.borrow_mut().rewind(prefix, depth);
+        self.rewind(prefix, depth);
 
         self.run_to_completion(gate)
+    }
+
+    /// Cuts the digest chain and choice log back to `depth` and hands the
+    /// scheduler `prefix`, keeping the prefix it replaces for
+    /// [`ForkSession::take_spent_prefix`].
+    fn rewind(&mut self, prefix: Vec<usize>, depth: usize) {
+        self.dig.digests.truncate(depth);
+        self.log.borrow_mut().truncate(depth);
+        self.spent_prefix = self.picker.borrow_mut().rewind(prefix, depth);
+    }
+
+    /// The prefix vector the latest run replaced in the scheduler (empty
+    /// before the second run), for the caller to refill as a later run's
+    /// prefix: a caller that recycles these never allocates prefixes in
+    /// the steady state.
+    pub fn take_spent_prefix(&mut self) -> Vec<usize> {
+        std::mem::take(&mut self.spent_prefix)
+    }
+
+    /// How this session's runs started and how many snapshots they took,
+    /// since it was built.
+    pub fn counters(&self) -> ForkCounters {
+        self.counters
     }
 
     /// The snapshot taken at decision depth `depth` during the most recent
@@ -725,19 +773,17 @@ where
             }
         }
         self.live_bytes.set(self.live_bytes.get() + bytes);
+        self.counters.snapshots += 1;
         let mut bufs = self.pool.borrow_mut().pop().unwrap_or_default();
         self.kernel.snapshot_into(&mut bufs.kernel);
-        bufs.procs.clear();
-        bufs.procs.extend(self.core.procs.iter().map(|p| {
-            S::fork_process(p).expect("processes were forkable at session creation")
-        }));
+        fork_procs::<S>(&self.core.procs, &mut bufs.procs);
+        S::fork_shared_into(&self.core.shared, &mut bufs.shared);
         bufs.decisions.clone_from(&self.core.decisions);
         bufs.started.clone_from(&self.core.started);
         bufs.proc_digests.clone_from(&self.dig.proc_digests);
         self.snaps.push(Rc::new(RunSnapshot {
             depth,
             bufs,
-            shared: S::fork_shared(&self.core.shared),
             bytes,
             live_bytes: Rc::clone(&self.live_bytes),
             pool: Rc::clone(&self.pool),
@@ -752,4 +798,20 @@ where
         let per_proc = size_of::<S::Process>() + size_of::<Option<S::Output>>() + 64;
         256 + self.kernel.pending_len() * per_event + self.core.n * per_proc
     }
+}
+
+/// Overwrites `dst` with copies of `src`, slot by slot, reusing `dst`'s
+/// process boxes wherever the substrate copies in place.
+fn fork_procs<S: SubstrateFork>(src: &[S::Process], dst: &mut Vec<S::Process>) {
+    const FORKABLE: &str = "processes were forkable at session creation";
+    dst.truncate(src.len());
+    for (from, to) in src.iter().zip(dst.iter_mut()) {
+        assert!(S::fork_process_into(from, to), "{FORKABLE}");
+    }
+    let kept = dst.len();
+    dst.extend(
+        src[kept..]
+            .iter()
+            .map(|p| S::fork_process(p).expect(FORKABLE)),
+    );
 }

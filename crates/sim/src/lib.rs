@@ -92,7 +92,7 @@ pub use error::SimError;
 pub use event::{ChannelId, EventId, EventKind, EventMeta, ProcessId};
 pub use fifo_channels::ChannelFifo;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
-pub use fork::{AlwaysBranch, ForkConfig, ForkGate, ForkSession, RunSnapshot};
+pub use fork::{AlwaysBranch, ForkConfig, ForkCounters, ForkGate, ForkSession, RunSnapshot};
 pub use gate::{DelayRule, GatedScheduler, Until};
 pub use kernel::{EventHasher, Kernel, KernelSnapshot};
 pub use metrics::{Histogram, MetricsConfig, ProcessMetrics, RunMetrics, HISTOGRAM_BUCKETS};

@@ -11,7 +11,7 @@ use crate::event::ProcessId;
 ///
 /// The runtime (in `kset-net` / `kset-shmem`) keeps it up to date as
 /// processes decide, crash, or halt.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(PartialEq, Eq, Debug, Default)]
 pub struct RunState {
     decided: Vec<bool>,
     crashed: Vec<bool>,
@@ -19,6 +19,32 @@ pub struct RunState {
     actions: Vec<u64>,
     drops: u64,
     now: u64,
+}
+
+/// Written out so that `clone_from` copies field by field into the
+/// existing vectors: the forking executor restores and snapshots run state
+/// on every resumed run, and a derived `clone_from` would reallocate all
+/// four vectors each time.
+impl Clone for RunState {
+    fn clone(&self) -> Self {
+        RunState {
+            decided: self.decided.clone(),
+            crashed: self.crashed.clone(),
+            byzantine: self.byzantine.clone(),
+            actions: self.actions.clone(),
+            drops: self.drops,
+            now: self.now,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.decided.clone_from(&source.decided);
+        self.crashed.clone_from(&source.crashed);
+        self.byzantine.clone_from(&source.byzantine);
+        self.actions.clone_from(&source.actions);
+        self.drops = source.drops;
+        self.now = source.now;
+    }
 }
 
 impl RunState {
@@ -194,6 +220,30 @@ mod tests {
         assert_eq!(s.charge_drop(), 1);
         assert_eq!(s.charge_drop(), 2);
         assert_eq!(s.drops(), 2);
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffers() {
+        let mut src = RunState::new(4);
+        src.mark_decided(1);
+        src.mark_crashed(2);
+        src.mark_byzantine(3);
+        src.charge_action(0);
+        src.charge_drop();
+        src.set_now(9);
+        let mut dst = RunState::new(4);
+        let buffers = |s: &RunState| {
+            [
+                s.decided.as_ptr() as usize,
+                s.crashed.as_ptr() as usize,
+                s.byzantine.as_ptr() as usize,
+                s.actions.as_ptr() as usize,
+            ]
+        };
+        let before = buffers(&dst);
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(buffers(&dst), before, "clone_from reallocated a buffer");
     }
 
     #[test]

@@ -283,7 +283,27 @@ pub trait SubstrateFork: SubstrateDigest {
     /// returning `None` is always safe — just slower.
     fn fork_process(proc: &Self::Process) -> Option<Self::Process>;
 
+    /// [`SubstrateFork::fork_process`] into an existing slot: overwrites
+    /// `dst` with a copy of `src`, reusing `dst`'s allocation where the
+    /// substrate can. Returns `false`, leaving `dst` as it was, when `src`
+    /// cannot be forked. The default re-forks and replaces `dst`.
+    fn fork_process_into(src: &Self::Process, dst: &mut Self::Process) -> bool {
+        match Self::fork_process(src) {
+            Some(copy) => {
+                *dst = copy;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Clones the substrate's shared state (the register store; `()` for
     /// message passing).
     fn fork_shared(shared: &Self::Shared) -> Self::Shared;
+
+    /// [`SubstrateFork::fork_shared`] into an existing value, reusing its
+    /// buffers where the substrate can. The default replaces `dst`.
+    fn fork_shared_into(src: &Self::Shared, dst: &mut Self::Shared) {
+        *dst = Self::fork_shared(src);
+    }
 }
