@@ -18,21 +18,36 @@ use std::process::ExitCode;
 
 use kset_serve::{wire, ServeConfig, Server, Workload};
 
+const USAGE: &str = "usage: kset-serve [--addr HOST:PORT] [--threads N] [--n N] [--t N] \
+                     [--batch EVENTS] [--max-live N] [--seed SEED]";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: kset-serve [--addr HOST:PORT] [--threads N] [--n N] [--t N] \
-         [--batch EVENTS] [--max-live N] [--seed SEED]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
+/// Rejects the command line before the listener is bound: exit 2.
+fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("kset-serve: usage error: {message}");
+    usage()
+}
+
 fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    let Some(value) = value else {
+        usage_error(format_args!("{flag} needs a value"))
+    };
     value
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("kset-serve: {flag} needs a valid value");
-            usage()
-        })
+        .parse()
+        .unwrap_or_else(|_| usage_error(format_args!("{flag}: cannot parse {value:?}")))
+}
+
+/// A count that must be at least 1.
+fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, value: Option<String>) -> T {
+    let parsed = parse(flag, value);
+    if parsed == T::default() {
+        usage_error(format_args!("{flag} must be positive"));
+    }
+    parsed
 }
 
 fn main() -> ExitCode {
@@ -43,18 +58,21 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = parse("--addr", args.next()),
-            "--threads" => config.threads = parse("--threads", args.next()),
-            "--n" => workload.n = parse("--n", args.next()),
+            "--threads" => config.threads = positive("--threads", args.next()),
+            "--n" => workload.n = positive("--n", args.next()),
             "--t" => workload.t = parse("--t", args.next()),
-            "--batch" => config.batch = parse("--batch", args.next()),
-            "--max-live" => config.max_live = parse("--max-live", args.next()),
+            "--batch" => config.batch = positive("--batch", args.next()),
+            "--max-live" => config.max_live = positive("--max-live", args.next()),
             "--seed" => workload.seed = parse("--seed", args.next()),
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("kset-serve: unknown flag {other}");
-                usage()
-            }
+            other => usage_error(format_args!("unknown flag {other}")),
         }
+    }
+    if workload.t >= workload.n {
+        usage_error(format_args!(
+            "--t must be below --n (FloodMin tolerates t < n), got --t {} with --n {}",
+            workload.t, workload.n
+        ));
     }
     config.workload = workload;
 

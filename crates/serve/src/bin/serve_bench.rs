@@ -7,8 +7,15 @@
 //!
 //! Latency here is submit-to-decide under saturation: with the bounded
 //! proposal queues full, it is dominated by queueing, which is exactly
-//! what a service-level benchmark should show. Every decision is checked
-//! (`terminated`, non-empty decision map) before it is counted.
+//! what a service-level benchmark should show. Each row also splits it
+//! into its two parts, queue wait ([`Decision::queued`]) and service (the
+//! rest). Every decision is checked (`terminated`, non-empty decision
+//! map) before it is counted.
+//!
+//! Bad flag values (a zero count, `--t` not below `--n`, a value that does
+//! not parse) are usage errors: exit 2 before any work starts.
+//!
+//! [`Decision::queued`]: kset_serve::Decision::queued
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -23,30 +30,51 @@ struct BenchRow {
     p50_us: u64,
     p95_us: u64,
     max_us: u64,
+    /// Submit-to-admit wait and admit-to-decide service, the two parts
+    /// of the latency.
+    queue_us: [u64; 2],
+    service_us: [u64; 2],
     events_total: u64,
 }
 
+const USAGE: &str = "usage: serve_bench [--instances N] [--threads LIST] [--n N] [--t N] \
+                     [--batch EVENTS] [--max-live N] [--queue-depth N] [--seed SEED] [--out PATH]";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: serve_bench [--instances N] [--threads LIST] [--n N] [--t N] \
-         [--batch EVENTS] [--max-live N] [--queue-depth N] [--seed SEED] [--out PATH]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
+/// Rejects the command line before any work starts: exit 2.
+fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("serve_bench: usage error: {message}");
+    usage()
+}
+
 fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    let Some(value) = value else {
+        usage_error(format_args!("{flag} needs a value"))
+    };
     value
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("serve_bench: {flag} needs a valid value");
-            usage()
-        })
+        .parse()
+        .unwrap_or_else(|_| usage_error(format_args!("{flag}: cannot parse {value:?}")))
+}
+
+/// A count that must be at least 1.
+fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, value: Option<String>) -> T {
+    let parsed = parse(flag, value);
+    if parsed == T::default() {
+        usage_error(format_args!("{flag} must be positive"));
+    }
+    parsed
 }
 
 /// Deterministic per-instance inputs: varied enough to exercise different
 /// decision values, reproducible from the instance id alone.
 fn inputs_for(id: u64, n: usize) -> Vec<u64> {
-    (0..n as u64).map(|p| (id.wrapping_mul(31) + p * 7) % 97).collect()
+    (0..n as u64)
+        .map(|p| (id.wrapping_mul(31) + p * 7) % 97)
+        .collect()
 }
 
 fn percentile(sorted: &[u64], pct: u64) -> u64 {
@@ -74,6 +102,8 @@ fn run_one(config: ServeConfig, instances: u64) -> Result<BenchRow, String> {
     });
 
     let mut latencies_us: Vec<u64> = Vec::with_capacity(instances as usize);
+    let mut queue_us: Vec<u64> = Vec::with_capacity(instances as usize);
+    let mut service_us: Vec<u64> = Vec::with_capacity(instances as usize);
     let mut events_total: u64 = 0;
     for drained in 0..instances {
         let decision = server
@@ -87,6 +117,8 @@ fn run_one(config: ServeConfig, instances: u64) -> Result<BenchRow, String> {
         }
         events_total += decision.events;
         latencies_us.push(decision.latency.as_micros() as u64);
+        queue_us.push(decision.queued.as_micros() as u64);
+        service_us.push(decision.latency.saturating_sub(decision.queued).as_micros() as u64);
         if (drained + 1) % 250_000 == 0 {
             eprintln!(
                 "serve_bench: threads={} {}/{} decided",
@@ -105,17 +137,33 @@ fn run_one(config: ServeConfig, instances: u64) -> Result<BenchRow, String> {
     if stats.decided != instances {
         return Err(format!("decided {} of {instances}", stats.decided));
     }
-    latencies_us.sort_unstable();
+    let p50_p95 = |values: &mut Vec<u64>| {
+        values.sort_unstable();
+        [percentile(values, 50), percentile(values, 95)]
+    };
+    let [p50_us, p95_us] = p50_p95(&mut latencies_us);
     Ok(BenchRow {
         threads: config.threads,
         instances,
         wall_s,
         decisions_per_s: instances as f64 / wall_s,
-        p50_us: percentile(&latencies_us, 50),
-        p95_us: percentile(&latencies_us, 95),
+        p50_us,
+        p95_us,
         max_us: *latencies_us.last().unwrap_or(&0),
+        queue_us: p50_p95(&mut queue_us),
+        service_us: p50_p95(&mut service_us),
         events_total,
     })
+}
+
+/// What the thread-count rows can show on a host with `cpus` logical
+/// CPUs, next to the proposer and the draining main thread.
+fn host_note(cpus: usize) -> String {
+    format!(
+        "Recorded on a host with {cpus} logical CPU(s). The proposer thread and the \
+         draining main thread run beside the workers, so a row whose threads + 2 exceeds \
+         {cpus} time-slices CPUs and measures multiplexing as well as scaling."
+    )
 }
 
 fn write_report(
@@ -124,7 +172,9 @@ fn write_report(
     config: &ServeConfig,
     rows: &[BenchRow],
 ) -> std::io::Result<()> {
-    let cpus = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+    let cpus = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"serve_throughput\",\n");
@@ -133,17 +183,14 @@ fn write_report(
          submits failure-free FloodMin instances as fast as backpressure allows while \
          the main thread drains and verifies every decision (terminated, non-empty \
          decision map). decisions_per_s is end-to-end service throughput; latencies \
-         are submit-to-decide under saturation, so they are dominated by time spent \
-         in the bounded per-worker queues (queue_depth entries deep) — divide wall_s \
-         by instances for the per-instance service time instead. Recorded from \
+         are submit-to-decide under saturation. Each splits into queue time (submit \
+         to admit, spent in the bounded per-worker queue of queue_depth entries) and \
+         service time (admit to the decision leaving its worker); the *_queue_us and \
+         *_service_us fields give their p50 and p95. Recorded from \
          `serve_bench --instances N --threads LIST`.\",\n",
     );
     out.push_str(&format!("  \"host_logical_cpus\": {cpus},\n"));
-    out.push_str(
-        "  \"host_note\": \"Recorded on a single-core container: thread counts above 1 \
-         time-slice one CPU, so threads=2 measures multiplexing overhead, not speedup. \
-         Re-record on a multi-core host to see sharded scaling.\",\n",
-    );
+    out.push_str(&format!("  \"host_note\": \"{}\",\n", host_note(cpus)));
     out.push_str(&format!(
         "  \"workload\": {{\"protocol\": \"FloodMin\", \"n\": {}, \"t\": {}, \"seed\": {}, \
          \"fault_plan\": \"all correct\"}},\n",
@@ -158,7 +205,9 @@ fn write_report(
         out.push_str(&format!(
             "    {{\"threads\": {}, \"instances\": {}, \"wall_s\": {:.3}, \
              \"decisions_per_s\": {:.0}, \"p50_latency_us\": {}, \"p95_latency_us\": {}, \
-             \"max_latency_us\": {}, \"events_total\": {}, \"events_per_instance\": {:.2}}}{}\n",
+             \"max_latency_us\": {}, \"p50_queue_us\": {}, \"p95_queue_us\": {}, \
+             \"p50_service_us\": {}, \"p95_service_us\": {}, \"events_total\": {}, \
+             \"events_per_instance\": {:.2}}}{}\n",
             row.threads,
             row.instances,
             row.wall_s,
@@ -166,6 +215,10 @@ fn write_report(
             row.p50_us,
             row.p95_us,
             row.max_us,
+            row.queue_us[0],
+            row.queue_us[1],
+            row.service_us[0],
+            row.service_us[1],
             row.events_total,
             row.events_total as f64 / row.instances as f64,
             if i + 1 < rows.len() { "," } else { "" }
@@ -187,24 +240,27 @@ fn main() -> ExitCode {
             "--instances" => instances = parse("--instances", args.next()),
             "--threads" => {
                 let list: String = parse("--threads", args.next());
-                match list.split(',').map(|s| s.trim().parse()).collect() {
-                    Ok(parsed) => thread_counts = parsed,
-                    Err(_) => usage(),
-                }
+                thread_counts = list
+                    .split(',')
+                    .map(|s| positive("--threads", Some(s.trim().to_string())))
+                    .collect();
             }
-            "--n" => workload.n = parse("--n", args.next()),
+            "--n" => workload.n = positive("--n", args.next()),
             "--t" => workload.t = parse("--t", args.next()),
-            "--batch" => config.batch = parse("--batch", args.next()),
-            "--max-live" => config.max_live = parse("--max-live", args.next()),
-            "--queue-depth" => config.queue_depth = parse("--queue-depth", args.next()),
+            "--batch" => config.batch = positive("--batch", args.next()),
+            "--max-live" => config.max_live = positive("--max-live", args.next()),
+            "--queue-depth" => config.queue_depth = positive("--queue-depth", args.next()),
             "--seed" => workload.seed = parse("--seed", args.next()),
             "--out" => out_path = parse("--out", args.next()),
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("serve_bench: unknown flag {other}");
-                usage()
-            }
+            other => usage_error(format_args!("unknown flag {other}")),
         }
+    }
+    if workload.t >= workload.n {
+        usage_error(format_args!(
+            "--t must be below --n (FloodMin tolerates t < n), got --t {} with --n {}",
+            workload.t, workload.n
+        ));
     }
     config.workload = workload;
 
@@ -219,12 +275,14 @@ fn main() -> ExitCode {
             Ok(row) => {
                 println!(
                     "threads={} wall_s={:.3} decisions_per_s={:.0} p50_us={} p95_us={} \
-                     events_per_instance={:.2}",
+                     p50_queue_us={} p50_service_us={} events_per_instance={:.2}",
                     row.threads,
                     row.wall_s,
                     row.decisions_per_s,
                     row.p50_us,
                     row.p95_us,
+                    row.queue_us[0],
+                    row.service_us[0],
                     row.events_total as f64 / row.instances as f64,
                 );
                 rows.push(row);

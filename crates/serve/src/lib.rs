@@ -24,8 +24,13 @@
 //!   workers blocks instead of ballooning memory.
 //! * Each finished instance comes back as a [`Decision`] carrying a
 //!   [`RunRecord`] (the same record type the experiment pipelines consume),
-//!   the number of kernel events the run took, and the submit-to-decide
-//!   latency.
+//!   the number of kernel events the run took, the submit-to-decide
+//!   latency and the part of it spent queued.
+//! * Workers allocate nothing per instance once warm: a finished
+//!   [`Instance`] is [restarted](Instance::restart) in place for a later
+//!   proposal, and each wave's decisions travel as one compact
+//!   [`DecisionBatch`] whose records are built by the thread that reads
+//!   them.
 //! * [`wire`] adds a deliberately minimal line protocol (`RUN` / `FLUSH` /
 //!   `STATS`) so the `kset-serve` binary can expose the whole thing over a
 //!   TCP socket.
@@ -65,9 +70,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs, missing_debug_implementations)]
 
+mod decision;
 mod instance;
 mod server;
 pub mod wire;
 
-pub use instance::{Decision, Instance, Propose, Workload};
+pub use decision::{Decision, DecisionBatch};
+pub use instance::{Instance, Propose, Workload};
 pub use server::{ServeClient, ServeConfig, ServeStats, Server};

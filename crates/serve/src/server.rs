@@ -1,5 +1,6 @@
 //! Worker pool: shards instances across threads, steps them in waves.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
@@ -8,7 +9,8 @@ use std::time::Instant;
 
 use kset_sim::SimError;
 
-use crate::instance::{Decision, Instance, Propose, Workload};
+use crate::decision::{Decision, DecisionBatch};
+use crate::instance::{Instance, Propose, Workload};
 
 /// Tuning knobs for a [`Server`].
 ///
@@ -39,7 +41,13 @@ impl ServeConfig {
     /// events, at most 256 live instances and 4096 queued proposals per
     /// worker.
     pub fn new(workload: Workload) -> Self {
-        ServeConfig { workload, threads: 1, batch: 16, max_live: 256, queue_depth: 4096 }
+        ServeConfig {
+            workload,
+            threads: 1,
+            batch: 16,
+            max_live: 256,
+            queue_depth: 4096,
+        }
     }
 }
 
@@ -91,7 +99,11 @@ impl ServeClient {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let shard = (id % self.queues.len() as u64) as usize;
-        let propose = Propose { id, inputs, submitted: Instant::now() };
+        let propose = Propose {
+            id,
+            inputs,
+            submitted: Instant::now(),
+        };
         self.queues[shard]
             .send(WorkerMsg::Propose(propose))
             .map_err(|_| SimError::InvalidConfig("server is shut down".into()))?;
@@ -105,11 +117,16 @@ impl ServeClient {
 /// id onto per-worker bounded queues. Each worker keeps up to
 /// [`ServeConfig::max_live`] sessions in flight and advances every one of
 /// them by a wave of at most [`ServeConfig::batch`] kernel events per
-/// round; finished instances are converted to [`Decision`]s and pushed to
-/// the shared outbound channel drained by [`Server::recv_decision`].
+/// round. Each wave's finished instances travel as one [`DecisionBatch`]
+/// down the shared unbounded outbound channel, and
+/// [`Server::recv_decision`] turns them into [`Decision`]s on the reading
+/// thread. A worker keeps its finished instances and restarts them for
+/// later proposals, so it allocates nothing per instance once warm.
 pub struct Server {
     client: ServeClient,
-    decisions: Receiver<Decision>,
+    decisions: Receiver<DecisionBatch>,
+    /// The batch `recv_decision` is reading from.
+    current: RefCell<DecisionBatch>,
     workers: Vec<JoinHandle<u64>>,
     threads: usize,
 }
@@ -128,10 +145,13 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `config.workload.n`, `config.threads`, `config.batch`,
-    /// `config.max_live` or `config.queue_depth` is zero.
+    /// Panics if `config.threads`, `config.batch`, `config.max_live` or
+    /// `config.queue_depth` is zero, or the workload fails
+    /// [`Workload::check`].
     pub fn start(config: ServeConfig) -> Server {
-        assert!(config.workload.n > 0, "workload needs at least one process");
+        if let Err(err) = config.workload.check() {
+            panic!("invalid workload: {err}");
+        }
         assert!(config.threads > 0, "server needs at least one worker");
         assert!(config.batch > 0, "wave batch must be positive");
         assert!(config.max_live > 0, "max_live must be positive");
@@ -157,7 +177,13 @@ impl Server {
             queues: Arc::new(queues),
             next_id: Arc::new(AtomicU64::new(0)),
         };
-        Server { client, decisions, workers, threads: config.threads }
+        Server {
+            client,
+            decisions,
+            current: RefCell::new(DecisionBatch::new()),
+            workers,
+            threads: config.threads,
+        }
     }
 
     /// A new submission handle for this server.
@@ -168,12 +194,27 @@ impl Server {
     /// Blocks until the next decision is available. Returns `None` only
     /// after every worker has exited (i.e. post-shutdown drain).
     pub fn recv_decision(&self) -> Option<Decision> {
-        self.decisions.recv().ok()
+        self.next_decision(|batches| batches.recv().ok())
     }
 
     /// Non-blocking variant of [`recv_decision`](Server::recv_decision).
     pub fn try_recv_decision(&self) -> Option<Decision> {
-        self.decisions.try_recv().ok()
+        self.next_decision(|batches| batches.try_recv().ok())
+    }
+
+    /// The next unread decision, taking batches from `fetch` until one
+    /// has one; `None` once `fetch` has no batch.
+    fn next_decision(
+        &self,
+        mut fetch: impl FnMut(&Receiver<DecisionBatch>) -> Option<DecisionBatch>,
+    ) -> Option<Decision> {
+        let mut current = self.current.borrow_mut();
+        loop {
+            if let Some(decision) = current.next() {
+                return Some(decision);
+            }
+            *current = fetch(&self.decisions)?;
+        }
     }
 
     /// Stops the workers (each finishes its in-flight instances first) and
@@ -183,7 +224,13 @@ impl Server {
     /// Proposals racing the shutdown from other [`ServeClient`] clones may
     /// be dropped without a decision.
     pub fn shutdown(self) -> ServeStats {
-        let Server { client, decisions, workers, threads } = self;
+        let Server {
+            client,
+            decisions,
+            workers,
+            threads,
+            ..
+        } = self;
         for queue in client.queues.iter() {
             // A full queue still delivers the sentinel eventually: send
             // blocks until the worker drains ahead of it. A send error
@@ -200,76 +247,87 @@ impl Server {
     }
 }
 
-/// Admits one proposal into the live set (or refuses it immediately).
-fn admit(
-    propose: Propose,
-    live: &mut Vec<Instance>,
-    out: &Sender<Decision>,
-    workload: &Workload,
-    decided: &mut u64,
-) -> Result<(), ()> {
-    match Instance::new(propose, workload) {
-        Ok(instance) => {
-            live.push(instance);
-            Ok(())
+/// One worker's instances: the live set it steps, and finished instances
+/// kept for restarting. Together they never exceed `max_live`.
+struct Instances {
+    live: Vec<Instance>,
+    free: Vec<Instance>,
+    workload: Workload,
+}
+
+impl Instances {
+    /// Admits one proposal into the live set, restarting a finished
+    /// instance when there is one, or answers it in `batch` if it cannot
+    /// start.
+    fn admit(&mut self, propose: Propose, batch: &mut DecisionBatch) {
+        let started = match self.free.pop() {
+            Some(mut instance) => match instance.restart(propose) {
+                Ok(()) => Ok(instance),
+                Err((err, propose)) => {
+                    self.free.push(instance);
+                    Err((err, propose))
+                }
+            },
+            None => Instance::new(propose, &self.workload),
+        };
+        match started {
+            Ok(instance) => self.live.push(instance),
+            Err((_, propose)) => batch.push_refusal(propose),
         }
-        Err((_, propose)) => {
-            *decided += 1;
-            out.send(Instance::refuse(propose)).map_err(|_| ())
+    }
+
+    /// Advances every live instance by one wave of `budget` events and
+    /// moves the finished ones into `batch` and the free list.
+    fn step_wave(&mut self, budget: u32, batch: &mut DecisionBatch) {
+        let mut i = 0;
+        while i < self.live.len() {
+            // A kernel error (e.g. event-limit exhaustion) ends the
+            // instance too; it is reported as non-terminated.
+            if self.live[i].step_wave(budget).unwrap_or(true) {
+                let mut instance = self.live.swap_remove(i);
+                instance.finish_into(batch);
+                self.free.push(instance);
+            } else {
+                i += 1;
+            }
         }
     }
 }
 
 /// One worker: ingest proposals up to `max_live`, advance every live
-/// instance by one wave, ship finished instances, repeat until the
-/// proposal queue disconnects and the live set drains.
-fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<Decision>, config: ServeConfig) -> u64 {
-    let mut live: Vec<Instance> = Vec::new();
+/// instance by one wave, ship the wave's decisions as one batch, repeat
+/// until the proposal queue disconnects and the live set drains.
+fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<DecisionBatch>, config: ServeConfig) -> u64 {
+    let mut instances = Instances {
+        live: Vec::new(),
+        free: Vec::new(),
+        workload: config.workload,
+    };
     let mut decided: u64 = 0;
     let mut open = true;
-    while open || !live.is_empty() {
-        if live.is_empty() {
+    while open || !instances.live.is_empty() {
+        let mut batch = DecisionBatch::new();
+        if instances.live.is_empty() {
             // Nothing in flight: block until work arrives or the queue closes.
             match rx.recv() {
-                Ok(WorkerMsg::Propose(p)) => {
-                    if admit(p, &mut live, &out, &config.workload, &mut decided).is_err() {
-                        return decided;
-                    }
-                }
-                Ok(WorkerMsg::Stop) | Err(_) => {
-                    open = false;
-                    continue;
-                }
+                Ok(WorkerMsg::Propose(p)) => instances.admit(p, &mut batch),
+                Ok(WorkerMsg::Stop) | Err(_) => open = false,
             }
         }
-        while open && live.len() < config.max_live {
+        while open && instances.live.len() < config.max_live {
             match rx.try_recv() {
-                Ok(WorkerMsg::Propose(p)) => {
-                    if admit(p, &mut live, &out, &config.workload, &mut decided).is_err() {
-                        return decided;
-                    }
-                }
+                Ok(WorkerMsg::Propose(p)) => instances.admit(p, &mut batch),
                 Err(TryRecvError::Empty) => break,
-                Ok(WorkerMsg::Stop) | Err(TryRecvError::Disconnected) => {
-                    open = false;
-                    break;
-                }
+                Ok(WorkerMsg::Stop) | Err(TryRecvError::Disconnected) => open = false,
             }
         }
-        let mut i = 0;
-        while i < live.len() {
-            // A kernel error (e.g. event-limit exhaustion) ends the
-            // instance too; `finish` reports it as non-terminated.
-            let done = live[i].step_wave(config.batch).unwrap_or(true);
-            if done {
-                let instance = live.swap_remove(i);
-                decided += 1;
-                if out.send(instance.finish()).is_err() {
-                    // Receiver gone: the server is being torn down.
-                    return decided;
-                }
-            } else {
-                i += 1;
+        instances.step_wave(config.batch, &mut batch);
+        if !batch.is_empty() {
+            decided += batch.len() as u64;
+            batch.seal();
+            if out.send(batch).is_err() {
+                // Receiver gone: the server is being torn down.
+                return decided;
             }
         }
     }
@@ -332,11 +390,132 @@ mod tests {
             .run(procs)
             .unwrap();
         assert_eq!(
-            decision.record.decisions().iter().map(|(&p, &v)| (p, v)).collect::<Vec<_>>(),
-            outcome.decisions.iter().map(|(&p, &v)| (p, v)).collect::<Vec<_>>(),
+            decision
+                .record
+                .decisions()
+                .iter()
+                .map(|(&p, &v)| (p, v))
+                .collect::<Vec<_>>(),
+            outcome
+                .decisions
+                .iter()
+                .map(|(&p, &v)| (p, v))
+                .collect::<Vec<_>>(),
         );
         drop(client);
         server.shutdown();
+    }
+
+    /// Inputs of instance `id` in the recycling parity test: every third
+    /// id proposes `[id; n]` and so decides `id`, a value no other
+    /// instance decides, so its recycled predecessor and successor always
+    /// decided something else. The rest mix small values, which the
+    /// schedule decides between.
+    fn parity_inputs(id: u64, n: usize) -> Vec<u64> {
+        if id % 3 == 0 {
+            vec![1_000_000 + id; n]
+        } else {
+            (0..n as u64)
+                .map(|p| (id.wrapping_mul(31) + p * 7) % 97)
+                .collect()
+        }
+    }
+
+    /// Runs `count` proposals through a server that recycles instances
+    /// constantly (`max_live` 4, one event per wave), with a wrong-arity
+    /// proposal slipped past the client every 997 ids, and checks every
+    /// answer against a fresh `MpSystem::run` of the same instance.
+    fn recycled_runs_match_fresh_runs(threads: usize, count: u64) {
+        use kset_net::MpSystem;
+        use kset_protocols::FloodMin;
+
+        let workload = Workload::flood_min(3, 1);
+        let server = Server::start(ServeConfig {
+            threads,
+            batch: 1,
+            max_live: 4,
+            ..ServeConfig::new(workload)
+        });
+        let client = server.client();
+        let mut refused = Vec::new();
+        let mut proposed = 0u64;
+        for i in 0..count {
+            if i % 997 == 500 {
+                // The client refuses a wrong arity, so hand it straight to
+                // the worker's queue the way `propose` would.
+                let id = client.next_id.fetch_add(1, Ordering::Relaxed);
+                let shard = (id % threads as u64) as usize;
+                let propose = Propose {
+                    id,
+                    inputs: vec![id, 1],
+                    submitted: Instant::now(),
+                };
+                client.queues[shard]
+                    .send(WorkerMsg::Propose(propose))
+                    .unwrap();
+                refused.push(id);
+            } else {
+                let id = client.next_id.load(Ordering::Relaxed);
+                assert_eq!(client.propose(parity_inputs(id, workload.n)).unwrap(), id);
+            }
+            proposed += 1;
+        }
+        drop(client);
+        let mut answered = vec![false; proposed as usize];
+        let mut changed_value = 0;
+        let mut previous: Option<Vec<u64>> = None;
+        for _ in 0..proposed {
+            let d = server.recv_decision().expect("decision");
+            assert!(
+                !std::mem::replace(&mut answered[d.id as usize], true),
+                "{} twice",
+                d.id
+            );
+            assert!(d.queued <= d.latency, "{}: queued beyond latency", d.id);
+            if refused.contains(&d.id) {
+                assert_eq!(d.record.inputs(), &[d.id, 1][..]);
+                assert!(!d.record.terminated());
+                assert!(d.record.decisions().is_empty());
+                assert_eq!(d.events, 0);
+                continue;
+            }
+            assert_eq!(
+                d.record.inputs(),
+                parity_inputs(d.id, workload.n).as_slice()
+            );
+            let procs = d
+                .record
+                .inputs()
+                .iter()
+                .map(|&v| FloodMin::boxed(workload.n, workload.t, v))
+                .collect();
+            let fresh = MpSystem::new(workload.n)
+                .seed(workload.seed ^ d.id)
+                .run(procs)
+                .unwrap();
+            assert_eq!(d.record.decisions(), &fresh.decisions, "id {}", d.id);
+            assert_eq!(d.record.terminated(), fresh.terminated, "id {}", d.id);
+            assert_eq!(d.events, fresh.stats.events_fired, "id {}", d.id);
+            let values: Vec<u64> = d.record.decisions().values().copied().collect();
+            changed_value += usize::from(previous.as_ref().is_some_and(|p| *p != values));
+            previous = Some(values);
+        }
+        assert!(answered.iter().all(|&a| a));
+        assert!(
+            changed_value > count as usize / 3,
+            "decided values barely vary"
+        );
+        assert_eq!(server.shutdown().decided, proposed);
+    }
+
+    #[test]
+    fn recycled_instances_match_fresh_runs_on_one_worker() {
+        recycled_runs_match_fresh_runs(1, 10_000);
+    }
+
+    #[test]
+    fn recycled_instances_match_fresh_runs_on_two_workers() {
+        recycled_runs_match_fresh_runs(2, 10_000);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use std::io::{self, BufRead, Read, Write};
 
-use crate::instance::Decision;
+use crate::decision::Decision;
 use crate::server::{ServeClient, Server};
 
 /// Longest command line [`serve_connection`] accepts, in bytes, not
@@ -42,7 +42,9 @@ pub struct ConnStats {
 
 /// Parses a `v0,v1,...` comma-separated input vector.
 pub fn parse_inputs(csv: &str) -> Option<Vec<u64>> {
-    csv.split(',').map(|part| part.trim().parse::<u64>().ok()).collect()
+    csv.split(',')
+        .map(|part| part.trim().parse::<u64>().ok())
+        .collect()
 }
 
 /// Formats one decision as its `DECIDED` wire line (without newline).
@@ -170,9 +172,14 @@ mod tests {
         let client = server.client();
         let script = "RUN 5,6,7\nRUN 1,1,1\nFLUSH\nSTATS\nQUIT\n";
         let mut reply = Vec::new();
-        let stats =
-            serve_connection(&server, &client, script.as_bytes(), &mut reply).unwrap();
-        assert_eq!(stats, ConnStats { proposed: 2, flushed: 2 });
+        let stats = serve_connection(&server, &client, script.as_bytes(), &mut reply).unwrap();
+        assert_eq!(
+            stats,
+            ConnStats {
+                proposed: 2,
+                flushed: 2
+            }
+        );
         let reply = String::from_utf8(reply).unwrap();
         let lines: Vec<&str> = reply.lines().collect();
         assert_eq!(lines[0], "ID 0");
@@ -208,9 +215,14 @@ mod tests {
         let at_limit = format!("RUN 2,2,2{}", " ".repeat(MAX_LINE_BYTES - 9));
         let script = format!("{long}\n{at_limit}\nFLUSH\n{long}");
         let mut reply = Vec::new();
-        let stats =
-            serve_connection(&server, &client, script.as_bytes(), &mut reply).unwrap();
-        assert_eq!(stats, ConnStats { proposed: 1, flushed: 1 });
+        let stats = serve_connection(&server, &client, script.as_bytes(), &mut reply).unwrap();
+        assert_eq!(
+            stats,
+            ConnStats {
+                proposed: 1,
+                flushed: 1
+            }
+        );
         let reply = String::from_utf8(reply).unwrap();
         let lines: Vec<&str> = reply.lines().collect();
         let err = format!("ERR line longer than {MAX_LINE_BYTES} bytes");

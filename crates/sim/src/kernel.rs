@@ -4,7 +4,7 @@ use crate::deviate::Deviation;
 use crate::error::SimError;
 use crate::event::{EventId, EventMeta, ProcessId};
 use crate::metrics::{MetricsCollector, MetricsConfig, RunMetrics};
-use crate::sched::Scheduler;
+use crate::sched::{RandomScheduler, Scheduler};
 use crate::state::RunState;
 use crate::trace::{RunStats, Trace, TraceEntry};
 
@@ -333,6 +333,35 @@ impl<E> Kernel<E> {
         for (meta, &aux) in self.metas.iter().zip(&self.payload_hashes) {
             f(meta, aux);
         }
+    }
+
+    /// Empties the kernel for a new run over the same processes, drained
+    /// by what [`RandomScheduler::from_seed`]`(seed)` would be: the pending
+    /// pool, clock, event ids, [`RunState`], [`RunStats`], trace and
+    /// metrics start over, while the event limit, the event hasher and
+    /// every buffer's capacity carry over. The scheduler is reseeded in
+    /// place when it can be ([`Scheduler::reseed`]) and replaced by a new
+    /// random scheduler otherwise. Given the same posts, the restarted
+    /// kernel fires exactly the events a new kernel with that scheduler
+    /// would.
+    pub fn restart(&mut self, seed: u64) {
+        self.metas.clear();
+        self.payloads.clear();
+        self.hashes.clear();
+        self.payload_hashes.clear();
+        self.pool_sum = 0;
+        if !self.scheduler.reseed(seed) {
+            self.scheduler = Box::new(RandomScheduler::from_seed(seed));
+        }
+        self.state.reset();
+        self.trace.clear();
+        self.stats = RunStats::default();
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.reset(self.state.n());
+        }
+        self.last_deviation = Deviation::Faithful;
+        self.time = 0;
+        self.next_id = 0;
     }
 
     /// Tears the kernel down, handing back the pool buffers so a caller

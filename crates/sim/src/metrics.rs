@@ -305,6 +305,13 @@ impl MetricsCollector {
         }
     }
 
+    /// Starts the collection over for a new run of `n` processes.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.fires = 0;
+        self.metrics = RunMetrics::new();
+        self.ensure_processes(n);
+    }
+
     /// Pre-sizes the per-process table so every slot exists even if a
     /// process never triggers a counting event (e.g. only fires local
     /// steps, which attribute nothing on post).

@@ -66,6 +66,17 @@ pub trait Scheduler {
     fn label(&self) -> &'static str {
         "scheduler"
     }
+
+    /// Turns this scheduler, in place, into what
+    /// [`RandomScheduler::from_seed`]`(seed)` would be, and returns `true`;
+    /// or returns `false` and changes nothing. Only [`RandomScheduler`]
+    /// can do it (the default is `false`). [`crate::Session::restart`]
+    /// uses it to reseed a recycled session's scheduler without boxing a
+    /// new one.
+    fn reseed(&mut self, seed: u64) -> bool {
+        let _ = seed;
+        false
+    }
 }
 
 impl Scheduler for Box<dyn Scheduler> {
@@ -75,6 +86,10 @@ impl Scheduler for Box<dyn Scheduler> {
 
     fn deviation(&mut self) -> Deviation {
         (**self).deviation()
+    }
+
+    fn reseed(&mut self, seed: u64) -> bool {
+        (**self).reseed(seed)
     }
 
     fn label(&self) -> &'static str {
@@ -128,6 +143,11 @@ impl Scheduler for RandomScheduler {
 
     fn label(&self) -> &'static str {
         "random"
+    }
+
+    fn reseed(&mut self, seed: u64) -> bool {
+        self.rng = SplitMix64(seed);
+        true
     }
 }
 

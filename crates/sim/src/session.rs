@@ -182,6 +182,15 @@ impl<S: Substrate> RunCore<S> {
         }
     }
 
+    /// Returns to the state [`RunCore::new`] leaves, keeping the processes
+    /// (the caller re-initialises them) and every buffer's capacity.
+    fn reset(&mut self) {
+        self.shared = S::new_shared(self.n);
+        self.decisions.iter_mut().for_each(|d| *d = None);
+        self.started.fill(false);
+        self.buf.clear();
+    }
+
     /// Handles one fired event end to end: crash filtering, lazy start, and
     /// dispatch of the appropriate callback. Shared verbatim by the stepped
     /// session and the forking executor (`crate::fork`), so the two agree
@@ -337,6 +346,20 @@ impl<S: SubstrateAdv> RunCore<S> {
             }
         }
         Ok(())
+    }
+}
+
+/// The first moves of every run: marks the plan's Byzantine slots in the
+/// run state and posts each process's start event, in process order.
+fn begin_run<P>(kernel: &mut Kernel<Payload<P>>, plan: &FaultPlan) {
+    let n = kernel.state().n();
+    for pid in 0..n {
+        if plan.spec(pid).kind() == FaultKind::Byzantine {
+            kernel.state_mut().mark_byzantine(pid);
+        }
+    }
+    for pid in 0..n {
+        kernel.post(EventMeta::new(EventKind::LocalStep, pid), Payload::Start);
     }
 }
 
@@ -666,15 +689,7 @@ impl<S: Substrate, D: Delivery<S>> Session<S, D> {
             std::mem::take(&mut arena.hashes),
             std::mem::take(&mut arena.payload_hashes),
         );
-
-        for pid in 0..n {
-            if config.plan.spec(pid).kind() == FaultKind::Byzantine {
-                kernel.state_mut().mark_byzantine(pid);
-            }
-        }
-        for pid in 0..n {
-            kernel.post(EventMeta::new(EventKind::LocalStep, pid), Payload::Start);
-        }
+        begin_run(&mut kernel, &config.plan);
 
         Session {
             kernel,
@@ -683,6 +698,32 @@ impl<S: Substrate, D: Delivery<S>> Session<S, D> {
             dig,
             _delivery: PhantomData,
         }
+    }
+
+    /// Starts a new run in this session, as if it had been built afresh
+    /// by `System::new(n).seed(seed)` with the same fault plan, event
+    /// limit, trace capacity, metrics and digest settings: the kernel
+    /// restarts under that seed ([`Kernel::restart`]; a delay-rule or
+    /// other non-random scheduler is replaced), the decision and start
+    /// tables clear, the substrate's shared state is rebuilt, every
+    /// process's start event is posted again, and `init(p, slot)`
+    /// re-initialises process `p` in place — typically
+    /// `Protocol::new(..).fork_into(slot)`, which copies into the existing
+    /// box.
+    ///
+    /// Buffers keep their capacity, so once a recycled session has run a
+    /// few times, restarting and running it again allocates nothing (for
+    /// substrates whose shared state is allocation-free, such as message
+    /// passing). This is how `kset-serve` recycles finished instances.
+    pub fn restart(&mut self, seed: u64, mut init: impl FnMut(ProcessId, &mut S::Process)) {
+        self.kernel.restart(seed);
+        begin_run(&mut self.kernel, &self.core.plan);
+        self.core.reset();
+        for (pid, slot) in self.core.procs.iter_mut().enumerate() {
+            init(pid, slot);
+        }
+        self.dig.digests.clear();
+        self.dig.proc_digests.clear();
     }
 
     /// Advances the run by at most one fired event.

@@ -60,6 +60,18 @@ impl RunState {
         }
     }
 
+    /// Returns to the state [`RunState::new`] gives for the same number of
+    /// processes, keeping the buffers (a restarted session's kernel calls
+    /// this, see [`crate::Session::restart`]).
+    pub fn reset(&mut self) {
+        self.decided.fill(false);
+        self.crashed.fill(false);
+        self.byzantine.fill(false);
+        self.actions.fill(0);
+        self.drops = 0;
+        self.now = 0;
+    }
+
     /// Current virtual time (events fired so far), kept up to date by the
     /// kernel. Delay rules with an expiry deadline compare against this.
     pub fn now(&self) -> u64 {
@@ -244,6 +256,21 @@ mod tests {
         dst.clone_from(&src);
         assert_eq!(dst, src);
         assert_eq!(buffers(&dst), before, "clone_from reallocated a buffer");
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_state_and_keeps_the_buffers() {
+        let mut s = RunState::new(3);
+        s.mark_decided(0);
+        s.mark_crashed(1);
+        s.mark_byzantine(2);
+        s.charge_action(1);
+        s.charge_drop();
+        s.set_now(5);
+        let actions = s.actions.as_ptr();
+        s.reset();
+        assert_eq!(s, RunState::new(3));
+        assert_eq!(s.actions.as_ptr(), actions);
     }
 
     #[test]

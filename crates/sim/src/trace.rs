@@ -68,6 +68,12 @@ impl Trace {
         }
     }
 
+    /// Forgets every entry and the dropped count, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.dropped = 0;
+    }
+
     /// Recorded entries, in firing order.
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries

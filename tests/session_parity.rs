@@ -121,6 +121,76 @@ fn sm_step_driver_is_byte_identical_to_run() {
     }
 }
 
+/// A session restarted in place — mid-run or after it finished, under a
+/// new seed, with its processes re-initialised through `fork_into` — is
+/// byte-identical to a fresh `run()` of the new instance: decisions, fault
+/// sets, counters, traces and metrics, on both substrates and every plan.
+#[test]
+fn restarted_session_is_byte_identical_to_a_fresh_run() {
+    use kset::net::MpProcess;
+    use kset::shmem::SmProcess;
+
+    let n = 5;
+    let old: Vec<u64> = vec![4, 4, 1, 0, 9];
+    let new: Vec<u64> = (0..n as u64).map(|p| (p * 13) % 7).collect();
+    for plan in plans(n) {
+        let build = |seed| {
+            MpSystem::new(n)
+                .seed(seed)
+                .fault_plan(plan.clone())
+                .trace_capacity(256)
+                .metrics(MetricsConfig::enabled())
+        };
+        let procs = |inputs: &[u64]| {
+            inputs
+                .iter()
+                .map(|&v| FloodMin::boxed(n, 2, v))
+                .collect::<Vec<_>>()
+        };
+        // Steps before the restart: 3 cuts the first run short, 10_000
+        // lets it finish.
+        for (seed, steps_before) in [(7, 3), (42, 10_000)] {
+            let mut session = build(1).session(procs(&old)).expect("session");
+            for _ in 0..steps_before {
+                if session.step().expect("step") != Poll::Pending {
+                    break;
+                }
+            }
+            session.restart(seed, |p, slot| {
+                assert!(FloodMin::new(n, 2, new[p]).fork_into(slot));
+            });
+            while let Poll::Pending = session.step().expect("step") {}
+            let (restarted, ()) = session.finish();
+            let fresh = build(seed).run(procs(&new)).expect("run");
+            assert_eq!(
+                format!("{fresh:?}"),
+                format!("{restarted:?}"),
+                "seed {seed}, plan {plan:?}: restarted session diverged from run()"
+            );
+        }
+    }
+
+    let n = 4;
+    let plan = FaultPlan::silent_crashes(n, &[2]);
+    let build = |seed| SmSystem::new(n).seed(seed).fault_plan(plan.clone());
+    let procs = |inputs: &[u64]| {
+        inputs
+            .iter()
+            .map(|&v| ProtocolE::boxed(n, 3, v, DEFAULT))
+            .collect::<Vec<_>>()
+    };
+    let mut session = build(3).session(procs(&[1, 2, 3, 4])).expect("session");
+    while let Poll::Pending = session.step().expect("step") {}
+    session.restart(11, |p, slot| {
+        assert!(ProtocolE::new(n, 3, [9, 3, 3, 8][p], DEFAULT).fork_into(slot));
+    });
+    while let Poll::Pending = session.step().expect("step") {}
+    let (restarted, memory) = session.finish();
+    let fresh = build(11).run(procs(&[9, 3, 3, 8])).expect("run");
+    assert_eq!(format!("{:?}", *fresh), format!("{restarted:?}"));
+    assert_eq!(fresh.memory, memory.snapshot());
+}
+
 #[test]
 fn poll_contract_and_accessors() {
     let n = 3;
