@@ -258,10 +258,7 @@ mod tests {
         // n = 4, t = 1: the failure-free pattern plus one per process.
         let plans = all_silent_crash_patterns(4, 1);
         let sets: Vec<Vec<usize>> = plans.iter().map(|p| p.faulty_set()).collect();
-        assert_eq!(
-            sets,
-            vec![vec![], vec![0], vec![1], vec![2], vec![3]]
-        );
+        assert_eq!(sets, vec![vec![], vec![0], vec![1], vec![2], vec![3]]);
 
         // n = 4, t = 2: C(4,0) + C(4,1) + C(4,2) = 1 + 4 + 6 = 11 patterns,
         // sized then lexicographic.

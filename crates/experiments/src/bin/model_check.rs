@@ -33,9 +33,10 @@
 //! (see `PERFORMANCE.md`). Ablation: `--no-por`, `--no-dedup`. Execution
 //! strategy: `--fork-mode {auto|replay}` selects how work items reach
 //! their branch points — `auto` (default) resumes from branch-point
-//! snapshots under a byte budget with replay fallback, `replay`
-//! re-executes prefixes from the root (the oracle); verdicts, counters and
-//! counterexample bytes are identical for both. Observability:
+//! snapshots under a byte budget with replay from the root as the
+//! fallback, `replay` re-executes every prefix from the root on the same
+//! explorer (the cross-check); verdicts, counters and counterexample
+//! bytes are identical for both. Observability:
 //! `--progress N` (a stderr counter line each time a fault pattern's runs
 //! pass a multiple of N), `--json PATH` (one `RunRecord` per explored
 //! crash pattern, schema in `OBSERVABILITY.md`), `--bench-json PATH`

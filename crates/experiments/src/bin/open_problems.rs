@@ -8,12 +8,25 @@ use kset_core::ValidityCondition;
 use kset_regions::gaps::GapReport;
 use kset_regions::{Atlas, Model};
 
+/// Prints a usage error and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("open_problems: usage error: {message}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("n must be a number"))
-        .unwrap_or(64);
-    assert!(n >= 3, "n must be at least 3");
+    let mut args = std::env::args().skip(1);
+    let n = match args.next() {
+        None => 64,
+        Some(raw) => match raw.parse::<usize>() {
+            Ok(n) if n >= 3 => n,
+            Ok(_) => usage_error(&format!("n must be at least 3, got {raw}")),
+            Err(_) => usage_error(&format!("n wants a number, got {raw:?}")),
+        },
+    };
+    if let Some(extra) = args.next() {
+        usage_error(&format!("unexpected argument {extra:?}"));
+    }
 
     println!("=== Open problems (gaps between protocols and bounds), n = {n} ===\n");
     let mut total = 0;

@@ -425,18 +425,6 @@ mod tests {
         dir
     }
 
-    fn assert_verdicts_eq(a: &PatternVerdict, b: &PatternVerdict) {
-        assert_eq!(a.crashed, b.crashed);
-        assert_eq!(a.runs, b.runs);
-        assert_eq!(a.states, b.states);
-        assert_eq!(a.sleep_skips, b.sleep_skips);
-        assert_eq!(a.dedup_hits, b.dedup_hits);
-        assert_eq!(a.complete, b.complete);
-        assert_eq!(a.worst_agreement, b.worst_agreement);
-        assert_eq!(a.tasks, b.tasks);
-        assert_eq!(a.violation, b.violation);
-    }
-
     #[test]
     fn snapshot_round_trips() {
         let dir = tmp_dir("roundtrip");
@@ -446,13 +434,10 @@ mod tests {
         assert_eq!(back.config_digest, snapshot.config_digest);
         assert_eq!(back.generation, snapshot.generation);
         assert_eq!(back.watermarks, snapshot.watermarks);
-        assert_eq!(back.patterns_done.len(), 2);
-        for (a, b) in back.patterns_done.iter().zip(&snapshot.patterns_done) {
-            assert_verdicts_eq(a, b);
-        }
+        assert_eq!(back.patterns_done, snapshot.patterns_done);
         let got = back.in_progress.unwrap();
         let want = snapshot.in_progress.unwrap();
-        assert_verdicts_eq(&got.verdict, &want.verdict);
+        assert_eq!(got.verdict, want.verdict);
         assert_eq!(got.queue, want.queue);
         // No stray temp file survives a successful write.
         assert!(!dir.join("snapshot.bin.tmp").exists());

@@ -24,10 +24,12 @@
 //! kernel under a prefix, reads the recorded [`kset_sim::ChoiceLog`] back,
 //! and pushes one work item per untried alternative at every beyond-prefix
 //! decision point. Because the kernel is deterministic given the prefix,
-//! re-execution is exact. The replay executor runs every schedule to
-//! termination; the forking executor stops a run at its first state the
-//! visited stores already cover (see [`ForkMode`]), the point where the
-//! walk would stop reading it anyway.
+//! re-execution is exact. One executor runs every work item: a
+//! [`kset_sim::ForkSession`] per task, which resumes an item from the
+//! snapshot taken at its branch point or replays it from the root, and
+//! under [`ForkMode::Auto`] stops a run at its first state the visited
+//! stores already cover, the point where the walk would stop reading it
+//! anyway.
 //! States are fingerprinted under a digest mode the cell's inputs select
 //! (see [`CheckerConfig::digest`]).
 //!
@@ -177,12 +179,13 @@ pub struct CheckerConfig {
     /// counters and counterexamples are identical for every value (see
     /// the module docs); only wall-clock time changes.
     pub threads: usize,
-    /// How work items reach their first beyond-prefix decision point:
-    /// replay from the root, or (the default) resume from a branch-point
-    /// snapshot under a byte budget with replay as the fallback. Like
-    /// `threads`, this is a pure execution strategy —
-    /// verdicts, counters and counterexample bytes are identical for
-    /// every value (pinned by `tests/fork_parity.rs`).
+    /// How the task's fork session reaches each work item's first
+    /// beyond-prefix decision point: replay from the root, or (the
+    /// default) resume from a branch-point snapshot under a byte budget
+    /// with replay from the root as the fallback. Like `threads`, this is
+    /// a pure execution strategy — verdicts, counters and counterexample
+    /// bytes are identical for every value (pinned by
+    /// `tests/fork_parity.rs`).
     pub fork: ForkMode,
     /// The adversary the cell is certified against — which fault patterns
     /// are quantified and which in-transit deviations each pattern may
@@ -212,12 +215,16 @@ pub struct CheckerConfig {
 }
 
 /// Execution strategy for reaching a work item's branch point — see
-/// [`CheckerConfig::fork`].
+/// [`CheckerConfig::fork`]. Both modes run on the same explorer and fork
+/// session; they differ only in the session's snapshot depth and in
+/// whether a run may stop early.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ForkMode {
     /// Re-execute every work item's prefix from the initial state and run
-    /// it to termination — the stateless baseline, kept as the
-    /// cross-checking oracle for the forking executor.
+    /// it to termination: the session takes no snapshot (its
+    /// `max_branch_depth` is 0) and the walk's gate never stops a run. The
+    /// stateless configuration, kept as the cross-check of
+    /// [`ForkMode::Auto`].
     Replay,
     /// Resume every work item from the snapshot taken at its branch
     /// point. Items whose snapshot was elided replay: spilled
@@ -493,18 +500,22 @@ impl CheckerConfig {
         digest_mode(&self.cell_inputs())
     }
 
-    /// The forking executor's configuration for an exploration over
-    /// `inputs`: same `n`, reductions and digest mode as the replay path,
-    /// branch snapshots cut off at the explorer's depth bound (beyond it
-    /// nothing branches, so a snapshot could never be consumed), and the
-    /// [`ForkMode::Auto`] byte budget.
+    /// The fork session's configuration for an exploration over `inputs`:
+    /// the cell's `n`, reductions and digest mode, the [`ForkMode::Auto`]
+    /// byte budget, and branch snapshots cut off at the explorer's depth
+    /// bound (beyond it nothing branches, so a snapshot could never be
+    /// consumed) — or at depth 0 under [`ForkMode::Replay`], so that no
+    /// snapshot is taken and every run replays from the root.
     fn fork_config(&self, inputs: &[u64]) -> ForkConfig {
         ForkConfig {
             n: self.n,
             por: self.por,
             digest: digest_mode(inputs),
             event_limit: None,
-            max_branch_depth: self.depth,
+            max_branch_depth: match self.fork {
+                ForkMode::Replay => 0,
+                ForkMode::Auto => self.depth,
+            },
             budget_bytes: Some(AUTO_FORK_BUDGET),
         }
     }
@@ -533,8 +544,8 @@ pub fn canonical_inputs(n: usize) -> Vec<u64> {
 }
 
 /// Builds the boxed process vector for a message-passing protocol cell —
-/// the single construction point shared by the replay executor, the
-/// forking executor and the fired-id replayer.
+/// the single construction point shared by the explorer's fork sessions,
+/// [`execute_schedule_in`] and the fired-id replayer.
 ///
 /// # Panics
 ///
@@ -593,30 +604,34 @@ pub struct ScheduleRun {
 }
 
 impl ScheduleRun {
-    /// Number of distinct values decided by correct processes, counted by
-    /// first occurrence — no per-call allocation (`n` is single digits).
+    /// Number of distinct values decided by correct processes.
     pub fn distinct_correct_decisions(&self) -> usize {
-        let mut count = 0;
-        for (i, (&p, &v)) in self.decisions.iter().enumerate() {
-            if self.faulty.contains(&p) {
-                continue;
-            }
-            let seen = self
-                .decisions
-                .iter()
-                .take(i)
-                .any(|(&q, &w)| !self.faulty.contains(&q) && w == v);
-            if !seen {
-                count += 1;
-            }
-        }
-        count
+        let n = self.decisions.keys().next_back().map_or(0, |&p| p + 1);
+        distinct_correct_decisions(&decision_table(&self.decisions, n), &self.faulty)
+    }
+
+    /// Checks the run, executed over `inputs`, against `spec`;
+    /// `Some(message)` on violation.
+    fn violation(&self, spec: &ProblemSpec, inputs: &[u64]) -> Option<String> {
+        let decisions = decision_table(&self.decisions, inputs.len());
+        violation_of(spec, inputs, &decisions, &self.faulty, self.terminated)
     }
 }
 
-/// [`ScheduleRun::distinct_correct_decisions`] over the forking executor's
-/// dense decision table.
-fn distinct_correct_decisions_dense(decisions: &[Option<u64>], faulty: &[ProcessId]) -> usize {
+/// A decision map as a table with one slot per process of an `n`-process
+/// run: the dense form the explorer scores its runs in.
+fn decision_table(decisions: &BTreeMap<ProcessId, u64>, n: usize) -> Vec<Option<u64>> {
+    let mut table = vec![None; n];
+    for (&p, &v) in decisions {
+        table[p] = Some(v);
+    }
+    table
+}
+
+/// Number of distinct values decided by correct processes in a
+/// process-indexed decision table, counted by first occurrence — no
+/// per-call allocation (`n` is single digits).
+fn distinct_correct_decisions(decisions: &[Option<u64>], faulty: &[ProcessId]) -> usize {
     let mut count = 0;
     for (p, v) in decisions
         .iter()
@@ -637,8 +652,8 @@ fn distinct_correct_decisions_dense(decisions: &[Option<u64>], faulty: &[Process
     count
 }
 
-/// The fail-closed panic of both executors for a fault plan with
-/// Byzantine slots but no deviation policy.
+/// The fail-closed panic of the explorer and [`execute_schedule_in`] for a
+/// fault plan with Byzantine slots but no deviation policy.
 const BYZANTINE_WITHOUT_POLICY: &str = "fault plan contains Byzantine slots but no deviation \
      policy was supplied; the run would certify crash semantics under a Byzantine label";
 
@@ -649,8 +664,7 @@ const BYZANTINE_WITHOUT_POLICY: &str = "fault plan contains Byzantine slots but 
 ///
 /// A convenience wrapper over [`execute_schedule_in`] with a throwaway
 /// [`RunArena`] and the plain digest mode — fine for one-off replays
-/// (shrinking, record emission, benches); the exploration loops thread a
-/// recycled arena instead.
+/// (shrinking, record emission, counterexample replay).
 ///
 /// # Errors
 ///
@@ -683,7 +697,8 @@ pub fn execute_schedule(
 }
 
 /// [`execute_schedule`] recycling per-run storage from `arena` and
-/// fingerprinting states under `mode` — the exploration hot path.
+/// fingerprinting states under `mode`, for callers that run many
+/// schedules back to back.
 ///
 /// The run's choice log and digest vector are *taken* from the arena;
 /// return them via [`RunArena::put_log`]/[`RunArena::put_digests`] once
@@ -778,55 +793,10 @@ pub fn execute_schedule_in(
 }
 
 /// Checks one run against `SC(k, t, C)`; `Some(message)` on violation.
-///
-/// Judged through a borrowed [`kset_core::RunView`] over the run's own
-/// buffers — both executors pay zero allocations per passing run, the
-/// overwhelmingly common case.
-fn violation_of(spec: &ProblemSpec, inputs: &[u64], run: &ScheduleRun) -> Option<String> {
-    let report = spec.check(&ScheduleRunView { inputs, run });
-    (!report.is_ok()).then(|| report.to_string())
-}
-
-/// Borrowed [`kset_core::RunView`] over a [`ScheduleRun`] (whose decision
-/// map is keyed by process) plus the inputs it was run with.
-struct ScheduleRunView<'a> {
-    inputs: &'a [u64],
-    run: &'a ScheduleRun,
-}
-
-impl kset_core::RunView<u64> for ScheduleRunView<'_> {
-    fn n(&self) -> usize {
-        self.inputs.len()
-    }
-
-    fn inputs(&self) -> &[u64] {
-        self.inputs
-    }
-
-    fn is_faulty(&self, p: ProcessId) -> bool {
-        self.run.faulty.contains(&p)
-    }
-
-    fn faulty_count(&self) -> usize {
-        self.run.faulty.len()
-    }
-
-    fn decision_of(&self, p: ProcessId) -> Option<&u64> {
-        self.run.decisions.get(&p)
-    }
-
-    fn terminated(&self) -> bool {
-        self.run.terminated
-    }
-
-    fn all_decisions(&self, pred: &mut dyn FnMut(ProcessId, &u64) -> bool) -> bool {
-        self.run.decisions.iter().all(|(&p, v)| pred(p, v))
-    }
-}
-
-/// [`violation_of`] over the forking executor's dense in-place
-/// observables, which never materialize a [`ScheduleRun`].
-fn violation_of_dense(
+/// The run is read in place through a borrowed [`kset_core::DenseRun`]
+/// over its process-indexed decision table, so a passing run — the
+/// overwhelmingly common case — costs no allocation.
+fn violation_of(
     spec: &ProblemSpec,
     inputs: &[u64],
     decisions: &[Option<u64>],
@@ -988,8 +958,7 @@ struct TaskOutcome {
     events_fired: u64,
     /// Forked runs stopped at a covered state (operational).
     truncated_runs: u64,
-    /// The task's fork session's snapshot and resume counts (operational;
-    /// zero on the replay executor).
+    /// The task's fork session's snapshot and resume counts (operational).
     fork: ForkCounters,
     states: usize,
     sleep_skips: u64,
@@ -1000,8 +969,9 @@ struct TaskOutcome {
     /// The task's own insertions, folded into the shared snapshot at the
     /// wave barrier so later waves prune against them.
     visited: Visited,
-    /// The remaining DFS stack when [`TASK_BUDGET`] ran out, re-enqueued
-    /// verbatim as one continuation task; empty when the task finished.
+    /// The remaining DFS stack when the task's run budget ran out,
+    /// re-enqueued verbatim as one continuation task; empty when the task
+    /// finished.
     spill: Vec<WorkItem>,
 }
 
@@ -1041,7 +1011,7 @@ struct WalkScratch {
     /// Free list of sleep vectors recycled from completed work items.
     sleeps: Vec<Vec<SleepEntry>>,
     /// Free list of prefix vectors recycled from executed work items (the
-    /// forking executor hands them back; see
+    /// fork session hands them back; see
     /// [`ForkSession::take_spent_prefix`]).
     prefixes: Vec<Vec<usize>>,
 }
@@ -1053,15 +1023,15 @@ struct WalkScratch {
 /// sets assume).
 ///
 /// `push` receives each staged child in the order it should enter the
-/// caller's DFS stack; the replay executor pushes the bare item, the
-/// forking executor pairs it with the snapshot taken at its branch point.
+/// caller's DFS stack; the explorer pairs it with the snapshot taken at
+/// its branch point, if any.
 ///
 /// `prefix_len`, `preemptions` and `sleep` are the executed work item's
-/// fields; the prefix itself was consumed by [`execute_schedule_in`], and
+/// fields; the prefix itself was consumed by the session's scheduler, and
 /// only its length matters here (in-prefix points were already walked when
 /// the prefix was recorded — the [`kset_sim::ChoiceScheduler`] does not
-/// even log their options). `proof` is what the forking executor's gate
-/// already established about the run's states against `global`.
+/// even log their options). `proof` is what the run's [`WalkGate`]
+/// already established about its states against `global`.
 #[allow(clippy::too_many_arguments)]
 fn walk_run<S: CampaignStore>(
     cfg: &CheckerConfig,
@@ -1216,12 +1186,12 @@ fn walk_run<S: CampaignStore>(
     sleeps.push(sleep);
 }
 
-/// What a forked run's [`WalkGate`] established while the run executed,
-/// handed to [`walk_run`] so it does not re-prove it.
+/// What a run's [`WalkGate`] established while the run executed, handed
+/// to [`walk_run`] so it does not re-prove it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum GateProof {
-    /// Nothing: the replay executor, or a search that does not stop runs
-    /// early. The walk probes both stores.
+    /// Nothing: the gate does not stop runs early ([`ForkMode::Replay`],
+    /// or a bounded search). The walk probes both stores.
     None,
     /// The frozen wave store missed at every beyond-prefix state the run
     /// reached, and the run ran to termination.
@@ -1231,181 +1201,74 @@ enum GateProof {
     Covered,
 }
 
+/// What one exploration task runs against: the cell, its fault pattern
+/// (`crashed` is the pattern's faulty set) and the frozen wave store.
+struct Task<'a, S> {
+    cfg: &'a CheckerConfig,
+    inputs: &'a [u64],
+    spec: &'a ProblemSpec,
+    plan: &'a FaultPlan,
+    crashed: &'a [ProcessId],
+    global: &'a S,
+}
+
 /// Runs one exploration task: a serial DFS over the stack segment
 /// `stack`, pruning against the frozen `global` snapshot plus a
 /// task-owned visited table. Stops at the task's first violation (in DFS
 /// order), at the `max_runs` truncation bound (marking the verdict
-/// incomplete), or at [`TASK_BUDGET`] — in which case the unexplored
+/// incomplete), or after `budget` runs — in which case the unexplored
 /// stack is spilled back to the scheduler, not dropped.
 ///
-/// Dispatches on [`CheckerConfig::fork`]: under [`ForkMode::Auto`] the
-/// task runs on the forking executor
-/// ([`explore_task_fork`]), which resumes each work item from the
-/// snapshot taken at its branch point instead of replaying the prefix
-/// from the initial state — crash and deviation patterns alike. If the
-/// protocol's processes are unforkable (a [`kset_sim::SubstrateFork`]
-/// hook returning `None`) the task silently degrades to replay — the two
-/// executors are pinned to identical observables, so the mode is free to
-/// vary per task.
+/// The task runs on one [`ForkSession`] of the pattern: the statically
+/// faithful one without a deviation policy, a [`ForkSession::deviant`] one
+/// under it. Every [`QuorumProtocol`]'s processes are forkable, so the
+/// session is always built.
 fn explore_task<S: CampaignStore>(
-    cfg: &CheckerConfig,
-    inputs: &[u64],
-    spec: &ProblemSpec,
-    plan: &FaultPlan,
-    crashed: &[ProcessId],
-    global: &S,
+    task: &Task<S>,
     stack: Vec<WorkItem>,
+    budget: u64,
 ) -> TaskOutcome {
-    let stack = if cfg.fork == ForkMode::Replay {
-        stack
-    } else if cfg.protocol.shared_memory() {
-        let procs = sm_processes(cfg.protocol, inputs, cfg.t);
-        match try_fork::<SmSubstrate<u64, u64>, S>(
-            cfg, inputs, spec, plan, crashed, global, stack, procs,
-        ) {
-            Ok(out) => return out,
-            Err(stack) => stack,
-        }
+    let (protocol, inputs, t) = (task.cfg.protocol, task.inputs, task.cfg.t);
+    if protocol.shared_memory() {
+        let procs = sm_processes(protocol, inputs, t);
+        explore_task_on::<SmSubstrate<u64, u64>, S>(task, stack, budget, procs)
     } else {
-        let procs = mp_processes(cfg.protocol, inputs, cfg.t);
-        match try_fork::<MpSubstrate<u64, u64>, S>(
-            cfg, inputs, spec, plan, crashed, global, stack, procs,
-        ) {
-            Ok(out) => return out,
-            Err(stack) => stack,
-        }
-    };
-    explore_task_replay(cfg, inputs, spec, plan, global, stack)
+        let procs = mp_processes(protocol, inputs, t);
+        explore_task_on::<MpSubstrate<u64, u64>, S>(task, stack, budget, procs)
+    }
 }
 
-/// Builds the pattern's [`ForkSession`] — the statically faithful one
-/// without a deviation policy, a [`ForkSession::deviant`] one under it —
-/// and runs the task on it; hands the stack back when a process is
-/// unforkable.
-#[allow(clippy::too_many_arguments)]
-fn try_fork<Sub, S>(
-    cfg: &CheckerConfig,
-    inputs: &[u64],
-    spec: &ProblemSpec,
-    plan: &FaultPlan,
-    crashed: &[ProcessId],
-    global: &S,
+/// [`explore_task`] on substrate `Sub`: builds the pattern's session over
+/// `procs` and runs the task on it.
+fn explore_task_on<Sub, S>(
+    task: &Task<S>,
     stack: Vec<WorkItem>,
+    budget: u64,
     procs: Vec<Sub::Process>,
-) -> Result<TaskOutcome, Vec<WorkItem>>
+) -> TaskOutcome
 where
     Sub: SubstrateFork<Output = u64> + SubstrateAdv,
     S: CampaignStore,
 {
-    let config = cfg.fork_config(inputs);
+    const FORKABLE: &str = "every checked protocol's processes are forkable";
+    let (cfg, plan) = (task.cfg, task.plan);
+    let config = cfg.fork_config(task.inputs);
     match cfg.pattern_policy(plan) {
         None => {
             // The same fail-closed rule as [`execute_schedule_in`]: a
             // Byzantine slot on the faithful path would certify crash
             // semantics under a Byzantine label.
             assert!(!plan.has_byzantine(), "{BYZANTINE_WITHOUT_POLICY}");
-            match ForkSession::<Sub>::new(config, plan.clone(), procs) {
-                Some(mut session) => Ok(explore_task_fork(
-                    cfg, inputs, spec, plan, crashed, global, &mut session, stack,
-                )),
-                None => Err(stack),
-            }
+            let mut session = ForkSession::<Sub>::new(config, plan.clone(), procs).expect(FORKABLE);
+            explore_stack(task, &mut session, stack, budget)
         }
-        Some(policy) => match ForkSession::<Sub, DeviantDelivery>::deviant(
-            config,
-            plan.clone(),
-            procs,
-            policy,
-        ) {
-            Some(mut session) => Ok(explore_task_fork(
-                cfg, inputs, spec, plan, crashed, global, &mut session, stack,
-            )),
-            None => Err(stack),
-        },
+        Some(policy) => {
+            let mut session =
+                ForkSession::<Sub, DeviantDelivery>::deviant(config, plan.clone(), procs, policy)
+                    .expect(FORKABLE);
+            explore_stack(task, &mut session, stack, budget)
+        }
     }
-}
-
-/// The stateless executor: every work item re-executes its prefix from
-/// the initial state. Baseline for — and cross-checking oracle of — the
-/// forking executor.
-fn explore_task_replay<S: CampaignStore>(
-    cfg: &CheckerConfig,
-    inputs: &[u64],
-    spec: &ProblemSpec,
-    plan: &FaultPlan,
-    global: &S,
-    stack: Vec<WorkItem>,
-) -> TaskOutcome {
-    let mut out = TaskOutcome::new();
-    let mut stack = stack;
-    let policy = cfg.pattern_policy(plan);
-    let mode = digest_mode(inputs);
-    let (plan_crashed, plan_byzantine) = plan_slots(plan);
-    // The arena and walk scratch live for the whole task: every run of the
-    // task's (up to TASK_BUDGET-schedule) DFS reuses the same kernel
-    // buffers, choice log, digest vectors and walk staging.
-    let mut arena = RunArena::new();
-    let mut scratch = WalkScratch::default();
-    while let Some(item) = stack.pop() {
-        if out.runs >= cfg.max_runs {
-            out.complete = false;
-            break;
-        }
-        if out.runs >= TASK_BUDGET {
-            stack.push(item);
-            out.spill = std::mem::take(&mut stack);
-            break;
-        }
-        let WorkItem {
-            prefix,
-            sleep,
-            preemptions,
-        } = item;
-        let prefix_len = prefix.len();
-        let run = execute_schedule_in(
-            cfg.protocol,
-            inputs,
-            cfg.t,
-            plan,
-            policy.as_ref(),
-            prefix,
-            cfg.por,
-            false,
-            mode,
-            &mut arena,
-        )
-        .expect("checker-built system configurations are valid");
-        out.runs += 1;
-        out.events_fired += run.digests.len() as u64;
-
-        out.worst_agreement = out.worst_agreement.max(run.distinct_correct_decisions());
-        if let Some(message) = violation_of(spec, inputs, &run) {
-            out.violation = Some(Counterexample {
-                crashed: plan_crashed.clone(),
-                byzantine: plan_byzantine.clone(),
-                choices: run.log.taken_indices(),
-                fired: run.log.fired_script(),
-                violation: message,
-            });
-            break;
-        }
-        walk_run(
-            cfg,
-            prefix_len,
-            preemptions,
-            sleep,
-            &run.log,
-            &run.digests,
-            GateProof::None,
-            global,
-            &mut out,
-            &mut |child| stack.push(child),
-            &mut scratch,
-        );
-        arena.put_log(run.log);
-        arena.put_digests(run.digests);
-    }
-    out
 }
 
 /// The checker's [`ForkGate`]: a mirror of [`walk_run`]'s dedup rule that
@@ -1426,7 +1289,9 @@ fn explore_task_replay<S: CampaignStore>(
 /// on: the first expansion of `(fingerprint, sleep ⊆ current)` explores
 /// every continuation, the canonical one included. Depth- and
 /// preemption-bounded searches do not guarantee that premise, so `active`
-/// is off for them (and without dedup); the gate then never stops a run.
+/// is off for them (and without dedup), and under [`ForkMode::Replay`],
+/// which runs every schedule to termination; the gate then never stops a
+/// run.
 struct WalkGate<'a, S: CampaignStore> {
     active: bool,
     global: &'a S,
@@ -1454,32 +1319,35 @@ impl<S: CampaignStore> ForkGate for WalkGate<'_, S> {
     }
 }
 
-/// [`explore_task_replay`] on the forking executor: one [`ForkSession`]
-/// owns the kernel, process and digest state for the whole task, each
-/// work item resumes from the snapshot captured at its branch point (or
-/// replays from the root when none was — byte budget, restored
+/// The explorer's one execute–score–walk loop: one [`ForkSession`] owns
+/// the kernel, process and digest state for the whole task, each work item
+/// resumes from the snapshot captured at its branch point (or replays from
+/// the root when none was — [`ForkMode::Replay`], byte budget, restored
 /// continuation), and the walk attaches the current run's snapshots to the
-/// children it stages. A run stops at its first covered state
-/// ([`WalkGate`]); it still counts as a run, but its partial decisions are
-/// neither checked nor scored. All observables — verdicts, counters,
-/// counterexample bytes — are identical to the replay executor
+/// children it stages. Under [`ForkMode::Auto`] a run stops at its first
+/// covered state ([`WalkGate`]); it still counts as a run, but its partial
+/// decisions are neither checked nor scored. All observables — verdicts,
+/// counters, counterexample bytes — are identical in both modes
 /// (`tests/fork_parity.rs` pins this).
-#[allow(clippy::too_many_arguments)]
-fn explore_task_fork<Sub, D, S>(
-    cfg: &CheckerConfig,
-    inputs: &[u64],
-    spec: &ProblemSpec,
-    plan: &FaultPlan,
-    crashed: &[ProcessId],
-    global: &S,
+fn explore_stack<Sub, D, S>(
+    task: &Task<S>,
     session: &mut ForkSession<Sub, D>,
     stack: Vec<WorkItem>,
+    budget: u64,
 ) -> TaskOutcome
 where
     Sub: SubstrateFork<Output = u64>,
     D: Delivery<Sub>,
     S: CampaignStore,
 {
+    let Task {
+        cfg,
+        inputs,
+        spec,
+        plan,
+        crashed,
+        global,
+    } = *task;
     let mut out = TaskOutcome::new();
     // The DFS stack pairs each item with the snapshot to resume from.
     // LIFO order is what makes resumption sound: everything pushed above
@@ -1491,15 +1359,18 @@ where
     let mut scratch = WalkScratch::default();
     // The gate's copy of each item's sleep set, refilled in place per run.
     let mut gate_sleep = Vec::new();
-    // Derived, not a knob: see [`WalkGate`] for why bounded searches run
-    // every schedule to termination.
-    let truncate = cfg.dedup && cfg.depth == usize::MAX && cfg.preemptions.is_none();
+    // Derived, not a knob: see [`WalkGate`] for why replay and bounded
+    // searches run every schedule to termination.
+    let truncate = cfg.fork == ForkMode::Auto
+        && cfg.dedup
+        && cfg.depth == usize::MAX
+        && cfg.preemptions.is_none();
     while let Some((item, snap)) = stack.pop() {
         if out.runs >= cfg.max_runs {
             out.complete = false;
             break;
         }
-        if out.runs >= TASK_BUDGET {
+        if out.runs >= budget {
             stack.push((item, snap));
             // Snapshots are a per-task acceleration, not search state:
             // spills shed them so WorkItem — and with it the campaign
@@ -1548,9 +1419,9 @@ where
             let decisions = session.decisions();
             out.worst_agreement = out
                 .worst_agreement
-                .max(distinct_correct_decisions_dense(decisions, crashed));
+                .max(distinct_correct_decisions(decisions, crashed));
             if let Some(message) =
-                violation_of_dense(spec, inputs, decisions, crashed, session.terminated())
+                violation_of(spec, inputs, decisions, crashed, session.terminated())
             {
                 let log = session.log();
                 let (plan_crashed, plan_byzantine) = plan_slots(plan);
@@ -1603,51 +1474,30 @@ pub(crate) fn seed_pattern(
     plan: &FaultPlan,
 ) -> (PatternState, Visited) {
     let crashed = plan.faulty_set();
-    let policy = cfg.pattern_policy(plan);
-    let mut root_out = TaskOutcome::new();
-    let mut seeded: Vec<WorkItem> = Vec::new();
-    let mut root_arena = RunArena::new();
-    let root_run = execute_schedule_in(
-        cfg.protocol,
+    // The canonical run is a one-run task over an empty store. It runs in
+    // the replay configuration, because its children leave the task as
+    // bare work items and a snapshot would go unused, and it runs even
+    // under `--max-runs 0`. Its staged children spill in stack order.
+    let root_cfg = CheckerConfig {
+        fork: ForkMode::Replay,
+        max_runs: u64::MAX,
+        ..cfg.clone()
+    };
+    let root = WorkItem {
+        prefix: Vec::new(),
+        sleep: Vec::new(),
+        preemptions: 0,
+    };
+    let task = Task {
+        cfg: &root_cfg,
         inputs,
-        cfg.t,
+        spec,
         plan,
-        policy.as_ref(),
-        Vec::new(),
-        cfg.por,
-        false,
-        digest_mode(inputs),
-        &mut root_arena,
-    )
-    .expect("checker-built system configurations are valid");
-    root_out.runs = 1;
-    root_out.worst_agreement = root_run.distinct_correct_decisions();
-    if let Some(message) = violation_of(spec, inputs, &root_run) {
-        let (plan_crashed, plan_byzantine) = plan_slots(plan);
-        root_out.violation = Some(Counterexample {
-            crashed: plan_crashed,
-            byzantine: plan_byzantine,
-            choices: root_run.log.taken_indices(),
-            fired: root_run.log.fired_script(),
-            violation: message,
-        });
-    } else {
-        let empty = Sharded::<Visited>::new(1);
-        let mut scratch = WalkScratch::default();
-        walk_run(
-            cfg,
-            0,
-            0,
-            Vec::new(),
-            &root_run.log,
-            &root_run.digests,
-            GateProof::None,
-            &empty,
-            &mut root_out,
-            &mut |item| seeded.push(item),
-            &mut scratch,
-        );
-    }
+        crashed: &crashed,
+        global: &Sharded::<Visited>::new(1),
+    };
+    let mut root_out = explore_task(&task, vec![root], 1);
+    let mut seeded = std::mem::take(&mut root_out.spill);
     seeded.reverse();
     let verdict = PatternVerdict {
         crashed,
@@ -1708,7 +1558,15 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
         queue,
         &mut drain_state,
         |_, (store, _, _), stack| {
-            let mut out = explore_task(cfg, inputs, spec, plan, &crashed, &**store, stack);
+            let task = Task {
+                cfg,
+                inputs,
+                spec,
+                plan,
+                crashed: &crashed,
+                global: &**store,
+            };
+            let mut out = explore_task(&task, stack, TASK_BUDGET);
             let table = std::mem::take(&mut out.visited).partition(store.shard_count());
             (out, table)
         },
@@ -1849,10 +1707,10 @@ impl VisitedGauge {
 
 /// The execution gauge of a cell's exploration: how much kernel work its
 /// exploration tasks did, and what its wave barriers cost. Operational,
-/// not contract-covered: the forking executor resumes shared prefixes
-/// from snapshots and stops runs at covered states, the replay executor
-/// does neither, so the event figures depend on the fork mode while every
-/// verdict counter does not, and `fold_s` is a wall-clock time. The
+/// not contract-covered: under [`ForkMode::Auto`] the explorer resumes
+/// shared prefixes from snapshots and stops runs at covered states, under
+/// [`ForkMode::Replay`] it does neither, so the event and fork figures
+/// depend on the fork mode while every verdict counter does not, and `fold_s` is a wall-clock time. The
 /// canonical seed run of each pattern, and the fold of its table, are not
 /// counted.
 #[derive(Clone, Copy, Default, PartialEq, Debug)]
@@ -1924,7 +1782,7 @@ pub fn shrink_counterexample(
             false,
         )
         .ok()
-        .is_some_and(|run| violation_of(spec, inputs, &run).is_some())
+        .is_some_and(|run| run.violation(spec, inputs).is_some())
     };
     let mut best = choices;
     for i in 0..best.len() {
@@ -1950,7 +1808,8 @@ pub fn shrink_counterexample(
         false,
     )
     .expect("shrunk prefix replays");
-    let violation = violation_of(spec, inputs, &run)
+    let violation = run
+        .violation(spec, inputs)
         .expect("shrinking preserves the violation");
     let (crashed, byzantine) = plan_slots(plan);
     Counterexample {
@@ -2255,33 +2114,18 @@ impl SavedCounterexample {
         plan
     }
 
-    /// The inputs of the recorded run.
-    fn run_inputs(&self) -> Vec<u64> {
-        self.inputs
-            .clone()
-            .unwrap_or_else(|| canonical_inputs(self.n))
-    }
-
-    /// Reconstructs the deviation policy of the recording configuration
-    /// (`None` for crash scripts — the crash-only replay path).
-    fn policy(&self) -> Option<DeviationPolicy> {
-        let policy = if self.adversary.is_byzantine() {
-            DeviationPolicy::byzantine(self.byz_menu.clone(), self.byz_silence)
-        } else if self.adversary.is_lossy() {
-            DeviationPolicy::lossy(self.loss_budget)
-        } else {
-            return None;
-        };
-        if !policy.is_active() {
-            return None;
+    /// The checker configuration of the recorded cell, whose
+    /// [`CheckerConfig::cell_inputs`] and [`CheckerConfig::pattern_policy`]
+    /// the script replays under.
+    fn config(&self) -> CheckerConfig {
+        CheckerConfig {
+            adversary: self.adversary,
+            inputs: self.inputs.clone(),
+            byz_menu: self.byz_menu.clone(),
+            byz_silence: self.byz_silence,
+            loss_budget: self.loss_budget,
+            ..CheckerConfig::new(self.protocol, self.n, self.k, self.t, self.validity)
         }
-        // Mirror [`CheckerConfig::pattern_policy`]: a Byzantine-adversary
-        // script whose pattern has no Byzantine slot replays on the
-        // crash-only path, exactly as it was recorded.
-        if self.adversary.is_byzantine() && self.counterexample.byzantine.is_empty() {
-            return None;
-        }
-        Some(policy)
     }
 }
 
@@ -2529,23 +2373,23 @@ pub fn read_counterexample(path: &Path) -> io::Result<SavedCounterexample> {
 /// violation message (`None` means the script no longer violates — i.e.
 /// the protocol or kernel changed since the script was recorded).
 pub fn replay_counterexample(saved: &SavedCounterexample) -> (ScheduleRun, Option<String>) {
-    let inputs = saved.run_inputs();
+    let cfg = saved.config();
+    let inputs = cfg.cell_inputs();
     let spec = ProblemSpec::new(saved.n, saved.k, saved.t, saved.validity)
         .expect("saved cell coordinates are valid");
     let plan = saved.plan();
-    let policy = saved.policy();
     let run = execute_schedule(
         saved.protocol,
         &inputs,
         saved.t,
         &plan,
-        policy.as_ref(),
+        cfg.pattern_policy(&plan).as_ref(),
         &saved.counterexample.choices,
         true,
         false,
     )
     .expect("saved schedules replay");
-    let violation = violation_of(&spec, &inputs, &run);
+    let violation = run.violation(&spec, &inputs);
     (run, violation)
 }
 
@@ -2558,9 +2402,8 @@ pub fn replay_counterexample(saved: &SavedCounterexample) -> (ScheduleRun, Optio
 /// reproduced the recorded run event-for-event.
 pub fn replay_fired(saved: &SavedCounterexample) -> (Option<String>, u64) {
     use std::cell::RefCell;
-    use std::rc::Rc;
 
-    let inputs = saved.run_inputs();
+    let inputs = saved.config().cell_inputs();
     let spec = ProblemSpec::new(saved.n, saved.k, saved.t, saved.validity)
         .expect("saved cell coordinates are valid");
     let plan = saved.plan();
@@ -2580,12 +2423,14 @@ pub fn replay_fired(saved: &SavedCounterexample) -> (Option<String>, u64) {
         sys.run_adv::<MpSubstrate<u64, u64>>(mp_processes(saved.protocol, &inputs, t))
             .expect("saved schedules replay")
     };
-    let record = kset_core::RunRecord::new(inputs)
-        .with_faulty(outcome.faulty.iter().copied())
-        .with_decisions(outcome.decisions)
-        .with_terminated(outcome.terminated);
-    let report = spec.check(&record);
-    let violation = (!report.is_ok()).then(|| report.to_string());
+    let decisions = decision_table(&outcome.decisions, n);
+    let violation = violation_of(
+        &spec,
+        &inputs,
+        &decisions,
+        &outcome.faulty,
+        outcome.terminated,
+    );
     let divergences = sched.borrow().divergences();
     (violation, divergences)
 }
@@ -2602,6 +2447,24 @@ mod tests {
         validity: ValidityCondition,
     ) -> CheckerConfig {
         CheckerConfig::new(protocol, n, k, t, validity)
+    }
+
+    /// The in-memory form of `ce` as [`write_counterexample`] would save
+    /// it for `cfg`.
+    fn saved(cfg: &CheckerConfig, ce: Counterexample) -> SavedCounterexample {
+        SavedCounterexample {
+            protocol: cfg.protocol,
+            n: cfg.n,
+            k: cfg.k,
+            t: cfg.t,
+            validity: cfg.validity,
+            adversary: cfg.adversary,
+            inputs: cfg.inputs.clone(),
+            byz_menu: cfg.byz_menu.clone(),
+            byz_silence: cfg.byz_silence,
+            loss_budget: cfg.loss_budget,
+            counterexample: ce,
+        }
     }
 
     #[test]
@@ -2621,19 +2484,7 @@ mod tests {
         let ce = verdict.counterexample.expect("violation found");
         assert!(ce.violation.contains("greement"), "{}", ce.violation);
         // The shrunk prefix still reproduces, and replay is exact.
-        let saved = SavedCounterexample {
-            protocol: cfg.protocol,
-            n: cfg.n,
-            k: cfg.k,
-            t: cfg.t,
-            validity: cfg.validity,
-            adversary: cfg.adversary,
-            inputs: cfg.inputs.clone(),
-            byz_menu: cfg.byz_menu.clone(),
-            byz_silence: cfg.byz_silence,
-            loss_budget: cfg.loss_budget,
-            counterexample: ce,
-        };
+        let saved = saved(&cfg, ce);
         let (_, violation) = replay_counterexample(&saved);
         assert!(violation.is_some());
         // The fired-id script replays exactly: zero divergences.
@@ -2854,19 +2705,7 @@ mod tests {
         assert!(!verdict.holds());
         let ce = verdict.counterexample.expect("violation found");
         assert!(!ce.byzantine.is_empty());
-        let saved = SavedCounterexample {
-            protocol: cfg.protocol,
-            n: cfg.n,
-            k: cfg.k,
-            t: cfg.t,
-            validity: cfg.validity,
-            adversary: cfg.adversary,
-            inputs: cfg.inputs.clone(),
-            byz_menu: cfg.byz_menu.clone(),
-            byz_silence: cfg.byz_silence,
-            loss_budget: cfg.loss_budget,
-            counterexample: ce,
-        };
+        let saved = saved(&cfg, ce);
         let (violation, divergences) = replay_fired(&saved);
         assert!(violation.is_some());
         assert_eq!(divergences, 0);

@@ -26,14 +26,15 @@
 //! task order, and nothing is shared between tasks. Consequently every
 //! `threads` value — including 1 — produces the identical `Vec<R>`.
 //!
-//! [`parallel_drain_chunked`] extends the contract to workloads that
+//! [`parallel_drain_watched`] extends the contract to workloads that
 //! *want* sharing — the model checker's dedup table — and to searches
 //! that want early exit or deterministic work splitting. It processes a
 //! queue in fixed-size waves with a barrier between waves; every task in
 //! a wave reads the same frozen snapshot of the shared state, the wave's
 //! results are handed to the state in claim order at the barrier
 //! (optionally enqueueing follow-up tasks), and no further waves are
-//! claimed once a completed wave requests a stop. Because the wave
+//! claimed once a completed wave requests a stop or a wave observer
+//! pauses the drain. Because the wave
 //! boundaries are a constant of the algorithm (not of the thread count or
 //! of timing), what each task observes, the set of executed tasks, and
 //! the follow-ups they spawn — and therefore every merged counter — are
@@ -49,7 +50,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Tasks per chunk in [`parallel_drain_chunked`]. A constant (never derived
+/// Tasks per wave in [`parallel_drain_watched`]. A constant (never derived
 /// from the thread count) so the set of explored tasks is identical for
 /// every `threads` value; 32 keeps any wave wide enough for the core
 /// counts this workspace targets while bounding the work done past an
@@ -121,58 +122,6 @@ where
         .collect()
 }
 
-/// Drains a work queue in [`CHUNK`]-sized waves with a shared,
-/// chunk-synchronized `state`:
-///
-/// * every task in a wave reads the same frozen `&S` — the state as of
-///   the end of the *previous* wave;
-/// * after a wave completes, `absorb(state, result, queue)` folds each
-///   result into the state **in claim order**; it may push follow-up
-///   tasks onto the back of the queue (deterministic task *splitting*),
-///   and its `bool` return marks a stop request (the wave's remaining
-///   results are still absorbed);
-/// * once a completed wave requests a stop, no further waves are claimed
-///   and the rest of the queue is dropped.
-///
-/// Returns whether a stop request ended the drain with work still queued.
-///
-/// Both the early exit and the state visibility are at chunk granularity
-/// precisely so that what each task *sees*, *whether it runs at all*, and
-/// which follow-up tasks exist depend only on the initial queue — the
-/// module's determinism contract extended to shared state and dynamic
-/// task lists. Tasks inside one wave cannot observe one another; sharing
-/// that would depend on which worker finishes first is exactly what this
-/// API rules out. `f` receives the task's claim index (its position in
-/// the overall claim order).
-pub fn parallel_drain_chunked<T, R, S, F>(
-    threads: usize,
-    initial: Vec<T>,
-    state: &mut S,
-    f: F,
-    mut absorb: impl FnMut(&mut S, R, &mut Vec<T>) -> bool,
-) -> bool
-where
-    T: Send,
-    R: Send,
-    S: Sync,
-    F: Fn(usize, &S, T) -> R + Sync,
-{
-    let absorb_wave = |state: &mut S, results: Vec<R>, queue: &mut Vec<T>| {
-        let mut stop = false;
-        for result in results {
-            stop |= absorb(state, result, queue);
-        }
-        stop
-    };
-    match parallel_drain_watched(threads, initial, state, f, absorb_wave, |_, _| {
-        WaveControl::Continue
-    }) {
-        DrainExit::Stopped { work_left } => work_left,
-        DrainExit::Drained => false,
-        DrainExit::Paused => unreachable!("the no-op observer never pauses"),
-    }
-}
-
 /// What a [`parallel_drain_watched`] wave observer asks the drain to do
 /// next.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -200,13 +149,30 @@ pub enum DrainExit {
     Paused,
 }
 
-/// [`parallel_drain_chunked`] with whole-wave absorbs and a **wave
-/// observer**. `absorb(state, results, queue)` receives a completed
-/// wave's results in claim order, in one call, so it can fold them
-/// together (in parallel, if it keeps the outcome independent of the
-/// worker count); its `bool` return marks a stop request. After every
-/// wave is absorbed (and its follow-up tasks queued), `on_wave` sees the
-/// mutable state and the remaining queue, and may pause the drain.
+/// Drains a work queue in [`CHUNK`]-sized waves with a shared,
+/// chunk-synchronized `state`:
+///
+/// * every task in a wave reads the same frozen `&S` — the state as of
+///   the end of the *previous* wave;
+/// * after a wave completes, `absorb(state, results, queue)` receives its
+///   results in claim order, in one call, so it can fold them together
+///   (in parallel, if it keeps the outcome independent of the worker
+///   count); it may push follow-up tasks onto the back of the queue
+///   (deterministic task *splitting*), and its `bool` return marks a stop
+///   request;
+/// * once a completed wave requests a stop, no further waves are claimed;
+/// * after every other wave is absorbed (and its follow-up tasks queued),
+///   the **wave observer** `on_wave` sees the mutable state and the
+///   remaining queue, and may pause the drain.
+///
+/// Both the early exit and the state visibility are at chunk granularity
+/// precisely so that what each task *sees*, *whether it runs at all*, and
+/// which follow-up tasks exist depend only on the initial queue — the
+/// module's determinism contract extended to shared state and dynamic
+/// task lists. Tasks inside one wave cannot observe one another; sharing
+/// that would depend on which worker finishes first is exactly what this
+/// API rules out. `f` receives the task's claim index (its position in
+/// the overall claim order).
 ///
 /// This is the checkpointing seam of the campaign layer (`crate::campaign`):
 /// a wave boundary is the only moment the shared state is both quiescent
@@ -289,23 +255,29 @@ mod tests {
         assert!(results.is_empty());
     }
 
+    /// The observer of drains that never pause.
+    fn never_pause<S, T>(_: &mut S, _: &VecDeque<T>) -> WaveControl {
+        WaveControl::Continue
+    }
+
     #[test]
     fn drain_stops_at_the_wave_containing_the_hit() {
         // Hit at index CHUNK + 3: wave 0 and wave 1 run, wave 2 doesn't.
         let tasks: Vec<usize> = (0..CHUNK * 3).collect();
         for threads in [1, 4] {
             let mut absorbed: Vec<usize> = Vec::new();
-            let stopped_with_work_left = parallel_drain_chunked(
+            let exit = parallel_drain_watched(
                 threads,
                 tasks.clone(),
                 &mut absorbed,
                 |_, _, t| t,
-                |done, r, _| {
-                    done.push(r);
-                    r == CHUNK + 3
+                |done, wave, _| {
+                    done.extend(&wave);
+                    wave.contains(&(CHUNK + 3))
                 },
+                never_pause,
             );
-            assert!(stopped_with_work_left);
+            assert_eq!(exit, DrainExit::Stopped { work_left: true });
             assert_eq!(absorbed.len(), CHUNK * 2, "whole waves only");
             assert_eq!(absorbed, (0..CHUNK * 2).collect::<Vec<usize>>());
         }
@@ -314,17 +286,18 @@ mod tests {
     #[test]
     fn drain_without_stops_runs_everything() {
         let mut absorbed = 0usize;
-        let stopped = parallel_drain_chunked(
+        let exit = parallel_drain_watched(
             3,
             (0..75usize).collect::<Vec<usize>>(),
             &mut absorbed,
             |_, _, t| t,
-            |count, _, _| {
-                *count += 1;
+            |count, wave, _| {
+                *count += wave.len();
                 false
             },
+            never_pause,
         );
-        assert!(!stopped);
+        assert_eq!(exit, DrainExit::Drained);
         assert_eq!(absorbed, 75);
     }
 
@@ -336,18 +309,19 @@ mod tests {
         let tasks: Vec<usize> = (0..CHUNK * 3).collect();
         for threads in [1, 4] {
             let mut state = (0usize, Vec::<usize>::new());
-            let stopped = parallel_drain_chunked(
+            let exit = parallel_drain_watched(
                 threads,
                 tasks.clone(),
                 &mut state,
                 |_, &(snapshot, _), _| snapshot,
-                |(count, seen), r, _| {
-                    *count += 1;
-                    seen.push(r);
+                |(count, seen), wave, _| {
+                    *count += wave.len();
+                    seen.extend(wave);
                     false
                 },
+                never_pause,
             );
-            assert!(!stopped);
+            assert_eq!(exit, DrainExit::Drained);
             assert_eq!(state.0, CHUNK * 3);
             let expected: Vec<usize> =
                 (0..CHUNK * 3).map(|i| (i / CHUNK) * CHUNK).collect();
@@ -362,21 +336,24 @@ mod tests {
         // order must be identical for every thread count.
         let run = |threads: usize| {
             let mut trace: Vec<usize> = Vec::new();
-            let stopped = parallel_drain_chunked(
+            let exit = parallel_drain_watched(
                 threads,
                 vec![37usize, 5, 1],
                 &mut trace,
                 |_, _, size| size,
-                |trace, size, queue| {
-                    trace.push(size);
-                    if size > 1 {
-                        queue.push(size / 2);
-                        queue.push(size - size / 2);
+                |trace, wave, queue| {
+                    for size in wave {
+                        trace.push(size);
+                        if size > 1 {
+                            queue.push(size / 2);
+                            queue.push(size - size / 2);
+                        }
                     }
                     false
                 },
+                never_pause,
             );
-            assert!(!stopped);
+            assert_eq!(exit, DrainExit::Drained);
             trace
         };
         let serial = run(1);

@@ -1,5 +1,5 @@
-//! Argument errors in the sweep binaries are usage errors (exit 2), not
-//! panics (exit 101).
+//! Argument errors in the sweep, inventory and figure binaries are usage
+//! errors (exit 2), not panics (exit 101).
 
 use std::process::Command;
 
@@ -98,5 +98,41 @@ fn reproduce_all_rejects_bad_flag_values_with_exit_2() {
         &["--json"],
     ] {
         assert_usage_error(bin, "reproduce_all", args);
+    }
+}
+
+#[test]
+fn open_problems_rejects_bad_n_with_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_open_problems");
+    for args in [&["x"][..], &["2"], &["-1"]] {
+        assert_usage_error(bin, "open_problems", args);
+    }
+    // A second positional is refused too, named in the message.
+    let out = Command::new(bin)
+        .args(["8", "9"])
+        .output()
+        .expect("run open_problems");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("open_problems: usage error: unexpected argument \"9\""),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "did work before failing");
+}
+
+#[test]
+fn figure_binaries_reject_bad_n_with_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_fig2_mp_cr");
+    for args in [&["abc"][..], &["--csv"]] {
+        let out = Command::new(bin)
+            .args(args)
+            .output()
+            .expect("run fig2_mp_cr");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(args[0]), "{args:?} must be named: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} did work before failing");
     }
 }

@@ -4,7 +4,8 @@
 //! strategy is unobservable. For every cell, every thread count, every
 //! configuration knob and both digest modes, `ForkMode::Auto` produces
 //! verdicts, per-pattern counters, and counterexample bytes identical to
-//! the `ForkMode::Replay` oracle. This suite pins that on both substrates
+//! `ForkMode::Replay`, the same explorer with snapshots and early stops
+//! off (every run from the root). This suite pins that on both substrates
 //! (message passing and shared memory), across a deterministic
 //! pseudo-random sweep of cells, inputs and configurations, and through a
 //! campaign kill/resume cycle running on the forking executor. The forking
@@ -225,6 +226,7 @@ fn truncation_is_unobservable() {
         replay_cfg.threads = 1;
         let (oracle, _, replay_gauge) = check_cell_gauged(&replay_cfg);
         assert_eq!(replay_gauge.truncated_runs, 0, "{name}: replay truncated a run");
+        assert_eq!(replay_gauge.snapshots, 0, "{name}: replay took a snapshot");
         let oracle_bytes = counterexample_bytes(&dir, &replay_cfg, &oracle);
         violated += usize::from(oracle_bytes.is_some());
         for threads in [1, 2] {

@@ -157,10 +157,13 @@ pub trait SmProcess {
     /// A boxed copy of this process in its *current* state, used by the
     /// model checker's forking executor to snapshot a run mid-execution.
     ///
-    /// The default (`None`) marks the process as unforkable, which silently
-    /// degrades the checker to replay-from-root execution — always sound,
-    /// just slower. Protocols with `Clone` state machines should override
-    /// this with `Some(Box::new(self.clone()))`.
+    /// The default (`None`) marks the process as unforkable. The model
+    /// checker runs every schedule on a fork session, which starts each
+    /// run from a copy of the initial processes, so it refuses (panics on)
+    /// a protocol whose processes do not fork. Protocols with `Clone`
+    /// state machines should override this with
+    /// `Some(Box::new(self.clone()))`; every protocol in this workspace
+    /// does.
     fn fork(&self) -> Option<DynSmProcess<Self::Val, Self::Output>> {
         None
     }

@@ -31,7 +31,11 @@
 //! `crate::drivers` steps through), the restored scheduler replays the
 //! remaining prefix entries through the ordinary in-prefix fast path, and
 //! the restored kernel reproduces the same event ids, digests and run
-//! statistics. The replay path stays in-tree as the cross-checked oracle.
+//! statistics. The checker's replay mode is this same session with
+//! snapshots off (`max_branch_depth` 0): every run restarts from the root
+//! snapshot. Its independent cross-check is the suites that compare
+//! forked runs, resumed and from the root, with `System::run_digested_in`
+//! replays (`tests/fork_deviation_parity.rs`).
 //!
 //! Deviation patterns fork too. A session built with
 //! [`ForkSession::deviant`] installs the pattern's [`DeviationPolicy`] on
@@ -338,8 +342,8 @@ where
 {
     /// Builds a session over `procs` (the initial, un-started processes)
     /// under `plan`, or `None` when any process is not forkable
-    /// ([`SubstrateFork::fork_process`] returned `None`) — the caller then
-    /// falls back to replay execution.
+    /// ([`SubstrateFork::fork_process`] returned `None`): the session
+    /// keeps a copy of the initial processes to start every run from.
     ///
     /// Every delivery is faithful: Byzantine slots of `plan` are marked in
     /// the run state but never deviate. Build a deviation pattern's
@@ -580,7 +584,7 @@ where
 
     /// Copies the just-finished run out of the session into recycled
     /// buffers from `arena`: the choice log, the digest sequence, and an
-    /// [`Outcome`] shaped exactly like the replay executor's. Return the
+    /// [`Outcome`] shaped exactly like `System::run_digested_in`'s. Return the
     /// log and digests to the arena once consumed, as with
     /// `System::run_digested_in`.
     ///

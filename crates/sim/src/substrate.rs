@@ -275,12 +275,12 @@ pub trait SubstrateAdv: Substrate {
 /// associated types) because processes are usually boxed trait objects:
 /// cloning one needs a virtual hook on the process trait, and a process
 /// without such a hook — a caller-supplied Byzantine strategy, say — must
-/// degrade the checker to replay execution, not fail to compile.
+/// be refused at run time ([`crate::ForkSession::new`] returns `None`),
+/// not fail to compile.
 pub trait SubstrateFork: SubstrateDigest {
     /// Clones one process's protocol state, or `None` when this process
-    /// cannot be forked. A single unforkable process disables snapshotting
-    /// for the whole run (the forking executor falls back to replay), so
-    /// returning `None` is always safe — just slower.
+    /// cannot be forked. A single unforkable process means no
+    /// [`crate::ForkSession`] can be built over the run's processes.
     fn fork_process(proc: &Self::Process) -> Option<Self::Process>;
 
     /// [`SubstrateFork::fork_process`] into an existing slot: overwrites

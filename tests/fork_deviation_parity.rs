@@ -1,15 +1,19 @@
-//! The forking executor under deviation policies is the replay executor.
+//! The forking executor is the replay executor, under every delivery
+//! discipline and in both of the model checker's fork modes.
 //!
-//! A [`ForkSession::deviant`] session resumes Byzantine and lossy-network
-//! runs from mid-run snapshots. Its contract: every run resumed from any
-//! snapshot equals `System::run_digested_adv_in` replaying the same choice
-//! prefix from the initial state — the choice log with its deviations
-//! (`fired_script`), the digest chain, the decisions, the termination flag
-//! and the kernel counters. The suite drives a depth-first walk over each
-//! cell's schedule-and-deviation tree (the explorer's LIFO discipline,
-//! `AlwaysBranch` gate, no byte budget), checking every run against the
-//! replay oracle, on one MP Byzantine plan, one SM Byzantine plan and one
-//! lossy plan.
+//! A [`ForkSession`] resumes runs from mid-run snapshots, or — in the
+//! checker's replay mode, `max_branch_depth` 0 — starts every run from its
+//! root snapshot. Its contract: every run equals `System::run_digested_in`
+//! (faithful sessions) or `System::run_digested_adv_in` (deviant sessions)
+//! replaying the same choice prefix from the initial state — the choice
+//! log with its deviations (`fired_script`), the digest chain, the
+//! decisions, the termination flag and the kernel counters. The suite
+//! drives a depth-first walk over each cell's schedule-and-deviation tree
+//! (the explorer's LIFO discipline, `AlwaysBranch` gate, no byte budget),
+//! checking every run against the replay, once with snapshots and once
+//! with every run from the root: on one MP Byzantine plan, one SM
+//! Byzantine plan and one lossy plan on deviant sessions, and on one MP
+//! and one SM crash plan on faithful sessions.
 
 use std::rc::Rc;
 
@@ -17,9 +21,8 @@ use kset::net::MpSubstrate;
 use kset::protocols::{FloodMin, ProtocolE};
 use kset::shmem::SmSubstrate;
 use kset::sim::{
-    AlwaysBranch, ChoiceScheduler, DeviantDelivery, Deviation, DeviationPolicy, DigestMode,
-    FaultPlan, ForkConfig, ForkSession, RunArena, RunSnapshot, SubstrateAdv, SubstrateFork,
-    System,
+    AlwaysBranch, ChoiceScheduler, Delivery, Deviation, DeviationPolicy, DigestMode, FaultPlan,
+    FaultSpec, ForkConfig, ForkSession, RunArena, RunSnapshot, SubstrateAdv, SubstrateFork, System,
 };
 
 /// Register-decision rule sentinel used by the shared-memory protocols.
@@ -28,6 +31,13 @@ const DEFAULT: u64 = u64::MAX;
 /// Runs compared per cell: enough to cover several levels of nested
 /// resumption while keeping the debug-build suite quick.
 const MAX_RUNS: usize = 1000;
+
+/// The `max_branch_depth` of a session that snapshots every branch point.
+const FORKED: usize = usize::MAX;
+
+/// The `max_branch_depth` of the checker's replay mode: no snapshot, every
+/// run from the root.
+const FROM_ROOT: usize = 0;
 
 /// A child prefix paired with the snapshot taken at its branch point.
 type WorkItem<S> = (Vec<usize>, Option<Rc<RunSnapshot<S>>>);
@@ -41,15 +51,19 @@ struct Coverage {
     lone_deviant_points: usize,
 }
 
-/// Walks `plan`'s tree depth-first on a deviant fork session, comparing
-/// every run with a from-the-root replay of its prefix.
-fn walk<S>(
+/// Walks `plan`'s tree depth-first on the session `build` makes from a
+/// configuration with `max_branch_depth` and fresh processes, comparing
+/// every run with a from-the-root replay of its prefix under `policy`.
+fn walk<S, D>(
     plan: &FaultPlan,
-    policy: &DeviationPolicy,
+    policy: Option<&DeviationPolicy>,
+    max_branch_depth: usize,
     procs: impl Fn() -> Vec<S::Process>,
+    build: impl FnOnce(ForkConfig, Vec<S::Process>) -> Option<ForkSession<S, D>>,
 ) -> Coverage
 where
     S: SubstrateFork<Output = u64> + SubstrateAdv,
+    D: Delivery<S>,
 {
     let n = plan.n();
     let config = ForkConfig {
@@ -57,12 +71,10 @@ where
         por: true,
         digest: DigestMode::Plain,
         event_limit: None,
-        max_branch_depth: usize::MAX,
+        max_branch_depth,
         budget_bytes: None,
     };
-    let mut session =
-        ForkSession::<S, DeviantDelivery>::deviant(config, plan.clone(), procs(), policy.clone())
-            .expect("protocol processes are forkable");
+    let mut session = build(config, procs()).expect("protocol processes are forkable");
     let mut arena = RunArena::new();
     let mut cov = Coverage::default();
     let mut stack: Vec<WorkItem<S>> = vec![(Vec::new(), None)];
@@ -81,13 +93,14 @@ where
         }
         .expect("forked run");
 
-        let sched = ChoiceScheduler::new(prefix.clone()).with_policy(Some(policy.clone()));
+        let sched = ChoiceScheduler::new(prefix.clone()).with_policy(policy.cloned());
         let log = sched.log_handle();
-        let (replayed, digests, _) = System::new(n)
-            .scheduler(sched)
-            .fault_plan(plan.clone())
-            .run_digested_adv_in::<S>(procs(), &mut arena)
-            .expect("replayed run");
+        let sys = System::new(n).scheduler(sched).fault_plan(plan.clone());
+        let (replayed, digests, _) = match policy {
+            Some(_) => sys.run_digested_adv_in::<S>(procs(), &mut arena),
+            None => sys.run_digested_in::<S>(procs(), &mut arena),
+        }
+        .expect("replayed run");
         let context = format!("plan {plan:?}, prefix {prefix:?}");
         let forked_log = session.log();
         let script = forked_log.fired_script();
@@ -114,10 +127,11 @@ where
                 && point.options.iter().all(|o| o.meta.id == point.options[0].meta.id);
             if lone && !point.forced {
                 // A lone pending event whose variants are siblings is a
-                // branch point: the executor must have snapshotted it.
+                // branch point: a snapshotting session must have
+                // snapshotted it.
                 cov.lone_deviant_points += 1;
                 assert!(
-                    session.snapshot_at(d).is_some(),
+                    max_branch_depth == FROM_ROOT || session.snapshot_at(d).is_some(),
                     "{context}: no snapshot at lone deviant point {d}"
                 );
             }
@@ -141,17 +155,55 @@ where
     cov
 }
 
+/// [`walk`] on a deviant session, once with snapshots and once with every
+/// run from the root; the two coverages, in that order.
+fn walk_deviant<S>(
+    plan: &FaultPlan,
+    policy: &DeviationPolicy,
+    procs: impl Fn() -> Vec<S::Process>,
+) -> [Coverage; 2]
+where
+    S: SubstrateFork<Output = u64> + SubstrateAdv,
+{
+    [FORKED, FROM_ROOT].map(|depth| {
+        walk::<S, _>(plan, Some(policy), depth, &procs, |config, procs| {
+            ForkSession::deviant(config, plan.clone(), procs, policy.clone())
+        })
+    })
+}
+
+/// [`walk_deviant`] for a faithful session without a deviation policy.
+fn walk_faithful<S>(plan: &FaultPlan, procs: impl Fn() -> Vec<S::Process>) -> [Coverage; 2]
+where
+    S: SubstrateFork<Output = u64> + SubstrateAdv,
+{
+    [FORKED, FROM_ROOT].map(|depth| {
+        walk::<S, _>(plan, None, depth, &procs, |config, procs| {
+            ForkSession::new(config, plan.clone(), procs)
+        })
+    })
+}
+
+/// The coverage both walks of one tree must show: the same runs, most of
+/// them resumed with snapshots and none without.
+fn assert_forked_and_from_root(cov: &[Coverage; 2]) {
+    let [forked, from_root] = cov;
+    assert!(forked.resumed > forked.runs / 2, "{cov:?}");
+    assert_eq!(from_root.resumed, 0, "{cov:?}");
+    assert_eq!(forked.runs, from_root.runs, "{cov:?}");
+}
+
 #[test]
 fn mp_byzantine_forked_runs_equal_replays() {
     let (n, t) = (3, 1);
     let plan = FaultPlan::byzantine(n, &[0]);
     let policy = DeviationPolicy::byzantine(vec![0], true);
-    let cov = walk::<MpSubstrate<u64, u64>>(&plan, &policy, || {
+    let cov = walk_deviant::<MpSubstrate<u64, u64>>(&plan, &policy, || {
         (0..n).map(|_| FloodMin::boxed(n, t, 1)).collect()
     });
-    assert_eq!(cov.runs, MAX_RUNS, "{cov:?}");
-    assert!(cov.resumed > cov.runs / 2, "{cov:?}");
-    assert!(cov.deviant_runs > 0, "{cov:?}");
+    assert_eq!(cov[0].runs, MAX_RUNS, "{cov:?}");
+    assert_forked_and_from_root(&cov);
+    assert!(cov.iter().all(|c| c.deviant_runs > 0), "{cov:?}");
 }
 
 #[test]
@@ -159,15 +211,17 @@ fn sm_byzantine_forked_runs_equal_replays() {
     let (n, t) = (3, 1);
     let plan = FaultPlan::byzantine(n, &[2]);
     let policy = DeviationPolicy::byzantine(vec![0], false);
-    let cov = walk::<SmSubstrate<u64, u64>>(&plan, &policy, || {
-        (0..n as u64).map(|v| ProtocolE::boxed(n, t, v, DEFAULT)).collect()
+    let cov = walk_deviant::<SmSubstrate<u64, u64>>(&plan, &policy, || {
+        (0..n as u64)
+            .map(|v| ProtocolE::boxed(n, t, v, DEFAULT))
+            .collect()
     });
-    assert!(cov.resumed > cov.runs / 2, "{cov:?}");
-    assert!(cov.deviant_runs > 0, "{cov:?}");
+    assert_forked_and_from_root(&cov);
+    assert!(cov.iter().all(|c| c.deviant_runs > 0), "{cov:?}");
     // A reader blocked on the Byzantine register's read response, with
     // nothing else pending: its forge variant is the point's only
     // sibling.
-    assert!(cov.lone_deviant_points > 0, "{cov:?}");
+    assert!(cov.iter().all(|c| c.lone_deviant_points > 0), "{cov:?}");
 }
 
 #[test]
@@ -175,9 +229,38 @@ fn lossy_forked_runs_equal_replays() {
     let (n, t) = (3, 1);
     let plan = FaultPlan::all_correct(n);
     let policy = DeviationPolicy::lossy(1);
-    let cov = walk::<MpSubstrate<u64, u64>>(&plan, &policy, || {
+    let cov = walk_deviant::<MpSubstrate<u64, u64>>(&plan, &policy, || {
         (0..n as u64).map(|v| FloodMin::boxed(n, t, v)).collect()
     });
-    assert!(cov.resumed > cov.runs / 2, "{cov:?}");
-    assert!(cov.deviant_runs > 0, "{cov:?}");
+    assert_forked_and_from_root(&cov);
+    assert!(cov.iter().all(|c| c.deviant_runs > 0), "{cov:?}");
+}
+
+/// One process of `n` crashes after its first atomic action.
+fn crash_plan(n: usize) -> FaultPlan {
+    let mut plan = FaultPlan::all_correct(n);
+    plan.set(0, FaultSpec::Crash { after_actions: 1 });
+    plan
+}
+
+#[test]
+fn mp_crash_faithful_runs_equal_replays() {
+    let (n, t) = (3, 1);
+    let cov = walk_faithful::<MpSubstrate<u64, u64>>(&crash_plan(n), || {
+        (0..n as u64).map(|v| FloodMin::boxed(n, t, v)).collect()
+    });
+    assert_forked_and_from_root(&cov);
+    assert!(cov.iter().all(|c| c.deviant_runs == 0), "{cov:?}");
+}
+
+#[test]
+fn sm_crash_faithful_runs_equal_replays() {
+    let (n, t) = (3, 1);
+    let cov = walk_faithful::<SmSubstrate<u64, u64>>(&crash_plan(n), || {
+        (0..n as u64)
+            .map(|v| ProtocolE::boxed(n, t, v, DEFAULT))
+            .collect()
+    });
+    assert_forked_and_from_root(&cov);
+    assert!(cov.iter().all(|c| c.deviant_runs == 0), "{cov:?}");
 }
