@@ -2,12 +2,9 @@
 //!
 //! Usage: `fig6_sm_byz [n] [--csv FILE]` (default n = 64, as in the paper).
 
-use kset_experiments::figures::run_figure;
+use kset_experiments::figures::figure_main;
 use kset_regions::Model;
 
 fn main() {
-    if let Err(msg) = run_figure(Model::SmByzantine, std::env::args().skip(1)) {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    }
+    figure_main(Model::SmByzantine);
 }

@@ -392,8 +392,14 @@ fn write_bench_json(
         // The barrier gauges come last, after the fields CI greps.
         let barrier = c.gauges.map_or(String::new(), |(_, runs)| {
             format!(
-                ", \"fold_s\": {:.3}, \"waves\": {}, \"snapshots\": {}, \"resumes_copied\": {}, \"resumes_moved\": {}",
-                runs.fold_s, runs.waves, runs.snapshots, runs.resumes_copied, runs.resumes_moved
+                ", \"fold_s\": {:.3}, \"waves\": {}, \"snapshots\": {}, \"resumes_copied\": {}, \"resumes_moved\": {}, \"store_probes\": {}, \"store_hits\": {}",
+                runs.fold_s,
+                runs.waves,
+                runs.snapshots,
+                runs.resumes_copied,
+                runs.resumes_moved,
+                runs.store_probes,
+                runs.store_hits
             )
         });
         out.push_str(&format!(

@@ -960,6 +960,10 @@ struct TaskOutcome {
     truncated_runs: u64,
     /// The task's fork session's snapshot and resume counts (operational).
     fork: ForkCounters,
+    /// The gate's probes of the frozen wave store, and how many of them
+    /// it covered (operational).
+    store_probes: u64,
+    store_hits: u64,
     states: usize,
     sleep_skips: u64,
     dedup_hits: u64,
@@ -982,6 +986,8 @@ impl TaskOutcome {
             events_fired: 0,
             truncated_runs: 0,
             fork: ForkCounters::default(),
+            store_probes: 0,
+            store_hits: 0,
             states: 0,
             sleep_skips: 0,
             dedup_hits: 0,
@@ -1297,6 +1303,9 @@ struct WalkGate<'a, S: CampaignStore> {
     global: &'a S,
     visited: &'a Visited,
     sleep: Vec<SleepEntry>,
+    /// Probes of `global` (made when `visited` misses) and their covers.
+    store_probes: u64,
+    store_hits: u64,
 }
 
 impl<S: CampaignStore> ForkGate for WalkGate<'_, S> {
@@ -1305,9 +1314,16 @@ impl<S: CampaignStore> ForkGate for WalkGate<'_, S> {
     }
 
     fn covered(&mut self, _depth: usize, fingerprint: u64) -> bool {
-        self.active
-            && (self.visited.covers(fingerprint, &self.sleep)
-                || self.global.covers(fingerprint, &self.sleep))
+        if !self.active {
+            return false;
+        }
+        if self.visited.covers(fingerprint, &self.sleep) {
+            return true;
+        }
+        self.store_probes += 1;
+        let covered = self.global.covers(fingerprint, &self.sleep);
+        self.store_hits += u64::from(covered);
+        covered
     }
 
     fn on_fired(&mut self, target: ProcessId) {
@@ -1392,6 +1408,8 @@ where
             global,
             visited: &out.visited,
             sleep: gate_sleep,
+            store_probes: 0,
+            store_hits: 0,
         };
         match snap {
             Some(snapshot) => session.resume_rc(snapshot, prefix, &mut gate),
@@ -1399,6 +1417,8 @@ where
         }
         .expect("checker-built system configurations are valid");
         gate_sleep = gate.sleep;
+        out.store_probes += gate.store_probes;
+        out.store_hits += gate.store_hits;
         scratch.prefixes.push(session.take_spent_prefix());
         let truncated = session.truncated();
         let proof = match (truncate, truncated) {
@@ -1600,7 +1620,7 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
                 if v.runs / every > reported / every {
                     reported = v.runs;
                     eprintln!(
-                        "[model_check] {} crashed={:?}: pattern at {} runs, {} states, {} dedup hits, {} sleep skips, {} queued tasks, {} store entries, {} events fired, {} truncated runs, {} waves, {:.3} s folding, {} snapshots, {} copied resumes, {} moved resumes",
+                        "[model_check] {} crashed={:?}: pattern at {} runs, {} states, {} dedup hits, {} sleep skips, {} queued tasks, {} store entries, {} events fired, {} truncated runs, {} waves, {:.3} s folding, {} snapshots, {} copied resumes, {} moved resumes, {} store probes, {} store hits",
                         cfg.protocol.name(),
                         v.crashed,
                         v.runs,
@@ -1616,6 +1636,8 @@ pub(crate) fn drain_pattern<S: CampaignStore + Sync>(
                         gauge.snapshots,
                         gauge.resumes_copied,
                         gauge.resumes_moved,
+                        gauge.store_probes,
+                        gauge.store_hits,
                     );
                 }
             }
@@ -1733,6 +1755,11 @@ pub struct RunGauge {
     /// Forked runs that started by taking over a snapshot no other work
     /// item held.
     pub resumes_moved: u64,
+    /// The walk gate's probes of the frozen wave store (made at the
+    /// beyond-prefix states the task-local table does not cover).
+    pub store_probes: u64,
+    /// Those probes the wave store covered.
+    pub store_hits: u64,
 }
 
 impl RunGauge {
@@ -1743,6 +1770,8 @@ impl RunGauge {
         self.snapshots += out.fork.snapshots;
         self.resumes_copied += out.fork.resumes_copied;
         self.resumes_moved += out.fork.resumes_moved;
+        self.store_probes += out.store_probes;
+        self.store_hits += out.store_hits;
     }
 
     /// Adds another pattern's gauge.
@@ -1754,6 +1783,8 @@ impl RunGauge {
         self.snapshots += other.snapshots;
         self.resumes_copied += other.resumes_copied;
         self.resumes_moved += other.resumes_moved;
+        self.store_probes += other.store_probes;
+        self.store_hits += other.store_hits;
     }
 }
 

@@ -53,26 +53,61 @@ impl FigureOptions {
     }
 }
 
+/// Why a figure binary failed.
+#[derive(Debug)]
+pub enum FigureError {
+    /// Malformed arguments, refused before any work or output.
+    Usage(String),
+    /// Creating or writing the CSV failed, after the atlas was printed.
+    Io(String),
+}
+
+impl FigureError {
+    /// The process exit code: 2 for a usage error, 1 for an I/O failure.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            FigureError::Usage(_) => 2,
+            FigureError::Io(_) => 1,
+        }
+    }
+}
+
+impl std::fmt::Display for FigureError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FigureError::Usage(msg) | FigureError::Io(msg) => f.write_str(msg),
+        }
+    }
+}
+
 /// Computes and prints the atlas of `model`; writes the CSV if requested.
-///
-/// This is the whole body of the `fig2_mp_cr` / `fig4_mp_byz` /
-/// `fig5_sm_cr` / `fig6_sm_byz` binaries.
 ///
 /// # Errors
 ///
-/// Returns an error string for bad arguments or CSV I/O failures.
-pub fn run_figure(model: Model, args: impl Iterator<Item = String>) -> Result<(), String> {
-    let opts = FigureOptions::parse(args)?;
+/// [`FigureError::Usage`] for bad arguments (nothing printed),
+/// [`FigureError::Io`] when the CSV cannot be created or written.
+pub fn run_figure(model: Model, args: impl Iterator<Item = String>) -> Result<(), FigureError> {
+    let opts = FigureOptions::parse(args).map_err(FigureError::Usage)?;
     let atlas = Atlas::compute(model, opts.n);
     print!("{}", render::atlas_ascii(&atlas));
     if let Some(path) = opts.csv {
         let csv = render::atlas_csv(&atlas);
-        let mut f = std::fs::File::create(&path).map_err(|e| format!("create {path}: {e}"))?;
-        f.write_all(csv.as_bytes())
-            .map_err(|e| format!("write {path}: {e}"))?;
+        let io = |what: &str, e: std::io::Error| FigureError::Io(format!("{what} {path}: {e}"));
+        let mut f = std::fs::File::create(&path).map_err(|e| io("create", e))?;
+        f.write_all(csv.as_bytes()).map_err(|e| io("write", e))?;
         eprintln!("wrote {path}");
     }
     Ok(())
+}
+
+/// The whole body of the `fig2_mp_cr` / `fig4_mp_byz` / `fig5_sm_cr` /
+/// `fig6_sm_byz` binaries: [`run_figure`] on the process arguments,
+/// exiting with [`FigureError::exit_code`] on failure.
+pub fn figure_main(model: Model) {
+    if let Err(err) = run_figure(model, std::env::args().skip(1)) {
+        eprintln!("error: {err}");
+        std::process::exit(err.exit_code());
+    }
 }
 
 #[cfg(test)]

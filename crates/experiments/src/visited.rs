@@ -1,6 +1,7 @@
 //! The checker's visited table: for every state fingerprint, the minimal
 //! antichain of sleep sets the state was expanded under, stored as
-//! event-id bitmaps in one flat arena.
+//! event-id bitmaps inside the fingerprint's index slot while they are
+//! few and small, and in one flat arena otherwise.
 //!
 //! The subset rule needs *every* incomparable sleep set a fingerprint was
 //! expanded with, but never a superset of another entry: if `small ⊆ big`
@@ -12,12 +13,25 @@
 //!
 //! # Layout
 //!
-//! * **Index.** An open-addressing table of `(fingerprint, start, len)`
-//!   slots, probed linearly from the fingerprint's low bits. Fingerprints
-//!   are [`kset_sim::Mix64`]-avalanched digests, already uniform over
-//!   `u64`, so they index the table directly; re-hashing them costs time
-//!   and adds no dispersion (`PERFORMANCE.md`).
-//! * **Arena.** One `Vec<u64>` holding every bucket contiguously:
+//! * **Index.** An open-addressing table of 32-byte slots, two to an
+//!   aligned cache line, probed linearly from the fingerprint's low bits.
+//!   Fingerprints are [`kset_sim::Mix64`]-avalanched digests, already
+//!   uniform over `u64`, so they index the table directly; re-hashing
+//!   them costs time and adds no dispersion (`PERFORMANCE.md`).
+//! * **Inline buckets.** A slot holds its fingerprint and 24 bytes: eight
+//!   3-byte fields. A bucket of at most eight sets whose ids are all
+//!   below 23 lives there, each set one field, a 23-bit bitmap tagged
+//!   with a present bit. A probe that finds such a fingerprint reads one
+//!   cache line, and an insertion edits the fields in place. The
+//!   `n = 4` certification's largest event id is 18, and 96 % of its
+//!   wave-store probes that find their fingerprint find an inline
+//!   bucket. Six 32-bit fields would admit ids up to 30, but the buckets
+//!   of seven or eight sets they push out to the arena cost more memory
+//!   than the wider slots already do (`PERFORMANCE.md`).
+//! * **Arena buckets.** A bucket outgrows its slot for good when a ninth
+//!   set or a set with an id of 23 or more arrives; the slot then keeps
+//!   the bucket's arena range.
+//! * **Arena.** One `Vec<u64>` holding every arena bucket contiguously:
 //!   `[width][set 0][set 1]…`, each set a bitmap of `width` words with
 //!   bit `id` set for every sleeping event id. Event ids are per-run
 //!   creation numbers, so a bitmap is one word while ids stay below 64
@@ -26,7 +40,9 @@
 //!   `a ⊆ b` is then a word-wise `a & !b == 0` — one AND per stored set
 //!   at one word — and a query is encoded once per probe, not once per
 //!   stored set. No code reads a stored set's target process, so the
-//!   table keeps ids only.
+//!   table keeps ids only. An inline bucket reads as a one-word bucket:
+//!   `Visited::buckets` and [`Visited::partition`] yield every bucket in
+//!   this format, so their output does not depend on where it lives.
 //! * **Id lists.** A set with an id of `64 * BITMAP_WORDS` or more would
 //!   make every set of its bucket that wide, and every subset test that
 //!   slow, however few ids it holds. Its bucket switches for good to
@@ -34,14 +50,14 @@
 //!   number of ids rather than their size. The checker's runs stay far
 //!   below that; the format keeps the table linear for any id, such as
 //!   the large synthetic ids of the campaign shard tests.
-//! * **Rewrites.** An insertion into the bucket at the arena end edits it
-//!   in place. Any other changed bucket is rewritten over its old words
-//!   when it still fits (a subset replaced stored supersets), its freed
-//!   tail words becoming dead, and at the arena end otherwise, all its
-//!   old words dead. Once dead words pass a quarter of the arena,
-//!   [`Visited`] compacts it *in place*, sliding live buckets down in
-//!   start order — compacting into a second buffer would double the
-//!   table's peak footprint at exactly its largest moment.
+//! * **Rewrites.** An insertion into the arena bucket at the arena end
+//!   edits it in place. Any other changed arena bucket is rewritten over
+//!   its old words when it still fits (a subset replaced stored
+//!   supersets), its freed tail words becoming dead, and at the arena end
+//!   otherwise, all its old words dead. Once dead words pass a quarter of
+//!   the arena, [`Visited`] compacts it *in place*, sliding live buckets
+//!   down in start order — compacting into a second buffer would double
+//!   the table's peak footprint at exactly its largest moment.
 //!
 //! # Shards
 //!
@@ -90,15 +106,145 @@ const MIN_SLOTS: usize = 16;
 /// there cost less than the compaction's bookkeeping.
 const COMPACT_MIN_WORDS: usize = 256;
 
-/// One index slot: a fingerprint and the arena range of its bucket.
-#[derive(Clone, Copy, Default, Debug)]
-struct Slot {
-    fingerprint: u64,
-    /// Arena offset of the bucket's width word.
-    start: u32,
-    /// Bucket length in words, width word included; `0` marks an empty
-    /// slot (an occupied bucket always holds at least one set).
-    len: u32,
+/// Bytes of one index slot: half a cache line.
+const SLOT: usize = 32;
+
+/// Sets an index slot holds itself: as many [`FIELD`]-byte fields as fit
+/// beside the fingerprint.
+const INLINE: usize = 8;
+
+/// Bytes of one inline set field.
+const FIELD: usize = 3;
+
+/// Marks an inline field as present; the field's other 23 bits are the
+/// set's bitmap, so an inline set's ids stay below 23.
+const PRESENT: u32 = 1 << 23;
+
+/// Field 0 of a slot whose bucket lives in the arena; bytes `12..16` and
+/// `16..20` then hold the bucket's arena start and length.
+const ARENA: u32 = 1;
+
+/// One index slot: the fingerprint in bytes `0..8` (little-endian), then
+/// [`INLINE`] fields holding its bucket, one of
+/// * empty slot: every byte `0`;
+/// * inline: fields `0..count` are the sets, each `PRESENT | bitmap`, the
+///   rest `0`;
+/// * arena: field 0 is [`ARENA`], and the bucket is
+///   `arena[start..start + len]`, its width word included.
+#[derive(Clone, Copy, Debug)]
+struct Slot([u8; SLOT]);
+
+const _: () = assert!(8 + INLINE * FIELD == SLOT);
+
+impl Slot {
+    const EMPTY: Slot = Slot([0; SLOT]);
+
+    fn new(fingerprint: u64, first: u32) -> Slot {
+        let mut slot = Slot::EMPTY;
+        slot.0[..8].copy_from_slice(&fingerprint.to_le_bytes());
+        slot.set_field(0, first);
+        slot
+    }
+
+    fn arena(fingerprint: u64, start: usize, len: usize) -> Slot {
+        let mut slot = Slot::new(fingerprint, ARENA);
+        slot.0[12..16].copy_from_slice(&word_offset(start).to_le_bytes());
+        slot.0[16..20].copy_from_slice(&word_offset(len).to_le_bytes());
+        slot
+    }
+
+    fn fingerprint(&self) -> u64 {
+        u64::from_le_bytes(self.0[..8].try_into().unwrap())
+    }
+
+    /// The bytes of fields `from..`.
+    fn fields(&self, from: usize) -> &[u8] {
+        &self.0[8 + from * FIELD..]
+    }
+
+    fn field(&self, at: usize) -> u32 {
+        field_value(self.fields(at))
+    }
+
+    fn set_field(&mut self, at: usize, value: u32) {
+        self.0[8 + at * FIELD..][..FIELD].copy_from_slice(&value.to_le_bytes()[..FIELD]);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.field(0) == 0
+    }
+
+    fn is_arena(&self) -> bool {
+        self.field(0) == ARENA
+    }
+
+    /// The number of inline sets, or `None` for an arena (or empty) slot.
+    fn inline_count(&self) -> Option<usize> {
+        (self.field(0) & PRESENT != 0).then(|| {
+            (0..INLINE)
+                .take_while(|&at| self.field(at) & PRESENT != 0)
+                .count()
+        })
+    }
+
+    /// The arena range `(start, len)` of an arena slot's bucket.
+    fn range(&self) -> (usize, usize) {
+        let word = |at: usize| u32::from_le_bytes(self.0[at..at + 4].try_into().unwrap());
+        (word(12) as usize, word(16) as usize)
+    }
+}
+
+/// The open-addressing index: a power of two of [`Slot`]s (or none) in one
+/// byte buffer, the first at a [`SLOT`]-byte boundary, so that no slot
+/// straddles two cache lines. (A `#[repr(align(32))]` slot type would do
+/// the same through the allocator's aligned path, which on glibc costs
+/// more resident memory than the padding here.)
+#[derive(Default, Debug)]
+struct Index {
+    bytes: Vec<u8>,
+    /// Offset of slot 0 in `bytes`.
+    first: usize,
+    slots: usize,
+}
+
+impl Index {
+    fn new(slots: usize) -> Index {
+        let bytes = vec![0; slots * SLOT + SLOT - 1];
+        let first = bytes.as_ptr().align_offset(SLOT);
+        Index {
+            bytes,
+            first,
+            slots,
+        }
+    }
+
+    fn at(&self, at: usize) -> &[u8; SLOT] {
+        self.bytes[self.first + at * SLOT..][..SLOT]
+            .try_into()
+            .unwrap()
+    }
+
+    fn get(&self, at: usize) -> Slot {
+        Slot(*self.at(at))
+    }
+
+    fn set(&mut self, at: usize, slot: Slot) {
+        self.bytes[self.first + at * SLOT..][..SLOT].copy_from_slice(&slot.0);
+    }
+}
+
+/// The value of one inline field.
+fn field_value(field: &[u8]) -> u32 {
+    u32::from(field[0]) | u32::from(field[1]) << 8 | u32::from(field[2]) << 16
+}
+
+/// The inline field of a set bitmap (trailing zero words trimmed), if its
+/// ids all stay below 23.
+fn inline_field(bits: &[u64]) -> Option<u32> {
+    match bits {
+        [word] if *word < u64::from(PRESENT) => Some(*word as u32 | PRESENT),
+        _ => None,
+    }
 }
 
 /// A visited table: node fingerprints already expanded, each with the
@@ -106,11 +252,11 @@ struct Slot {
 /// [module docs](self) for the semantics and the memory layout).
 #[derive(Default, Debug)]
 pub struct Visited {
-    /// Open-addressing index (power-of-two length, or empty).
-    index: Vec<Slot>,
+    /// Open-addressing index.
+    index: Index,
     /// Occupied index slots.
     fingerprints: usize,
-    /// Every bucket's words, live and dead.
+    /// Every arena bucket's words, live and dead.
     arena: Vec<u64>,
     /// Arena words of abandoned bucket copies.
     dead: usize,
@@ -127,8 +273,8 @@ impl Visited {
     /// contained in `sleep`? (If so, that visit explored a superset of
     /// this node's successors and the node can be pruned.)
     pub fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
-        self.find(fingerprint)
-            .is_some_and(|slot| with_bitmap(ids_of(sleep), |query| self.bucket(slot).covers(query)))
+        self.probe(fingerprint)
+            .is_ok_and(|at| with_bitmap(ids_of(sleep), |query| self.bucket(at).covers(query)))
     }
 
     /// Records that `fingerprint` is being expanded under `sleep`,
@@ -174,7 +320,7 @@ impl Visited {
     /// Bytes the table keeps resident: the index plus the used part of
     /// the arena (dead words included until the next compaction).
     pub fn resident_bytes(&self) -> u64 {
-        (self.index.len() * std::mem::size_of::<Slot>() + self.arena.len() * 8) as u64
+        (self.index.bytes.len() + self.arena.len() * 8) as u64
     }
 
     /// Inserts an already-encoded set bitmap unless the table already
@@ -182,7 +328,7 @@ impl Visited {
     pub(crate) fn absorb_bits(&mut self, fingerprint: u64, set: &[u64]) -> bool {
         let probe = self.probe(fingerprint);
         if let Ok(at) = probe {
-            if self.bucket(&self.index[at]).covers(set) {
+            if self.bucket(at).covers(set) {
                 return false;
             }
         }
@@ -196,30 +342,70 @@ impl Visited {
         let bits = trimmed(set);
         self.inserted += 1;
         self.live += 1;
+        let inline = inline_field(bits);
         let at = match probe {
             Ok(at) => at,
             Err(mut at) => {
-                if (self.fingerprints + 1) * 4 > self.index.len() * 3 {
+                if (self.fingerprints + 1) * 4 > self.index.slots * 3 {
                     self.grow();
                     at = self.probe(fingerprint).unwrap_err();
                 }
+                self.fingerprints += 1;
+                if let Some(field) = inline {
+                    self.index.set(at, Slot::new(fingerprint, field));
+                    return;
+                }
                 // Open an empty bucket at the arena's tail.
-                self.index[at] = Slot {
-                    fingerprint,
-                    start: word_offset(self.arena.len()),
-                    len: 1,
-                };
+                self.index
+                    .set(at, Slot::arena(fingerprint, self.arena.len(), 1));
                 self.arena.push(if bits.len() > BITMAP_WORDS {
                     ID_LISTS
                 } else {
                     bits.len() as u64
                 });
-                self.fingerprints += 1;
                 at
             }
         };
-        let Slot { start, len, .. } = self.index[at];
-        let (start, len) = (start as usize, len as usize);
+        let mut slot = self.index.get(at);
+        if let Some(count) = slot.inline_count() {
+            if let Some(field) = inline {
+                // Slide the kept sets down over the dropped supersets.
+                let mut kept = 0;
+                for read in 0..count {
+                    let stored = slot.field(read);
+                    if field & !stored == 0 {
+                        self.live -= 1;
+                    } else {
+                        slot.set_field(kept, stored);
+                        kept += 1;
+                    }
+                }
+                if kept < INLINE {
+                    slot.set_field(kept, field);
+                    for vacated in kept + 1..count {
+                        slot.set_field(vacated, 0);
+                    }
+                    self.index.set(at, slot);
+                    return;
+                }
+            }
+            // One set more than the slot holds, or one it cannot hold:
+            // the bucket moves to the arena's tail, where the arena path
+            // below edits it in place.
+            let start = self.arena.len();
+            self.arena.push(1);
+            let sets = slot.fields(0)[..count * FIELD].chunks_exact(FIELD);
+            self.arena
+                .extend(sets.map(|field| u64::from(field_value(field) & !PRESENT)));
+            self.index
+                .set(at, Slot::arena(fingerprint, start, 1 + count));
+        }
+        self.insert_arena(at, bits);
+    }
+
+    /// Inserts `bits` into the arena bucket of slot `at`.
+    fn insert_arena(&mut self, at: usize, bits: &[u64]) {
+        let (start, len) = self.index.get(at).range();
         let width = self.arena[start];
         let lists = width == ID_LISTS || bits.len() > BITMAP_WORDS;
         let target = if lists {
@@ -256,7 +442,7 @@ impl Visited {
             // New format: rebuild the kept sets in `fresh`.
             fresh.push(target);
             let mut dropped = 0;
-            for stored in self.bucket(&self.index[at]).sets() {
+            for stored in self.bucket(at).sets() {
                 if new.within(stored) {
                     dropped += 1;
                 } else {
@@ -268,21 +454,25 @@ impl Visited {
         };
         new.push(&mut fresh, target);
         let size = kept - start + fresh.len();
-        if start + len == self.arena.len() {
+        let start = if start + len == self.arena.len() {
             // The arena's tail: edit it in place.
             self.arena.truncate(kept);
             self.arena.extend_from_slice(&fresh);
+            start
         } else if size <= len {
             // A subset replaced supersets: the bucket still fits.
             self.arena[kept..kept + fresh.len()].copy_from_slice(&fresh);
             self.dead += len - size;
+            start
         } else {
             self.dead += len;
-            self.index[at].start = word_offset(self.arena.len());
+            let tail = self.arena.len();
             self.arena.extend_from_within(start..kept);
             self.arena.extend_from_slice(&fresh);
-        }
-        self.index[at].len = word_offset(size);
+            tail
+        };
+        let fingerprint = self.index.get(at).fingerprint();
+        self.index.set(at, Slot::arena(fingerprint, start, size));
         self.scratch = fresh;
         if self.arena.len() >= COMPACT_MIN_WORDS && self.dead * 4 > self.arena.len() {
             self.compact();
@@ -292,38 +482,38 @@ impl Visited {
     /// The stored `(fingerprint, bucket)` pairs, in index order
     /// (deterministic for a given insertion history).
     pub(crate) fn buckets(&self) -> impl Iterator<Item = (u64, Bucket<'_>)> {
-        self.index
-            .iter()
-            .filter(|slot| slot.len != 0)
-            .map(|slot| (slot.fingerprint, self.bucket(slot)))
+        (0..self.index.slots)
+            .filter(|&at| !self.index.get(at).is_empty())
+            .map(|at| (self.index.get(at).fingerprint(), self.bucket(at)))
     }
 
-    fn bucket(&self, slot: &Slot) -> Bucket<'_> {
-        let start = slot.start as usize;
-        Bucket {
-            width: self.arena[start],
-            body: &self.arena[start + 1..start + slot.len as usize],
+    /// The bucket of occupied slot `at`.
+    fn bucket(&self, at: usize) -> Bucket<'_> {
+        let slot = self.index.get(at);
+        if let Some(count) = slot.inline_count() {
+            return Bucket::Inline(&self.index.at(at)[8..8 + count * FIELD]);
         }
-    }
-
-    fn find(&self, fingerprint: u64) -> Option<&Slot> {
-        self.probe(fingerprint).ok().map(|at| &self.index[at])
+        let (start, len) = slot.range();
+        Bucket::Arena {
+            width: self.arena[start],
+            body: &self.arena[start + 1..start + len],
+        }
     }
 
     /// `Ok(slot)` holding `fingerprint`, or `Err(slot)`: the empty slot
     /// its probe sequence ends at (`0` in an unallocated index).
     fn probe(&self, fingerprint: u64) -> Result<usize, usize> {
-        if self.index.is_empty() {
+        if self.index.slots == 0 {
             return Err(0);
         }
-        let mask = self.index.len() - 1;
+        let mask = self.index.slots - 1;
         let mut at = fingerprint as usize & mask;
         loop {
-            let slot = &self.index[at];
-            if slot.len == 0 {
+            let slot = self.index.get(at);
+            if slot.is_empty() {
                 return Err(at);
             }
-            if slot.fingerprint == fingerprint {
+            if slot.fingerprint() == fingerprint {
                 return Ok(at);
             }
             at = (at + 1) & mask;
@@ -333,32 +523,36 @@ impl Visited {
     /// Doubles the index (or allocates the first one) and re-places every
     /// occupied slot.
     fn grow(&mut self) {
-        let capacity = (self.index.len() * 2).max(MIN_SLOTS);
-        let old = std::mem::replace(&mut self.index, vec![Slot::default(); capacity]);
+        let capacity = (self.index.slots * 2).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.index, Index::new(capacity));
         let mask = capacity - 1;
-        for slot in old.into_iter().filter(|slot| slot.len != 0) {
-            let mut at = slot.fingerprint as usize & mask;
-            while self.index[at].len != 0 {
+        for slot in (0..old.slots).map(|at| old.get(at)) {
+            if slot.is_empty() {
+                continue;
+            }
+            let mut at = slot.fingerprint() as usize & mask;
+            while !self.index.get(at).is_empty() {
                 at = (at + 1) & mask;
             }
-            self.index[at] = slot;
+            self.index.set(at, slot);
         }
     }
 
-    /// Drops the dead words by sliding every live bucket down over them,
+    /// Drops the dead words by sliding every arena bucket down over them,
     /// in start order, inside the arena itself.
     fn compact(&mut self) {
-        let mut order: Vec<u32> = (0..self.index.len())
-            .filter(|&at| self.index[at].len != 0)
+        let mut order: Vec<u32> = (0..self.index.slots)
+            .filter(|&at| self.index.get(at).is_arena())
             .map(|at| at as u32)
             .collect();
-        order.sort_unstable_by_key(|&at| self.index[at as usize].start);
+        order.sort_unstable_by_key(|&at| self.index.get(at as usize).range().0);
         let mut write = 0;
-        for at in order {
-            let slot = &mut self.index[at as usize];
-            let (start, len) = (slot.start as usize, slot.len as usize);
+        for at in order.into_iter().map(|at| at as usize) {
+            let slot = self.index.get(at);
+            let (start, len) = slot.range();
             self.arena.copy_within(start..start + len, write);
-            slot.start = word_offset(write);
+            self.index
+                .set(at, Slot::arena(slot.fingerprint(), write, len));
             write += len;
         }
         self.arena.truncate(write);
@@ -382,22 +576,21 @@ impl Visited {
     /// Regroups the table's entries by [`shard_of`] among `shards`,
     /// keeping index order within each shard, and frees the table.
     pub fn partition(self, shards: usize) -> Partitioned {
-        let occupied = || self.index.iter().filter(|slot| slot.len != 0);
         let mut bounds = vec![0; shards + 1];
-        for slot in occupied() {
-            bounds[shard_of(slot.fingerprint, shards) + 1] += 2 + slot.len as usize;
+        for (fingerprint, bucket) in self.buckets() {
+            bounds[shard_of(fingerprint, shards) + 1] += 2 + bucket.len();
         }
         for shard in 0..shards {
             bounds[shard + 1] += bounds[shard];
         }
         let mut next = bounds.clone();
         let mut words = vec![0; bounds[shards]];
-        for slot in occupied() {
-            let at = &mut next[shard_of(slot.fingerprint, shards)];
-            let (start, len) = (slot.start as usize, slot.len as usize);
-            words[*at] = slot.fingerprint;
+        for (fingerprint, bucket) in self.buckets() {
+            let at = &mut next[shard_of(fingerprint, shards)];
+            let len = bucket.len();
+            words[*at] = fingerprint;
             words[*at + 1] = len as u64;
-            words[*at + 2..*at + 2 + len].copy_from_slice(&self.arena[start..start + len]);
+            bucket.write(&mut words[*at + 2..*at + 2 + len]);
             *at += 2 + len;
         }
         Partitioned { words, bounds }
@@ -416,7 +609,7 @@ impl Partitioned {
         let mut rest = &self.words[self.bounds[shard]..self.bounds[shard + 1]];
         while let [fingerprint, len, tail @ ..] = rest {
             let (bucket, next) = tail.split_at(*len as usize);
-            let bucket = Bucket {
+            let bucket = Bucket::Arena {
                 width: bucket[0],
                 body: &bucket[1..],
             };
@@ -518,61 +711,106 @@ impl<T: ShardTable> Sharded<T> {
     }
 }
 
-/// One fingerprint's stored sets: `width`-word bitmaps, or id lists when
-/// `width` is [`ID_LISTS`].
+/// One fingerprint's stored sets: the inline fields of its index slot,
+/// or an arena bucket of `width`-word bitmaps (id lists when `width` is
+/// [`ID_LISTS`]).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Bucket<'a> {
-    width: u64,
-    body: &'a [u64],
+pub(crate) enum Bucket<'a> {
+    /// `PRESENT`-tagged one-word bitmaps, [`FIELD`] bytes each.
+    Inline(&'a [u8]),
+    /// A bucket in the arena format, its width word split off.
+    Arena { width: u64, body: &'a [u64] },
 }
 
 impl<'a> Bucket<'a> {
     /// The stored sets, in storage order.
     pub(crate) fn sets(&self) -> Sets<'a> {
-        Sets {
-            width: self.width,
-            rest: self.body,
+        match *self {
+            Bucket::Inline(fields) => Sets::Inline(fields.chunks_exact(FIELD)),
+            Bucket::Arena { width, body } => Sets::Arena { width, rest: body },
         }
     }
 
     /// Whether some stored set is a subset of `query`.
     fn covers(&self, query: &[u64]) -> bool {
-        if self.width == 1 {
-            let allowed = query[0];
-            return self.body.iter().any(|&set| set & !allowed == 0);
+        match *self {
+            Bucket::Inline(fields) => {
+                let allowed = query[0] as u32 | PRESENT;
+                fields
+                    .chunks_exact(FIELD)
+                    .any(|field| field_value(field) & !allowed == 0)
+            }
+            Bucket::Arena { width: 1, body } => {
+                let allowed = query[0];
+                body.iter().any(|&set| set & !allowed == 0)
+            }
+            Bucket::Arena { .. } => self.sets().any(|set| set.within(query)),
         }
-        self.sets().any(|set| set.within(query))
+    }
+
+    /// Length of the bucket in the arena format, width word included.
+    fn len(&self) -> usize {
+        match *self {
+            Bucket::Inline(fields) => 1 + fields.len() / FIELD,
+            Bucket::Arena { body, .. } => 1 + body.len(),
+        }
+    }
+
+    /// Writes the bucket in the arena format to `out` (of [`Bucket::len`]
+    /// words): an inline bucket is a one-word bitmap bucket.
+    fn write(&self, out: &mut [u64]) {
+        match *self {
+            Bucket::Inline(fields) => {
+                out[0] = 1;
+                for (out, field) in out[1..].iter_mut().zip(fields.chunks_exact(FIELD)) {
+                    *out = u64::from(field_value(field) & !PRESENT);
+                }
+            }
+            Bucket::Arena { width, body } => {
+                out[0] = width;
+                out[1..].copy_from_slice(body);
+            }
+        }
     }
 }
 
 /// Iterator over a [`Bucket`]'s sets.
 #[derive(Clone, Debug)]
-pub(crate) struct Sets<'a> {
-    width: u64,
-    rest: &'a [u64],
+pub(crate) enum Sets<'a> {
+    Inline(std::slice::ChunksExact<'a, u8>),
+    Arena { width: u64, rest: &'a [u64] },
 }
 
 impl<'a> Iterator for Sets<'a> {
     type Item = Set<'a>;
 
     fn next(&mut self) -> Option<Set<'a>> {
-        if self.rest.is_empty() {
-            return None;
+        match self {
+            Sets::Inline(fields) => fields
+                .next()
+                .map(|field| Set::Word(u64::from(field_value(field) & !PRESENT))),
+            Sets::Arena { width, rest } => {
+                if rest.is_empty() {
+                    return None;
+                }
+                let span = if *width == ID_LISTS {
+                    1 + rest[0] as usize
+                } else {
+                    *width as usize
+                };
+                let (set, tail) = rest.split_at(span);
+                *rest = tail;
+                Some(set_at(set, *width))
+            }
         }
-        let span = if self.width == ID_LISTS {
-            1 + self.rest[0] as usize
-        } else {
-            self.width as usize
-        };
-        let (set, rest) = self.rest.split_at(span);
-        self.rest = rest;
-        Some(set_at(set, self.width))
     }
 }
 
 /// One stored sleep set.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Set<'a> {
+    /// A one-word bitmap of event ids (an inline set).
+    Word(u64),
     /// A bitmap of event ids.
     Bits(&'a [u64]),
     /// Ascending event ids.
@@ -582,16 +820,20 @@ pub(crate) enum Set<'a> {
 impl<'a> Set<'a> {
     /// The set's event ids, ascending.
     pub(crate) fn ids(self) -> impl Iterator<Item = u64> + Clone + 'a {
-        let (bits, ids): (&[u64], &[u64]) = match self {
-            Set::Bits(bits) => (bits, &[]),
-            Set::Ids(ids) => (&[], ids),
+        let (word, bits, ids): (u64, &[u64], &[u64]) = match self {
+            Set::Word(word) => (word, &[], &[]),
+            Set::Bits(bits) => (0, bits, &[]),
+            Set::Ids(ids) => (0, &[], ids),
         };
-        set_ids(bits).chain(ids.iter().copied())
+        word_ids(0, word)
+            .chain(set_ids(bits))
+            .chain(ids.iter().copied())
     }
 
     /// Runs `f` on the set as a bitmap.
     pub(crate) fn with_bits<R>(self, f: impl FnOnce(&[u64]) -> R) -> R {
         match self {
+            Set::Word(word) => f(&[word]),
             Set::Bits(bits) => f(bits),
             Set::Ids(ids) => with_bitmap(ids.iter().copied(), f),
         }
@@ -600,6 +842,7 @@ impl<'a> Set<'a> {
     /// `self ⊆ query`.
     fn within(self, query: &[u64]) -> bool {
         match self {
+            Set::Word(word) => subset(&[word], query),
             Set::Bits(bits) => subset(bits, query),
             Set::Ids(ids) => ids.iter().all(|&id| {
                 query
@@ -613,6 +856,7 @@ impl<'a> Set<'a> {
     /// bitmap width, or [`ID_LISTS`]).
     fn push(self, out: &mut Vec<u64>, width: u64) {
         match (self, width) {
+            (Set::Word(word), _) => Set::Bits(&[word]).push(out, width),
             (Set::Bits(bits), ID_LISTS) => {
                 out.push(bits.iter().map(|word| u64::from(word.count_ones())).sum());
                 out.extend(set_ids(bits));
@@ -651,6 +895,7 @@ impl<'a> NewSet<'a> {
     /// `self ⊆ stored`.
     fn within(&self, stored: Set<'_>) -> bool {
         match stored {
+            Set::Word(word) => subset(self.bits, &[word]),
             Set::Bits(bits) => subset(self.bits, bits),
             Set::Ids(have) => {
                 let mut have = have.iter();
@@ -730,11 +975,17 @@ pub(crate) fn with_bitmap<R>(
 
 /// The ids whose bits are set in `set`, ascending.
 fn set_ids(set: &[u64]) -> impl Iterator<Item = u64> + Clone + '_ {
-    set.iter().enumerate().flat_map(|(word_at, &word)| {
-        std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
-            .take_while(|&rest| rest != 0)
-            .map(move |rest| word_at as u64 * 64 + u64::from(rest.trailing_zeros()))
-    })
+    set.iter()
+        .enumerate()
+        .flat_map(|(word_at, &word)| word_ids(word_at, word))
+}
+
+/// The ids whose bits are set in `word`, word `word_at` of a bitmap,
+/// ascending.
+fn word_ids(word_at: usize, word: u64) -> impl Iterator<Item = u64> + Clone {
+    std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
+        .take_while(|&rest| rest != 0)
+        .map(move |rest| word_at as u64 * 64 + u64::from(rest.trailing_zeros()))
 }
 
 #[cfg(test)]
@@ -746,10 +997,12 @@ mod tests {
 
     use super::*;
 
-    /// Event ids the generated sets draw from: one-word, multi-word and
-    /// id-list territory, so buckets widen and switch format mid-run.
-    const IDS: [u64; 19] = [
-        0, 1, 2, 3, 5, 8, 13, 63, 64, 65, 100, 127, 128, 300, 511, 512, 513, 777, 1000,
+    /// Event ids the generated sets draw from: inline, one-word,
+    /// multi-word and id-list territory, so buckets leave their slot,
+    /// widen and switch format mid-run.
+    const IDS: [u64; 26] = [
+        0, 1, 2, 3, 4, 5, 8, 13, 20, 22, 23, 30, 31, 32, 63, 64, 65, 100, 127, 128, 300, 511, 512,
+        513, 777, 1000,
     ];
 
     /// Fingerprints whose low bits collide, so probes walk past occupied
@@ -812,6 +1065,20 @@ mod tests {
             .collect()
     }
 
+    /// Each fingerprint's stored sets, in storage order, as the model
+    /// keeps them.
+    fn stored_sets(table: &Visited) -> BTreeMap<u64, Vec<BTreeSet<u64>>> {
+        table
+            .buckets()
+            .map(|(fingerprint, bucket)| {
+                (
+                    fingerprint,
+                    bucket.sets().map(|set| set.ids().collect()).collect(),
+                )
+            })
+            .collect()
+    }
+
     fn agree(
         table: &Visited,
         model: &Model,
@@ -823,11 +1090,13 @@ mod tests {
             table.covers(fingerprint, &sleep),
             table.live_entries(),
             table.inserted(),
+            stored_sets(table).remove(&fingerprint),
         );
         let want = (
             model.covers(fingerprint, query),
             model.live(),
             model.inserted,
+            model.buckets.get(&fingerprint).cloned(),
         );
         if seen == want {
             Ok(())
@@ -891,6 +1160,9 @@ mod tests {
         for model in &models {
             everything.merge(model);
         }
+        if stored_sets(&straight) != everything.buckets {
+            return Err("folded tables store other sets than the model".into());
+        }
         if shuffled.live_entries() != everything.live()
             || straight.live_entries() != everything.live()
         {
@@ -925,16 +1197,38 @@ mod tests {
         }
     }
 
+    /// The slot holding `fingerprint`.
+    fn find(table: &Visited, fingerprint: u64) -> Option<Slot> {
+        table.probe(fingerprint).ok().map(|at| table.index.get(at))
+    }
+
+    /// The inline sets `fingerprint` holds in its slot (`None`: in the
+    /// arena or absent).
+    fn inline_count(table: &Visited, fingerprint: u64) -> Option<usize> {
+        find(table, fingerprint)?.inline_count()
+    }
+
+    /// Absorbs `sets` into a fresh table under `fingerprint`.
+    fn table_of(fingerprint: u64, sets: &[Vec<u64>]) -> Visited {
+        let mut table = Visited::default();
+        for ids in sets {
+            absorb_ids(&mut table, fingerprint, ids);
+        }
+        table
+    }
+
     #[test]
     fn table_matches_reference_model() {
+        let fp = FINGERPRINTS[0];
         // A subset replacing two supersets in a bucket that is not the
-        // arena's tail, as bitmaps and as id lists: the model agrees, and
-        // the bucket is rebuilt over its old words, the freed ones dead.
-        for big in [2, 600] {
+        // arena's tail, as one-word bitmaps (id 40 keeps them out of the
+        // slot) and as id lists: the model agrees, and the bucket is
+        // rebuilt over its old words, the freed ones dead.
+        for big in [40, 600] {
             let ops: Vec<Op> = vec![
                 (0, 0, 0, 0, vec![1, big]),
                 (0, 0, 0, 0, vec![1, big + 1]),
-                (0, 0, 0, 1, vec![3]),
+                (0, 0, 0, 1, vec![40]),
                 (0, 0, 0, 0, vec![1]),
             ];
             replay(&ops, &[0, 1, 2]).unwrap();
@@ -942,13 +1236,95 @@ mod tests {
             for (_, _, _, fingerprint, ids) in &ops[..3] {
                 absorb_ids(&mut table, FINGERPRINTS[*fingerprint], ids);
             }
-            let (before, words) = (*table.find(FINGERPRINTS[0]).unwrap(), table.arena.len());
-            absorb_ids(&mut table, FINGERPRINTS[0], &[1]);
-            let after = *table.find(FINGERPRINTS[0]).unwrap();
-            assert_eq!(after.start, before.start, "rebuilt in place");
+            let (before, words) = (find(&table, fp).unwrap().range(), table.arena.len());
+            absorb_ids(&mut table, fp, &[1]);
+            let after = find(&table, fp).unwrap().range();
+            assert_eq!(after.0, before.0, "rebuilt in place");
             assert_eq!(table.arena.len(), words);
-            assert!(after.len < before.len);
-            assert_eq!(table.dead, (before.len - after.len) as usize);
+            assert!(after.1 < before.1);
+            assert_eq!(table.dead, before.1 - after.1);
+        }
+        // A set is held inline exactly when its largest id is below 23;
+        // each largest id is inserted, queried around, then superseded
+        // by a subset and by the empty set.
+        for top in [22, 23, 30, 31, 32, 63, 64, 511, 512] {
+            let ops: Vec<Op> = vec![
+                (1, 0, 0, 0, vec![1, top]),
+                (2, 0, 0, 0, vec![top]),
+                (2, 0, 0, 0, vec![1, top, top + 1]),
+                (1, 0, 0, 0, vec![2]),
+                (0, 0, 0, 0, vec![top]),
+                (2, 0, 0, 0, vec![1, top]),
+                (0, 0, 0, 0, vec![]),
+                (2, 0, 0, 0, vec![]),
+                (3, 1, 0, 0, vec![]),
+            ];
+            replay(&ops, &[1, 0, 2]).unwrap();
+            let table = table_of(fp, &[vec![1, top]]);
+            assert_eq!(
+                inline_count(&table, fp),
+                (top < 23).then_some(1),
+                "top {top}"
+            );
+        }
+        // The empty set covers every query, alone or beside sets a raw
+        // insert put after it.
+        let ops: Vec<Op> = vec![
+            (1, 0, 0, 0, vec![]),
+            (2, 0, 0, 0, vec![5]),
+            (0, 0, 0, 0, vec![1]),
+            (0, 0, 0, 0, vec![600]),
+            (2, 0, 0, 0, vec![]),
+            (3, 1, 0, 0, vec![]),
+        ];
+        replay(&ops, &[0, 1, 2]).unwrap();
+        assert_eq!(inline_count(&table_of(fp, &[vec![]]), fp), Some(1));
+        // A bucket of exactly the inline capacity stays in the slot; one
+        // more set moves it to the arena; a subset of all of them shrinks
+        // it to one set there again; merges and the sharded fold cross
+        // both layouts.
+        let singles: Vec<Vec<u64>> = (0..INLINE as u64 + 1).map(|id| vec![id, 20]).collect();
+        let full = table_of(fp, &singles[..INLINE]);
+        assert_eq!(inline_count(&full, fp), Some(INLINE));
+        let mut over = table_of(fp, &singles);
+        assert_eq!(inline_count(&over, fp), None);
+        assert_eq!(over.arena.len(), 2 + INLINE);
+        let mut ops: Vec<Op> = singles
+            .iter()
+            .map(|ids| (1, 0, 0, 0, ids.clone()))
+            .collect();
+        ops.extend(
+            singles[..INLINE]
+                .iter()
+                .map(|ids| (1, 1, 0, 0, ids.clone())),
+        );
+        ops.extend([
+            (3, 2, 0, 0, vec![]),
+            (3, 1, 0, 0, vec![]),
+            (1, 0, 0, 0, vec![20]),
+            (2, 0, 0, 0, vec![20, 21]),
+            (3, 2, 1, 0, vec![]),
+            (3, 1, 0, 0, vec![]),
+        ]);
+        replay(&ops, &[2, 1, 0]).unwrap();
+        absorb_ids(&mut over, fp, &[20]);
+        assert_eq!(
+            (over.live_entries(), find(&over, fp).unwrap().range().1),
+            (1, 2)
+        );
+        let mut sharded = Sharded::<Visited>::new(SHARDS);
+        let mut serial = Visited::default();
+        for sets in [
+            &singles[..INLINE],
+            &singles[..],
+            &singles[2..],
+            &[vec![20]][..],
+        ] {
+            let table = table_of(fp, sets);
+            serial.merge(&table);
+            sharded.fold(&[table.partition(SHARDS)], 2);
+            let shard = &sharded.tables()[shard_of(fp, SHARDS)];
+            assert_eq!(stored_sets(shard), stored_sets(&serial));
         }
         let op = (
             in_range(0u8..4),
@@ -1059,6 +1435,97 @@ mod tests {
             .collect();
         let compactions = replay(&ops, &[2, 0, 1]).unwrap();
         assert!(compactions >= 3, "only {compactions} compactions");
+    }
+
+    /// Hashes a sequence of words (little-endian bytes, FNV-1a).
+    fn words_hash(words: &[u64]) -> u64 {
+        let bytes: Vec<u8> = words.iter().flat_map(|word| word.to_le_bytes()).collect();
+        kset_prop::fnv64(&bytes)
+    }
+
+    /// The `(fingerprint, set count, each set's id count and ids…)`
+    /// sequence [`Visited::buckets`] yields, flattened.
+    fn bucket_words(table: &Visited) -> Vec<u64> {
+        let mut words = Vec::new();
+        for (fingerprint, bucket) in table.buckets() {
+            words.push(fingerprint);
+            words.push(bucket.sets().count() as u64);
+            for set in bucket.sets() {
+                words.push(set.ids().count() as u64);
+                words.extend(set.ids());
+            }
+        }
+        words
+    }
+
+    /// A fixed absorb sequence: a few hundred fingerprints, some drawn
+    /// far more often than others (buckets of 1 to about 25 sets), and
+    /// sets of one to three ids, mostly below 24, some of 24–40 and the
+    /// odd one at 512 or above.
+    fn golden_table(seed: u64, absorbs: usize) -> Visited {
+        let mut rng = SplitMix64::new(seed);
+        let fingerprints: Vec<u64> = (0..300).map(|_| rng.next_u64()).collect();
+        let mut table = Visited::default();
+        for _ in 0..absorbs {
+            let skew = rng.next_u64() % 300;
+            let fingerprint = fingerprints[(rng.next_u64() % (skew + 1)) as usize];
+            let ids: Vec<u64> = (0..1 + rng.next_u64() % 3)
+                .map(|_| match rng.next_u64() % 128 {
+                    0 => 512 + rng.next_u64() % 100,
+                    1..=8 => 24 + rng.next_u64() % 17,
+                    _ => rng.next_u64() % 24,
+                })
+                .collect();
+            with_bitmap(ids.into_iter(), |set| table.absorb_bits(fingerprint, set));
+        }
+        table
+    }
+
+    #[test]
+    fn bucket_and_partition_order_is_pinned() {
+        // Campaign shard logs and the wave store's fold order follow the
+        // buckets' index order and each bucket's storage order; a layout
+        // change must keep both byte for byte.
+        let table = golden_table(23, 2500);
+        let largest = table.buckets().map(|(_, b)| b.sets().count()).max();
+        assert!(largest >= Some(9), "largest bucket {largest:?}");
+        let buckets = bucket_words(&table);
+        let live = table.live_entries();
+        let partitioned = table.partition(SHARDS);
+        let mut partition = partitioned.words.clone();
+        partition.extend(partitioned.bounds.iter().map(|&at| at as u64));
+        // Fold it with a second table, as a wave barrier would.
+        let mut store = Sharded::<Visited>::new(SHARDS);
+        store.fold(&[partitioned, golden_table(24, 1500).partition(SHARDS)], 2);
+        let folded: Vec<u64> = store.tables().iter().flat_map(bucket_words).collect();
+        assert_eq!(
+            (
+                live,
+                words_hash(&buckets),
+                words_hash(&partition),
+                words_hash(&folded)
+            ),
+            (
+                1812,
+                8_633_325_139_716_097_865,
+                14_310_891_791_306_363_473,
+                7_814_443_036_286_962_269
+            )
+        );
+    }
+
+    #[test]
+    fn slots_never_straddle_a_cache_line() {
+        for slots in [MIN_SLOTS, 64, 1 << 12] {
+            let index = Index::new(slots);
+            for at in [0, 1, slots - 1] {
+                assert_eq!(
+                    index.at(at).as_ptr().align_offset(SLOT),
+                    0,
+                    "slot {at} of {slots}"
+                );
+            }
+        }
     }
 
     #[test]

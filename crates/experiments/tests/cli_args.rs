@@ -121,18 +121,55 @@ fn open_problems_rejects_bad_n_with_exit_2() {
     assert!(out.stdout.is_empty(), "did work before failing");
 }
 
+/// The atlas binaries that share `figures::run_figure`.
+const FIGURE_BINARIES: [(&str, &str); 4] = [
+    ("fig2_mp_cr", env!("CARGO_BIN_EXE_fig2_mp_cr")),
+    ("fig4_mp_byz", env!("CARGO_BIN_EXE_fig4_mp_byz")),
+    ("fig5_sm_cr", env!("CARGO_BIN_EXE_fig5_sm_cr")),
+    ("fig6_sm_byz", env!("CARGO_BIN_EXE_fig6_sm_byz")),
+];
+
 #[test]
 fn figure_binaries_reject_bad_n_with_exit_2() {
-    let bin = env!("CARGO_BIN_EXE_fig2_mp_cr");
-    for args in [&["abc"][..], &["--csv"]] {
+    for (name, bin) in FIGURE_BINARIES {
+        for args in [&["abc"][..], &["2"], &["--csv"]] {
+            let out = Command::new(bin).args(args).output().expect("run figure");
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.starts_with("error: "), "{name} {args:?}: {stderr}");
+            if args[0] != "2" {
+                assert!(
+                    stderr.contains(args[0]),
+                    "{name} {args:?} must be named: {stderr}"
+                );
+            }
+            assert!(
+                out.stdout.is_empty(),
+                "{name} {args:?} did work before failing"
+            );
+        }
+    }
+}
+
+#[test]
+fn figure_binaries_exit_1_when_the_csv_cannot_be_written() {
+    // The atlas is computed and printed before the CSV is created, so a
+    // missing directory is an I/O failure (exit 1), not a usage error.
+    let missing = std::env::temp_dir()
+        .join(format!("kset-no-such-dir-{}", std::process::id()))
+        .join("x.csv");
+    let missing = missing.to_str().expect("utf-8 temp path");
+    for (name, bin) in FIGURE_BINARIES {
         let out = Command::new(bin)
-            .args(args)
+            .args(["8", "--csv", missing])
             .output()
-            .expect("run fig2_mp_cr");
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+            .expect("run figure");
+        assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
-        assert!(stderr.contains(args[0]), "{args:?} must be named: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} did work before failing");
+        assert!(
+            stderr.starts_with(&format!("error: create {missing}: ")),
+            "{name}: {stderr}"
+        );
+        assert!(!out.stdout.is_empty(), "{name} printed no atlas");
     }
 }

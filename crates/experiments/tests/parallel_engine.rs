@@ -56,6 +56,33 @@ fn fork_gauges_count_every_forked_run_at_any_thread_count() {
 }
 
 #[test]
+fn store_probe_gauges_follow_the_task_list_and_vanish_under_replay() {
+    // The walk gate probes the frozen wave store, which every worker
+    // count folds identically, so its probes and covers are the same at
+    // any thread count; replay runs every schedule to termination and
+    // its gate never probes.
+    let mut gauges = Vec::new();
+    for threads in [1, 2, 3] {
+        let mut cfg = cell(2, 1, threads);
+        cfg.fork = ForkMode::Auto;
+        let (_, _, gauge) = check_cell_gauged(&cfg);
+        assert!(
+            gauge.store_hits > 0 && gauge.store_hits < gauge.store_probes,
+            "{gauge:?}"
+        );
+        gauges.push((gauge.store_probes, gauge.store_hits));
+    }
+    assert!(
+        gauges.iter().all(|&gauge| gauge == gauges[0]),
+        "store gauges depend on the thread count: {gauges:?}"
+    );
+    let mut cfg = cell(2, 1, 2);
+    cfg.fork = ForkMode::Replay;
+    let (_, _, gauge) = check_cell_gauged(&cfg);
+    assert_eq!((gauge.store_probes, gauge.store_hits), (0, 0));
+}
+
+#[test]
 fn violated_cell_counterexample_is_byte_identical_across_thread_counts() {
     // SC(1, 1, RV1) is consensus with one crash — the impossible side of
     // the frontier. The violation, the chunk-aligned early exit, and the

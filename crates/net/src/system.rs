@@ -254,7 +254,10 @@ impl MpSystem {
     /// * [`SimError::EventLimitExceeded`] if the protocol livelocks.
     /// * [`SimError::ProcessOutOfRange`] if a process sends to an index
     ///   outside `0..n`.
-    pub fn run<M: Clone, V>(self, procs: Vec<DynMpProcess<M, V>>) -> Result<MpOutcome<V>, SimError> {
+    pub fn run<M: Clone, V>(
+        self,
+        procs: Vec<DynMpProcess<M, V>>,
+    ) -> Result<MpOutcome<V>, SimError> {
         self.0.run::<MpSubstrate<M, V>>(procs)
     }
 
@@ -462,9 +465,7 @@ mod tests {
         }
         let err = MpSystem::new(1)
             .event_limit(100)
-            .run_boxed(std::iter::once(
-                Box::new(Spinner) as DynMpProcess<(), ()>
-            ))
+            .run_boxed(std::iter::once(Box::new(Spinner) as DynMpProcess<(), ()>))
             .unwrap_err();
         assert_eq!(err, SimError::EventLimitExceeded { limit: 100 });
     }
@@ -490,7 +491,10 @@ mod tests {
         // Every process broadcast once (4 sends each) and received all 16.
         assert_eq!(m.total_messages_sent(), 16);
         assert_eq!(
-            m.per_process.iter().map(|p| p.messages_delivered).sum::<u64>(),
+            m.per_process
+                .iter()
+                .map(|p| p.messages_delivered)
+                .sum::<u64>(),
             outcome.stats.messages_delivered
         );
         // All four decided; decision latencies are recorded in virtual time.
@@ -530,7 +534,10 @@ mod tests {
         assert_eq!(m.per_process[1].events_dropped_by_crash, 0);
         assert_eq!(m.per_process[2].events_dropped_by_crash, 0);
         assert_eq!(
-            m.per_process.iter().map(|p| p.events_dropped_by_crash).sum::<u64>(),
+            m.per_process
+                .iter()
+                .map(|p| p.events_dropped_by_crash)
+                .sum::<u64>(),
             outcome.stats.events_dropped_by_crash
         );
         assert!(m.per_process[0].decided_at.is_none());
@@ -578,9 +585,10 @@ mod tests {
         for seed in 0..20u64 {
             let outcome = MpSystem::new(5)
                 .seed(seed)
-                .run_boxed((0..5).map(|_| {
-                    Box::new(StartGuard { started: false }) as DynMpProcess<u8, bool>
-                }))
+                .run_boxed(
+                    (0..5)
+                        .map(|_| Box::new(StartGuard { started: false }) as DynMpProcess<u8, bool>),
+                )
                 .unwrap();
             assert!(
                 outcome.decisions.values().all(|&ok| ok),
