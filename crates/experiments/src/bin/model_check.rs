@@ -57,13 +57,14 @@
 //! `--pause-after-checkpoints N` stops cleanly after N checkpoints of
 //! this invocation (the kill/resume test hook).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use kset_core::ValidityCondition;
 use kset_experiments::campaign::{
-    manifest::read_manifest, resume_campaign, run_campaign, CampaignOptions, CampaignOutcome,
+    manifest::read_manifest, resume_campaign_gauged, run_campaign_gauged, CampaignOptions,
+    CampaignOutcome,
 };
 use kset_experiments::checker::{
     check_cell_gauged, cross_validate, parse_adversary_model, parse_protocol, parse_validity,
@@ -319,10 +320,10 @@ struct BenchCell {
     runs: u64,
     states: usize,
     tasks: u64,
-    /// The in-memory visited store at its largest and the execution
-    /// counters; `None` for campaigns, whose store occupancy is in the
-    /// MANIFEST instead and whose execution spans resumes.
-    gauges: Option<(VisitedGauge, RunGauge)>,
+    /// The visited store at its largest and the execution counters. A
+    /// resumed campaign's cover this invocation only.
+    visited: VisitedGauge,
+    gauge: RunGauge,
     wall_s: f64,
 }
 
@@ -330,7 +331,8 @@ impl BenchCell {
     fn from_verdict(
         cfg: &CheckerConfig,
         verdict: &CellVerdict,
-        gauges: Option<(VisitedGauge, RunGauge)>,
+        visited: VisitedGauge,
+        gauge: RunGauge,
         wall_s: f64,
     ) -> Self {
         BenchCell {
@@ -350,7 +352,8 @@ impl BenchCell {
             runs: verdict.runs,
             states: verdict.patterns.iter().map(|p| p.states).sum(),
             tasks: verdict.patterns.iter().map(|p| p.tasks).sum(),
-            gauges,
+            visited,
+            gauge,
             wall_s,
         }
     }
@@ -383,25 +386,22 @@ fn write_bench_json(
     ));
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
-        let gauges = c.gauges.map_or(String::new(), |(visited, runs)| {
-            format!(
-                "\"visited_entries\": {}, \"visited_bytes\": {}, \"events_fired\": {}, \"truncated_runs\": {}, ",
-                visited.entries, visited.bytes, runs.events_fired, runs.truncated_runs
-            )
-        });
+        let (visited, runs) = (c.visited, c.gauge);
+        let gauges = format!(
+            "\"visited_entries\": {}, \"visited_bytes\": {}, \"events_fired\": {}, \"truncated_runs\": {}, ",
+            visited.entries, visited.bytes, runs.events_fired, runs.truncated_runs
+        );
         // The barrier gauges come last, after the fields CI greps.
-        let barrier = c.gauges.map_or(String::new(), |(_, runs)| {
-            format!(
-                ", \"fold_s\": {:.3}, \"waves\": {}, \"snapshots\": {}, \"resumes_copied\": {}, \"resumes_moved\": {}, \"store_probes\": {}, \"store_hits\": {}",
-                runs.fold_s,
-                runs.waves,
-                runs.snapshots,
-                runs.resumes_copied,
-                runs.resumes_moved,
-                runs.store_probes,
-                runs.store_hits
-            )
-        });
+        let barrier = format!(
+            ", \"fold_s\": {:.3}, \"waves\": {}, \"snapshots\": {}, \"resumes_copied\": {}, \"resumes_moved\": {}, \"store_probes\": {}, \"store_hits\": {}",
+            runs.fold_s,
+            runs.waves,
+            runs.snapshots,
+            runs.resumes_copied,
+            runs.resumes_moved,
+            runs.store_probes,
+            runs.store_hits
+        );
         out.push_str(&format!(
             "    {{\"cell\": \"{}\", \"model\": \"{}\", \"verdict\": \"{}\", \"bounded\": {}, \"digest\": \"{}\", \"patterns\": {}, \"runs\": {}, \"states\": {}, \"tasks\": {}, {}\"wall_s\": {:.3}, \"runs_per_s\": {:.0}{}}}{}\n",
             c.label,
@@ -455,43 +455,45 @@ fn default_counterexample_path(cfg: &CheckerConfig) -> PathBuf {
     ))
 }
 
-/// Checks one cell, printing the verdict; writes + replays a
-/// counterexample when violated; emits run records when asked. Returns
-/// whether the outcome matched `expect_holds` (`None` = any outcome is
-/// fine).
+/// Checks one cell — in memory, or as the campaign in `campaign` — and
+/// reports it: prints the verdict, writes and replays a counterexample
+/// when violated, emits run records when asked, and adds the cell's bench
+/// row. Returns whether the outcome matched `expect_holds` (`None` = any
+/// outcome is fine) and the verdict, `None` when the campaign paused.
 fn run_cell(
     cfg: &CheckerConfig,
     args: &Args,
     expect_holds: Option<bool>,
     bench: &mut Vec<BenchCell>,
-) -> (bool, CellVerdict) {
+    campaign: Option<(&Path, &CampaignOptions)>,
+) -> (bool, Option<CellVerdict>) {
     let started = Instant::now();
-    let (verdict, visited, runs) = check_cell_gauged(cfg);
-    let ok = report_cell(
-        cfg,
-        args,
-        expect_holds,
-        bench,
-        &verdict,
-        Some((visited, runs)),
-        started.elapsed().as_secs_f64(),
-    );
-    (ok, verdict)
-}
-
-/// The reporting half of [`run_cell`], shared with campaign mode (which
-/// produces its verdict through the checkpointed driver instead of
-/// [`check_cell_gauged`] but emits the identical output from it).
-fn report_cell(
-    cfg: &CheckerConfig,
-    args: &Args,
-    expect_holds: Option<bool>,
-    bench: &mut Vec<BenchCell>,
-    verdict: &CellVerdict,
-    gauges: Option<(VisitedGauge, RunGauge)>,
-    wall_s: f64,
-) -> bool {
-    bench.push(BenchCell::from_verdict(cfg, verdict, gauges, wall_s));
+    let (verdict, visited, runs) = match campaign {
+        None => check_cell_gauged(cfg),
+        Some((dir, opts)) => {
+            let outcome = if args.resume {
+                resume_campaign_gauged(cfg, dir, opts)
+            } else {
+                run_campaign_gauged(cfg, dir, opts)
+            }
+            .unwrap_or_else(|e| {
+                eprintln!("model_check: campaign error: {e}");
+                std::process::exit(2);
+            });
+            match outcome {
+                (CampaignOutcome::Paused { checkpoints, runs }, _, _) => {
+                    println!(
+                        "campaign paused at checkpoint {checkpoints} with {runs} run(s) recorded; \
+                         continue with --resume"
+                    );
+                    return (true, None);
+                }
+                (CampaignOutcome::Finished(verdict), visited, runs) => (*verdict, visited, runs),
+            }
+        }
+    };
+    let wall_s = started.elapsed().as_secs_f64();
+    bench.push(BenchCell::from_verdict(cfg, &verdict, visited, runs, wall_s));
     println!(
         "SC(k={}, t={}, {}) for {} at n={}: {}",
         cfg.k,
@@ -528,7 +530,7 @@ fn report_cell(
     }
     if let Some(json) = &args.json {
         let mut sink = JsonlSink::create(json).expect("create --json sink");
-        for record in to_run_records(cfg, verdict) {
+        for record in to_run_records(cfg, &verdict) {
             sink.write(&record).expect("write run record");
         }
         let written = sink.finish().expect("flush --json sink");
@@ -543,7 +545,18 @@ fn report_cell(
             ok = false;
         }
     }
-    ok
+    if let Some((dir, _)) = campaign {
+        if let Ok(manifest) = read_manifest(dir) {
+            println!(
+                "  campaign manifest: {} (status {}, {} checkpoint(s), {} resume(s))",
+                dir.join("MANIFEST").display(),
+                manifest.status,
+                manifest.checkpoints,
+                manifest.resumes,
+            );
+        }
+    }
+    (ok, Some(verdict))
 }
 
 /// Cross-validates the checker against the analytic enumerator on a cell
@@ -605,20 +618,24 @@ fn main() -> ExitCode {
         }
     };
 
+    let explicit = args.protocol.map(|protocol| {
+        let n = args.n.unwrap_or_else(|| usage_error("--protocol needs --n"));
+        let k = args.k.unwrap_or_else(|| usage_error("--protocol needs --k"));
+        let t = args.t.unwrap_or_else(|| usage_error("--protocol needs --t"));
+        let validity = args
+            .validity
+            .unwrap_or_else(|| usage_error("--protocol needs --validity"));
+        let mut cfg = CheckerConfig::new(protocol, n, k, t, validity);
+        apply_adversary(&mut cfg, &args);
+        apply_bounds(&mut cfg, &args);
+        cfg
+    });
+
     if let Some(dir) = &args.campaign_dir {
         // Campaign mode: an explicit cell driven as a checkpointed,
         // resumable on-disk job (see CAMPAIGNS.md). On --resume the cell
         // may be omitted; the campaign manifest restores it.
-        let cfg = if let Some(protocol) = args.protocol {
-            let n = args.n.unwrap_or_else(|| usage_error("--campaign-dir needs --n"));
-            let k = args.k.unwrap_or_else(|| usage_error("--campaign-dir needs --k"));
-            let t = args.t.unwrap_or_else(|| usage_error("--campaign-dir needs --t"));
-            let validity = args
-                .validity
-                .unwrap_or_else(|| usage_error("--campaign-dir needs --validity"));
-            let mut cfg = CheckerConfig::new(protocol, n, k, t, validity);
-            apply_adversary(&mut cfg, &args);
-            apply_bounds(&mut cfg, &args);
+        let cfg = if let Some(cfg) = explicit {
             cfg
         } else if args.resume {
             let manifest = read_manifest(dir).unwrap_or_else(|e| {
@@ -650,65 +667,16 @@ fn main() -> ExitCode {
                 .unwrap_or(CampaignOptions::default().checkpoint_every),
             pause_after_checkpoints: args.pause_after_checkpoints,
         };
-        let started = Instant::now();
-        let outcome = if args.resume {
-            resume_campaign(&cfg, dir, &opts)
-        } else {
-            run_campaign(&cfg, dir, &opts)
+        let (ok, verdict) = run_cell(&cfg, &args, None, &mut bench, Some((dir, &opts)));
+        if verdict.is_some() {
+            report_bench(&bench, cfg.threads, cfg.fork);
         }
-        .unwrap_or_else(|e| {
-            eprintln!("model_check: campaign error: {e}");
-            std::process::exit(2);
-        });
-        return match outcome {
-            CampaignOutcome::Paused { checkpoints, runs } => {
-                println!(
-                    "campaign paused at checkpoint {checkpoints} with {runs} run(s) recorded; \
-                     continue with --resume"
-                );
-                ExitCode::SUCCESS
-            }
-            CampaignOutcome::Finished(verdict) => {
-                let ok = report_cell(
-                    &cfg,
-                    &args,
-                    None,
-                    &mut bench,
-                    &verdict,
-                    None,
-                    started.elapsed().as_secs_f64(),
-                );
-                if let Ok(manifest) = read_manifest(dir) {
-                    println!(
-                        "  campaign manifest: {} (status {}, {} checkpoint(s), {} resume(s))",
-                        dir.join("MANIFEST").display(),
-                        manifest.status,
-                        manifest.checkpoints,
-                        manifest.resumes,
-                    );
-                }
-                report_bench(&bench, cfg.threads, cfg.fork);
-                if ok {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-        };
+        return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    if let Some(protocol) = args.protocol {
+    if let Some(cfg) = explicit {
         // Explicit single-cell mode.
-        let n = args.n.unwrap_or_else(|| usage_error("--protocol needs --n"));
-        let k = args.k.unwrap_or_else(|| usage_error("--protocol needs --k"));
-        let t = args.t.unwrap_or_else(|| usage_error("--protocol needs --t"));
-        let validity = args
-            .validity
-            .unwrap_or_else(|| usage_error("--protocol needs --validity"));
-        let mut cfg = CheckerConfig::new(protocol, n, k, t, validity);
-        apply_adversary(&mut cfg, &args);
-        apply_bounds(&mut cfg, &args);
-        let (ok, _) = run_cell(&cfg, &args, None, &mut bench);
+        let (ok, _) = run_cell(&cfg, &args, None, &mut bench, None);
         report_bench(&bench, cfg.threads, cfg.fork);
         return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
@@ -731,8 +699,9 @@ fn main() -> ExitCode {
         ValidityCondition::RV1,
     );
     apply_bounds(&mut holds_cfg, &args);
-    let (cell_ok, verdict) = run_cell(&holds_cfg, &args, Some(true), &mut bench);
+    let (cell_ok, verdict) = run_cell(&holds_cfg, &args, Some(true), &mut bench, None);
     ok &= cell_ok;
+    let verdict = verdict.expect("an in-memory check never pauses");
     ok &= run_cross_validation(&holds_cfg, &verdict);
 
     println!("\n[2/4] unsolvable crash cell (FloodMin, t >= k — outside Lemma 3.1):");
@@ -744,7 +713,7 @@ fn main() -> ExitCode {
         ValidityCondition::RV1,
     );
     apply_bounds(&mut viol_cfg, &args);
-    ok &= run_cell(&viol_cfg, &args, Some(false), &mut bench).0;
+    ok &= run_cell(&viol_cfg, &args, Some(false), &mut bench, None).0;
 
     // One Byzantine slot with a zero-forging menu against RV1 on
     // all-equal inputs: every correct process must decide the proposed 1,
@@ -758,7 +727,7 @@ fn main() -> ExitCode {
     mp_byz_cfg.byz_silence = true;
     mp_byz_cfg.inputs = Some(vec![1, 1, 1]);
     apply_bounds(&mut mp_byz_cfg, &args);
-    ok &= run_cell(&mp_byz_cfg, &args, Some(false), &mut bench).0;
+    ok &= run_cell(&mp_byz_cfg, &args, Some(false), &mut bench, None).0;
 
     // Protocol E under weak validity tolerates any number of Byzantine
     // registers for k >= 2 (Lemma 4.10): WV2 only binds when *all*
@@ -771,7 +740,7 @@ fn main() -> ExitCode {
     sm_byz_cfg.byz_menu = vec![0];
     sm_byz_cfg.inputs = Some(vec![1, 1, 1]);
     apply_bounds(&mut sm_byz_cfg, &args);
-    ok &= run_cell(&sm_byz_cfg, &args, Some(true), &mut bench).0;
+    ok &= run_cell(&sm_byz_cfg, &args, Some(true), &mut bench, None).0;
     report_bench(&bench, sm_byz_cfg.threads, sm_byz_cfg.fork);
 
     println!(

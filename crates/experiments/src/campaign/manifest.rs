@@ -19,10 +19,9 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use std::collections::HashMap;
-
 use crate::checker::{
-    parse_adversary_model, parse_protocol, parse_validity, AdversaryModel, CheckerConfig,
+    numbers, parse_adversary_model, parse_protocol, parse_validity, AdversaryModel,
+    CheckerConfig, Header,
 };
 use crate::exhaustive::QuorumProtocol;
 use kset_core::ValidityCondition;
@@ -72,7 +71,7 @@ impl CampaignStatus {
 
 /// The manifest contents (see the module docs and `OBSERVABILITY.md` for
 /// field-by-field semantics).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Manifest {
     /// Protocol under test.
     pub protocol: QuorumProtocol,
@@ -197,12 +196,7 @@ pub(crate) fn uses_canonical_digests(cfg: &CheckerConfig) -> bool {
 /// Whether `cfg`'s adversary differs from the protocol substrate's
 /// default crash adversary (the pre-adversary-model behaviour).
 fn adversary_is_non_default(cfg: &CheckerConfig) -> bool {
-    cfg.adversary
-        != if cfg.protocol.shared_memory() {
-            AdversaryModel::SmCrash
-        } else {
-            AdversaryModel::MpCrash
-        }
+    cfg.adversary != AdversaryModel::crash_for(cfg.protocol)
 }
 
 impl Manifest {
@@ -356,149 +350,81 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
 /// # Errors
 ///
 /// [`io::ErrorKind::NotFound`] when no manifest exists (not a campaign
-/// directory); [`io::ErrorKind::InvalidData`] on an unsupported version
-/// or malformed fields.
+/// directory); [`io::ErrorKind::InvalidData`] on an unsupported version,
+/// malformed fields, a cell [`CheckerConfig::validate`] rejects, or zero
+/// shards.
 pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
     let path = manifest_path(dir);
     let text = fs::read_to_string(&path)?;
-    let bad = |msg: String| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("manifest {}: {msg}", path.display()),
-        )
-    };
+    let mut header = Header::new(format!("manifest {}: ", path.display()));
     let mut lines = text.lines();
-    let header = lines.next().unwrap_or_default();
-    let version: u64 = header
+    let first = lines.next().unwrap_or_default();
+    let version: u64 = first
         .strip_prefix("# kset campaign manifest v")
         .and_then(|v| v.trim().parse().ok())
-        .ok_or_else(|| bad(format!("bad header line {header:?}")))?;
+        .ok_or_else(|| header.bad(format_args!("bad header line {first:?}")))?;
     if version != MANIFEST_VERSION {
-        return Err(bad(format!(
+        return Err(header.bad(format_args!(
             "unsupported manifest version {version} (this build reads {MANIFEST_VERSION})"
         )));
     }
-    let mut fields: HashMap<&str, &str> = HashMap::new();
     for line in lines {
         if line.trim().is_empty() || line.starts_with('#') {
             continue;
         }
-        let (key, value) = line
-            .split_once(':')
-            .ok_or_else(|| bad(format!("malformed line {line:?}")))?;
-        fields.insert(key.trim(), value.trim());
+        if !header.insert(line) {
+            return Err(header.bad(format_args!("malformed line {line:?}")));
+        }
     }
-    let field = |key: &str| {
-        fields
-            .get(key)
-            .copied()
-            .ok_or_else(|| bad(format!("missing field '{key}'")))
+    // `unbounded` or a number.
+    let bound = |value: &str| match value {
+        "unbounded" => Some(None),
+        other => other.parse().ok().map(Some),
     };
-    let num = |key: &str| -> io::Result<u64> {
-        field(key)?
-            .parse()
-            .map_err(|e| bad(format!("bad {key}: {e}")))
-    };
-    let flag = |key: &str| -> io::Result<bool> {
-        match field(key)? {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            other => Err(bad(format!("bad {key}: {other:?}"))),
-        }
-    };
-    let protocol = parse_protocol(field("protocol")?)
-        .ok_or_else(|| bad(format!("unknown protocol {:?}", fields["protocol"])))?;
-    let validity = parse_validity(field("validity")?)
-        .ok_or_else(|| bad(format!("unknown validity {:?}", fields["validity"])))?;
-    let depth = match field("depth")? {
-        "unbounded" => usize::MAX,
-        other => other
-            .parse()
-            .map_err(|e| bad(format!("bad depth: {e}")))?,
-    };
-    let preemptions = match field("preemptions")? {
-        "unbounded" => None,
-        other => Some(
-            other
-                .parse()
-                .map_err(|e| bad(format!("bad preemptions: {e}")))?,
-        ),
-    };
-    let config_digest = u64::from_str_radix(field("config_digest")?, 16)
-        .map_err(|e| bad(format!("bad config_digest: {e}")))?;
-    let status = CampaignStatus::parse(field("status")?)
-        .ok_or_else(|| bad(format!("unknown status {:?}", fields["status"])))?;
-    // Optional adversary-space fields (absent in crash-model manifests).
-    let adversary = match fields.get("model") {
-        None => {
-            if protocol.shared_memory() {
-                AdversaryModel::SmCrash
-            } else {
-                AdversaryModel::MpCrash
-            }
-        }
-        Some(value) => parse_adversary_model(value)
-            .ok_or_else(|| bad(format!("unknown adversary model {value:?}")))?,
-    };
-    let byz_menu = match fields.get("byz_menu") {
-        None => Vec::new(),
-        Some(value) => value
-            .split_whitespace()
-            .map(|w| w.parse().map_err(|e| bad(format!("bad byz_menu: {e}"))))
-            .collect::<io::Result<Vec<u64>>>()?,
-    };
-    let byz_silence = match fields.get("byz_silence") {
-        None => false,
-        Some(value) => value
-            .parse()
-            .map_err(|e| bad(format!("bad byz_silence: {e}")))?,
-    };
-    let loss_budget = match fields.get("loss_budget") {
-        None => 0,
-        Some(value) => value
-            .parse()
-            .map_err(|e| bad(format!("bad loss_budget: {e}")))?,
-    };
-    let inputs = match fields.get("inputs") {
-        None => None,
-        Some(value) => Some(
-            value
-                .split_whitespace()
-                .map(|w| w.parse().map_err(|e| bad(format!("bad inputs: {e}"))))
-                .collect::<io::Result<Vec<u64>>>()?,
-        ),
-    };
-    Ok(Manifest {
+    let protocol = header.required("protocol", parse_protocol)?;
+    let manifest = Manifest {
         protocol,
-        n: num("n")? as usize,
-        k: num("k")? as usize,
-        t: num("t")? as usize,
-        validity,
-        symmetry: flag("symmetry")?,
-        depth,
-        preemptions,
-        max_runs: num("max_runs")?,
-        max_states: num("max_states")? as usize,
-        por: flag("por")?,
-        dedup: flag("dedup")?,
-        shards: num("shards")? as usize,
-        adversary,
-        byz_menu,
-        byz_silence,
-        loss_budget,
-        inputs,
-        config_digest,
-        status,
-        resumes: num("resumes")?,
-        checkpoints: num("checkpoints")?,
-        runs: num("runs")?,
-        states: num("states")?,
-        dedup_hits: num("dedup_hits")?,
-        sleep_skips: num("sleep_skips")?,
-        patterns_done: num("patterns_done")?,
-        store_entries: num("store_entries")?,
-        store_log_bytes: num("store_log_bytes")?,
-    })
+        n: header.parse("n")?,
+        k: header.parse("k")?,
+        t: header.parse("t")?,
+        validity: header.required("validity", parse_validity)?,
+        symmetry: header.parse("symmetry")?,
+        depth: header.required("depth", bound)?.unwrap_or(usize::MAX),
+        preemptions: header.required("preemptions", bound)?,
+        max_runs: header.parse("max_runs")?,
+        max_states: header.parse("max_states")?,
+        por: header.parse("por")?,
+        dedup: header.parse("dedup")?,
+        shards: header.parse("shards")?,
+        // The adversary-space fields are absent in crash-model manifests.
+        adversary: header
+            .optional("model", parse_adversary_model)?
+            .unwrap_or(AdversaryModel::crash_for(protocol)),
+        byz_menu: header.optional("byz_menu", numbers)?.unwrap_or_default(),
+        byz_silence: header.optional("byz_silence", |v| v.parse().ok())?.unwrap_or(false),
+        loss_budget: header.optional("loss_budget", |v| v.parse().ok())?.unwrap_or(0),
+        inputs: header.optional("inputs", numbers)?,
+        config_digest: header.required("config_digest", |v| u64::from_str_radix(v, 16).ok())?,
+        status: header.required("status", CampaignStatus::parse)?,
+        resumes: header.parse("resumes")?,
+        checkpoints: header.parse("checkpoints")?,
+        runs: header.parse("runs")?,
+        states: header.parse("states")?,
+        dedup_hits: header.parse("dedup_hits")?,
+        sleep_skips: header.parse("sleep_skips")?,
+        patterns_done: header.parse("patterns_done")?,
+        store_entries: header.parse("store_entries")?,
+        store_log_bytes: header.parse("store_log_bytes")?,
+    };
+    // `--resume` builds the cell and the store from these values, so a
+    // manifest that would make it panic is refused here.
+    if let Err(message) = manifest.checker_config().validate() {
+        return Err(header.bad(format_args!("invalid configuration: {message}")));
+    }
+    if manifest.shards == 0 {
+        return Err(header.bad("a campaign needs at least one shard"));
+    }
+    Ok(manifest)
 }
 
 #[cfg(test)]

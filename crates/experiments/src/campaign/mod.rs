@@ -1,12 +1,13 @@
 //! Checkpointed, resumable certification campaigns.
 //!
 //! A *campaign* is a [`crate::checker::check_cell`] run turned into a
-//! restartable production job (ROADMAP item 3): the exploration state
-//! lives in a campaign directory on disk, is checkpointed atomically at
-//! wave boundaries, and a killed campaign resumed via `model_check
-//! --resume` produces **bit-identical verdicts, counters, and
-//! counterexample bytes** to an uninterrupted run — the same determinism
-//! contract PR 3 established for `--threads`, extended across process
+//! restartable production job: the same pattern loop, over a disk-backed
+//! visited store instead of a fresh in-memory one per pattern, with hooks
+//! that checkpoint the exploration state into a campaign directory
+//! atomically at wave and pattern boundaries. A killed campaign resumed
+//! via `model_check --resume` produces **bit-identical verdicts,
+//! counters, and counterexample bytes** to an uninterrupted run — the
+//! determinism contract `--threads` has, extended across process
 //! lifetimes. `CAMPAIGNS.md` is the operator's guide; this module is the
 //! mechanism.
 //!
@@ -39,25 +40,26 @@ pub(crate) mod snapshot;
 pub mod shard;
 pub mod store;
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use kset_core::ProblemSpec;
-
 use crate::checker::{
-    shrink_counterexample, CellVerdict, CheckerConfig, PatternState, PatternVerdict,
+    drive_cell, CellHooks, CellVerdict, CheckerConfig, PatternState, PatternVerdict, RunGauge,
+    Store, VisitedGauge, WorkItem,
 };
-use crate::checker::{drain_pattern, seed_pattern};
-use crate::engine::{DrainExit, WaveControl};
+use crate::engine::WaveControl;
+use crate::visited::Sharded;
 
 use manifest::{
     config_digest, manifest_path, read_manifest, uses_canonical_digests, write_manifest,
     CampaignStatus, Manifest,
 };
+use shard::Shard;
 use snapshot::{read_snapshot, write_snapshot, Snapshot};
-use store::{CampaignStore, DiskStore};
+use store::DiskStore;
 
 /// Campaign-layer knobs (the checker knobs stay in [`CheckerConfig`]).
 #[derive(Clone, Debug)]
@@ -132,23 +134,39 @@ impl fmt::Display for DigestModeMismatch {
 
 impl std::error::Error for DigestModeMismatch {}
 
+/// A campaign invocation's outcome with the gauges of the exploration it
+/// ran (see [`crate::checker::check_cell_gauged`]). After a resume the
+/// gauges cover this invocation only: the wave barriers it drained, the
+/// store as it grew from the restored checkpoint.
+pub type GaugedOutcome = (CampaignOutcome, VisitedGauge, RunGauge);
+
 /// Creates a fresh campaign in `dir` and drives it (to completion, or to
 /// a [`CampaignOutcome::Paused`] stop).
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::AlreadyExists`] if `dir` already holds a campaign
-/// (resume it instead); otherwise propagates I/O errors.
-///
-/// # Panics
-///
-/// Panics if the cell coordinates are rejected by [`ProblemSpec::new`]
-/// (same contract as [`crate::checker::check_cell`]).
+/// [`io::ErrorKind::InvalidInput`] if `cfg` fails
+/// [`CheckerConfig::validate`]; [`io::ErrorKind::AlreadyExists`] if
+/// `dir` already holds a campaign (resume it instead); otherwise
+/// propagates I/O errors.
 pub fn run_campaign(
     cfg: &CheckerConfig,
     dir: &Path,
     opts: &CampaignOptions,
 ) -> io::Result<CampaignOutcome> {
+    run_campaign_gauged(cfg, dir, opts).map(|(outcome, _, _)| outcome)
+}
+
+/// [`run_campaign`], also reporting the exploration's gauges.
+///
+/// # Errors
+///
+/// As [`run_campaign`].
+pub fn run_campaign_gauged(
+    cfg: &CheckerConfig,
+    dir: &Path,
+    opts: &CampaignOptions,
+) -> io::Result<GaugedOutcome> {
     if let Err(message) = cfg.validate() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -165,10 +183,10 @@ pub fn run_campaign(
         ));
     }
     fs::create_dir_all(dir)?;
-    let store = DiskStore::create(dir, opts.shards)?;
+    let (disk, shards) = DiskStore::create(dir, opts.shards)?;
     let manifest = Manifest::new(cfg, opts.shards);
     write_manifest(dir, &manifest)?;
-    drive(cfg, dir, opts, store, manifest, Vec::new(), None, 0)
+    drive(cfg, Checkpoints::new(dir, opts, disk, manifest, 0), shards, Vec::new(), None)
 }
 
 /// Resumes the campaign in `dir` from its last durable checkpoint.
@@ -181,20 +199,31 @@ pub fn run_campaign(
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::NotFound`] if `dir` has no manifest;
-/// [`io::ErrorKind::InvalidData`] on a configuration mismatch (a
-/// [`DigestModeMismatch`] payload when the recorded digest mode is not the
-/// one the inputs select), an already-finished campaign, or corrupt
-/// campaign files. A refused resume writes nothing.
-///
-/// # Panics
-///
-/// Panics if the cell coordinates are rejected by [`ProblemSpec::new`].
+/// [`io::ErrorKind::InvalidInput`] if `cfg` fails
+/// [`CheckerConfig::validate`]; [`io::ErrorKind::NotFound`] if `dir` has
+/// no manifest; [`io::ErrorKind::InvalidData`] on a configuration
+/// mismatch (a [`DigestModeMismatch`] payload when the recorded digest
+/// mode is not the one the inputs select), an already-finished campaign,
+/// or corrupt campaign files. A refused resume writes nothing.
 pub fn resume_campaign(
     cfg: &CheckerConfig,
     dir: &Path,
     opts: &CampaignOptions,
 ) -> io::Result<CampaignOutcome> {
+    resume_campaign_gauged(cfg, dir, opts).map(|(outcome, _, _)| outcome)
+}
+
+/// [`resume_campaign`], also reporting the gauges of this invocation's
+/// exploration.
+///
+/// # Errors
+///
+/// As [`resume_campaign`].
+pub fn resume_campaign_gauged(
+    cfg: &CheckerConfig,
+    dir: &Path,
+    opts: &CampaignOptions,
+) -> io::Result<GaugedOutcome> {
     if let Err(message) = cfg.validate() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -230,7 +259,7 @@ pub fn resume_campaign(
             manifest.status
         )));
     }
-    let (store, patterns_done, in_progress) = match read_snapshot(dir) {
+    let (disk, shards, patterns_done, in_progress) = match read_snapshot(dir) {
         Ok(snap) => {
             if snap.config_digest != digest {
                 return Err(bad(format!(
@@ -246,258 +275,194 @@ pub fn resume_campaign(
                     manifest.shards
                 )));
             }
-            let store = DiskStore::open(dir, snap.generation, &snap.watermarks)?;
-            (store, snap.patterns_done, snap.in_progress)
+            let (disk, shards) = DiskStore::open(dir, snap.generation, &snap.watermarks)?;
+            (disk, shards, snap.patterns_done, snap.in_progress)
         }
         // Killed before the first checkpoint: the campaign starts over.
         // Generation 0 with zero watermarks truncates any partial appends
         // and discards stray generations a mid-flush crash left behind.
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let store = DiskStore::open(dir, 0, &vec![0; manifest.shards])?;
-            (store, Vec::new(), None)
+            let (disk, shards) = DiskStore::open(dir, 0, &vec![0; manifest.shards])?;
+            (disk, shards, Vec::new(), None)
         }
         Err(e) => return Err(e),
     };
     manifest.resumes += 1;
     write_manifest(dir, &manifest)?;
-    let resumed_runs = cumulative_runs(&patterns_done, in_progress.as_ref());
-    drive(
-        cfg,
-        dir,
-        opts,
-        store,
-        manifest,
-        patterns_done,
-        in_progress,
-        resumed_runs,
-    )
+    // Runs recorded so far: finished patterns plus the in-progress partial.
+    let runs = patterns_done.iter().map(|p| p.runs).sum::<u64>()
+        + in_progress.as_ref().map_or(0, |s| s.verdict.runs);
+    drive(cfg, Checkpoints::new(dir, opts, disk, manifest, runs), shards, patterns_done, in_progress)
 }
 
-/// Runs recorded so far: finished patterns plus the in-progress partial.
-fn cumulative_runs(done: &[PatternVerdict], partial: Option<&PatternState>) -> u64 {
-    done.iter().map(|p| p.runs).sum::<u64>() + partial.map_or(0, |s| s.verdict.runs)
+/// The campaign's hooks on the checker's pattern loop: a checkpoint once
+/// [`CampaignOptions::checkpoint_every`] runs have passed since the last
+/// one, and at every pattern boundary, and the pause
+/// [`CampaignOptions::pause_after_checkpoints`] asks for.
+struct Checkpoints<'a> {
+    dir: &'a Path,
+    opts: &'a CampaignOptions,
+    disk: DiskStore,
+    manifest: Manifest,
+    /// Cumulative runs at the last checkpoint.
+    last_runs: u64,
+    /// Checkpoints written by this invocation.
+    written: u64,
+    /// The checkpoint failure that paused the loop, if one did.
+    error: Option<io::Error>,
 }
 
-/// Refreshes the manifest's cumulative counters from the authoritative
-/// exploration state.
-fn refresh_counters(
-    manifest: &mut Manifest,
-    store: &DiskStore,
-    done: &[PatternVerdict],
-    partial: Option<&PatternVerdict>,
-) {
-    let verdicts = done.iter().chain(partial);
-    let mut runs = 0;
-    let mut states = 0u64;
-    let mut dedup_hits = 0;
-    let mut sleep_skips = 0;
-    for v in verdicts {
-        runs += v.runs;
-        states += v.states as u64;
-        dedup_hits += v.dedup_hits;
-        sleep_skips += v.sleep_skips;
-    }
-    manifest.runs = runs;
-    manifest.states = states;
-    manifest.dedup_hits = dedup_hits;
-    manifest.sleep_skips = sleep_skips;
-    manifest.patterns_done = done.len() as u64;
-    let occ = store.occupancy();
-    manifest.store_entries = occ.entries;
-    manifest.store_log_bytes = occ.log_bytes;
-}
-
-/// Writes one durable checkpoint: flushes the store, snapshots
-/// `(finished patterns, in-progress state, store coordinates)`, deletes
-/// superseded log generations, and rewrites the manifest.
-fn write_checkpoint(
-    dir: &Path,
-    store: &mut DiskStore,
-    digest: u64,
-    patterns_done: &[PatternVerdict],
-    in_progress: Option<PatternState>,
-    manifest: &mut Manifest,
-) -> io::Result<()> {
-    let (generation, watermarks) = store.flush()?;
-    let snapshot = Snapshot {
-        config_digest: digest,
-        generation,
-        watermarks,
-        patterns_done: patterns_done.to_vec(),
-        in_progress,
-    };
-    write_snapshot(dir, &snapshot)?;
-    // Only now is it safe to drop generations the old snapshot needed.
-    store.cleanup()?;
-    manifest.checkpoints += 1;
-    refresh_counters(
-        manifest,
-        store,
-        patterns_done,
-        snapshot.in_progress.as_ref().map(|s| &s.verdict),
-    );
-    write_manifest(dir, manifest)?;
-    Ok(())
-}
-
-/// Aggregates finished pattern verdicts exactly as
-/// [`crate::checker::check_cell`] does.
-fn cell_verdict(patterns: Vec<PatternVerdict>) -> CellVerdict {
-    let mut verdict = CellVerdict {
-        patterns: Vec::new(),
-        worst_agreement: 0,
-        complete: true,
-        runs: 0,
-        counterexample: None,
-    };
-    for pattern in patterns {
-        verdict.worst_agreement = verdict.worst_agreement.max(pattern.worst_agreement);
-        verdict.runs += pattern.runs;
-        verdict.complete &= pattern.complete;
-        if let Some(ce) = &pattern.violation {
-            verdict.counterexample = Some(ce.clone());
+impl<'a> Checkpoints<'a> {
+    fn new(
+        dir: &'a Path,
+        opts: &'a CampaignOptions,
+        disk: DiskStore,
+        manifest: Manifest,
+        last_runs: u64,
+    ) -> Self {
+        Checkpoints {
+            dir,
+            opts,
+            disk,
+            manifest,
+            last_runs,
+            written: 0,
+            error: None,
         }
-        verdict.patterns.push(pattern);
     }
-    verdict
+
+    /// Writes one durable checkpoint at `runs` cumulative runs: flushes
+    /// the store, snapshots `(finished patterns, in-progress state, store
+    /// coordinates)`, deletes superseded log generations, and rewrites the
+    /// manifest. Pauses the loop when the pause budget is spent or the
+    /// checkpoint fails.
+    fn checkpoint(
+        &mut self,
+        shards: &mut Sharded<Shard>,
+        patterns_done: &[PatternVerdict],
+        in_progress: Option<PatternState>,
+        runs: u64,
+    ) -> WaveControl {
+        match self.write(shards, patterns_done, in_progress) {
+            Ok(()) => {
+                self.last_runs = runs;
+                self.written += 1;
+                if self
+                    .opts
+                    .pause_after_checkpoints
+                    .is_some_and(|p| self.written >= p)
+                {
+                    WaveControl::Pause
+                } else {
+                    WaveControl::Continue
+                }
+            }
+            Err(e) => {
+                self.error = Some(e);
+                WaveControl::Pause
+            }
+        }
+    }
+
+    fn write(
+        &mut self,
+        shards: &mut Sharded<Shard>,
+        patterns_done: &[PatternVerdict],
+        in_progress: Option<PatternState>,
+    ) -> io::Result<()> {
+        let (generation, watermarks) = self.disk.flush(shards)?;
+        let snapshot = Snapshot {
+            config_digest: self.manifest.config_digest,
+            generation,
+            watermarks,
+            patterns_done: patterns_done.to_vec(),
+            in_progress,
+        };
+        write_snapshot(self.dir, &snapshot)?;
+        // Only now is it safe to drop generations the old snapshot needed.
+        self.disk.cleanup(shards)?;
+        // The cumulative counters, from the authoritative state.
+        let manifest = &mut self.manifest;
+        manifest.checkpoints += 1;
+        let partial = snapshot.in_progress.as_ref().map(|s| &s.verdict);
+        let verdicts = || patterns_done.iter().chain(partial);
+        manifest.runs = verdicts().map(|v| v.runs).sum();
+        manifest.states = verdicts().map(|v| v.states as u64).sum();
+        manifest.dedup_hits = verdicts().map(|v| v.dedup_hits).sum();
+        manifest.sleep_skips = verdicts().map(|v| v.sleep_skips).sum();
+        manifest.patterns_done = patterns_done.len() as u64;
+        manifest.store_entries = shards.live_entries();
+        manifest.store_log_bytes = shards.tables().iter().map(Shard::log_bytes).sum();
+        write_manifest(self.dir, manifest)
+    }
 }
 
-/// The campaign main loop: explores the remaining crash patterns,
-/// checkpointing at the configured cadence and at every pattern boundary.
-#[allow(clippy::too_many_arguments)]
+impl CellHooks<Shard> for Checkpoints<'_> {
+    fn wave(
+        &mut self,
+        shards: &mut Sharded<Shard>,
+        done: &[PatternVerdict],
+        partial: &PatternVerdict,
+        queue: &VecDeque<Vec<WorkItem>>,
+    ) -> WaveControl {
+        let runs = done.iter().map(|p| p.runs).sum::<u64>() + partial.runs;
+        if runs.saturating_sub(self.last_runs) < self.opts.checkpoint_every {
+            return WaveControl::Continue;
+        }
+        let partial = PatternState {
+            verdict: partial.clone(),
+            queue: queue.iter().cloned().collect(),
+        };
+        self.checkpoint(shards, done, Some(partial), runs)
+    }
+
+    fn pattern(
+        &mut self,
+        shards: &mut Sharded<Shard>,
+        done: &[PatternVerdict],
+        decided: bool,
+    ) -> WaveControl {
+        if done.last().is_some_and(|p| p.violation.is_some()) {
+            self.manifest.status = CampaignStatus::Violated;
+        } else {
+            if decided {
+                self.manifest.status = CampaignStatus::Holds;
+            }
+            // The visited set is per-pattern, so clear the store into a
+            // fresh log generation before the boundary checkpoint.
+            if let Err(e) = self.disk.reset(shards) {
+                self.error = Some(e);
+                return WaveControl::Pause;
+            }
+        }
+        let runs = done.iter().map(|p| p.runs).sum();
+        self.checkpoint(shards, done, None, runs)
+    }
+}
+
+/// Drives the campaign on the checker's pattern loop over its disk-backed
+/// `shards`, from the checkpointed `patterns_done` and `in_progress`
+/// state, with `checkpoints` as the loop's hooks.
 fn drive(
     cfg: &CheckerConfig,
-    dir: &Path,
-    opts: &CampaignOptions,
-    mut store: DiskStore,
-    mut manifest: Manifest,
-    mut patterns_done: Vec<PatternVerdict>,
-    mut in_progress: Option<PatternState>,
-    mut last_checkpoint_runs: u64,
-) -> io::Result<CampaignOutcome> {
-    let inputs = cfg.cell_inputs();
-    let spec = ProblemSpec::new(cfg.n, cfg.k, cfg.t, cfg.validity)
-        .expect("campaign cell coordinates are valid");
-    // The adversary's own pattern enumeration: Byzantine assignments when
-    // the behaviour space is active, silent-crash subsets otherwise —
-    // seed/drain/shrink derive each pattern's deviation policy from
-    // `cfg` internally, so the campaign loop is adversary-agnostic.
-    let plans = cfg.fault_plans();
-    let digest = manifest.config_digest;
-    let mut session_checkpoints = 0u64;
-
-    let start = patterns_done.len();
-    for (index, plan) in plans.iter().enumerate().skip(start) {
-        let state = match in_progress.take() {
-            // Restored mid-pattern: the store already holds this
-            // pattern's visited set.
-            Some(state) => state,
-            None => {
-                let (state, root_visited) = seed_pattern(cfg, &inputs, &spec, plan);
-                let root = root_visited.partition(store.shard_count());
-                store.absorb(&[root], cfg.threads);
-                state
-            }
-        };
-        let done_runs: u64 = patterns_done.iter().map(|p| p.runs).sum();
-        let mut checkpoint_error: Option<io::Error> = None;
-        let (verdict, exit, _) = {
-            let manifest = &mut manifest;
-            let patterns_done = &patterns_done;
-            let last_checkpoint_runs = &mut last_checkpoint_runs;
-            let session_checkpoints = &mut session_checkpoints;
-            let checkpoint_error = &mut checkpoint_error;
-            drain_pattern(
-                cfg,
-                &inputs,
-                &spec,
-                plan,
-                &mut store,
-                state,
-                |store, verdict, queue| {
-                    let total = done_runs + verdict.runs;
-                    if total.saturating_sub(*last_checkpoint_runs) < opts.checkpoint_every {
-                        return WaveControl::Continue;
-                    }
-                    let partial = PatternState {
-                        verdict: verdict.clone(),
-                        queue: queue.iter().cloned().collect(),
-                    };
-                    match write_checkpoint(
-                        dir,
-                        store,
-                        digest,
-                        patterns_done,
-                        Some(partial),
-                        manifest,
-                    ) {
-                        Ok(()) => {
-                            *last_checkpoint_runs = total;
-                            *session_checkpoints += 1;
-                            if opts
-                                .pause_after_checkpoints
-                                .is_some_and(|p| *session_checkpoints >= p)
-                            {
-                                WaveControl::Pause
-                            } else {
-                                WaveControl::Continue
-                            }
-                        }
-                        Err(e) => {
-                            *checkpoint_error = Some(e);
-                            WaveControl::Pause
-                        }
-                    }
-                },
-            )
-        };
-        if let Some(e) = checkpoint_error {
-            return Err(e);
-        }
-        if matches!(exit, DrainExit::Paused) {
-            return Ok(CampaignOutcome::Paused {
-                checkpoints: manifest.checkpoints,
-                runs: manifest.runs,
-            });
-        }
-
-        let mut pattern = verdict;
-        if let Some(raw) = pattern.violation.take() {
-            let shrunk = shrink_counterexample(cfg, &inputs, &spec, plan, raw.choices);
-            pattern.violation = Some(shrunk);
-            patterns_done.push(pattern);
-            manifest.status = CampaignStatus::Violated;
-            write_checkpoint(dir, &mut store, digest, &patterns_done, None, &mut manifest)?;
-            return Ok(CampaignOutcome::Finished(Box::new(cell_verdict(
-                patterns_done,
-            ))));
-        }
-        patterns_done.push(pattern);
-
-        // Pattern boundary: the visited set is per-pattern, so clear the
-        // store into a fresh log generation and checkpoint the boundary.
-        let finished = index + 1 == plans.len();
-        if finished {
-            manifest.status = CampaignStatus::Holds;
-        }
-        store.reset()?;
-        write_checkpoint(dir, &mut store, digest, &patterns_done, None, &mut manifest)?;
-        last_checkpoint_runs = patterns_done.iter().map(|p| p.runs).sum();
-        session_checkpoints += 1;
-        if !finished
-            && opts
-                .pause_after_checkpoints
-                .is_some_and(|p| session_checkpoints >= p)
-        {
-            return Ok(CampaignOutcome::Paused {
-                checkpoints: manifest.checkpoints,
-                runs: manifest.runs,
-            });
-        }
+    mut checkpoints: Checkpoints<'_>,
+    mut shards: Sharded<Shard>,
+    patterns_done: Vec<PatternVerdict>,
+    in_progress: Option<PatternState>,
+) -> io::Result<GaugedOutcome> {
+    let store = Store::Lent(&mut shards, &mut checkpoints);
+    let (verdict, visited, runs) = drive_cell(cfg, patterns_done, in_progress, store);
+    if let Some(e) = checkpoints.error {
+        return Err(e);
     }
-    Ok(CampaignOutcome::Finished(Box::new(cell_verdict(
-        patterns_done,
-    ))))
+    let outcome = match verdict {
+        Some(verdict) => CampaignOutcome::Finished(Box::new(verdict)),
+        None => CampaignOutcome::Paused {
+            checkpoints: checkpoints.manifest.checkpoints,
+            runs: checkpoints.manifest.runs,
+        },
+    };
+    Ok((outcome, visited, runs))
 }
 
 #[cfg(test)]

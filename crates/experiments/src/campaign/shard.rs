@@ -218,6 +218,11 @@ impl ShardTable for Shard {
     fn live_entries(&self) -> u64 {
         Shard::live_entries(self)
     }
+
+    /// The table's resident bytes plus the records not yet flushed.
+    fn resident_bytes(&self) -> u64 {
+        self.table.resident_bytes() + self.pending.len() as u64
+    }
 }
 
 /// Serializes one `(fingerprint, sleep set)` log record, ids ascending

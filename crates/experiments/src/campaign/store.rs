@@ -1,85 +1,28 @@
-//! The shared visited-state store behind the checker's wave barrier —
-//! abstract, with an in-memory fast path and a disk-backed campaign
-//! implementation.
+//! The disk side of a campaign's visited store: the shard log files, their
+//! generations, and the integrity helpers every campaign file shares.
 //!
-//! [`drain_pattern`](crate::checker) folds every wave's task tables into
-//! one shared store at the wave barrier and lets later waves prune
-//! against it. The checker only ever needs two operations — the
-//! subset-rule query ([`CampaignStore::covers`]) and the wave-barrier
-//! fold ([`CampaignStore::absorb`]) — so the store is a trait. Both
-//! implementations are one sharded layout ([`Sharded`], partitioned by
-//! [`shard_of`](crate::visited::shard_of)) over different shard tables:
+//! A campaign explores on the checker's one pattern loop
+//! ([`crate::checker::check_cell`]'s), over a
+//! [`Sharded`] store of `--campaign-shards` [`Shard`]s instead of the
+//! in-memory store's [`SHARDS`](crate::visited::SHARDS) `Visited` tables.
+//! Both stores are one layout ([`Sharded`], partitioned by
+//! [`shard_of`](crate::visited::shard_of)), folded at each wave barrier in
+//! the same order, and both keep the same *minimal antichain* per
+//! fingerprint (insertions drop stored supersets), so `covers` answers,
+//! and with them every verdict and counter, are identical across stores.
+//! The `campaign_resume` integration suite pins that equivalence.
 //!
-//! * The in-memory store is a `Sharded<Visited>` of
-//!   [`SHARDS`](crate::visited::SHARDS) shards. The drain is generic, not
-//!   dynamic, so it pays no indirection and no persistence cost.
-//! * [`DiskStore`] is a `Sharded<Shard>` of `--campaign-shards` shards,
-//!   each an append-log mirrored by an in-memory `Visited` table
-//!   ([`super::shard`]), making the store durable and the campaign
-//!   resumable.
-//!
-//! Both implementations maintain the same *minimal antichain* per
-//! fingerprint (insertions drop stored supersets), and minimal-set
-//! semantics are merge-order independent — so `covers` answers, and with
-//! them every verdict and counter, are identical across stores. The
-//! `campaign_resume` integration suite pins that equivalence.
+//! Each shard is an append-log mirrored by an in-memory `Visited` table
+//! ([`super::shard`]). [`DiskStore`] keeps only what the logs need beside
+//! those tables: the campaign directory and the current log generation.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::checker::SleepEntry;
-use crate::visited::{Partitioned, ShardTable, Sharded};
+use crate::visited::Sharded;
 
 use super::shard::Shard;
-
-/// The shared visited-state store of one crash pattern's exploration.
-///
-/// Implementations must preserve minimal-antichain semantics: after any
-/// sequence of [`CampaignStore::absorb`] calls, [`CampaignStore::covers`]
-/// answers exactly as one [`Visited`](crate::visited::Visited) table fed
-/// the same tables through
-/// [`Visited::merge`](crate::visited::Visited::merge) would. The checker's determinism contract
-/// (byte-identical verdicts, counters and counterexamples for every
-/// thread count *and every store*) rests on that equivalence.
-pub trait CampaignStore {
-    /// The subset-rule query: was `fingerprint` expanded under a sleep
-    /// set contained in `sleep`?
-    fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool;
-
-    /// The shard count tables must be
-    /// [partitioned](crate::visited::Visited::partition) for before
-    /// [`CampaignStore::absorb`] takes them.
-    fn shard_count(&self) -> usize;
-
-    /// Folds one wave's task tables in at the wave barrier, on up to
-    /// `threads` workers: per shard, the tables in claim order (their
-    /// order in `wave`) and each table's entries in its index order.
-    /// Entries already covered are skipped; new entries drop their stored
-    /// supersets, keeping each fingerprint's antichain minimal.
-    fn absorb(&mut self, wave: &[Partitioned], threads: usize);
-
-    /// Minimal entries currently stored (occupancy, for reporting).
-    fn entries(&self) -> u64;
-}
-
-impl<T: ShardTable> CampaignStore for Sharded<T> {
-    fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
-        Sharded::covers(self, fingerprint, sleep)
-    }
-
-    fn shard_count(&self) -> usize {
-        self.tables().len()
-    }
-
-    fn absorb(&mut self, wave: &[Partitioned], threads: usize) {
-        self.fold(wave, threads);
-    }
-
-    fn entries(&self) -> u64 {
-        self.live_entries()
-    }
-}
 
 /// FNV-1a over `bytes` — the checksum/config-digest hash of the campaign
 /// file formats. Deliberately byte-wise and dependency-free; these are
@@ -109,28 +52,16 @@ pub(crate) fn take_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
     Some(u64::from_le_bytes(chunk.try_into().expect("8-byte slice")))
 }
 
-/// Occupancy summary of a [`DiskStore`], for manifests and progress
-/// output.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct StoreOccupancy {
-    /// Minimal entries live across all shard tables.
-    pub entries: u64,
-    /// Durable log bytes across all shards (excludes unflushed appends).
-    pub log_bytes: u64,
-    /// Log records across all shards, including superseded ones
-    /// compaction would drop.
-    pub log_records: u64,
-}
-
-/// The disk-backed campaign store: a [`Sharded`] store of [`Shard`]s,
-/// each an append-log file plus an in-memory
-/// [`Visited`](crate::visited::Visited) table, and the directory and log
-/// generation around them.
+/// The log-file bookkeeping of a campaign's [`Sharded`] store of
+/// [`Shard`]s: the directory the shard logs live in and their current
+/// generation. The shards themselves are lent to the checker's pattern
+/// loop, and every method here takes them as an argument.
 ///
 /// Durability protocol (see `CAMPAIGNS.md` for the full story):
 ///
-/// * [`CampaignStore::absorb`] updates the in-memory tables and buffers
-///   serialized records; nothing touches disk between checkpoints.
+/// * A wave-barrier [`Sharded::fold`] updates the in-memory tables and
+///   buffers serialized records; nothing touches disk between
+///   checkpoints.
 /// * [`DiskStore::flush`] appends the buffers to the current
 ///   **generation** of log files and returns the `(generation,
 ///   watermarks)` a snapshot must record. Compaction and the per-pattern
@@ -143,7 +74,6 @@ pub struct StoreOccupancy {
 pub struct DiskStore {
     dir: PathBuf,
     generation: u64,
-    shards: Sharded<Shard>,
 }
 
 impl DiskStore {
@@ -153,7 +83,7 @@ impl DiskStore {
     /// # Errors
     ///
     /// Propagates I/O errors; rejects a zero shard count.
-    pub fn create(dir: &Path, shards: usize) -> io::Result<Self> {
+    pub fn create(dir: &Path, shards: usize) -> io::Result<(Self, Sharded<Shard>)> {
         if shards == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -164,12 +94,11 @@ impl DiskStore {
         let store = DiskStore {
             dir: dir.to_path_buf(),
             generation: 0,
-            shards: Sharded::new(shards),
         };
         for index in 0..shards {
             fs::write(store.log_path(index, 0), [])?;
         }
-        Ok(store)
+        Ok((store, Sharded::new(shards)))
     }
 
     /// Opens the store a snapshot describes: truncates each
@@ -183,12 +112,16 @@ impl DiskStore {
     /// Propagates I/O errors; fails with [`io::ErrorKind::InvalidData`]
     /// if a log is shorter than its watermark or ends in a torn record
     /// below it (the snapshot then describes data that does not exist).
-    pub fn open(dir: &Path, generation: u64, watermarks: &[u64]) -> io::Result<Self> {
-        let mut store = DiskStore {
+    pub fn open(
+        dir: &Path,
+        generation: u64,
+        watermarks: &[u64],
+    ) -> io::Result<(Self, Sharded<Shard>)> {
+        let store = DiskStore {
             dir: dir.to_path_buf(),
             generation,
-            shards: Sharded::new(watermarks.len()),
         };
+        let mut shards = Sharded::<Shard>::new(watermarks.len());
         for (index, &watermark) in watermarks.iter().enumerate() {
             let path = store.log_path(index, generation);
             let bytes = fs::read(&path).map_err(|e| {
@@ -214,10 +147,10 @@ impl DiskStore {
                 let file = fs::OpenOptions::new().write(true).open(&path)?;
                 file.set_len(watermark)?;
             }
-            store.shards.tables_mut()[index].load(&bytes[..watermark as usize], &path)?;
+            shards.tables_mut()[index].load(&bytes[..watermark as usize], &path)?;
         }
-        store.delete_other_generations()?;
-        Ok(store)
+        store.cleanup(&shards)?;
+        Ok((store, shards))
     }
 
     /// Appends every shard's buffered records to the current generation's
@@ -228,30 +161,16 @@ impl DiskStore {
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn flush(&mut self) -> io::Result<(u64, Vec<u64>)> {
-        if self.shards.tables().iter().any(Shard::wants_compaction) {
-            self.rewrite_generation()?;
+    pub fn flush(&mut self, shards: &mut Sharded<Shard>) -> io::Result<(u64, Vec<u64>)> {
+        if shards.tables().iter().any(Shard::wants_compaction) {
+            self.rewrite_generation(shards)?;
         } else {
-            for index in 0..self.shard_count() {
-                let path = self.log_path(index, self.generation);
-                self.shards.tables_mut()[index].flush_to(&path)?;
+            for (index, shard) in shards.tables_mut().iter_mut().enumerate() {
+                shard.flush_to(&self.log_path(index, self.generation))?;
             }
         }
-        Ok((self.generation, self.watermarks()))
-    }
-
-    /// Compacts every shard: rewrites the logs as a fresh generation
-    /// containing only the live minimal entries. Returns the new
-    /// `(generation, watermarks)`; the caller must write a snapshot
-    /// recording them before [`DiskStore::cleanup`] may delete the old
-    /// generation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn compact(&mut self) -> io::Result<(u64, Vec<u64>)> {
-        self.rewrite_generation()?;
-        Ok((self.generation, self.watermarks()))
+        let watermarks = shards.tables().iter().map(Shard::log_bytes).collect();
+        Ok((self.generation, watermarks))
     }
 
     /// Clears the store for the next crash pattern: empties every shard
@@ -262,11 +181,11 @@ impl DiskStore {
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn reset(&mut self) -> io::Result<()> {
-        for shard in self.shards.tables_mut() {
+    pub fn reset(&mut self, shards: &mut Sharded<Shard>) -> io::Result<()> {
+        for shard in shards.tables_mut() {
             shard.clear();
         }
-        self.rewrite_generation()
+        self.rewrite_generation(shards)
     }
 
     /// Deletes log files of every generation other than the current one.
@@ -276,50 +195,8 @@ impl DiskStore {
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn cleanup(&self) -> io::Result<()> {
-        self.delete_other_generations()
-    }
-
-    /// Occupancy counters for manifests and progress reporting.
-    pub fn occupancy(&self) -> StoreOccupancy {
-        let shards = self.shards.tables();
-        StoreOccupancy {
-            entries: self.shards.live_entries(),
-            log_bytes: shards.iter().map(Shard::log_bytes).sum(),
-            log_records: shards.iter().map(Shard::log_records).sum(),
-        }
-    }
-
-    /// Number of shards (fixed at campaign creation).
-    pub fn shard_count(&self) -> usize {
-        self.shards.tables().len()
-    }
-
-    /// Every shard's durable log bytes, in shard order.
-    fn watermarks(&self) -> Vec<u64> {
-        self.shards.tables().iter().map(Shard::log_bytes).collect()
-    }
-
-    fn log_path(&self, index: usize, generation: u64) -> PathBuf {
-        self.dir
-            .join(format!("shard-{index:03}.gen-{generation}.log"))
-    }
-
-    /// Writes every shard's live entries as generation `current + 1`
-    /// (write-temp-then-rename per shard), then switches to it. Buffers
-    /// are implicitly flushed: live tables already contain them.
-    fn rewrite_generation(&mut self) -> io::Result<()> {
-        let next = self.generation + 1;
-        for index in 0..self.shard_count() {
-            let path = self.log_path(index, next);
-            self.shards.tables_mut()[index].rewrite_to(&path)?;
-        }
-        self.generation = next;
-        Ok(())
-    }
-
-    fn delete_other_generations(&self) -> io::Result<()> {
-        let keep: Vec<PathBuf> = (0..self.shard_count())
+    pub fn cleanup(&self, shards: &Sharded<Shard>) -> io::Result<()> {
+        let keep: Vec<PathBuf> = (0..shards.shard_count())
             .map(|i| self.log_path(i, self.generation))
             .collect();
         for entry in fs::read_dir(&self.dir)? {
@@ -335,23 +212,22 @@ impl DiskStore {
         }
         Ok(())
     }
-}
 
-impl CampaignStore for DiskStore {
-    fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
-        self.shards.covers(fingerprint, sleep)
+    fn log_path(&self, index: usize, generation: u64) -> PathBuf {
+        self.dir
+            .join(format!("shard-{index:03}.gen-{generation}.log"))
     }
 
-    fn shard_count(&self) -> usize {
-        DiskStore::shard_count(self)
-    }
-
-    fn absorb(&mut self, wave: &[Partitioned], threads: usize) {
-        self.shards.fold(wave, threads);
-    }
-
-    fn entries(&self) -> u64 {
-        self.shards.live_entries()
+    /// Writes every shard's live entries as generation `current + 1`
+    /// (write-temp-then-rename per shard), then switches to it. Buffers
+    /// are implicitly flushed: live tables already contain them.
+    fn rewrite_generation(&mut self, shards: &mut Sharded<Shard>) -> io::Result<()> {
+        let next = self.generation + 1;
+        for (index, shard) in shards.tables_mut().iter_mut().enumerate() {
+            shard.rewrite_to(&self.log_path(index, next))?;
+        }
+        self.generation = next;
+        Ok(())
     }
 }
 
@@ -360,7 +236,7 @@ mod tests {
     use kset_prop::SplitMix64;
 
     use super::*;
-    use crate::visited::{shard_of, with_bitmap, Visited};
+    use crate::visited::{shard_of, with_bitmap, Partitioned, Visited};
 
     #[test]
     fn parallel_wave_fold_writes_the_serial_log_bytes() {
@@ -401,13 +277,13 @@ mod tests {
         }
         for threads in [1, 2, 3, 7] {
             let dir = root.join(format!("threads-{threads}"));
-            let mut store = DiskStore::create(&dir, SHARDS).unwrap();
+            let (mut store, mut shards) = DiskStore::create(&dir, SHARDS).unwrap();
             for wave in waves() {
                 let parts: Vec<Partitioned> =
                     wave.into_iter().map(|table| table.partition(SHARDS)).collect();
-                store.absorb(&parts, threads);
+                shards.fold(&parts, threads);
             }
-            assert_eq!(store.flush().unwrap().0, 0, "no compaction");
+            assert_eq!(store.flush(&mut shards).unwrap().0, 0, "no compaction");
             for index in 0..SHARDS {
                 assert_eq!(
                     fs::read(store.log_path(index, 0)).unwrap(),

@@ -69,8 +69,10 @@
 //! worker, the wave's tables in claim order and each table's entries in
 //! index order. That is the order a single table would have absorbed the
 //! shard's entries in, so a shard's content is independent of the worker
-//! count. The checker's in-memory store has [`SHARDS`] shards of
-//! `Visited`; a disk-backed campaign has `--campaign-shards` shards of
+//! count. The checker's one pattern loop drains against either kind of
+//! store, generic over the [`ShardTable`]: in memory, a fresh store of
+//! [`SHARDS`] shards of `Visited` per pattern; in a disk-backed
+//! campaign, one store of `--campaign-shards` shards of
 //! [`crate::campaign::shard::Shard`], each a `Visited` plus its log
 //! buffer, partitioned by the same [`shard_of`].
 
@@ -633,6 +635,9 @@ pub trait ShardTable: Default + Send {
 
     /// Minimal entries currently stored.
     fn live_entries(&self) -> u64;
+
+    /// Bytes the table keeps resident ([`Visited::resident_bytes`]).
+    fn resident_bytes(&self) -> u64;
 }
 
 impl ShardTable for Visited {
@@ -646,6 +651,10 @@ impl ShardTable for Visited {
 
     fn live_entries(&self) -> u64 {
         Visited::live_entries(self)
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        Visited::resident_bytes(self)
     }
 }
 
@@ -698,6 +707,12 @@ impl<T: ShardTable> Sharded<T> {
     /// Minimal entries stored across all shards.
     pub fn live_entries(&self) -> u64 {
         self.tables.iter().map(T::live_entries).sum()
+    }
+
+    /// The number of shards, the count tables must be
+    /// [partitioned](Visited::partition) for before a [`Sharded::fold`].
+    pub fn shard_count(&self) -> usize {
+        self.tables.len()
     }
 
     /// The shard tables, in shard order.

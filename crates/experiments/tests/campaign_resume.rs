@@ -265,3 +265,47 @@ fn model_check_binary_campaign_matches_direct_run() {
     assert!(stderr.contains("finished"), "{stderr}");
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn model_check_binary_campaign_rows_carry_the_in_memory_gauges() {
+    // An uninterrupted campaign drains the same waves as the in-memory
+    // check, so its `--bench-json` row reports the same execution gauges.
+    let bin = env!("CARGO_BIN_EXE_model_check");
+    let dir = tmp_dir("cli_gauges");
+    fs::create_dir_all(&dir).unwrap();
+    let cell = [
+        "--protocol", "floodmin", "--n", "3", "--k", "2", "--t", "1", "--validity", "RV1",
+        "--threads", "2",
+    ];
+    let row = |extra: &[&str], name: &str| -> String {
+        let json = dir.join(name);
+        let out = Command::new(bin)
+            .args(cell)
+            .args(extra)
+            .arg("--bench-json")
+            .arg(&json)
+            .output()
+            .expect("run model_check");
+        assert!(out.status.success(), "{out:?}");
+        fs::read_to_string(&json).unwrap()
+    };
+    let campaign = dir.join("campaign");
+    let campaign_row = row(
+        &["--campaign-dir", campaign.to_str().unwrap(), "--checkpoint-every", "700"],
+        "campaign.json",
+    );
+    let direct_row = row(&[], "direct.json");
+    let gauge = |row: &str, key: &str| -> u64 {
+        let at = row.find(&format!("\"{key}\": ")).unwrap_or_else(|| panic!("{key} in {row}"));
+        let digits: String = row[at + key.len() + 4..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    for key in ["runs", "events_fired", "truncated_runs", "store_probes", "store_hits", "waves"] {
+        assert_eq!(gauge(&campaign_row, key), gauge(&direct_row, key), "{key}");
+    }
+    assert!(gauge(&direct_row, "events_fired") > 0);
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -173,3 +173,49 @@ fn figure_binaries_exit_1_when_the_csv_cannot_be_written() {
         assert!(!out.stdout.is_empty(), "{name} printed no atlas");
     }
 }
+
+/// Runs `bin` with `args` and asserts it refuses them with exit 2 and
+/// prints nothing to stdout: no work done, no panic.
+fn assert_refused(bin: &str, args: &[&str]) {
+    let out = Command::new(bin).args(args).output().expect("run binary");
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    assert!(out.stdout.is_empty(), "{args:?} did work before failing: {out:?}");
+}
+
+#[test]
+fn model_check_refuses_invalid_cells_with_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_model_check");
+    let cell = |n: &'static str, k: &'static str, t: &'static str| {
+        ["--protocol", "floodmin", "--n", n, "--k", k, "--t", t, "--validity", "RV1"]
+    };
+    let dir = std::env::temp_dir().join(format!("kset_cli_invalid_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let campaign = dir.join("campaign");
+    for args in [cell("3", "0", "1"), cell("0", "1", "0"), cell("3", "3", "3")] {
+        assert_refused(bin, &args);
+        let mut with_campaign = args.to_vec();
+        with_campaign.extend(["--campaign-dir", campaign.to_str().unwrap()]);
+        assert_refused(bin, &with_campaign);
+        assert!(!campaign.exists(), "{args:?} created a campaign");
+    }
+    // Scripts whose header names a cell `ProblemSpec` rejects, or a
+    // crashed process outside `0..n`.
+    let script = |n: &str, k: &str, crashed: &str| {
+        format!(
+            "# kset model_check counterexample v1\n# protocol: FloodMin\n# n: {n}\n# k: {k}\n\
+             # t: 1\n# validity: RV1\n# crashed: {crashed}\n# choices: 0\n\
+             # violation: agreement violated\n0\n"
+        )
+    };
+    for (name, text) in [
+        ("k0", script("3", "0", "1")),
+        ("n0", script("0", "1", "")),
+        ("crashed7", script("3", "1", "7")),
+    ] {
+        let path = dir.join(format!("{name}.schedule"));
+        std::fs::write(&path, text).unwrap();
+        assert_refused(bin, &["--replay", path.to_str().unwrap()]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -80,7 +80,8 @@ impl<'a, Val: Clone, Out> SmContext<'a, Val, Out> {
     /// the paper's sense. Responses arrive individually and unordered.
     pub fn read_all(&mut self, slot: usize) {
         for owner in 0..self.core.n() {
-            self.core.push(RawSmAction::Read(RegisterId::new(owner, slot)));
+            self.core
+                .push(RawSmAction::Read(RegisterId::new(owner, slot)));
         }
     }
 

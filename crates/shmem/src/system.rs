@@ -406,7 +406,12 @@ mod tests {
             ctx.read_all(0);
         }
 
-        fn on_read(&mut self, _reg: RegisterId, value: Option<u64>, ctx: &mut SmContext<'_, u64, u64>) {
+        fn on_read(
+            &mut self,
+            _reg: RegisterId,
+            value: Option<u64>,
+            ctx: &mut SmContext<'_, u64, u64>,
+        ) {
             if let Some(v) = value {
                 self.best = Some(self.best.map_or(v, |b| b.min(v)));
             }
@@ -506,7 +511,13 @@ mod tests {
                 ctx.write(0, 0);
                 self.next = 1;
             }
-            fn on_read(&mut self, _r: RegisterId, _v: Option<u64>, _c: &mut SmContext<'_, u64, u64>) {}
+            fn on_read(
+                &mut self,
+                _r: RegisterId,
+                _v: Option<u64>,
+                _c: &mut SmContext<'_, u64, u64>,
+            ) {
+            }
             fn on_write_ack(&mut self, _s: usize, ctx: &mut SmContext<'_, u64, u64>) {
                 if self.next < WRITES {
                     ctx.write(0, self.next);
@@ -526,7 +537,12 @@ mod tests {
             fn on_start(&mut self, ctx: &mut SmContext<'_, u64, u64>) {
                 ctx.read(RegisterId::new(0, 0));
             }
-            fn on_read(&mut self, reg: RegisterId, v: Option<u64>, ctx: &mut SmContext<'_, u64, u64>) {
+            fn on_read(
+                &mut self,
+                reg: RegisterId,
+                v: Option<u64>,
+                ctx: &mut SmContext<'_, u64, u64>,
+            ) {
                 if let Some(v) = v {
                     if let Some(last) = self.last {
                         assert!(v >= last, "read went backwards: {last} then {v}");
@@ -583,7 +599,12 @@ mod tests {
             fn on_start(&mut self, ctx: &mut SmContext<'_, (), ()>) {
                 ctx.read(RegisterId::new(0, 0));
             }
-            fn on_read(&mut self, reg: RegisterId, _v: Option<()>, ctx: &mut SmContext<'_, (), ()>) {
+            fn on_read(
+                &mut self,
+                reg: RegisterId,
+                _v: Option<()>,
+                ctx: &mut SmContext<'_, (), ()>,
+            ) {
                 ctx.read(reg);
             }
         }
