@@ -7,113 +7,28 @@
 //! the hand-staged constructions in the `counterexamples` binary.
 //!
 //! Usage: `boundary_scan [n] [seeds] [--json PATH] [--threads N]`
-//! (defaults: n = 10, seeds = 12, threads = available parallelism). With
+//! (defaults: n = 10, seeds = 12, threads = available parallelism; `n` is
+//! at least 3, and a bad command line exits 2). With
 //! `--json`, every probe run is emitted as a `RunRecord` JSON line with
 //! kernel metrics; violating runs carry the checker's message in
 //! `outcome.violation` (schema: `OBSERVABILITY.md`). Probes run on a
 //! work-stealing pool; the table and the record file are merged in cell
 //! order, so they are byte-identical for every thread count.
 
-use kset_core::ValidityCondition;
-use kset_experiments::engine;
-use kset_experiments::explorer::probe_cell_with;
-use kset_experiments::record_sink::JsonlSink;
-use kset_regions::{classify, CellClass, Model};
-use kset_sim::MetricsConfig;
+use kset_experiments::cli::SweepArgs;
+use kset_experiments::explorer::probe_frontier;
+use kset_experiments::record_sink::write_jsonl;
 
 fn main() {
-    let mut n: Option<usize> = None;
-    let mut seeds: Option<u64> = None;
-    let mut json_path: Option<String> = None;
-    let mut threads = engine::available_threads();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--threads" => {
-                let raw = args.next().expect("--threads needs a value");
-                threads = engine::parse_threads(&raw)
-                    .unwrap_or_else(|| panic!("--threads wants a count, 0 or 'auto', got {raw:?}"));
-            }
-            other => match other.parse::<usize>() {
-                Ok(v) if n.is_none() => n = Some(v),
-                Ok(v) if seeds.is_none() => seeds = Some(v as u64),
-                _ => {
-                    eprintln!("unknown argument {other:?}");
-                    std::process::exit(2);
-                }
-            },
-        }
-    }
-    let n = n.unwrap_or(10);
-    let seeds = seeds.unwrap_or(12);
-    let metrics = if json_path.is_some() {
-        MetricsConfig::enabled()
-    } else {
-        MetricsConfig::disabled()
-    };
-
-    // Enumerate the frontier first (classification is cheap and serial),
-    // then probe every frontier cell on the work-stealing pool. Only
-    // non-solvable cells within two steps of the solvable region are
-    // probed.
-    let mut frontier: Vec<(Model, ValidityCondition, usize, usize)> = Vec::new();
-    for model in Model::ALL {
-        for validity in ValidityCondition::ALL {
-            for k in 2..n {
-                for t in 1..=n {
-                    let here = classify(model, validity, n, k, t);
-                    if matches!(here, CellClass::Solvable(_)) {
-                        continue;
-                    }
-                    let near = t == 1
-                        || matches!(
-                            classify(model, validity, n, k, t - 1),
-                            CellClass::Solvable(_)
-                        )
-                        || (t >= 2
-                            && matches!(
-                                classify(model, validity, n, k, t - 2),
-                                CellClass::Solvable(_)
-                            ));
-                    if near {
-                        frontier.push((model, validity, k, t));
-                    }
-                }
-            }
-        }
-    }
-    let probes = engine::parallel_map(threads, frontier, |_, (model, validity, k, t)| {
-        let mut records = Vec::new();
-        let probe = probe_cell_with(model, validity, n, k, t, 0..seeds, metrics, |r| {
-            records.push(r)
-        });
-        match probe {
-            Ok(p) => (p, records),
-            Err(e) => panic!("simulator failure at {model} {validity} k={k} t={t}: {e}"),
-        }
-    });
+    let args = SweepArgs::parse("boundary_scan", 10, 12);
+    let n = args.n;
+    let (probes, records) = probe_frontier(n, args.seeds, args.metrics(), args.threads);
 
     println!("=== Boundary scan: protocols just outside their regions (n = {n}) ===\n");
     println!("model   validity  k   t   class       protocol    violations/runs  first seed");
     println!("------  --------  --  --  ----------  ----------  ---------------  ----------");
 
-    let mut sink = json_path
-        .as_ref()
-        .map(|p| JsonlSink::create(p).expect("create --json sink"));
-    let mut probed = 0;
-    let mut with_violations = 0;
-    for (probe, records) in probes {
-        if let Some(sink) = sink.as_mut() {
-            for r in &records {
-                sink.write(r).expect("write run record");
-            }
-        }
-        let Some(p) = probe else { continue };
-        probed += 1;
-        if p.violations > 0 {
-            with_violations += 1;
-        }
+    for p in &probes {
         println!(
             "{:<6}  {:<8}  {:<2}  {:<2}  {:<10}  {:<10}  {:>3}/{:<12}  {}",
             p.model.shorthand(),
@@ -129,11 +44,13 @@ fn main() {
                 .unwrap_or_else(|| "-".into())
         );
     }
+    let probed = probes.len();
+    let with_violations = probes.iter().filter(|p| p.violations > 0).count();
     println!("\n{probed} frontier cells probed; {with_violations} yielded violation certificates");
     println!("(violations are expected OUTSIDE the regions — they evidence tightness; a probe");
     println!(" finding none proves nothing, since impossibility quantifies over all protocols)");
-    if let (Some(sink), Some(path)) = (sink, &json_path) {
-        let written = sink.finish().expect("flush --json sink");
+    if let Some(path) = &args.json {
+        let written = write_jsonl(path, &records).expect("write --json records");
         println!("({written} probe run records written to {path})");
     }
 }

@@ -5,7 +5,8 @@
 //! register emulations pay O(n) messages per emulated operation).
 //!
 //! Usage: `complexity [max_n] [--json PATH]`
-//! (default 32; sweeps n in powers of two). With `--json`, each measured
+//! (default 32, at least 4; sweeps n in powers of two; a bad command line
+//! exits 2). With `--json`, each measured
 //! run is emitted as a `RunRecord` JSON line with kernel metrics (schema:
 //! `OBSERVABILITY.md`); the record's cell is the protocol's canonical
 //! lemma cell, with `k` the smallest agreement bound the atlas grants the
@@ -13,6 +14,7 @@
 
 use kset_adversary::plans;
 use kset_core::ValidityCondition;
+use kset_experiments::cli::Args;
 use kset_experiments::record_sink::{JsonlSink, RunOutcome, RunRecord};
 use kset_net::MpSystem;
 use kset_protocols::{
@@ -50,7 +52,8 @@ impl Recorder {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Records one run at the protocol's canonical cell when `--json` is
+    /// given. The run is not checked, so its `violation` is `null`.
     fn record(
         &mut self,
         protocol: &str,
@@ -58,57 +61,35 @@ impl Recorder {
         validity: ValidityCondition,
         n: usize,
         t: usize,
-        outcome: RunOutcome,
-        stats: kset_sim::RunStats,
-        metrics: Option<kset_sim::RunMetrics>,
+        run: Outcome<u64>,
     ) {
         if let Some(sink) = self.sink.as_mut() {
             let k = guarantee_k(model, validity, n, t);
+            let outcome = RunOutcome::of(&run, None);
             let record =
-                RunRecord::new(model, validity, n, k, t, SEED, protocol, outcome, stats, metrics);
+                RunRecord::new(model, validity, n, k, t, SEED, protocol, outcome, run.stats, run.metrics);
             sink.write(&record).expect("write run record");
         }
-    }
-
-    /// Substrate-agnostic recording: MP runs pass their outcome directly;
-    /// SM runs shed the register snapshot first via `SmOutcome::into_run`.
-    fn record_run(
-        &mut self,
-        protocol: &str,
-        model: Model,
-        validity: ValidityCondition,
-        n: usize,
-        t: usize,
-        outcome: Outcome<u64>,
-    ) {
-        let run = RunOutcome {
-            terminated: outcome.terminated,
-            decided: outcome.decisions.len(),
-            distinct_decisions: outcome.correct_decision_set().len(),
-            violation: None,
-        };
-        self.record(protocol, model, validity, n, t, run, outcome.stats, outcome.metrics);
     }
 }
 
 fn main() {
     let mut max_n: Option<usize> = None;
     let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::new("complexity");
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
+            "--json" => json_path = Some(args.value("--json")),
             other => match other.parse() {
                 Ok(v) if max_n.is_none() => max_n = Some(v),
-                _ => {
-                    eprintln!("unknown argument {other:?}");
-                    std::process::exit(2);
-                }
+                _ => args.unknown(other),
             },
         }
     }
     let max_n = max_n.unwrap_or(32);
-    assert!(max_n >= 4, "max_n must be at least 4");
+    if max_n < 4 {
+        args.error(format_args!("max_n must be at least 4, got {max_n}"));
+    }
     let mut rec = Recorder::new(json_path.as_deref());
 
     let sizes: Vec<usize> = std::iter::successors(Some(4usize), |&n| Some(n * 2))
@@ -146,7 +127,7 @@ fn main() {
             .run_with(|p| FloodMin::boxed(n, t, p as u64))
             .unwrap();
         counts.push(o.stats.messages_delivered);
-        rec.record_run("FloodMin", Model::MpCrash, ValidityCondition::RV1, n, t, o);
+        rec.record("FloodMin", Model::MpCrash, ValidityCondition::RV1, n, t, o);
     }
     row("FloodMin", &counts);
 
@@ -160,7 +141,7 @@ fn main() {
             .run_with(|p| ProtocolA::boxed(n, t, p as u64, DEFAULT))
             .unwrap();
         counts.push(o.stats.messages_delivered);
-        rec.record_run("Protocol A", Model::MpCrash, ValidityCondition::RV2, n, t, o);
+        rec.record("Protocol A", Model::MpCrash, ValidityCondition::RV2, n, t, o);
     }
     row("Protocol A", &counts);
 
@@ -174,7 +155,7 @@ fn main() {
             .run_with(|p| ProtocolB::boxed(n, t, p as u64, DEFAULT))
             .unwrap();
         counts.push(o.stats.messages_delivered);
-        rec.record_run("Protocol B", Model::MpCrash, ValidityCondition::SV2, n, t, o);
+        rec.record("Protocol B", Model::MpCrash, ValidityCondition::SV2, n, t, o);
     }
     row("Protocol B", &counts);
 
@@ -187,7 +168,7 @@ fn main() {
             .run_with(|_| ProtocolC::boxed(n, t, 1, 5u64, DEFAULT))
             .unwrap();
         counts.push(o.stats.messages_delivered);
-        rec.record_run(
+        rec.record(
             "Protocol C(1)",
             Model::MpByzantine,
             ValidityCondition::SV2,
@@ -207,7 +188,7 @@ fn main() {
             .run_with(|p| ProtocolD::boxed(n, t, p as u64))
             .unwrap();
         counts.push(o.stats.messages_delivered);
-        rec.record_run(
+        rec.record(
             "Protocol D",
             Model::MpByzantine,
             ValidityCondition::WV1,
@@ -227,7 +208,7 @@ fn main() {
             .unwrap()
             .into_run();
         counts.push(o.stats.ops_completed);
-        rec.record_run(
+        rec.record(
             "Protocol E",
             Model::SmCrash,
             ValidityCondition::RV2,
@@ -248,7 +229,7 @@ fn main() {
             .unwrap()
             .into_run();
         counts.push(o.stats.ops_completed);
-        rec.record_run("Protocol F", Model::SmCrash, ValidityCondition::SV2, n, t, o);
+        rec.record("Protocol F", Model::SmCrash, ValidityCondition::SV2, n, t, o);
     }
     row("Protocol F*", &counts);
 
@@ -261,7 +242,7 @@ fn main() {
             .run_with(|p| Emulated::boxed(n, t, ProtocolE::new(n, t, p as u64, DEFAULT)))
             .unwrap();
         counts.push(o.stats.messages_delivered);
-        rec.record_run(
+        rec.record(
             "ABD(Protocol E)",
             Model::MpCrash,
             ValidityCondition::RV2,

@@ -5,7 +5,10 @@
 //! mimicry) and demonstrates the predicted violation of Termination,
 //! Agreement or Validity on a concrete execution.
 
+use kset_experiments::cli::Args;
+
 fn main() {
+    Args::new("counterexamples").finish();
     println!("=== Impossibility constructions, re-enacted ===\n");
     let list = match kset_experiments::counterexamples::all() {
         Ok(list) => list,

@@ -6,86 +6,23 @@
 //! checks Termination / Agreement / Validity on each run.
 //!
 //! Usage: `empirical_atlas [n] [seeds] [--json PATH] [--threads N]`
-//! (defaults: n = 8, seeds = 4, threads = available parallelism). With
-//! `--json`, every run is emitted as a `RunRecord` JSON line with kernel
-//! metrics (schema: `OBSERVABILITY.md`); cells run on a work-stealing
-//! pool, but rows and records are merged in `(model, validity, k, t)`
-//! order so all output is byte-identical for every thread count. Exits
-//! nonzero if any run violates its specification.
+//! (defaults: n = 8, seeds = 5, threads = available parallelism; `n` is
+//! at least 3). With `--json`, every run is emitted as a `RunRecord` JSON
+//! line with kernel metrics (schema: `OBSERVABILITY.md`); cells run one
+//! task each on a work-stealing pool, but rows and records are merged in
+//! `(model, validity, k, t)` order so all output is byte-identical for
+//! every thread count. Exits 1 if any run violates its specification, and 2 on
+//! a bad command line.
 
-use kset_core::ValidityCondition;
-use kset_experiments::cells::{validate_cell_with, CellValidation};
-use kset_experiments::engine;
-use kset_experiments::record_sink::{JsonlSink, RunRecord};
+use kset_experiments::cells::validate_atlas;
+use kset_experiments::cli::SweepArgs;
+use kset_experiments::record_sink::write_jsonl;
 use kset_experiments::report;
-use kset_regions::Model;
-use kset_sim::MetricsConfig;
 
 fn main() {
-    let mut n: Option<usize> = None;
-    let mut seeds: Option<u64> = None;
-    let mut json_path: Option<String> = None;
-    let mut threads = engine::available_threads();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--threads" => {
-                let raw = args.next().expect("--threads needs a value");
-                threads = engine::parse_threads(&raw)
-                    .unwrap_or_else(|| panic!("--threads wants a count, 0 or 'auto', got {raw:?}"));
-            }
-            other => match other.parse::<usize>() {
-                Ok(v) if n.is_none() => n = Some(v),
-                Ok(v) if seeds.is_none() => seeds = Some(v as u64),
-                _ => {
-                    eprintln!("unknown argument {other:?}");
-                    std::process::exit(2);
-                }
-            },
-        }
-    }
-    let n = n.unwrap_or(8);
-    let seeds = seeds.unwrap_or(5);
-    assert!(n >= 3, "n must be at least 3");
-    let metrics = if json_path.is_some() {
-        MetricsConfig::enabled()
-    } else {
-        MetricsConfig::disabled()
-    };
-
-    // One task per (model, validity, k, t) cell on the work-stealing
-    // pool. Each run is itself single-threaded and deterministic, and the
-    // engine returns results in task order, so the merged rows and
-    // records come out in the same order the old sequential sweep
-    // produced.
-    let mut cells: Vec<(Model, ValidityCondition, usize, usize)> = Vec::new();
-    for model in Model::ALL {
-        for validity in ValidityCondition::ALL {
-            for k in 2..n {
-                for t in 1..=n {
-                    cells.push((model, validity, k, t));
-                }
-            }
-        }
-    }
-    let results = engine::parallel_map(threads, cells, |_, (model, validity, k, t)| {
-        let mut records = Vec::new();
-        let cell = validate_cell_with(model, validity, n, k, t, 0..seeds, metrics, |r| {
-            records.push(r)
-        });
-        match cell {
-            Ok(row) => (row, records),
-            Err(e) => panic!("simulator failure at {model} {validity} k={k} t={t}: {e}"),
-        }
-    });
-
-    let mut rows: Vec<CellValidation> = Vec::new();
-    let mut records: Vec<RunRecord> = Vec::new();
-    for (row, cell_records) in results {
-        rows.extend(row);
-        records.extend(cell_records);
-    }
+    let args = SweepArgs::parse("empirical_atlas", 8, 5);
+    let (n, seeds) = (args.n, args.seeds);
+    let (rows, records) = validate_atlas(n, seeds, args.metrics(), args.threads);
     let total_runs: usize = rows.iter().map(|r| r.runs).sum();
     let violations: usize = rows.iter().map(|r| r.violations).sum();
 
@@ -103,12 +40,8 @@ fn main() {
         violations
     );
 
-    if let Some(path) = &json_path {
-        let mut sink = JsonlSink::create(path).expect("create --json sink");
-        for record in &records {
-            sink.write(record).expect("write run record");
-        }
-        let written = sink.finish().expect("flush --json sink");
+    if let Some(path) = &args.json {
+        let written = write_jsonl(path, &records).expect("write --json records");
         assert_eq!(written, total_runs, "one record per run");
         println!("\n{written} run records written to {path}");
         println!("\nper-protocol metrics rollup:");

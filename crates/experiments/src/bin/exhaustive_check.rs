@@ -5,37 +5,34 @@
 //! 3.7 and 3.8 and their tightness.
 //!
 //! Usage: `exhaustive_check [n] [--threads T]` (default n = 6, threads =
-//! available parallelism; keep n small — the space is combinatorial). The
+//! available parallelism; n in 3..=9, the space is combinatorial; a bad
+//! command line exits 2). The
 //! protocol × inputs × t triples run on a work-stealing pool and the
 //! table is printed in enumeration order, byte-identical for every thread
 //! count.
 
 use kset_core::ValidityCondition;
+use kset_experiments::cli::Args;
 use kset_experiments::engine;
 use kset_experiments::exhaustive::{verify, QuorumProtocol};
 
 fn main() {
     let mut n: Option<usize> = None;
     let mut threads = engine::available_threads();
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::new("exhaustive_check");
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--threads" => {
-                let raw = args.next().expect("--threads needs a value");
-                threads = engine::parse_threads(&raw)
-                    .unwrap_or_else(|| panic!("--threads wants a count, 0 or 'auto', got {raw:?}"));
-            }
+            "--threads" => threads = args.threads(),
             other => match other.parse() {
                 Ok(v) if n.is_none() => n = Some(v),
-                _ => {
-                    eprintln!("unknown argument {other:?}");
-                    std::process::exit(2);
-                }
+                _ => args.unknown(other),
             },
         }
     }
     let n = n.unwrap_or(6);
-    assert!((3..=9).contains(&n), "keep n in 3..=9 for exhaustive sweeps");
+    if !(3..=9).contains(&n) {
+        args.error(format_args!("n must be in 3..=9 for exhaustive sweeps, got {n}"));
+    }
 
     println!("=== Exhaustive verification over ALL schedules (n = {n}) ===\n");
     println!("protocol    t   inputs        profiles  worst-k  validities violated");

@@ -6,8 +6,10 @@
 
 use kset_core::lattice::Lattice;
 use kset_core::ValidityCondition;
+use kset_experiments::cli::Args;
 
 fn main() {
+    Args::new("fig1_lattice").finish();
     println!("=== Figure 1: validity conditions, weaker-than lattice ===\n");
     let derived = Lattice::derive();
     let paper = Lattice::paper();

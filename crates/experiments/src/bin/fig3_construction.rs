@@ -7,14 +7,17 @@
 //! group communicates only internally until its members decide, then the
 //! held messages flow.
 //!
-//! Usage: `fig3_construction` (fixed small scale for a readable timeline).
+//! Usage: `fig3_construction` (no arguments; a fixed small scale for a
+//! readable timeline).
 
 use kset_core::{ProblemSpec, RunRecord, ValidityCondition};
+use kset_experiments::cli::Args;
 use kset_net::MpSystem;
 use kset_protocols::ProtocolA;
 use kset_sim::DelayRule;
 
 fn main() {
+    Args::new("fig3_construction").finish();
     // n = 6, t = 4, k = 2: k t = 8 > (k-1) n = 6 — inside Lemma 3.3's
     // impossible region. Three isolated unanimous pairs stand in for the
     // paper's groups (its g_k produces two values from an embedded

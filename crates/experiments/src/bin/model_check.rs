@@ -71,9 +71,13 @@ use kset_experiments::checker::{
     read_counterexample, parse_fork_mode, replay_fired, to_run_records, write_counterexample,
     AdversaryModel, CellVerdict, CheckerConfig, ForkMode, RunGauge, VisitedGauge,
 };
+use kset_experiments::cli::{self, usage_error};
 use kset_experiments::exhaustive::QuorumProtocol;
 use kset_experiments::record_sink::JsonlSink;
 use kset_sim::DigestMode;
+
+/// The binary's name in usage errors.
+const BIN: &str = "model_check";
 
 struct Args {
     protocol: Option<QuorumProtocol>,
@@ -139,116 +143,83 @@ fn parse_args() -> Args {
         resume: false,
         pause_after_checkpoints: None,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = cli::Args::new(BIN);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-        };
         match arg.as_str() {
             "--protocol" => {
-                let raw = value("--protocol");
+                let raw = args.value("--protocol");
                 parsed.protocol = Some(parse_protocol(&raw).unwrap_or_else(|| {
-                    usage_error(&format!("--protocol wants floodmin|a|b|e|f, got {raw:?}"))
+                    args.error(format!("--protocol wants floodmin|a|b|e|f, got {raw:?}"))
                 }));
             }
-            "--n" => parsed.n = Some(number("--n", value("--n"))),
-            "--k" => parsed.k = Some(number("--k", value("--k"))),
-            "--t" => parsed.t = Some(number("--t", value("--t"))),
+            "--n" => parsed.n = Some(args.number("--n")),
+            "--k" => parsed.k = Some(args.number("--k")),
+            "--t" => parsed.t = Some(args.number("--t")),
             "--validity" => {
-                let raw = value("--validity");
+                let raw = args.value("--validity");
                 parsed.validity = Some(parse_validity(&raw).unwrap_or_else(|| {
-                    usage_error(&format!(
+                    args.error(format!(
                         "--validity wants SV1|SV2|RV1|RV2|WV1|WV2, got {raw:?}"
                     ))
                 }));
             }
             "--model" => {
-                let raw = value("--model");
+                let raw = args.value("--model");
                 parsed.model = Some(parse_adversary_model(&raw).unwrap_or_else(|| {
-                    usage_error(&format!(
+                    args.error(format!(
                         "--model wants mp_crash|sm_crash|mp_byz|sm_byz|mp_lossy, got {raw:?}"
                     ))
                 }));
             }
-            "--byz-menu" => {
-                parsed.byz_menu = Some(parse_u64_list(&value("--byz-menu"), "--byz-menu"))
-            }
+            "--byz-menu" => parsed.byz_menu = Some(u64_list(&mut args, "--byz-menu")),
             "--byz-silence" => parsed.byz_silence = true,
-            "--loss-budget" => {
-                parsed.loss_budget = Some(number("--loss-budget", value("--loss-budget")))
-            }
-            "--inputs" => parsed.inputs = Some(parse_u64_list(&value("--inputs"), "--inputs")),
-            "--depth" => parsed.depth = Some(number("--depth", value("--depth"))),
-            "--preemptions" => {
-                parsed.preemptions = Some(number("--preemptions", value("--preemptions")))
-            }
-            "--max-runs" => parsed.max_runs = Some(number("--max-runs", value("--max-runs"))),
-            "--max-states" => {
-                parsed.max_states = Some(number("--max-states", value("--max-states")))
-            }
+            "--loss-budget" => parsed.loss_budget = Some(args.number("--loss-budget")),
+            "--inputs" => parsed.inputs = Some(u64_list(&mut args, "--inputs")),
+            "--depth" => parsed.depth = Some(args.number("--depth")),
+            "--preemptions" => parsed.preemptions = Some(args.number("--preemptions")),
+            "--max-runs" => parsed.max_runs = Some(args.number("--max-runs")),
+            "--max-states" => parsed.max_states = Some(args.number("--max-states")),
             "--no-por" => parsed.no_por = true,
             "--no-dedup" => parsed.no_dedup = true,
-            "--progress" => parsed.progress = Some(number("--progress", value("--progress"))),
-            "--threads" => {
-                let raw = value("--threads");
-                parsed.threads =
-                    Some(kset_experiments::engine::parse_threads(&raw).unwrap_or_else(|| {
-                        usage_error(&format!("--threads wants a count, 0 or 'auto', got {raw:?}"))
-                    }));
-            }
+            "--progress" => parsed.progress = Some(args.number("--progress")),
+            "--threads" => parsed.threads = Some(args.threads()),
             "--fork-mode" => {
-                let raw = value("--fork-mode");
+                let raw = args.value("--fork-mode");
                 parsed.fork = Some(parse_fork_mode(&raw).unwrap_or_else(|| {
-                    usage_error(&format!("--fork-mode wants auto|replay, got {raw:?}"))
+                    args.error(format!("--fork-mode wants auto|replay, got {raw:?}"))
                 }));
             }
-            "--counterexample" => parsed.counterexample = Some(value("--counterexample").into()),
-            "--replay" => parsed.replay = Some(value("--replay").into()),
-            "--json" => parsed.json = Some(value("--json").into()),
-            "--bench-json" => parsed.bench_json = Some(value("--bench-json").into()),
+            "--counterexample" => {
+                parsed.counterexample = Some(args.value("--counterexample").into())
+            }
+            "--replay" => parsed.replay = Some(args.value("--replay").into()),
+            "--json" => parsed.json = Some(args.value("--json").into()),
+            "--bench-json" => parsed.bench_json = Some(args.value("--bench-json").into()),
             "--smoke" => parsed.smoke = true,
-            "--campaign-dir" => parsed.campaign_dir = Some(value("--campaign-dir").into()),
+            "--campaign-dir" => parsed.campaign_dir = Some(args.value("--campaign-dir").into()),
             "--checkpoint-every" => {
-                parsed.checkpoint_every =
-                    Some(number("--checkpoint-every", value("--checkpoint-every")))
+                parsed.checkpoint_every = Some(args.number("--checkpoint-every"))
             }
-            "--campaign-shards" => {
-                parsed.campaign_shards =
-                    Some(number("--campaign-shards", value("--campaign-shards")))
-            }
+            "--campaign-shards" => parsed.campaign_shards = Some(args.number("--campaign-shards")),
             "--resume" => parsed.resume = true,
             "--pause-after-checkpoints" => {
-                parsed.pause_after_checkpoints = Some(number(
-                    "--pause-after-checkpoints",
-                    value("--pause-after-checkpoints"),
-                ))
+                parsed.pause_after_checkpoints = Some(args.number("--pause-after-checkpoints"))
             }
-            other => usage_error(&format!("unknown argument {other:?}")),
+            other => args.unknown(other),
         }
     }
     parsed
 }
 
-/// Reports a bad command line and exits 2: a usage error, not a panic.
-fn usage_error(message: &str) -> ! {
-    eprintln!("model_check: usage error: {message}");
-    std::process::exit(2);
-}
-
-/// Parses a numeric flag value, or exits with a usage error.
-fn number<T: std::str::FromStr>(flag: &str, raw: String) -> T {
-    raw.parse()
-        .unwrap_or_else(|_| usage_error(&format!("{flag} wants a number, got {raw:?}")))
-}
-
-fn parse_u64_list(raw: &str, flag: &str) -> Vec<u64> {
+/// The value after `flag` as a comma-separated list of numbers.
+fn u64_list(args: &mut cli::Args, flag: &str) -> Vec<u64> {
+    let raw = args.value(flag);
     raw.split(',')
         .map(str::trim)
         .filter(|token| !token.is_empty())
         .map(|token| {
             token.parse().unwrap_or_else(|_| {
-                usage_error(&format!(
+                args.error(format!(
                     "{flag} wants a comma-separated list of numbers, got {raw:?}"
                 ))
             })
@@ -581,7 +552,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.replay {
         let saved = read_counterexample(path).unwrap_or_else(|e| {
-            usage_error(&format!("cannot read counterexample {}: {e}", path.display()))
+            usage_error(BIN, format!("cannot read counterexample {}: {e}", path.display()))
         });
         let (violation, divergences) = replay_fired(&saved);
         println!(
@@ -619,12 +590,12 @@ fn main() -> ExitCode {
     };
 
     let explicit = args.protocol.map(|protocol| {
-        let n = args.n.unwrap_or_else(|| usage_error("--protocol needs --n"));
-        let k = args.k.unwrap_or_else(|| usage_error("--protocol needs --k"));
-        let t = args.t.unwrap_or_else(|| usage_error("--protocol needs --t"));
+        let n = args.n.unwrap_or_else(|| usage_error(BIN, "--protocol needs --n"));
+        let k = args.k.unwrap_or_else(|| usage_error(BIN, "--protocol needs --k"));
+        let t = args.t.unwrap_or_else(|| usage_error(BIN, "--protocol needs --t"));
         let validity = args
             .validity
-            .unwrap_or_else(|| usage_error("--protocol needs --validity"));
+            .unwrap_or_else(|| usage_error(BIN, "--protocol needs --validity"));
         let mut cfg = CheckerConfig::new(protocol, n, k, t, validity);
         apply_adversary(&mut cfg, &args);
         apply_bounds(&mut cfg, &args);

@@ -5,28 +5,21 @@
 //! Usage: `open_problems [n]` (default n = 64, as in the paper).
 
 use kset_core::ValidityCondition;
+use kset_experiments::cli::Args;
 use kset_regions::gaps::GapReport;
 use kset_regions::{Atlas, Model};
 
-/// Prints a usage error and exits with status 2.
-fn usage_error(message: &str) -> ! {
-    eprintln!("open_problems: usage error: {message}");
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::new("open_problems");
     let n = match args.next() {
         None => 64,
         Some(raw) => match raw.parse::<usize>() {
             Ok(n) if n >= 3 => n,
-            Ok(_) => usage_error(&format!("n must be at least 3, got {raw}")),
-            Err(_) => usage_error(&format!("n wants a number, got {raw:?}")),
+            Ok(_) => args.error(format_args!("n must be at least 3, got {raw}")),
+            Err(_) => args.error(format_args!("n wants a number, got {raw:?}")),
         },
     };
-    if let Some(extra) = args.next() {
-        usage_error(&format!("unexpected argument {extra:?}"));
-    }
+    args.finish();
 
     println!("=== Open problems (gaps between protocols and bounds), n = {n} ===\n");
     let mut total = 0;

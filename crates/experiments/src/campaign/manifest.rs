@@ -351,8 +351,8 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
 ///
 /// [`io::ErrorKind::NotFound`] when no manifest exists (not a campaign
 /// directory); [`io::ErrorKind::InvalidData`] on an unsupported version,
-/// malformed fields, a cell [`CheckerConfig::validate`] rejects, or zero
-/// shards.
+/// malformed fields, an unknown or repeated key, a cell
+/// [`CheckerConfig::validate`] rejects, or zero shards.
 pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
     let path = manifest_path(dir);
     let text = fs::read_to_string(&path)?;
@@ -372,9 +372,7 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
         if line.trim().is_empty() || line.starts_with('#') {
             continue;
         }
-        if !header.insert(line) {
-            return Err(header.bad(format_args!("malformed line {line:?}")));
-        }
+        header.insert_once(line)?;
     }
     // `unbounded` or a number.
     let bound = |value: &str| match value {
@@ -416,6 +414,7 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
         store_entries: header.parse("store_entries")?,
         store_log_bytes: header.parse("store_log_bytes")?,
     };
+    header.refuse_unread()?;
     // `--resume` builds the cell and the store from these values, so a
     // manifest that would make it panic is refused here.
     if let Err(message) = manifest.checker_config().validate() {
@@ -562,6 +561,33 @@ mod tests {
         assert_eq!(back.inputs, Some(vec![1, 1, 1]));
         // `--resume` reconstruction carries the adversary space.
         assert_eq!(config_digest(&back.checker_config()), manifest.config_digest);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_and_repeated_keys_are_refused() {
+        let dir =
+            std::env::temp_dir().join(format!("kset_manifest_keys_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        // A lossy cell writes the optional `model` and `loss_budget` keys.
+        let mut lossy = sample_config();
+        lossy.adversary = AdversaryModel::MpLossy;
+        lossy.loss_budget = 2;
+        write_manifest(&dir, &Manifest::new(&lossy, 4)).unwrap();
+        assert_eq!(read_manifest(&dir).unwrap().loss_budget, 2);
+        let path = manifest_path(&dir);
+        let text = fs::read_to_string(&path).unwrap();
+        for (edited, refusal) in [
+            (format!("{text}bogus_key: 1\n"), "unknown key \"bogus_key\""),
+            (format!("{text}runs: 0\n"), "repeated key \"runs\""),
+            (text.replacen("n: 4", "n: 4\nn: 4", 1), "repeated key \"n\""),
+        ] {
+            fs::write(&path, edited).unwrap();
+            let err = read_manifest(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(refusal), "{err}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -6,22 +6,28 @@
 //! the citation back to an executable configuration, runs it across a mix
 //! of fault plans and schedules, and checks each completed run against
 //! `SC(k, t, C)` with the `kset-core` checker.
+//!
+//! It also holds the one sampled-run path that validation and the
+//! boundary probes ([`crate::explorer`]) share: the seed loop, the runner
+//! that maps a protocol name to its processes, and the sweep that runs a
+//! list of cells on the engine and merges their results in cell order.
+
+use std::ops::Range;
 
 use kset_adversary::{plans, EchoSplitter, GroupMimic, Scribbler, Silent, SmSilent};
-use kset_core::{ProblemSpec, RunRecord, ValidityCondition};
-use kset_net::{DynMpProcess, MpSystem};
+use kset_core::{ProblemSpec, ValidityCondition};
+use kset_net::{DynMpProcess, MpSubstrate};
 use kset_protocols::{
-    CMsg, FloodMin, ProtocolA, ProtocolB, ProtocolC, ProtocolD, ProtocolE, ProtocolF, SimSlot,
-    Simulated,
+    CMsg, DMsg, FloodMin, ProtocolA, ProtocolB, ProtocolC, ProtocolD, ProtocolE, ProtocolF,
+    SimSlot, Simulated,
 };
 use kset_regions::{classify, math, CellClass, Model};
-use kset_shmem::{DynSmProcess, SmSystem};
-use kset_sim::{
-    DelayRule, FaultPlan, MetricsConfig, Outcome, RunMetrics, RunStats, SimError, Until,
-};
+use kset_shmem::{DynSmProcess, SmSubstrate};
+use kset_sim::{DelayRule, FaultPlan, MetricsConfig, Outcome, ProcessId, SimError, System, Until};
 
+use crate::engine;
 use crate::json::{ObjectWriter, ToJson};
-use crate::record_sink::RunOutcome;
+use crate::record_sink::{RunOutcome, RunRecord};
 
 /// The default decision value used by the default-deciding protocols.
 /// Drawn far outside the input domain `0..n` used by the sweeps.
@@ -140,59 +146,6 @@ fn sm_schedule_rules(n: usize, seed: u64) -> Vec<DelayRule> {
         .collect()
 }
 
-fn check_outcome(
-    spec: &ProblemSpec,
-    inputs: &[u64],
-    decisions: std::collections::BTreeMap<usize, u64>,
-    faulty: &[usize],
-    terminated: bool,
-) -> Result<(), String> {
-    let record = RunRecord::new(inputs.to_vec())
-        .with_faulty(faulty.iter().copied())
-        .with_decisions(decisions)
-        .with_terminated(terminated);
-    let report = spec.check(&record);
-    if report.is_ok() {
-        Ok(())
-    } else {
-        Err(report.to_string())
-    }
-}
-
-/// Everything observed about one run of a cell's protocol: the checker's
-/// verdict (folded into `outcome.violation`), the kernel counters, and the
-/// optional metrics. This is what `validate_cell_with` turns into a
-/// [`crate::record_sink::RunRecord`].
-struct RunReport {
-    outcome: RunOutcome,
-    stats: RunStats,
-    metrics: Option<RunMetrics>,
-}
-
-/// Substrate-agnostic: MP call sites pass `&MpOutcome<u64>` directly (an
-/// alias of the generic outcome); SM call sites coerce through
-/// [`kset_shmem::SmOutcome`]'s `Deref` impl, shedding the register
-/// snapshot.
-fn report(spec: &ProblemSpec, inputs: &[u64], outcome: &Outcome<u64>) -> RunReport {
-    RunReport {
-        outcome: RunOutcome {
-            terminated: outcome.terminated,
-            decided: outcome.decisions.len(),
-            distinct_decisions: outcome.correct_decision_set().len(),
-            violation: check_outcome(
-                spec,
-                inputs,
-                outcome.decisions.clone(),
-                &outcome.faulty,
-                outcome.terminated,
-            )
-            .err(),
-        },
-        stats: outcome.stats,
-        metrics: outcome.metrics.clone(),
-    }
-}
-
 /// Inputs for a run: unanimous on even seeds (exercising the V2-style
 /// premises), spread otherwise.
 fn inputs_for(n: usize, seed: u64) -> Vec<u64> {
@@ -219,15 +172,14 @@ pub fn validate_cell(
     n: usize,
     k: usize,
     t: usize,
-    seeds: std::ops::Range<u64>,
+    seeds: Range<u64>,
 ) -> Result<Option<CellValidation>, SimError> {
     validate_cell_with(model, validity, n, k, t, seeds, MetricsConfig::disabled(), |_| {})
 }
 
 /// [`validate_cell`] with per-run observability: collects kernel metrics
 /// according to `metrics` and hands every run to `on_record` as a
-/// [`crate::record_sink::RunRecord`] (in seed order), ready for JSONL
-/// emission.
+/// [`RunRecord`] (in seed order), ready for JSONL emission.
 ///
 /// # Errors
 ///
@@ -239,46 +191,35 @@ pub fn validate_cell_with(
     n: usize,
     k: usize,
     t: usize,
-    seeds: std::ops::Range<u64>,
+    seeds: Range<u64>,
     metrics: MetricsConfig,
-    mut on_record: impl FnMut(crate::record_sink::RunRecord),
+    on_record: impl FnMut(RunRecord),
 ) -> Result<Option<CellValidation>, SimError> {
     let CellClass::Solvable(citation) = classify(model, validity, n, k, t) else {
         return Ok(None);
     };
-    let spec = ProblemSpec::new(n, k, t, validity).expect("domain-checked parameters");
-
-    let protocol = protocol_name(citation.lemma);
-    let Some(protocol) = protocol else {
+    let Some(protocol) = protocol_name(citation.lemma) else {
         return Ok(None); // fringe citations have no single runner
     };
-
-    let mut runs = 0;
-    let mut violations = 0;
-    let mut first_violation = None;
-    for seed in seeds {
-        let inputs = inputs_for(n, seed);
-        let report = run_cell(model, protocol, &spec, &inputs, n, k, t, seed, metrics)?;
-        runs += 1;
-        if let Some(msg) = &report.outcome.violation {
-            violations += 1;
-            if first_violation.is_none() {
-                first_violation = Some(format!("seed {seed}: {msg}"));
-            }
+    let spec = ProblemSpec::new(n, k, t, validity).expect("domain-checked parameters");
+    let setup = |seed| {
+        let plan = if model.is_byzantine() {
+            byz_plan(n, t, seed)
+        } else {
+            crash_plan(n, t, seed)
+        };
+        let rules = if model.is_shared_memory() {
+            sm_schedule_rules(n, seed)
+        } else {
+            mp_schedule_rules(n, seed, &plan.faulty_set())
+        };
+        RunSetup {
+            inputs: inputs_for(n, seed),
+            plan,
+            rules,
         }
-        on_record(crate::record_sink::RunRecord::new(
-            model,
-            validity,
-            n,
-            k,
-            t,
-            seed,
-            protocol,
-            report.outcome,
-            report.stats,
-            report.metrics,
-        ));
-    }
+    };
+    let tally = sample(model, &spec, protocol, seeds, metrics, setup, on_record)?;
     Ok(Some(CellValidation {
         model,
         validity,
@@ -286,9 +227,11 @@ pub fn validate_cell_with(
         k,
         t,
         protocol,
-        runs,
-        violations,
-        first_violation,
+        runs: tally.runs,
+        violations: tally.violations,
+        first_violation: tally
+            .first_violation
+            .map(|(seed, msg)| format!("seed {seed}: {msg}")),
     }))
 }
 
@@ -310,201 +253,265 @@ fn protocol_name(lemma: &str) -> Option<&'static str> {
     })
 }
 
+/// A cell of the sampled sweeps at a fixed `n`: `(model, validity, k, t)`.
+pub(crate) type SweepCell = (Model, ValidityCondition, usize, usize);
+
+/// Every cell the sampled sweeps visit at `n`, in the order their rows
+/// and records are merged: each model, each validity, `k` in `2..n`, `t`
+/// in `1..=n`.
+pub(crate) fn atlas_cells(n: usize) -> impl Iterator<Item = SweepCell> {
+    Model::ALL.into_iter().flat_map(move |model| {
+        ValidityCondition::ALL
+            .into_iter()
+            .flat_map(move |validity| {
+                (2..n).flat_map(move |k| (1..=n).map(move |t| (model, validity, k, t)))
+            })
+    })
+}
+
+/// Runs `run_cell` on every cell, one task per cell on a `threads`
+/// worker pool. Each run is single-threaded and deterministic and the
+/// rows and records are merged in cell order, so the result is the same
+/// for every thread count.
+///
+/// # Panics
+///
+/// On a simulator failure, naming the cell.
+pub(crate) fn sweep<T: Send>(
+    threads: usize,
+    cells: Vec<SweepCell>,
+    run_cell: impl Fn(SweepCell, &mut Vec<RunRecord>) -> Result<Option<T>, SimError> + Sync,
+) -> (Vec<T>, Vec<RunRecord>) {
+    let results = engine::parallel_map(threads, cells, |_, cell| {
+        let mut records = Vec::new();
+        match run_cell(cell, &mut records) {
+            Ok(row) => (row, records),
+            Err(e) => {
+                let (model, validity, k, t) = cell;
+                panic!("simulator failure at {model} {validity} k={k} t={t}: {e}")
+            }
+        }
+    });
+    let mut rows = Vec::new();
+    let mut records = Vec::new();
+    for (row, cell_records) in results {
+        rows.extend(row);
+        records.extend(cell_records);
+    }
+    (rows, records)
+}
+
+/// Validates every solvable cell of the four atlases at `n` with `seeds`
+/// runs each (the sweep of `empirical_atlas` and `reproduce_all`): the
+/// rows and every run's record, in cell order, on `threads` workers.
+///
+/// # Panics
+///
+/// On a simulator failure, naming the cell.
+pub fn validate_atlas(
+    n: usize,
+    seeds: u64,
+    metrics: MetricsConfig,
+    threads: usize,
+) -> (Vec<CellValidation>, Vec<RunRecord>) {
+    sweep(
+        threads,
+        atlas_cells(n).collect(),
+        |(model, validity, k, t), records| {
+            validate_cell_with(model, validity, n, k, t, 0..seeds, metrics, |r| {
+                records.push(r)
+            })
+        },
+    )
+}
+
+/// How one sampled run starts, apart from its seed: the inputs, the
+/// fault plan and the delay rules.
+pub(crate) struct RunSetup {
+    pub(crate) inputs: Vec<u64>,
+    pub(crate) plan: FaultPlan,
+    pub(crate) rules: Vec<DelayRule>,
+}
+
+/// What [`sample`] counted over one cell.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) runs: usize,
+    pub(crate) violations: usize,
+    /// The seed and checker message of the first violating run.
+    pub(crate) first_violation: Option<(u64, String)>,
+}
+
+/// The seed loop of both sampled sweeps: runs `protocol` once per seed on
+/// the cell `model` and `spec` name, as `setup` configures the seed,
+/// checks the run against `spec`, hands its record to `on_record` and
+/// counts it.
+pub(crate) fn sample(
+    model: Model,
+    spec: &ProblemSpec,
+    protocol: &'static str,
+    seeds: Range<u64>,
+    metrics: MetricsConfig,
+    mut setup: impl FnMut(u64) -> RunSetup,
+    mut on_record: impl FnMut(RunRecord),
+) -> Result<Tally, SimError> {
+    let (n, k, t) = (spec.n(), spec.k(), spec.t());
+    let mut tally = Tally::default();
+    for seed in seeds {
+        let RunSetup {
+            inputs,
+            plan,
+            rules,
+        } = setup(seed);
+        // Byzantine models fill their faulty slots with strategies; in a
+        // crash model the faulty slots run the protocol until they crash.
+        let byzantine = if model.is_byzantine() {
+            plan.faulty_set()
+        } else {
+            Vec::new()
+        };
+        let mut system = System::new(n)
+            .seed(seed)
+            .metrics(metrics)
+            .fault_plan(plan)
+            .delay_rules(rules);
+        if protocol.starts_with("SIM(") {
+            system = system.event_limit(SIM_EVENT_LIMIT);
+        }
+        let run = run_protocol(system, protocol, spec, &inputs, seed, &byzantine)?;
+        let outcome = RunOutcome::of(&run, Some((spec, &inputs)));
+        tally.runs += 1;
+        if let Some(msg) = &outcome.violation {
+            tally.violations += 1;
+            tally
+                .first_violation
+                .get_or_insert_with(|| (seed, msg.clone()));
+        }
+        on_record(RunRecord::new(
+            model,
+            spec.validity(),
+            n,
+            k,
+            t,
+            seed,
+            protocol,
+            outcome,
+            run.stats,
+            run.metrics,
+        ));
+    }
+    Ok(tally)
+}
+
 /// Event limit for SIMULATION runs (polling-heavy).
 const SIM_EVENT_LIMIT: u64 = 20_000_000;
 
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    model: Model,
-    protocol: &'static str,
+/// Runs a message-passing protocol on `system`.
+fn mp<M: Clone>(
+    system: System,
+    factory: impl FnMut(ProcessId) -> DynMpProcess<M, u64>,
+) -> Result<Outcome<u64>, SimError> {
+    system.run_with::<MpSubstrate<M, u64>, _>(factory)
+}
+
+/// Runs a shared-memory protocol on `system`.
+fn sm<Val: Clone>(
+    system: System,
+    factory: impl FnMut(ProcessId) -> DynSmProcess<Val, u64>,
+) -> Result<Outcome<u64>, SimError> {
+    system.run_with::<SmSubstrate<Val, u64>, _>(factory)
+}
+
+/// Runs `protocol` once on `system`, which the caller configured. The
+/// name only picks the processes: the protocol on every slot, except a
+/// Byzantine strategy on each slot in `byzantine`.
+fn run_protocol(
+    system: System,
+    protocol: &str,
     spec: &ProblemSpec,
     inputs: &[u64],
-    n: usize,
-    _k: usize,
-    t: usize,
     seed: u64,
-    metrics: MetricsConfig,
-) -> Result<RunReport, SimError> {
-    let byz = model.is_byzantine();
-    let plan = if byz {
-        byz_plan(n, t, seed)
-    } else {
-        crash_plan(n, t, seed)
-    };
-    let faulty = plan.faulty_set();
-    let is_byz_slot = |p: usize| faulty.contains(&p) && byz;
-
+    byzantine: &[usize],
+) -> Result<Outcome<u64>, SimError> {
+    let (n, t) = (spec.n(), spec.t());
+    let byz = |p: usize| byzantine.contains(&p);
     match protocol {
-        "FloodMin" => {
-            let outcome = MpSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .fault_plan(plan)
-                .delay_rules(mp_schedule_rules(n, seed, &faulty))
-                .run_with(|p| FloodMin::boxed(n, t, inputs[p]))?;
-            Ok(report(spec, inputs, &outcome))
-        }
-        "Protocol A" => {
-            let outcome = MpSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .fault_plan(plan)
-                .delay_rules(mp_schedule_rules(n, seed, &faulty))
-                .run_with(|p| -> DynMpProcess<u64, u64> {
-                    if is_byz_slot(p) {
-                        // Alternate silent and group-mimicking adversaries.
-                        if seed % 4 < 2 {
-                            Box::new(Silent::new())
-                        } else {
-                            Box::new(GroupMimic::from_assignment(
-                                (0..n).map(|q| (q as u64 + seed) % 5).collect(),
-                            ))
-                        }
-                    } else {
-                        ProtocolA::boxed(n, t, inputs[p], DEFAULT_VALUE)
-                    }
-                })?;
-            Ok(report(spec, inputs, &outcome))
-        }
-        "Protocol B" => {
-            let outcome = MpSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .fault_plan(plan)
-                .delay_rules(mp_schedule_rules(n, seed, &faulty))
-                .run_with(|p| ProtocolB::boxed(n, t, inputs[p], DEFAULT_VALUE))?;
-            Ok(report(spec, inputs, &outcome))
-        }
+        "FloodMin" => mp(system, |p| FloodMin::boxed(n, t, inputs[p])),
+        "Protocol A" => mp(system, |p| -> DynMpProcess<u64, u64> {
+            if !byz(p) {
+                ProtocolA::boxed(n, t, inputs[p], DEFAULT_VALUE)
+            } else if seed % 4 < 2 {
+                // Alternate silent and group-mimicking adversaries.
+                Box::new(Silent::new())
+            } else {
+                Box::new(GroupMimic::from_assignment(
+                    (0..n).map(|q| (q as u64 + seed) % 5).collect(),
+                ))
+            }
+        }),
+        "Protocol B" => mp(system, |p| ProtocolB::boxed(n, t, inputs[p], DEFAULT_VALUE)),
         "Protocol C" => {
             let l = math::protocol_c_witness(n, spec.k(), t)
                 .expect("cell classified solvable by Lemma 3.15");
-            let outcome = MpSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .fault_plan(plan)
-                .delay_rules(mp_schedule_rules(n, seed, &faulty))
-                .run_with(|p| -> DynMpProcess<CMsg<u64>, u64> {
-                    if is_byz_slot(p) {
-                        if seed % 4 < 2 {
-                            Box::new(Silent::new())
-                        } else {
-                            Box::new(EchoSplitter::new(vec![seed, seed + 1]))
-                        }
-                    } else {
-                        ProtocolC::boxed(n, t, l, inputs[p], DEFAULT_VALUE)
-                    }
-                })?;
-            Ok(report(spec, inputs, &outcome))
+            mp(system, |p| -> DynMpProcess<CMsg<u64>, u64> {
+                if !byz(p) {
+                    ProtocolC::boxed(n, t, l, inputs[p], DEFAULT_VALUE)
+                } else if seed % 4 < 2 {
+                    Box::new(Silent::new())
+                } else {
+                    Box::new(EchoSplitter::new(vec![seed, seed + 1]))
+                }
+            })
         }
-        "Protocol D" => {
-            let outcome = MpSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .fault_plan(plan)
-                .delay_rules(mp_schedule_rules(n, seed, &faulty))
-                .run_with(|p| -> DynMpProcess<kset_protocols::DMsg<u64>, u64> {
-                    if is_byz_slot(p) {
-                        Box::new(Silent::new())
-                    } else {
-                        ProtocolD::boxed(n, t, inputs[p])
-                    }
-                })?;
-            Ok(report(spec, inputs, &outcome))
-        }
-        "Protocol E" => {
-            let outcome = SmSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .fault_plan(plan)
-                .delay_rules(sm_schedule_rules(n, seed))
-                .run_with(|p| -> DynSmProcess<u64, u64> {
-                    if is_byz_slot(p) {
-                        if seed % 4 < 2 {
-                            Box::new(SmSilent::new())
-                        } else {
-                            Box::new(Scribbler::new(vec![seed, seed + 1, seed + 2]))
-                        }
-                    } else {
-                        ProtocolE::boxed(n, t, inputs[p], DEFAULT_VALUE)
-                    }
-                })?;
-            Ok(report(spec, inputs, &outcome))
-        }
-        "Protocol F" => {
-            let outcome = SmSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .fault_plan(plan)
-                .delay_rules(sm_schedule_rules(n, seed))
-                .run_with(|p| -> DynSmProcess<u64, u64> {
-                    if is_byz_slot(p) {
-                        if seed % 4 < 2 {
-                            Box::new(SmSilent::new())
-                        } else {
-                            Box::new(Scribbler::new(vec![seed, seed + 1]))
-                        }
-                    } else {
-                        ProtocolF::boxed(n, t, inputs[p], DEFAULT_VALUE)
-                    }
-                })?;
-            Ok(report(spec, inputs, &outcome))
-        }
-        "SIM(FloodMin)" => {
-            let outcome = SmSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .event_limit(SIM_EVENT_LIMIT)
-                .fault_plan(plan)
-                .delay_rules(sm_schedule_rules(n, seed))
-                .run_with(|p| Simulated::boxed(n, FloodMin::new(n, t, inputs[p])))?;
-            Ok(report(spec, inputs, &outcome))
-        }
-        "SIM(Protocol B)" => {
-            let outcome = SmSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .event_limit(SIM_EVENT_LIMIT)
-                .fault_plan(plan)
-                .delay_rules(sm_schedule_rules(n, seed))
-                .run_with(|p| {
-                    Simulated::boxed(n, ProtocolB::new(n, t, inputs[p], DEFAULT_VALUE))
-                })?;
-            Ok(report(spec, inputs, &outcome))
-        }
+        "Protocol D" => mp(system, |p| -> DynMpProcess<DMsg<u64>, u64> {
+            if byz(p) {
+                Box::new(Silent::new())
+            } else {
+                ProtocolD::boxed(n, t, inputs[p])
+            }
+        }),
+        "Protocol E" => sm(system, |p| -> DynSmProcess<u64, u64> {
+            if !byz(p) {
+                ProtocolE::boxed(n, t, inputs[p], DEFAULT_VALUE)
+            } else if seed % 4 < 2 {
+                Box::new(SmSilent::new())
+            } else {
+                Box::new(Scribbler::new(vec![seed, seed + 1, seed + 2]))
+            }
+        }),
+        "Protocol F" => sm(system, |p| -> DynSmProcess<u64, u64> {
+            if !byz(p) {
+                ProtocolF::boxed(n, t, inputs[p], DEFAULT_VALUE)
+            } else if seed % 4 < 2 {
+                Box::new(SmSilent::new())
+            } else {
+                Box::new(Scribbler::new(vec![seed, seed + 1]))
+            }
+        }),
+        "SIM(FloodMin)" => sm(system, |p| {
+            Simulated::boxed(n, FloodMin::new(n, t, inputs[p]))
+        }),
+        "SIM(Protocol B)" => sm(system, |p| {
+            Simulated::boxed(n, ProtocolB::new(n, t, inputs[p], DEFAULT_VALUE))
+        }),
         "SIM(Protocol C)" => {
             let l = math::protocol_c_witness(n, spec.k(), t)
                 .expect("cell classified solvable by Lemma 4.11");
-            let outcome = SmSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .event_limit(SIM_EVENT_LIMIT)
-                .fault_plan(plan)
-                .delay_rules(sm_schedule_rules(n, seed))
-                .run_with(|p| -> DynSmProcess<SimSlot<CMsg<u64>>, u64> {
-                    if is_byz_slot(p) {
-                        Box::new(SmSilent::new())
-                    } else {
-                        Simulated::boxed(n, ProtocolC::new(n, t, l, inputs[p], DEFAULT_VALUE))
-                    }
-                })?;
-            Ok(report(spec, inputs, &outcome))
+            sm(system, |p| -> DynSmProcess<SimSlot<CMsg<u64>>, u64> {
+                if byz(p) {
+                    Box::new(SmSilent::new())
+                } else {
+                    Simulated::boxed(n, ProtocolC::new(n, t, l, inputs[p], DEFAULT_VALUE))
+                }
+            })
         }
-        "SIM(Protocol D)" => {
-            let outcome = SmSystem::new(n)
-                .seed(seed)
-                .metrics(metrics)
-                .event_limit(SIM_EVENT_LIMIT)
-                .fault_plan(plan)
-                .delay_rules(sm_schedule_rules(n, seed))
-                .run_with(|p| -> DynSmProcess<SimSlot<kset_protocols::DMsg<u64>>, u64> {
-                    if is_byz_slot(p) {
-                        Box::new(SmSilent::new())
-                    } else {
-                        Simulated::boxed(n, ProtocolD::new(n, t, inputs[p]))
-                    }
-                })?;
-            Ok(report(spec, inputs, &outcome))
-        }
+        "SIM(Protocol D)" => sm(system, |p| -> DynSmProcess<SimSlot<DMsg<u64>>, u64> {
+            if byz(p) {
+                Box::new(SmSilent::new())
+            } else {
+                Simulated::boxed(n, ProtocolD::new(n, t, inputs[p]))
+            }
+        }),
         other => unreachable!("no runner for {other}"),
     }
 }

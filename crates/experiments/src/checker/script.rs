@@ -1,7 +1,8 @@
 //! The counterexample replay script, v1 and v2, and the `key: value`
 //! header reader it shares with the campaign manifest.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
@@ -258,9 +259,12 @@ pub fn read_counterexample(path: &Path) -> io::Result<SavedCounterexample> {
 
 /// The `key: value` fields of a line-based header, the layout
 /// counterexample scripts and campaign manifests share. Keys and values
-/// are trimmed, and a repeated key keeps its last value.
+/// are trimmed. Through [`Header::insert`] a repeated key keeps its last
+/// value; [`Header::insert_once`] refuses it.
 pub(crate) struct Header<'a> {
     fields: HashMap<&'a str, &'a str>,
+    /// Every key a lookup has asked for, for [`Header::refuse_unread`].
+    read: RefCell<HashSet<&'a str>>,
     /// Prefixes every error message (a manifest names its file).
     context: String,
 }
@@ -270,6 +274,7 @@ impl<'a> Header<'a> {
     pub(crate) fn new(context: String) -> Self {
         Header {
             fields: HashMap::new(),
+            read: RefCell::default(),
             context,
         }
     }
@@ -281,6 +286,27 @@ impl<'a> Header<'a> {
         };
         self.fields.insert(key.trim(), value.trim());
         true
+    }
+
+    /// Records `line` like [`Header::insert`], but refuses a line with
+    /// no `:` and a key already recorded.
+    pub(crate) fn insert_once(&mut self, line: &'a str) -> io::Result<()> {
+        let Some((key, value)) = line.split_once(':') else {
+            return Err(self.bad(format_args!("malformed line {line:?}")));
+        };
+        match self.fields.insert(key.trim(), value.trim()) {
+            Some(_) => Err(self.bad(format_args!("repeated key {:?}", key.trim()))),
+            None => Ok(()),
+        }
+    }
+
+    /// Refuses a recorded key that no lookup has asked for.
+    pub(crate) fn refuse_unread(&self) -> io::Result<()> {
+        let read = self.read.borrow();
+        match self.fields.keys().filter(|key| !read.contains(*key)).min() {
+            Some(key) => Err(self.bad(format_args!("unknown key {key:?}"))),
+            None => Ok(()),
+        }
     }
 
     /// An [`io::ErrorKind::InvalidData`] error about this header.
@@ -298,12 +324,13 @@ impl<'a> Header<'a> {
         key: &str,
         read: impl FnOnce(&'a str) -> Option<T>,
     ) -> io::Result<Option<T>> {
-        match self.fields.get(key) {
-            None => Ok(None),
-            Some(&value) => read(value)
-                .map(Some)
-                .ok_or_else(|| self.bad(format_args!("bad {key}: {value:?}"))),
-        }
+        let Some((&key, &value)) = self.fields.get_key_value(key) else {
+            return Ok(None);
+        };
+        self.read.borrow_mut().insert(key);
+        read(value)
+            .map(Some)
+            .ok_or_else(|| self.bad(format_args!("bad {key}: {value:?}")))
     }
 
     /// [`Header::optional`] for a key that must be present.

@@ -15,15 +15,15 @@
 //! across the frontier the counts paint the picture: clean inside,
 //! violations immediately outside.
 
-use kset_core::{ProblemSpec, RunRecord, ValidityCondition};
-use kset_net::MpSystem;
-use kset_protocols::{FloodMin, ProtocolA, ProtocolB, ProtocolE, ProtocolF};
-use kset_regions::{classify, CellClass, Model};
-use kset_shmem::SmSystem;
-use kset_sim::{DelayRule, MetricsConfig, Outcome, RunMetrics, RunStats, SimError, Until};
+use std::ops::Range;
 
-use crate::cells::DEFAULT_VALUE;
-use crate::record_sink::RunOutcome;
+use kset_adversary::plans;
+use kset_core::{ProblemSpec, ValidityCondition};
+use kset_regions::{classify, CellClass, Model};
+use kset_sim::{DelayRule, MetricsConfig, SimError, Until};
+
+use crate::cells::{atlas_cells, sample, sweep, RunSetup};
+use crate::record_sink::RunRecord;
 
 /// Result of probing one non-solvable cell.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -83,38 +83,6 @@ fn probe_rules_sm(n: usize, active: usize) -> Vec<DelayRule> {
         .collect()
 }
 
-/// One probe run distilled for counting and recording.
-struct ProbeRun {
-    violated: bool,
-    outcome: RunOutcome,
-    stats: RunStats,
-    metrics: Option<RunMetrics>,
-}
-
-/// Substrate-agnostic: MP runs pass their outcome straight through, SM
-/// runs shed the register snapshot first via
-/// [`kset_shmem::SmOutcome::into_run`].
-fn probe_report(spec: &ProblemSpec, inputs: &[u64], outcome: Outcome<u64>) -> ProbeRun {
-    let distinct_decisions = outcome.correct_decision_set().len();
-    let decided = outcome.decisions.len();
-    let record = RunRecord::new(inputs.to_vec())
-        .with_decisions(outcome.decisions)
-        .with_terminated(outcome.terminated);
-    let report = spec.check(&record);
-    let violation = (!report.is_ok()).then(|| report.to_string());
-    ProbeRun {
-        violated: violation.is_some(),
-        outcome: RunOutcome {
-            terminated: outcome.terminated,
-            decided,
-            distinct_decisions,
-            violation,
-        },
-        stats: outcome.stats,
-        metrics: outcome.metrics,
-    }
-}
-
 /// Probes one cell with `seeds` runs. Returns `None` for solvable cells
 /// (probe the frontier, not the interior) and for panels without a probe
 /// protocol.
@@ -128,14 +96,14 @@ pub fn probe_cell(
     n: usize,
     k: usize,
     t: usize,
-    seeds: std::ops::Range<u64>,
+    seeds: Range<u64>,
 ) -> Result<Option<BoundaryProbe>, SimError> {
     probe_cell_with(model, validity, n, k, t, seeds, MetricsConfig::disabled(), |_| {})
 }
 
 /// [`probe_cell`] with per-run observability: collects kernel metrics
 /// according to `metrics` and hands every run to `on_record` as a
-/// [`crate::record_sink::RunRecord`] (in seed order).
+/// [`RunRecord`] (in seed order).
 ///
 /// # Errors
 ///
@@ -147,9 +115,9 @@ pub fn probe_cell_with(
     n: usize,
     k: usize,
     t: usize,
-    seeds: std::ops::Range<u64>,
+    seeds: Range<u64>,
     metrics: MetricsConfig,
-    mut on_record: impl FnMut(crate::record_sink::RunRecord),
+    on_record: impl FnMut(RunRecord),
 ) -> Result<Option<BoundaryProbe>, SimError> {
     let class = match classify(model, validity, n, k, t) {
         CellClass::Solvable(_) => return Ok(None),
@@ -165,78 +133,22 @@ pub fn probe_cell_with(
         return Ok(None);
     }
     let spec = ProblemSpec::new(n, k, t, validity).expect("domain-checked");
-
-    let mut runs = 0;
-    let mut violations = 0;
-    let mut first_violating_seed = None;
-    for seed in seeds {
+    let setup = |seed| {
         // The Lemma 3.3 shape: a few groups, each internally unanimous, so
         // that an isolating schedule can push each group to its own value.
         let groups = ((k + 1) + (seed as usize % 2)).clamp(2, n);
-        let inputs: Vec<u64> = (0..n).map(|p| (p % groups) as u64).collect();
-        let run = match protocol {
-            "FloodMin" => {
-                let outcome = MpSystem::new(n)
-                    .seed(seed)
-                    .metrics(metrics)
-                    .delay_rules(probe_rules_mp(n, groups))
-                    .run_with(|p| FloodMin::boxed(n, t, inputs[p]))?;
-                probe_report(&spec, &inputs, outcome)
-            }
-            "Protocol A" => {
-                let outcome = MpSystem::new(n)
-                    .seed(seed)
-                    .metrics(metrics)
-                    .delay_rules(probe_rules_mp(n, groups))
-                    .run_with(|p| ProtocolA::boxed(n, t, inputs[p], DEFAULT_VALUE))?;
-                probe_report(&spec, &inputs, outcome)
-            }
-            "Protocol B" => {
-                let outcome = MpSystem::new(n)
-                    .seed(seed)
-                    .metrics(metrics)
-                    .delay_rules(probe_rules_mp(n, groups))
-                    .run_with(|p| ProtocolB::boxed(n, t, inputs[p], DEFAULT_VALUE))?;
-                probe_report(&spec, &inputs, outcome)
-            }
-            "Protocol E" => {
-                let outcome = SmSystem::new(n)
-                    .seed(seed)
-                    .metrics(metrics)
-                    .delay_rules(probe_rules_sm(n, t.min(n - 1).max(1)))
-                    .run_with(|p| ProtocolE::boxed(n, t.min(n), inputs[p], DEFAULT_VALUE))?;
-                probe_report(&spec, &inputs, outcome.into_run())
-            }
-            "Protocol F" => {
-                let outcome = SmSystem::new(n)
-                    .seed(seed)
-                    .metrics(metrics)
-                    .delay_rules(probe_rules_sm(n, (t + 1).min(n)))
-                    .run_with(|p| ProtocolF::boxed(n, t, inputs[p], DEFAULT_VALUE))?;
-                probe_report(&spec, &inputs, outcome.into_run())
-            }
-            other => unreachable!("no probe runner for {other}"),
+        let rules = match protocol {
+            "Protocol E" => probe_rules_sm(n, t.min(n - 1).max(1)),
+            "Protocol F" => probe_rules_sm(n, (t + 1).min(n)),
+            _ => probe_rules_mp(n, groups),
         };
-        runs += 1;
-        if run.violated {
-            violations += 1;
-            if first_violating_seed.is_none() {
-                first_violating_seed = Some(seed);
-            }
+        RunSetup {
+            inputs: (0..n).map(|p| (p % groups) as u64).collect(),
+            plan: plans::all_correct(n),
+            rules,
         }
-        on_record(crate::record_sink::RunRecord::new(
-            model,
-            validity,
-            n,
-            k,
-            t,
-            seed,
-            protocol,
-            run.outcome,
-            run.stats,
-            run.metrics,
-        ));
-    }
+    };
+    let tally = sample(model, &spec, protocol, seeds, metrics, setup, on_record)?;
     Ok(Some(BoundaryProbe {
         model,
         validity,
@@ -245,10 +157,40 @@ pub fn probe_cell_with(
         t,
         class,
         protocol,
-        runs,
-        violations,
-        first_violating_seed,
+        runs: tally.runs,
+        violations: tally.violations,
+        first_violating_seed: tally.first_violation.map(|(seed, _)| seed),
     }))
+}
+
+/// Whether `boundary_scan` probes the cell: a non-solvable cell within
+/// two steps of `t` of the solvable region.
+fn near_frontier(model: Model, validity: ValidityCondition, n: usize, k: usize, t: usize) -> bool {
+    let solvable = |t| matches!(classify(model, validity, n, k, t), CellClass::Solvable(_));
+    !solvable(t) && (t == 1 || solvable(t - 1) || (t >= 2 && solvable(t - 2)))
+}
+
+/// Probes every frontier cell of the four atlases at `n` with `seeds`
+/// runs each (the sweep of `boundary_scan`): the probes and every run's
+/// record, in cell order, on `threads` workers.
+///
+/// # Panics
+///
+/// On a simulator failure, naming the cell.
+pub fn probe_frontier(
+    n: usize,
+    seeds: u64,
+    metrics: MetricsConfig,
+    threads: usize,
+) -> (Vec<BoundaryProbe>, Vec<RunRecord>) {
+    let frontier = atlas_cells(n)
+        .filter(|&(model, validity, k, t)| near_frontier(model, validity, n, k, t))
+        .collect();
+    sweep(threads, frontier, |(model, validity, k, t), records| {
+        probe_cell_with(model, validity, n, k, t, 0..seeds, metrics, |r| {
+            records.push(r)
+        })
+    })
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 pub mod campaign;
 pub mod cells;
 pub mod checker;
+pub mod cli;
 pub mod engine;
 pub mod figures;
 pub mod counterexamples;

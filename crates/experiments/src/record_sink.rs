@@ -22,9 +22,9 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use kset_core::ValidityCondition;
+use kset_core::{ProblemSpec, ValidityCondition};
 use kset_regions::Model;
-use kset_sim::{Histogram, ProcessMetrics, RunMetrics, RunStats, HISTOGRAM_BUCKETS};
+use kset_sim::{Histogram, Outcome, ProcessMetrics, RunMetrics, RunStats, HISTOGRAM_BUCKETS};
 
 use crate::json::{self, object, unit_enum, FromJson, ObjectWriter, ToJson, Value};
 
@@ -60,6 +60,27 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
+    /// How `run` ended. With `check`, a spec and the inputs the run
+    /// proposed, the run is also checked against `SC(k, t, C)` (its planned
+    /// faulty processes excused) and a failure's message becomes
+    /// `violation`; without, `violation` is `None`.
+    pub fn of(run: &Outcome<u64>, check: Option<(&ProblemSpec, &[u64])>) -> Self {
+        let violation = check.and_then(|(spec, inputs)| {
+            let record = kset_core::RunRecord::new(inputs.to_vec())
+                .with_faulty(run.faulty.iter().copied())
+                .with_decisions(run.decisions.clone())
+                .with_terminated(run.terminated);
+            let report = spec.check(&record);
+            (!report.is_ok()).then(|| report.to_string())
+        });
+        RunOutcome {
+            terminated: run.terminated,
+            decided: run.decisions.len(),
+            distinct_decisions: run.correct_decision_set().len(),
+            violation,
+        }
+    }
+
     /// True when the run satisfied the specification.
     pub fn clean(&self) -> bool {
         self.violation.is_none()
@@ -242,6 +263,20 @@ impl JsonlSink {
         self.writer.flush()?;
         Ok(self.written)
     }
+}
+
+/// Writes `records` to a new JSONL file at `path` through [`JsonlSink`],
+/// returning how many it wrote.
+///
+/// # Errors
+///
+/// Propagates filesystem and I/O errors.
+pub fn write_jsonl(path: impl AsRef<Path>, records: &[RunRecord]) -> io::Result<usize> {
+    let mut sink = JsonlSink::create(path)?;
+    for record in records {
+        sink.write(record)?;
+    }
+    sink.finish()
 }
 
 /// Reads every record from a JSONL file written by [`JsonlSink`].

@@ -309,3 +309,71 @@ fn model_check_binary_campaign_rows_carry_the_in_memory_gauges() {
     assert!(gauge(&direct_row, "events_fired") > 0);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Every file under `dir` with its bytes.
+fn tree_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(tree_bytes(&path));
+        } else {
+            let bytes = fs::read(&path).unwrap();
+            files.push((path, bytes));
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn model_check_resume_refuses_unknown_and_repeated_manifest_keys() {
+    // A MANIFEST with a key the reader does not know, or with a key given
+    // twice, is refused as a usage error before the campaign is touched.
+    let bin = env!("CARGO_BIN_EXE_model_check");
+    let dir = tmp_dir("manifest_keys");
+    let cell = [
+        "--protocol", "floodmin", "--n", "3", "--k", "2", "--t", "1", "--validity", "RV1",
+    ];
+    for key in ["bogus_key", "runs"] {
+        let campaign = dir.join(key);
+        let create = Command::new(bin)
+            .args(cell)
+            .arg("--campaign-dir")
+            .arg(&campaign)
+            .args(["--checkpoint-every", "0", "--pause-after-checkpoints", "1", "--threads", "1"])
+            .output()
+            .expect("create campaign");
+        assert!(create.status.success(), "{create:?}");
+        assert!(String::from_utf8_lossy(&create.stdout).contains("campaign paused"));
+        let manifest = campaign.join("MANIFEST");
+        let text = fs::read_to_string(&manifest).unwrap();
+        // An unknown key, or a second copy of the `runs:` line.
+        let extra = match key {
+            "runs" => text
+                .lines()
+                .find(|l| l.starts_with("runs:"))
+                .expect("runs line"),
+            _ => "bogus_key: 1",
+        };
+        fs::write(&manifest, format!("{text}{extra}\n")).unwrap();
+        let before = tree_bytes(&campaign);
+
+        let resume = Command::new(bin)
+            .arg("--campaign-dir")
+            .arg(&campaign)
+            .args(["--resume", "--threads", "1"])
+            .output()
+            .expect("resume campaign");
+        assert_eq!(resume.status.code(), Some(2), "{key}: {resume:?}");
+        assert!(resume.stdout.is_empty(), "{key}: {resume:?}");
+        let stderr = String::from_utf8_lossy(&resume.stderr);
+        assert!(stderr.contains(&format!("key \"{key}\"")), "{stderr}");
+        assert_eq!(
+            tree_bytes(&campaign),
+            before,
+            "{key}: the refused resume changed the campaign"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -1,5 +1,6 @@
 //! Argument errors in the sweep, inventory and figure binaries are usage
-//! errors (exit 2), not panics (exit 101).
+//! errors (exit 2, nothing on stdout), not panics (exit 101), and a binary
+//! that takes no arguments refuses one.
 
 use std::process::Command;
 
@@ -13,7 +14,10 @@ fn exhaustive_check_rejects_bad_positionals_with_exit_2() {
             .expect("run exhaustive_check");
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.starts_with("unknown argument"), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("exhaustive_check: usage error: unknown argument"),
+            "{args:?}: {stderr}"
+        );
         assert!(out.stdout.is_empty(), "{args:?} did work before failing");
     }
 }
@@ -98,6 +102,38 @@ fn reproduce_all_rejects_bad_flag_values_with_exit_2() {
         &["--json"],
     ] {
         assert_usage_error(bin, "reproduce_all", args);
+    }
+}
+
+#[test]
+fn sweep_binaries_reject_bad_arguments_with_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_boundary_scan");
+    for args in [&["--threads", "abc"][..], &["--json"], &["2"], &["--seed"]] {
+        assert_usage_error(bin, "boundary_scan", args);
+    }
+    let bin = env!("CARGO_BIN_EXE_empirical_atlas");
+    for args in [&["--threads", "abc"][..], &["--json"], &["2"], &["six"]] {
+        assert_usage_error(bin, "empirical_atlas", args);
+    }
+    let bin = env!("CARGO_BIN_EXE_exhaustive_check");
+    for args in [&["--threads", "abc"][..], &["--threads"], &["2"], &["12"]] {
+        assert_usage_error(bin, "exhaustive_check", args);
+    }
+    let bin = env!("CARGO_BIN_EXE_complexity");
+    for args in [&["--json"][..], &["2"], &["--csv"]] {
+        assert_usage_error(bin, "complexity", args);
+    }
+}
+
+#[test]
+fn binaries_without_arguments_refuse_one_with_exit_2() {
+    for (name, bin) in [
+        ("fig1_lattice", env!("CARGO_BIN_EXE_fig1_lattice")),
+        ("fig3_construction", env!("CARGO_BIN_EXE_fig3_construction")),
+        ("counterexamples", env!("CARGO_BIN_EXE_counterexamples")),
+    ] {
+        assert_usage_error(bin, name, &["extra"]);
+        assert_usage_error(bin, name, &["--x"]);
     }
 }
 

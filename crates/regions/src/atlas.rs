@@ -26,7 +26,11 @@ impl Panel {
     pub fn compute(model: Model, validity: VC, n: usize) -> Self {
         assert!(n >= 3, "atlas domain requires n >= 3");
         let grid = (2..n)
-            .map(|k| (1..=n).map(|t| classify(model, validity, n, k, t)).collect())
+            .map(|k| {
+                (1..=n)
+                    .map(|t| classify(model, validity, n, k, t))
+                    .collect()
+            })
             .collect();
         Panel {
             model,

@@ -257,9 +257,9 @@ mod tests {
         // SV2 via C(l): k=32, t=21 solvable with l=1; t >= n/2 never.
         assert!(is_solv(cls(M, VC::SV2, 32, 21)));
         assert!(is_imp(cls(M, VC::SV2, 32, 32))); // 65*32 >= 32*64 via L3.6
-        // RV2 impossible at t >= kn/(2(k+1)).
+                                                  // RV2 impossible at t >= kn/(2(k+1)).
         assert!(is_imp(cls(M, VC::RV2, 2, 22))); // 6*22 >= 128? 132 >= 128 yes
-        // WV2: Protocol A large-t regime: k >= t+1, 2t >= n.
+                                                 // WV2: Protocol A large-t regime: k >= t+1, 2t >= n.
         assert!(is_solv(cls(M, VC::WV2, 40, 33)));
         // WV2 impossible needs both t >= kn/(2k+1) and t >= k.
         assert!(is_imp(cls(M, VC::WV2, 5, 30))); // 330 >= 320 and 30 >= 5
@@ -303,7 +303,7 @@ mod tests {
         assert!(is_solv(cls(M, VC::RV2, 63, 61))); // F: k > t+1
         assert!(is_imp(cls(M, VC::RV2, 30, 32))); // Lemma 4.9
         assert_eq!(cls(M, VC::RV2, 2, 20), CellClass::Open); // E unavailable
-        // WV1: SIM of Protocol D.
+                                                             // WV1: SIM of Protocol D.
         assert!(is_solv(cls(M, VC::WV1, 11, 10)));
         assert!(is_imp(cls(M, VC::WV1, 10, 10)));
         // SV2: F region.
@@ -344,16 +344,10 @@ mod tests {
             for k in (2..N).step_by(7) {
                 for t in (1..=N).step_by(5) {
                     if is_solv(cls(Model::MpCrash, v, k, t)) {
-                        assert!(
-                            is_solv(cls(Model::SmCrash, v, k, t)),
-                            "{v} k={k} t={t}"
-                        );
+                        assert!(is_solv(cls(Model::SmCrash, v, k, t)), "{v} k={k} t={t}");
                     }
                     if is_imp(cls(Model::SmCrash, v, k, t)) {
-                        assert!(
-                            is_imp(cls(Model::MpCrash, v, k, t)),
-                            "{v} k={k} t={t}"
-                        );
+                        assert!(is_imp(cls(Model::MpCrash, v, k, t)), "{v} k={k} t={t}");
                     }
                 }
             }
@@ -383,9 +377,7 @@ mod tests {
 
     #[test]
     fn weaker_validity_is_never_harder() {
-        
-
-use kset_core::lattice::Lattice;
+        use kset_core::lattice::Lattice;
         let lat = Lattice::paper();
         for model in Model::ALL {
             for c in VC::ALL {

@@ -84,7 +84,10 @@ impl GapReport {
 
     /// The widest single-row gap, if any.
     pub fn widest(&self) -> Option<OpenInterval> {
-        self.intervals.iter().copied().max_by_key(OpenInterval::width)
+        self.intervals
+            .iter()
+            .copied()
+            .max_by_key(OpenInterval::width)
     }
 
     /// Human-readable rendering, one line per interval.
@@ -138,9 +141,21 @@ mod tests {
         let panel = Panel::compute(Model::MpCrash, VC::RV2, 16);
         let gaps = GapReport::of(&panel);
         let expected = vec![
-            OpenInterval { k: 2, t_min: 8, t_max: 8 },
-            OpenInterval { k: 4, t_min: 12, t_max: 12 },
-            OpenInterval { k: 8, t_min: 14, t_max: 14 },
+            OpenInterval {
+                k: 2,
+                t_min: 8,
+                t_max: 8,
+            },
+            OpenInterval {
+                k: 4,
+                t_min: 12,
+                t_max: 12,
+            },
+            OpenInterval {
+                k: 8,
+                t_min: 14,
+                t_max: 14,
+            },
         ];
         assert_eq!(gaps.intervals, expected);
         assert_eq!(gaps.open_cells(), 3);

@@ -78,9 +78,7 @@ mod tests {
         if t == 0 {
             return Some(1);
         }
-        (1..=3 * n.max(1)).find(|&l| {
-            (2 * k + l - 1) * t < (k - 1) * n && (2 * l + 1) * t < l * n
-        })
+        (1..=3 * n.max(1)).find(|&l| (2 * k + l - 1) * t < (k - 1) * n && (2 * l + 1) * t < l * n)
     }
 
     #[test]

@@ -34,7 +34,10 @@ pub fn panel_ascii(panel: &Panel) -> String {
     out.push('\n');
     let _ = writeln!(out, "       t = 1 .. {n}");
     let (s, i, o) = panel.census();
-    let _ = writeln!(out, "cells: {s} solvable (o), {i} impossible (#), {o} open (.)");
+    let _ = writeln!(
+        out,
+        "cells: {s} solvable (o), {i} impossible (#), {o} open (.)"
+    );
     for (class, count) in panel.legend() {
         match class {
             CellClass::Solvable(c) => {
