@@ -19,7 +19,9 @@
 //!   [`ProblemSpec::check`] verdict over a run;
 //! * [`lattice`] — the "weaker-than" relation of the paper's Figure 1,
 //!   *derived* by exhaustive enumeration rather than transcribed, plus the
-//!   transcription to compare against.
+//!   transcription to compare against;
+//! * [`json`] and [`cli`] — the report format and the command-line reader
+//!   the workspace's binaries share.
 //!
 //! ```
 //! use kset_core::{ProblemSpec, RunRecord, ValidityCondition};
@@ -40,6 +42,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs, missing_debug_implementations)]
 
+pub mod cli;
+pub mod json;
 pub mod lattice;
 mod record;
 mod spec;

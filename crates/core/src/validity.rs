@@ -35,6 +35,8 @@ pub enum ValidityCondition {
     WV2,
 }
 
+crate::unit_enum!(ValidityCondition { SV1, SV2, RV1, RV2, WV1, WV2 });
+
 impl ValidityCondition {
     /// All six conditions, in the paper's order of introduction.
     pub const ALL: [ValidityCondition; 6] = [

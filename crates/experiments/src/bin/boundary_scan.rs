@@ -15,7 +15,7 @@
 //! work-stealing pool; the table and the record file are merged in cell
 //! order, so they are byte-identical for every thread count.
 
-use kset_experiments::cli::SweepArgs;
+use kset_experiments::cells::SweepArgs;
 use kset_experiments::explorer::probe_frontier;
 use kset_experiments::record_sink::write_jsonl;
 

@@ -13,8 +13,8 @@
 //! protocol at that `(n, t)`.
 
 use kset_adversary::plans;
+use kset_core::cli::Args;
 use kset_core::ValidityCondition;
-use kset_experiments::cli::Args;
 use kset_experiments::record_sink::{JsonlSink, RunOutcome, RunRecord};
 use kset_net::MpSystem;
 use kset_protocols::{

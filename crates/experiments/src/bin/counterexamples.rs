@@ -5,7 +5,7 @@
 //! mimicry) and demonstrates the predicted violation of Termination,
 //! Agreement or Validity on a concrete execution.
 
-use kset_experiments::cli::Args;
+use kset_core::cli::Args;
 
 fn main() {
     Args::new("counterexamples").finish();

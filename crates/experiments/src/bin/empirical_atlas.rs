@@ -14,8 +14,7 @@
 //! every thread count. Exits 1 if any run violates its specification, and 2 on
 //! a bad command line.
 
-use kset_experiments::cells::validate_atlas;
-use kset_experiments::cli::SweepArgs;
+use kset_experiments::cells::{validate_atlas, SweepArgs};
 use kset_experiments::record_sink::write_jsonl;
 use kset_experiments::report;
 

@@ -11,14 +11,14 @@
 //! table is printed in enumeration order, byte-identical for every thread
 //! count.
 
+use kset_core::cli::{available_threads, Args};
 use kset_core::ValidityCondition;
-use kset_experiments::cli::Args;
 use kset_experiments::engine;
 use kset_experiments::exhaustive::{verify, QuorumProtocol};
 
 fn main() {
     let mut n: Option<usize> = None;
-    let mut threads = engine::available_threads();
+    let mut threads = available_threads();
     let mut args = Args::new("exhaustive_check");
     while let Some(arg) = args.next() {
         match arg.as_str() {

@@ -4,9 +4,9 @@
 //! compared against the transcription of the paper's figure; the binary
 //! fails loudly if they ever diverge.
 
+use kset_core::cli::Args;
 use kset_core::lattice::Lattice;
 use kset_core::ValidityCondition;
-use kset_experiments::cli::Args;
 
 fn main() {
     Args::new("fig1_lattice").finish();

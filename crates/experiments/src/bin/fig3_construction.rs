@@ -10,8 +10,8 @@
 //! Usage: `fig3_construction` (no arguments; a fixed small scale for a
 //! readable timeline).
 
+use kset_core::cli::Args;
 use kset_core::{ProblemSpec, RunRecord, ValidityCondition};
-use kset_experiments::cli::Args;
 use kset_net::MpSystem;
 use kset_protocols::ProtocolA;
 use kset_sim::DelayRule;

@@ -61,6 +61,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use kset_core::cli::{self, usage_error};
 use kset_core::ValidityCondition;
 use kset_experiments::campaign::{
     manifest::read_manifest, resume_campaign_gauged, run_campaign_gauged, CampaignOptions,
@@ -69,16 +70,15 @@ use kset_experiments::campaign::{
 use kset_experiments::checker::{
     check_cell_gauged, cross_validate, parse_adversary_model, parse_protocol, parse_validity,
     read_counterexample, parse_fork_mode, replay_fired, to_run_records, write_counterexample,
-    AdversaryModel, CellVerdict, CheckerConfig, ForkMode, RunGauge, VisitedGauge,
+    bench_report, AdversaryModel, BenchCell, CellVerdict, CheckerConfig, ForkMode,
 };
-use kset_experiments::cli::{self, usage_error};
 use kset_experiments::exhaustive::QuorumProtocol;
-use kset_experiments::record_sink::JsonlSink;
-use kset_sim::DigestMode;
+use kset_experiments::record_sink::write_jsonl;
 
 /// The binary's name in usage errors.
 const BIN: &str = "model_check";
 
+#[derive(Default)]
 struct Args {
     protocol: Option<QuorumProtocol>,
     n: Option<usize>,
@@ -112,64 +112,24 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut parsed = Args {
-        protocol: None,
-        n: None,
-        k: None,
-        t: None,
-        validity: None,
-        model: None,
-        byz_menu: None,
-        byz_silence: false,
-        loss_budget: None,
-        inputs: None,
-        depth: None,
-        preemptions: None,
-        max_runs: None,
-        max_states: None,
-        no_por: false,
-        no_dedup: false,
-        progress: None,
-        threads: None,
-        fork: None,
-        counterexample: None,
-        replay: None,
-        json: None,
-        bench_json: None,
-        smoke: false,
-        campaign_dir: None,
-        checkpoint_every: None,
-        campaign_shards: None,
-        resume: false,
-        pause_after_checkpoints: None,
-    };
+    let mut parsed = Args::default();
     let mut args = cli::Args::new(BIN);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--protocol" => {
-                let raw = args.value("--protocol");
-                parsed.protocol = Some(parse_protocol(&raw).unwrap_or_else(|| {
-                    args.error(format!("--protocol wants floodmin|a|b|e|f, got {raw:?}"))
-                }));
+                let wants = "floodmin|a|b|e|f";
+                parsed.protocol = Some(args.parsed("--protocol", wants, parse_protocol))
             }
             "--n" => parsed.n = Some(args.number("--n")),
             "--k" => parsed.k = Some(args.number("--k")),
             "--t" => parsed.t = Some(args.number("--t")),
             "--validity" => {
-                let raw = args.value("--validity");
-                parsed.validity = Some(parse_validity(&raw).unwrap_or_else(|| {
-                    args.error(format!(
-                        "--validity wants SV1|SV2|RV1|RV2|WV1|WV2, got {raw:?}"
-                    ))
-                }));
+                let wants = "SV1|SV2|RV1|RV2|WV1|WV2";
+                parsed.validity = Some(args.parsed("--validity", wants, parse_validity))
             }
             "--model" => {
-                let raw = args.value("--model");
-                parsed.model = Some(parse_adversary_model(&raw).unwrap_or_else(|| {
-                    args.error(format!(
-                        "--model wants mp_crash|sm_crash|mp_byz|sm_byz|mp_lossy, got {raw:?}"
-                    ))
-                }));
+                let wants = "mp_crash|sm_crash|mp_byz|sm_byz|mp_lossy";
+                parsed.model = Some(args.parsed("--model", wants, parse_adversary_model))
             }
             "--byz-menu" => parsed.byz_menu = Some(u64_list(&mut args, "--byz-menu")),
             "--byz-silence" => parsed.byz_silence = true,
@@ -184,10 +144,7 @@ fn parse_args() -> Args {
             "--progress" => parsed.progress = Some(args.number("--progress")),
             "--threads" => parsed.threads = Some(args.threads()),
             "--fork-mode" => {
-                let raw = args.value("--fork-mode");
-                parsed.fork = Some(parse_fork_mode(&raw).unwrap_or_else(|| {
-                    args.error(format!("--fork-mode wants auto|replay, got {raw:?}"))
-                }));
+                parsed.fork = Some(args.parsed("--fork-mode", "auto|replay", parse_fork_mode))
             }
             "--counterexample" => {
                 parsed.counterexample = Some(args.value("--counterexample").into())
@@ -213,18 +170,10 @@ fn parse_args() -> Args {
 
 /// The value after `flag` as a comma-separated list of numbers.
 fn u64_list(args: &mut cli::Args, flag: &str) -> Vec<u64> {
-    let raw = args.value(flag);
-    raw.split(',')
-        .map(str::trim)
-        .filter(|token| !token.is_empty())
-        .map(|token| {
-            token.parse().unwrap_or_else(|_| {
-                args.error(format!(
-                    "{flag} wants a comma-separated list of numbers, got {raw:?}"
-                ))
-            })
-        })
-        .collect()
+    args.parsed(flag, "a comma-separated list of numbers", |raw| {
+        let tokens = raw.split(',').map(str::trim).filter(|token| !token.is_empty());
+        tokens.map(|token| token.parse().ok()).collect()
+    })
 }
 
 /// Applies the `--model`/`--byz-*`/`--loss-budget`/`--inputs` flags on
@@ -266,6 +215,12 @@ fn apply_bounds(cfg: &mut CheckerConfig, args: &Args) {
     }
     cfg.por = !args.no_por;
     cfg.dedup = !args.no_dedup;
+    apply_execution(cfg, args);
+}
+
+/// Applies `--progress`, `--threads` and `--fork-mode`, which a resumed
+/// campaign may change: they reach no verdict or counter.
+fn apply_execution(cfg: &mut CheckerConfig, args: &Args) {
     cfg.progress = args.progress;
     if let Some(threads) = args.threads {
         cfg.threads = threads;
@@ -273,137 +228,6 @@ fn apply_bounds(cfg: &mut CheckerConfig, args: &Args) {
     if let Some(fork) = args.fork {
         cfg.fork = fork;
     }
-}
-
-/// One timed cell for the `--bench-json` summary.
-struct BenchCell {
-    label: String,
-    model: String,
-    verdict: &'static str,
-    /// `true` when the exploration hit `max_runs`/`max_states` before
-    /// exhausting the schedule space: a bounded "holds" is *not* a
-    /// certification, and the JSON says so explicitly so the row cannot
-    /// be misread as one.
-    bounded: bool,
-    /// The digest mode the cell's inputs selected.
-    digest: DigestMode,
-    patterns: usize,
-    runs: u64,
-    states: usize,
-    tasks: u64,
-    /// The visited store at its largest and the execution counters. A
-    /// resumed campaign's cover this invocation only.
-    visited: VisitedGauge,
-    gauge: RunGauge,
-    wall_s: f64,
-}
-
-impl BenchCell {
-    fn from_verdict(
-        cfg: &CheckerConfig,
-        verdict: &CellVerdict,
-        visited: VisitedGauge,
-        gauge: RunGauge,
-        wall_s: f64,
-    ) -> Self {
-        BenchCell {
-            label: format!(
-                "{} SC(k={},t={},{}) n={}",
-                cfg.protocol.name(),
-                cfg.k,
-                cfg.t,
-                cfg.validity,
-                cfg.n
-            ),
-            model: cfg.adversary.to_string(),
-            verdict: if verdict.holds() { "holds" } else { "violated" },
-            bounded: !verdict.complete,
-            digest: cfg.digest(),
-            patterns: verdict.patterns.len(),
-            runs: verdict.runs,
-            states: verdict.patterns.iter().map(|p| p.states).sum(),
-            tasks: verdict.patterns.iter().map(|p| p.tasks).sum(),
-            visited,
-            gauge,
-            wall_s,
-        }
-    }
-}
-
-/// Writes the machine-readable timing summary. Hand-rolled JSON: every
-/// value is a number or an escape-free string, and CI greps its exact
-/// `"key": value` layout.
-fn write_bench_json(
-    path: &PathBuf,
-    threads: usize,
-    fork: ForkMode,
-    cells: &[BenchCell],
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let total_wall: f64 = cells.iter().map(|c| c.wall_s).sum();
-    let total_runs: u64 = cells.iter().map(|c| c.runs).sum();
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"model_check_certification\",\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"fork_mode\": \"{fork}\",\n"));
-    out.push_str(&format!(
-        "  \"host_logical_cpus\": {},\n",
-        kset_experiments::engine::available_threads()
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let (visited, runs) = (c.visited, c.gauge);
-        let gauges = format!(
-            "\"visited_entries\": {}, \"visited_bytes\": {}, \"events_fired\": {}, \"truncated_runs\": {}, ",
-            visited.entries, visited.bytes, runs.events_fired, runs.truncated_runs
-        );
-        // The barrier gauges come last, after the fields CI greps.
-        let barrier = format!(
-            ", \"fold_s\": {:.3}, \"waves\": {}, \"snapshots\": {}, \"resumes_copied\": {}, \"resumes_moved\": {}, \"store_probes\": {}, \"store_hits\": {}",
-            runs.fold_s,
-            runs.waves,
-            runs.snapshots,
-            runs.resumes_copied,
-            runs.resumes_moved,
-            runs.store_probes,
-            runs.store_hits
-        );
-        out.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"model\": \"{}\", \"verdict\": \"{}\", \"bounded\": {}, \"digest\": \"{}\", \"patterns\": {}, \"runs\": {}, \"states\": {}, \"tasks\": {}, {}\"wall_s\": {:.3}, \"runs_per_s\": {:.0}{}}}{}\n",
-            c.label,
-            c.model,
-            c.verdict,
-            c.bounded,
-            match c.digest {
-                DigestMode::Plain => "plain",
-                DigestMode::Canonical => "canonical",
-            },
-            c.patterns,
-            c.runs,
-            c.states,
-            c.tasks,
-            gauges,
-            c.wall_s,
-            c.runs as f64 / c.wall_s.max(1e-9),
-            barrier,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"total_runs\": {total_runs},\n"));
-    out.push_str(&format!("  \"total_wall_s\": {total_wall:.3},\n"));
-    out.push_str(&format!(
-        "  \"runs_per_s\": {:.0}\n",
-        total_runs as f64 / total_wall.max(1e-9)
-    ));
-    out.push_str("}\n");
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(out.as_bytes())
 }
 
 fn default_counterexample_path(cfg: &CheckerConfig) -> PathBuf {
@@ -464,7 +288,7 @@ fn run_cell(
         }
     };
     let wall_s = started.elapsed().as_secs_f64();
-    bench.push(BenchCell::from_verdict(cfg, &verdict, visited, runs, wall_s));
+    bench.push(BenchCell::of(cfg, &verdict, visited, runs, wall_s));
     println!(
         "SC(k={}, t={}, {}) for {} at n={}: {}",
         cfg.k,
@@ -500,11 +324,8 @@ fn run_cell(
         }
     }
     if let Some(json) = &args.json {
-        let mut sink = JsonlSink::create(json).expect("create --json sink");
-        for record in to_run_records(cfg, &verdict) {
-            sink.write(&record).expect("write run record");
-        }
-        let written = sink.finish().expect("flush --json sink");
+        let records = to_run_records(cfg, &verdict);
+        let written = write_jsonl(json, &records).expect("write --json records");
         println!("  ({written} run records written to {})", json.display());
     }
     if let Some(expected) = expect_holds {
@@ -581,10 +402,13 @@ fn main() -> ExitCode {
     }
 
     let mut bench: Vec<BenchCell> = Vec::new();
-    let report_bench = |bench: &[BenchCell], threads: usize, fork: ForkMode| {
+    let report_bench = |cells: &[BenchCell], threads: usize, fork: ForkMode| {
         if let Some(path) = &args.bench_json {
-            write_bench_json(path, threads, fork, bench)
-                .expect("write --bench-json");
+            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+                std::fs::create_dir_all(parent).expect("create --bench-json directory");
+            }
+            let report = bench_report(threads, fork, cells) + "\n";
+            std::fs::write(path, report).expect("write --bench-json");
             println!("  (timing summary written to {})", path.display());
         }
     };
@@ -614,15 +438,8 @@ fn main() -> ExitCode {
                 std::process::exit(2);
             });
             let mut cfg = manifest.checker_config();
-            // Contract-covered knobs may still be set; the cell and
-            // bounds come from the manifest.
-            cfg.progress = args.progress;
-            if let Some(threads) = args.threads {
-                cfg.threads = threads;
-            }
-            if let Some(fork) = args.fork {
-                cfg.fork = fork;
-            }
+            // The cell and bounds come from the manifest.
+            apply_execution(&mut cfg, &args);
             cfg
         } else {
             eprintln!(

@@ -4,8 +4,8 @@
 //!
 //! Usage: `open_problems [n]` (default n = 64, as in the paper).
 
+use kset_core::cli::Args;
 use kset_core::ValidityCondition;
-use kset_experiments::cli::Args;
 use kset_regions::gaps::GapReport;
 use kset_regions::{Atlas, Model};
 

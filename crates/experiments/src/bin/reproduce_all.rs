@@ -15,11 +15,12 @@
 use std::fs;
 use std::io::Write as _;
 
+use kset_core::cli::{available_threads, Args};
+use kset_core::json;
 use kset_core::lattice::Lattice;
 use kset_experiments::cells::validate_atlas;
-use kset_experiments::cli::Args;
 use kset_experiments::record_sink::{model_slug, write_jsonl};
-use kset_experiments::{counterexamples, engine, json, report};
+use kset_experiments::{counterexamples, report};
 use kset_regions::{render, Atlas, Model};
 use kset_sim::MetricsConfig;
 
@@ -27,7 +28,7 @@ fn main() {
     let mut empirical_n = 8usize;
     let mut seeds = 5u64;
     let mut json_path: Option<String> = None;
-    let mut threads = engine::available_threads();
+    let mut threads = available_threads();
     let mut args = Args::new("reproduce_all");
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -37,6 +38,12 @@ fn main() {
             "--threads" => threads = args.threads(),
             other => args.unknown(other),
         }
+    }
+    if empirical_n < 3 {
+        args.error(format_args!("--empirical-n must be at least 3, got {empirical_n}"));
+    }
+    if seeds == 0 {
+        args.error("--seeds must be at least 1: 0 seeds sample no run");
     }
 
     // Figure 1.

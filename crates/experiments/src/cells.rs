@@ -15,6 +15,8 @@
 use std::ops::Range;
 
 use kset_adversary::{plans, EchoSplitter, GroupMimic, Scribbler, Silent, SmSilent};
+use kset_core::cli::{self, Args};
+use kset_core::json::{ObjectWriter, ToJson};
 use kset_core::{ProblemSpec, ValidityCondition};
 use kset_net::{DynMpProcess, MpSubstrate};
 use kset_protocols::{
@@ -26,7 +28,6 @@ use kset_shmem::{DynSmProcess, SmSubstrate};
 use kset_sim::{DelayRule, FaultPlan, MetricsConfig, Outcome, ProcessId, SimError, System, Until};
 
 use crate::engine;
-use crate::json::{ObjectWriter, ToJson};
 use crate::record_sink::{RunOutcome, RunRecord};
 
 /// The default decision value used by the default-deciding protocols.
@@ -513,6 +514,63 @@ fn run_protocol(
             }
         }),
         other => unreachable!("no runner for {other}"),
+    }
+}
+
+/// The command line of the two sampled sweeps, `empirical_atlas` and
+/// `boundary_scan`: `[n] [seeds] [--json PATH] [--threads N]`.
+#[derive(Clone, Debug)]
+pub struct SweepArgs {
+    /// System size, at least 3.
+    pub n: usize,
+    /// Seeds (runs) per cell, at least 1.
+    pub seeds: u64,
+    /// Where to write one `RunRecord` JSON line per run.
+    pub json: Option<String>,
+    /// Worker threads.
+    pub threads: usize,
+}
+
+impl SweepArgs {
+    /// Reads the command line of `bin`, with defaults `n` and `seeds`.
+    pub fn parse(bin: &'static str, n: usize, seeds: u64) -> Self {
+        let mut args = Args::new(bin);
+        let (mut n_arg, mut seeds_arg) = (None, None);
+        let mut json = None;
+        let mut threads = cli::available_threads();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--json" => json = Some(args.value("--json")),
+                "--threads" => threads = args.threads(),
+                other => match other.parse() {
+                    Ok(v) if n_arg.is_none() => n_arg = Some(v),
+                    Ok(v) if seeds_arg.is_none() => seeds_arg = Some(v as u64),
+                    _ => args.unknown(other),
+                },
+            }
+        }
+        let (n, seeds) = (n_arg.unwrap_or(n), seeds_arg.unwrap_or(seeds));
+        if n < 3 {
+            args.error(format_args!("n must be at least 3, got {n}"));
+        }
+        if seeds == 0 {
+            args.error(format_args!("n = {n} with 0 seeds samples no run"));
+        }
+        SweepArgs {
+            n,
+            seeds,
+            json,
+            threads,
+        }
+    }
+
+    /// Kernel metrics are collected when the runs are recorded.
+    pub fn metrics(&self) -> MetricsConfig {
+        if self.json.is_some() {
+            MetricsConfig::enabled()
+        } else {
+            MetricsConfig::disabled()
+        }
     }
 }
 

@@ -9,6 +9,7 @@ use std::time::Instant;
 use kset_core::ProblemSpec;
 use kset_sim::{Deviation, EventId, FaultPlan, ProcessId};
 
+use super::bench::progress_line;
 use super::explore::{explore_task, Task, TaskOutcome, TASK_BUDGET};
 use super::{shrink_counterexample, CheckerConfig, ForkMode, Visited};
 use crate::engine::{DrainExit, WaveControl};
@@ -184,7 +185,8 @@ fn seed_pattern(
 ///
 /// With [`CheckerConfig::progress`] set to `N`, the first wave barrier
 /// after the pattern's cumulative runs pass each multiple of `N` prints
-/// one progress line to stderr (see `OBSERVABILITY.md`).
+/// one progress line, a compact JSON object, to stderr (see
+/// `OBSERVABILITY.md`).
 fn drain_pattern<T: ShardTable + Sync>(
     cfg: &CheckerConfig,
     inputs: &[u64],
@@ -238,26 +240,8 @@ fn drain_pattern<T: ShardTable + Sync>(
             if let Some(every) = cfg.progress.filter(|&every| every > 0) {
                 if v.runs / every > reported / every {
                     reported = v.runs;
-                    eprintln!(
-                        "[model_check] {} crashed={:?}: pattern at {} runs, {} states, {} dedup hits, {} sleep skips, {} queued tasks, {} store entries, {} events fired, {} truncated runs, {} waves, {:.3} s folding, {} snapshots, {} copied resumes, {} moved resumes, {} store probes, {} store hits",
-                        cfg.protocol.name(),
-                        v.crashed,
-                        v.runs,
-                        v.states,
-                        v.dedup_hits,
-                        v.sleep_skips,
-                        queue.len(),
-                        store.live_entries(),
-                        gauge.events_fired,
-                        gauge.truncated_runs,
-                        gauge.waves,
-                        gauge.fold_s,
-                        gauge.snapshots,
-                        gauge.resumes_copied,
-                        gauge.resumes_moved,
-                        gauge.store_probes,
-                        gauge.store_hits,
-                    );
+                    let line = progress_line(cfg, v, queue.len(), store.live_entries(), gauge);
+                    eprintln!("{line}");
                 }
             }
             on_wave(store, v, queue)

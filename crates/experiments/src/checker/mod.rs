@@ -112,10 +112,11 @@
 //! The configuration and parsers live here; `run.rs` executes, shrinks
 //! and replays schedules, `explore.rs` runs one exploration task,
 //! `drive.rs` holds the verdicts, the gauges and the one pattern loop
-//! behind [`check_cell`] and every campaign, and `script.rs` the
+//! behind [`check_cell`] and every campaign, `bench.rs` the bench report
+//! and progress lines those gauges are written into, and `script.rs` the
 //! counterexample script format.
 
-
+mod bench;
 mod drive;
 mod explore;
 mod run;
@@ -133,6 +134,7 @@ use kset_sim::{DeviationPolicy, DigestMode, FaultPlan, ForkConfig};
 use crate::exhaustive::QuorumProtocol;
 
 pub use crate::visited::Visited;
+pub use bench::{bench_report, BenchCell};
 pub use drive::{
     check_cell, check_cell_gauged, explore_pattern, CellVerdict, Counterexample, PatternVerdict,
     RunGauge, SleepEntry, VisitedGauge,
@@ -382,7 +384,7 @@ impl CheckerConfig {
             por: true,
             dedup: true,
             progress: None,
-            threads: crate::engine::available_threads(),
+            threads: kset_core::cli::available_threads(),
             fork: ForkMode::Auto,
             adversary: AdversaryModel::crash_for(protocol),
             byz_menu: Vec::new(),

@@ -57,27 +57,6 @@ use std::sync::Mutex;
 /// early hit.
 pub const CHUNK: usize = 32;
 
-/// The number of worker threads to use when the user does not say:
-/// the machine's available parallelism (1 if it cannot be determined).
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Parses a `--threads` argument: a positive worker count, or `0`/`auto`
-/// for [`available_threads`].
-pub fn parse_threads(arg: &str) -> Option<usize> {
-    if arg.trim().eq_ignore_ascii_case("auto") {
-        return Some(available_threads());
-    }
-    match arg.trim().parse::<usize>() {
-        Ok(0) => Some(available_threads()),
-        Ok(v) => Some(v),
-        Err(_) => None,
-    }
-}
-
 /// Runs every task across `threads` workers and returns the results in
 /// task order. `f` is called as `f(index, task)`; it must be a pure
 /// function of its arguments for the determinism contract (module docs)
@@ -360,14 +339,5 @@ mod tests {
         assert_eq!(serial.iter().filter(|&&s| s == 1).count(), 43);
         assert_eq!(run(4), serial);
         assert_eq!(run(9), serial);
-    }
-
-    #[test]
-    fn parse_threads_accepts_auto_and_positive_counts() {
-        assert_eq!(parse_threads("3"), Some(3));
-        assert_eq!(parse_threads("auto"), Some(available_threads()));
-        assert_eq!(parse_threads("0"), Some(available_threads()));
-        assert_eq!(parse_threads("x"), None);
-        assert!(available_threads() >= 1);
     }
 }

@@ -24,13 +24,11 @@
 pub mod campaign;
 pub mod cells;
 pub mod checker;
-pub mod cli;
 pub mod engine;
 pub mod figures;
 pub mod counterexamples;
 pub mod exhaustive;
 pub mod explorer;
-pub mod json;
 pub mod record_sink;
 pub mod report;
 pub mod visited;

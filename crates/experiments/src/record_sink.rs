@@ -13,7 +13,7 @@
 //! produces a byte-identical JSONL file (no wall-clock timestamps, no
 //! floats, no map-ordering ambiguity).
 //!
-//! The encoding goes through [`crate::json`] and keeps the layout of
+//! The encoding goes through [`kset_core::json`] and keeps the layout of
 //! `serde`'s derive: compact objects, fields in declaration order, unit
 //! enum variants as their names (`"MpCrash"`, `"RV1"`), `None` as `null`.
 //! Decoding ignores unknown fields and rejects missing ones.
@@ -22,11 +22,9 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use kset_core::{ProblemSpec, ValidityCondition};
+use kset_core::{json, object, ProblemSpec, ValidityCondition};
 use kset_regions::Model;
-use kset_sim::{Histogram, Outcome, ProcessMetrics, RunMetrics, RunStats, HISTOGRAM_BUCKETS};
-
-use crate::json::{self, object, unit_enum, FromJson, ObjectWriter, ToJson, Value};
+use kset_sim::{Outcome, RunMetrics, RunStats};
 
 /// Version of the [`RunRecord`] schema. Bumped whenever a field is added,
 /// removed, or changes meaning; consumers should check it before parsing
@@ -153,60 +151,10 @@ impl RunRecord {
     }
 }
 
-unit_enum!(Model { MpCrash, MpByzantine, SmCrash, SmByzantine });
-unit_enum!(ValidityCondition { SV1, SV2, RV1, RV2, WV1, WV2 });
 object!(RunOutcome { terminated, decided, distinct_decisions, violation });
-object!(RunStats {
-    events_fired,
-    messages_delivered,
-    ops_completed,
-    local_steps,
-    events_dropped_by_crash,
-});
-object!(ProcessMetrics {
-    events_fired,
-    local_steps,
-    messages_delivered,
-    ops_completed,
-    messages_sent,
-    ops_issued,
-    events_dropped_by_crash,
-    decided_at,
-});
-object!(RunMetrics {
-    per_process,
-    pending_depth,
-    delivery_latency,
-    op_latency,
-    decision_latency,
-    peak_pending,
-    peak_pending_bytes,
-});
 object!(RunRecord {
     schema_version, run_id, model, validity, n, k, t, seed, protocol, outcome, stats, metrics
 });
-
-impl ToJson for Histogram {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("buckets", self.buckets())
-            .field("count", &self.count())
-            .field("sum", &self.sum())
-            .field("max", &self.max())
-            .finish();
-    }
-}
-
-impl FromJson for Histogram {
-    fn from_json(value: &Value) -> Result<Self, json::Error> {
-        let f = value.fields()?;
-        let buckets: Vec<u64> = f.get("buckets")?;
-        let len = buckets.len();
-        Histogram::from_parts(buckets, f.get("count")?, f.get("sum")?, f.get("max")?).ok_or_else(
-            || json::Error::Schema(format!("histogram needs {HISTOGRAM_BUCKETS} buckets, not {len}")),
-        )
-    }
-}
 
 /// A buffered JSON Lines writer for [`RunRecord`]s: one record per line,
 /// flushed on [`JsonlSink::finish`].
@@ -308,7 +256,7 @@ fn read_records(reader: impl BufRead) -> io::Result<Vec<RunRecord>> {
 mod tests {
     use super::*;
     use crate::cells::validate_cell_with;
-    use kset_sim::MetricsConfig;
+    use kset_sim::{Histogram, MetricsConfig, ProcessMetrics};
 
     fn sample_records(seeds: std::ops::Range<u64>) -> Vec<RunRecord> {
         let mut records = Vec::new();

@@ -13,12 +13,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use kset_core::ValidityCondition;
+use kset_core::{json, ValidityCondition};
 use kset_experiments::campaign::{
     manifest::{read_manifest, CampaignStatus},
     resume_campaign, run_campaign, CampaignOptions, CampaignOutcome,
 };
-use kset_experiments::checker::{check_cell, write_counterexample, CellVerdict, CheckerConfig};
+use kset_experiments::checker::{
+    check_cell, write_counterexample, BenchCell, CellVerdict, CheckerConfig,
+};
 use kset_experiments::exhaustive::QuorumProtocol;
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -277,7 +279,7 @@ fn model_check_binary_campaign_rows_carry_the_in_memory_gauges() {
         "--protocol", "floodmin", "--n", "3", "--k", "2", "--t", "1", "--validity", "RV1",
         "--threads", "2",
     ];
-    let row = |extra: &[&str], name: &str| -> String {
+    let row = |extra: &[&str], name: &str| -> BenchCell {
         let json = dir.join(name);
         let out = Command::new(bin)
             .args(cell)
@@ -287,7 +289,10 @@ fn model_check_binary_campaign_rows_carry_the_in_memory_gauges() {
             .output()
             .expect("run model_check");
         assert!(out.status.success(), "{out:?}");
-        fs::read_to_string(&json).unwrap()
+        let report = json::parse(&fs::read_to_string(&json).unwrap()).unwrap();
+        let cells: Vec<BenchCell> = report.fields().unwrap().get("cells").unwrap();
+        let [cell] = <[BenchCell; 1]>::try_from(cells).expect("one row");
+        cell
     };
     let campaign = dir.join("campaign");
     let campaign_row = row(
@@ -295,18 +300,12 @@ fn model_check_binary_campaign_rows_carry_the_in_memory_gauges() {
         "campaign.json",
     );
     let direct_row = row(&[], "direct.json");
-    let gauge = |row: &str, key: &str| -> u64 {
-        let at = row.find(&format!("\"{key}\": ")).unwrap_or_else(|| panic!("{key} in {row}"));
-        let digits: String = row[at + key.len() + 4..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().unwrap()
+    let gauges = |row: &BenchCell| {
+        let g = &row.gauge;
+        [row.runs, g.events_fired, g.truncated_runs, g.store_probes, g.store_hits, g.waves]
     };
-    for key in ["runs", "events_fired", "truncated_runs", "store_probes", "store_hits", "waves"] {
-        assert_eq!(gauge(&campaign_row, key), gauge(&direct_row, key), "{key}");
-    }
-    assert!(gauge(&direct_row, "events_fired") > 0);
+    assert_eq!(gauges(&campaign_row), gauges(&direct_row));
+    assert!(direct_row.gauge.events_fired > 0);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -100,6 +100,8 @@ fn reproduce_all_rejects_bad_flag_values_with_exit_2() {
         &["--threads", "x"],
         &["--threads"],
         &["--json"],
+        &["--seeds", "0"],
+        &["--empirical-n", "2"],
     ] {
         assert_usage_error(bin, "reproduce_all", args);
     }
@@ -108,11 +110,11 @@ fn reproduce_all_rejects_bad_flag_values_with_exit_2() {
 #[test]
 fn sweep_binaries_reject_bad_arguments_with_exit_2() {
     let bin = env!("CARGO_BIN_EXE_boundary_scan");
-    for args in [&["--threads", "abc"][..], &["--json"], &["2"], &["--seed"]] {
+    for args in [&["--threads", "abc"][..], &["--json"], &["2"], &["--seed"], &["6", "0"]] {
         assert_usage_error(bin, "boundary_scan", args);
     }
     let bin = env!("CARGO_BIN_EXE_empirical_atlas");
-    for args in [&["--threads", "abc"][..], &["--json"], &["2"], &["six"]] {
+    for args in [&["--threads", "abc"][..], &["--json"], &["2"], &["six"], &["8", "0"]] {
         assert_usage_error(bin, "empirical_atlas", args);
     }
     let bin = env!("CARGO_BIN_EXE_exhaustive_check");

@@ -12,7 +12,7 @@
 //!
 //! These tests pin the pairwise agreements at sizes small enough for CI.
 
-use kset_core::ValidityCondition;
+use kset_core::{json, ValidityCondition};
 use kset_experiments::checker::{
     check_cell, cross_validate, read_counterexample, replay_fired, write_counterexample,
     CheckerConfig,
@@ -120,11 +120,14 @@ fn progress_lines_fire_on_patterns_longer_than_a_task() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     let runs: Vec<u64> = stderr
         .lines()
-        .filter_map(|line| line.strip_prefix("[model_check] Protocol A crashed="))
         .map(|line| {
-            assert!(line.contains(" queued tasks, ") && line.contains(" store entries, "), "{line}");
-            let (_, rest) = line.split_once(": pattern at ").expect(line);
-            rest.split_once(" runs,").and_then(|(r, _)| r.parse().ok()).expect(line)
+            let value = json::parse(line).expect(line);
+            let fields = value.fields().expect(line);
+            assert_eq!(fields.get::<String>("protocol").as_deref(), Ok("Protocol A"), "{line}");
+            for gauge in ["queued_tasks", "store_entries"] {
+                fields.get::<u64>(gauge).expect(line);
+            }
+            fields.get::<u64>("runs").expect(line)
         })
         .collect();
     assert!(!runs.is_empty(), "no progress line: {stderr}");

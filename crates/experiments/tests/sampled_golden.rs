@@ -9,10 +9,10 @@
 //! run's configuration (seed, fault plan, delay rules, inputs, event
 //! limit), to the spec check, or to the seed order moves a pin.
 
+use kset_core::json;
 use kset_core::ValidityCondition::{self, RV1, RV2, SV1, SV2, WV1, WV2};
 use kset_experiments::cells::validate_cell_with;
 use kset_experiments::explorer::probe_cell_with;
-use kset_experiments::json;
 use kset_experiments::record_sink::RunRecord;
 use kset_prop::fnv64;
 use kset_regions::Model::{self, MpByzantine, MpCrash, SmByzantine, SmCrash};

@@ -84,8 +84,16 @@ pub struct RangeGen<T> {
 ///
 /// Panics at construction if the range is empty. Shrinks toward `lo`.
 pub fn in_range<T: TapeInt>(r: Range<T>) -> RangeGen<T> {
-    assert!(r.start < r.end, "in_range: empty range {:?}..{:?}", r.start, r.end);
-    RangeGen { lo: r.start, hi: r.end }
+    assert!(
+        r.start < r.end,
+        "in_range: empty range {:?}..{:?}",
+        r.start,
+        r.end
+    );
+    RangeGen {
+        lo: r.start,
+        hi: r.end,
+    }
 }
 
 impl<T: TapeInt> Gen for RangeGen<T> {
@@ -194,7 +202,10 @@ pub fn vec_in<G: Gen>(elem: G, len: Range<usize>) -> VecGen<G> {
 
 /// A `Vec` of exactly `len` elements (no length choice on the tape).
 pub fn vec_exact<G: Gen>(elem: G, len: usize) -> VecGen<G> {
-    VecGen { elem, len: len..len + 1 }
+    VecGen {
+        elem,
+        len: len..len + 1,
+    }
 }
 
 impl<G: Gen> Gen for VecGen<G> {
@@ -278,7 +289,10 @@ mod tests {
         assert_eq!(gen_with(&unit_f64(), vec![]), 0.0);
         assert_eq!(gen_with(&choice(vec!['a', 'b']), vec![]), 'a');
         assert_eq!(gen_with(&option_of(in_range(0u8..4)), vec![]), None);
-        assert_eq!(gen_with(&vec_in(in_range(0u64..5), 2..7), vec![]), vec![0, 0]);
+        assert_eq!(
+            gen_with(&vec_in(in_range(0u64..5), 2..7), vec![]),
+            vec![0, 0]
+        );
         assert!(gen_with(&btree_map_in(in_range(0u8..4), bools(), 0..5), vec![]).is_empty());
     }
 

@@ -41,8 +41,8 @@
 
 mod gen;
 mod rng;
-mod source;
 mod runner;
+mod source;
 
 pub use gen::{
     bools, btree_map_in, choice, in_range, option_of, unit_f64, vec_exact, vec_in, BTreeMapGen,

@@ -37,12 +37,18 @@ pub struct Failed {
 impl Failed {
     /// A genuine assertion failure carrying `message`.
     pub fn new(message: impl Into<String>) -> Self {
-        Self { message: message.into(), rejected: false }
+        Self {
+            message: message.into(),
+            rejected: false,
+        }
     }
 
     /// A discarded case (see the `prop_assume!` macro).
     pub fn rejected() -> Self {
-        Self { message: String::new(), rejected: true }
+        Self {
+            message: String::new(),
+            rejected: true,
+        }
     }
 }
 
@@ -103,7 +109,11 @@ impl Runner {
     /// name: it seeds the deterministic case stream and is printed in
     /// failure reports). Defaults: 256 cases, shrink budget 4096.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), cases: 256, shrink_budget: 4096 }
+        Self {
+            name: name.into(),
+            cases: 256,
+            shrink_budget: 4096,
+        }
     }
 
     /// Number of cases to run (each case draws a fresh seeded value).
@@ -199,8 +209,7 @@ impl Runner {
         G::Value: Debug,
         P: Fn(G::Value) -> CaseResult,
     {
-        let (tape, message, steps, probes) =
-            shrink(gen, prop, tape, message, self.shrink_budget);
+        let (tape, message, steps, probes) = shrink(gen, prop, tape, message, self.shrink_budget);
         // Regenerate the minimal value for display; replay is exact.
         let value = gen.generate(&mut Source::replay(tape));
         panic!(
@@ -251,10 +260,10 @@ where
     let mut steps = 0u32;
     let mut probes = 0u32;
     let try_accept = |tape: &mut Vec<u64>,
-                          message: &mut String,
-                          steps: &mut u32,
-                          probes: &mut u32,
-                          cand: Vec<u64>|
+                      message: &mut String,
+                      steps: &mut u32,
+                      probes: &mut u32,
+                      cand: Vec<u64>|
      -> bool {
         *probes += 1;
         match probe(gen, prop, &mut Source::replay(cand)) {

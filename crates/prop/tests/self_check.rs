@@ -12,8 +12,8 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Run `f`, which must panic, and return its panic message.
 fn failure_report(f: impl FnOnce()) -> String {
-    let payload = std::panic::catch_unwind(AssertUnwindSafe(f))
-        .expect_err("property was expected to fail");
+    let payload =
+        std::panic::catch_unwind(AssertUnwindSafe(f)).expect_err("property was expected to fail");
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -69,7 +69,10 @@ fn failing_property_shrinks_to_a_stable_minimal_case() {
         first.contains("minimal case: (10, [0, 0, 0, 0])"),
         "greedy shrinking should reach the boundary case; report was:\n{first}"
     );
-    assert!(first.contains(&format!("{SEED_ENV}=")), "report must print a replay seed");
+    assert!(
+        first.contains(&format!("{SEED_ENV}=")),
+        "report must print a replay seed"
+    );
 }
 
 #[test]
@@ -122,10 +125,12 @@ fn prop_assert_eq_reports_both_sides() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     std::env::remove_var(SEED_ENV);
     let report = failure_report(|| {
-        Runner::new("self_check_assert_eq").cases(8).run(in_range(0u64..100), |v| {
-            kset_prop::prop_assert_eq!(v % 2, 0, "v = {v}");
-            Ok(())
-        });
+        Runner::new("self_check_assert_eq")
+            .cases(8)
+            .run(in_range(0u64..100), |v| {
+                kset_prop::prop_assert_eq!(v % 2, 0, "v = {v}");
+                Ok(())
+            });
     });
     assert!(report.contains("left:"), "report was:\n{report}");
     assert!(report.contains("right:"), "report was:\n{report}");

@@ -15,6 +15,13 @@ pub enum Model {
     SmByzantine,
 }
 
+kset_core::unit_enum!(Model {
+    MpCrash,
+    MpByzantine,
+    SmCrash,
+    SmByzantine
+});
+
 impl Model {
     /// All four models, in the paper's order of treatment.
     pub const ALL: [Model; 4] = [

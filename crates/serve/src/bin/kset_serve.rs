@@ -16,60 +16,35 @@ use std::io::BufReader;
 use std::net::TcpListener;
 use std::process::ExitCode;
 
+use kset_core::cli::Args;
 use kset_serve::{wire, ServeConfig, Server, Workload};
+
+/// The binary's name in usage errors.
+const BIN: &str = "kset-serve";
 
 const USAGE: &str = "usage: kset-serve [--addr HOST:PORT] [--threads N] [--n N] [--t N] \
                      [--batch EVENTS] [--max-live N] [--seed SEED]";
-
-fn usage() -> ! {
-    eprintln!("{USAGE}");
-    std::process::exit(2)
-}
-
-/// Rejects the command line before the listener is bound: exit 2.
-fn usage_error(message: impl std::fmt::Display) -> ! {
-    eprintln!("kset-serve: usage error: {message}");
-    usage()
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(value) = value else {
-        usage_error(format_args!("{flag} needs a value"))
-    };
-    value
-        .parse()
-        .unwrap_or_else(|_| usage_error(format_args!("{flag}: cannot parse {value:?}")))
-}
-
-/// A count that must be at least 1.
-fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, value: Option<String>) -> T {
-    let parsed = parse(flag, value);
-    if parsed == T::default() {
-        usage_error(format_args!("{flag} must be positive"));
-    }
-    parsed
-}
 
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:4790".to_string();
     let mut workload = Workload::flood_min(3, 1);
     let mut config = ServeConfig::new(workload);
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::new(BIN);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => addr = parse("--addr", args.next()),
-            "--threads" => config.threads = positive("--threads", args.next()),
-            "--n" => workload.n = positive("--n", args.next()),
-            "--t" => workload.t = parse("--t", args.next()),
-            "--batch" => config.batch = positive("--batch", args.next()),
-            "--max-live" => config.max_live = positive("--max-live", args.next()),
-            "--seed" => workload.seed = parse("--seed", args.next()),
-            "--help" | "-h" => usage(),
-            other => usage_error(format_args!("unknown flag {other}")),
+            "--addr" => addr = args.value("--addr"),
+            "--threads" => config.threads = args.positive("--threads"),
+            "--n" => workload.n = args.positive("--n"),
+            "--t" => workload.t = args.number("--t"),
+            "--batch" => config.batch = args.positive("--batch"),
+            "--max-live" => config.max_live = args.positive("--max-live"),
+            "--seed" => workload.seed = args.number("--seed"),
+            "--help" | "-h" => args.error(USAGE),
+            other => args.unknown(other),
         }
     }
     if workload.t >= workload.n {
-        usage_error(format_args!(
+        args.error(format_args!(
             "--t must be below --n (FloodMin tolerates t < n), got --t {} with --n {}",
             workload.t, workload.n
         ));

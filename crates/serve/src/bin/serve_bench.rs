@@ -2,8 +2,8 @@
 //!
 //! Pushes `--instances` proposals through a [`Server`] at full speed (a
 //! dedicated proposer thread submits, the main thread drains decisions)
-//! and records throughput and latency per thread count into a hand-rolled
-//! JSON report (`--out`, default `BENCH_serve.json`).
+//! and records throughput and latency per thread count into a JSON
+//! report (`--out`, default `BENCH_serve.json`).
 //!
 //! Latency here is submit-to-decide under saturation: with the bounded
 //! proposal queues full, it is dominated by queueing, which is exactly
@@ -13,61 +13,101 @@
 //! map) before it is counted.
 //!
 //! Bad flag values (a zero count, `--t` not below `--n`, a value that does
-//! not parse) are usage errors: exit 2 before any work starts.
+//! not parse) are usage errors: one `serve_bench: usage error: …` line and
+//! exit 2 before any work starts.
 //!
 //! [`Decision::queued`]: kset_serve::Decision::queued
 
 use std::process::ExitCode;
 use std::time::Instant;
 
+use kset_core::cli::{available_threads, Args};
+use kset_core::json::{self, Fixed, ObjectWriter, ToJson};
+use kset_core::object;
 use kset_serve::{ServeConfig, Server, Workload};
 
+/// One thread count's measurements: a row of the report's `runs`.
 struct BenchRow {
     threads: usize,
     instances: u64,
-    wall_s: f64,
-    decisions_per_s: f64,
-    p50_us: u64,
-    p95_us: u64,
-    max_us: u64,
+    wall_s: Fixed<3>,
+    decisions_per_s: Fixed<0>,
+    p50_latency_us: u64,
+    p95_latency_us: u64,
+    max_latency_us: u64,
     /// Submit-to-admit wait and admit-to-decide service, the two parts
     /// of the latency.
-    queue_us: [u64; 2],
-    service_us: [u64; 2],
+    p50_queue_us: u64,
+    p95_queue_us: u64,
+    p50_service_us: u64,
+    p95_service_us: u64,
     events_total: u64,
+    events_per_instance: Fixed<2>,
 }
+
+object!(BenchRow {
+    threads,
+    instances,
+    wall_s,
+    decisions_per_s,
+    p50_latency_us,
+    p95_latency_us,
+    max_latency_us,
+    p50_queue_us,
+    p95_queue_us,
+    p50_service_us,
+    p95_service_us,
+    events_total,
+    events_per_instance,
+});
+
+/// The `--out` report: the workload, the service configuration and one
+/// row per thread count.
+struct Report<'a> {
+    workload: &'a Workload,
+    config: &'a ServeConfig,
+    runs: Vec<BenchRow>,
+}
+
+impl ToJson for Report<'_> {
+    fn write_json(&self, out: &mut String) {
+        let (workload, config, cpus) = (self.workload, self.config, available_threads());
+        ObjectWriter::new(out)
+            .field("bench", "serve_throughput")
+            .field("description", DESCRIPTION)
+            .field("host_logical_cpus", &cpus)
+            .field("host_note", &host_note(cpus))
+            .object("workload", |o| {
+                o.field("protocol", "FloodMin")
+                    .field("n", &workload.n)
+                    .field("t", &workload.t)
+                    .field("seed", &workload.seed)
+                    .field("fault_plan", "all correct")
+            })
+            .object("config", |o| {
+                o.field("batch", &config.batch)
+                    .field("max_live", &config.max_live)
+                    .field("queue_depth", &config.queue_depth)
+            })
+            .field("runs", &self.runs)
+            .finish();
+    }
+}
+
+const DESCRIPTION: &str = "Closed-loop load test of kset-serve: a proposer thread submits \
+    failure-free FloodMin instances as fast as backpressure allows while the main thread drains \
+    and verifies every decision (terminated, non-empty decision map). decisions_per_s is \
+    end-to-end service throughput; latencies are submit-to-decide under saturation. Each splits \
+    into queue time (submit to admit, spent in the bounded per-worker queue of queue_depth \
+    entries) and service time (admit to the decision leaving its worker); the *_queue_us and \
+    *_service_us fields give their p50 and p95. Recorded from \
+    `serve_bench --instances N --threads LIST`.";
+
+/// The binary's name in usage errors.
+const BIN: &str = "serve_bench";
 
 const USAGE: &str = "usage: serve_bench [--instances N] [--threads LIST] [--n N] [--t N] \
                      [--batch EVENTS] [--max-live N] [--queue-depth N] [--seed SEED] [--out PATH]";
-
-fn usage() -> ! {
-    eprintln!("{USAGE}");
-    std::process::exit(2)
-}
-
-/// Rejects the command line before any work starts: exit 2.
-fn usage_error(message: impl std::fmt::Display) -> ! {
-    eprintln!("serve_bench: usage error: {message}");
-    usage()
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(value) = value else {
-        usage_error(format_args!("{flag} needs a value"))
-    };
-    value
-        .parse()
-        .unwrap_or_else(|_| usage_error(format_args!("{flag}: cannot parse {value:?}")))
-}
-
-/// A count that must be at least 1.
-fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, value: Option<String>) -> T {
-    let parsed = parse(flag, value);
-    if parsed == T::default() {
-        usage_error(format_args!("{flag} must be positive"));
-    }
-    parsed
-}
 
 /// Deterministic per-instance inputs: varied enough to exercise different
 /// decision values, reproducible from the instance id alone.
@@ -141,18 +181,23 @@ fn run_one(config: ServeConfig, instances: u64) -> Result<BenchRow, String> {
         values.sort_unstable();
         [percentile(values, 50), percentile(values, 95)]
     };
-    let [p50_us, p95_us] = p50_p95(&mut latencies_us);
+    let [p50_latency_us, p95_latency_us] = p50_p95(&mut latencies_us);
+    let [p50_queue_us, p95_queue_us] = p50_p95(&mut queue_us);
+    let [p50_service_us, p95_service_us] = p50_p95(&mut service_us);
     Ok(BenchRow {
         threads: config.threads,
         instances,
-        wall_s,
-        decisions_per_s: instances as f64 / wall_s,
-        p50_us,
-        p95_us,
-        max_us: *latencies_us.last().unwrap_or(&0),
-        queue_us: p50_p95(&mut queue_us),
-        service_us: p50_p95(&mut service_us),
+        wall_s: Fixed(wall_s),
+        decisions_per_s: Fixed(instances as f64 / wall_s),
+        p50_latency_us,
+        p95_latency_us,
+        max_latency_us: *latencies_us.last().unwrap_or(&0),
+        p50_queue_us,
+        p95_queue_us,
+        p50_service_us,
+        p95_service_us,
         events_total,
+        events_per_instance: Fixed(events_total as f64 / instances as f64),
     })
 }
 
@@ -166,98 +211,35 @@ fn host_note(cpus: usize) -> String {
     )
 }
 
-fn write_report(
-    path: &str,
-    workload: &Workload,
-    config: &ServeConfig,
-    rows: &[BenchRow],
-) -> std::io::Result<()> {
-    let cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"serve_throughput\",\n");
-    out.push_str(
-        "  \"description\": \"Closed-loop load test of kset-serve: a proposer thread \
-         submits failure-free FloodMin instances as fast as backpressure allows while \
-         the main thread drains and verifies every decision (terminated, non-empty \
-         decision map). decisions_per_s is end-to-end service throughput; latencies \
-         are submit-to-decide under saturation. Each splits into queue time (submit \
-         to admit, spent in the bounded per-worker queue of queue_depth entries) and \
-         service time (admit to the decision leaving its worker); the *_queue_us and \
-         *_service_us fields give their p50 and p95. Recorded from \
-         `serve_bench --instances N --threads LIST`.\",\n",
-    );
-    out.push_str(&format!("  \"host_logical_cpus\": {cpus},\n"));
-    out.push_str(&format!("  \"host_note\": \"{}\",\n", host_note(cpus)));
-    out.push_str(&format!(
-        "  \"workload\": {{\"protocol\": \"FloodMin\", \"n\": {}, \"t\": {}, \"seed\": {}, \
-         \"fault_plan\": \"all correct\"}},\n",
-        workload.n, workload.t, workload.seed
-    ));
-    out.push_str(&format!(
-        "  \"config\": {{\"batch\": {}, \"max_live\": {}, \"queue_depth\": {}}},\n",
-        config.batch, config.max_live, config.queue_depth
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"instances\": {}, \"wall_s\": {:.3}, \
-             \"decisions_per_s\": {:.0}, \"p50_latency_us\": {}, \"p95_latency_us\": {}, \
-             \"max_latency_us\": {}, \"p50_queue_us\": {}, \"p95_queue_us\": {}, \
-             \"p50_service_us\": {}, \"p95_service_us\": {}, \"events_total\": {}, \
-             \"events_per_instance\": {:.2}}}{}\n",
-            row.threads,
-            row.instances,
-            row.wall_s,
-            row.decisions_per_s,
-            row.p50_us,
-            row.p95_us,
-            row.max_us,
-            row.queue_us[0],
-            row.queue_us[1],
-            row.service_us[0],
-            row.service_us[1],
-            row.events_total,
-            row.events_total as f64 / row.instances as f64,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
-}
-
 fn main() -> ExitCode {
     let mut instances: u64 = 1_000_000;
     let mut thread_counts: Vec<usize> = vec![1, 2];
     let mut workload = Workload::flood_min(3, 1);
     let mut config = ServeConfig::new(workload);
     let mut out_path = "BENCH_serve.json".to_string();
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::new(BIN);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--instances" => instances = parse("--instances", args.next()),
+            "--instances" => instances = args.positive("--instances"),
             "--threads" => {
-                let list: String = parse("--threads", args.next());
-                thread_counts = list
-                    .split(',')
-                    .map(|s| positive("--threads", Some(s.trim().to_string())))
-                    .collect();
+                thread_counts = args.parsed("--threads", "a list of positive counts", |list| {
+                    let counts = list.split(',').map(|s| s.trim().parse().ok());
+                    counts.map(|count| count.filter(|&c| c > 0)).collect()
+                })
             }
-            "--n" => workload.n = positive("--n", args.next()),
-            "--t" => workload.t = parse("--t", args.next()),
-            "--batch" => config.batch = positive("--batch", args.next()),
-            "--max-live" => config.max_live = positive("--max-live", args.next()),
-            "--queue-depth" => config.queue_depth = positive("--queue-depth", args.next()),
-            "--seed" => workload.seed = parse("--seed", args.next()),
-            "--out" => out_path = parse("--out", args.next()),
-            "--help" | "-h" => usage(),
-            other => usage_error(format_args!("unknown flag {other}")),
+            "--n" => workload.n = args.positive("--n"),
+            "--t" => workload.t = args.number("--t"),
+            "--batch" => config.batch = args.positive("--batch"),
+            "--max-live" => config.max_live = args.positive("--max-live"),
+            "--queue-depth" => config.queue_depth = args.positive("--queue-depth"),
+            "--seed" => workload.seed = args.number("--seed"),
+            "--out" => out_path = args.value("--out"),
+            "--help" | "-h" => args.error(USAGE),
+            other => args.unknown(other),
         }
     }
     if workload.t >= workload.n {
-        usage_error(format_args!(
+        args.error(format_args!(
             "--t must be below --n (FloodMin tolerates t < n), got --t {} with --n {}",
             workload.t, workload.n
         ));
@@ -277,13 +259,13 @@ fn main() -> ExitCode {
                     "threads={} wall_s={:.3} decisions_per_s={:.0} p50_us={} p95_us={} \
                      p50_queue_us={} p50_service_us={} events_per_instance={:.2}",
                     row.threads,
-                    row.wall_s,
-                    row.decisions_per_s,
-                    row.p50_us,
-                    row.p95_us,
-                    row.queue_us[0],
-                    row.service_us[0],
-                    row.events_total as f64 / row.instances as f64,
+                    row.wall_s.0,
+                    row.decisions_per_s.0,
+                    row.p50_latency_us,
+                    row.p95_latency_us,
+                    row.p50_queue_us,
+                    row.p50_service_us,
+                    row.events_per_instance.0,
                 );
                 rows.push(row);
             }
@@ -293,7 +275,12 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Err(err) = write_report(&out_path, &workload, &config, &rows) {
+    let report = Report {
+        workload: &workload,
+        config: &config,
+        runs: rows,
+    };
+    if let Err(err) = std::fs::write(&out_path, json::to_string(&report) + "\n") {
         eprintln!("serve_bench: cannot write {out_path}: {err}");
         return ExitCode::FAILURE;
     }

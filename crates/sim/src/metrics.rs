@@ -15,6 +15,8 @@
 //! `kset-experiments` diffable across machines; see `OBSERVABILITY.md` at
 //! the repository root for the full schema.
 
+use kset_core::json::{self, FromJson, ObjectWriter, ToJson, Value};
+
 use crate::event::{EventKind, EventMeta, ProcessId};
 
 /// Configuration knobs for metrics collection.
@@ -121,23 +123,6 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
-    }
-
-    /// Rebuilds a histogram from its parts, as read back from a record.
-    /// Returns `None` unless `buckets` has [`HISTOGRAM_BUCKETS`] entries.
-    pub fn from_parts(buckets: Vec<u64>, count: u64, sum: u64, max: u64) -> Option<Self> {
-        (buckets.len() == HISTOGRAM_BUCKETS).then_some(Histogram {
-            buckets,
-            count,
-            sum,
-            max,
-        })
-    }
-
-    /// Per-bucket sample counts: entry `b` counts the samples of bit
-    /// length `b`.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
     }
 
     /// Number of recorded samples.
@@ -257,6 +242,51 @@ pub struct RunMetrics {
     /// (metadata plus payload bytes) — the peak memory the pending pool's
     /// element storage reached.
     pub peak_pending_bytes: u64,
+}
+
+kset_core::object!(ProcessMetrics {
+    events_fired,
+    local_steps,
+    messages_delivered,
+    ops_completed,
+    messages_sent,
+    ops_issued,
+    events_dropped_by_crash,
+    decided_at,
+});
+kset_core::object!(RunMetrics {
+    per_process,
+    pending_depth,
+    delivery_latency,
+    op_latency,
+    decision_latency,
+    peak_pending,
+    peak_pending_bytes,
+});
+
+impl ToJson for Histogram {
+    fn write_json(&self, out: &mut String) {
+        ObjectWriter::new(out)
+            .field("buckets", &self.buckets)
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("max", &self.max)
+            .finish();
+    }
+}
+
+impl FromJson for Histogram {
+    fn from_json(value: &Value) -> Result<Self, json::Error> {
+        let f = value.fields()?;
+        let buckets: Vec<u64> = f.get("buckets")?;
+        if buckets.len() != HISTOGRAM_BUCKETS {
+            let len = buckets.len();
+            let message = format!("histogram needs {HISTOGRAM_BUCKETS} buckets, not {len}");
+            return Err(json::Error::Schema(message));
+        }
+        let (count, sum, max) = (f.get("count")?, f.get("sum")?, f.get("max")?);
+        Ok(Histogram { buckets, count, sum, max })
+    }
 }
 
 impl RunMetrics {
@@ -418,10 +448,11 @@ mod tests {
         assert_eq!(h.buckets[3], 2);
         assert_eq!(h.buckets[4], 1);
         assert_eq!(h.buckets[11], 1);
-        let back = Histogram::from_parts(h.buckets().to_vec(), h.count(), h.sum(), h.max());
-        assert_eq!(back, Some(h));
-        assert_eq!(Histogram::from_parts(vec![0; 64], 0, 0, 0), None);
-        assert_eq!(Histogram::from_parts(vec![0; 66], 0, 0, 0), None);
+        assert_eq!(json::from_str(&json::to_string(&h)), Ok(h));
+        for len in [64, 66] {
+            let text = format!(r#"{{"buckets":{:?},"count":0,"sum":0,"max":0}}"#, vec![0; len]);
+            assert!(json::from_str::<Histogram>(&text).is_err(), "{len} buckets");
+        }
     }
 
     #[test]

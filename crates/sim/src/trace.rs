@@ -142,6 +142,14 @@ pub struct RunStats {
     pub events_dropped_by_crash: u64,
 }
 
+kset_core::object!(RunStats {
+    events_fired,
+    messages_delivered,
+    ops_completed,
+    local_steps,
+    events_dropped_by_crash,
+});
+
 impl RunStats {
     /// Updates the counters for one fired event of `kind`.
     pub fn count(&mut self, kind: EventKind) {
