@@ -38,7 +38,7 @@
 //! explorer (the cross-check); verdicts, counters and counterexample
 //! bytes are identical for both. Observability:
 //! `--progress N` (a stderr counter line each time a fault pattern's runs
-//! pass a multiple of N), `--json PATH` (one `RunRecord` per explored
+//! pass a multiple of N, N ≥ 1), `--json PATH` (one `RunRecord` per explored
 //! crash pattern, schema in `OBSERVABILITY.md`), `--bench-json PATH`
 //! (machine-readable wall-clock/throughput summary of the checked cells,
 //! with the digest mode each ran under — the format recorded in
@@ -57,6 +57,7 @@
 //! `--pause-after-checkpoints N` stops cleanly after N checkpoints of
 //! this invocation (the kill/resume test hook).
 
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -96,7 +97,7 @@ struct Args {
     max_states: Option<usize>,
     no_por: bool,
     no_dedup: bool,
-    progress: Option<u64>,
+    progress: Option<NonZeroU64>,
     threads: Option<usize>,
     fork: Option<ForkMode>,
     counterexample: Option<PathBuf>,
@@ -141,7 +142,7 @@ fn parse_args() -> Args {
             "--max-states" => parsed.max_states = Some(args.number("--max-states")),
             "--no-por" => parsed.no_por = true,
             "--no-dedup" => parsed.no_dedup = true,
-            "--progress" => parsed.progress = Some(args.number("--progress")),
+            "--progress" => parsed.progress = NonZeroU64::new(args.positive("--progress")),
             "--threads" => parsed.threads = Some(args.threads()),
             "--fork-mode" => {
                 parsed.fork = Some(args.parsed("--fork-mode", "auto|replay", parse_fork_mode))

@@ -486,7 +486,7 @@ mod tests {
         // checker field. Digest must not move.
         let mut threads = base.clone();
         threads.threads = 1 + base.threads;
-        threads.progress = Some(1000);
+        threads.progress = std::num::NonZeroU64::new(1000);
         assert_eq!(config_digest(&threads), d0);
 
         // Every exploration-relevant knob must move it.

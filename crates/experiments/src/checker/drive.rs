@@ -4,6 +4,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::num::NonZeroU64;
 use std::time::Instant;
 
 use kset_core::ProblemSpec;
@@ -237,7 +238,7 @@ fn drain_pattern<T: ShardTable + Sync>(
             v.violation.is_some() || v.runs >= cfg.max_runs
         },
         |(store, v, gauge), queue| {
-            if let Some(every) = cfg.progress.filter(|&every| every > 0) {
+            if let Some(every) = cfg.progress.map(NonZeroU64::get) {
                 if v.runs / every > reported / every {
                     reported = v.runs;
                     let line = progress_line(cfg, v, queue.len(), store.live_entries(), gauge);

@@ -125,6 +125,7 @@ mod script;
 mod tests;
 
 use std::fmt;
+use std::num::NonZeroU64;
 
 use kset_adversary::plans::{all_byzantine_patterns, all_silent_crash_patterns};
 use kset_core::{ProblemSpec, ValidityCondition};
@@ -184,7 +185,7 @@ pub struct CheckerConfig {
     pub dedup: bool,
     /// Emit a progress line to stderr at the first wave barrier after
     /// each multiple of this many runs of a fault pattern.
-    pub progress: Option<u64>,
+    pub progress: Option<NonZeroU64>,
     /// Worker threads for the parallel exploration engine. Verdicts,
     /// counters and counterexamples are identical for every value (see
     /// the module docs); only wall-clock time changes.

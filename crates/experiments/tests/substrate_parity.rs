@@ -6,12 +6,12 @@
 //!
 //! * *Facade vs. generic* — the same protocol, seed, fault plan, and
 //!   metrics configuration run once through `MpSystem`/`SmSystem` and once
-//!   through `System::run_digested::<…Substrate>` must produce equal
-//!   outcomes, equal [`kset_sim::StateDigest`] sequences, and (for SM)
-//!   equal register snapshots. This is the refactor's core contract: the
-//!   facades are faces, not forks.
+//!   through `System::run_digested_in::<…Substrate>` must produce equal
+//!   outcomes and (for SM) equal register snapshots. This is the
+//!   refactor's core contract: the facades are faces, not forks.
 //! * *Golden constants* — decisions, kernel counters, and an Fnv64 chain
-//!   over the full digest sequence are pinned to concrete values, so the
+//!   over the generic run's full [`kset_sim::StateDigest`] sequence are
+//!   pinned to concrete values, so the
 //!   whole stack (facade + generic) is anchored across refactors, not
 //!   merely to itself.
 //!
@@ -67,23 +67,22 @@ fn sm_procs() -> Vec<DynSmProcess<u64, u64>> {
 
 #[test]
 fn mp_facade_and_generic_system_are_byte_identical() {
-    let (facade, facade_digests) = MpSystem::new(4)
+    let facade = MpSystem::new(4)
         .seed(7)
         .fault_plan(plans::last_t_silent(4, 1))
         .metrics(MetricsConfig::enabled())
-        .run_digested(mp_procs())
+        .run(mp_procs())
         .expect("facade run");
-    let (generic, generic_digests) = System::new(4)
+    let (generic, digests, ()) = System::new(4)
         .seed(7)
         .fault_plan(plans::last_t_silent(4, 1))
         .metrics(MetricsConfig::enabled())
-        .run_digested::<MpSubstrate<u64, u64>>(mp_procs())
+        .run_digested_in::<MpSubstrate<u64, u64>>(mp_procs(), &mut RunArena::new())
         .expect("generic run");
 
     // `MpOutcome` is an alias of the generic outcome, so equality here is
     // full structural equality: decisions, rosters, stats, trace, metrics.
     assert_eq!(facade, generic);
-    assert_eq!(facade_digests, generic_digests);
 
     // Golden constants (re-recorded at the Mix64 combiner switch; see the
     // module doc).
@@ -94,21 +93,21 @@ fn mp_facade_and_generic_system_are_byte_identical() {
     assert_eq!(facade.stats.events_fired, 16);
     assert_eq!(facade.stats.messages_delivered, 12);
     assert_eq!(facade.stats.local_steps, 4);
-    assert_eq!(facade_digests.len(), 16);
-    assert_eq!(facade_digests[0], 0xf7b6_b35c_3672_8fcf);
-    assert_eq!(*facade_digests.last().unwrap(), 0x3b4d_3a02_ad0d_69c2);
-    assert_eq!(chain(&facade_digests), 0x6a13_dfce_ce27_01a1);
+    assert_eq!(digests.len(), 16);
+    assert_eq!(digests[0], 0xf7b6_b35c_3672_8fcf);
+    assert_eq!(*digests.last().unwrap(), 0x3b4d_3a02_ad0d_69c2);
+    assert_eq!(chain(&digests), 0x6a13_dfce_ce27_01a1);
 }
 
 #[test]
 fn sm_facade_and_generic_system_are_byte_identical() {
-    let (facade, facade_digests) = SmSystem::new(3)
+    let facade = SmSystem::new(3)
         .seed(11)
         .fault_plan(plans::last_t_silent(3, 1))
         .metrics(MetricsConfig::enabled())
-        .run_digested(sm_procs())
+        .run(sm_procs())
         .expect("facade run");
-    let (generic, generic_digests, memory) = System::new(3)
+    let (generic, digests, memory) = System::new(3)
         .seed(11)
         .fault_plan(plans::last_t_silent(3, 1))
         .metrics(MetricsConfig::enabled())
@@ -117,7 +116,6 @@ fn sm_facade_and_generic_system_are_byte_identical() {
 
     assert_eq!(*facade, generic); // deref: the substrate-generic part
     assert_eq!(facade.memory, memory.snapshot());
-    assert_eq!(facade_digests, generic_digests);
 
     // Golden constants (re-recorded at the Mix64 combiner switch; see the
     // module doc).
@@ -133,10 +131,10 @@ fn sm_facade_and_generic_system_are_byte_identical() {
             .into_iter()
             .collect();
     assert_eq!(facade.memory, expected_memory);
-    assert_eq!(facade_digests.len(), 10);
-    assert_eq!(facade_digests[0], 0x5412_9da2_5d8c_31ff);
-    assert_eq!(*facade_digests.last().unwrap(), 0x0eff_2990_7aab_f4de);
-    assert_eq!(chain(&facade_digests), 0x6a2e_d9a4_3503_594b);
+    assert_eq!(digests.len(), 10);
+    assert_eq!(digests[0], 0x5412_9da2_5d8c_31ff);
+    assert_eq!(*digests.last().unwrap(), 0x0eff_2990_7aab_f4de);
+    assert_eq!(chain(&digests), 0x6a2e_d9a4_3503_594b);
 }
 
 #[test]

@@ -4,9 +4,9 @@
 use std::marker::PhantomData;
 
 use kset_sim::{
-    CallInfo, DelayRule, Effect, EventKind, FaultPlan, Fnv64, MetricsConfig, ProcessId, Scheduler,
-    Session, SimError, StateDigest, Substrate, SubstrateAdv, SubstrateDigest, SubstrateFork,
-    System,
+    CallInfo, DelayRule, Effect, EventKind, FaithfulDelivery, FaultPlan, Fnv64, MetricsConfig,
+    ProcessId, Scheduler, Session, SimError, StateDigest, Substrate, SubstrateAdv, SubstrateDigest,
+    SubstrateFork, System,
 };
 
 use crate::outcome::MpOutcome;
@@ -216,19 +216,6 @@ impl MpSystem {
         MpSystem(self.0.metrics(config))
     }
 
-    /// Runs the system with one boxed process per slot, taken from an
-    /// iterator in process-id order.
-    ///
-    /// # Errors
-    ///
-    /// See [`MpSystem::run`].
-    pub fn run_boxed<M: Clone, V>(
-        self,
-        procs: impl IntoIterator<Item = DynMpProcess<M, V>>,
-    ) -> Result<MpOutcome<V>, SimError> {
-        self.run(procs.into_iter().collect())
-    }
-
     /// Runs the system, building each process from a factory closure.
     ///
     /// # Errors
@@ -261,32 +248,6 @@ impl MpSystem {
         self.0.run::<MpSubstrate<M, V>>(procs)
     }
 
-    /// Runs the system like [`MpSystem::run`], additionally computing a
-    /// stable digest of the whole system state after every fired event.
-    ///
-    /// `digests[i]` fingerprints the state reached after the `i`-th event:
-    /// every process's [`crate::MpProcess::state_digest`], its crashed flag and
-    /// decision, plus an order-insensitive multiset hash of the pending
-    /// event pool (kind, target, source, payload). Event *ids* are
-    /// deliberately excluded — see [`kset_sim::System::run_digested`].
-    /// Digests are maintained incrementally (only the dispatched process
-    /// re-hashes; the pool hash is a running sum), with values identical
-    /// to a from-scratch recomputation.
-    ///
-    /// # Errors
-    ///
-    /// See [`MpSystem::run`].
-    pub fn run_digested<M, V>(
-        self,
-        procs: Vec<DynMpProcess<M, V>>,
-    ) -> Result<(MpOutcome<V>, Vec<u64>), SimError>
-    where
-        M: Clone + StateDigest,
-        V: StateDigest,
-    {
-        self.0.run_digested::<MpSubstrate<M, V>>(procs)
-    }
-
     /// Builds a steppable [`MpSession`] instead of running to completion:
     /// drive it with [`kset_sim::Session::step`] until it reports
     /// [`kset_sim::Poll::Decided`] or [`kset_sim::Poll::Idle`], then
@@ -302,7 +263,7 @@ impl MpSystem {
         self,
         procs: Vec<DynMpProcess<M, V>>,
     ) -> Result<MpSession<M, V>, SimError> {
-        self.0.session::<MpSubstrate<M, V>>(procs)
+        self.0.session::<MpSubstrate<M, V>, FaithfulDelivery>(procs)
     }
 }
 
@@ -357,7 +318,7 @@ mod tests {
     fn failure_free_run_decides_everywhere() {
         let outcome = MpSystem::new(4)
             .seed(3)
-            .run_boxed((0..4).map(|i| MinOfQuorum::boxed(10 + i, 4)))
+            .run((0..4).map(|i| MinOfQuorum::boxed(10 + i, 4)).collect())
             .unwrap();
         assert!(outcome.terminated);
         assert_eq!(outcome.decisions.len(), 4);
@@ -372,7 +333,7 @@ mod tests {
             MpSystem::new(5)
                 .seed(seed)
                 .fault_plan(FaultPlan::silent_crashes(5, &[4]))
-                .run_boxed((0..5).map(|i| MinOfQuorum::boxed(i, 4)))
+                .run((0..5).map(|i| MinOfQuorum::boxed(i, 4)).collect())
                 .unwrap()
         };
         let a = run(77);
@@ -386,7 +347,7 @@ mod tests {
         let outcome = MpSystem::new(3)
             .seed(9)
             .fault_plan(FaultPlan::silent_crashes(3, &[0]))
-            .run_boxed((0..3).map(|i| MinOfQuorum::boxed(i, 2)))
+            .run((0..3).map(|i| MinOfQuorum::boxed(i, 2)).collect())
             .unwrap();
         assert!(outcome.terminated);
         // Process 0 never started: only 1 and 2 decided, and neither can
@@ -401,7 +362,7 @@ mod tests {
         let outcome = MpSystem::new(3)
             .seed(1)
             .fault_plan(FaultPlan::silent_crashes(3, &[2]))
-            .run_boxed((0..3).map(|i| MinOfQuorum::boxed(i, 3)))
+            .run((0..3).map(|i| MinOfQuorum::boxed(i, 3)).collect())
             .unwrap();
         assert!(!outcome.terminated);
         assert!(outcome.decisions.is_empty());
@@ -416,7 +377,7 @@ mod tests {
         let outcome = MpSystem::new(3)
             .seed(5)
             .fault_plan(plan)
-            .run_boxed((0..3).map(|i| MinOfQuorum::boxed(i, 2)))
+            .run((0..3).map(|i| MinOfQuorum::boxed(i, 2)).collect())
             .unwrap();
         assert!(outcome.terminated);
         // 1 and 2 decide from {1, 2}: 0's input never reached them.
@@ -426,7 +387,7 @@ mod tests {
     #[test]
     fn mismatched_process_count_is_rejected() {
         let err = MpSystem::new(3)
-            .run_boxed((0..2).map(|i| MinOfQuorum::boxed(i, 2)))
+            .run((0..2).map(|i| MinOfQuorum::boxed(i, 2)).collect())
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
     }
@@ -435,7 +396,7 @@ mod tests {
     fn mismatched_plan_size_is_rejected() {
         let err = MpSystem::new(3)
             .fault_plan(FaultPlan::all_correct(2))
-            .run_boxed((0..3).map(|i| MinOfQuorum::boxed(i, 2)))
+            .run((0..3).map(|i| MinOfQuorum::boxed(i, 2)).collect())
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
     }
@@ -443,7 +404,7 @@ mod tests {
     #[test]
     fn zero_processes_is_rejected() {
         let err = MpSystem::new(0)
-            .run_boxed(std::iter::empty::<DynMpProcess<u64, u64>>())
+            .run(Vec::<DynMpProcess<u64, u64>>::new())
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
     }
@@ -465,7 +426,7 @@ mod tests {
         }
         let err = MpSystem::new(1)
             .event_limit(100)
-            .run_boxed(std::iter::once(Box::new(Spinner) as DynMpProcess<(), ()>))
+            .run(vec![Box::new(Spinner) as DynMpProcess<(), ()>])
             .unwrap_err();
         assert_eq!(err, SimError::EventLimitExceeded { limit: 100 });
     }
@@ -475,7 +436,7 @@ mod tests {
         let outcome = MpSystem::new(2)
             .seed(2)
             .trace_capacity(64)
-            .run_boxed((0..2).map(|i| MinOfQuorum::boxed(i, 2)))
+            .run((0..2).map(|i| MinOfQuorum::boxed(i, 2)).collect())
             .unwrap();
         assert!(!outcome.trace.entries().is_empty());
     }
@@ -485,7 +446,7 @@ mod tests {
         let outcome = MpSystem::new(4)
             .seed(3)
             .metrics(MetricsConfig::enabled())
-            .run_boxed((0..4).map(|i| MinOfQuorum::boxed(10 + i, 4)))
+            .run((0..4).map(|i| MinOfQuorum::boxed(10 + i, 4)).collect())
             .unwrap();
         let m = outcome.metrics.as_ref().expect("metrics enabled");
         // Every process broadcast once (4 sends each) and received all 16.
@@ -508,7 +469,7 @@ mod tests {
         // Disabled (the default) leaves the field empty.
         let off = MpSystem::new(2)
             .seed(3)
-            .run_boxed((0..2).map(|i| MinOfQuorum::boxed(i, 2)))
+            .run((0..2).map(|i| MinOfQuorum::boxed(i, 2)).collect())
             .unwrap();
         assert!(off.metrics.is_none());
     }
@@ -526,7 +487,7 @@ mod tests {
             .seed(9)
             .metrics(MetricsConfig::enabled())
             .fault_plan(plan)
-            .run_boxed((0..3).map(|i| MinOfQuorum::boxed(i, 2)))
+            .run((0..3).map(|i| MinOfQuorum::boxed(i, 2)).collect())
             .unwrap();
         let m = outcome.metrics.unwrap();
         // Only the crashed process loses events to cancellation.
@@ -550,7 +511,7 @@ mod tests {
         let outcome = MpSystem::new(4)
             .seed(4)
             .delay_rule(DelayRule::isolate_until_decided(vec![0, 1]))
-            .run_boxed((0..4).map(|i| MinOfQuorum::boxed(i, 2)))
+            .run((0..4).map(|i| MinOfQuorum::boxed(i, 2)).collect())
             .unwrap();
         assert!(outcome.terminated);
         // 0 and 1 can only have seen inputs from {0, 1}.
@@ -585,9 +546,10 @@ mod tests {
         for seed in 0..20u64 {
             let outcome = MpSystem::new(5)
                 .seed(seed)
-                .run_boxed(
+                .run(
                     (0..5)
-                        .map(|_| Box::new(StartGuard { started: false }) as DynMpProcess<u8, bool>),
+                        .map(|_| Box::new(StartGuard { started: false }) as DynMpProcess<u8, bool>)
+                        .collect(),
                 )
                 .unwrap();
             assert!(
@@ -611,9 +573,7 @@ mod tests {
             fn on_message(&mut self, _f: ProcessId, _m: (), _c: &mut MpContext<'_, (), u32>) {}
         }
         let outcome = MpSystem::new(1)
-            .run_boxed(std::iter::once(
-                Box::new(DoubleDecider) as DynMpProcess<(), u32>
-            ))
+            .run(vec![Box::new(DoubleDecider) as DynMpProcess<(), u32>])
             .unwrap();
         assert_eq!(outcome.decisions[&0], 1);
     }

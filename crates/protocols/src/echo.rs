@@ -195,7 +195,10 @@ mod tests {
         let mut e: LEcho<u8> = LEcho::new(4, 1, 1);
         assert_eq!(
             e.on_init(2, 7),
-            Some(EchoAction::SendEcho { origin: 2, value: 7 })
+            Some(EchoAction::SendEcho {
+                origin: 2,
+                value: 7
+            })
         );
         // A Byzantine origin sending a different init later gets nothing.
         assert_eq!(e.on_init(2, 8), None);
@@ -210,7 +213,10 @@ mod tests {
         assert_eq!(e.on_echo(1, 3, 9), None);
         assert_eq!(
             e.on_echo(2, 3, 9),
-            Some(EchoAction::Accept { origin: 3, value: 9 })
+            Some(EchoAction::Accept {
+                origin: 3,
+                value: 9
+            })
         );
         // Further echoes do not re-accept.
         assert_eq!(e.on_echo(3, 3, 9), None);

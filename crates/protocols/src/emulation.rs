@@ -79,10 +79,7 @@ pub enum AbdMsg<V> {
 #[derive(Clone, Debug)]
 enum Op<V> {
     /// Owner write: counting store acks; completes into `on_write_ack`.
-    Write {
-        slot: usize,
-        acks: usize,
-    },
+    Write { slot: usize, acks: usize },
     /// Read phase 1: collecting query replies.
     ReadQuery {
         reg: RegisterId,
@@ -354,7 +351,12 @@ where
         ctx: &mut MpContext<'_, AbdMsg<P::Val>, P::Output>,
     ) {
         match msg {
-            AbdMsg::Store { reg, ts, value, tag } => {
+            AbdMsg::Store {
+                reg,
+                ts,
+                value,
+                tag,
+            } => {
                 // Single-writer enforcement at the replica: only the
                 // register's owner may originate a store with a fresh
                 // timestamp; write-backs relay the owner's value, so any
@@ -572,7 +574,12 @@ where
         ctx: &mut MpContext<'_, AbdMsg<P::Val>, P::Output>,
     ) {
         match msg {
-            AbdMsg::Store { reg, ts, value, tag } => {
+            AbdMsg::Store {
+                reg,
+                ts,
+                value,
+                tag,
+            } => {
                 // Only the register's owner may store into it; the network
                 // does not forge senders, so this enforces SWMR integrity
                 // against Byzantine writers.
@@ -720,7 +727,12 @@ mod tests {
         // the protocol-level property (at most {v, default} decided).
         for seed in 0..20 {
             let mut plan = FaultPlan::all_correct(5);
-            plan.set(0, FaultSpec::Crash { after_actions: 4 + seed % 4 });
+            plan.set(
+                0,
+                FaultSpec::Crash {
+                    after_actions: 4 + seed % 4,
+                },
+            );
             let inputs = [1u64, 2, 2, 2, 2];
             let outcome = MpSystem::new(5)
                 .seed(seed)
@@ -859,7 +871,10 @@ mod tests {
                 .unwrap();
             assert!(outcome.terminated, "seed {seed}");
             let set = outcome.correct_decision_set();
-            assert!(!set.contains(&666), "seed {seed}: forged value decided {set:?}");
+            assert!(
+                !set.contains(&666),
+                "seed {seed}: forged value decided {set:?}"
+            );
         }
     }
 

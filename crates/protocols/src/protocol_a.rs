@@ -146,13 +146,7 @@ mod tests {
 
     const DEFAULT: u64 = u64::MAX;
 
-    fn check(
-        outcome: &MpOutcome<u64>,
-        inputs: Vec<u64>,
-        k: usize,
-        t: usize,
-        v: ValidityCondition,
-    ) {
+    fn check(outcome: &MpOutcome<u64>, inputs: Vec<u64>, k: usize, t: usize, v: ValidityCondition) {
         let n = inputs.len();
         let spec = ProblemSpec::new(n, k, t, v).unwrap();
         let record = RunRecord::new(inputs)

@@ -117,11 +117,7 @@ impl<V: Value> ProtocolC<V> {
             return;
         }
         self.done_counting = true;
-        let matching = self
-            .quorum
-            .values()
-            .filter(|v| **v == self.input)
-            .count();
+        let matching = self.quorum.values().filter(|v| **v == self.input).count();
         let decision = if matching >= self.n.saturating_sub(2 * self.t) {
             self.input.clone()
         } else {
@@ -333,7 +329,10 @@ mod tests {
         let run = |halting: bool| {
             MpSystem::new(6)
                 .seed(3)
-                .delay_rule(DelayRule::freeze_process(5, Until::AllDecided(others.clone())))
+                .delay_rule(DelayRule::freeze_process(
+                    5,
+                    Until::AllDecided(others.clone()),
+                ))
                 .run_with(|_| -> DynMpProcess<CMsg<u64>, u64> {
                     let p = ProtocolC::new(6, 1, 1, 2u64, DEFAULT);
                     Box::new(if halting { p.with_halting() } else { p })
@@ -345,7 +344,10 @@ mod tests {
         assert_eq!(helping.decisions.len(), 6);
 
         let halting = run(true);
-        assert!(!halting.terminated, "halting must starve the frozen process");
+        assert!(
+            !halting.terminated,
+            "halting must starve the frozen process"
+        );
         assert!(!halting.decisions.contains_key(&5));
 
         // Without the freeze both variants terminate, also at a larger n.

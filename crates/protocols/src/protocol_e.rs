@@ -26,7 +26,6 @@ use kset_core::Value;
 use kset_shmem::{DynSmProcess, RegisterId, SmContext, SmProcess};
 use kset_sim::{Fnv64, StateDigest};
 
-
 /// Which phase of the (single) scan the process is in.
 #[derive(Clone, Debug)]
 enum Phase<V> {

@@ -175,7 +175,9 @@ where
                 // its own register space — drop it and move on.
                 self.cursors[sender] += 1;
                 if slot_value.to == me {
-                    self.drive(ctx, |p, mp_ctx| p.on_message(sender, slot_value.msg, mp_ctx));
+                    self.drive(ctx, |p, mp_ctx| {
+                        p.on_message(sender, slot_value.msg, mp_ctx)
+                    });
                 }
                 self.poll(sender, ctx);
             }

@@ -143,7 +143,7 @@ pub trait SmProcess {
 
     /// A stable fingerprint of this process's protocol state, used by the
     /// model checker to deduplicate explored system states (see
-    /// `kset_sim::StateDigest` and `SmSystem::run_digested`).
+    /// `kset_sim::StateDigest` and `kset_sim::System::run_digested_in`).
     ///
     /// Two system states whose digests agree are treated as interchangeable
     /// by the checker, so an override must hash *every* state field that

@@ -96,7 +96,7 @@ impl<V: Clone> Memory<V> {
 
     /// Iterates over all written registers in `RegisterId` order, without
     /// cloning. The deterministic order makes this usable for state
-    /// digests (see `SmSystem::run_digested`).
+    /// digests (see `kset_sim::System::run_digested_in`).
     pub fn cells(&self) -> impl Iterator<Item = (&RegisterId, &V)> {
         self.cells.iter().map(|(reg, value)| (reg, value))
     }

@@ -4,9 +4,9 @@
 use std::marker::PhantomData;
 
 use kset_sim::{
-    CallInfo, DelayRule, Effect, EventKind, FaultPlan, Fnv64, MetricsConfig, ProcessId, RunArena,
-    Scheduler, Session, SimError, StateDigest, Substrate, SubstrateAdv, SubstrateDigest,
-    SubstrateFork, System,
+    CallInfo, DelayRule, Effect, EventKind, FaithfulDelivery, FaultPlan, Fnv64, MetricsConfig,
+    Poll, ProcessId, Scheduler, Session, SimError, StateDigest, Substrate, SubstrateAdv,
+    SubstrateDigest, SubstrateFork, System,
 };
 
 use crate::outcome::SmOutcome;
@@ -309,46 +309,13 @@ impl SmSystem {
         self,
         procs: Vec<DynSmProcess<Val, Out>>,
     ) -> Result<SmOutcome<Val, Out>, SimError> {
-        let (run, memory) = self.0.run_shared::<SmSubstrate<Val, Out>>(procs)?;
+        let mut session = self.session(procs)?;
+        while let Poll::Pending = session.step()? {}
+        let (run, memory) = session.finish();
         Ok(SmOutcome {
             memory: memory.snapshot(),
             run,
         })
-    }
-
-    /// Runs the system like [`SmSystem::run`], additionally computing a
-    /// stable digest of the whole system state after every fired event.
-    ///
-    /// `digests[i]` fingerprints the state reached after the `i`-th event:
-    /// every process's [`crate::SmProcess::state_digest`], its crashed flag and
-    /// decision, the register store contents, plus an order-insensitive
-    /// multiset hash of the pending event pool. Event ids are excluded —
-    /// see [`kset_sim::System::run_digested`] for the rationale. Digests
-    /// are maintained incrementally (only the dispatched process
-    /// re-hashes; the pool hash is a running sum), with values identical
-    /// to a from-scratch recomputation.
-    ///
-    /// # Errors
-    ///
-    /// See [`SmSystem::run`].
-    pub fn run_digested<Val, Out>(
-        self,
-        procs: Vec<DynSmProcess<Val, Out>>,
-    ) -> Result<(SmOutcome<Val, Out>, Vec<u64>), SimError>
-    where
-        Val: Clone + StateDigest,
-        Out: StateDigest,
-    {
-        let (run, digests, memory) = self
-            .0
-            .run_digested_in::<SmSubstrate<Val, Out>>(procs, &mut RunArena::new())?;
-        Ok((
-            SmOutcome {
-                memory: memory.snapshot(),
-                run,
-            },
-            digests,
-        ))
     }
 
     /// Builds a steppable [`SmSession`] instead of running to completion:
@@ -365,7 +332,8 @@ impl SmSystem {
         self,
         procs: Vec<DynSmProcess<Val, Out>>,
     ) -> Result<SmSession<Val, Out>, SimError> {
-        self.0.session::<SmSubstrate<Val, Out>>(procs)
+        self.0
+            .session::<SmSubstrate<Val, Out>, FaithfulDelivery>(procs)
     }
 }
 

@@ -16,7 +16,8 @@
 use crate::choice::ChoiceLog;
 use crate::event::EventMeta;
 
-/// How `System::run_digested` fingerprints the per-event system state.
+/// How `System::run_digested_in` and the forking executor fingerprint
+/// the per-event system state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum DigestMode {
     /// The id-sensitive digest: per-process digests in process-id order,

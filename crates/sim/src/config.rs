@@ -115,7 +115,7 @@ impl System {
         self
     }
 
-    /// Selects how the `run_digested*` entry points fingerprint states:
+    /// Selects how `run_digested_in`/`run_digested_adv_in` fingerprint states:
     /// [`DigestMode::Plain`] (the default, id-sensitive) or
     /// [`DigestMode::Canonical`] (invariant under process-id permutation,
     /// for symmetry-reduced deduplication).

@@ -14,8 +14,8 @@
 //!   `(kind, target, source, payload)` tuples instead.
 //!
 //! [`StateDigest`] is the hook protocol and payload types implement so the
-//! runtimes' `run_digested` entry points can fold their contents into the
-//! per-step fingerprint.
+//! substrates' digest hooks can fold their contents into the per-step
+//! fingerprint.
 
 /// A 64-bit FNV-1a hasher with a stable, documented algorithm.
 ///

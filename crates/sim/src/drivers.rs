@@ -51,39 +51,17 @@ fn drive<S: Substrate, D: Delivery<S>>(
 }
 
 impl System {
-    /// Builds a steppable [`Session`] over substrate `S`, faithful
-    /// delivery, no digesting: the incremental form of [`System::run`].
-    /// Drive it with [`Session::step`] and collect the result with
-    /// [`Session::finish`].
+    /// Builds a steppable [`Session`] over substrate `S` under delivery
+    /// discipline `D`, no digesting: the incremental form of
+    /// [`System::run`] (`D` = [`FaithfulDelivery`]) or of
+    /// [`System::run_adv`] (`D` = [`DeviantDelivery`]). Drive it with
+    /// [`Session::step`] and collect the result with [`Session::finish`].
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] if `procs.len()` or the fault plan size
     /// differ from `n`, or `n == 0`.
-    pub fn session<S: Substrate>(
-        self,
-        procs: Vec<S::Process>,
-    ) -> Result<Session<S, FaithfulDelivery>, SimError> {
-        self.undigested_session(procs)
-    }
-
-    /// [`System::session`] honouring delivery
-    /// [`Deviation`](crate::Deviation)s from the scheduler — the steppable
-    /// form of [`System::run_adv`].
-    ///
-    /// # Errors
-    ///
-    /// See [`System::session`].
-    pub fn session_adv<S: SubstrateAdv>(
-        self,
-        procs: Vec<S::Process>,
-    ) -> Result<Session<S, DeviantDelivery>, SimError> {
-        self.undigested_session(procs)
-    }
-
-    /// The one construction behind [`System::session`] and
-    /// [`System::session_adv`]: delivery discipline `D`, no digesting.
-    fn undigested_session<S: Substrate, D: Delivery<S>>(
+    pub fn session<S: Substrate, D: Delivery<S>>(
         self,
         procs: Vec<S::Process>,
     ) -> Result<Session<S, D>, SimError> {
@@ -127,21 +105,8 @@ impl System {
     /// * Any error surfaced by [`Substrate::apply`], e.g.
     ///   [`SimError::ProcessOutOfRange`] for a send outside `0..n`.
     pub fn run<S: Substrate>(self, procs: Vec<S::Process>) -> Result<Outcome<S::Output>, SimError> {
-        self.run_shared::<S>(procs).map(|(outcome, _)| outcome)
-    }
-
-    /// Runs the system like [`System::run`] and additionally returns the
-    /// substrate's final shared state (e.g. the register store).
-    ///
-    /// # Errors
-    ///
-    /// See [`System::run`].
-    pub fn run_shared<S: Substrate>(
-        self,
-        procs: Vec<S::Process>,
-    ) -> Result<(Outcome<S::Output>, S::Shared), SimError> {
-        drive(self.session::<S>(procs)?, &mut RunArena::new())
-            .map(|(outcome, _digests, shared)| (outcome, shared))
+        drive(self.session::<S, FaithfulDelivery>(procs)?, &mut RunArena::new())
+            .map(|(outcome, _digests, _shared)| outcome)
     }
 
     /// Runs the system like [`System::run`] but honours delivery
@@ -158,12 +123,17 @@ impl System {
         self,
         procs: Vec<S::Process>,
     ) -> Result<Outcome<S::Output>, SimError> {
-        drive(self.session_adv::<S>(procs)?, &mut RunArena::new())
+        drive(self.session::<S, DeviantDelivery>(procs)?, &mut RunArena::new())
             .map(|(outcome, _digests, _shared)| outcome)
     }
 
     /// Runs the system like [`System::run`], additionally computing a
-    /// stable digest of the whole system state after every fired event.
+    /// stable digest of the whole system state after every fired event,
+    /// and returns the substrate's final shared state too. Per-run storage
+    /// is recycled from a caller-held [`RunArena`]; a one-off caller
+    /// passes a fresh one. The model checker replays single schedules
+    /// through this entry point (shrinking, counterexample replay, cross
+    /// validation); its exploration runs on [`ForkSession`](crate::ForkSession).
     ///
     /// `digests[i]` fingerprints the state reached after the `i`-th event:
     /// every process's digest, its crashed flag and decision, the
@@ -186,31 +156,11 @@ impl System {
     /// modulo permutation of process ids, for symmetry-reduced
     /// deduplication.
     ///
-    /// # Errors
-    ///
-    /// See [`System::run`].
-    pub fn run_digested<S: SubstrateDigest>(
-        self,
-        procs: Vec<S::Process>,
-    ) -> Result<(Outcome<S::Output>, Vec<u64>), SimError>
-    where
-        S::Output: StateDigest,
-    {
-        let mut arena = RunArena::new();
-        self.run_digested_in::<S>(procs, &mut arena)
-            .map(|(outcome, digests, _)| (outcome, digests))
-    }
-
-    /// [`System::run_digested`] plus the final shared state, recycling
-    /// per-run storage from a caller-held [`RunArena`] — the model
-    /// checker's hot entry point. A one-off caller passes a fresh arena.
-    ///
     /// The arena lends the kernel its pool buffers and the digest engine
     /// its scratch vectors; all are returned (with grown capacity) when
-    /// the run completes, so a long exploration allocates only during its
-    /// first few runs. The returned digest vector is the only allocation
-    /// handed to the caller — return it via [`RunArena::put_digests`] once
-    /// consumed to close the loop.
+    /// the run completes. The returned digest vector is the only
+    /// allocation handed to the caller — return it via
+    /// [`RunArena::put_digests`] once consumed to close the loop.
     ///
     /// # Errors
     ///
@@ -227,11 +177,11 @@ impl System {
     }
 
     /// [`System::run_digested_in`] with scheduler
-    /// [`Deviation`](crate::Deviation)s honoured — the model checker's hot
-    /// entry point for Byzantine and lossy-network adversary spaces.
-    /// Identical digest semantics; runs with a nonzero drop count mix it
-    /// into every digest, so a lossy state never aliases its loss-free
-    /// twin.
+    /// [`Deviation`](crate::Deviation)s honoured, as [`System::run_adv`]
+    /// honours them: the single-schedule replay path for Byzantine and
+    /// lossy-network adversary spaces. Identical digest semantics; runs
+    /// with a nonzero drop count mix it into every digest, so a lossy
+    /// state never aliases its loss-free twin.
     ///
     /// # Errors
     ///
@@ -272,8 +222,8 @@ impl System {
         drive(session, arena)
     }
 
-    /// Runs like [`System::run_digested`] but recomputes every digest from
-    /// scratch after every event — the historical implementation, kept as
+    /// Runs like [`System::run_digested_in`] but recomputes every digest
+    /// from scratch after every event — the historical implementation, kept as
     /// the oracle the property suite pins the incremental engine against.
     /// Always uses the id-sensitive
     /// [`DigestMode::Plain`](crate::DigestMode::Plain) encoding (the

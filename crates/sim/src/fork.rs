@@ -70,8 +70,8 @@ use crate::choice::{ChoiceLog, ChoiceScheduler};
 use crate::deviate::DeviationPolicy;
 use crate::digest::StateDigest;
 use crate::error::SimError;
-use crate::event::{EventId, EventKind, EventMeta, ProcessId};
-use crate::fault::{FaultKind, FaultPlan};
+use crate::event::{EventId, EventMeta, ProcessId};
+use crate::fault::FaultPlan;
 use crate::kernel::{Kernel, KernelSnapshot};
 use crate::outcome::Outcome;
 use crate::session::{
@@ -317,7 +317,6 @@ where
     spent_prefix: Vec<usize>,
     counters: ForkCounters,
     cur_prefix_len: usize,
-    last_terminated: bool,
     last_truncated: bool,
     _delivery: PhantomData<D>,
 }
@@ -402,14 +401,7 @@ where
         if let Some(limit) = config.event_limit {
             kernel = kernel.event_limit(limit);
         }
-        for pid in 0..n {
-            if plan.spec(pid).kind() == FaultKind::Byzantine {
-                kernel.state_mut().mark_byzantine(pid);
-            }
-        }
-        for pid in 0..n {
-            kernel.post(EventMeta::new(EventKind::LocalStep, pid), Payload::Start);
-        }
+        session::begin_run(&mut kernel, &plan);
 
         let canonical_plan =
             matches!(config.digest, DigestMode::Canonical).then(|| plan.clone());
@@ -451,7 +443,6 @@ where
             spent_prefix: Vec::new(),
             counters: ForkCounters::default(),
             cur_prefix_len: 0,
-            last_terminated: false,
             last_truncated: false,
             _delivery: PhantomData,
         })
@@ -605,22 +596,7 @@ where
     /// sets, termination flag, kernel statistics — without the per-run log
     /// and digest copies of [`ForkSession::export_run`].
     pub fn export_outcome(&self) -> Outcome<S::Output> {
-        let decisions = self
-            .core
-            .decisions
-            .iter()
-            .enumerate()
-            .filter_map(|(p, d)| d.clone().map(|v| (p, v)))
-            .collect();
-        Outcome {
-            decisions,
-            correct: self.core.plan.correct_set(),
-            faulty: self.core.plan.faulty_set(),
-            terminated: self.last_terminated,
-            stats: *self.kernel.stats(),
-            trace: self.kernel.trace().clone(),
-            metrics: None,
-        }
+        session::outcome_of(&self.kernel, &self.core.plan, self.core.decisions.iter().cloned())
     }
 
     /// System-state digests of the just-finished run, one per fired event.
@@ -637,7 +613,7 @@ where
 
     /// Whether every correct process decided in the just-finished run.
     pub fn terminated(&self) -> bool {
-        self.last_terminated
+        self.kernel.state().all_correct_decided()
     }
 
     /// Whether the just-finished run stopped at a state the gate reported
@@ -704,18 +680,11 @@ where
                 break;
             };
             D::deliver(&mut self.core, &mut self.kernel, &meta, payload)?;
-            self.dig.observe::<S>(
-                &meta,
-                &self.kernel,
-                &self.core.procs,
-                &self.core.decisions,
-                &self.core.shared,
-            );
+            session::observe_incremental::<S>(&meta, &self.kernel, &self.core, &mut self.dig);
             if depth >= self.cur_prefix_len {
                 gate.on_fired(meta.target);
             }
         }
-        self.last_terminated = self.kernel.state().all_correct_decided();
         Ok(())
     }
 

@@ -165,7 +165,7 @@ impl<E> Kernel<E> {
         self.metrics = config.enabled.then(|| {
             let bytes_per_event =
                 (std::mem::size_of::<EventMeta>() + std::mem::size_of::<E>()) as u64;
-            let mut collector = MetricsCollector::new(config, bytes_per_event);
+            let mut collector = MetricsCollector::new(bytes_per_event);
             collector.ensure_processes(n);
             Box::new(collector)
         });
@@ -297,7 +297,7 @@ impl<E> Kernel<E> {
     /// Visits every pending event (in no particular order) with its payload.
     ///
     /// Model runtimes use this to fold the pending pool into a state digest
-    /// (see `run_digested` in `kset-net`/`kset-shmem`): the pool is part of
+    /// (see `System::run_digested_reference`): the pool is part of
     /// the system state the model checker deduplicates on, since two runs
     /// with equal process states but different undelivered messages can
     /// still diverge.

@@ -19,46 +19,33 @@ use kset_core::json::{self, FromJson, ObjectWriter, ToJson, Value};
 
 use crate::event::{EventKind, EventMeta, ProcessId};
 
-/// Configuration knobs for metrics collection.
+/// Configuration of metrics collection.
 ///
 /// The default configuration is disabled; [`MetricsConfig::enabled`] turns
-/// everything on at full resolution. Construct with struct update syntax to
-/// adjust individual knobs:
+/// collection on:
 ///
 /// ```
 /// use kset_sim::MetricsConfig;
-/// let cfg = MetricsConfig {
-///     depth_sample_interval: 16,
-///     ..MetricsConfig::enabled()
-/// };
+/// let cfg = MetricsConfig::enabled();
 /// assert!(cfg.enabled);
+/// assert_eq!(cfg, MetricsConfig { enabled: true });
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MetricsConfig {
     /// Master switch. When `false` the kernel allocates nothing and the
     /// per-event cost is one branch on an `Option`.
     pub enabled: bool,
-    /// Sample the pending-pool depth every this-many fired events (1 =
-    /// every event). Raising it bounds histogram cost on very long runs;
-    /// all other counters are exact regardless.
-    pub depth_sample_interval: u64,
 }
 
 impl MetricsConfig {
     /// Collection disabled (the default).
     pub fn disabled() -> Self {
-        MetricsConfig {
-            enabled: false,
-            depth_sample_interval: 1,
-        }
+        MetricsConfig { enabled: false }
     }
 
-    /// Collection enabled at full resolution.
+    /// Collection enabled.
     pub fn enabled() -> Self {
-        MetricsConfig {
-            enabled: true,
-            depth_sample_interval: 1,
-        }
+        MetricsConfig { enabled: true }
     }
 }
 
@@ -225,8 +212,7 @@ pub struct RunMetrics {
     /// Counters per process, indexed by process id. Sized to the largest
     /// process id observed (posting, firing, deciding, or crashing).
     pub per_process: Vec<ProcessMetrics>,
-    /// Pending-pool depth sampled at each scheduler pick (subject to
-    /// [`MetricsConfig::depth_sample_interval`]).
+    /// Pending-pool depth sampled at each scheduler pick.
     pub pending_depth: Histogram,
     /// Message delivery latency in virtual ticks: fire time minus post
     /// time, recorded for every `MessageDelivery` event.
@@ -319,25 +305,20 @@ impl RunMetrics {
 /// configuration or bookkeeping fields.
 #[derive(Debug)]
 pub(crate) struct MetricsCollector {
-    config: MetricsConfig,
     bytes_per_event: u64,
-    fires: u64,
     metrics: RunMetrics,
 }
 
 impl MetricsCollector {
-    pub(crate) fn new(config: MetricsConfig, bytes_per_event: u64) -> Self {
+    pub(crate) fn new(bytes_per_event: u64) -> Self {
         MetricsCollector {
-            config,
             bytes_per_event,
-            fires: 0,
             metrics: RunMetrics::new(),
         }
     }
 
     /// Starts the collection over for a new run of `n` processes.
     pub(crate) fn reset(&mut self, n: usize) {
-        self.fires = 0;
         self.metrics = RunMetrics::new();
         self.ensure_processes(n);
     }
@@ -384,10 +365,7 @@ impl MetricsCollector {
     /// scheduler chose from; `fired_at` is the post-increment virtual time
     /// (matching [`TraceEntry::fired_at`](crate::TraceEntry)).
     pub(crate) fn on_fire(&mut self, meta: &EventMeta, fired_at: u64, pending_len: usize) {
-        self.fires += 1;
-        if self.fires % self.config.depth_sample_interval.max(1) == 0 {
-            self.metrics.pending_depth.record(pending_len as u64);
-        }
+        self.metrics.pending_depth.record(pending_len as u64);
         let latency = fired_at.saturating_sub(meta.posted_at);
         let p = self.proc(meta.target);
         p.events_fired += 1;
@@ -428,7 +406,6 @@ mod tests {
     fn config_default_is_disabled() {
         assert!(!MetricsConfig::default().enabled);
         assert!(MetricsConfig::enabled().enabled);
-        assert_eq!(MetricsConfig::enabled().depth_sample_interval, 1);
     }
 
     #[test]
@@ -485,7 +462,7 @@ mod tests {
 
     #[test]
     fn collector_attributes_per_process() {
-        let mut c = MetricsCollector::new(MetricsConfig::enabled(), 16);
+        let mut c = MetricsCollector::new(16);
         let send = EventMeta::new(EventKind::MessageDelivery, 2).from_process(0);
         c.on_post(&send, 1);
         c.on_fire(&send, 5, 1);
@@ -497,20 +474,5 @@ mod tests {
         assert_eq!(m.decision_latency.count(), 1);
         assert_eq!(m.peak_pending, 1);
         assert_eq!(m.peak_pending_bytes, 16);
-    }
-
-    #[test]
-    fn depth_sampling_interval_thins_the_histogram() {
-        let cfg = MetricsConfig {
-            depth_sample_interval: 4,
-            ..MetricsConfig::enabled()
-        };
-        let mut c = MetricsCollector::new(cfg, 1);
-        let step = EventMeta::new(EventKind::LocalStep, 0);
-        for t in 1..=8 {
-            c.on_fire(&step, t, 3);
-        }
-        assert_eq!(c.metrics().pending_depth.count(), 2);
-        assert_eq!(c.metrics().per_process[0].local_steps, 8);
     }
 }

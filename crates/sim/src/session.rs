@@ -92,7 +92,7 @@ pub trait Delivery<S: Substrate>: sealed::Sealed + Sized {
 
 /// Every delivery is faithful; a scheduler deviation reaching this loop is
 /// a harness bug (the checker must route active adversary spaces through
-/// the `*_adv` entry points or a deviant fork session).
+/// [`DeviantDelivery`]: the `*_adv` entry points or a deviant fork session).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaithfulDelivery;
 
@@ -108,7 +108,7 @@ impl<S: Substrate> Delivery<S> for FaithfulDelivery {
             "scheduler produced a deviation on the faithful run loop; \
              use a `*_adv` entry point"
         );
-        core.step_event(kernel, meta, payload)
+        core.step_event(kernel, meta, payload, S::on_payload)
     }
 }
 
@@ -126,7 +126,7 @@ impl<S: SubstrateAdv> Delivery<S> for DeviantDelivery {
         payload: Payload<S::Payload>,
     ) -> Result<(), SimError> {
         match kernel.last_deviation() {
-            Deviation::Faithful => core.step_event(kernel, meta, payload),
+            Deviation::Faithful => core.step_event(kernel, meta, payload, S::on_payload),
             Deviation::Drop => {
                 // The delivery is suppressed outright: no callback runs, no
                 // lazy start fires (the target never observes the event).
@@ -135,7 +135,11 @@ impl<S: SubstrateAdv> Delivery<S> for DeviantDelivery {
                 kernel.state_mut().charge_drop();
                 Ok(())
             }
-            Deviation::Forge(v) => core.forged_event(kernel, meta, payload, v),
+            Deviation::Forge(v) => {
+                core.step_event(kernel, meta, payload, |p, x, source, sh, info, out| {
+                    S::on_forged(p, x, v, source, sh, info, out)
+                })
+            }
         }
     }
 }
@@ -192,15 +196,29 @@ impl<S: Substrate> RunCore<S> {
     }
 
     /// Handles one fired event end to end: crash filtering, lazy start, and
-    /// dispatch of the appropriate callback. Shared verbatim by the stepped
-    /// session and the forking executor (`crate::fork`), so the two agree
-    /// on delivery semantics by construction.
-    pub(crate) fn step_event(
+    /// dispatch of the appropriate callback, with `on_sub` delivering a
+    /// substrate event ([`Substrate::on_payload`] faithfully,
+    /// [`SubstrateAdv::on_forged`] for a forge). Shared verbatim by both
+    /// delivery disciplines, the stepped session and the forking executor
+    /// (`crate::fork`), so they all agree on delivery semantics by
+    /// construction.
+    pub(crate) fn step_event<F>(
         &mut self,
         kernel: &mut Kernel<Payload<S::Payload>>,
         meta: &EventMeta,
         payload: Payload<S::Payload>,
-    ) -> Result<(), SimError> {
+        on_sub: F,
+    ) -> Result<(), SimError>
+    where
+        F: FnOnce(
+            &mut S::Process,
+            S::Payload,
+            Option<ProcessId>,
+            &S::Shared,
+            CallInfo,
+            &mut Vec<S::Action>,
+        ),
+    {
         let pid = meta.target;
         if kernel.state().has_crashed(pid) {
             return Ok(());
@@ -226,13 +244,16 @@ impl<S: Substrate> RunCore<S> {
         }
         match payload {
             Payload::Start => unreachable!("start handled above"),
+            // A deviation policy only offers forgery on substrate
+            // deliveries; a diverged replay script landing one on a local
+            // step delivers it faithfully.
             Payload::Step => {
                 self.dispatch(kernel, pid, |p, sh, info, out| S::on_step(p, sh, info, out))?;
             }
             Payload::Sub(x) => {
                 let source = meta.source;
                 self.dispatch(kernel, pid, |p, sh, info, out| {
-                    S::on_payload(p, x, source, sh, info, out)
+                    on_sub(p, x, source, sh, info, out)
                 })?;
             }
         }
@@ -301,57 +322,9 @@ impl<S: Substrate> RunCore<S> {
     }
 }
 
-impl<S: SubstrateAdv> RunCore<S> {
-    /// [`RunCore::step_event`]'s forged twin: identical crash filtering and
-    /// lazy-start handling, but the substrate delivery routes through
-    /// [`SubstrateAdv::on_forged`] with the adversary's value. Keeping the
-    /// two methods line-for-line parallel is what makes an empty deviation
-    /// menu provably equivalent to the faithful loop.
-    fn forged_event(
-        &mut self,
-        kernel: &mut Kernel<Payload<S::Payload>>,
-        meta: &EventMeta,
-        payload: Payload<S::Payload>,
-        forged: u64,
-    ) -> Result<(), SimError> {
-        let pid = meta.target;
-        if kernel.state().has_crashed(pid) {
-            return Ok(());
-        }
-        if !self.started[pid] {
-            self.started[pid] = true;
-            self.dispatch(kernel, pid, |p, sh, info, out| S::on_start(p, sh, info, out))?;
-            if matches!(payload, Payload::Start) {
-                return Ok(());
-            }
-            if kernel.state().has_crashed(pid) {
-                return Ok(());
-            }
-        } else if matches!(payload, Payload::Start) {
-            return Ok(());
-        }
-        match payload {
-            Payload::Start => unreachable!("start handled above"),
-            // A deviation policy only offers forgery on substrate deliveries;
-            // a diverged replay script landing one on a local step delivers it
-            // faithfully rather than inventing semantics for a forged step.
-            Payload::Step => {
-                self.dispatch(kernel, pid, |p, sh, info, out| S::on_step(p, sh, info, out))?;
-            }
-            Payload::Sub(x) => {
-                let source = meta.source;
-                self.dispatch(kernel, pid, |p, sh, info, out| {
-                    S::on_forged(p, x, forged, source, sh, info, out)
-                })?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The first moves of every run: marks the plan's Byzantine slots in the
 /// run state and posts each process's start event, in process order.
-fn begin_run<P>(kernel: &mut Kernel<Payload<P>>, plan: &FaultPlan) {
+pub(crate) fn begin_run<P>(kernel: &mut Kernel<Payload<P>>, plan: &FaultPlan) {
     let n = kernel.state().n();
     for pid in 0..n {
         if plan.spec(pid).kind() == FaultKind::Byzantine {
@@ -360,6 +333,30 @@ fn begin_run<P>(kernel: &mut Kernel<Payload<P>>, plan: &FaultPlan) {
     }
     for pid in 0..n {
         kernel.post(EventMeta::new(EventKind::LocalStep, pid), Payload::Start);
+    }
+}
+
+/// The [`Outcome`] of the run `kernel` has executed under `plan`, with
+/// `decisions` its decision table indexed by process: the one assembly
+/// behind [`Session::finish`] and
+/// [`ForkSession::export_outcome`](crate::ForkSession::export_outcome).
+pub(crate) fn outcome_of<P, V>(
+    kernel: &Kernel<Payload<P>>,
+    plan: &FaultPlan,
+    decisions: impl IntoIterator<Item = Option<V>>,
+) -> Outcome<V> {
+    Outcome {
+        decisions: decisions
+            .into_iter()
+            .enumerate()
+            .filter_map(|(p, d)| d.map(|v| (p, v)))
+            .collect(),
+        correct: plan.correct_set(),
+        faulty: plan.faulty_set(),
+        terminated: kernel.state().all_correct_decided(),
+        stats: *kernel.stats(),
+        trace: kernel.trace().clone(),
+        metrics: kernel.metrics().cloned(),
     }
 }
 
@@ -595,7 +592,7 @@ pub(crate) type ObserveFn<S> = fn(
 );
 
 /// The incremental observer: [`DigestEngine::observe`] on the dispatched
-/// event — the `run_digested*` discipline.
+/// event — the discipline of `run_digested_in` and `run_digested_adv_in`.
 pub(crate) fn observe_incremental<S>(
     fired: &EventMeta,
     kernel: &Kernel<Payload<S::Payload>>,
@@ -631,9 +628,8 @@ pub(crate) fn observe_reference<S>(
 /// One live run over substrate `S` under delivery discipline `D`, driven
 /// one fired event at a time.
 ///
-/// Build one via [`System::session`](crate::System::session) (or
-/// [`System::session_adv`](crate::System::session_adv) for a
-/// deviation-honouring run), call [`Session::step`] until it reports
+/// Build one via [`System::session`](crate::System::session), with `D`
+/// [`DeviantDelivery`] for a deviation-honouring run, call [`Session::step`] until it reports
 /// [`Poll::Decided`] or [`Poll::Idle`], then [`Session::finish`] for the
 /// [`Outcome`]. The run-to-completion entry points on
 /// [`System`](crate::System) are exactly this loop.
@@ -792,23 +788,7 @@ impl<S: Substrate, D: Delivery<S>> Session<S, D> {
     /// digest scratch to `arena`, and handing back the digest chain — the
     /// driver-layer teardown.
     pub(crate) fn finish_into(self, arena: &mut RunArena) -> (Outcome<S::Output>, Vec<u64>, S::Shared) {
-        let terminated = self.kernel.state().all_correct_decided();
-        let decisions = self
-            .core
-            .decisions
-            .into_iter()
-            .enumerate()
-            .filter_map(|(p, d)| d.map(|v| (p, v)))
-            .collect();
-        let outcome = Outcome {
-            decisions,
-            correct: self.core.plan.correct_set(),
-            faulty: self.core.plan.faulty_set(),
-            terminated,
-            stats: *self.kernel.stats(),
-            trace: self.kernel.trace().clone(),
-            metrics: self.kernel.metrics().cloned(),
-        };
+        let outcome = outcome_of(&self.kernel, &self.core.plan, self.core.decisions);
         let (metas, hashes, payload_hashes) = self.kernel.reclaim_buffers();
         arena.metas = metas;
         arena.hashes = hashes;

@@ -190,7 +190,7 @@ pub trait Substrate {
 }
 
 /// Digest hooks for substrates whose runs can be fingerprinted — what
-/// [`crate::System::run_digested`] and the model checker's state
+/// [`crate::System::run_digested_in`] and the model checker's state
 /// deduplication build on.
 ///
 /// A separate trait because digests constrain the substrate's value types

@@ -2,7 +2,7 @@
 //!
 //! The model checker's hot loop relies on two digest contracts:
 //!
-//! * **Incremental == from-scratch.** [`kset::sim::System::run_digested`]
+//! * **Incremental == from-scratch.** [`kset::sim::System::run_digested_in`]
 //!   re-hashes only the dispatched process per event and maintains the
 //!   pending-pool hash as a running sum; its output must be byte-identical
 //!   to [`kset::sim::System::run_digested_reference`], which recomputes
@@ -30,7 +30,7 @@ use kset_prop::{in_range, prop_assert_eq, unit_f64, vec_exact, Runner};
 use kset::net::MpSubstrate;
 use kset::protocols::{FloodMin, ProtocolE};
 use kset::shmem::SmSubstrate;
-use kset::sim::{ChoiceScheduler, DigestMode, FaultPlan, FaultSpec, System};
+use kset::sim::{ChoiceScheduler, DigestMode, FaultPlan, FaultSpec, RunArena, System};
 
 const DEFAULT: u64 = u64::MAX;
 
@@ -72,10 +72,10 @@ fn incremental_digests_match_reference_on_mp() {
                 let plan = crash_plan_from_seed(n, t, plan_seed);
                 let procs =
                     || (0..n).map(|p| FloodMin::boxed(n, t, inputs[p])).collect();
-                let (inc_out, inc_digests) = System::new(n)
+                let (inc_out, inc_digests, ()) = System::new(n)
                     .seed(seed)
                     .fault_plan(plan.clone())
-                    .run_digested::<MpSubstrate<u64, u64>>(procs())
+                    .run_digested_in::<MpSubstrate<u64, u64>>(procs(), &mut RunArena::new())
                     .unwrap();
                 let (ref_out, ref_digests) = System::new(n)
                     .seed(seed)
@@ -112,10 +112,10 @@ fn incremental_digests_match_reference_on_sm() {
                         .map(|p| ProtocolE::boxed(n, t, inputs[p], DEFAULT))
                         .collect()
                 };
-                let (inc_out, inc_digests) = System::new(n)
+                let (inc_out, inc_digests, _memory) = System::new(n)
                     .seed(seed)
                     .fault_plan(plan.clone())
-                    .run_digested::<SmSubstrate<u64, u64>>(procs())
+                    .run_digested_in::<SmSubstrate<u64, u64>>(procs(), &mut RunArena::new())
                     .unwrap();
                 let (ref_out, ref_digests) = System::new(n)
                     .seed(seed)
@@ -142,11 +142,12 @@ fn all_reachable_digests(inputs: [u64; 2], mode: DigestMode) -> BTreeSet<u64> {
         assert!(runs < 100_000, "enumeration exploded");
         let sched = ChoiceScheduler::new(prefix.clone());
         let log_handle = sched.log_handle();
-        let (outcome, digests) = System::new(n)
+        let (outcome, digests, ()) = System::new(n)
             .scheduler(sched)
             .digest_mode(mode)
-            .run_digested::<MpSubstrate<u64, u64>>(
+            .run_digested_in::<MpSubstrate<u64, u64>>(
                 (0..n).map(|p| FloodMin::boxed(n, 0, inputs[p])).collect(),
+                &mut RunArena::new(),
             )
             .unwrap();
         assert!(outcome.terminated);

@@ -10,9 +10,14 @@
 //!   to the one-shot `run()` entry points — decisions, fault sets,
 //!   termination, kernel counters, traces, metrics — on both substrates,
 //!   across seeds and fault plans, including the error paths.
-//! * The deviation-aware session (`session_adv`, the checker's delivery
-//!   path) replays a real Byzantine counterexample exactly like
-//!   `run_adv`, with zero scheduler divergences.
+//! * The deviation-aware session (`System::session` with
+//!   `DeviantDelivery`, the checker's delivery path) replays a real
+//!   Byzantine counterexample exactly like `run_adv`, with zero scheduler
+//!   divergences.
+//! * Forged deliveries share the faithful step function: `run_adv` under a
+//!   scheduler that never deviates is `run`, and scripted forges on an
+//!   ordinary delivery, a lazy start, a local step and a crashed process
+//!   keep the outcome bytes recorded before the two were folded.
 //! * The model checker built on top still certifies the Byzantine
 //!   frontier with pinned counters digit for digit, invariantly across
 //!   fork modes and thread counts.
@@ -22,9 +27,10 @@ use std::rc::Rc;
 
 use kset::net::{MpSubstrate, MpSystem};
 use kset::protocols::{FloodMin, ProtocolE};
-use kset::shmem::SmSystem;
+use kset::shmem::{SmSubstrate, SmSystem};
 use kset::sim::{
-    FaultPlan, FaultSpec, MetricsConfig, Poll, ReplayScheduler, System,
+    DeviantDelivery, Deviation, EventId, FaultPlan, FaultSpec, Fnv64, MetricsConfig, Outcome, Poll,
+    ReplayScheduler, SubstrateAdv, System,
 };
 use kset_core::ValidityCondition;
 use kset_experiments::checker::{
@@ -289,8 +295,9 @@ fn byzantine_replay_is_identical_across_drivers() {
         let procs: Vec<_> =
             inputs.iter().map(|&v| FloodMin::boxed(cfg.n, cfg.t, v)).collect();
         let outcome = if by_steps {
-            let mut session =
-                sys.session_adv::<MpSubstrate<u64, u64>>(procs).expect("session");
+            let mut session = sys
+                .session::<MpSubstrate<u64, u64>, DeviantDelivery>(procs)
+                .expect("session");
             while matches!(session.step().expect("step"), Poll::Pending) {}
             session.finish().0
         } else {
@@ -304,6 +311,155 @@ fn byzantine_replay_is_identical_across_drivers() {
     assert_eq!(whole, stepped, "deviant replay diverged between drivers");
     assert_eq!(whole_div, 0);
     assert_eq!(stepped_div, 0);
+}
+
+/// Fnv64 over an outcome's `Debug` rendering: one number pinning its
+/// decisions, fault sets, termination flag, kernel counters and trace.
+fn outcome_bytes<V: std::fmt::Debug>(outcome: &Outcome<V>) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(format!("{outcome:?}").as_bytes());
+    h.finish()
+}
+
+/// Under a seeded scheduler, which never deviates, the deviation-aware
+/// `run_adv` is `run` byte for byte, on both substrates and every plan.
+/// The outcome bytes are pinned to the values recorded while the forged
+/// delivery still had its own copy of the step function.
+#[test]
+fn run_adv_without_deviations_is_byte_identical_to_run() {
+    let mut mp = Fnv64::new();
+    let n = 5;
+    let inputs: Vec<u64> = (0..n as u64).map(|p| (p * 13) % 7).collect();
+    for seed in [0, 7, 42] {
+        for plan in plans(n) {
+            let build = || System::new(n).seed(seed).fault_plan(plan.clone()).trace_capacity(256);
+            let procs = || inputs.iter().map(|&v| FloodMin::boxed(n, 2, v)).collect::<Vec<_>>();
+            let faithful = build().run::<MpSubstrate<u64, u64>>(procs()).expect("run");
+            let adv = build().run_adv::<MpSubstrate<u64, u64>>(procs()).expect("run_adv");
+            assert_eq!(faithful, adv, "seed {seed}, plan {plan:?}");
+            mp.write_u64(outcome_bytes(&adv));
+        }
+    }
+    let mut sm = Fnv64::new();
+    let n = 4;
+    for seed in [1, 11] {
+        for plan in plans(n) {
+            let build = || System::new(n).seed(seed).fault_plan(plan.clone()).trace_capacity(256);
+            let procs = || {
+                [9, 3, 3, 8]
+                    .iter()
+                    .map(|&v| ProtocolE::boxed(n, 3, v, DEFAULT))
+                    .collect::<Vec<_>>()
+            };
+            let faithful = build().run::<SmSubstrate<u64, u64>>(procs()).expect("run");
+            let adv = build().run_adv::<SmSubstrate<u64, u64>>(procs()).expect("run_adv");
+            assert_eq!(faithful, adv, "seed {seed}, plan {plan:?}");
+            sm.write_u64(outcome_bytes(&adv));
+        }
+    }
+    assert_eq!((mp.finish(), sm.finish()), (0x6a2d_6eef_0a9b_5d78, 0xd093_f26b_7c61_18fd));
+}
+
+/// Replays `script`, raw event ids each with the deviation applied to it,
+/// through `run_adv` over three processes under `plan`, and returns the
+/// outcome bytes. The replay must follow the script exactly.
+fn forged_replay<S: SubstrateAdv>(
+    plan: FaultPlan,
+    script: &[(u64, Deviation)],
+    procs: Vec<S::Process>,
+) -> u64
+where
+    S::Output: std::fmt::Debug,
+{
+    let sched = Rc::new(RefCell::new(ReplayScheduler::with_deviations(
+        script.iter().map(|&(id, d)| (EventId::from_u64(id), d)),
+    )));
+    let outcome = System::new(3)
+        .scheduler(Rc::clone(&sched))
+        .fault_plan(plan)
+        .trace_capacity(256)
+        .run_adv::<S>(procs)
+        .expect("replay");
+    assert_eq!(sched.borrow().divergences(), 0, "{script:?}");
+    outcome_bytes(&outcome)
+}
+
+/// The corners of a forged delivery, pinned on both substrates: a forge
+/// on an ordinary delivery, on a process's first event (the lazy start),
+/// on a local step, and on a process that is crashed or crashes on it.
+/// Ids 0..3 are the start events; after a script ends the replay fires
+/// the oldest pending event faithfully.
+#[test]
+fn forged_delivery_corners_are_pinned() {
+    use Deviation::{Faithful as F, Forge};
+    let budgeted = |pid, after_actions| {
+        let mut plan = FaultPlan::all_correct(3);
+        plan.set(pid, FaultSpec::Crash { after_actions });
+        plan
+    };
+    // FloodMin(3, 1): each start broadcasts to 0, 1, 2 in order, so p0's
+    // start posts e3..e5 and p1's the next three.
+    let mp = |plan, script: &[(u64, Deviation)]| {
+        let procs = (1..=3).map(|v| FloodMin::boxed(3, 1, v)).collect();
+        forged_replay::<MpSubstrate<u64, u64>>(plan, script, procs)
+    };
+    let correct = FaultPlan::all_correct(3);
+    let silent = FaultPlan::silent_crashes(3, &[1]);
+    let mp_pins = [
+        // e4 (p0 to p1) forged after p1 started.
+        mp(correct.clone(), &[(0, F), (1, F), (4, Forge(0))]),
+        // e4 forged before p1's start fired: p1 starts lazily first.
+        mp(correct.clone(), &[(0, F), (4, Forge(0))]),
+        // p2's start forged, then p1's start forged after its lazy start.
+        mp(correct.clone(), &[(2, Forge(0)), (0, F), (4, Forge(0)), (1, Forge(0))]),
+        // p1 crashes on its forged start; e4 is then forged to a crashed
+        // process.
+        mp(silent.clone(), &[(1, Forge(0)), (0, F), (4, Forge(0))]),
+        // p0 spends its budget of four on its start and three sends, and
+        // crashes on the forged e3.
+        mp(budgeted(0, 4), &[(0, F), (3, Forge(0))]),
+    ];
+    // Protocol E(3, 1) on unanimous inputs: a process's first event is always its start, and
+    // every later event at it answers its own operation. p0's start posts
+    // its write acknowledgement e3, then its reads of registers 0..3 as
+    // e4..e6.
+    let sm = |plan, script: &[(u64, Deviation)]| {
+        let procs = (0..3).map(|_| ProtocolE::boxed(3, 1, 1, DEFAULT)).collect();
+        forged_replay::<SmSubstrate<u64, u64>>(plan, script, procs)
+    };
+    let sm_pins = [
+        // p0's read of p1's register (e5) answered with a forged value.
+        sm(correct.clone(), &[(0, F), (3, F), (4, F), (5, Forge(0))]),
+        // p1's first event, its start, forged.
+        sm(correct.clone(), &[(1, Forge(0))]),
+        // p2's start forged while p0 is mid-run.
+        sm(correct.clone(), &[(0, F), (3, F), (2, Forge(0))]),
+        // p1 crashes on its forged start.
+        sm(silent, &[(1, Forge(0))]),
+        // p0 spends its budget of five on its start, its write and its
+        // three reads, and crashes on the forged read response e5.
+        sm(budgeted(0, 5), &[(0, F), (5, Forge(0))]),
+    ];
+    assert_eq!(
+        mp_pins,
+        [
+            0x477d_72f2_8535_b0c7,
+            0x2caf_ccf3_d5f5_a967,
+            0x8e2b_82fa_c05a_fb94,
+            0x7bfc_4132_3ba4_f869,
+            0x74a9_c2cc_575d_b79d,
+        ]
+    );
+    assert_eq!(
+        sm_pins,
+        [
+            0x6f70_f337_417a_040c,
+            0xcddb_9e7c_156f_8a4e,
+            0x44d1_c776_dc70_d088,
+            0x4be7_b2ad_4b01_62e5,
+            0x12b5_2282_cb80_6700,
+        ]
+    );
 }
 
 /// States cached across a verdict's patterns.
