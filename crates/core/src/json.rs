@@ -670,9 +670,23 @@ mod tests {
     #[test]
     fn parser_rejects_malformed_text_with_an_offset() {
         for (text, offset) in [
-            ("", 0), ("{", 1), (r#"{"a":1,}"#, 7), (r#"{"a" 1}"#, 5), ("[1 2]", 3), ("{} {}", 3),
-            ("01", 2), ("1.", 2), ("-", 1), ("1e", 2), ("tru", 0), ("\"abc", 4), ("\"a\nb\"", 2),
-            (r#""\x""#, 2), (r#""\ud800""#, 7), (r#""\ud800\u0041""#, 13), (r#""\udc00""#, 7),
+            ("", 0),
+            ("{", 1),
+            (r#"{"a":1,}"#, 7),
+            (r#"{"a" 1}"#, 5),
+            ("[1 2]", 3),
+            ("{} {}", 3),
+            ("01", 2),
+            ("1.", 2),
+            ("-", 1),
+            ("1e", 2),
+            ("tru", 0),
+            ("\"abc", 4),
+            ("\"a\nb\"", 2),
+            (r#""\x""#, 2),
+            (r#""\ud800""#, 7),
+            (r#""\ud800\u0041""#, 13),
+            (r#""\udc00""#, 7),
         ] {
             match parse(text) {
                 Err(Error::Syntax { offset: at, .. }) => assert_eq!(at, offset, "{text:?}"),
@@ -696,15 +710,24 @@ mod tests {
     fn typed_decoding_checks_shape_and_range() {
         assert_eq!(from_str::<u64>("18446744073709551615"), Ok(u64::MAX));
         for bad in ["18446744073709551616", "-1", "1.0", "1e2", "\"1\""] {
-            assert!(matches!(from_str::<u64>(bad), Err(Error::Schema(_))), "{bad}");
+            assert!(
+                matches!(from_str::<u64>(bad), Err(Error::Schema(_))),
+                "{bad}"
+            );
         }
         assert_eq!(from_str::<Option<u32>>("null"), Ok(None));
         assert_eq!(from_str::<Vec<bool>>("[true,false]"), Ok(vec![true, false]));
         let value = parse(r#"{"a":1,"a":2,"b":3}"#).unwrap();
         let fields = value.fields().unwrap();
         assert_eq!(fields.get::<u64>("b"), Ok(3));
-        assert_eq!(fields.get::<u64>("a"), Err(Error::Schema("duplicate field `a`".into())));
-        assert_eq!(fields.get::<u64>("c"), Err(Error::Schema("missing field `c`".into())));
+        assert_eq!(
+            fields.get::<u64>("a"),
+            Err(Error::Schema("duplicate field `a`".into()))
+        );
+        assert_eq!(
+            fields.get::<u64>("c"),
+            Err(Error::Schema("missing field `c`".into()))
+        );
     }
 
     #[test]
@@ -723,7 +746,10 @@ mod tests {
         assert_eq!(from_str::<Fixed<3>>("0.250"), Ok(Fixed(0.25)));
         assert_eq!(from_str::<Fixed<0>>("-2.5e+3"), Ok(Fixed(-2500.0)));
         for bad in ["null", "\"1.0\"", "true"] {
-            assert!(matches!(from_str::<Fixed<3>>(bad), Err(Error::Schema(_))), "{bad}");
+            assert!(
+                matches!(from_str::<Fixed<3>>(bad), Err(Error::Schema(_))),
+                "{bad}"
+            );
         }
     }
 }

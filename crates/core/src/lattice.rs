@@ -28,7 +28,10 @@ use ValidityCondition as VC;
 const N_COND: usize = 6;
 
 fn idx(c: VC) -> usize {
-    VC::ALL.iter().position(|&x| x == c).expect("condition in ALL")
+    VC::ALL
+        .iter()
+        .position(|&x| x == c)
+        .expect("condition in ALL")
 }
 
 /// The implication relation between validity conditions.
@@ -65,13 +68,8 @@ impl Lattice {
                 loop {
                     let record = RunRecord::new(inputs.clone())
                         .with_faulty(faulty.iter().copied())
-                        .with_decisions(
-                            correct.iter().copied().zip(decisions.iter().copied()),
-                        );
-                    let sat: Vec<bool> = VC::ALL
-                        .iter()
-                        .map(|c| c.satisfied_by(&record))
-                        .collect();
+                        .with_decisions(correct.iter().copied().zip(decisions.iter().copied()));
+                    let sat: Vec<bool> = VC::ALL.iter().map(|c| c.satisfied_by(&record)).collect();
                     for (ci, &cs) in sat.iter().enumerate() {
                         if !cs {
                             continue;

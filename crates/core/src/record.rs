@@ -180,10 +180,7 @@ impl<V: Clone + Eq + Ord> RunRecord<V> {
     }
 
     /// Records decisions (process, value).
-    pub fn with_decisions(
-        mut self,
-        decisions: impl IntoIterator<Item = (ProcessId, V)>,
-    ) -> Self {
+    pub fn with_decisions(mut self, decisions: impl IntoIterator<Item = (ProcessId, V)>) -> Self {
         self.decisions.extend(decisions);
         self
     }

@@ -37,10 +37,14 @@ impl ProblemSpec {
             return Err(SpecError::new("n must be positive"));
         }
         if k == 0 || k > n {
-            return Err(SpecError::new(format!("k must be in 1..=n, got k={k}, n={n}")));
+            return Err(SpecError::new(format!(
+                "k must be in 1..=n, got k={k}, n={n}"
+            )));
         }
         if t > n {
-            return Err(SpecError::new(format!("t must be in 0..=n, got t={t}, n={n}")));
+            return Err(SpecError::new(format!(
+                "t must be in 0..=n, got t={t}, n={n}"
+            )));
         }
         Ok(ProblemSpec { n, k, t, validity })
     }
@@ -115,18 +119,14 @@ impl ProblemSpec {
         let mut decided = 0;
         for p in (0..record.n()).filter(|&p| !record.is_faulty(p)) {
             if let Some(d) = record.decision_of(p) {
-                let seen = (0..p)
-                    .any(|q| !record.is_faulty(q) && record.decision_of(q) == Some(d));
+                let seen = (0..p).any(|q| !record.is_faulty(q) && record.decision_of(q) == Some(d));
                 if !seen {
                     decided += 1;
                 }
             }
         }
         if decided > self.k {
-            violations.push(Violation::Agreement {
-                k: self.k,
-                decided,
-            });
+            violations.push(Violation::Agreement { k: self.k, decided });
         }
 
         // Validity.
@@ -222,7 +222,11 @@ impl fmt::Display for Violation {
                 write!(f, "{decided} distinct values decided, agreement allows {k}")
             }
             Violation::Validity { condition } => {
-                write!(f, "validity {condition} violated: {}", condition.statement())
+                write!(
+                    f,
+                    "validity {condition} violated: {}",
+                    condition.statement()
+                )
             }
         }
     }
@@ -342,8 +346,7 @@ mod tests {
     #[test]
     fn agreement_violation_counts_distinct_values() {
         let s = spec(2, 1, ValidityCondition::RV1);
-        let r = RunRecord::new(vec![1, 2, 3, 4])
-            .with_decisions([(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let r = RunRecord::new(vec![1, 2, 3, 4]).with_decisions([(0, 1), (1, 2), (2, 3), (3, 4)]);
         let report = s.check(&r);
         assert!(report.has_agreement_violation());
         assert!(!report.is_ok());
@@ -352,8 +355,7 @@ mod tests {
     #[test]
     fn validity_violation_reports_condition() {
         let s = spec(3, 1, ValidityCondition::RV1);
-        let r = RunRecord::new(vec![1, 2, 3, 4])
-            .with_decisions([(0, 9), (1, 9), (2, 9), (3, 9)]);
+        let r = RunRecord::new(vec![1, 2, 3, 4]).with_decisions([(0, 9), (1, 9), (2, 9), (3, 9)]);
         let report = s.check(&r);
         assert!(report.has_validity_violation());
         assert!(report.to_string().contains("RV1"));
@@ -381,7 +383,10 @@ mod tests {
         assert_eq!(report.violations().len(), 1);
         assert!(matches!(
             report.violations()[0],
-            Violation::WrongSystemSize { expected: 4, actual: 2 }
+            Violation::WrongSystemSize {
+                expected: 4,
+                actual: 2
+            }
         ));
     }
 

@@ -35,7 +35,14 @@ pub enum ValidityCondition {
     WV2,
 }
 
-crate::unit_enum!(ValidityCondition { SV1, SV2, RV1, RV2, WV1, WV2 });
+crate::unit_enum!(ValidityCondition {
+    SV1,
+    SV2,
+    RV1,
+    RV2,
+    WV1,
+    WV2
+});
 
 impl ValidityCondition {
     /// All six conditions, in the paper's order of introduction.
@@ -130,9 +137,7 @@ impl ValidityCondition {
 /// ∀ correct deciders p: `pred(decision_of(p))` — the quantifier shared by
 /// the four strong/regular conditions.
 fn all_correct_decisions<V>(record: &impl RunView<V>, mut pred: impl FnMut(&V) -> bool) -> bool {
-    (0..record.n()).all(|p| {
-        record.is_faulty(p) || record.decision_of(p).map_or(true, &mut pred)
-    })
+    (0..record.n()).all(|p| record.is_faulty(p) || record.decision_of(p).map_or(true, &mut pred))
 }
 
 /// The common input value, if all `n` processes started with the same.
@@ -226,9 +231,7 @@ mod tests {
         let bad = R::new(vec![1, 2]).with_decisions([(0, 9), (1, 1)]);
         assert!(!ValidityCondition::WV1.satisfied_by(&bad));
         // Same decisions with a planned failure: WV1 is vacuous.
-        let vac = R::new(vec![1, 2])
-            .with_faulty([1])
-            .with_decisions([(0, 9)]);
+        let vac = R::new(vec![1, 2]).with_faulty([1]).with_decisions([(0, 9)]);
         assert!(ValidityCondition::WV1.satisfied_by(&vac));
     }
 
@@ -238,9 +241,7 @@ mod tests {
         assert!(!ValidityCondition::WV2.satisfied_by(&bad));
         let vac_inputs = R::new(vec![4, 5]).with_decisions([(0, 9), (1, 9)]);
         assert!(ValidityCondition::WV2.satisfied_by(&vac_inputs));
-        let vac_fault = R::new(vec![4, 4])
-            .with_faulty([0])
-            .with_decisions([(1, 5)]);
+        let vac_fault = R::new(vec![4, 4]).with_faulty([0]).with_decisions([(1, 5)]);
         assert!(ValidityCondition::WV2.satisfied_by(&vac_fault));
     }
 
@@ -265,8 +266,10 @@ mod tests {
         let names: std::collections::BTreeSet<_> =
             ValidityCondition::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), 6);
-        let stmts: std::collections::BTreeSet<_> =
-            ValidityCondition::ALL.iter().map(|c| c.statement()).collect();
+        let stmts: std::collections::BTreeSet<_> = ValidityCondition::ALL
+            .iter()
+            .map(|c| c.statement())
+            .collect();
         assert_eq!(stmts.len(), 6);
         assert_eq!(ValidityCondition::SV1.to_string(), "SV1");
     }

@@ -24,7 +24,18 @@
 //! (drops per run under `mp_lossy`), `--inputs v0,v1,...` (explicit
 //! proposal vector, e.g. an all-equal vector for validity frontiers).
 //! Bounds:
-//! `--depth D`, `--preemptions P`, `--max-runs R`, `--max-states S`.
+//! `--depth D`, `--preemptions P`, `--max-runs R` (each fault pattern
+//! stops at the first wave barrier past `R` runs, so it may overshoot by
+//! up to a wave of task budgets; the verdict line prints the runs done),
+//! `--max-states S` (past `S` entries a task stops memoizing: slower,
+//! never bounded). A cell that held in every run explored, but that a
+//! bound cut short, reads `BOUNDED by <bound> over …`, not `HOLDS`.
+//!
+//! Exit status: 0 when every cell came out as expected (an explicit
+//! cell: held, or was violated by a counterexample that replays), 1 on a
+//! failure, 2 on a usage or configuration error, 3 when every cell came
+//! out as expected but at least one only within a bound (`BOUNDED`: not a
+//! certification).
 //! Parallelism: `--threads N` (`0`/`auto` = available parallelism, the
 //! default; every verdict, counter and counterexample byte is identical
 //! for every `N`). Symmetry reduction has no flag: a cell whose inputs
@@ -78,6 +89,43 @@ use kset_experiments::record_sink::write_jsonl;
 
 /// The binary's name in usage errors.
 const BIN: &str = "model_check";
+
+/// Exit status of a run whose cells all came out as expected, at least
+/// one of them only within a bound (`BOUNDED`): distinct from success
+/// (0), failure (1) and usage errors (2), because a bounded "holds" is
+/// not a certification.
+const EXIT_BOUNDED: u8 = 3;
+
+/// What the checked cells add up to.
+#[derive(Clone, Copy)]
+struct Status {
+    /// Every cell came out as expected.
+    ok: bool,
+    /// Some cell held only within a bound.
+    bounded: bool,
+}
+
+impl Status {
+    const OK: Status = Status {
+        ok: true,
+        bounded: false,
+    };
+
+    fn and(self, other: Status) -> Status {
+        Status {
+            ok: self.ok && other.ok,
+            bounded: self.bounded || other.bounded,
+        }
+    }
+
+    fn exit_code(self) -> ExitCode {
+        match self {
+            Status { ok: false, .. } => ExitCode::FAILURE,
+            Status { bounded: true, .. } => ExitCode::from(EXIT_BOUNDED),
+            Status { .. } => ExitCode::SUCCESS,
+        }
+    }
+}
 
 #[derive(Default)]
 struct Args {
@@ -255,14 +303,15 @@ fn default_counterexample_path(cfg: &CheckerConfig) -> PathBuf {
 /// reports it: prints the verdict, writes and replays a counterexample
 /// when violated, emits run records when asked, and adds the cell's bench
 /// row. Returns whether the outcome matched `expect_holds` (`None` = any
-/// outcome is fine) and the verdict, `None` when the campaign paused.
+/// outcome is fine) and was bounded, and the verdict, `None` when the
+/// campaign paused.
 fn run_cell(
     cfg: &CheckerConfig,
     args: &Args,
     expect_holds: Option<bool>,
     bench: &mut Vec<BenchCell>,
     campaign: Option<(&Path, &CampaignOptions)>,
-) -> (bool, Option<CellVerdict>) {
+) -> (Status, Option<CellVerdict>) {
     let started = Instant::now();
     let (verdict, visited, runs) = match campaign {
         None => check_cell_gauged(cfg),
@@ -282,7 +331,7 @@ fn run_cell(
                         "campaign paused at checkpoint {checkpoints} with {runs} run(s) recorded; \
                          continue with --resume"
                     );
-                    return (true, None);
+                    return (Status::OK, None);
                 }
                 (CampaignOutcome::Finished(verdict), visited, runs) => (*verdict, visited, runs),
             }
@@ -297,7 +346,7 @@ fn run_cell(
         cfg.validity,
         cfg.protocol.name(),
         cfg.n,
-        verdict
+        verdict.line(cfg)
     );
     let mut ok = true;
     if let Some(ce) = &verdict.counterexample {
@@ -349,7 +398,8 @@ fn run_cell(
             );
         }
     }
-    (ok, Some(verdict))
+    let bounded = verdict.bounded();
+    (Status { ok, bounded }, Some(verdict))
 }
 
 /// Cross-validates the checker against the analytic enumerator on a cell
@@ -456,18 +506,18 @@ fn main() -> ExitCode {
                 .unwrap_or(CampaignOptions::default().checkpoint_every),
             pause_after_checkpoints: args.pause_after_checkpoints,
         };
-        let (ok, verdict) = run_cell(&cfg, &args, None, &mut bench, Some((dir, &opts)));
+        let (status, verdict) = run_cell(&cfg, &args, None, &mut bench, Some((dir, &opts)));
         if verdict.is_some() {
             report_bench(&bench, cfg.threads, cfg.fork);
         }
-        return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        return status.exit_code();
     }
 
     if let Some(cfg) = explicit {
         // Explicit single-cell mode.
-        let (ok, _) = run_cell(&cfg, &args, None, &mut bench, None);
+        let (status, _) = run_cell(&cfg, &args, None, &mut bench, None);
         report_bench(&bench, cfg.threads, cfg.fork);
-        return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        return status.exit_code();
     }
 
     // Certification runs: a solvable crash cell verified exhaustively and
@@ -476,7 +526,6 @@ fn main() -> ExitCode {
     // one cell on each side of a Byzantine frontier (MP and SM) with the
     // replay of the emitted deviation script as the oracle.
     let (n_holds, n_viol) = if args.smoke { (3, 3) } else { (4, 4) };
-    let mut ok = true;
 
     println!("=== model_check: systematic schedule exploration of the real kernel ===\n");
     println!("[1/4] solvable crash cell (FloodMin, t < k — Lemma 3.1):");
@@ -488,10 +537,9 @@ fn main() -> ExitCode {
         ValidityCondition::RV1,
     );
     apply_bounds(&mut holds_cfg, &args);
-    let (cell_ok, verdict) = run_cell(&holds_cfg, &args, Some(true), &mut bench, None);
-    ok &= cell_ok;
+    let (mut status, verdict) = run_cell(&holds_cfg, &args, Some(true), &mut bench, None);
     let verdict = verdict.expect("an in-memory check never pauses");
-    ok &= run_cross_validation(&holds_cfg, &verdict);
+    status.ok &= run_cross_validation(&holds_cfg, &verdict);
 
     println!("\n[2/4] unsolvable crash cell (FloodMin, t >= k — outside Lemma 3.1):");
     let mut viol_cfg = CheckerConfig::new(
@@ -502,7 +550,7 @@ fn main() -> ExitCode {
         ValidityCondition::RV1,
     );
     apply_bounds(&mut viol_cfg, &args);
-    ok &= run_cell(&viol_cfg, &args, Some(false), &mut bench, None).0;
+    status = status.and(run_cell(&viol_cfg, &args, Some(false), &mut bench, None).0);
 
     // One Byzantine slot with a zero-forging menu against RV1 on
     // all-equal inputs: every correct process must decide the proposed 1,
@@ -516,7 +564,7 @@ fn main() -> ExitCode {
     mp_byz_cfg.byz_silence = true;
     mp_byz_cfg.inputs = Some(vec![1, 1, 1]);
     apply_bounds(&mut mp_byz_cfg, &args);
-    ok &= run_cell(&mp_byz_cfg, &args, Some(false), &mut bench, None).0;
+    status = status.and(run_cell(&mp_byz_cfg, &args, Some(false), &mut bench, None).0);
 
     // Protocol E under weak validity tolerates any number of Byzantine
     // registers for k >= 2 (Lemma 4.10): WV2 only binds when *all*
@@ -529,20 +577,18 @@ fn main() -> ExitCode {
     sm_byz_cfg.byz_menu = vec![0];
     sm_byz_cfg.inputs = Some(vec![1, 1, 1]);
     apply_bounds(&mut sm_byz_cfg, &args);
-    ok &= run_cell(&sm_byz_cfg, &args, Some(true), &mut bench, None).0;
+    status = status.and(run_cell(&sm_byz_cfg, &args, Some(true), &mut bench, None).0);
     report_bench(&bench, sm_byz_cfg.threads, sm_byz_cfg.fork);
 
     println!(
         "\n{}",
-        if ok {
-            "model_check: all certifications passed"
-        } else {
-            "model_check: FAILURES (see above)"
+        match status {
+            Status { ok: false, .. } => "model_check: FAILURES (see above)",
+            Status { bounded: true, .. } =>
+                "model_check: BOUNDED — every cell came out as expected, but a bound cut \
+                 the exploration short: not a certification",
+            Status { .. } => "model_check: all certifications passed",
         }
     );
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    status.exit_code()
 }

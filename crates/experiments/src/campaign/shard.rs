@@ -215,8 +215,8 @@ impl ShardTable for Shard {
         Shard::absorb_bits(self, fingerprint, set)
     }
 
-    fn live_entries(&self) -> u64 {
-        Shard::live_entries(self)
+    fn table(&self) -> &Visited {
+        &self.table
     }
 
     /// The table's resident bytes plus the records not yet flushed.

@@ -17,8 +17,8 @@ pub struct BenchCell {
     pub model: String,
     /// `holds` or `violated`.
     pub verdict: String,
-    /// The exploration hit `max_runs`/`max_states` first: a bounded
-    /// "holds" is *not* a certification.
+    /// A bound (`max_runs`, `depth` or `preemptions`) cut the
+    /// exploration short: a bounded "holds" is *not* a certification.
     pub bounded: bool,
     /// The digest mode the cell's inputs selected: `plain` or `canonical`.
     pub digest: String,
@@ -142,12 +142,16 @@ impl VisitedGauge {
     fn fields<'a>(&self, row: ObjectWriter<'a>) -> ObjectWriter<'a> {
         row.field("visited_entries", &self.entries)
             .field("visited_bytes", &self.bytes)
+            .field("visited_fingerprints", &self.fingerprints)
+            .field("visited_slots", &self.slots)
     }
 
     fn from_fields(f: &Fields<'_>) -> Result<Self, Error> {
         Ok(VisitedGauge {
             entries: f.get("visited_entries")?,
             bytes: f.get("visited_bytes")?,
+            fingerprints: f.get("visited_fingerprints")?,
+            slots: f.get("visited_slots")?,
         })
     }
 }
@@ -190,12 +194,13 @@ impl RunGauge {
 }
 
 /// One `--progress` line: the pattern's verdict counters so far, its
-/// queue and store sizes, and its gauges under the bench row's names.
+/// queue and store sizes, and its gauges under the bench row's names
+/// (`store`: the wave store as it stands, not its largest).
 pub(super) fn progress_line(
     cfg: &CheckerConfig,
     pattern: &PatternVerdict,
     queued_tasks: usize,
-    store_entries: u64,
+    store: VisitedGauge,
     gauge: &RunGauge,
 ) -> String {
     let mut line = String::new();
@@ -207,7 +212,8 @@ pub(super) fn progress_line(
         .field("dedup_hits", &pattern.dedup_hits)
         .field("sleep_skips", &pattern.sleep_skips)
         .field("queued_tasks", &queued_tasks)
-        .field("store_entries", &store_entries);
+        .field("store_entries", &store.entries);
+    let row = store.fields(row);
     gauge.fields(row, |row| row).finish();
     line
 }
@@ -233,6 +239,8 @@ mod tests {
             visited: VisitedGauge {
                 entries: 1912,
                 bytes: 89024,
+                fingerprints: 1440,
+                slots: 2560,
             },
             gauge: RunGauge {
                 events_fired: 12367,
@@ -250,7 +258,7 @@ mod tests {
         let text = json::to_string(&cell);
         assert_eq!(
             text,
-            r#"{"cell":"FloodMin SC(k=2,t=1,RV1) n=3","model":"mp_crash","verdict":"holds","bounded":false,"digest":"plain","patterns":4,"runs":6222,"states":5903,"tasks":89,"visited_entries":1912,"visited_bytes":89024,"events_fired":12367,"truncated_runs":5469,"wall_s":0.013,"runs_per_s":497760,"fold_s":0.250,"waves":5,"snapshots":2310,"resumes_copied":3908,"resumes_moved":2310,"store_probes":7559,"store_hits":1687}"#
+            r#"{"cell":"FloodMin SC(k=2,t=1,RV1) n=3","model":"mp_crash","verdict":"holds","bounded":false,"digest":"plain","patterns":4,"runs":6222,"states":5903,"tasks":89,"visited_entries":1912,"visited_bytes":89024,"visited_fingerprints":1440,"visited_slots":2560,"events_fired":12367,"truncated_runs":5469,"wall_s":0.013,"runs_per_s":497760,"fold_s":0.250,"waves":5,"snapshots":2310,"resumes_copied":3908,"resumes_moved":2310,"store_probes":7559,"store_hits":1687}"#
         );
         let back: BenchCell = json::from_str(&text).unwrap();
         assert_eq!(

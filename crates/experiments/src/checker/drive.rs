@@ -241,7 +241,7 @@ fn drain_pattern<T: ShardTable + Sync>(
             if let Some(every) = cfg.progress.map(NonZeroU64::get) {
                 if v.runs / every > reported / every {
                     reported = v.runs;
-                    let line = progress_line(cfg, v, queue.len(), store.live_entries(), gauge);
+                    let line = progress_line(cfg, v, queue.len(), VisitedGauge::of(store), gauge);
                     eprintln!("{line}");
                 }
             }
@@ -427,28 +427,40 @@ pub(crate) fn drive_cell<T: ShardTable + Sync>(
 /// The memory gauge of a cell's exploration: the largest in-memory
 /// visited store any of its patterns kept, read at wave barriers (where
 /// the store has just absorbed a wave and is largest), summed over the
-/// store's shards. Operational, not contract-covered: `bytes` depends on
-/// the tables' layout history.
+/// store's shards. Operational, not contract-covered: `bytes` and `slots`
+/// depend on the tables' layout and growth history.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct VisitedGauge {
     /// Most live minimal entries ([`Visited::live_entries`]).
     pub entries: u64,
     /// Most resident bytes ([`Visited::resident_bytes`]).
     pub bytes: u64,
+    /// Fingerprints of the store with the most index slots
+    /// ([`Visited::fingerprints`]); over `slots`, its index load.
+    pub fingerprints: u64,
+    /// Most index slots ([`Visited::slots`]).
+    pub slots: u64,
 }
 
 impl VisitedGauge {
     fn of<T: ShardTable>(store: &Sharded<T>) -> Self {
+        let tables = store.tables();
         VisitedGauge {
             entries: store.live_entries(),
-            bytes: store.tables().iter().map(T::resident_bytes).sum(),
+            bytes: tables.iter().map(T::resident_bytes).sum(),
+            fingerprints: tables.iter().map(|t| t.table().fingerprints()).sum(),
+            slots: tables.iter().map(|t| t.table().slots()).sum(),
         }
     }
 
     fn max(self, other: Self) -> Self {
+        let (slots, fingerprints) =
+            (self.slots, self.fingerprints).max((other.slots, other.fingerprints));
         VisitedGauge {
             entries: self.entries.max(other.entries),
             bytes: self.bytes.max(other.bytes),
+            fingerprints,
+            slots,
         }
     }
 }
@@ -574,29 +586,79 @@ impl CellVerdict {
     pub fn holds(&self) -> bool {
         self.counterexample.is_none()
     }
-}
 
-impl fmt::Display for CellVerdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Whether no explored run violated the cell but a bound cut the
+    /// exploration short: not a certification.
+    pub fn bounded(&self) -> bool {
+        self.holds() && !self.complete
+    }
+
+    /// The verdict line of the cell checked under `cfg`: the display, a
+    /// bounded verdict naming the bounds of `cfg` that can have cut it
+    /// short. `--max-states` never does: past it a task only stops
+    /// memoizing.
+    pub fn line(&self, cfg: &CheckerConfig) -> String {
+        let mut bounds = Vec::new();
+        if self
+            .patterns
+            .iter()
+            .any(|p| !p.complete && p.runs >= cfg.max_runs)
+        {
+            bounds.push(format!(
+                "--max-runs {} (each pattern stops at the first wave barrier past it)",
+                cfg.max_runs
+            ));
+        }
+        if cfg.depth != usize::MAX {
+            bounds.push(format!("--depth {}", cfg.depth));
+        }
+        if let Some(preemptions) = cfg.preemptions {
+            bounds.push(format!("--preemptions {preemptions}"));
+        }
+        let mut line = String::new();
+        self.write(&mut line, &bounds.join(" or "))
+            .expect("a String takes any line");
+        line
+    }
+
+    /// Writes the verdict line, a bounded verdict `BOUNDED by {bounds}`.
+    fn write(&self, out: &mut impl fmt::Write, bounds: &str) -> fmt::Result {
+        match (self.holds(), self.bounded()) {
+            (true, false) => out.write_str("HOLDS")?,
+            (true, true) if bounds.is_empty() => out.write_str("BOUNDED")?,
+            (true, true) => write!(out, "BOUNDED by {bounds}")?,
+            (false, _) => out.write_str("VIOLATED")?,
+        }
         write!(
-            f,
-            "{} over {} crash pattern(s): {} runs, worst agreement {}{}",
-            if self.holds() { "HOLDS" } else { "VIOLATED" },
+            out,
+            " over {} crash pattern(s): {} runs, worst agreement {}",
             self.patterns.len(),
             self.runs,
             self.worst_agreement,
-            if self.complete { "" } else { " (bounded)" },
         )?;
+        // A violation is a violation under any bound; its line keeps the
+        // marker it always had.
+        if !self.holds() && !self.complete {
+            out.write_str(" (bounded)")?;
+        }
         if let Some(ce) = &self.counterexample {
-            write!(f, "; counterexample: crashed={:?}, ", ce.crashed)?;
+            write!(out, "; counterexample: crashed={:?}, ", ce.crashed)?;
             // Only Byzantine cells name their slots, so crash-adversary
             // verdict lines stay byte-identical to earlier recordings.
             if !ce.byzantine.is_empty() {
-                write!(f, "byzantine={:?}, ", ce.byzantine)?;
+                write!(out, "byzantine={:?}, ", ce.byzantine)?;
             }
-            write!(f, "{} choice(s), {}", ce.choices.len(), ce.violation)?;
+            write!(out, "{} choice(s), {}", ce.choices.len(), ce.violation)?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for CellVerdict {
+    /// The verdict line; [`CellVerdict::line`] also names the bounds of a
+    /// bounded one.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, "")
     }
 }
 

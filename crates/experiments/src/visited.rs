@@ -14,10 +14,18 @@
 //! # Layout
 //!
 //! * **Index.** An open-addressing table of 32-byte slots, two to an
-//!   aligned cache line, probed linearly from the fingerprint's low bits.
-//!   Fingerprints are [`kset_sim::Mix64`]-avalanched digests, already
-//!   uniform over `u64`, so they index the table directly; re-hashing
-//!   them costs time and adds no dispersion (`PERFORMANCE.md`).
+//!   aligned cache line, probed linearly from the fingerprint's home slot
+//!   (its low 32 bits modulo the slot count), wrapping from the last slot
+//!   to slot 0. Fingerprints are [`kset_sim::Mix64`]-avalanched digests,
+//!   already uniform over `u64`, so they index the table directly;
+//!   re-hashing them costs time and adds no dispersion
+//!   (`PERFORMANCE.md`). The index doubles up to 4,096 slots and
+//!   grows by 5/4 from there, so a large table stays between 60 % and
+//!   75 % load instead of 37.5–75 %: the `n = 4` certification's largest
+//!   store spreads 489,910 fingerprints over 787,500 slots, not 1,048,576
+//!   (`PERFORMANCE.md`, "Right-sized visited index"). A table that never
+//!   passes the threshold keeps a power-of-two slot count and exactly the
+//!   slot order a doubling-only index gives it.
 //! * **Inline buckets.** A slot holds its fingerprint and 24 bytes: eight
 //!   3-byte fields. A bucket of at most eight sets whose ids are all
 //!   below 23 lives there, each set one field, a 23-bit bitmap tagged
@@ -103,6 +111,11 @@ const ID_LISTS: u64 = 0;
 
 /// Index capacity of a table's first allocation.
 const MIN_SLOTS: usize = 16;
+
+/// Slot count from which the index grows by 5/4 instead of doubling,
+/// holding a large table between 60 % and 75 % load. Smaller tables are
+/// cache-resident and rehash cheaply; the memory is in the large ones.
+const STEP_FROM: usize = 4096;
 
 /// Arenas shorter than this (in words) are never compacted: dead words
 /// there cost less than the compaction's bookkeeping.
@@ -196,7 +209,7 @@ impl Slot {
     }
 }
 
-/// The open-addressing index: a power of two of [`Slot`]s (or none) in one
+/// The open-addressing index: any number of [`Slot`]s (or none) in one
 /// byte buffer, the first at a [`SLOT`]-byte boundary, so that no slot
 /// straddles two cache lines. (A `#[repr(align(32))]` slot type would do
 /// the same through the allocator's aligned path, which on glibc costs
@@ -207,16 +220,42 @@ struct Index {
     /// Offset of slot 0 in `bytes`.
     first: usize,
     slots: usize,
+    /// `⌊(2^64 − 1) / slots⌋ + 1`, the reciprocal [`Index::home`]
+    /// multiplies by.
+    reciprocal: u64,
 }
 
 impl Index {
     fn new(slots: usize) -> Index {
+        // `home` is exact for slot counts up to 2^32.
+        assert!(
+            slots > 0 && slots as u64 <= 1 << 32,
+            "visited index of {slots} slots"
+        );
         let bytes = vec![0; slots * SLOT + SLOT - 1];
         let first = bytes.as_ptr().align_offset(SLOT);
         Index {
             bytes,
             first,
             slots,
+            reciprocal: (u64::MAX / slots as u64).wrapping_add(1),
+        }
+    }
+
+    /// The home slot of `fingerprint`: its low 32 bits modulo the slot
+    /// count, by Lemire's multiply-only "fastmod" (exact for 32-bit
+    /// operands). At a power of two this is `fingerprint & (slots - 1)`.
+    fn home(&self, fingerprint: u64) -> usize {
+        let fraction = self.reciprocal.wrapping_mul(u64::from(fingerprint as u32));
+        ((u128::from(fraction) * self.slots as u128) >> 64) as usize
+    }
+
+    /// The slot after `at`, wrapping from the last slot to slot 0.
+    fn next(&self, at: usize) -> usize {
+        if at + 1 == self.slots {
+            0
+        } else {
+            at + 1
         }
     }
 
@@ -317,6 +356,16 @@ impl Visited {
     /// Minimal entries currently stored, across all fingerprints.
     pub fn live_entries(&self) -> u64 {
         self.live
+    }
+
+    /// Fingerprints stored: the index's occupied slots.
+    pub fn fingerprints(&self) -> u64 {
+        self.fingerprints as u64
+    }
+
+    /// Index slots, occupied or not.
+    pub fn slots(&self) -> u64 {
+        self.index.slots as u64
     }
 
     /// Bytes the table keeps resident: the index plus the used part of
@@ -508,8 +557,7 @@ impl Visited {
         if self.index.slots == 0 {
             return Err(0);
         }
-        let mask = self.index.slots - 1;
-        let mut at = fingerprint as usize & mask;
+        let mut at = self.index.home(fingerprint);
         loop {
             let slot = self.index.get(at);
             if slot.is_empty() {
@@ -518,23 +566,27 @@ impl Visited {
             if slot.fingerprint() == fingerprint {
                 return Ok(at);
             }
-            at = (at + 1) & mask;
+            at = self.index.next(at);
         }
     }
 
-    /// Doubles the index (or allocates the first one) and re-places every
-    /// occupied slot.
+    /// Grows the index (or allocates the first one) and re-places every
+    /// occupied slot: doubling below [`STEP_FROM`] slots, by 5/4 from
+    /// there on.
     fn grow(&mut self) {
-        let capacity = (self.index.slots * 2).max(MIN_SLOTS);
+        let capacity = match self.index.slots {
+            0 => MIN_SLOTS,
+            small if small < STEP_FROM => small * 2,
+            large => large + large / 4,
+        };
         let old = std::mem::replace(&mut self.index, Index::new(capacity));
-        let mask = capacity - 1;
         for slot in (0..old.slots).map(|at| old.get(at)) {
             if slot.is_empty() {
                 continue;
             }
-            let mut at = slot.fingerprint() as usize & mask;
+            let mut at = self.index.home(slot.fingerprint());
             while !self.index.get(at).is_empty() {
-                at = (at + 1) & mask;
+                at = self.index.next(at);
             }
             self.index.set(at, slot);
         }
@@ -633,8 +685,8 @@ pub trait ShardTable: Default + Send {
     /// was inserted.
     fn absorb_bits(&mut self, fingerprint: u64, set: &[u64]) -> bool;
 
-    /// Minimal entries currently stored.
-    fn live_entries(&self) -> u64;
+    /// The shard's in-memory table.
+    fn table(&self) -> &Visited;
 
     /// Bytes the table keeps resident ([`Visited::resident_bytes`]).
     fn resident_bytes(&self) -> u64;
@@ -649,8 +701,8 @@ impl ShardTable for Visited {
         Visited::absorb_bits(self, fingerprint, set)
     }
 
-    fn live_entries(&self) -> u64 {
-        Visited::live_entries(self)
+    fn table(&self) -> &Visited {
+        self
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -706,7 +758,7 @@ impl<T: ShardTable> Sharded<T> {
 
     /// Minimal entries stored across all shards.
     pub fn live_entries(&self) -> u64 {
-        self.tables.iter().map(T::live_entries).sum()
+        self.tables.iter().map(|t| t.table().live_entries()).sum()
     }
 
     /// The number of shards, the count tables must be
@@ -1105,7 +1157,10 @@ mod tests {
             table.covers(fingerprint, &sleep),
             table.live_entries(),
             table.inserted(),
-            stored_sets(table).remove(&fingerprint),
+            table.probe(fingerprint).ok().map(|at| {
+                let sets = table.bucket(at).sets();
+                sets.map(|set| set.ids().collect()).collect()
+            }),
         );
         let want = (
             model.covers(fingerprint, query),
@@ -1126,11 +1181,16 @@ mod tests {
     /// step; then folds all tables into one in `order` and in index
     /// order, which must agree. Returns the compactions observed.
     fn replay(ops: &[Op], order: &[usize]) -> Result<u32, String> {
+        replay_over(&FINGERPRINTS, ops, order)
+    }
+
+    /// [`replay`] with ops whose fingerprint field indexes `fingerprints`.
+    fn replay_over(fingerprints: &[u64], ops: &[Op], order: &[usize]) -> Result<u32, String> {
         let mut tables: Vec<Visited> = (0..TABLES).map(|_| Visited::default()).collect();
         let mut models = vec![Model::default(); TABLES];
         let mut compactions = 0;
         for (step, (kind, table, other, fingerprint, ids)) in ops.iter().enumerate() {
-            let fingerprint = FINGERPRINTS[*fingerprint];
+            let fingerprint = fingerprints[*fingerprint];
             let set: BTreeSet<u64> = ids.iter().copied().collect();
             let dead_before = tables[*table].dead;
             match kind {
@@ -1189,7 +1249,7 @@ mod tests {
             ));
         }
         for (_, _, _, fingerprint, ids) in ops {
-            let fingerprint = FINGERPRINTS[*fingerprint];
+            let fingerprint = fingerprints[*fingerprint];
             let query: BTreeSet<u64> = ids.iter().copied().collect();
             let want = everything.covers(fingerprint, &query);
             let sleep = sleep_of(&query);
@@ -1341,6 +1401,7 @@ mod tests {
             let shard = &sharded.tables()[shard_of(fp, SHARDS)];
             assert_eq!(stored_sets(shard), stored_sets(&serial));
         }
+        large_tables_match_reference_model();
         let op = (
             in_range(0u8..4),
             in_range(0..TABLES),
@@ -1363,6 +1424,103 @@ mod tests {
                 prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
                 Ok(())
             },
+        );
+    }
+
+    /// The reference-model replay on tables that cross [`STEP_FROM`] slots
+    /// and grow through sizes that are not powers of two. While the index
+    /// has `slots` slots, three fingerprints whose low 32 bits are
+    /// `slots - 1` modulo `slots` arrive: they share the last slot as
+    /// their home, so their probe runs wrap to slot 0.
+    fn large_tables_match_reference_model() {
+        let mut rng = SplitMix64::new(29);
+        let mut fingerprints = Vec::new();
+        let mut ops: Vec<Op> = Vec::new();
+        // (slots, the last wrapping fingerprint's op)
+        let mut wraps = Vec::new();
+        let absorb = |fingerprint: u64, ops: &mut Vec<Op>, fingerprints: &mut Vec<u64>| {
+            let at = fingerprints.len();
+            fingerprints.push(fingerprint);
+            // Mostly inline buckets, every ninth in the arena (id 30),
+            // every fifth with a second set, one table in three absorbing
+            // it: merges then cross tables of different sizes.
+            let ids = if at % 9 == 0 {
+                vec![1, 30]
+            } else {
+                vec![at as u64 % 23]
+            };
+            ops.push((1, at % 3 / 2, 0, at, ids));
+            if at % 5 == 0 {
+                ops.push((1, at % 3 / 2, 0, at, vec![22]));
+            }
+        };
+        // Fingerprint counts at which the index has each size: 5,120
+        // slots hold 3,073..=3,840 fingerprints, and so on.
+        for (slots, count) in [
+            (5_120, 3_500),
+            (6_400, 4_300),
+            (8_000, 5_500),
+            (10_000, 7_000),
+        ] {
+            while fingerprints.len() < count {
+                absorb(rng.next_u64(), &mut ops, &mut fingerprints);
+            }
+            for k in 1..=3u64 {
+                absorb(
+                    (k << 40) | (k * slots as u64 - 1),
+                    &mut ops,
+                    &mut fingerprints,
+                );
+            }
+            wraps.push((slots, ops.len() - 1));
+        }
+        ops.extend([
+            (2, 0, 0, 0, vec![5]),
+            (3, 2, 0, 0, vec![]),
+            (3, 2, 1, 1, vec![]),
+            (3, 1, 2, fingerprints.len() - 1, vec![]),
+        ]);
+        replay_over(&fingerprints, &ops, &[2, 0, 1]).unwrap();
+        // The same absorbs in one table: the index passes through each
+        // size, and each third wrapping fingerprint sits before the home
+        // slot it shares with the other two.
+        let mut table = Visited::default();
+        for (step, (_, _, _, at, ids)) in ops.iter().enumerate() {
+            absorb_ids(&mut table, fingerprints[*at], ids);
+            if let Some(&(slots, _)) = wraps.iter().find(|&&(_, last)| last == step) {
+                assert_eq!(table.index.slots, slots);
+                let found = table.probe(fingerprints[*at]).unwrap();
+                assert!(found < slots - 1, "slot {found} of {slots}: no wrap");
+            }
+        }
+    }
+
+    #[test]
+    fn large_tables_stay_between_60_and_75_percent_load() {
+        let mut rng = SplitMix64::new(31);
+        let mut table = Visited::default();
+        let mut sizes = Vec::new();
+        for _ in 0..40_000 {
+            let before = table.index.slots;
+            with_bitmap([1u64].into_iter(), |set| {
+                table.absorb_bits(rng.next_u64(), set)
+            });
+            let slots = table.index.slots;
+            let load = table.fingerprints as f64 / slots as f64;
+            assert!(load <= 0.75, "load {load} at {slots} slots");
+            if slots != before {
+                sizes.push(slots);
+            }
+            if slots > STEP_FROM {
+                assert!(load >= 0.6, "load {load} at {slots} slots");
+            }
+        }
+        assert_eq!(
+            sizes,
+            [
+                16, 32, 64, 128, 256, 512, 1_024, 2_048, 4_096, 5_120, 6_400, 8_000, 10_000,
+                12_500, 15_625, 19_531, 24_413, 30_516, 38_145, 47_681, 59_601
+            ]
         );
     }
 
@@ -1473,16 +1631,16 @@ mod tests {
         words
     }
 
-    /// A fixed absorb sequence: a few hundred fingerprints, some drawn
-    /// far more often than others (buckets of 1 to about 25 sets), and
-    /// sets of one to three ids, mostly below 24, some of 24–40 and the
-    /// odd one at 512 or above.
-    fn golden_table(seed: u64, absorbs: usize) -> Visited {
+    /// A fixed absorb sequence over `count` fingerprints, some drawn far
+    /// more often than others (with 300 fingerprints, buckets of 1 to
+    /// about 25 sets), and sets of one to three ids, mostly below 24, some
+    /// of 24–40 and the odd one at 512 or above.
+    fn golden_table(seed: u64, count: u64, absorbs: usize) -> Visited {
         let mut rng = SplitMix64::new(seed);
-        let fingerprints: Vec<u64> = (0..300).map(|_| rng.next_u64()).collect();
+        let fingerprints: Vec<u64> = (0..count).map(|_| rng.next_u64()).collect();
         let mut table = Visited::default();
         for _ in 0..absorbs {
-            let skew = rng.next_u64() % 300;
+            let skew = rng.next_u64() % count;
             let fingerprint = fingerprints[(rng.next_u64() % (skew + 1)) as usize];
             let ids: Vec<u64> = (0..1 + rng.next_u64() % 3)
                 .map(|_| match rng.next_u64() % 128 {
@@ -1501,7 +1659,7 @@ mod tests {
         // Campaign shard logs and the wave store's fold order follow the
         // buckets' index order and each bucket's storage order; a layout
         // change must keep both byte for byte.
-        let table = golden_table(23, 2500);
+        let table = golden_table(23, 300, 2500);
         let largest = table.buckets().map(|(_, b)| b.sets().count()).max();
         assert!(largest >= Some(9), "largest bucket {largest:?}");
         let buckets = bucket_words(&table);
@@ -1511,7 +1669,10 @@ mod tests {
         partition.extend(partitioned.bounds.iter().map(|&at| at as u64));
         // Fold it with a second table, as a wave barrier would.
         let mut store = Sharded::<Visited>::new(SHARDS);
-        store.fold(&[partitioned, golden_table(24, 1500).partition(SHARDS)], 2);
+        store.fold(
+            &[partitioned, golden_table(24, 300, 1500).partition(SHARDS)],
+            2,
+        );
         let folded: Vec<u64> = store.tables().iter().flat_map(bucket_words).collect();
         assert_eq!(
             (
@@ -1530,8 +1691,28 @@ mod tests {
     }
 
     #[test]
+    fn order_past_the_step_threshold_is_pinned() {
+        // A table past STEP_FROM slots, at a size that is not a power of
+        // two: its index order follows the modulo home slot and the
+        // wrapping probe, and campaign shard logs follow that order.
+        let table = golden_table(25, 20_000, 24_000);
+        assert_eq!(
+            (table.index.slots, table.fingerprints, table.live_entries()),
+            (15_625, 10_963, 22_705)
+        );
+        let words = bucket_words(&table);
+        let partitioned = table.partition(SHARDS);
+        let mut partition = partitioned.words.clone();
+        partition.extend(partitioned.bounds.iter().map(|&at| at as u64));
+        assert_eq!(
+            (words_hash(&words), words_hash(&partition)),
+            (14_950_074_382_307_773_450, 17_091_544_007_652_412_694)
+        );
+    }
+
+    #[test]
     fn slots_never_straddle_a_cache_line() {
-        for slots in [MIN_SLOTS, 64, 1 << 12] {
+        for slots in [MIN_SLOTS, 64, 1 << 12, 5_120, 6_400, 19_531] {
             let index = Index::new(slots);
             for at in [0, 1, slots - 1] {
                 assert_eq!(

@@ -259,3 +259,65 @@ fn model_check_refuses_invalid_cells_with_exit_2() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn model_check_reports_a_bounded_cell_as_bounded_with_exit_3() {
+    // A bound that cuts a holding cell short is not a certification: the
+    // verdict line leads with BOUNDED, names the bound and the runs done,
+    // and the exit status is neither success (0), failure (1) nor usage
+    // (2). `--max-runs` is read at wave barriers, so each pattern runs
+    // past it (4 seed runs under a budget of 0; 28,223 runs under 1,000).
+    let bin = env!("CARGO_BIN_EXE_model_check");
+    let cell = [
+        "--protocol",
+        "floodmin",
+        "--k",
+        "2",
+        "--t",
+        "1",
+        "--validity",
+        "RV1",
+    ];
+    for (n, max_runs, line) in [
+        (
+            "3",
+            "0",
+            "SC(k=2, t=1, RV1) for FloodMin at n=3: BOUNDED by --max-runs 0 (each pattern \
+             stops at the first wave barrier past it) over 4 crash pattern(s): 4 runs, \
+             worst agreement 1",
+        ),
+        (
+            "4",
+            "1000",
+            "SC(k=2, t=1, RV1) for FloodMin at n=4: BOUNDED by --max-runs 1000 (each pattern \
+             stops at the first wave barrier past it) over 5 crash pattern(s): 28223 runs, \
+             worst agreement 2",
+        ),
+    ] {
+        let out = Command::new(bin)
+            .args(cell)
+            .args(["--n", n, "--max-runs", max_runs, "--threads", "2"])
+            .output()
+            .expect("run model_check");
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "n={n} --max-runs {max_runs}: {out:?}"
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout.lines().next(), Some(line), "{stdout}");
+        assert!(!stdout.contains("HOLDS"), "{stdout}");
+    }
+    // The same cell unbounded holds, and exits 0.
+    let out = Command::new(bin)
+        .args(cell)
+        .args(["--n", "3", "--threads", "2"])
+        .output()
+        .expect("run model_check");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(": HOLDS over 4 crash pattern(s)"),
+        "{stdout}"
+    );
+}
