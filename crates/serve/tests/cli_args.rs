@@ -67,6 +67,8 @@ fn serve_bench_rejects_bad_config_with_exit_2() {
     let out = out.to_str().expect("utf-8 temp path");
     let extra: &[&[&str]] = &[
         &["--queue-depth", "0"],
+        &["--rate", "0"],
+        &["--rate", "fast"],
         &["--threads", "1,0"],
         &["--threads", ""],
     ];
