@@ -41,8 +41,13 @@ pub const MANIFEST_VERSION: u64 = 1;
 pub enum CampaignStatus {
     /// Created or resumed, not yet finished; `--resume` continues it.
     Running,
-    /// Finished with no violation in any crash pattern.
+    /// Finished with no violation in any crash pattern, every pattern
+    /// explored in full.
     Holds,
+    /// Finished with no violation, but a bound (`--max-runs`, `--depth`,
+    /// `--preemptions`) cut at least one pattern short: not a
+    /// certification.
+    Bounded,
     /// Finished at a violation; the counterexample is in the snapshot and
     /// (if requested) the emitted script.
     Violated,
@@ -53,6 +58,7 @@ impl fmt::Display for CampaignStatus {
         f.write_str(match self {
             CampaignStatus::Running => "running",
             CampaignStatus::Holds => "holds",
+            CampaignStatus::Bounded => "bounded",
             CampaignStatus::Violated => "violated",
         })
     }
@@ -63,6 +69,7 @@ impl CampaignStatus {
         Some(match s.trim() {
             "running" => CampaignStatus::Running,
             "holds" => CampaignStatus::Holds,
+            "bounded" => CampaignStatus::Bounded,
             "violated" => CampaignStatus::Violated,
             _ => return None,
         })
@@ -441,6 +448,27 @@ mod tests {
         cfg.preemptions = Some(3);
         cfg.max_runs = 123_456;
         cfg
+    }
+
+    #[test]
+    fn every_status_round_trips_through_its_manifest_word() {
+        let dir = std::env::temp_dir().join(format!("kset_manifest_status_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let mut manifest = Manifest::new(&sample_config(), 2);
+        for (status, word) in [
+            (CampaignStatus::Running, "running"),
+            (CampaignStatus::Holds, "holds"),
+            (CampaignStatus::Bounded, "bounded"),
+            (CampaignStatus::Violated, "violated"),
+        ] {
+            manifest.status = status;
+            write_manifest(&dir, &manifest).unwrap();
+            let text = fs::read_to_string(manifest_path(&dir)).unwrap();
+            assert!(text.contains(&format!("status: {word}\n")), "{text}");
+            assert_eq!(read_manifest(&dir).unwrap().status, status);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -426,7 +426,11 @@ impl CellHooks<Shard> for Checkpoints<'_> {
             self.manifest.status = CampaignStatus::Violated;
         } else {
             if decided {
-                self.manifest.status = CampaignStatus::Holds;
+                self.manifest.status = if done.iter().all(|p| p.complete) {
+                    CampaignStatus::Holds
+                } else {
+                    CampaignStatus::Bounded
+                };
             }
             // The visited set is per-pattern, so clear the store into a
             // fresh log generation before the boundary checkpoint.

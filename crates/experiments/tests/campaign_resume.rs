@@ -309,6 +309,43 @@ fn model_check_binary_campaign_rows_carry_the_in_memory_gauges() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn model_check_bounded_campaign_records_bounded_and_refuses_resume() {
+    // A campaign cut short by a bound exits 3 like the direct run, and its
+    // MANIFEST must say so: `holds` would claim a certification.
+    let bin = env!("CARGO_BIN_EXE_model_check");
+    let dir = tmp_dir("bounded");
+    let cell = [
+        "--protocol", "floodmin", "--n", "3", "--k", "2", "--t", "1", "--validity", "RV1",
+        "--max-runs", "0", "--threads", "1",
+    ];
+    let run = Command::new(bin)
+        .args(cell)
+        .arg("--campaign-dir")
+        .arg(&dir)
+        .output()
+        .expect("run bounded campaign");
+    assert_eq!(run.status.code(), Some(3), "{run:?}");
+    assert!(
+        String::from_utf8_lossy(&run.stdout).contains("BOUNDED by --max-runs 0"),
+        "{run:?}"
+    );
+    assert_eq!(read_manifest(&dir).unwrap().status, CampaignStatus::Bounded);
+    let text = fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    assert!(text.lines().any(|l| l == "status: bounded"), "{text}");
+
+    let again = Command::new(bin)
+        .arg("--campaign-dir")
+        .arg(&dir)
+        .arg("--resume")
+        .output()
+        .expect("resume bounded campaign");
+    assert!(!again.status.success());
+    let stderr = String::from_utf8(again.stderr).unwrap();
+    assert!(stderr.contains("finished (bounded)"), "{stderr}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Every file under `dir` with its bytes.
 fn tree_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
     let mut files = Vec::new();
