@@ -177,7 +177,12 @@ mod tests {
         m
     }
 
-    fn variants(policy: &DeviationPolicy, meta: &EventMeta, noop: bool, state: &RunState) -> Vec<Deviation> {
+    fn variants(
+        policy: &DeviationPolicy,
+        meta: &EventMeta,
+        noop: bool,
+        state: &RunState,
+    ) -> Vec<Deviation> {
         let mut out = Vec::new();
         policy.for_each_deviation(meta, noop, state, |d| out.push(d));
         out
@@ -241,7 +246,10 @@ mod tests {
         let mut state = RunState::new(2);
         state.mark_byzantine(0);
         let step = EventMeta::new(EventKind::LocalStep, 1);
-        assert_eq!(variants(&policy, &step, false, &state), vec![Deviation::Faithful]);
+        assert_eq!(
+            variants(&policy, &step, false, &state),
+            vec![Deviation::Faithful]
+        );
     }
 
     #[test]

@@ -279,10 +279,7 @@ mod tests {
         assert_eq!(7u64.state_digest(), 7u64.state_digest());
         assert_ne!(7u64.state_digest(), 8u64.state_digest());
         assert_ne!(Some(0u64).state_digest(), None::<u64>.state_digest());
-        assert_ne!(
-            vec![1u64, 2].state_digest(),
-            vec![2u64, 1].state_digest()
-        );
+        assert_ne!(vec![1u64, 2].state_digest(), vec![2u64, 1].state_digest());
     }
 
     #[test]

@@ -105,8 +105,11 @@ impl System {
     /// * Any error surfaced by [`Substrate::apply`], e.g.
     ///   [`SimError::ProcessOutOfRange`] for a send outside `0..n`.
     pub fn run<S: Substrate>(self, procs: Vec<S::Process>) -> Result<Outcome<S::Output>, SimError> {
-        drive(self.session::<S, FaithfulDelivery>(procs)?, &mut RunArena::new())
-            .map(|(outcome, _digests, _shared)| outcome)
+        drive(
+            self.session::<S, FaithfulDelivery>(procs)?,
+            &mut RunArena::new(),
+        )
+        .map(|(outcome, _digests, _shared)| outcome)
     }
 
     /// Runs the system like [`System::run`] but honours delivery
@@ -123,8 +126,11 @@ impl System {
         self,
         procs: Vec<S::Process>,
     ) -> Result<Outcome<S::Output>, SimError> {
-        drive(self.session::<S, DeviantDelivery>(procs)?, &mut RunArena::new())
-            .map(|(outcome, _digests, _shared)| outcome)
+        drive(
+            self.session::<S, DeviantDelivery>(procs)?,
+            &mut RunArena::new(),
+        )
+        .map(|(outcome, _digests, _shared)| outcome)
     }
 
     /// Runs the system like [`System::run`], additionally computing a

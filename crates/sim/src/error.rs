@@ -41,7 +41,10 @@ impl fmt::Display for SimError {
                 write!(f, "event limit of {limit} exceeded before termination")
             }
             SimError::ProcessOutOfRange { pid, n } => {
-                write!(f, "process index {pid} out of range for system of {n} processes")
+                write!(
+                    f,
+                    "process index {pid} out of range for system of {n} processes"
+                )
             }
             SimError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             SimError::ModelViolation(msg) => write!(f, "model violation: {msg}"),
@@ -58,7 +61,10 @@ mod tests {
     #[test]
     fn display_messages_are_lowercase_and_informative() {
         let e = SimError::EventLimitExceeded { limit: 10 };
-        assert_eq!(e.to_string(), "event limit of 10 exceeded before termination");
+        assert_eq!(
+            e.to_string(),
+            "event limit of 10 exceeded before termination"
+        );
         let e = SimError::ProcessOutOfRange { pid: 9, n: 4 };
         assert!(e.to_string().contains("process index 9"));
         let e = SimError::InvalidConfig("t may not exceed n".into());

@@ -145,9 +145,7 @@ impl FaultPlan {
     /// Crash-model quantifiers use this to *reject* plans they cannot
     /// meaningfully count (a Byzantine slot is not a crash with a budget).
     pub fn has_byzantine(&self) -> bool {
-        self.specs
-            .iter()
-            .any(|s| s.kind() == FaultKind::Byzantine)
+        self.specs.iter().any(|s| s.kind() == FaultKind::Byzantine)
     }
 
     /// Remaining action budget for `pid` given that it has already performed

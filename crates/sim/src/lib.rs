@@ -70,8 +70,8 @@ mod digest;
 mod drivers;
 mod error;
 mod event;
-mod fifo_channels;
 mod fault;
+mod fifo_channels;
 mod fork;
 mod gate;
 mod kernel;
@@ -86,12 +86,14 @@ mod trace;
 
 pub use arena::{DigestMode, RunArena};
 pub use choice::{ChoiceLog, ChoiceOption, ChoicePoint, ChoiceScheduler};
+pub use config::{RunConfig, System};
 pub use deviate::{Deviation, DeviationPolicy};
 pub use digest::{Fnv64, Mix64, StateDigest};
+pub use drivers::DigestedRun;
 pub use error::SimError;
 pub use event::{ChannelId, EventId, EventKind, EventMeta, ProcessId};
-pub use fifo_channels::ChannelFifo;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
+pub use fifo_channels::ChannelFifo;
 pub use fork::{AlwaysBranch, ForkConfig, ForkCounters, ForkGate, ForkSession, RunSnapshot};
 pub use gate::{DelayRule, GatedScheduler, Until};
 pub use kernel::{EventHasher, Kernel, KernelSnapshot};
@@ -102,11 +104,9 @@ pub use sched::{
     FifoScheduler, LifoScheduler, RandomScheduler, Scheduler, ScriptedScheduler,
     StarvationScheduler,
 };
+pub use session::{Delivery, DeviantDelivery, FaithfulDelivery, Payload, Poll, Session};
 pub use state::RunState;
 pub use substrate::{
     CallInfo, ContextCore, Effect, Substrate, SubstrateAdv, SubstrateDigest, SubstrateFork,
 };
-pub use config::{RunConfig, System};
-pub use drivers::DigestedRun;
-pub use session::{Delivery, DeviantDelivery, FaithfulDelivery, Payload, Poll, Session};
 pub use trace::{RunStats, Trace, TraceEntry};

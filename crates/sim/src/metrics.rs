@@ -271,7 +271,12 @@ impl FromJson for Histogram {
             return Err(json::Error::Schema(message));
         }
         let (count, sum, max) = (f.get("count")?, f.get("sum")?, f.get("max")?);
-        Ok(Histogram { buckets, count, sum, max })
+        Ok(Histogram {
+            buckets,
+            count,
+            sum,
+            max,
+        })
     }
 }
 
@@ -427,7 +432,10 @@ mod tests {
         assert_eq!(h.buckets[11], 1);
         assert_eq!(json::from_str(&json::to_string(&h)), Ok(h));
         for len in [64, 66] {
-            let text = format!(r#"{{"buckets":{:?},"count":0,"sum":0,"max":0}}"#, vec![0; len]);
+            let text = format!(
+                r#"{{"buckets":{:?},"count":0,"sum":0,"max":0}}"#,
+                vec![0; len]
+            );
             assert!(json::from_str::<Histogram>(&text).is_err(), "{len} buckets");
         }
     }

@@ -190,10 +190,7 @@ mod tests {
 
     fn post_workload(kernel: &mut Kernel<u32>) {
         for i in 0..40u32 {
-            kernel.post(
-                EventMeta::new(EventKind::LocalStep, i as usize % 5),
-                i,
-            );
+            kernel.post(EventMeta::new(EventKind::LocalStep, i as usize % 5), i);
         }
     }
 

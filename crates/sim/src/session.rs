@@ -231,7 +231,9 @@ impl<S: Substrate> RunCore<S> {
         // memory — the lazy branch never triggers.)
         if !self.started[pid] {
             self.started[pid] = true;
-            self.dispatch(kernel, pid, |p, sh, info, out| S::on_start(p, sh, info, out))?;
+            self.dispatch(kernel, pid, |p, sh, info, out| {
+                S::on_start(p, sh, info, out)
+            })?;
             if matches!(payload, Payload::Start) {
                 return Ok(());
             }
@@ -400,7 +402,11 @@ impl DigestEngine {
     /// An engine whose scratch buffers are recycled from `arena` (the
     /// digest chain and per-process cache cleared, the canonical scratch
     /// taken as-is) — the model checker's hot construction path.
-    pub(crate) fn from_arena(mode: DigestMode, plan: Option<FaultPlan>, arena: &mut RunArena) -> Self {
+    pub(crate) fn from_arena(
+        mode: DigestMode,
+        plan: Option<FaultPlan>,
+        arena: &mut RunArena,
+    ) -> Self {
         let mut digests = std::mem::take(&mut arena.digests);
         digests.clear();
         let mut proc_digests = std::mem::take(&mut arena.proc_digests);
@@ -584,12 +590,8 @@ impl DigestEngine {
 /// function pointer (specialized per substrate at the driver layer) so the
 /// non-digesting hot path stores `None` and pays one branch, not a
 /// virtual call.
-pub(crate) type ObserveFn<S> = fn(
-    &EventMeta,
-    &Kernel<Payload<<S as Substrate>::Payload>>,
-    &RunCore<S>,
-    &mut DigestEngine,
-);
+pub(crate) type ObserveFn<S> =
+    fn(&EventMeta, &Kernel<Payload<<S as Substrate>::Payload>>, &RunCore<S>, &mut DigestEngine);
 
 /// The incremental observer: [`DigestEngine::observe`] on the dispatched
 /// event — the discipline of `run_digested_in` and `run_digested_adv_in`.
@@ -666,8 +668,7 @@ impl<S: Substrate, D: Delivery<S>> Session<S, D> {
         dig: DigestEngine,
     ) -> Self {
         let n = config.n;
-        let mut kernel: Kernel<Payload<S::Payload>> =
-            Kernel::with_processes(config.scheduler, n);
+        let mut kernel: Kernel<Payload<S::Payload>> = Kernel::with_processes(config.scheduler, n);
         if let Some(limit) = config.event_limit {
             kernel = kernel.event_limit(limit);
         }
@@ -787,7 +788,10 @@ impl<S: Substrate, D: Delivery<S>> Session<S, D> {
     /// [`Session::finish`] returning the kernel's pool buffers and the
     /// digest scratch to `arena`, and handing back the digest chain — the
     /// driver-layer teardown.
-    pub(crate) fn finish_into(self, arena: &mut RunArena) -> (Outcome<S::Output>, Vec<u64>, S::Shared) {
+    pub(crate) fn finish_into(
+        self,
+        arena: &mut RunArena,
+    ) -> (Outcome<S::Output>, Vec<u64>, S::Shared) {
         let outcome = outcome_of(&self.kernel, &self.core.plan, self.core.decisions);
         let (metas, hashes, payload_hashes) = self.kernel.reclaim_buffers();
         arena.metas = metas;
