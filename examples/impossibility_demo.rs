@@ -47,6 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nrun timeline (per-process lanes; d<pX = delivery from pX):\n");
     print!("{}", outcome.trace.render_timeline(n));
-    println!("\n(the full set of re-enactments: cargo run -p kset-experiments --bin counterexamples)");
+    println!(
+        "\n(the full set of re-enactments: cargo run -p kset-experiments --bin counterexamples)"
+    );
     Ok(())
 }

@@ -18,7 +18,10 @@ fn describe(model: Model, v: VC, n: usize, k: usize, t: usize) {
         CellClass::Impossible(c) => format!("impossible — {} ({})", c.lemma, c.means),
         CellClass::Open => "open problem".to_string(),
     };
-    println!("{:<7} SC(k={k:<2}, t={t:<2}, {v}) n={n}: {verdict}", model.shorthand());
+    println!(
+        "{:<7} SC(k={k:<2}, t={t:<2}, {v}) n={n}: {verdict}",
+        model.shorthand()
+    );
 }
 
 fn main() {

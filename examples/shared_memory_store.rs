@@ -48,7 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = 2;
     let k = 4;
     let inputs: Vec<u64> = vec![300; n]; // all correct workers agree
-    println!("Protocol F, SC({k}, {t}, SV2): unanimous correct inputs {}", 300);
+    println!(
+        "Protocol F, SC({k}, {t}, SV2): unanimous correct inputs {}",
+        300
+    );
     let outcome = SmSystem::new(n)
         .seed(100)
         .fault_plan(FaultPlan::silent_crashes(n, &[1, 4]))

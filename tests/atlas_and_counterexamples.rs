@@ -29,7 +29,10 @@ fn every_solvable_cell_at_n7_validates_empirically() {
             }
         }
     }
-    assert!(cells > 200, "expected a substantial solvable region, got {cells}");
+    assert!(
+        cells > 200,
+        "expected a substantial solvable region, got {cells}"
+    );
 }
 
 #[test]
@@ -42,7 +45,7 @@ fn counterexamples_sit_in_impossible_or_open_territory() {
         (Model::MpCrash, ValidityCondition::SV2, 4, 2, 2), // Lemma 3.6
         (Model::MpByzantine, ValidityCondition::WV2, 7, 2, 4), // Lemma 3.9
         (Model::MpByzantine, ValidityCondition::RV1, 4, 3, 1), // Lemma 3.10
-        (Model::SmCrash, ValidityCondition::SV2, 6, 3, 3),  // Lemma 4.3
+        (Model::SmCrash, ValidityCondition::SV2, 6, 3, 3), // Lemma 4.3
         (Model::SmByzantine, ValidityCondition::RV2, 4, 2, 1), // Lemma 4.9
     ];
     for (model, validity, n, k, t) in placements {

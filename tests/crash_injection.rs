@@ -60,7 +60,12 @@ fn floodmin_survives_every_single_crash_point() {
     for victim in 0..n {
         for budget in 0..=MAX_BUDGET {
             let mut plan = FaultPlan::all_correct(n);
-            plan.set(victim, FaultSpec::Crash { after_actions: budget });
+            plan.set(
+                victim,
+                FaultSpec::Crash {
+                    after_actions: budget,
+                },
+            );
             let outcome = MpSystem::new(n)
                 .seed(7)
                 .fault_plan(plan)
@@ -85,7 +90,12 @@ fn protocol_a_survives_every_single_crash_point() {
     for victim in 0..n {
         for budget in 0..=MAX_BUDGET {
             let mut plan = FaultPlan::all_correct(n);
-            plan.set(victim, FaultSpec::Crash { after_actions: budget });
+            plan.set(
+                victim,
+                FaultSpec::Crash {
+                    after_actions: budget,
+                },
+            );
             let outcome = MpSystem::new(n)
                 .seed(3)
                 .fault_plan(plan)
@@ -150,7 +160,12 @@ fn protocol_d_survives_broadcaster_crash_points() {
     for victim in 0..=t {
         for budget in 0..=MAX_BUDGET {
             let mut plan = FaultPlan::all_correct(n);
-            plan.set(victim, FaultSpec::Crash { after_actions: budget });
+            plan.set(
+                victim,
+                FaultSpec::Crash {
+                    after_actions: budget,
+                },
+            );
             let outcome = MpSystem::new(n)
                 .seed(5)
                 .fault_plan(plan)
@@ -175,7 +190,12 @@ fn protocol_e_survives_every_single_crash_point() {
     for victim in 0..n {
         for budget in 0..=MAX_BUDGET {
             let mut plan = FaultPlan::all_correct(n);
-            plan.set(victim, FaultSpec::Crash { after_actions: budget });
+            plan.set(
+                victim,
+                FaultSpec::Crash {
+                    after_actions: budget,
+                },
+            );
             let outcome = SmSystem::new(n)
                 .seed(2)
                 .fault_plan(plan)
@@ -200,7 +220,12 @@ fn protocol_f_survives_every_single_crash_point() {
     for victim in 0..n {
         for budget in 0..=MAX_BUDGET {
             let mut plan = FaultPlan::all_correct(n);
-            plan.set(victim, FaultSpec::Crash { after_actions: budget });
+            plan.set(
+                victim,
+                FaultSpec::Crash {
+                    after_actions: budget,
+                },
+            );
             let outcome = SmSystem::new(n)
                 .seed(4)
                 .fault_plan(plan)

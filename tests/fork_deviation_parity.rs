@@ -124,7 +124,10 @@ where
         for d in prefix_len..forked_log.len() {
             let point = forked_log.point(d);
             let lone = point.options.len() > 1
-                && point.options.iter().all(|o| o.meta.id == point.options[0].meta.id);
+                && point
+                    .options
+                    .iter()
+                    .all(|o| o.meta.id == point.options[0].meta.id);
             if lone && !point.forced {
                 // A lone pending event whose variants are siblings is a
                 // branch point: a snapshotting session must have

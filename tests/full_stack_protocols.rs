@@ -4,21 +4,13 @@
 
 use kset::core::{ProblemSpec, RunRecord, ValidityCondition};
 use kset::net::{MpOutcome, MpSystem};
-use kset::protocols::{
-    FloodMin, ProtocolA, ProtocolB, ProtocolC, ProtocolD, ProtocolE, ProtocolF,
-};
+use kset::protocols::{FloodMin, ProtocolA, ProtocolB, ProtocolC, ProtocolD, ProtocolE, ProtocolF};
 use kset::shmem::{SmOutcome, SmSystem};
 use kset::sim::{FaultPlan, FifoScheduler, LifoScheduler};
 
 const DEFAULT: u64 = u64::MAX;
 
-fn check_mp(
-    outcome: &MpOutcome<u64>,
-    inputs: &[u64],
-    k: usize,
-    t: usize,
-    v: ValidityCondition,
-) {
+fn check_mp(outcome: &MpOutcome<u64>, inputs: &[u64], k: usize, t: usize, v: ValidityCondition) {
     let spec = ProblemSpec::new(inputs.len(), k, t, v).unwrap();
     let record = RunRecord::new(inputs.to_vec())
         .with_faulty(outcome.faulty.iter().copied())
@@ -181,18 +173,36 @@ fn every_protocol_terminates_at_paper_scale() {
     // silent; Byzantine ones at n = 32 with the first 4 faulty.
     type Make<'a, P> = &'a dyn Fn(usize) -> P;
     fn mp<M: Clone>(n: usize, plan: FaultPlan, make: Make<DynMpProcess<M, u64>>) -> bool {
-        MpSystem::new(n).seed(1).fault_plan(plan).run_with(make).unwrap().terminated
+        MpSystem::new(n)
+            .seed(1)
+            .fault_plan(plan)
+            .run_with(make)
+            .unwrap()
+            .terminated
     }
     let sm = |n: usize, plan, make: Make<DynSmProcess<u64, u64>>| {
-        SmSystem::new(n).seed(1).fault_plan(plan).run_with(make).unwrap().terminated
+        SmSystem::new(n)
+            .seed(1)
+            .fault_plan(plan)
+            .run_with(make)
+            .unwrap()
+            .terminated
     };
     let ins: Vec<u64> = (0..64).collect();
     let crash = |t| plans::last_t_silent(64, t);
     assert!(mp(64, crash(7), &|p| FloodMin::boxed(64, 7, ins[p])));
-    assert!(mp(64, crash(16), &|p| ProtocolA::boxed(64, 16, ins[p], DEFAULT)));
-    assert!(mp(64, crash(10), &|p| ProtocolB::boxed(64, 10, ins[p], DEFAULT)));
-    assert!(sm(64, crash(32), &|p| ProtocolE::boxed(64, 32, ins[p], DEFAULT)));
-    assert!(sm(64, crash(8), &|p| ProtocolF::boxed(64, 8, ins[p], DEFAULT)));
+    assert!(mp(64, crash(16), &|p| ProtocolA::boxed(
+        64, 16, ins[p], DEFAULT
+    )));
+    assert!(mp(64, crash(10), &|p| ProtocolB::boxed(
+        64, 10, ins[p], DEFAULT
+    )));
+    assert!(sm(64, crash(32), &|p| ProtocolE::boxed(
+        64, 32, ins[p], DEFAULT
+    )));
+    assert!(sm(64, crash(8), &|p| ProtocolF::boxed(
+        64, 8, ins[p], DEFAULT
+    )));
     let byz = || plans::first_t_byzantine(32, 4);
     assert!(mp(32, byz(), &|p| match p {
         0..=3 => Box::new(Silent::new()),

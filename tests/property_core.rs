@@ -75,73 +75,73 @@ fn validity_checks_are_deterministic() {
 /// the liveness half needs `t < ln/(2l+1)`.
 #[test]
 fn l_echo_accepts_at_most_l_per_origin() {
-    Runner::new("l_echo_accepts_at_most_l_per_origin").cases(256).run(
-        (
-            in_range(1usize..4),
-            in_range(0usize..6),
-            vec_exact(in_range(0u8..5), 10),
-            in_range(0u64..1000),
-        ),
-        |(l, t, camps, order_seed)| {
-            let n = 10;
-            let mut echo: LEcho<u8> = LEcho::new(n, t, l);
-            let mut accepts: Vec<u8> = Vec::new();
-            // Build the echo traffic: faulty senders 0..t echo every camp
-            // value; correct senders echo their own camp's value once.
-            let mut traffic: Vec<(usize, u8)> = Vec::new();
-            for from in 0..t {
-                for v in 0u8..5 {
-                    traffic.push((from, v));
+    Runner::new("l_echo_accepts_at_most_l_per_origin")
+        .cases(256)
+        .run(
+            (
+                in_range(1usize..4),
+                in_range(0usize..6),
+                vec_exact(in_range(0u8..5), 10),
+                in_range(0u64..1000),
+            ),
+            |(l, t, camps, order_seed)| {
+                let n = 10;
+                let mut echo: LEcho<u8> = LEcho::new(n, t, l);
+                let mut accepts: Vec<u8> = Vec::new();
+                // Build the echo traffic: faulty senders 0..t echo every camp
+                // value; correct senders echo their own camp's value once.
+                let mut traffic: Vec<(usize, u8)> = Vec::new();
+                for from in 0..t {
+                    for v in 0u8..5 {
+                        traffic.push((from, v));
+                    }
                 }
-            }
-            for (from, &camp) in camps.iter().enumerate().take(n).skip(t) {
-                traffic.push((from, camp));
-            }
-            // Deterministic shuffle by seed (delivery order is adversarial).
-            let len = traffic.len();
-            for i in 0..len {
-                let j = (order_seed as usize + i * 7) % len;
-                traffic.swap(i, j);
-            }
-            for (from, value) in traffic {
-                if let Some(EchoAction::Accept { value, .. }) = echo.on_echo(from, 0, value) {
-                    accepts.push(value);
+                for (from, &camp) in camps.iter().enumerate().take(n).skip(t) {
+                    traffic.push((from, camp));
                 }
-            }
-            prop_assert!(
-                accepts.len() <= l,
-                "accepted {accepts:?} with l = {l}, t = {t}"
-            );
-            Ok(())
-        },
-    );
+                // Deterministic shuffle by seed (delivery order is adversarial).
+                let len = traffic.len();
+                for i in 0..len {
+                    let j = (order_seed as usize + i * 7) % len;
+                    traffic.swap(i, j);
+                }
+                for (from, value) in traffic {
+                    if let Some(EchoAction::Accept { value, .. }) = echo.on_echo(from, 0, value) {
+                        accepts.push(value);
+                    }
+                }
+                prop_assert!(
+                    accepts.len() <= l,
+                    "accepted {accepts:?} with l = {l}, t = {t}"
+                );
+                Ok(())
+            },
+        );
 }
 
 /// Lemma 3.14 liveness: with sound parameters and a correct sender,
 /// once all correct processes echo, every correct process accepts.
 #[test]
 fn l_echo_correct_sender_is_accepted() {
-    Runner::new("l_echo_correct_sender_is_accepted").cases(256).run(
-        (
-            in_range(1usize..4),
-            in_range(4usize..12),
-            in_range(0u8..8),
-        ),
-        |(l, n, value)| {
-            // Choose the largest sound t for this (n, l).
-            let t = (0..n).rev().find(|&t| (2 * l + 1) * t < l * n).unwrap_or(0);
-            let mut echo: LEcho<u8> = LEcho::new(n, t, l);
-            prop_assert!(echo.parameters_sound() || t == 0);
-            // All n - t correct processes echo the same init.
-            let mut accepted = false;
-            for from in 0..(n - t) {
-                if let Some(EchoAction::Accept { .. }) = echo.on_echo(from, 0, value) {
-                    accepted = true;
+    Runner::new("l_echo_correct_sender_is_accepted")
+        .cases(256)
+        .run(
+            (in_range(1usize..4), in_range(4usize..12), in_range(0u8..8)),
+            |(l, n, value)| {
+                // Choose the largest sound t for this (n, l).
+                let t = (0..n).rev().find(|&t| (2 * l + 1) * t < l * n).unwrap_or(0);
+                let mut echo: LEcho<u8> = LEcho::new(n, t, l);
+                prop_assert!(echo.parameters_sound() || t == 0);
+                // All n - t correct processes echo the same init.
+                let mut accepted = false;
+                for from in 0..(n - t) {
+                    if let Some(EchoAction::Accept { .. }) = echo.on_echo(from, 0, value) {
+                        accepted = true;
+                    }
                 }
-            }
-            prop_assert!(accepted, "n={n} t={t} l={l}: correct echoes must suffice");
-            prop_assert_eq!(echo.first_accepted(0), Some(&value));
-            Ok(())
-        },
-    );
+                prop_assert!(accepted, "n={n} t={t} l={l}: correct echoes must suffice");
+                prop_assert_eq!(echo.first_accepted(0), Some(&value));
+                Ok(())
+            },
+        );
 }

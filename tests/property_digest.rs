@@ -70,8 +70,7 @@ fn incremental_digests_match_reference_on_mp() {
             |(n, t_frac, seed, inputs, plan_seed)| {
                 let t = ((n - 1) as f64 * t_frac) as usize;
                 let plan = crash_plan_from_seed(n, t, plan_seed);
-                let procs =
-                    || (0..n).map(|p| FloodMin::boxed(n, t, inputs[p])).collect();
+                let procs = || (0..n).map(|p| FloodMin::boxed(n, t, inputs[p])).collect();
                 let (inc_out, inc_digests, ()) = System::new(n)
                     .seed(seed)
                     .fault_plan(plan.clone())

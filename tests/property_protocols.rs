@@ -64,27 +64,37 @@ fn check(
 /// plan and seed (Lemma 3.1 with k = t + 1, the tight case).
 #[test]
 fn floodmin_everywhere_in_its_region() {
-    Runner::new("floodmin_everywhere_in_its_region").cases(64).run(
-        (
-            in_range(2usize..10),
-            unit_f64(),
-            in_range(0u64..1000),
-            vec_exact(in_range(0u64..8), 10),
-            in_range(0u64..1000),
-        ),
-        |(n, t_frac, seed, inputs, plan_seed)| {
-            let t = ((n - 1) as f64 * t_frac) as usize; // 0 <= t <= n-1
-            let k = t + 1;
-            let plan = crash_plan_from_seed(n, t, plan_seed);
-            let outcome = MpSystem::new(n)
-                .seed(seed)
-                .fault_plan(plan)
-                .run_with(|p| FloodMin::boxed(n, t, inputs[p]))
-                .unwrap();
-            check(n, k, t, ValidityCondition::RV1, &inputs[..n],
-                  outcome.decisions, outcome.faulty, outcome.terminated)
-        },
-    );
+    Runner::new("floodmin_everywhere_in_its_region")
+        .cases(64)
+        .run(
+            (
+                in_range(2usize..10),
+                unit_f64(),
+                in_range(0u64..1000),
+                vec_exact(in_range(0u64..8), 10),
+                in_range(0u64..1000),
+            ),
+            |(n, t_frac, seed, inputs, plan_seed)| {
+                let t = ((n - 1) as f64 * t_frac) as usize; // 0 <= t <= n-1
+                let k = t + 1;
+                let plan = crash_plan_from_seed(n, t, plan_seed);
+                let outcome = MpSystem::new(n)
+                    .seed(seed)
+                    .fault_plan(plan)
+                    .run_with(|p| FloodMin::boxed(n, t, inputs[p]))
+                    .unwrap();
+                check(
+                    n,
+                    k,
+                    t,
+                    ValidityCondition::RV1,
+                    &inputs[..n],
+                    outcome.decisions,
+                    outcome.faulty,
+                    outcome.terminated,
+                )
+            },
+        );
 }
 
 /// Protocol A solves SC(k, t, RV2) whenever k t < (k-1) n.
@@ -114,8 +124,16 @@ fn protocol_a_rv2_in_region() {
                 .fault_plan(FaultPlan::silent_crashes(n, &(0..t).collect::<Vec<_>>()))
                 .run_with(|p| ProtocolA::boxed(n, t, inputs[p], DEFAULT))
                 .unwrap();
-            check(n, k, t, ValidityCondition::RV2, &inputs,
-                  outcome.decisions, outcome.faulty, outcome.terminated)
+            check(
+                n,
+                k,
+                t,
+                ValidityCondition::RV2,
+                &inputs,
+                outcome.decisions,
+                outcome.faulty,
+                outcome.terminated,
+            )
         },
     );
 }
@@ -144,8 +162,16 @@ fn protocol_b_sv2_in_region() {
                 .unwrap();
             prop_assert!(outcome.terminated);
             prop_assert_eq!(outcome.correct_decision_set(), vec![val]);
-            check(n, k, t, ValidityCondition::SV2, &inputs,
-                  outcome.decisions, outcome.faulty, outcome.terminated)
+            check(
+                n,
+                k,
+                t,
+                ValidityCondition::SV2,
+                &inputs,
+                outcome.decisions,
+                outcome.faulty,
+                outcome.terminated,
+            )
         },
     );
 }
@@ -154,29 +180,42 @@ fn protocol_b_sv2_in_region() {
 /// any silent-crash pattern.
 #[test]
 fn protocol_d_agreement_bounded_by_z() {
-    Runner::new("protocol_d_agreement_bounded_by_z").cases(48).run(
-        (
-            in_range(4usize..9),
-            in_range(1usize..3),
-            in_range(0u64..500),
-            in_range(0usize..16),
-        ),
-        |(n, t, seed, crash_mask)| {
-            prop_assume!(t < n);
-            let crashed: Vec<usize> = (0..n).filter(|p| crash_mask >> p & 1 == 1).take(t).collect();
-            let z = kset::regions::math::z_function(n, t);
-            let inputs: Vec<u64> = (0..n as u64).collect();
-            let outcome = MpSystem::new(n)
-                .seed(seed)
-                .fault_plan(FaultPlan::silent_crashes(n, &crashed))
-                .run_with(|p| ProtocolD::boxed(n, t, inputs[p]))
-                .unwrap();
-            prop_assert!(outcome.terminated);
-            prop_assert!(outcome.correct_decision_set().len() <= z);
-            check(n, z, t, ValidityCondition::WV1, &inputs,
-                  outcome.decisions, outcome.faulty, outcome.terminated)
-        },
-    );
+    Runner::new("protocol_d_agreement_bounded_by_z")
+        .cases(48)
+        .run(
+            (
+                in_range(4usize..9),
+                in_range(1usize..3),
+                in_range(0u64..500),
+                in_range(0usize..16),
+            ),
+            |(n, t, seed, crash_mask)| {
+                prop_assume!(t < n);
+                let crashed: Vec<usize> = (0..n)
+                    .filter(|p| crash_mask >> p & 1 == 1)
+                    .take(t)
+                    .collect();
+                let z = kset::regions::math::z_function(n, t);
+                let inputs: Vec<u64> = (0..n as u64).collect();
+                let outcome = MpSystem::new(n)
+                    .seed(seed)
+                    .fault_plan(FaultPlan::silent_crashes(n, &crashed))
+                    .run_with(|p| ProtocolD::boxed(n, t, inputs[p]))
+                    .unwrap();
+                prop_assert!(outcome.terminated);
+                prop_assert!(outcome.correct_decision_set().len() <= z);
+                check(
+                    n,
+                    z,
+                    t,
+                    ValidityCondition::WV1,
+                    &inputs,
+                    outcome.decisions,
+                    outcome.faulty,
+                    outcome.terminated,
+                )
+            },
+        );
 }
 
 /// Protocol E never lets more than two values through, for any t up to
@@ -207,8 +246,16 @@ fn protocol_e_rv2_for_any_t() {
                 .into_run();
             prop_assert!(outcome.terminated);
             prop_assert!(outcome.correct_decision_set().len() <= 2);
-            check(n, 2, t, ValidityCondition::RV2, &inputs,
-                  outcome.decisions, outcome.faulty, outcome.terminated)
+            check(
+                n,
+                2,
+                t,
+                ValidityCondition::RV2,
+                &inputs,
+                outcome.decisions,
+                outcome.faulty,
+                outcome.terminated,
+            )
         },
     );
 }
@@ -236,8 +283,16 @@ fn protocol_f_sv2_in_region() {
                 .into_run();
             prop_assert!(outcome.terminated);
             prop_assert_eq!(outcome.correct_decision_set(), vec![val]);
-            check(n, k, t, ValidityCondition::SV2, &inputs,
-                  outcome.decisions, outcome.faulty, outcome.terminated)
+            check(
+                n,
+                k,
+                t,
+                ValidityCondition::SV2,
+                &inputs,
+                outcome.decisions,
+                outcome.faulty,
+                outcome.terminated,
+            )
         },
     );
 }

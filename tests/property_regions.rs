@@ -49,46 +49,56 @@ fn monotone_in_k_and_t_for_all_n() {
 /// stronger-validity solvable => weaker-validity solvable.
 #[test]
 fn propagation_invariants_for_all_n() {
-    Runner::new("propagation_invariants_for_all_n").cases(24).run(
-        (in_range(3usize..22), in_range(0usize..8), in_range(0usize..8)),
-        |(n, k_off, t_off)| {
-            let k = 2 + k_off % (n - 2).max(1);
-            let t = 1 + t_off % n;
-            prop_assume!(k < n && t <= n);
-            let lat = Lattice::paper();
-            for v in ValidityCondition::ALL {
-                let mp_cr = classify(Model::MpCrash, v, n, k, t);
-                let mp_byz = classify(Model::MpByzantine, v, n, k, t);
-                let sm_cr = classify(Model::SmCrash, v, n, k, t);
-                let sm_byz = classify(Model::SmByzantine, v, n, k, t);
-                // Failure containment.
-                if matches!(mp_byz, CellClass::Solvable(_)) {
-                    prop_assert!(matches!(mp_cr, CellClass::Solvable(_)));
-                }
-                if matches!(sm_byz, CellClass::Solvable(_)) {
-                    prop_assert!(matches!(sm_cr, CellClass::Solvable(_)));
-                }
-                // SIMULATION direction.
-                if matches!(mp_cr, CellClass::Solvable(_)) {
-                    prop_assert!(matches!(sm_cr, CellClass::Solvable(_)));
-                }
-                if matches!(sm_cr, CellClass::Impossible(_)) {
-                    prop_assert!(matches!(mp_cr, CellClass::Impossible(_)));
-                }
-                // Lattice propagation.
-                for w in ValidityCondition::ALL {
-                    if lat.weaker_than(w, v)
-                        && matches!(classify(Model::MpCrash, v, n, k, t), CellClass::Solvable(_)) {
+    Runner::new("propagation_invariants_for_all_n")
+        .cases(24)
+        .run(
+            (
+                in_range(3usize..22),
+                in_range(0usize..8),
+                in_range(0usize..8),
+            ),
+            |(n, k_off, t_off)| {
+                let k = 2 + k_off % (n - 2).max(1);
+                let t = 1 + t_off % n;
+                prop_assume!(k < n && t <= n);
+                let lat = Lattice::paper();
+                for v in ValidityCondition::ALL {
+                    let mp_cr = classify(Model::MpCrash, v, n, k, t);
+                    let mp_byz = classify(Model::MpByzantine, v, n, k, t);
+                    let sm_cr = classify(Model::SmCrash, v, n, k, t);
+                    let sm_byz = classify(Model::SmByzantine, v, n, k, t);
+                    // Failure containment.
+                    if matches!(mp_byz, CellClass::Solvable(_)) {
+                        prop_assert!(matches!(mp_cr, CellClass::Solvable(_)));
+                    }
+                    if matches!(sm_byz, CellClass::Solvable(_)) {
+                        prop_assert!(matches!(sm_cr, CellClass::Solvable(_)));
+                    }
+                    // SIMULATION direction.
+                    if matches!(mp_cr, CellClass::Solvable(_)) {
+                        prop_assert!(matches!(sm_cr, CellClass::Solvable(_)));
+                    }
+                    if matches!(sm_cr, CellClass::Impossible(_)) {
+                        prop_assert!(matches!(mp_cr, CellClass::Impossible(_)));
+                    }
+                    // Lattice propagation.
+                    for w in ValidityCondition::ALL {
+                        if lat.weaker_than(w, v)
+                            && matches!(
+                                classify(Model::MpCrash, v, n, k, t),
+                                CellClass::Solvable(_)
+                            )
+                        {
                             prop_assert!(matches!(
                                 classify(Model::MpCrash, w, n, k, t),
                                 CellClass::Solvable(_)
                             ));
                         }
+                    }
                 }
-            }
-            Ok(())
-        },
-    );
+                Ok(())
+            },
+        );
 }
 
 /// Panel censuses sum to the domain size, and gap reports agree with

@@ -32,7 +32,10 @@ fn a_traced_run_replays_to_identical_decisions() {
         .run_with(|p| FloodMin::boxed(n, 2, inputs[p]))
         .unwrap();
     assert_eq!(original.decisions, replayed.decisions);
-    assert_eq!(original.stats.messages_delivered, replayed.stats.messages_delivered);
+    assert_eq!(
+        original.stats.messages_delivered,
+        replayed.stats.messages_delivered
+    );
 }
 
 #[test]

@@ -33,9 +33,7 @@ use kset::sim::{
     ReplayScheduler, SubstrateAdv, System,
 };
 use kset_core::ValidityCondition;
-use kset_experiments::checker::{
-    check_cell, AdversaryModel, CheckerConfig, ForkMode,
-};
+use kset_experiments::checker::{check_cell, AdversaryModel, CheckerConfig, ForkMode};
 use kset_experiments::exhaustive::QuorumProtocol;
 
 /// Register-decision rule sentinel used by the shared-memory protocols.
@@ -67,8 +65,12 @@ fn mp_step_driver_is_byte_identical_to_run() {
                     .trace_capacity(256)
                     .metrics(MetricsConfig::enabled())
             };
-            let procs =
-                |t| inputs.iter().map(|&v| FloodMin::boxed(n, t, v)).collect::<Vec<_>>();
+            let procs = |t| {
+                inputs
+                    .iter()
+                    .map(|&v| FloodMin::boxed(n, t, v))
+                    .collect::<Vec<_>>()
+            };
 
             let whole = build().run(procs(2)).expect("run");
 
@@ -200,7 +202,10 @@ fn restarted_session_is_byte_identical_to_a_fresh_run() {
 #[test]
 fn poll_contract_and_accessors() {
     let n = 3;
-    let procs: Vec<_> = [4u64, 2, 6].iter().map(|&v| FloodMin::boxed(n, 1, v)).collect();
+    let procs: Vec<_> = [4u64, 2, 6]
+        .iter()
+        .map(|&v| FloodMin::boxed(n, 1, v))
+        .collect();
     let mut session = MpSystem::new(n).seed(5).session(procs).expect("session");
     assert_eq!(session.n(), n);
     assert!(!session.decided());
@@ -236,8 +241,11 @@ fn poll_contract_and_accessors() {
 #[test]
 fn event_limit_error_is_identical_across_drivers() {
     let n = 4;
-    let procs =
-        |t| (0..n as u64).map(|v| FloodMin::boxed(n, t, v)).collect::<Vec<_>>();
+    let procs = |t| {
+        (0..n as u64)
+            .map(|v| FloodMin::boxed(n, t, v))
+            .collect::<Vec<_>>()
+    };
     let whole = MpSystem::new(n).seed(3).event_limit(5).run(procs(1));
     let mut session = MpSystem::new(n)
         .seed(3)
@@ -274,7 +282,10 @@ fn byzantine_replay_is_identical_across_drivers() {
     let cfg = mp_byz_cell();
     let verdict = check_cell(&cfg);
     assert!(!verdict.holds(), "{verdict}");
-    let ce = verdict.counterexample.as_ref().expect("violated cells carry a counterexample");
+    let ce = verdict
+        .counterexample
+        .as_ref()
+        .expect("violated cells carry a counterexample");
 
     let mut plan = FaultPlan::silent_crashes(cfg.n, &ce.crashed);
     for &p in &ce.byzantine {
@@ -292,8 +303,10 @@ fn byzantine_replay_is_identical_across_drivers() {
         let sys = System::new(cfg.n)
             .scheduler(Rc::clone(&sched))
             .fault_plan(plan.clone());
-        let procs: Vec<_> =
-            inputs.iter().map(|&v| FloodMin::boxed(cfg.n, cfg.t, v)).collect();
+        let procs: Vec<_> = inputs
+            .iter()
+            .map(|&v| FloodMin::boxed(cfg.n, cfg.t, v))
+            .collect();
         let outcome = if by_steps {
             let mut session = sys
                 .session::<MpSubstrate<u64, u64>, DeviantDelivery>(procs)
@@ -332,10 +345,22 @@ fn run_adv_without_deviations_is_byte_identical_to_run() {
     let inputs: Vec<u64> = (0..n as u64).map(|p| (p * 13) % 7).collect();
     for seed in [0, 7, 42] {
         for plan in plans(n) {
-            let build = || System::new(n).seed(seed).fault_plan(plan.clone()).trace_capacity(256);
-            let procs = || inputs.iter().map(|&v| FloodMin::boxed(n, 2, v)).collect::<Vec<_>>();
+            let build = || {
+                System::new(n)
+                    .seed(seed)
+                    .fault_plan(plan.clone())
+                    .trace_capacity(256)
+            };
+            let procs = || {
+                inputs
+                    .iter()
+                    .map(|&v| FloodMin::boxed(n, 2, v))
+                    .collect::<Vec<_>>()
+            };
             let faithful = build().run::<MpSubstrate<u64, u64>>(procs()).expect("run");
-            let adv = build().run_adv::<MpSubstrate<u64, u64>>(procs()).expect("run_adv");
+            let adv = build()
+                .run_adv::<MpSubstrate<u64, u64>>(procs())
+                .expect("run_adv");
             assert_eq!(faithful, adv, "seed {seed}, plan {plan:?}");
             mp.write_u64(outcome_bytes(&adv));
         }
@@ -344,7 +369,12 @@ fn run_adv_without_deviations_is_byte_identical_to_run() {
     let n = 4;
     for seed in [1, 11] {
         for plan in plans(n) {
-            let build = || System::new(n).seed(seed).fault_plan(plan.clone()).trace_capacity(256);
+            let build = || {
+                System::new(n)
+                    .seed(seed)
+                    .fault_plan(plan.clone())
+                    .trace_capacity(256)
+            };
             let procs = || {
                 [9, 3, 3, 8]
                     .iter()
@@ -352,12 +382,17 @@ fn run_adv_without_deviations_is_byte_identical_to_run() {
                     .collect::<Vec<_>>()
             };
             let faithful = build().run::<SmSubstrate<u64, u64>>(procs()).expect("run");
-            let adv = build().run_adv::<SmSubstrate<u64, u64>>(procs()).expect("run_adv");
+            let adv = build()
+                .run_adv::<SmSubstrate<u64, u64>>(procs())
+                .expect("run_adv");
             assert_eq!(faithful, adv, "seed {seed}, plan {plan:?}");
             sm.write_u64(outcome_bytes(&adv));
         }
     }
-    assert_eq!((mp.finish(), sm.finish()), (0x6a2d_6eef_0a9b_5d78, 0xd093_f26b_7c61_18fd));
+    assert_eq!(
+        (mp.finish(), sm.finish()),
+        (0x6a2d_6eef_0a9b_5d78, 0xd093_f26b_7c61_18fd)
+    );
 }
 
 /// Replays `script`, raw event ids each with the deviation applied to it,
@@ -411,7 +446,10 @@ fn forged_delivery_corners_are_pinned() {
         // e4 forged before p1's start fired: p1 starts lazily first.
         mp(correct.clone(), &[(0, F), (4, Forge(0))]),
         // p2's start forged, then p1's start forged after its lazy start.
-        mp(correct.clone(), &[(2, Forge(0)), (0, F), (4, Forge(0)), (1, Forge(0))]),
+        mp(
+            correct.clone(),
+            &[(2, Forge(0)), (0, F), (4, Forge(0)), (1, Forge(0))],
+        ),
         // p1 crashes on its forged start; e4 is then forged to a crashed
         // process.
         mp(silent.clone(), &[(1, Forge(0)), (0, F), (4, Forge(0))]),
@@ -528,7 +566,11 @@ fn checker_counters_are_execution_strategy_invariant() {
     // frontier cell certifies with identical counters and the identical
     // counterexample under every combination.
     let reference = check_cell(&mp_byz_cell());
-    for (fork, threads) in [(ForkMode::Auto, 1), (ForkMode::Replay, 2), (ForkMode::Auto, 2)] {
+    for (fork, threads) in [
+        (ForkMode::Auto, 1),
+        (ForkMode::Replay, 2),
+        (ForkMode::Auto, 2),
+    ] {
         let mut cfg = mp_byz_cell();
         cfg.fork = fork;
         cfg.threads = threads;
@@ -536,12 +578,23 @@ fn checker_counters_are_execution_strategy_invariant() {
         let context = format!("fork {fork:?}, {threads} thread(s)");
         assert_eq!(verdict.holds(), reference.holds(), "{context}");
         assert_eq!(verdict.runs, reference.runs, "{context}");
-        assert_eq!(verdict.counterexample, reference.counterexample, "{context}");
-        assert_eq!(verdict.patterns.len(), reference.patterns.len(), "{context}");
+        assert_eq!(
+            verdict.counterexample, reference.counterexample,
+            "{context}"
+        );
+        assert_eq!(
+            verdict.patterns.len(),
+            reference.patterns.len(),
+            "{context}"
+        );
         for (a, b) in verdict.patterns.iter().zip(&reference.patterns) {
             assert_eq!(a.runs, b.runs, "{context}, pattern {:?}", a.crashed);
             assert_eq!(a.states, b.states, "{context}, pattern {:?}", a.crashed);
-            assert_eq!(a.violation, b.violation, "{context}, pattern {:?}", a.crashed);
+            assert_eq!(
+                a.violation, b.violation,
+                "{context}, pattern {:?}",
+                a.crashed
+            );
         }
     }
 }

@@ -45,7 +45,9 @@ fn mp_protocols_survive_the_round_trip_to_shared_memory() {
             .run_with(|p| FloodMin::boxed(n, t, inputs[p]))
             .unwrap();
         spec_check(
-            n, k, t,
+            n,
+            k,
+            t,
             ValidityCondition::RV1,
             &inputs,
             native.decisions,
@@ -62,7 +64,9 @@ fn mp_protocols_survive_the_round_trip_to_shared_memory() {
             .unwrap()
             .into_run();
         spec_check(
-            n, k, t,
+            n,
+            k,
+            t,
             ValidityCondition::RV1,
             &inputs,
             simulated.decisions,
@@ -87,7 +91,9 @@ fn sm_protocols_survive_the_round_trip_to_message_passing() {
             .unwrap()
             .into_run();
         spec_check(
-            n, k, t,
+            n,
+            k,
+            t,
             ValidityCondition::RV2,
             &inputs,
             native.decisions,
@@ -102,7 +108,9 @@ fn sm_protocols_survive_the_round_trip_to_message_passing() {
             .run_with(|p| Emulated::boxed(n, t, ProtocolE::new(n, t, inputs[p], DEFAULT)))
             .unwrap();
         spec_check(
-            n, k, t,
+            n,
+            k,
+            t,
             ValidityCondition::RV2,
             &inputs,
             emulated.decisions,
@@ -123,13 +131,13 @@ fn double_transform_mp_protocol_over_emulated_registers() {
     let outcome = MpSystem::new(n)
         .seed(3)
         .event_limit(20_000_000)
-        .run_with(|p| {
-            Emulated::boxed(n, t, Simulated::new(n, FloodMin::new(n, t, inputs[p])))
-        })
+        .run_with(|p| Emulated::boxed(n, t, Simulated::new(n, FloodMin::new(n, t, inputs[p]))))
         .unwrap();
     assert!(outcome.terminated);
     spec_check(
-        n, k, t,
+        n,
+        k,
+        t,
         ValidityCondition::RV1,
         &inputs,
         outcome.decisions,
