@@ -59,8 +59,7 @@
 //!
 //! Campaigns (`CAMPAIGNS.md`): `--campaign-dir PATH` turns an explicit
 //! cell into a checkpointed, resumable on-disk job; `--checkpoint-every N`
-//! sets the snapshot cadence in runs (default 250000), `--campaign-shards
-//! N` the visited-store shard count (default 16, fixed at creation), and
+//! sets the snapshot cadence in runs (default 250000), and
 //! `--resume` continues a killed campaign from its last durable
 //! checkpoint — with bit-identical verdicts, counters, and counterexample
 //! bytes to an uninterrupted run. On `--resume` the cell and bounds may
@@ -155,7 +154,6 @@ struct Args {
     smoke: bool,
     campaign_dir: Option<PathBuf>,
     checkpoint_every: Option<u64>,
-    campaign_shards: Option<usize>,
     resume: bool,
     pause_after_checkpoints: Option<u64>,
 }
@@ -206,7 +204,6 @@ fn parse_args() -> Args {
             "--checkpoint-every" => {
                 parsed.checkpoint_every = Some(args.number("--checkpoint-every"))
             }
-            "--campaign-shards" => parsed.campaign_shards = Some(args.number("--campaign-shards")),
             "--resume" => parsed.resume = true,
             "--pause-after-checkpoints" => {
                 parsed.pause_after_checkpoints = Some(args.number("--pause-after-checkpoints"))
@@ -500,7 +497,6 @@ fn main() -> ExitCode {
             std::process::exit(2);
         };
         let opts = CampaignOptions {
-            shards: args.campaign_shards.unwrap_or(CampaignOptions::default().shards),
             checkpoint_every: args
                 .checkpoint_every
                 .unwrap_or(CampaignOptions::default().checkpoint_every),

@@ -3,8 +3,9 @@
 //!
 //! The manifest is the campaign's audit surface (`OBSERVABILITY.md`
 //! documents the schema): the cell and bounds it was created with, the
-//! shard layout, the lifecycle status, and cumulative counters (runs,
-//! states, dedup hits, checkpoints, resume lineage). It is rewritten
+//! lifecycle status and the bound that cut a bounded campaign short, and
+//! cumulative counters (runs, states, dedup hits, checkpoints and their
+//! cost, resume lineage). It is rewritten
 //! atomically at every checkpoint, and CI uploads it as an artifact next
 //! to the bench JSONs.
 //!
@@ -27,14 +28,17 @@ use crate::exhaustive::QuorumProtocol;
 use kset_core::ValidityCondition;
 use kset_sim::DigestMode;
 
-use super::store::fnv1a;
+use super::snapshot::fnv1a;
+use super::UnsupportedVersion;
 
 /// File name of the manifest inside a campaign directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// Current manifest schema version (the `# kset campaign manifest vN`
 /// header line). Bump on any field change; readers reject other versions.
-pub const MANIFEST_VERSION: u64 = 1;
+/// v2 dropped the append-log store's `shards` and `store_log_bytes` keys
+/// and added `bound`, `checkpoint_bytes` and `checkpoint_ms`.
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// Lifecycle status of a campaign.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -107,8 +111,6 @@ pub struct Manifest {
     pub por: bool,
     /// State-digest deduplication switch.
     pub dedup: bool,
-    /// Shard count of the visited store, fixed at creation.
-    pub shards: usize,
     /// Adversary model of the cell.
     pub adversary: AdversaryModel,
     /// Byzantine forged-value menu (empty for crash/lossy adversaries).
@@ -124,6 +126,10 @@ pub struct Manifest {
     pub config_digest: u64,
     /// Lifecycle status.
     pub status: CampaignStatus,
+    /// The bounds that cut a [bounded](CampaignStatus::Bounded) campaign
+    /// short, as [`CellVerdict::bounds`](crate::checker::CellVerdict::bounds)
+    /// names them, joined by ` or `; `None` otherwise.
+    pub bound: Option<String>,
     /// Times this campaign has been resumed (lineage).
     pub resumes: u64,
     /// Checkpoints written over the campaign's whole life.
@@ -141,8 +147,10 @@ pub struct Manifest {
     /// Live minimal entries in the visited store at the last checkpoint
     /// (the in-progress pattern's table; zero at pattern boundaries).
     pub store_entries: u64,
-    /// Durable shard-log bytes at the last checkpoint.
-    pub store_log_bytes: u64,
+    /// Snapshot bytes written by every checkpoint so far.
+    pub checkpoint_bytes: u64,
+    /// Wall-clock milliseconds spent writing those snapshots.
+    pub checkpoint_ms: u64,
 }
 
 /// Digest of every configuration field that can change verdicts,
@@ -207,9 +215,9 @@ fn adversary_is_non_default(cfg: &CheckerConfig) -> bool {
 }
 
 impl Manifest {
-    /// A fresh manifest for a campaign just created from `cfg` with
-    /// `shards` shards: status running, all counters zero.
-    pub fn new(cfg: &CheckerConfig, shards: usize) -> Self {
+    /// A fresh manifest for a campaign just created from `cfg`: status
+    /// running, no bound, all counters zero.
+    pub fn new(cfg: &CheckerConfig) -> Self {
         Manifest {
             protocol: cfg.protocol,
             n: cfg.n,
@@ -223,7 +231,6 @@ impl Manifest {
             max_states: cfg.max_states,
             por: cfg.por,
             dedup: cfg.dedup,
-            shards,
             adversary: cfg.adversary,
             byz_menu: cfg.byz_menu.clone(),
             byz_silence: cfg.byz_silence,
@@ -231,6 +238,7 @@ impl Manifest {
             inputs: cfg.inputs.clone(),
             config_digest: config_digest(cfg),
             status: CampaignStatus::Running,
+            bound: None,
             resumes: 0,
             checkpoints: 0,
             runs: 0,
@@ -239,7 +247,8 @@ impl Manifest {
             sleep_skips: 0,
             patterns_done: 0,
             store_entries: 0,
-            store_log_bytes: 0,
+            checkpoint_bytes: 0,
+            checkpoint_ms: 0,
         }
     }
 }
@@ -300,11 +309,9 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
     writeln!(out, "max_states: {}", manifest.max_states)?;
     writeln!(out, "por: {}", manifest.por)?;
     writeln!(out, "dedup: {}", manifest.dedup)?;
-    writeln!(out, "shards: {}", manifest.shards)?;
     // Adversary-space fields are written only when they deviate from the
-    // crash-model defaults, so crash-campaign manifests keep the exact
-    // field set (and bytes) earlier builds wrote; readers default the
-    // absent keys. The manifest version therefore stays at v1.
+    // crash-model defaults, so crash-campaign manifests keep their
+    // field set; readers default the absent keys.
     let default_crash = matches!(
         manifest.adversary,
         AdversaryModel::MpCrash | AdversaryModel::SmCrash
@@ -338,6 +345,11 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
     }
     writeln!(out, "config_digest: {:016x}", manifest.config_digest)?;
     writeln!(out, "status: {}", manifest.status)?;
+    writeln!(
+        out,
+        "bound: {}",
+        manifest.bound.as_deref().unwrap_or("none")
+    )?;
     writeln!(out, "resumes: {}", manifest.resumes)?;
     writeln!(out, "checkpoints: {}", manifest.checkpoints)?;
     writeln!(out, "runs: {}", manifest.runs)?;
@@ -346,7 +358,8 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
     writeln!(out, "sleep_skips: {}", manifest.sleep_skips)?;
     writeln!(out, "patterns_done: {}", manifest.patterns_done)?;
     writeln!(out, "store_entries: {}", manifest.store_entries)?;
-    writeln!(out, "store_log_bytes: {}", manifest.store_log_bytes)?;
+    writeln!(out, "checkpoint_bytes: {}", manifest.checkpoint_bytes)?;
+    writeln!(out, "checkpoint_ms: {}", manifest.checkpoint_ms)?;
     let tmp = dir.join("MANIFEST.tmp");
     fs::write(&tmp, &out)?;
     fs::rename(&tmp, manifest_path(dir))
@@ -358,8 +371,9 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
 ///
 /// [`io::ErrorKind::NotFound`] when no manifest exists (not a campaign
 /// directory); [`io::ErrorKind::InvalidData`] on an unsupported version,
-/// malformed fields, an unknown or repeated key, a cell
-/// [`CheckerConfig::validate`] rejects, or zero shards.
+/// malformed fields, an unknown or repeated key, or a cell
+/// [`CheckerConfig::validate`] rejects; an unsupported version carries
+/// an [`UnsupportedVersion`] payload.
 pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
     let path = manifest_path(dir);
     let text = fs::read_to_string(&path)?;
@@ -371,9 +385,14 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
         .and_then(|v| v.trim().parse().ok())
         .ok_or_else(|| header.bad(format_args!("bad header line {first:?}")))?;
     if version != MANIFEST_VERSION {
-        return Err(header.bad(format_args!(
-            "unsupported manifest version {version} (this build reads {MANIFEST_VERSION})"
-        )));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            UnsupportedVersion {
+                path,
+                found: version,
+                supported: MANIFEST_VERSION,
+            },
+        ));
     }
     for line in lines {
         if line.trim().is_empty() || line.starts_with('#') {
@@ -400,7 +419,6 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
         max_states: header.parse("max_states")?,
         por: header.parse("por")?,
         dedup: header.parse("dedup")?,
-        shards: header.parse("shards")?,
         // The adversary-space fields are absent in crash-model manifests.
         adversary: header
             .optional("model", parse_adversary_model)?
@@ -411,6 +429,11 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
         inputs: header.optional("inputs", numbers)?,
         config_digest: header.required("config_digest", |v| u64::from_str_radix(v, 16).ok())?,
         status: header.required("status", CampaignStatus::parse)?,
+        bound: header.required("bound", |v| match v {
+            "" => None,
+            "none" => Some(None),
+            bound => Some(Some(bound.to_string())),
+        })?,
         resumes: header.parse("resumes")?,
         checkpoints: header.parse("checkpoints")?,
         runs: header.parse("runs")?,
@@ -419,16 +442,14 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
         sleep_skips: header.parse("sleep_skips")?,
         patterns_done: header.parse("patterns_done")?,
         store_entries: header.parse("store_entries")?,
-        store_log_bytes: header.parse("store_log_bytes")?,
+        checkpoint_bytes: header.parse("checkpoint_bytes")?,
+        checkpoint_ms: header.parse("checkpoint_ms")?,
     };
     header.refuse_unread()?;
     // `--resume` builds the cell and the store from these values, so a
     // manifest that would make it panic is refused here.
     if let Err(message) = manifest.checker_config().validate() {
         return Err(header.bad(format_args!("invalid configuration: {message}")));
-    }
-    if manifest.shards == 0 {
-        return Err(header.bad("a campaign needs at least one shard"));
     }
     Ok(manifest)
 }
@@ -455,7 +476,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kset_manifest_status_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let mut manifest = Manifest::new(&sample_config(), 2);
+        let mut manifest = Manifest::new(&sample_config());
         for (status, word) in [
             (CampaignStatus::Running, "running"),
             (CampaignStatus::Holds, "holds"),
@@ -477,12 +498,13 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let cfg = sample_config();
-        let mut manifest = Manifest::new(&cfg, 8);
+        let mut manifest = Manifest::new(&cfg);
         manifest.status = CampaignStatus::Running;
         manifest.resumes = 2;
         manifest.checkpoints = 7;
         manifest.runs = 1_000_000;
         manifest.store_entries = 42;
+        manifest.bound = Some("--max-runs 123456".to_string());
         write_manifest(&dir, &manifest).unwrap();
         let back = read_manifest(&dir).unwrap();
         assert_eq!(back.protocol, manifest.protocol);
@@ -491,13 +513,13 @@ mod tests {
         assert_eq!(back.depth, usize::MAX);
         assert_eq!(back.preemptions, Some(3));
         assert_eq!(back.max_runs, 123_456);
-        assert_eq!(back.shards, 8);
         assert_eq!(back.config_digest, manifest.config_digest);
         assert_eq!(back.status, CampaignStatus::Running);
         assert_eq!(back.resumes, 2);
         assert_eq!(back.checkpoints, 7);
         assert_eq!(back.runs, 1_000_000);
         assert_eq!(back.store_entries, 42);
+        assert_eq!(back.bound.as_deref(), Some("--max-runs 123456"));
         // The reconstructed configuration digests back to the original —
         // the property `--resume` without restated flags relies on.
         assert_eq!(config_digest(&back.checker_config()), manifest.config_digest);
@@ -546,14 +568,17 @@ mod tests {
             )
         };
         assert_eq!(config_digest(&cfg), fnv1a(layout(false, "").as_bytes()));
-        assert!(!Manifest::new(&cfg, 4).symmetry);
+        // The digest an n = 3 FloodMin campaign has always recorded.
+        let n3 = CheckerConfig::new(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
+        assert_eq!(config_digest(&n3), 0x55df_527f_019e_ffa4);
+        assert!(!Manifest::new(&cfg).symmetry);
         let mut unanimous = cfg.clone();
         unanimous.inputs = Some(vec![1, 1, 1, 1]);
         assert_eq!(
             config_digest(&unanimous),
             fnv1a(layout(true, ";inputs=[1, 1, 1, 1]").as_bytes())
         );
-        assert!(Manifest::new(&unanimous, 4).symmetry);
+        assert!(Manifest::new(&unanimous).symmetry);
     }
 
     #[test]
@@ -580,7 +605,7 @@ mod tests {
             .join(format!("kset_manifest_byz_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let manifest = Manifest::new(&cfg, 4);
+        let manifest = Manifest::new(&cfg);
         write_manifest(&dir, &manifest).unwrap();
         let back = read_manifest(&dir).unwrap();
         assert_eq!(back.adversary, AdversaryModel::MpByz);
@@ -602,7 +627,7 @@ mod tests {
         let mut lossy = sample_config();
         lossy.adversary = AdversaryModel::MpLossy;
         lossy.loss_budget = 2;
-        write_manifest(&dir, &Manifest::new(&lossy, 4)).unwrap();
+        write_manifest(&dir, &Manifest::new(&lossy)).unwrap();
         assert_eq!(read_manifest(&dir).unwrap().loss_budget, 2);
         let path = manifest_path(&dir);
         let text = fs::read_to_string(&path).unwrap();
@@ -625,7 +650,7 @@ mod tests {
             std::env::temp_dir().join(format!("kset_manifest_skew_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        write_manifest(&dir, &Manifest::new(&sample_config(), 4)).unwrap();
+        write_manifest(&dir, &Manifest::new(&sample_config())).unwrap();
         let path = manifest_path(&dir);
         let text = fs::read_to_string(&path).unwrap();
         let skewed = text.replace(
@@ -636,6 +661,17 @@ mod tests {
         let err = read_manifest(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("version"), "{err}");
+        let skew = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<UnsupportedVersion>());
+        assert_eq!(
+            skew,
+            Some(&UnsupportedVersion {
+                path,
+                found: MANIFEST_VERSION + 1,
+                supported: MANIFEST_VERSION,
+            })
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,25 +1,22 @@
 //! Checkpointed, resumable certification campaigns.
 //!
 //! A *campaign* is a [`crate::checker::check_cell`] run turned into a
-//! restartable production job: the same pattern loop, over a disk-backed
-//! visited store instead of a fresh in-memory one per pattern, with hooks
-//! that checkpoint the exploration state into a campaign directory
-//! atomically at wave and pattern boundaries. A killed campaign resumed
-//! via `model_check --resume` produces **bit-identical verdicts,
-//! counters, and counterexample bytes** to an uninterrupted run — the
-//! determinism contract `--threads` has, extended across process
-//! lifetimes. `CAMPAIGNS.md` is the operator's guide; this module is the
-//! mechanism.
+//! restartable production job: the same pattern loop over the same
+//! in-memory visited store, with hooks that checkpoint the exploration
+//! state into a campaign directory atomically at wave and pattern
+//! boundaries. A killed campaign resumed via `model_check --resume`
+//! produces **bit-identical verdicts, counters, and counterexample
+//! bytes** to an uninterrupted run — the determinism contract `--threads`
+//! has, extended across process lifetimes. `CAMPAIGNS.md` is the
+//! operator's guide; this module is the mechanism.
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! <campaign-dir>/
-//!   MANIFEST                   # human-readable summary + lifecycle (manifest.rs)
-//!   snapshot.bin               # checksummed resume point (snapshot.rs)
-//!   shard-000.gen-3.log        # visited-store append logs, one per shard,
-//!   shard-001.gen-3.log        #   tagged with the current log generation
-//!   ...                        #   (shard.rs + store.rs)
+//!   MANIFEST       # human-readable summary + lifecycle (manifest.rs)
+//!   snapshot.bin   # checksummed resume point, the in-progress
+//!                  #   pattern's visited store included (snapshot.rs)
 //! ```
 //!
 //! # Why resume is exact
@@ -37,18 +34,17 @@
 
 pub mod manifest;
 pub(crate) mod snapshot;
-pub mod shard;
-pub mod store;
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use crate::checker::{
     drive_cell, CellHooks, CellVerdict, CheckerConfig, PatternState, PatternVerdict, RunGauge,
-    Store, VisitedGauge, WorkItem,
+    VisitedGauge, WorkItem,
 };
 use crate::engine::WaveControl;
 use crate::visited::Sharded;
@@ -57,16 +53,11 @@ use manifest::{
     config_digest, manifest_path, read_manifest, uses_canonical_digests, write_manifest,
     CampaignStatus, Manifest,
 };
-use shard::Shard;
-use snapshot::{read_snapshot, write_snapshot, Snapshot};
-use store::DiskStore;
+use snapshot::{read_snapshot, write_snapshot, InProgress};
 
 /// Campaign-layer knobs (the checker knobs stay in [`CheckerConfig`]).
 #[derive(Clone, Debug)]
 pub struct CampaignOptions {
-    /// Shard count of the visited store. Fixed at creation; ignored on
-    /// resume (the manifest's layout wins).
-    pub shards: usize,
     /// Checkpoint once at least this many runs have accumulated since the
     /// last checkpoint (checked at wave boundaries, so the actual spacing
     /// overshoots by up to one wave). `0` checkpoints at every boundary.
@@ -81,7 +72,6 @@ pub struct CampaignOptions {
 impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
-            shards: 16,
             checkpoint_every: 250_000,
             pause_after_checkpoints: None,
         }
@@ -134,6 +124,36 @@ impl fmt::Display for DigestModeMismatch {
 
 impl std::error::Error for DigestModeMismatch {}
 
+/// Why a campaign file was refused: another build wrote it in a format
+/// version this one does not read — for example a directory of the
+/// append-log store, MANIFEST v1 and snapshot v2. Carried as the payload
+/// of the [`io::ErrorKind::InvalidData`] error; the directory is left
+/// untouched.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct UnsupportedVersion {
+    /// The refused file.
+    pub path: PathBuf,
+    /// The version it records.
+    pub found: u64,
+    /// The version this build reads and writes.
+    pub supported: u64,
+}
+
+impl fmt::Display for UnsupportedVersion {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: unsupported format version {} (this build reads {}); resume the campaign \
+             with the build that wrote it, or start a new one",
+            self.path.display(),
+            self.found,
+            self.supported,
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedVersion {}
+
 /// A campaign invocation's outcome with the gauges of the exploration it
 /// ran (see [`crate::checker::check_cell_gauged`]). After a resume the
 /// gauges cover this invocation only: the wave barriers it drained, the
@@ -183,10 +203,13 @@ pub fn run_campaign_gauged(
         ));
     }
     fs::create_dir_all(dir)?;
-    let (disk, shards) = DiskStore::create(dir, opts.shards)?;
-    let manifest = Manifest::new(cfg, opts.shards);
+    let manifest = Manifest::new(cfg);
     write_manifest(dir, &manifest)?;
-    drive(cfg, Checkpoints::new(dir, opts, disk, manifest, 0), shards, Vec::new(), None)
+    drive(
+        Checkpoints::new(cfg, dir, opts, manifest, 0),
+        Vec::new(),
+        None,
+    )
 }
 
 /// Resumes the campaign in `dir` from its last durable checkpoint.
@@ -203,8 +226,9 @@ pub fn run_campaign_gauged(
 /// [`CheckerConfig::validate`]; [`io::ErrorKind::NotFound`] if `dir` has
 /// no manifest; [`io::ErrorKind::InvalidData`] on a configuration
 /// mismatch (a [`DigestModeMismatch`] payload when the recorded digest
-/// mode is not the one the inputs select), an already-finished campaign,
-/// or corrupt campaign files. A refused resume writes nothing.
+/// mode is not the one the inputs select), a file format this build does
+/// not read (an [`UnsupportedVersion`] payload), an already-finished
+/// campaign, or corrupt campaign files. A refused resume writes nothing.
 pub fn resume_campaign(
     cfg: &CheckerConfig,
     dir: &Path,
@@ -259,40 +283,28 @@ pub fn resume_campaign_gauged(
             manifest.status
         )));
     }
-    let (disk, shards, patterns_done, in_progress) = match read_snapshot(dir) {
-        Ok(snap) => {
-            if snap.config_digest != digest {
-                return Err(bad(format!(
-                    "snapshot in {} disagrees with the manifest's configuration digest",
-                    dir.display()
-                )));
-            }
-            if snap.watermarks.len() != manifest.shards {
-                return Err(bad(format!(
-                    "snapshot in {} records {} shard(s), manifest says {}",
-                    dir.display(),
-                    snap.watermarks.len(),
-                    manifest.shards
-                )));
-            }
-            let (disk, shards) = DiskStore::open(dir, snap.generation, &snap.watermarks)?;
-            (disk, shards, snap.patterns_done, snap.in_progress)
+    let (patterns_done, in_progress) = match read_snapshot(dir, cfg.threads) {
+        Ok(snap) if snap.config_digest != digest => {
+            return Err(bad(format!(
+                "snapshot in {} disagrees with the manifest's configuration digest",
+                dir.display()
+            )));
         }
+        Ok(snap) => (snap.patterns_done, snap.in_progress),
         // Killed before the first checkpoint: the campaign starts over.
-        // Generation 0 with zero watermarks truncates any partial appends
-        // and discards stray generations a mid-flush crash left behind.
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let (disk, shards) = DiskStore::open(dir, 0, &vec![0; manifest.shards])?;
-            (disk, shards, Vec::new(), None)
-        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), None),
         Err(e) => return Err(e),
     };
     manifest.resumes += 1;
     write_manifest(dir, &manifest)?;
     // Runs recorded so far: finished patterns plus the in-progress partial.
     let runs = patterns_done.iter().map(|p| p.runs).sum::<u64>()
-        + in_progress.as_ref().map_or(0, |s| s.verdict.runs);
-    drive(cfg, Checkpoints::new(dir, opts, disk, manifest, runs), shards, patterns_done, in_progress)
+        + in_progress.as_ref().map_or(0, |(s, _)| s.verdict.runs);
+    drive(
+        Checkpoints::new(cfg, dir, opts, manifest, runs),
+        patterns_done,
+        in_progress,
+    )
 }
 
 /// The campaign's hooks on the checker's pattern loop: a checkpoint once
@@ -300,9 +312,9 @@ pub fn resume_campaign_gauged(
 /// one, and at every pattern boundary, and the pause
 /// [`CampaignOptions::pause_after_checkpoints`] asks for.
 struct Checkpoints<'a> {
+    cfg: &'a CheckerConfig,
     dir: &'a Path,
     opts: &'a CampaignOptions,
-    disk: DiskStore,
     manifest: Manifest,
     /// Cumulative runs at the last checkpoint.
     last_runs: u64,
@@ -314,16 +326,16 @@ struct Checkpoints<'a> {
 
 impl<'a> Checkpoints<'a> {
     fn new(
+        cfg: &'a CheckerConfig,
         dir: &'a Path,
         opts: &'a CampaignOptions,
-        disk: DiskStore,
         manifest: Manifest,
         last_runs: u64,
     ) -> Self {
         Checkpoints {
+            cfg,
             dir,
             opts,
-            disk,
             manifest,
             last_runs,
             written: 0,
@@ -331,19 +343,17 @@ impl<'a> Checkpoints<'a> {
         }
     }
 
-    /// Writes one durable checkpoint at `runs` cumulative runs: flushes
-    /// the store, snapshots `(finished patterns, in-progress state, store
-    /// coordinates)`, deletes superseded log generations, and rewrites the
+    /// Writes one durable checkpoint at `runs` cumulative runs: the
+    /// snapshot of `(finished patterns, in-progress pattern)`, then the
     /// manifest. Pauses the loop when the pause budget is spent or the
     /// checkpoint fails.
     fn checkpoint(
         &mut self,
-        shards: &mut Sharded<Shard>,
         patterns_done: &[PatternVerdict],
-        in_progress: Option<PatternState>,
+        in_progress: Option<InProgress<'_>>,
         runs: u64,
     ) -> WaveControl {
-        match self.write(shards, patterns_done, in_progress) {
+        match self.write(patterns_done, in_progress) {
             Ok(()) => {
                 self.last_runs = runs;
                 self.written += 1;
@@ -366,41 +376,32 @@ impl<'a> Checkpoints<'a> {
 
     fn write(
         &mut self,
-        shards: &mut Sharded<Shard>,
         patterns_done: &[PatternVerdict],
-        in_progress: Option<PatternState>,
+        in_progress: Option<InProgress<'_>>,
     ) -> io::Result<()> {
-        let (generation, watermarks) = self.disk.flush(shards)?;
-        let snapshot = Snapshot {
-            config_digest: self.manifest.config_digest,
-            generation,
-            watermarks,
-            patterns_done: patterns_done.to_vec(),
-            in_progress,
-        };
-        write_snapshot(self.dir, &snapshot)?;
-        // Only now is it safe to drop generations the old snapshot needed.
-        self.disk.cleanup(shards)?;
-        // The cumulative counters, from the authoritative state.
+        let started = Instant::now();
         let manifest = &mut self.manifest;
+        let bytes = write_snapshot(self.dir, manifest.config_digest, patterns_done, in_progress)?;
+        // The cumulative counters, from the authoritative state.
         manifest.checkpoints += 1;
-        let partial = snapshot.in_progress.as_ref().map(|s| &s.verdict);
+        let partial = in_progress.map(|(verdict, _, _)| verdict);
         let verdicts = || patterns_done.iter().chain(partial);
         manifest.runs = verdicts().map(|v| v.runs).sum();
         manifest.states = verdicts().map(|v| v.states as u64).sum();
         manifest.dedup_hits = verdicts().map(|v| v.dedup_hits).sum();
         manifest.sleep_skips = verdicts().map(|v| v.sleep_skips).sum();
         manifest.patterns_done = patterns_done.len() as u64;
-        manifest.store_entries = shards.live_entries();
-        manifest.store_log_bytes = shards.tables().iter().map(Shard::log_bytes).sum();
+        manifest.store_entries = in_progress.map_or(0, |(_, _, store)| store.live_entries());
+        manifest.checkpoint_bytes += bytes;
+        manifest.checkpoint_ms += started.elapsed().as_millis() as u64;
         write_manifest(self.dir, manifest)
     }
 }
 
-impl CellHooks<Shard> for Checkpoints<'_> {
+impl CellHooks for Checkpoints<'_> {
     fn wave(
         &mut self,
-        shards: &mut Sharded<Shard>,
+        store: &Sharded,
         done: &[PatternVerdict],
         partial: &PatternVerdict,
         queue: &VecDeque<Vec<WorkItem>>,
@@ -409,53 +410,42 @@ impl CellHooks<Shard> for Checkpoints<'_> {
         if runs.saturating_sub(self.last_runs) < self.opts.checkpoint_every {
             return WaveControl::Continue;
         }
-        let partial = PatternState {
-            verdict: partial.clone(),
-            queue: queue.iter().cloned().collect(),
-        };
-        self.checkpoint(shards, done, Some(partial), runs)
+        self.checkpoint(done, Some((partial, queue, store)), runs)
     }
 
-    fn pattern(
-        &mut self,
-        shards: &mut Sharded<Shard>,
-        done: &[PatternVerdict],
-        decided: bool,
-    ) -> WaveControl {
-        if done.last().is_some_and(|p| p.violation.is_some()) {
-            self.manifest.status = CampaignStatus::Violated;
-        } else {
-            if decided {
-                self.manifest.status = if done.iter().all(|p| p.complete) {
-                    CampaignStatus::Holds
-                } else {
-                    CampaignStatus::Bounded
-                };
-            }
-            // The visited set is per-pattern, so clear the store into a
-            // fresh log generation before the boundary checkpoint.
-            if let Err(e) = self.disk.reset(shards) {
-                self.error = Some(e);
-                return WaveControl::Pause;
-            }
+    fn pattern(&mut self, done: &[PatternVerdict], decided: bool) -> WaveControl {
+        if decided {
+            let verdict = CellVerdict::of(done.to_vec());
+            self.manifest.status = if !verdict.holds() {
+                CampaignStatus::Violated
+            } else if verdict.bounded() {
+                CampaignStatus::Bounded
+            } else {
+                CampaignStatus::Holds
+            };
+            let bounds = verdict.bounds(self.cfg);
+            self.manifest.bound = (!bounds.is_empty()).then(|| bounds.join(" or "));
         }
         let runs = done.iter().map(|p| p.runs).sum();
-        self.checkpoint(shards, done, None, runs)
+        self.checkpoint(done, None, runs)
     }
 }
 
-/// Drives the campaign on the checker's pattern loop over its disk-backed
-/// `shards`, from the checkpointed `patterns_done` and `in_progress`
-/// state, with `checkpoints` as the loop's hooks.
+/// Drives the campaign on the checker's pattern loop from the
+/// checkpointed `patterns_done` and `in_progress` state, with
+/// `checkpoints` as the loop's hooks.
 fn drive(
-    cfg: &CheckerConfig,
     mut checkpoints: Checkpoints<'_>,
-    mut shards: Sharded<Shard>,
     patterns_done: Vec<PatternVerdict>,
-    in_progress: Option<PatternState>,
+    in_progress: Option<(PatternState, Sharded)>,
 ) -> io::Result<GaugedOutcome> {
-    let store = Store::Lent(&mut shards, &mut checkpoints);
-    let (verdict, visited, runs) = drive_cell(cfg, patterns_done, in_progress, store);
+    let cfg = checkpoints.cfg;
+    let (verdict, visited, runs) = drive_cell(
+        cfg,
+        patterns_done,
+        in_progress,
+        Some(&mut checkpoints as &mut dyn CellHooks),
+    );
     if let Some(e) = checkpoints.error {
         return Err(e);
     }
@@ -514,7 +504,6 @@ mod tests {
         let dir = tmp_dir("paused");
         let cfg = n3_cfg();
         let opts = CampaignOptions {
-            shards: 4,
             checkpoint_every: 0, // every wave and every pattern boundary
             pause_after_checkpoints: Some(1),
         };
@@ -559,7 +548,6 @@ mod tests {
         for (cfg, canonical) in [(n3_cfg(), false), (unanimous, true)] {
             let dir = tmp_dir(&format!("digest_mode_{canonical}"));
             let opts = CampaignOptions {
-                shards: 2,
                 checkpoint_every: 0,
                 pause_after_checkpoints: Some(1),
             };
@@ -593,7 +581,6 @@ mod tests {
         let dir = tmp_dir("config_mismatch");
         let cfg = n3_cfg();
         let opts = CampaignOptions {
-            shards: 2,
             checkpoint_every: 0,
             pause_after_checkpoints: Some(1),
         };

@@ -14,7 +14,7 @@ use super::bench::progress_line;
 use super::explore::{explore_task, Task, TaskOutcome, TASK_BUDGET};
 use super::{shrink_counterexample, CheckerConfig, ForkMode, Visited};
 use crate::engine::{DrainExit, WaveControl};
-use crate::visited::{ShardTable, Sharded, SHARDS};
+use crate::visited::{Sharded, SHARDS};
 
 /// One sleeping event: put to sleep after its subtree was fully
 /// explored, woken (removed) by firing any *dependent* event — one
@@ -144,7 +144,7 @@ fn seed_pattern(
         spec,
         plan,
         crashed: &crashed,
-        global: &Sharded::<Visited>::new(1),
+        global: &Sharded::new(1),
     };
     let mut root_out = explore_task(&task, vec![root], 1);
     let mut seeded = std::mem::take(&mut root_out.spill);
@@ -168,13 +168,13 @@ fn seed_pattern(
     )
 }
 
-/// Phase 2 of a pattern's exploration, generic over the shared visited
-/// store and resumable at any wave boundary: drains the task queue in
-/// waves. Each task partitions its visited table by the store's shards
-/// before it returns; at the wave barrier the tasks' counters are folded
-/// into the verdict in claim order, and their tables into `store` in one
-/// [`Sharded::fold`], shard by shard on the engine's workers. Tasks that exhaust [`TASK_BUDGET`] spill their remaining
-/// stack back into the queue as fresh tasks.
+/// Phase 2 of a pattern's exploration, resumable at any wave boundary:
+/// drains the task queue in waves. Each task partitions its visited table
+/// by the store's shards before it returns; at the wave barrier the
+/// tasks' counters are folded into the verdict in claim order, and their
+/// tables into `store` in one [`Sharded::fold`], shard by shard on the
+/// engine's workers. Tasks that exhaust [`TASK_BUDGET`] spill their
+/// remaining stack back into the queue as fresh tasks.
 ///
 /// `on_wave` runs between waves with the store, the verdict so far, and
 /// the remaining queue; returning [`WaveControl::Pause`] ends the drain
@@ -188,14 +188,14 @@ fn seed_pattern(
 /// after the pattern's cumulative runs pass each multiple of `N` prints
 /// one progress line, a compact JSON object, to stderr (see
 /// `OBSERVABILITY.md`).
-fn drain_pattern<T: ShardTable + Sync>(
+fn drain_pattern(
     cfg: &CheckerConfig,
     inputs: &[u64],
     spec: &ProblemSpec,
     plan: &FaultPlan,
-    store: &mut Sharded<T>,
+    store: &mut Sharded,
     state: PatternState,
-    mut on_wave: impl FnMut(&mut Sharded<T>, &PatternVerdict, &VecDeque<Vec<WorkItem>>) -> WaveControl,
+    mut on_wave: impl FnMut(&Sharded, &PatternVerdict, &VecDeque<Vec<WorkItem>>) -> WaveControl,
 ) -> (PatternVerdict, DrainExit, RunGauge) {
     let PatternState { verdict, queue } = state;
     let crashed = verdict.crashed.clone();
@@ -215,7 +215,7 @@ fn drain_pattern<T: ShardTable + Sync>(
                 spec,
                 plan,
                 crashed: &crashed,
-                global: &**store,
+                global: store,
             };
             let mut out = explore_task(&task, stack, TASK_BUDGET);
             let table = std::mem::take(&mut out.visited).partition(store.shard_count());
@@ -263,12 +263,11 @@ fn drain_pattern<T: ShardTable + Sync>(
 /// boundary. Every field of the verdict is identical for every thread
 /// count (see the module docs).
 ///
-/// This is one step of the pattern loop ([`check_cell`]) on a fresh
-/// in-memory store: a [`Sharded`] store of [`SHARDS`] [`Visited`]
-/// tables, allocated after the pattern's seed run and dropped on return.
-/// A campaign (`crate::campaign`) runs the same step against its
-/// disk-backed store with checkpoint hooks, and is pinned to produce
-/// bit-identical verdicts.
+/// This is one step of the pattern loop ([`check_cell`]): a [`Sharded`]
+/// store of [`SHARDS`] [`Visited`] tables, allocated after the pattern's
+/// seed run and dropped on return. A campaign (`crate::campaign`) runs the
+/// same step with checkpoint hooks, and is pinned to produce bit-identical
+/// verdicts.
 ///
 /// # Panics
 ///
@@ -280,29 +279,19 @@ pub fn explore_pattern(
     spec: &ProblemSpec,
     plan: &FaultPlan,
 ) -> PatternVerdict {
-    let mut store = Store::<Visited>::Fresh;
-    run_pattern(cfg, inputs, spec, plan, None, &[], &mut store, &mut VisitedGauge::default()).0
-}
-
-/// The store the pattern loop drains against, and the hooks watching it.
-pub(crate) enum Store<'a, T> {
-    /// A fresh in-memory store of [`SHARDS`] tables per pattern, allocated
-    /// after the pattern's seed run and dropped when its drain returns.
-    Fresh,
-    /// One store lent for every pattern (a campaign's disk-backed shards),
-    /// and the hooks that run at its wave and pattern boundaries.
-    Lent(&'a mut Sharded<T>, &'a mut dyn CellHooks<T>),
+    run_pattern(cfg, inputs, spec, plan, None, &[], None, &mut VisitedGauge::default()).0
 }
 
 /// What a caller of the pattern loop does at its boundaries. Hooks
 /// observe the exploration and may pause it, but never steer it, so
 /// verdicts and counters do not depend on when, or whether, they pause.
-pub(crate) trait CellHooks<T> {
+pub(crate) trait CellHooks {
     /// Between two waves of a pattern: `done` holds the finished
-    /// patterns, `partial` and `queue` the drained pattern so far.
+    /// patterns, `partial`, `queue` and `store` the drained pattern so
+    /// far.
     fn wave(
         &mut self,
-        store: &mut Sharded<T>,
+        store: &Sharded,
         done: &[PatternVerdict],
         partial: &PatternVerdict,
         queue: &VecDeque<Vec<WorkItem>>,
@@ -311,77 +300,59 @@ pub(crate) trait CellHooks<T> {
     /// After a pattern's verdict, its violation shrunk, joined `done`;
     /// `decided` when no pattern follows. A pause is ignored once the
     /// cell is decided.
-    fn pattern(
-        &mut self,
-        store: &mut Sharded<T>,
-        done: &[PatternVerdict],
-        decided: bool,
-    ) -> WaveControl;
+    fn pattern(&mut self, done: &[PatternVerdict], decided: bool) -> WaveControl;
 }
 
-/// One pattern of the loop: seeds it (unless `partial` resumes it, its
-/// visited set already in the lent store), folds the seed run's table
-/// into the store, and drains it. `visited` rises to the store's size at
-/// every wave barrier.
+/// One pattern of the loop: seeds it, allocates its store and folds the
+/// seed run's table into it — unless `partial` resumes the pattern with
+/// its store — and drains it, `hooks` watching the waves. The store is
+/// dropped on return. `visited` rises to the store's size at every wave
+/// barrier.
 #[allow(clippy::too_many_arguments)]
-fn run_pattern<T: ShardTable + Sync>(
+fn run_pattern(
     cfg: &CheckerConfig,
     inputs: &[u64],
     spec: &ProblemSpec,
     plan: &FaultPlan,
-    partial: Option<PatternState>,
+    partial: Option<(PatternState, Sharded)>,
     done: &[PatternVerdict],
-    store: &mut Store<'_, T>,
+    mut hooks: Option<&mut (dyn CellHooks + '_)>,
     visited: &mut VisitedGauge,
 ) -> (PatternVerdict, DrainExit, RunGauge) {
-    let (state, root) = match partial {
-        Some(state) => (state, None),
-        None => {
-            let (state, root) = seed_pattern(cfg, inputs, spec, plan);
-            (state, Some(root))
-        }
-    };
-    let mut fresh: Sharded<T>;
-    let (store, mut hooks) = match store {
-        Store::Fresh => {
-            fresh = Sharded::new(SHARDS);
-            (&mut fresh, None)
-        }
-        Store::Lent(store, hooks) => (&mut **store, Some(&mut **hooks)),
-    };
-    if let Some(root) = root {
-        store.fold(&[root.partition(store.shard_count())], cfg.threads);
-    }
-    *visited = visited.max(VisitedGauge::of(store));
-    let drained = drain_pattern(cfg, inputs, spec, plan, store, state, |store, partial, queue| {
+    let (state, mut store) = partial.unwrap_or_else(|| {
+        let (state, root) = seed_pattern(cfg, inputs, spec, plan);
+        let mut store = Sharded::new(SHARDS);
+        store.fold(&[root.partition(SHARDS)], cfg.threads);
+        (state, store)
+    });
+    *visited = visited.max(VisitedGauge::of(&store));
+    let drained = drain_pattern(cfg, inputs, spec, plan, &mut store, state, |store, partial, queue| {
         *visited = visited.max(VisitedGauge::of(store));
         match hooks.as_mut() {
             Some(hooks) => hooks.wave(store, done, partial, queue),
             None => WaveControl::Continue,
         }
     });
-    *visited = visited.max(VisitedGauge::of(store));
+    *visited = visited.max(VisitedGauge::of(&store));
     drained
 }
 
 /// The checker's one pattern loop, behind [`check_cell`] and every
 /// campaign: explores the cell's fault plans from the first one not in
-/// `done` (resuming `partial`, if any), shrinks the first violation and
-/// stops there, and
-/// folds the pattern verdicts into the cell's — `None` when a hook paused
-/// the loop — next to the gauges of the patterns it ran. `store` says
-/// what each pattern drains against; a lent store's hooks run at every
-/// wave and pattern boundary.
+/// `done` (resuming `partial` and its store, if any), shrinks the first
+/// violation and stops there, and folds the pattern verdicts into the
+/// cell's — `None` when a hook paused the loop — next to the gauges of
+/// the patterns it ran. `hooks` run at every wave and pattern boundary.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails [`CheckerConfig::validate`]: the hard guard
 /// against certifying the wrong model.
-pub(crate) fn drive_cell<T: ShardTable + Sync>(
+pub(crate) fn drive_cell(
     cfg: &CheckerConfig,
     mut done: Vec<PatternVerdict>,
-    mut partial: Option<PatternState>,
-    mut store: Store<'_, T>,
+    mut partial: Option<(PatternState, Sharded)>,
+    mut hooks: Option<&mut dyn CellHooks>,
 ) -> (Option<CellVerdict>, VisitedGauge, RunGauge) {
     if let Err(message) = cfg.validate() {
         panic!("invalid checker configuration: {message}");
@@ -400,7 +371,7 @@ pub(crate) fn drive_cell<T: ShardTable + Sync>(
             plan,
             partial.take(),
             &done,
-            &mut store,
+            hooks.as_deref_mut(),
             &mut visited,
         );
         runs.add(&pattern_runs);
@@ -412,8 +383,8 @@ pub(crate) fn drive_cell<T: ShardTable + Sync>(
         }
         let decided = pattern.violation.is_some() || index + 1 == plans.len();
         done.push(pattern);
-        if let Store::Lent(store, hooks) = &mut store {
-            if hooks.pattern(store, &done, decided) == WaveControl::Pause && !decided {
+        if let Some(hooks) = hooks.as_deref_mut() {
+            if hooks.pattern(&done, decided) == WaveControl::Pause && !decided {
                 return (None, visited, runs);
             }
         }
@@ -443,13 +414,13 @@ pub struct VisitedGauge {
 }
 
 impl VisitedGauge {
-    fn of<T: ShardTable>(store: &Sharded<T>) -> Self {
+    fn of(store: &Sharded) -> Self {
         let tables = store.tables();
         VisitedGauge {
             entries: store.live_entries(),
-            bytes: tables.iter().map(T::resident_bytes).sum(),
-            fingerprints: tables.iter().map(|t| t.table().fingerprints()).sum(),
-            slots: tables.iter().map(|t| t.table().slots()).sum(),
+            bytes: tables.iter().map(Visited::resident_bytes).sum(),
+            fingerprints: tables.iter().map(Visited::fingerprints).sum(),
+            slots: tables.iter().map(Visited::slots).sum(),
         }
     }
 
@@ -563,7 +534,7 @@ pub struct CellVerdict {
 impl CellVerdict {
     /// Folds the explored patterns' verdicts, in plan order, into the
     /// cell's; the last pattern's violation, if any, is the cell's.
-    fn of(patterns: Vec<PatternVerdict>) -> Self {
+    pub(crate) fn of(patterns: Vec<PatternVerdict>) -> Self {
         let mut verdict = CellVerdict {
             patterns: Vec::new(),
             worst_agreement: 0,
@@ -593,27 +564,40 @@ impl CellVerdict {
         self.holds() && !self.complete
     }
 
-    /// The verdict line of the cell checked under `cfg`: the display, a
-    /// bounded verdict naming the bounds of `cfg` that can have cut it
-    /// short. `--max-states` never does: past it a task only stops
-    /// memoizing.
-    pub fn line(&self, cfg: &CheckerConfig) -> String {
+    /// The bounds of `cfg` that can have cut the exploration short, as
+    /// the flags that set them (`--max-runs 0`); empty unless the verdict
+    /// is [bounded](CellVerdict::bounded). `--max-states` never cuts it:
+    /// past it a task only stops memoizing.
+    pub fn bounds(&self, cfg: &CheckerConfig) -> Vec<String> {
         let mut bounds = Vec::new();
-        if self
-            .patterns
-            .iter()
-            .any(|p| !p.complete && p.runs >= cfg.max_runs)
-        {
-            bounds.push(format!(
-                "--max-runs {} (each pattern stops at the first wave barrier past it)",
-                cfg.max_runs
-            ));
+        if !self.bounded() {
+            return bounds;
+        }
+        if self.cut_by_max_runs(cfg) {
+            bounds.push(format!("--max-runs {}", cfg.max_runs));
         }
         if cfg.depth != usize::MAX {
             bounds.push(format!("--depth {}", cfg.depth));
         }
         if let Some(preemptions) = cfg.preemptions {
             bounds.push(format!("--preemptions {preemptions}"));
+        }
+        bounds
+    }
+
+    /// Whether some pattern stopped incomplete at `cfg`'s run budget.
+    fn cut_by_max_runs(&self, cfg: &CheckerConfig) -> bool {
+        self.patterns
+            .iter()
+            .any(|p| !p.complete && p.runs >= cfg.max_runs)
+    }
+
+    /// The verdict line of the cell checked under `cfg`: the display, a
+    /// bounded verdict naming its [bounds](CellVerdict::bounds).
+    pub fn line(&self, cfg: &CheckerConfig) -> String {
+        let mut bounds = self.bounds(cfg);
+        if self.bounded() && self.cut_by_max_runs(cfg) {
+            bounds[0].push_str(" (each pattern stops at the first wave barrier past it)");
         }
         let mut line = String::new();
         self.write(&mut line, &bounds.join(" or "))
@@ -684,7 +668,7 @@ pub fn check_cell(cfg: &CheckerConfig) -> CellVerdict {
 ///
 /// As [`check_cell`].
 pub fn check_cell_gauged(cfg: &CheckerConfig) -> (CellVerdict, VisitedGauge, RunGauge) {
-    let (verdict, visited, runs) = drive_cell(cfg, Vec::new(), None, Store::<Visited>::Fresh);
-    let verdict = verdict.expect("only hooks pause, and a fresh store has none");
+    let (verdict, visited, runs) = drive_cell(cfg, Vec::new(), None, None);
+    let verdict = verdict.expect("only hooks pause, and there are none");
     (verdict, visited, runs)
 }

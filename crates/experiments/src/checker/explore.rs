@@ -17,7 +17,7 @@ use super::run::{
     BYZANTINE_WITHOUT_POLICY,
 };
 use super::{CheckerConfig, Counterexample, ForkMode, SleepEntry, Visited, WorkItem};
-use crate::visited::{ShardTable, Sharded};
+use crate::visited::Sharded;
 
 /// Runs one exploration task may execute before it spills the rest of its
 /// DFS stack back to the scheduler as a single continuation task. The
@@ -123,7 +123,7 @@ struct WalkScratch {
 /// even log their options). `proof` is what the run's [`WalkGate`]
 /// already established about its states against `global`.
 #[allow(clippy::too_many_arguments)]
-fn walk_run<T: ShardTable>(
+fn walk_run(
     cfg: &CheckerConfig,
     prefix_len: usize,
     preemptions: usize,
@@ -131,7 +131,7 @@ fn walk_run<T: ShardTable>(
     log: &ChoiceLog,
     digests: &[u64],
     proof: GateProof,
-    global: &Sharded<T>,
+    global: &Sharded,
     out: &mut TaskOutcome,
     push: &mut impl FnMut(WorkItem),
     scratch: &mut WalkScratch,
@@ -293,13 +293,13 @@ enum GateProof {
 
 /// What one exploration task runs against: the cell, its fault pattern
 /// (`crashed` is the pattern's faulty set) and the frozen wave store.
-pub(super) struct Task<'a, T> {
+pub(super) struct Task<'a> {
     pub(super) cfg: &'a CheckerConfig,
     pub(super) inputs: &'a [u64],
     pub(super) spec: &'a ProblemSpec,
     pub(super) plan: &'a FaultPlan,
     pub(super) crashed: &'a [ProcessId],
-    pub(super) global: &'a Sharded<T>,
+    pub(super) global: &'a Sharded,
 }
 
 /// Runs one exploration task: a serial DFS over the stack segment
@@ -314,32 +314,27 @@ pub(super) struct Task<'a, T> {
 /// under it. Every
 /// [`QuorumProtocol`](crate::exhaustive::QuorumProtocol)'s processes are
 /// forkable, so the session is always built.
-pub(super) fn explore_task<T: ShardTable>(
-    task: &Task<T>,
-    stack: Vec<WorkItem>,
-    budget: u64,
-) -> TaskOutcome {
+pub(super) fn explore_task(task: &Task, stack: Vec<WorkItem>, budget: u64) -> TaskOutcome {
     let (protocol, inputs, t) = (task.cfg.protocol, task.inputs, task.cfg.t);
     if protocol.shared_memory() {
         let procs = sm_processes(protocol, inputs, t);
-        explore_task_on::<SmSubstrate<u64, u64>, T>(task, stack, budget, procs)
+        explore_task_on::<SmSubstrate<u64, u64>>(task, stack, budget, procs)
     } else {
         let procs = mp_processes(protocol, inputs, t);
-        explore_task_on::<MpSubstrate<u64, u64>, T>(task, stack, budget, procs)
+        explore_task_on::<MpSubstrate<u64, u64>>(task, stack, budget, procs)
     }
 }
 
 /// [`explore_task`] on substrate `Sub`: builds the pattern's session over
 /// `procs` and runs the task on it.
-fn explore_task_on<Sub, T>(
-    task: &Task<T>,
+fn explore_task_on<Sub>(
+    task: &Task,
     stack: Vec<WorkItem>,
     budget: u64,
     procs: Vec<Sub::Process>,
 ) -> TaskOutcome
 where
     Sub: SubstrateFork<Output = u64> + SubstrateAdv,
-    T: ShardTable,
 {
     const FORKABLE: &str = "every checked protocol's processes are forkable";
     let (cfg, plan) = (task.cfg, task.plan);
@@ -383,9 +378,9 @@ where
 /// is off for them (and without dedup), and under [`ForkMode::Replay`],
 /// which runs every schedule to termination; the gate then never stops a
 /// run.
-struct WalkGate<'a, T: ShardTable> {
+struct WalkGate<'a> {
     active: bool,
-    global: &'a Sharded<T>,
+    global: &'a Sharded,
     visited: &'a Visited,
     sleep: Vec<SleepEntry>,
     /// Probes of `global` (made when `visited` misses) and their covers.
@@ -393,7 +388,7 @@ struct WalkGate<'a, T: ShardTable> {
     store_hits: u64,
 }
 
-impl<T: ShardTable> ForkGate for WalkGate<'_, T> {
+impl ForkGate for WalkGate<'_> {
     fn branches_beyond(&mut self, _depth: usize, _fingerprint: u64) -> bool {
         true
     }
@@ -430,8 +425,8 @@ impl<T: ShardTable> ForkGate for WalkGate<'_, T> {
 /// decisions are neither checked nor scored. All observables — verdicts,
 /// counters, counterexample bytes — are identical in both modes
 /// (`tests/fork_parity.rs` pins this).
-fn explore_stack<Sub, D, T>(
-    task: &Task<T>,
+fn explore_stack<Sub, D>(
+    task: &Task,
     session: &mut ForkSession<Sub, D>,
     stack: Vec<WorkItem>,
     budget: u64,
@@ -439,7 +434,6 @@ fn explore_stack<Sub, D, T>(
 where
     Sub: SubstrateFork<Output = u64>,
     D: Delivery<Sub>,
-    T: ShardTable,
 {
     let Task {
         cfg,

@@ -140,7 +140,7 @@ pub use drive::{
     check_cell, check_cell_gauged, explore_pattern, CellVerdict, Counterexample, PatternVerdict,
     RunGauge, SleepEntry, VisitedGauge,
 };
-pub(crate) use drive::{drive_cell, CellHooks, PatternState, Store, WorkItem};
+pub(crate) use drive::{drive_cell, CellHooks, PatternState, WorkItem};
 pub use run::{
     cross_validate, execute_schedule, execute_schedule_in, replay_counterexample, replay_fired,
     shrink_counterexample, to_run_records, ScheduleRun,

@@ -56,8 +56,8 @@
 //!   slow, however few ids it holds. Its bucket switches for good to
 //!   `[0][count][ids…]…`: each set its ascending ids, so cost follows the
 //!   number of ids rather than their size. The checker's runs stay far
-//!   below that; the format keeps the table linear for any id, such as
-//!   the large synthetic ids of the campaign shard tests.
+//!   below that; the format keeps the table linear for any id a run
+//!   creates.
 //! * **Rewrites.** An insertion into the arena bucket at the arena end
 //!   edits it in place. Any other changed arena bucket is rewritten over
 //!   its old words when it still fits (a subset replaced stored
@@ -70,19 +70,17 @@
 //! # Shards
 //!
 //! The store every task of a wave prunes against is a [`Sharded`] store:
-//! one table per shard, a fingerprint living in shard [`shard_of`]. Each
+//! [`SHARDS`] tables, a fingerprint living in shard [`shard_of`]. Each
 //! task groups its own table's entries by shard before it returns
 //! ([`Visited::partition`]), in parallel with the other tasks of its
 //! wave; at the wave barrier [`Sharded::fold`] folds every shard on one
 //! worker, the wave's tables in claim order and each table's entries in
 //! index order. That is the order a single table would have absorbed the
 //! shard's entries in, so a shard's content is independent of the worker
-//! count. The checker's one pattern loop drains against either kind of
-//! store, generic over the [`ShardTable`]: in memory, a fresh store of
-//! [`SHARDS`] shards of `Visited` per pattern; in a disk-backed
-//! campaign, one store of `--campaign-shards` shards of
-//! [`crate::campaign::shard::Shard`], each a `Visited` plus its log
-//! buffer, partitioned by the same [`shard_of`].
+//! count. The checker's one pattern loop drains every pattern against a
+//! fresh store, in memory and in a campaign alike; a campaign checkpoint
+//! writes the store's records (`Sharded::write_records`) into its
+//! snapshot, and a resume folds them back (`Partitioned::from_records`).
 
 use crate::checker::SleepEntry;
 use crate::engine::parallel_map;
@@ -96,8 +94,7 @@ pub const SHARDS: usize = 64;
 /// The shard `fingerprint` lives in among `shards`. Uses the high bits,
 /// so the partition is independent of the low bits a table's index probe
 /// consumes; fingerprints are avalanched, so any disjoint bit range is
-/// uniform. The in-memory store and the campaign store both partition by
-/// it, so campaign directories keep their layout.
+/// uniform.
 pub fn shard_of(fingerprint: u64, shards: usize) -> usize {
     ((fingerprint >> 32) % shards as u64) as usize
 }
@@ -641,17 +638,78 @@ impl Visited {
         let mut words = vec![0; bounds[shards]];
         for (fingerprint, bucket) in self.buckets() {
             let at = &mut next[shard_of(fingerprint, shards)];
-            let len = bucket.len();
-            words[*at] = fingerprint;
-            words[*at + 1] = len as u64;
-            bucket.write(&mut words[*at + 2..*at + 2 + len]);
-            *at += 2 + len;
+            let end = *at + 2 + bucket.len();
+            write_record(fingerprint, bucket, &mut words[*at..end]);
+            *at = end;
         }
         Partitioned { words, bounds }
     }
 }
 
+/// Writes the record of `fingerprint`'s `bucket`,
+/// `[fingerprint][bucket length][bucket words…]`, to `out` (of
+/// `2 +` [`Bucket::len`] words).
+fn write_record(fingerprint: u64, bucket: Bucket<'_>, out: &mut [u64]) {
+    out[0] = fingerprint;
+    out[1] = (out.len() - 2) as u64;
+    bucket.write(&mut out[2..]);
+}
+
+/// Largest event id a loaded record may hold. A loaded id-list set is
+/// folded in as a bitmap of `id / 64 + 1` words, so the cap bounds that
+/// bitmap (256 KiB); the kernel stops a run after 2,000,000 events, so no
+/// checker run creates a larger id.
+const MAX_LOADED_ID: u64 = 1 << 21;
+
 impl Partitioned {
+    /// Reads records as [`Sharded::write_records`] writes them for a store
+    /// of `shards` shards: each record well-formed, its sets of a legal
+    /// width or ascending ids up to [`MAX_LOADED_ID`], and its shard no
+    /// lower than the record's before.
+    ///
+    /// # Errors
+    ///
+    /// Says what is wrong with the first record that is not so.
+    pub(crate) fn from_records(words: Vec<u64>, shards: usize) -> Result<Self, String> {
+        let mut bounds = vec![0; shards + 1];
+        let mut shard = 0;
+        let mut at = 0;
+        while at < words.len() {
+            let bad = |what: &str| format!("record at word {at}: {what}");
+            let [fingerprint, len, ..] = words[at..] else {
+                return Err(bad("no bucket length"));
+            };
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| (at + 2).checked_add(len))
+                .filter(|&end| end <= words.len())
+                .ok_or_else(|| bad("bucket runs past the end"))?;
+            let Some((&width, body)) = words[at + 2..end].split_first() else {
+                return Err(bad("empty bucket"));
+            };
+            let legal = match width {
+                ID_LISTS => id_lists_are_legal(body),
+                width => width <= BITMAP_WORDS as u64 && body.len() % width as usize == 0,
+            };
+            if !legal {
+                return Err(bad("malformed bucket"));
+            }
+            let home = shard_of(fingerprint, shards);
+            if home < shard {
+                return Err(bad("out of shard order"));
+            }
+            for done in shard..home {
+                bounds[done + 1] = at;
+            }
+            shard = home;
+            at = end;
+        }
+        for done in shard..shards {
+            bounds[done + 1] = at;
+        }
+        Ok(Partitioned { words, bounds })
+    }
+
     /// The shard count the table was partitioned for.
     fn shards(&self) -> usize {
         self.bounds.len() - 1
@@ -659,7 +717,7 @@ impl Partitioned {
 
     /// Folds the table's entries of `shard` into `into`, in index order,
     /// each bucket's sets in storage order.
-    fn fold_into<T: ShardTable>(&self, shard: usize, into: &mut T) {
+    fn fold_into(&self, shard: usize, into: &mut Visited) {
         let mut rest = &self.words[self.bounds[shard]..self.bounds[shard + 1]];
         while let [fingerprint, len, tail @ ..] = rest {
             let (bucket, next) = tail.split_at(*len as usize);
@@ -675,49 +733,33 @@ impl Partitioned {
     }
 }
 
-/// The table one shard of a [`Sharded`] store keeps.
-pub trait ShardTable: Default + Send {
-    /// The subset-rule query ([`Visited::covers`]).
-    fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool;
-
-    /// Inserts a set, given as a bitmap with bit `id` set for each of its
-    /// event ids, unless the table already covers it; returns whether it
-    /// was inserted.
-    fn absorb_bits(&mut self, fingerprint: u64, set: &[u64]) -> bool;
-
-    /// The shard's in-memory table.
-    fn table(&self) -> &Visited;
-
-    /// Bytes the table keeps resident ([`Visited::resident_bytes`]).
-    fn resident_bytes(&self) -> u64;
-}
-
-impl ShardTable for Visited {
-    fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
-        Visited::covers(self, fingerprint, sleep)
+/// Whether `body` is a sequence of id lists `[count][ids…]`, each list's
+/// ids ascending and at most [`MAX_LOADED_ID`].
+fn id_lists_are_legal(mut body: &[u64]) -> bool {
+    while let [count, rest @ ..] = body {
+        let Some(ids) = usize::try_from(*count)
+            .ok()
+            .and_then(|count| rest.get(..count))
+        else {
+            return false;
+        };
+        let ascending = ids.windows(2).all(|pair| pair[0] < pair[1]);
+        if !ascending || ids.last().is_some_and(|&id| id > MAX_LOADED_ID) {
+            return false;
+        }
+        body = &rest[ids.len()..];
     }
-
-    fn absorb_bits(&mut self, fingerprint: u64, set: &[u64]) -> bool {
-        Visited::absorb_bits(self, fingerprint, set)
-    }
-
-    fn table(&self) -> &Visited {
-        self
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        Visited::resident_bytes(self)
-    }
+    true
 }
 
 /// A visited store partitioned into shards by [`shard_of`] (see the
 /// [module docs](self#shards)).
 #[derive(Debug)]
-pub struct Sharded<T> {
-    tables: Vec<T>,
+pub struct Sharded {
+    tables: Vec<Visited>,
 }
 
-impl<T: ShardTable> Sharded<T> {
+impl Sharded {
     /// A store of `shards` empty tables.
     ///
     /// # Panics
@@ -726,7 +768,7 @@ impl<T: ShardTable> Sharded<T> {
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "a sharded store needs at least one shard");
         Sharded {
-            tables: (0..shards).map(|_| T::default()).collect(),
+            tables: (0..shards).map(|_| Visited::default()).collect(),
         }
     }
 
@@ -756,9 +798,30 @@ impl<T: ShardTable> Sharded<T> {
         });
     }
 
+    /// Hands every stored bucket to `emit` as its record,
+    /// `[fingerprint][bucket length][bucket words…]` — the words
+    /// [`Visited::partition`] writes — shard by shard and in index order
+    /// within a shard, without copying the store.
+    ///
+    /// # Errors
+    ///
+    /// Stops at, and returns, the first error `emit` returns.
+    pub(crate) fn write_records<E>(
+        &self,
+        mut emit: impl FnMut(&[u64]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut record = Vec::new();
+        for (fingerprint, bucket) in self.tables.iter().flat_map(Visited::buckets) {
+            record.resize(2 + bucket.len(), 0);
+            write_record(fingerprint, bucket, &mut record);
+            emit(&record)?;
+        }
+        Ok(())
+    }
+
     /// Minimal entries stored across all shards.
     pub fn live_entries(&self) -> u64 {
-        self.tables.iter().map(|t| t.table().live_entries()).sum()
+        self.tables.iter().map(Visited::live_entries).sum()
     }
 
     /// The number of shards, the count tables must be
@@ -768,13 +831,8 @@ impl<T: ShardTable> Sharded<T> {
     }
 
     /// The shard tables, in shard order.
-    pub fn tables(&self) -> &[T] {
+    pub fn tables(&self) -> &[Visited] {
         &self.tables
-    }
-
-    /// The shard tables, mutably, in shard order.
-    pub fn tables_mut(&mut self) -> &mut [T] {
-        &mut self.tables
     }
 }
 
@@ -885,18 +943,6 @@ pub(crate) enum Set<'a> {
 }
 
 impl<'a> Set<'a> {
-    /// The set's event ids, ascending.
-    pub(crate) fn ids(self) -> impl Iterator<Item = u64> + Clone + 'a {
-        let (word, bits, ids): (u64, &[u64], &[u64]) = match self {
-            Set::Word(word) => (word, &[], &[]),
-            Set::Bits(bits) => (0, bits, &[]),
-            Set::Ids(ids) => (0, &[], ids),
-        };
-        word_ids(0, word)
-            .chain(set_ids(bits))
-            .chain(ids.iter().copied())
-    }
-
     /// Runs `f` on the set as a bitmap.
     pub(crate) fn with_bits<R>(self, f: impl FnOnce(&[u64]) -> R) -> R {
         match self {
@@ -1059,10 +1105,24 @@ fn word_ids(word_at: usize, word: u64) -> impl Iterator<Item = u64> + Clone {
 mod tests {
     use std::collections::{BTreeMap, BTreeSet};
 
-    use kset_prop::{choice, in_range, prop_assert, vec_in, Runner, SplitMix64};
+    use kset_prop::{choice, in_range, prop_assert, prop_assert_eq, vec_in, Runner, SplitMix64};
     use kset_sim::EventId;
 
     use super::*;
+
+    impl<'a> Set<'a> {
+        /// The set's event ids, ascending.
+        pub(crate) fn ids(self) -> impl Iterator<Item = u64> + Clone + 'a {
+            let (word, bits, ids): (u64, &[u64], &[u64]) = match self {
+                Set::Word(word) => (word, &[], &[]),
+                Set::Bits(bits) => (0, bits, &[]),
+                Set::Ids(ids) => (0, &[], ids),
+            };
+            word_ids(0, word)
+                .chain(set_ids(bits))
+                .chain(ids.iter().copied())
+        }
+    }
 
     /// Event ids the generated sets draw from: inline, one-word,
     /// multi-word and id-list territory, so buckets leave their slot,
@@ -1387,7 +1447,7 @@ mod tests {
             (over.live_entries(), find(&over, fp).unwrap().range().1),
             (1, 2)
         );
-        let mut sharded = Sharded::<Visited>::new(SHARDS);
+        let mut sharded = Sharded::new(SHARDS);
         let mut serial = Visited::default();
         for sets in [
             &singles[..INLINE],
@@ -1542,7 +1602,7 @@ mod tests {
             ),
             |(waves, threads, shards)| {
                 let mut serial = Visited::default();
-                let mut sharded = Sharded::<Visited>::new(shards);
+                let mut sharded = Sharded::new(shards);
                 let mut queries = Vec::new();
                 for wave in &waves {
                     let tables: Vec<Visited> = wave
@@ -1570,6 +1630,19 @@ mod tests {
                         serial.live_entries()
                     );
                 }
+                // The store's records, as a checkpoint writes them, fold
+                // back into a store that answers alike.
+                let mut words = Vec::new();
+                sharded
+                    .write_records(|record| {
+                        words.extend_from_slice(record);
+                        Ok::<(), ()>(())
+                    })
+                    .unwrap();
+                let records = Partitioned::from_records(words, shards).unwrap();
+                let mut reloaded = Sharded::new(shards);
+                reloaded.fold(&[records], threads);
+                prop_assert_eq!(reloaded.live_entries(), serial.live_entries());
                 // Every inserted set, without its least id, and with one
                 // more id, as queries.
                 for (fp, ids) in queries {
@@ -1578,10 +1651,9 @@ mod tests {
                     let larger = |id| set.iter().copied().chain([id]).collect();
                     for query in [set.clone(), smaller, larger(3), larger(513)] {
                         let sleep = sleep_of(&query);
-                        prop_assert!(
-                            sharded.covers(fp, &sleep) == serial.covers(fp, &sleep),
-                            "fp={fp} query={query:?}"
-                        );
+                        let want = serial.covers(fp, &sleep);
+                        let got = (sharded.covers(fp, &sleep), reloaded.covers(fp, &sleep));
+                        prop_assert!(got == (want, want), "fp={fp} query={query:?}");
                     }
                 }
                 Ok(())
@@ -1656,9 +1728,10 @@ mod tests {
 
     #[test]
     fn bucket_and_partition_order_is_pinned() {
-        // Campaign shard logs and the wave store's fold order follow the
-        // buckets' index order and each bucket's storage order; a layout
-        // change must keep both byte for byte.
+        // Campaign snapshots and the wave store's fold order follow the
+        // buckets' index order and each bucket's storage order, in the
+        // record format `partition` writes; a layout change must keep
+        // both byte for byte.
         let table = golden_table(23, 300, 2500);
         let largest = table.buckets().map(|(_, b)| b.sets().count()).max();
         assert!(largest >= Some(9), "largest bucket {largest:?}");
@@ -1668,7 +1741,7 @@ mod tests {
         let mut partition = partitioned.words.clone();
         partition.extend(partitioned.bounds.iter().map(|&at| at as u64));
         // Fold it with a second table, as a wave barrier would.
-        let mut store = Sharded::<Visited>::new(SHARDS);
+        let mut store = Sharded::new(SHARDS);
         store.fold(
             &[partitioned, golden_table(24, 300, 1500).partition(SHARDS)],
             2,
@@ -1694,7 +1767,7 @@ mod tests {
     fn order_past_the_step_threshold_is_pinned() {
         // A table past STEP_FROM slots, at a size that is not a power of
         // two: its index order follows the modulo home slot and the
-        // wrapping probe, and campaign shard logs follow that order.
+        // wrapping probe, and campaign snapshots follow that order.
         let table = golden_table(25, 20_000, 24_000);
         assert_eq!(
             (table.index.slots, table.fingerprints, table.live_entries()),

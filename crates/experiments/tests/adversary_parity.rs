@@ -203,7 +203,6 @@ fn byzantine_campaign_kill_resume_matches_in_memory_verdict() {
     ));
     let _ = fs::remove_dir_all(&dir);
     let opts = CampaignOptions {
-        shards: 4,
         checkpoint_every: 0,
         pause_after_checkpoints: Some(1),
     };

@@ -23,6 +23,9 @@ use kset_experiments::checker::{
 };
 use kset_experiments::exhaustive::QuorumProtocol;
 
+mod common;
+use common::tree_bytes;
+
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "kset_campaign_resume_{name}_{}",
@@ -67,7 +70,6 @@ fn n3_holds_cell_survives_interruption_at_every_checkpoint_cadence() {
             let mut cfg = reference_cfg.clone();
             cfg.threads = threads;
             let opts = CampaignOptions {
-                shards: 4,
                 checkpoint_every,
                 pause_after_checkpoints: Some(1),
             };
@@ -100,7 +102,6 @@ fn n3_violated_cell_reproduces_counterexample_bytes() {
 
     let dir = tmp_dir("n3_violated");
     let opts = CampaignOptions {
-        shards: 2,
         checkpoint_every: 0,
         pause_after_checkpoints: Some(1),
     };
@@ -142,7 +143,6 @@ fn n4_cells_match_check_cell_after_interruptions() {
         let reference = check_cell(cfg);
         let dir = tmp_dir(name);
         let opts = CampaignOptions {
-            shards: 8,
             checkpoint_every: 1_500,
             pause_after_checkpoints: Some(1),
         };
@@ -153,6 +153,45 @@ fn n4_cells_match_check_cell_after_interruptions() {
         assert_eq!(verdict, reference, "{name}");
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn snapshots_at_one_checkpoint_are_byte_identical_at_one_and_two_threads() {
+    // A checkpoint writes the wave-boundary state, store included, which
+    // is a function of the task queue alone: the same bytes for every
+    // worker count.
+    let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 4, 2, 1, ValidityCondition::RV1);
+    cfg.max_runs = 6_000;
+    let mut with_store = 0;
+    for pause in [1, 2, 3, 7] {
+        let opts = CampaignOptions {
+            checkpoint_every: 0,
+            pause_after_checkpoints: Some(pause),
+        };
+        let snapshots: Vec<Vec<u8>> = [1, 2]
+            .into_iter()
+            .map(|threads| {
+                cfg.threads = threads;
+                let dir = tmp_dir(&format!("snapshot_bytes_{pause}_{threads}"));
+                let outcome = run_campaign(&cfg, &dir, &opts).expect("campaign create");
+                assert!(
+                    matches!(outcome, CampaignOutcome::Paused { .. }),
+                    "pause {pause}"
+                );
+                if read_manifest(&dir).unwrap().store_entries > 0 {
+                    with_store += 1;
+                }
+                let bytes = fs::read(dir.join("snapshot.bin")).unwrap();
+                let _ = fs::remove_dir_all(&dir);
+                bytes
+            })
+            .collect();
+        assert!(
+            snapshots[0] == snapshots[1],
+            "pause {pause}: snapshots differ"
+        );
+    }
+    assert!(with_store >= 3, "{with_store} snapshot(s) held a store");
 }
 
 #[test]
@@ -270,8 +309,9 @@ fn model_check_binary_campaign_matches_direct_run() {
 
 #[test]
 fn model_check_binary_campaign_rows_carry_the_in_memory_gauges() {
-    // An uninterrupted campaign drains the same waves as the in-memory
-    // check, so its `--bench-json` row reports the same execution gauges.
+    // An uninterrupted campaign drains the same waves against the same
+    // visited store as the in-memory check, so its `--bench-json` row
+    // reports the same execution and memory gauges.
     let bin = env!("CARGO_BIN_EXE_model_check");
     let dir = tmp_dir("cli_gauges");
     fs::create_dir_all(&dir).unwrap();
@@ -301,8 +341,19 @@ fn model_check_binary_campaign_rows_carry_the_in_memory_gauges() {
     );
     let direct_row = row(&[], "direct.json");
     let gauges = |row: &BenchCell| {
-        let g = &row.gauge;
-        [row.runs, g.events_fired, g.truncated_runs, g.store_probes, g.store_hits, g.waves]
+        let (g, v) = (&row.gauge, &row.visited);
+        [
+            row.runs,
+            g.events_fired,
+            g.truncated_runs,
+            g.store_probes,
+            g.store_hits,
+            g.waves,
+            v.entries,
+            v.bytes,
+            v.fingerprints,
+            v.slots,
+        ]
     };
     assert_eq!(gauges(&campaign_row), gauges(&direct_row));
     assert!(direct_row.gauge.events_fired > 0);
@@ -333,6 +384,8 @@ fn model_check_bounded_campaign_records_bounded_and_refuses_resume() {
     assert_eq!(read_manifest(&dir).unwrap().status, CampaignStatus::Bounded);
     let text = fs::read_to_string(dir.join("MANIFEST")).unwrap();
     assert!(text.lines().any(|l| l == "status: bounded"), "{text}");
+    // The MANIFEST names the bound the verdict line names.
+    assert!(text.lines().any(|l| l == "bound: --max-runs 0"), "{text}");
 
     let again = Command::new(bin)
         .arg("--campaign-dir")
@@ -344,22 +397,6 @@ fn model_check_bounded_campaign_records_bounded_and_refuses_resume() {
     let stderr = String::from_utf8(again.stderr).unwrap();
     assert!(stderr.contains("finished (bounded)"), "{stderr}");
     let _ = fs::remove_dir_all(&dir);
-}
-
-/// Every file under `dir` with its bytes.
-fn tree_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
-    let mut files = Vec::new();
-    for entry in fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.is_dir() {
-            files.extend(tree_bytes(&path));
-        } else {
-            let bytes = fs::read(&path).unwrap();
-            files.push((path, bytes));
-        }
-    }
-    files.sort();
-    files
 }
 
 #[test]

@@ -57,7 +57,6 @@ fn model_check_rejects_bad_flag_values_with_exit_2() {
         "--max-states",
         "--progress",
         "--checkpoint-every",
-        "--campaign-shards",
         "--pause-after-checkpoints",
     ];
     for flag in numeric {
@@ -87,6 +86,20 @@ fn model_check_rejects_bad_flag_values_with_exit_2() {
         &["--campaign-dir"],
     ] {
         assert_usage_error(bin, "model_check", args);
+    }
+    // Retired with the append-log store: a campaign's store has the
+    // checker's fixed shard count.
+    for args in [&["--campaign-shards", "4"][..], &["--campaign-shards"]] {
+        assert_usage_error(bin, "model_check", args);
+        let out = Command::new(bin)
+            .args(args)
+            .output()
+            .expect("run model_check");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("model_check: usage error: unknown argument \"--campaign-shards\""),
+            "{stderr}"
+        );
     }
 }
 

@@ -137,7 +137,6 @@ fn campaign_kill_resume_under_fork_mode() {
     let mut cfg = reference_cfg.clone();
     cfg.fork = ForkMode::Auto;
     let opts = CampaignOptions {
-        shards: 4,
         checkpoint_every: 0,
         pause_after_checkpoints: Some(1),
     };
@@ -171,8 +170,8 @@ fn counterexample_bytes(dir: &std::path::Path, cfg: &CheckerConfig, verdict: &Ce
 fn truncation_is_unobservable() {
     // Auto stops runs at covered states; replay runs every schedule to
     // termination. Across crash, Byzantine and lossy cells, on plain and
-    // canonical digests, in memory at one and two threads and through the
-    // disk-backed campaign store, the two must agree on every verdict
+    // canonical digests, in memory at one and two threads and as a
+    // campaign, the two must agree on every verdict
     // field and counterexample byte — and truncation must actually have
     // fired.
     let mut cells: Vec<(String, CheckerConfig)> = Vec::new();
@@ -249,7 +248,6 @@ fn truncation_is_unobservable() {
         let campaign_dir = dir.join("campaign");
         let _ = fs::remove_dir_all(&campaign_dir);
         let opts = CampaignOptions {
-            shards: 4,
             checkpoint_every: u64::MAX,
             pause_after_checkpoints: None,
         };

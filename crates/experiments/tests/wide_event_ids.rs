@@ -6,13 +6,14 @@
 //! fires 80 to 89 events per run, so its sleep sets need two-word
 //! bitmaps. This suite pins that the cell really does, then checks that
 //! a bounded exploration of it gives identical verdicts and counters
-//! under the replay and forking executors, one and two threads, and the
-//! in-memory and disk-backed visited stores.
+//! under the replay and forking executors, one and two threads, and in
+//! memory and as a campaign whose checkpoints write and restore the
+//! visited store.
 
 use std::fs;
 
 use kset_core::ValidityCondition;
-use kset_experiments::campaign::{run_campaign, CampaignOptions, CampaignOutcome};
+use kset_experiments::campaign::{resume_campaign, run_campaign, CampaignOptions, CampaignOutcome};
 use kset_experiments::checker::{
     check_cell, execute_schedule, CheckerConfig, ForkMode,
 };
@@ -83,15 +84,23 @@ fn wide_cell_is_identical_across_executors_threads_and_stores() {
     let dir = std::env::temp_dir().join(format!("kset_wide_event_ids_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let opts = CampaignOptions {
-        shards: 4,
         checkpoint_every: 500,
-        pause_after_checkpoints: None,
+        pause_after_checkpoints: Some(1),
     };
     let mut cfg = wide_cell();
     cfg.threads = 2;
-    match run_campaign(&cfg, &dir, &opts).expect("campaign") {
-        CampaignOutcome::Finished(verdict) => assert_eq!(*verdict, oracle, "disk store"),
-        CampaignOutcome::Paused { .. } => panic!("campaign paused without a pause budget"),
-    }
+    let mut outcome = run_campaign(&cfg, &dir, &opts).expect("campaign");
+    let mut pauses = 0;
+    let verdict = loop {
+        match outcome {
+            CampaignOutcome::Finished(verdict) => break verdict,
+            CampaignOutcome::Paused { .. } => {
+                pauses += 1;
+                outcome = resume_campaign(&cfg, &dir, &opts).expect("resume");
+            }
+        }
+    };
+    assert!(pauses > 0, "the campaign never checkpointed");
+    assert_eq!(*verdict, oracle, "checkpointed campaign");
     let _ = fs::remove_dir_all(&dir);
 }
