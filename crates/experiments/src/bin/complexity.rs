@@ -66,8 +66,18 @@ impl Recorder {
         if let Some(sink) = self.sink.as_mut() {
             let k = guarantee_k(model, validity, n, t);
             let outcome = RunOutcome::of(&run, None);
-            let record =
-                RunRecord::new(model, validity, n, k, t, SEED, protocol, outcome, run.stats, run.metrics);
+            let record = RunRecord::new(
+                model,
+                validity,
+                n,
+                k,
+                t,
+                SEED,
+                protocol,
+                outcome,
+                run.stats,
+                run.metrics,
+            );
             sink.write(&record).expect("write run record");
         }
     }
@@ -141,7 +151,14 @@ fn main() {
             .run_with(|p| ProtocolA::boxed(n, t, p as u64, DEFAULT))
             .unwrap();
         counts.push(o.stats.messages_delivered);
-        rec.record("Protocol A", Model::MpCrash, ValidityCondition::RV2, n, t, o);
+        rec.record(
+            "Protocol A",
+            Model::MpCrash,
+            ValidityCondition::RV2,
+            n,
+            t,
+            o,
+        );
     }
     row("Protocol A", &counts);
 
@@ -155,7 +172,14 @@ fn main() {
             .run_with(|p| ProtocolB::boxed(n, t, p as u64, DEFAULT))
             .unwrap();
         counts.push(o.stats.messages_delivered);
-        rec.record("Protocol B", Model::MpCrash, ValidityCondition::SV2, n, t, o);
+        rec.record(
+            "Protocol B",
+            Model::MpCrash,
+            ValidityCondition::SV2,
+            n,
+            t,
+            o,
+        );
     }
     row("Protocol B", &counts);
 
@@ -229,7 +253,14 @@ fn main() {
             .unwrap()
             .into_run();
         counts.push(o.stats.ops_completed);
-        rec.record("Protocol F", Model::SmCrash, ValidityCondition::SV2, n, t, o);
+        rec.record(
+            "Protocol F",
+            Model::SmCrash,
+            ValidityCondition::SV2,
+            n,
+            t,
+            o,
+        );
     }
     row("Protocol F*", &counts);
 

@@ -31,7 +31,9 @@ fn main() {
     }
     let n = n.unwrap_or(6);
     if !(3..=9).contains(&n) {
-        args.error(format_args!("n must be in 3..=9 for exhaustive sweeps, got {n}"));
+        args.error(format_args!(
+            "n must be in 3..=9 for exhaustive sweeps, got {n}"
+        ));
     }
 
     println!("=== Exhaustive verification over ALL schedules (n = {n}) ===\n");
@@ -95,8 +97,8 @@ fn main() {
     // The headline tightness claims, asserted.
     let inputs: Vec<u64> = (0..n as u64).collect();
     for t in 1..n.min(4) {
-        let r = verify(QuorumProtocol::FloodMin, &inputs, t, &[], 50_000_000)
-            .expect("small enough");
+        let r =
+            verify(QuorumProtocol::FloodMin, &inputs, t, &[], 50_000_000).expect("small enough");
         assert_eq!(
             r.worst_agreement,
             t + 1,

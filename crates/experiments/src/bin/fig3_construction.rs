@@ -64,6 +64,8 @@ fn main() {
         report.has_agreement_violation(),
         "the construction must violate agreement"
     );
-    println!("\n{} distinct values decided against k = {k}: the Lemma 3.3 run, realized",
-        record.correct_decision_set().len());
+    println!(
+        "\n{} distinct values decided against k = {k}: the Lemma 3.3 run, realized",
+        record.correct_decision_set().len()
+    );
 }

@@ -79,9 +79,9 @@ use kset_experiments::campaign::{
     CampaignOutcome,
 };
 use kset_experiments::checker::{
-    check_cell_gauged, cross_validate, parse_adversary_model, parse_protocol, parse_validity,
-    read_counterexample, parse_fork_mode, replay_fired, to_run_records, write_counterexample,
-    bench_report, AdversaryModel, BenchCell, CellVerdict, CheckerConfig, ForkMode,
+    bench_report, check_cell_gauged, cross_validate, parse_adversary_model, parse_fork_mode,
+    parse_protocol, parse_validity, read_counterexample, replay_fired, to_run_records,
+    write_counterexample, AdversaryModel, BenchCell, CellVerdict, CheckerConfig, ForkMode,
 };
 use kset_experiments::exhaustive::QuorumProtocol;
 use kset_experiments::record_sink::write_jsonl;
@@ -217,7 +217,10 @@ fn parse_args() -> Args {
 /// The value after `flag` as a comma-separated list of numbers.
 fn u64_list(args: &mut cli::Args, flag: &str) -> Vec<u64> {
     args.parsed(flag, "a comma-separated list of numbers", |raw| {
-        let tokens = raw.split(',').map(str::trim).filter(|token| !token.is_empty());
+        let tokens = raw
+            .split(',')
+            .map(str::trim)
+            .filter(|token| !token.is_empty());
         tokens.map(|token| token.parse().ok()).collect()
     })
 }
@@ -404,9 +407,7 @@ fn run_cell(
 fn run_cross_validation(cfg: &CheckerConfig, verdict: &CellVerdict) -> bool {
     let disagreements = cross_validate(cfg, verdict);
     if disagreements.is_empty() {
-        println!(
-            "  cross-validation vs exhaustive enumeration: agree on every crash pattern"
-        );
+        println!("  cross-validation vs exhaustive enumeration: agree on every crash pattern");
         true
     } else {
         for d in &disagreements {
@@ -421,7 +422,10 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.replay {
         let saved = read_counterexample(path).unwrap_or_else(|e| {
-            usage_error(BIN, format!("cannot read counterexample {}: {e}", path.display()))
+            usage_error(
+                BIN,
+                format!("cannot read counterexample {}: {e}", path.display()),
+            )
         });
         let (violation, divergences) = replay_fired(&saved);
         println!(
@@ -462,9 +466,15 @@ fn main() -> ExitCode {
     };
 
     let explicit = args.protocol.map(|protocol| {
-        let n = args.n.unwrap_or_else(|| usage_error(BIN, "--protocol needs --n"));
-        let k = args.k.unwrap_or_else(|| usage_error(BIN, "--protocol needs --k"));
-        let t = args.t.unwrap_or_else(|| usage_error(BIN, "--protocol needs --t"));
+        let n = args
+            .n
+            .unwrap_or_else(|| usage_error(BIN, "--protocol needs --n"));
+        let k = args
+            .k
+            .unwrap_or_else(|| usage_error(BIN, "--protocol needs --k"));
+        let t = args
+            .t
+            .unwrap_or_else(|| usage_error(BIN, "--protocol needs --t"));
         let validity = args
             .validity
             .unwrap_or_else(|| usage_error(BIN, "--protocol needs --validity"));

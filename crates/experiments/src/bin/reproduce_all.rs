@@ -40,7 +40,9 @@ fn main() {
         }
     }
     if empirical_n < 3 {
-        args.error(format_args!("--empirical-n must be at least 3, got {empirical_n}"));
+        args.error(format_args!(
+            "--empirical-n must be at least 3, got {empirical_n}"
+        ));
     }
     if seeds == 0 {
         args.error("--seeds must be at least 1: 0 seeds sample no run");

@@ -21,8 +21,8 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::checker::{
-    numbers, parse_adversary_model, parse_protocol, parse_validity, AdversaryModel,
-    CheckerConfig, Header,
+    numbers, parse_adversary_model, parse_protocol, parse_validity, AdversaryModel, CheckerConfig,
+    Header,
 };
 use crate::exhaustive::QuorumProtocol;
 use kset_core::ValidityCondition;
@@ -424,8 +424,12 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
             .optional("model", parse_adversary_model)?
             .unwrap_or(AdversaryModel::crash_for(protocol)),
         byz_menu: header.optional("byz_menu", numbers)?.unwrap_or_default(),
-        byz_silence: header.optional("byz_silence", |v| v.parse().ok())?.unwrap_or(false),
-        loss_budget: header.optional("loss_budget", |v| v.parse().ok())?.unwrap_or(0),
+        byz_silence: header
+            .optional("byz_silence", |v| v.parse().ok())?
+            .unwrap_or(false),
+        loss_budget: header
+            .optional("loss_budget", |v| v.parse().ok())?
+            .unwrap_or(0),
         inputs: header.optional("inputs", numbers)?,
         config_digest: header.required("config_digest", |v| u64::from_str_radix(v, 16).ok())?,
         status: header.required("status", CampaignStatus::parse)?,
@@ -459,13 +463,7 @@ mod tests {
     use super::*;
 
     fn sample_config() -> CheckerConfig {
-        let mut cfg = CheckerConfig::new(
-            QuorumProtocol::FloodMin,
-            4,
-            2,
-            1,
-            ValidityCondition::RV1,
-        );
+        let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 4, 2, 1, ValidityCondition::RV1);
         cfg.preemptions = Some(3);
         cfg.max_runs = 123_456;
         cfg
@@ -522,7 +520,10 @@ mod tests {
         assert_eq!(back.bound.as_deref(), Some("--max-runs 123456"));
         // The reconstructed configuration digests back to the original —
         // the property `--resume` without restated flags relies on.
-        assert_eq!(config_digest(&back.checker_config()), manifest.config_digest);
+        assert_eq!(
+            config_digest(&back.checker_config()),
+            manifest.config_digest
+        );
         assert!(!dir.join("MANIFEST.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -583,13 +584,7 @@ mod tests {
 
     #[test]
     fn byzantine_manifest_round_trips_and_widens_the_digest() {
-        let mut cfg = CheckerConfig::new(
-            QuorumProtocol::FloodMin,
-            3,
-            2,
-            1,
-            ValidityCondition::RV1,
-        );
+        let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
         let crash_digest = config_digest(&cfg);
         cfg.adversary = AdversaryModel::MpByz;
         cfg.byz_menu = vec![0];
@@ -601,8 +596,7 @@ mod tests {
         menu.byz_menu = vec![0, 2];
         assert_ne!(config_digest(&menu), config_digest(&cfg));
 
-        let dir = std::env::temp_dir()
-            .join(format!("kset_manifest_byz_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("kset_manifest_byz_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let manifest = Manifest::new(&cfg);
@@ -613,14 +607,16 @@ mod tests {
         assert!(back.byz_silence);
         assert_eq!(back.inputs, Some(vec![1, 1, 1]));
         // `--resume` reconstruction carries the adversary space.
-        assert_eq!(config_digest(&back.checker_config()), manifest.config_digest);
+        assert_eq!(
+            config_digest(&back.checker_config()),
+            manifest.config_digest
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn unknown_and_repeated_keys_are_refused() {
-        let dir =
-            std::env::temp_dir().join(format!("kset_manifest_keys_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("kset_manifest_keys_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         // A lossy cell writes the optional `model` and `loss_budget` keys.
@@ -646,8 +642,7 @@ mod tests {
 
     #[test]
     fn version_skew_is_refused() {
-        let dir =
-            std::env::temp_dir().join(format!("kset_manifest_skew_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("kset_manifest_skew_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         write_manifest(&dir, &Manifest::new(&sample_config())).unwrap();

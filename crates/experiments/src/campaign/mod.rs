@@ -468,15 +468,13 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("kset_campaign_{name}_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("kset_campaign_{name}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
 
     fn n3_cfg() -> CheckerConfig {
-        let mut cfg =
-            CheckerConfig::new(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
+        let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
         cfg.threads = 1;
         cfg
     }
@@ -557,12 +555,17 @@ mod tests {
             let text = fs::read_to_string(&path).unwrap();
             let recorded = format!("symmetry: {canonical}");
             assert!(text.contains(&recorded), "{text}");
-            fs::write(&path, text.replace(&recorded, &format!("symmetry: {}", !canonical)))
-                .unwrap();
+            fs::write(
+                &path,
+                text.replace(&recorded, &format!("symmetry: {}", !canonical)),
+            )
+            .unwrap();
             let before = directory_bytes(&dir);
             let err = resume_campaign(&cfg, &dir, &opts).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            let mismatch = err.get_ref().and_then(|e| e.downcast_ref::<DigestModeMismatch>());
+            let mismatch = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<DigestModeMismatch>());
             assert_eq!(
                 mismatch,
                 Some(&DigestModeMismatch {

@@ -141,9 +141,7 @@ fn sm_schedule_rules(n: usize, seed: u64) -> Vec<DelayRule> {
     }
     let first: Vec<usize> = (0..n / 2).collect();
     (n / 2..n)
-        .map(|p| {
-            DelayRule::freeze_process(p, Until::AllDecided(first.clone())).expires_at(5_000)
-        })
+        .map(|p| DelayRule::freeze_process(p, Until::AllDecided(first.clone())).expires_at(5_000))
         .collect()
 }
 
@@ -175,7 +173,16 @@ pub fn validate_cell(
     t: usize,
     seeds: Range<u64>,
 ) -> Result<Option<CellValidation>, SimError> {
-    validate_cell_with(model, validity, n, k, t, seeds, MetricsConfig::disabled(), |_| {})
+    validate_cell_with(
+        model,
+        validity,
+        n,
+        k,
+        t,
+        seeds,
+        MetricsConfig::disabled(),
+        |_| {},
+    )
 }
 
 /// [`validate_cell`] with per-run observability: collects kernel metrics

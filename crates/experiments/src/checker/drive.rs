@@ -279,7 +279,17 @@ pub fn explore_pattern(
     spec: &ProblemSpec,
     plan: &FaultPlan,
 ) -> PatternVerdict {
-    run_pattern(cfg, inputs, spec, plan, None, &[], None, &mut VisitedGauge::default()).0
+    run_pattern(
+        cfg,
+        inputs,
+        spec,
+        plan,
+        None,
+        &[],
+        None,
+        &mut VisitedGauge::default(),
+    )
+    .0
 }
 
 /// What a caller of the pattern loop does at its boundaries. Hooks
@@ -326,13 +336,21 @@ fn run_pattern(
         (state, store)
     });
     *visited = visited.max(VisitedGauge::of(&store));
-    let drained = drain_pattern(cfg, inputs, spec, plan, &mut store, state, |store, partial, queue| {
-        *visited = visited.max(VisitedGauge::of(store));
-        match hooks.as_mut() {
-            Some(hooks) => hooks.wave(store, done, partial, queue),
-            None => WaveControl::Continue,
-        }
-    });
+    let drained = drain_pattern(
+        cfg,
+        inputs,
+        spec,
+        plan,
+        &mut store,
+        state,
+        |store, partial, queue| {
+            *visited = visited.max(VisitedGauge::of(store));
+            match hooks.as_mut() {
+                Some(hooks) => hooks.wave(store, done, partial, queue),
+                None => WaveControl::Continue,
+            }
+        },
+    );
     *visited = visited.max(VisitedGauge::of(&store));
     drained
 }
@@ -379,7 +397,13 @@ pub(crate) fn drive_cell(
             return (None, visited, runs);
         }
         if let Some(raw) = pattern.violation.take() {
-            pattern.violation = Some(shrink_counterexample(cfg, &inputs, &spec, plan, raw.choices));
+            pattern.violation = Some(shrink_counterexample(
+                cfg,
+                &inputs,
+                &spec,
+                plan,
+                raw.choices,
+            ));
         }
         let decided = pattern.violation.is_some() || index + 1 == plans.len();
         done.push(pattern);

@@ -188,16 +188,13 @@ fn walk_run(
             if d >= cfg.depth {
                 // Depth bound: drop this point's alternatives.
                 let dropped = point.options.iter().enumerate().any(|(i, o)| {
-                    i != point.taken
-                        && !o.noop
-                        && !sleep.iter().any(|s| s.id == o.meta.id)
+                    i != point.taken && !o.noop && !sleep.iter().any(|s| s.id == o.meta.id)
                 });
                 if dropped {
                     out.complete = false;
                 }
             } else {
-                let prev_target =
-                    (d > 0).then(|| log.point(d - 1).taken_meta().target);
+                let prev_target = (d > 0).then(|| log.point(d - 1).taken_meta().target);
                 // Alternatives in canonical order; `explored` grows so
                 // each later sibling sleeps on the earlier ones (their
                 // subtrees complete first under LIFO scheduling).

@@ -437,9 +437,17 @@ impl CheckerConfig {
                 "adversary model {} runs on the {} substrate but protocol {} is {}; \
                  pick a matching --model",
                 self.adversary,
-                if self.adversary.shared_memory() { "shared-memory" } else { "message-passing" },
+                if self.adversary.shared_memory() {
+                    "shared-memory"
+                } else {
+                    "message-passing"
+                },
                 self.protocol.name(),
-                if self.protocol.shared_memory() { "shared-memory" } else { "message-passing" },
+                if self.protocol.shared_memory() {
+                    "shared-memory"
+                } else {
+                    "message-passing"
+                },
             ));
         }
         if !self.adversary.is_byzantine() && (!self.byz_menu.is_empty() || self.byz_silence) {

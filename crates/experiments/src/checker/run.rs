@@ -132,7 +132,8 @@ pub(super) fn distinct_correct_decisions(decisions: &[Option<u64>], faulty: &[Pr
 
 /// The fail-closed panic of the explorer and [`execute_schedule_in`] for a
 /// fault plan with Byzantine slots but no deviation policy.
-pub(super) const BYZANTINE_WITHOUT_POLICY: &str = "fault plan contains Byzantine slots but no deviation \
+pub(super) const BYZANTINE_WITHOUT_POLICY: &str =
+    "fault plan contains Byzantine slots but no deviation \
      policy was supplied; the run would certify crash semantics under a Byzantine label";
 
 /// Executes one schedule of `protocol` under `plan`, following `prefix`
@@ -281,7 +282,9 @@ pub(super) fn violation_of(
     faulty: &[ProcessId],
     terminated: bool,
 ) -> Option<String> {
-    let report = spec.check(&kset_core::DenseRun::new(inputs, decisions, faulty, terminated));
+    let report = spec.check(&kset_core::DenseRun::new(
+        inputs, decisions, faulty, terminated,
+    ));
     (!report.is_ok()).then(|| report.to_string())
 }
 
@@ -399,10 +402,7 @@ pub fn to_run_records(cfg: &CheckerConfig, verdict: &CellVerdict) -> Vec<RunReco
                 true,
             )
             .expect("explored patterns replay");
-            let violation = pattern
-                .violation
-                .as_ref()
-                .map(|ce| ce.violation.clone());
+            let violation = pattern.violation.as_ref().map(|ce| ce.violation.clone());
             RunRecord::new(
                 cfg.model(),
                 cfg.validity,

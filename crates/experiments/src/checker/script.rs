@@ -140,7 +140,10 @@ pub fn write_counterexample(
         writeln!(
             out,
             "# byz-menu:{}",
-            cfg.byz_menu.iter().map(|v| format!(" {v}")).collect::<String>()
+            cfg.byz_menu
+                .iter()
+                .map(|v| format!(" {v}"))
+                .collect::<String>()
         )?;
         writeln!(out, "# byz-silence: {}", cfg.byz_silence)?;
         writeln!(out, "# loss-budget: {}", cfg.loss_budget)?;
@@ -164,7 +167,10 @@ pub fn write_counterexample(
     writeln!(
         out,
         "# choices:{}",
-        ce.choices.iter().map(|c| format!(" {c}")).collect::<String>()
+        ce.choices
+            .iter()
+            .map(|c| format!(" {c}"))
+            .collect::<String>()
     )?;
     writeln!(out, "# violation: {}", ce.violation.replace('\n', "; "))?;
     for (id, deviation) in &ce.fired {
@@ -234,8 +240,12 @@ pub fn read_counterexample(path: &Path) -> io::Result<SavedCounterexample> {
             .unwrap_or(AdversaryModel::crash_for(protocol)),
         inputs: header.optional("inputs", numbers)?,
         byz_menu: header.optional("byz-menu", numbers)?.unwrap_or_default(),
-        byz_silence: header.optional("byz-silence", |v| v.parse().ok())?.unwrap_or(false),
-        loss_budget: header.optional("loss-budget", |v| v.parse().ok())?.unwrap_or(0),
+        byz_silence: header
+            .optional("byz-silence", |v| v.parse().ok())?
+            .unwrap_or(false),
+        loss_budget: header
+            .optional("loss-budget", |v| v.parse().ok())?
+            .unwrap_or(0),
         counterexample: Counterexample {
             crashed: header.required("crashed", numbers)?,
             byzantine: header.optional("byzantine", numbers)?.unwrap_or_default(),
@@ -246,13 +256,22 @@ pub fn read_counterexample(path: &Path) -> io::Result<SavedCounterexample> {
     };
     // Replay builds the cell and its fault plan from these values, so a
     // script that would make it panic is refused here.
-    saved
-        .config()
-        .validate()
-        .map_err(|message| bad(format!("script records an invalid configuration: {message}")))?;
+    saved.config().validate().map_err(|message| {
+        bad(format!(
+            "script records an invalid configuration: {message}"
+        ))
+    })?;
     let ce = &saved.counterexample;
-    if let Some(p) = ce.crashed.iter().chain(&ce.byzantine).find(|&&p| p >= saved.n) {
-        return Err(bad(format!("faulty process {p} is out of range for n = {}", saved.n)));
+    if let Some(p) = ce
+        .crashed
+        .iter()
+        .chain(&ce.byzantine)
+        .find(|&&p| p >= saved.n)
+    {
+        return Err(bad(format!(
+            "faulty process {p} is out of range for n = {}",
+            saved.n
+        )));
     }
     Ok(saved)
 }
@@ -352,5 +371,8 @@ impl<'a> Header<'a> {
 
 /// A whitespace-separated list of numbers; `None` if one does not parse.
 pub(crate) fn numbers<T: FromStr>(value: &str) -> Option<Vec<T>> {
-    value.split_whitespace().map(|word| word.parse().ok()).collect()
+    value
+        .split_whitespace()
+        .map(|word| word.parse().ok())
+        .collect()
 }

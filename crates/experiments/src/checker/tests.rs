@@ -100,7 +100,10 @@ fn reductions_do_not_change_the_verdict() {
         one.dedup = dedup;
         let v = check_cell(&one);
         assert!(v.complete, "por={por} dedup={dedup}: raise max_runs");
-        assert_eq!(v.worst_agreement, rv.worst_agreement, "por={por} dedup={dedup}");
+        assert_eq!(
+            v.worst_agreement, rv.worst_agreement,
+            "por={por} dedup={dedup}"
+        );
     }
 }
 
@@ -157,7 +160,11 @@ fn run_records_cover_each_explored_pattern() {
 #[test]
 fn repeated_inputs_select_canonical_digests() {
     for n in 1..=5 {
-        assert_eq!(digest_mode(&canonical_inputs(n)), DigestMode::Plain, "n = {n}");
+        assert_eq!(
+            digest_mode(&canonical_inputs(n)),
+            DigestMode::Plain,
+            "n = {n}"
+        );
     }
     assert_eq!(digest_mode(&[1, 1, 1]), DigestMode::Canonical);
     assert_eq!(digest_mode(&[0, 0, 1, 2]), DigestMode::Canonical);
@@ -189,14 +196,20 @@ fn preemption_bound_zero_explores_fewer_schedules() {
 #[test]
 fn parsers_accept_the_documented_forms() {
     assert_eq!(parse_protocol("FloodMin"), Some(QuorumProtocol::FloodMin));
-    assert_eq!(parse_protocol("protocol a"), Some(QuorumProtocol::ProtocolA));
+    assert_eq!(
+        parse_protocol("protocol a"),
+        Some(QuorumProtocol::ProtocolA)
+    );
     assert_eq!(parse_protocol("f"), Some(QuorumProtocol::ProtocolF));
     assert_eq!(parse_protocol("nonsense"), None);
     assert_eq!(parse_validity("rv1"), Some(ValidityCondition::RV1));
     assert_eq!(parse_validity("bogus"), None);
     assert_eq!(parse_adversary_model("mp_byz"), Some(AdversaryModel::MpByz));
     assert_eq!(parse_adversary_model("SM_BYZ"), Some(AdversaryModel::SmByz));
-    assert_eq!(parse_adversary_model("mp_lossy"), Some(AdversaryModel::MpLossy));
+    assert_eq!(
+        parse_adversary_model("mp_lossy"),
+        Some(AdversaryModel::MpLossy)
+    );
     assert_eq!(parse_adversary_model("byzantine"), None);
 }
 
@@ -290,7 +303,10 @@ fn lossy_adversary_quantifies_over_drops() {
     let verdict = check_cell(&cfg);
     assert!(!verdict.holds());
     let ce = verdict.counterexample.expect("violation found");
-    assert!(ce.byzantine.is_empty(), "lossy keeps the crash pattern space");
+    assert!(
+        ce.byzantine.is_empty(),
+        "lossy keeps the crash pattern space"
+    );
     assert!(
         ce.fired.iter().any(|(_, d)| *d == Deviation::Drop),
         "{:?}",
@@ -371,5 +387,8 @@ fn cross_validation_is_void_for_deviation_adversaries() {
     let verdict = check_cell(&cfg);
     let disagreements = cross_validate(&cfg, &verdict);
     assert_eq!(disagreements.len(), 1);
-    assert!(disagreements[0].contains("comparison void"), "{disagreements:?}");
+    assert!(
+        disagreements[0].contains("comparison void"),
+        "{disagreements:?}"
+    );
 }

@@ -305,7 +305,10 @@ pub fn lemma_4_3_frozen_majority() -> Result<Counterexample, SimError> {
     let group: Vec<usize> = (0..4).collect();
     let outcome = SmSystem::new(n)
         .seed(6)
-        .delay_rule(DelayRule::freeze_process(4, Until::AllDecided(group.clone())))
+        .delay_rule(DelayRule::freeze_process(
+            4,
+            Until::AllDecided(group.clone()),
+        ))
         .delay_rule(DelayRule::freeze_process(5, Until::AllDecided(group)))
         .run_with(|p| ProtocolF::boxed(n, t, inputs[p], DEFAULT_VALUE))?
         .into_run();

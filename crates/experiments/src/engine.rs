@@ -74,7 +74,11 @@ where
 {
     let threads = threads.max(1).min(tasks.len().max(1));
     if threads == 1 {
-        return tasks.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return tasks
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| f(i, t))
+            .collect();
     }
     let len = tasks.len();
     let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(tasks.into_iter().enumerate().collect());
@@ -302,8 +306,7 @@ mod tests {
             );
             assert_eq!(exit, DrainExit::Drained);
             assert_eq!(state.0, CHUNK * 3);
-            let expected: Vec<usize> =
-                (0..CHUNK * 3).map(|i| (i / CHUNK) * CHUNK).collect();
+            let expected: Vec<usize> = (0..CHUNK * 3).map(|i| (i / CHUNK) * CHUNK).collect();
             assert_eq!(state.1, expected);
         }
     }

@@ -212,8 +212,7 @@ fn quorum_sets(
             if w != p {
                 base.push(w);
             }
-            let others: Vec<usize> =
-                live.iter().copied().filter(|q| !base.contains(q)).collect();
+            let others: Vec<usize> = live.iter().copied().filter(|q| !base.contains(q)).collect();
             let min_size = if protocol == QuorumProtocol::ProtocolF {
                 n - t
             } else {

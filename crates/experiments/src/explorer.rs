@@ -98,7 +98,16 @@ pub fn probe_cell(
     t: usize,
     seeds: Range<u64>,
 ) -> Result<Option<BoundaryProbe>, SimError> {
-    probe_cell_with(model, validity, n, k, t, seeds, MetricsConfig::disabled(), |_| {})
+    probe_cell_with(
+        model,
+        validity,
+        n,
+        k,
+        t,
+        seeds,
+        MetricsConfig::disabled(),
+        |_| {},
+    )
 }
 
 /// [`probe_cell`] with per-run observability: collects kernel metrics

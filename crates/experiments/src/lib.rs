@@ -24,11 +24,11 @@
 pub mod campaign;
 pub mod cells;
 pub mod checker;
-pub mod engine;
-pub mod figures;
 pub mod counterexamples;
+pub mod engine;
 pub mod exhaustive;
 pub mod explorer;
+pub mod figures;
 pub mod record_sink;
 pub mod report;
 pub mod visited;

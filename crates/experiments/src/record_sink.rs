@@ -151,9 +151,25 @@ impl RunRecord {
     }
 }
 
-object!(RunOutcome { terminated, decided, distinct_decisions, violation });
+object!(RunOutcome {
+    terminated,
+    decided,
+    distinct_decisions,
+    violation
+});
 object!(RunRecord {
-    schema_version, run_id, model, validity, n, k, t, seed, protocol, outcome, stats, metrics
+    schema_version,
+    run_id,
+    model,
+    validity,
+    n,
+    k,
+    t,
+    seed,
+    protocol,
+    outcome,
+    stats,
+    metrics
 });
 
 /// A buffered JSON Lines writer for [`RunRecord`]s: one record per line,
@@ -245,7 +261,10 @@ fn read_records(reader: impl BufRead) -> io::Result<Vec<RunRecord>> {
             continue;
         }
         let record = json::from_str(&line).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {e}", number + 1))
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("line {}: {e}", number + 1),
+            )
         })?;
         records.push(record);
     }
@@ -276,7 +295,10 @@ mod tests {
     }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("kset-record-sink-{}-{tag}.jsonl", std::process::id()))
+        std::env::temp_dir().join(format!(
+            "kset-record-sink-{}-{tag}.jsonl",
+            std::process::id()
+        ))
     }
 
     #[test]
@@ -310,9 +332,19 @@ mod tests {
     fn golden_record() -> RunRecord {
         let mut decisions = Histogram::new();
         decisions.record(7);
-        let process = ProcessMetrics { events_fired: 5, decided_at: Some(7), ..Default::default() };
+        let process = ProcessMetrics {
+            events_fired: 5,
+            decided_at: Some(7),
+            ..Default::default()
+        };
         let metrics = RunMetrics {
-            per_process: vec![process, ProcessMetrics { decided_at: None, ..process }],
+            per_process: vec![
+                process,
+                ProcessMetrics {
+                    decided_at: None,
+                    ..process
+                },
+            ],
             pending_depth: Histogram::new(),
             delivery_latency: Histogram::new(),
             op_latency: Histogram::new(),
@@ -326,9 +358,24 @@ mod tests {
             distinct_decisions: 1,
             violation: Some("agreement: \"v\" \\ w\nmore".into()),
         };
-        let stats = RunStats { events_fired: 9, ops_completed: 6, ..Default::default() };
+        let stats = RunStats {
+            events_fired: 9,
+            ops_completed: 6,
+            ..Default::default()
+        };
         let (model, validity) = (Model::SmByzantine, ValidityCondition::WV2);
-        RunRecord::new(model, validity, 3, 2, 1, 42, "Protocol E", outcome, stats, Some(metrics))
+        RunRecord::new(
+            model,
+            validity,
+            3,
+            2,
+            1,
+            42,
+            "Protocol E",
+            outcome,
+            stats,
+            Some(metrics),
+        )
     }
 
     #[test]
@@ -372,7 +419,10 @@ mod tests {
             Err(json::Error::Schema("missing field `seed`".into()))
         );
         for (from, to) in [("[0,0,0,1,", "[0,0,1,"), ("SmByzantine", "SmByz")] {
-            assert!(json::from_str::<RunRecord>(&line.replacen(from, to, 1)).is_err(), "{to}");
+            assert!(
+                json::from_str::<RunRecord>(&line.replacen(from, to, 1)).is_err(),
+                "{to}"
+            );
         }
     }
 
@@ -398,10 +448,14 @@ mod tests {
         // Single-byte corruptions: the reader rejects the line with
         // `InvalidData`, returns the original record, or returns exactly the
         // record the corrupted text spells out (the same JSON content).
-        let cases = (in_range(0..lines.len()), in_range(0..usize::MAX), in_range(0u16..256));
-        Runner::new("jsonl_reader_fails_closed_on_corruption").cases(2048).run(
-            cases,
-            |(which, at, byte)| {
+        let cases = (
+            in_range(0..lines.len()),
+            in_range(0..usize::MAX),
+            in_range(0u16..256),
+        );
+        Runner::new("jsonl_reader_fails_closed_on_corruption")
+            .cases(2048)
+            .run(cases, |(which, at, byte)| {
                 let mut bytes = lines[which].clone().into_bytes();
                 let at = at % bytes.len();
                 bytes[at] = byte as u8;
@@ -417,8 +471,7 @@ mod tests {
                     }
                 }
                 Ok(())
-            },
-        );
+            });
     }
 
     #[test]

@@ -1594,71 +1594,75 @@ mod tests {
             vec_in(choice(IDS.to_vec()), 0..6),
         );
         let wave = vec_in(vec_in(entry, 0..40), 1..6);
-        Runner::new("sharded_fold_matches_serial_merge").cases(48).run(
-            (
-                vec_in(wave, 1..5),
-                choice(vec![1usize, 2, 3, 7]),
-                choice(vec![1usize, 16, SHARDS]),
-            ),
-            |(waves, threads, shards)| {
-                let mut serial = Visited::default();
-                let mut sharded = Sharded::new(shards);
-                let mut queries = Vec::new();
-                for wave in &waves {
-                    let tables: Vec<Visited> = wave
-                        .iter()
-                        .map(|entries| {
-                            let mut table = Visited::default();
-                            for (at, high, ids) in entries {
-                                let fp = FINGERPRINTS[*at].wrapping_add(high << 32);
-                                absorb_ids(&mut table, fp, ids);
-                                queries.push((fp, ids.clone()));
-                            }
-                            table
+        Runner::new("sharded_fold_matches_serial_merge")
+            .cases(48)
+            .run(
+                (
+                    vec_in(wave, 1..5),
+                    choice(vec![1usize, 2, 3, 7]),
+                    choice(vec![1usize, 16, SHARDS]),
+                ),
+                |(waves, threads, shards)| {
+                    let mut serial = Visited::default();
+                    let mut sharded = Sharded::new(shards);
+                    let mut queries = Vec::new();
+                    for wave in &waves {
+                        let tables: Vec<Visited> = wave
+                            .iter()
+                            .map(|entries| {
+                                let mut table = Visited::default();
+                                for (at, high, ids) in entries {
+                                    let fp = FINGERPRINTS[*at].wrapping_add(high << 32);
+                                    absorb_ids(&mut table, fp, ids);
+                                    queries.push((fp, ids.clone()));
+                                }
+                                table
+                            })
+                            .collect();
+                        for table in &tables {
+                            serial.merge(table);
+                        }
+                        let parts: Vec<Partitioned> = tables
+                            .into_iter()
+                            .map(|table| table.partition(shards))
+                            .collect();
+                        sharded.fold(&parts, threads);
+                        prop_assert!(
+                            sharded.live_entries() == serial.live_entries(),
+                            "live entries {} sharded, {} serial",
+                            sharded.live_entries(),
+                            serial.live_entries()
+                        );
+                    }
+                    // The store's records, as a checkpoint writes them, fold
+                    // back into a store that answers alike.
+                    let mut words = Vec::new();
+                    sharded
+                        .write_records(|record| {
+                            words.extend_from_slice(record);
+                            Ok::<(), ()>(())
                         })
-                        .collect();
-                    for table in &tables {
-                        serial.merge(table);
+                        .unwrap();
+                    let records = Partitioned::from_records(words, shards).unwrap();
+                    let mut reloaded = Sharded::new(shards);
+                    reloaded.fold(&[records], threads);
+                    prop_assert_eq!(reloaded.live_entries(), serial.live_entries());
+                    // Every inserted set, without its least id, and with one
+                    // more id, as queries.
+                    for (fp, ids) in queries {
+                        let set: BTreeSet<u64> = ids.into_iter().collect();
+                        let smaller = set.iter().skip(1).copied().collect();
+                        let larger = |id| set.iter().copied().chain([id]).collect();
+                        for query in [set.clone(), smaller, larger(3), larger(513)] {
+                            let sleep = sleep_of(&query);
+                            let want = serial.covers(fp, &sleep);
+                            let got = (sharded.covers(fp, &sleep), reloaded.covers(fp, &sleep));
+                            prop_assert!(got == (want, want), "fp={fp} query={query:?}");
+                        }
                     }
-                    let parts: Vec<Partitioned> =
-                        tables.into_iter().map(|table| table.partition(shards)).collect();
-                    sharded.fold(&parts, threads);
-                    prop_assert!(
-                        sharded.live_entries() == serial.live_entries(),
-                        "live entries {} sharded, {} serial",
-                        sharded.live_entries(),
-                        serial.live_entries()
-                    );
-                }
-                // The store's records, as a checkpoint writes them, fold
-                // back into a store that answers alike.
-                let mut words = Vec::new();
-                sharded
-                    .write_records(|record| {
-                        words.extend_from_slice(record);
-                        Ok::<(), ()>(())
-                    })
-                    .unwrap();
-                let records = Partitioned::from_records(words, shards).unwrap();
-                let mut reloaded = Sharded::new(shards);
-                reloaded.fold(&[records], threads);
-                prop_assert_eq!(reloaded.live_entries(), serial.live_entries());
-                // Every inserted set, without its least id, and with one
-                // more id, as queries.
-                for (fp, ids) in queries {
-                    let set: BTreeSet<u64> = ids.into_iter().collect();
-                    let smaller = set.iter().skip(1).copied().collect();
-                    let larger = |id| set.iter().copied().chain([id]).collect();
-                    for query in [set.clone(), smaller, larger(3), larger(513)] {
-                        let sleep = sleep_of(&query);
-                        let want = serial.covers(fp, &sleep);
-                        let got = (sharded.covers(fp, &sleep), reloaded.covers(fp, &sleep));
-                        prop_assert!(got == (want, want), "fp={fp} query={query:?}");
-                    }
-                }
-                Ok(())
-            },
-        );
+                    Ok(())
+                },
+            );
     }
 
     #[test]

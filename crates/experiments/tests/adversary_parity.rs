@@ -19,9 +19,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use kset_core::ValidityCondition;
-use kset_experiments::campaign::{
-    resume_campaign, run_campaign, CampaignOptions, CampaignOutcome,
-};
+use kset_experiments::campaign::{resume_campaign, run_campaign, CampaignOptions, CampaignOutcome};
 use kset_experiments::checker::{
     check_cell, write_counterexample, AdversaryModel, CellVerdict, CheckerConfig, ForkMode,
 };

@@ -231,10 +231,14 @@ fn model_check_binary_campaign_matches_direct_run() {
         ce: Option<&Path>,
     ) -> (String, u64) {
         let mut cmd = Command::new(bin);
-        cmd.args(cell)
-            .arg("--campaign-dir")
-            .arg(campaign)
-            .args(["--checkpoint-every", "0", "--pause-after-checkpoints", "1", "--threads", "1"]);
+        cmd.args(cell).arg("--campaign-dir").arg(campaign).args([
+            "--checkpoint-every",
+            "0",
+            "--pause-after-checkpoints",
+            "1",
+            "--threads",
+            "1",
+        ]);
         if let Some(ce) = ce {
             cmd.arg("--counterexample").arg(ce);
         }
@@ -267,7 +271,16 @@ fn model_check_binary_campaign_matches_direct_run() {
     // Holds cell: the campaign genuinely pauses and resumes (mixed thread
     // counts across the kill points) yet prints the same verdict line.
     let holds_cell = [
-        "--protocol", "floodmin", "--n", "3", "--k", "2", "--t", "1", "--validity", "RV1",
+        "--protocol",
+        "floodmin",
+        "--n",
+        "3",
+        "--k",
+        "2",
+        "--t",
+        "1",
+        "--validity",
+        "RV1",
     ];
     let holds_campaign = dir.join("holds-campaign");
     let holds_reference = direct_verdict_line(bin, &holds_cell, None);
@@ -279,7 +292,16 @@ fn model_check_binary_campaign_matches_direct_run() {
     // script. (This cell violates inside the first wave, so the campaign
     // may finish without pausing — byte identity is the contract.)
     let violated_cell = [
-        "--protocol", "floodmin", "--n", "3", "--k", "1", "--t", "1", "--validity", "RV1",
+        "--protocol",
+        "floodmin",
+        "--n",
+        "3",
+        "--k",
+        "1",
+        "--t",
+        "1",
+        "--validity",
+        "RV1",
     ];
     let violated_campaign = dir.join("violated-campaign");
     let direct_ce = dir.join("direct.schedule");
@@ -316,8 +338,18 @@ fn model_check_binary_campaign_rows_carry_the_in_memory_gauges() {
     let dir = tmp_dir("cli_gauges");
     fs::create_dir_all(&dir).unwrap();
     let cell = [
-        "--protocol", "floodmin", "--n", "3", "--k", "2", "--t", "1", "--validity", "RV1",
-        "--threads", "2",
+        "--protocol",
+        "floodmin",
+        "--n",
+        "3",
+        "--k",
+        "2",
+        "--t",
+        "1",
+        "--validity",
+        "RV1",
+        "--threads",
+        "2",
     ];
     let row = |extra: &[&str], name: &str| -> BenchCell {
         let json = dir.join(name);
@@ -336,7 +368,12 @@ fn model_check_binary_campaign_rows_carry_the_in_memory_gauges() {
     };
     let campaign = dir.join("campaign");
     let campaign_row = row(
-        &["--campaign-dir", campaign.to_str().unwrap(), "--checkpoint-every", "700"],
+        &[
+            "--campaign-dir",
+            campaign.to_str().unwrap(),
+            "--checkpoint-every",
+            "700",
+        ],
         "campaign.json",
     );
     let direct_row = row(&[], "direct.json");
@@ -367,8 +404,20 @@ fn model_check_bounded_campaign_records_bounded_and_refuses_resume() {
     let bin = env!("CARGO_BIN_EXE_model_check");
     let dir = tmp_dir("bounded");
     let cell = [
-        "--protocol", "floodmin", "--n", "3", "--k", "2", "--t", "1", "--validity", "RV1",
-        "--max-runs", "0", "--threads", "1",
+        "--protocol",
+        "floodmin",
+        "--n",
+        "3",
+        "--k",
+        "2",
+        "--t",
+        "1",
+        "--validity",
+        "RV1",
+        "--max-runs",
+        "0",
+        "--threads",
+        "1",
     ];
     let run = Command::new(bin)
         .args(cell)
@@ -406,7 +455,16 @@ fn model_check_resume_refuses_unknown_and_repeated_manifest_keys() {
     let bin = env!("CARGO_BIN_EXE_model_check");
     let dir = tmp_dir("manifest_keys");
     let cell = [
-        "--protocol", "floodmin", "--n", "3", "--k", "2", "--t", "1", "--validity", "RV1",
+        "--protocol",
+        "floodmin",
+        "--n",
+        "3",
+        "--k",
+        "2",
+        "--t",
+        "1",
+        "--validity",
+        "RV1",
     ];
     for key in ["bogus_key", "runs"] {
         let campaign = dir.join(key);
@@ -414,7 +472,14 @@ fn model_check_resume_refuses_unknown_and_repeated_manifest_keys() {
             .args(cell)
             .arg("--campaign-dir")
             .arg(&campaign)
-            .args(["--checkpoint-every", "0", "--pause-after-checkpoints", "1", "--threads", "1"])
+            .args([
+                "--checkpoint-every",
+                "0",
+                "--pause-after-checkpoints",
+                "1",
+                "--threads",
+                "1",
+            ])
             .output()
             .expect("create campaign");
         assert!(create.status.success(), "{create:?}");

@@ -125,11 +125,23 @@ fn reproduce_all_rejects_bad_flag_values_with_exit_2() {
 #[test]
 fn sweep_binaries_reject_bad_arguments_with_exit_2() {
     let bin = env!("CARGO_BIN_EXE_boundary_scan");
-    for args in [&["--threads", "abc"][..], &["--json"], &["2"], &["--seed"], &["6", "0"]] {
+    for args in [
+        &["--threads", "abc"][..],
+        &["--json"],
+        &["2"],
+        &["--seed"],
+        &["6", "0"],
+    ] {
         assert_usage_error(bin, "boundary_scan", args);
     }
     let bin = env!("CARGO_BIN_EXE_empirical_atlas");
-    for args in [&["--threads", "abc"][..], &["--json"], &["2"], &["six"], &["8", "0"]] {
+    for args in [
+        &["--threads", "abc"][..],
+        &["--json"],
+        &["2"],
+        &["six"],
+        &["8", "0"],
+    ] {
         assert_usage_error(bin, "empirical_atlas", args);
     }
     let bin = env!("CARGO_BIN_EXE_exhaustive_check");
@@ -232,20 +244,38 @@ fn figure_binaries_exit_1_when_the_csv_cannot_be_written() {
 fn assert_refused(bin: &str, args: &[&str]) {
     let out = Command::new(bin).args(args).output().expect("run binary");
     assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
-    assert!(out.stdout.is_empty(), "{args:?} did work before failing: {out:?}");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?} did work before failing: {out:?}"
+    );
 }
 
 #[test]
 fn model_check_refuses_invalid_cells_with_exit_2() {
     let bin = env!("CARGO_BIN_EXE_model_check");
     let cell = |n: &'static str, k: &'static str, t: &'static str| {
-        ["--protocol", "floodmin", "--n", n, "--k", k, "--t", t, "--validity", "RV1"]
+        [
+            "--protocol",
+            "floodmin",
+            "--n",
+            n,
+            "--k",
+            k,
+            "--t",
+            t,
+            "--validity",
+            "RV1",
+        ]
     };
     let dir = std::env::temp_dir().join(format!("kset_cli_invalid_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let campaign = dir.join("campaign");
-    for args in [cell("3", "0", "1"), cell("0", "1", "0"), cell("3", "3", "3")] {
+    for args in [
+        cell("3", "0", "1"),
+        cell("0", "1", "0"),
+        cell("3", "3", "3"),
+    ] {
         assert_refused(bin, &args);
         let mut with_campaign = args.to_vec();
         with_campaign.extend(["--campaign-dir", campaign.to_str().unwrap()]);

@@ -43,7 +43,10 @@ fn tmp_dir(name: &str) -> PathBuf {
 /// scripts of Byzantine (MP and SM), lossy, and explicit-input cells.
 fn scripts() -> Vec<(CheckerConfig, Counterexample)> {
     let fired = |deviations: &[(u64, Deviation)]| -> Vec<(EventId, Deviation)> {
-        deviations.iter().map(|&(id, d)| (EventId::from_u64(id), d)).collect()
+        deviations
+            .iter()
+            .map(|&(id, d)| (EventId::from_u64(id), d))
+            .collect()
     };
     let crash = CheckerConfig::new(QuorumProtocol::FloodMin, 3, 1, 1, ValidityCondition::RV1);
     let mut mp_byz = crash.clone();
@@ -52,8 +55,7 @@ fn scripts() -> Vec<(CheckerConfig, Counterexample)> {
     mp_byz.byz_menu = vec![0, 2];
     mp_byz.byz_silence = true;
     mp_byz.inputs = Some(vec![1, 1, 1]);
-    let mut sm_byz =
-        CheckerConfig::new(QuorumProtocol::ProtocolE, 3, 2, 2, ValidityCondition::RV2);
+    let mut sm_byz = CheckerConfig::new(QuorumProtocol::ProtocolE, 3, 2, 2, ValidityCondition::RV2);
     sm_byz.adversary = AdversaryModel::SmByz;
     sm_byz.byz_menu = vec![0];
     let mut lossy = crash.clone();
@@ -69,15 +71,41 @@ fn scripts() -> Vec<(CheckerConfig, Counterexample)> {
         fired,
         violation: "agreement violated: 2 distinct decisions".to_string(),
     };
-    let faithful = fired(&[(0, Deviation::Faithful), (4, Deviation::Faithful), (7, Deviation::Faithful)]);
+    let faithful = fired(&[
+        (0, Deviation::Faithful),
+        (4, Deviation::Faithful),
+        (7, Deviation::Faithful),
+    ]);
     vec![
         (crash, ce(vec![1], vec![], faithful.clone())),
         (
             mp_byz,
-            ce(vec![], vec![2], fired(&[(0, Deviation::Faithful), (5, Deviation::Forge(0)), (9, Deviation::Drop)])),
+            ce(
+                vec![],
+                vec![2],
+                fired(&[
+                    (0, Deviation::Faithful),
+                    (5, Deviation::Forge(0)),
+                    (9, Deviation::Drop),
+                ]),
+            ),
         ),
-        (sm_byz, ce(vec![0], vec![2], fired(&[(3, Deviation::Forge(0)), (11, Deviation::Faithful)]))),
-        (lossy, ce(vec![2], vec![], fired(&[(1, Deviation::Drop), (6, Deviation::Faithful)]))),
+        (
+            sm_byz,
+            ce(
+                vec![0],
+                vec![2],
+                fired(&[(3, Deviation::Forge(0)), (11, Deviation::Faithful)]),
+            ),
+        ),
+        (
+            lossy,
+            ce(
+                vec![2],
+                vec![],
+                fired(&[(1, Deviation::Drop), (6, Deviation::Faithful)]),
+            ),
+        ),
         (inputs, ce(vec![3], vec![], faithful)),
     ]
 }
@@ -107,7 +135,8 @@ fn expected(cfg: &CheckerConfig, ce: &Counterexample) -> SavedCounterexample {
 fn manifests() -> Vec<Manifest> {
     let (mp_byz, lossy) = (&scripts()[1].0, &scripts()[3].0);
     let crash = CheckerConfig::new(QuorumProtocol::FloodMin, 4, 2, 1, ValidityCondition::RV1);
-    let mut bounded = CheckerConfig::new(QuorumProtocol::ProtocolF, 3, 3, 1, ValidityCondition::SV2);
+    let mut bounded =
+        CheckerConfig::new(QuorumProtocol::ProtocolF, 3, 3, 1, ValidityCondition::SV2);
     bounded.depth = 12;
     bounded.preemptions = Some(2);
     bounded.max_runs = 5_000;
@@ -177,7 +206,12 @@ fn script_fails_closed(path: &Path, bytes: &[u8]) -> Result<(), String> {
             };
             cfg.validate()?;
             let ce = &saved.counterexample;
-            match ce.crashed.iter().chain(&ce.byzantine).find(|&&p| p >= saved.n) {
+            match ce
+                .crashed
+                .iter()
+                .chain(&ce.byzantine)
+                .find(|&&p| p >= saved.n)
+            {
                 Some(p) => Err(format!("process {p} accepted at n = {}", saved.n)),
                 None => Ok(()),
             }
@@ -258,18 +292,21 @@ fn script_decoder_fails_closed() {
     let files = script_bytes(&dir);
     let path = dir.join("corrupt.schedule");
     every_truncation_and_field_corruption(&files, |bytes| script_fails_closed(&path, bytes));
-    let cases = (in_range(0..files.len()), in_range(0..usize::MAX), in_range(0u16..256));
-    Runner::new("script_decoder_fails_closed_on_any_byte").cases(2048).run(
-        cases,
-        |(which, at, byte)| {
+    let cases = (
+        in_range(0..files.len()),
+        in_range(0..usize::MAX),
+        in_range(0u16..256),
+    );
+    Runner::new("script_decoder_fails_closed_on_any_byte")
+        .cases(2048)
+        .run(cases, |(which, at, byte)| {
             let mut bytes = files[which].clone();
             let at = at % bytes.len();
             bytes[at] = byte as u8;
             let verdict = script_fails_closed(&path, &bytes);
             prop_assert!(verdict.is_ok(), "{verdict:?}");
             Ok(())
-        },
-    );
+        });
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -278,17 +315,20 @@ fn manifest_decoder_fails_closed() {
     let dir = tmp_dir("manifest_corruption");
     let files = manifest_bytes(&dir);
     every_truncation_and_field_corruption(&files, |bytes| manifest_fails_closed(&dir, bytes));
-    let cases = (in_range(0..files.len()), in_range(0..usize::MAX), in_range(0u16..256));
-    Runner::new("manifest_decoder_fails_closed_on_any_byte").cases(2048).run(
-        cases,
-        |(which, at, byte)| {
+    let cases = (
+        in_range(0..files.len()),
+        in_range(0..usize::MAX),
+        in_range(0u16..256),
+    );
+    Runner::new("manifest_decoder_fails_closed_on_any_byte")
+        .cases(2048)
+        .run(cases, |(which, at, byte)| {
             let mut bytes = files[which].clone();
             let at = at % bytes.len();
             bytes[at] = byte as u8;
             prop_assert_eq!(manifest_fails_closed(&dir, &bytes), Ok(()));
             Ok(())
-        },
-    );
+        });
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -387,15 +427,14 @@ fn snapshot_decoder_fails_closed() {
         }
     }
     let cases = (in_range(0..good.len()), in_range(1u16..256));
-    Runner::new("snapshot_decoder_fails_closed_on_any_byte").cases(512).run(
-        cases,
-        |(at, flip)| {
+    Runner::new("snapshot_decoder_fails_closed_on_any_byte")
+        .cases(512)
+        .run(cases, |(at, flip)| {
             let mut corrupt = good.clone();
             corrupt[at] ^= flip as u8;
             prop_assert_eq!(resume_fails_closed(&dir, &corrupt), Ok(()));
             Ok(())
-        },
-    );
+        });
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -17,9 +17,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use kset_core::ValidityCondition;
-use kset_experiments::campaign::{
-    resume_campaign, run_campaign, CampaignOptions, CampaignOutcome,
-};
+use kset_experiments::campaign::{resume_campaign, run_campaign, CampaignOptions, CampaignOutcome};
 use kset_experiments::checker::{
     check_cell, check_cell_gauged, write_counterexample, AdversaryModel, CellVerdict,
     CheckerConfig, ForkMode,
@@ -87,7 +85,13 @@ fn random_configurations_match_replay() {
             check_cell(&replay_cfg),
             "sample {sample}: {protocol:?} n={n} k={k} t={t} por={} dedup={} inputs={:?} \
              depth={} preempt={:?} max_runs={} threads={}",
-            cfg.por, cfg.dedup, cfg.inputs, cfg.depth, cfg.preemptions, cfg.max_runs, cfg.threads
+            cfg.por,
+            cfg.dedup,
+            cfg.inputs,
+            cfg.depth,
+            cfg.preemptions,
+            cfg.max_runs,
+            cfg.threads
         );
     }
 }
@@ -129,10 +133,8 @@ fn campaign_kill_resume_under_fork_mode() {
     let reference = check_cell(&reference_cfg);
     assert!(reference.holds());
 
-    let dir: PathBuf = std::env::temp_dir().join(format!(
-        "kset_fork_parity_campaign_{}",
-        std::process::id()
-    ));
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("kset_fork_parity_campaign_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let mut cfg = reference_cfg.clone();
     cfg.fork = ForkMode::Auto;
@@ -159,7 +161,11 @@ fn campaign_kill_resume_under_fork_mode() {
 
 /// The counterexample file of `verdict` as `cfg` writes it (v2 for the
 /// deviation cells), or `None` when the cell holds.
-fn counterexample_bytes(dir: &std::path::Path, cfg: &CheckerConfig, verdict: &CellVerdict) -> Option<Vec<u8>> {
+fn counterexample_bytes(
+    dir: &std::path::Path,
+    cfg: &CheckerConfig,
+    verdict: &CellVerdict,
+) -> Option<Vec<u8>> {
     let ce = verdict.counterexample.as_ref()?;
     let path = dir.join("cell.schedule");
     write_counterexample(&path, cfg, ce).unwrap();
@@ -199,8 +205,7 @@ fn truncation_is_unobservable() {
         cells.push((format!("FloodMin n=3 k={k} t={t} inputs 0,1,1"), cfg));
     }
     // Lemma 4.9: a forged register read breaks Protocol E's RV2.
-    let mut sm_byz =
-        CheckerConfig::new(QuorumProtocol::ProtocolE, 3, 2, 2, ValidityCondition::RV2);
+    let mut sm_byz = CheckerConfig::new(QuorumProtocol::ProtocolE, 3, 2, 2, ValidityCondition::RV2);
     sm_byz.adversary = AdversaryModel::SmByz;
     sm_byz.byz_menu = vec![0];
     sm_byz.inputs = Some(vec![1, 1, 1]);
@@ -224,7 +229,10 @@ fn truncation_is_unobservable() {
         replay_cfg.fork = ForkMode::Replay;
         replay_cfg.threads = 1;
         let (oracle, _, replay_gauge) = check_cell_gauged(&replay_cfg);
-        assert_eq!(replay_gauge.truncated_runs, 0, "{name}: replay truncated a run");
+        assert_eq!(
+            replay_gauge.truncated_runs, 0,
+            "{name}: replay truncated a run"
+        );
         assert_eq!(replay_gauge.snapshots, 0, "{name}: replay took a snapshot");
         let oracle_bytes = counterexample_bytes(&dir, &replay_cfg, &oracle);
         violated += usize::from(oracle_bytes.is_some());

@@ -111,8 +111,27 @@ fn progress_lines_fire_on_patterns_longer_than_a_task() {
     // counts a whole pattern: each of this cell's patterns runs past
     // 3 × 2048 schedules.
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_model_check"))
-        .args(["--protocol", "a", "--n", "3", "--k", "3", "--t", "1", "--validity", "WV2"])
-        .args(["--model", "mp_byz", "--byz-menu", "0", "--byz-silence", "--inputs", "1,1,1"])
+        .args([
+            "--protocol",
+            "a",
+            "--n",
+            "3",
+            "--k",
+            "3",
+            "--t",
+            "1",
+            "--validity",
+            "WV2",
+        ])
+        .args([
+            "--model",
+            "mp_byz",
+            "--byz-menu",
+            "0",
+            "--byz-silence",
+            "--inputs",
+            "1,1,1",
+        ])
         .args(["--threads", "1", "--progress", "3000"])
         .output()
         .expect("run model_check");
@@ -123,7 +142,11 @@ fn progress_lines_fire_on_patterns_longer_than_a_task() {
         .map(|line| {
             let value = json::parse(line).expect(line);
             let fields = value.fields().expect(line);
-            assert_eq!(fields.get::<String>("protocol").as_deref(), Ok("Protocol A"), "{line}");
+            assert_eq!(
+                fields.get::<String>("protocol").as_deref(),
+                Ok("Protocol A"),
+                "{line}"
+            );
             for gauge in ["queued_tasks", "store_entries"] {
                 fields.get::<u64>(gauge).expect(line);
             }

@@ -52,7 +52,10 @@ fn fork_gauges_count_every_forked_run_at_any_thread_count() {
         assert!(gauge.snapshots > 0 && gauge.resumes_moved > 0, "{gauge:?}");
         gauges.push((gauge.snapshots, gauge.resumes_copied, gauge.resumes_moved));
     }
-    assert_eq!(gauges[0], gauges[1], "fork gauges depend on the thread count");
+    assert_eq!(
+        gauges[0], gauges[1],
+        "fork gauges depend on the thread count"
+    );
 }
 
 #[test]

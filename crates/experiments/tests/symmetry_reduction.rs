@@ -19,7 +19,11 @@ fn assert_pinned(cfg: &CheckerConfig, worst_agreement: usize, script: Option<&st
     assert_eq!(cfg.digest(), DigestMode::Canonical, "{:?}", cfg.inputs);
     let v = check_cell(cfg);
     assert!(v.complete, "{v}");
-    assert_eq!((v.holds(), v.worst_agreement), (script.is_none(), worst_agreement), "{v}");
+    assert_eq!(
+        (v.holds(), v.worst_agreement),
+        (script.is_none(), worst_agreement),
+        "{v}"
+    );
     if let Some(script) = script {
         let path = std::env::temp_dir().join(format!(
             "kset-symmetry-{}-{}-{}{}{}.schedule",
@@ -65,11 +69,19 @@ fn crash(inputs: &[u64], k: usize, t: usize) -> CheckerConfig {
 #[test]
 fn holding_cell_verdicts_agree_at_n3() {
     // Lemma 3.12, and a crash cell on repeated inputs.
-    assert_pinned(&byzantine(ProtocolA, (3, 3, 1), WV2, AdversaryModel::MpByz), 2, None);
+    assert_pinned(
+        &byzantine(ProtocolA, (3, 3, 1), WV2, AdversaryModel::MpByz),
+        2,
+        None,
+    );
     assert_pinned(&crash(&[0, 1, 1], 2, 1), 2, None);
     // Lemma 4.10: minutes in the debug profile, so only when asked for.
     if std::env::var_os("KSET_SLOW_PARITY").is_some() {
-        assert_pinned(&byzantine(ProtocolE, (3, 2, 2), WV2, AdversaryModel::SmByz), 2, None);
+        assert_pinned(
+            &byzantine(ProtocolE, (3, 2, 2), WV2, AdversaryModel::SmByz),
+            2,
+            None,
+        );
     }
 }
 

@@ -14,9 +14,7 @@ use std::fs;
 
 use kset_core::ValidityCondition;
 use kset_experiments::campaign::{resume_campaign, run_campaign, CampaignOptions, CampaignOutcome};
-use kset_experiments::checker::{
-    check_cell, execute_schedule, CheckerConfig, ForkMode,
-};
+use kset_experiments::checker::{check_cell, execute_schedule, CheckerConfig, ForkMode};
 use kset_experiments::exhaustive::QuorumProtocol;
 
 /// FloodMin SC(2, 1, RV1) at n = 9, bounded to 300 runs per crash
