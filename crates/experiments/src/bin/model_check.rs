@@ -23,13 +23,13 @@
 //! (Byzantine slots may also withhold deliveries), `--loss-budget N`
 //! (drops per run under `mp_lossy`), `--inputs v0,v1,...` (explicit
 //! proposal vector, e.g. an all-equal vector for validity frontiers).
-//! Bounds:
-//! `--depth D`, `--preemptions P`, `--max-runs R` (each fault pattern
-//! stops at the first wave barrier past `R` runs, so it may overshoot by
-//! up to a wave of task budgets; the verdict line prints the runs done),
-//! `--max-states S` (past `S` entries a task stops memoizing: slower,
-//! never bounded). A cell that held in every run explored, but that a
-//! bound cut short, reads `BOUNDED by <bound> over …`, not `HOLDS`.
+//! The one bound:
+//! `--max-runs R` (each fault pattern stops at the first wave barrier
+//! past `R` runs, so it may overshoot by up to a wave of task budgets;
+//! the verdict line prints the runs done). A cell that held in every run
+//! explored, but that the bound cut short, reads `BOUNDED by --max-runs R
+//! …`, not `HOLDS`. `--max-states S` is a memory valve, not a bound: past
+//! `S` entries a task stops memoizing, slower but still exhaustive.
 //!
 //! Exit status: 0 when every cell came out as expected (an explicit
 //! cell: held, or was violated by a counterexample that replays), 1 on a
@@ -62,14 +62,17 @@
 //! sets the snapshot cadence in runs (default 250000), and
 //! `--resume` continues a killed campaign from its last durable
 //! checkpoint — with bit-identical verdicts, counters, and counterexample
-//! bytes to an uninterrupted run. On `--resume` the cell and bounds may
-//! be omitted (the campaign manifest restores them).
+//! bytes to an uninterrupted run. On `--resume` the cell, its bound and
+//! the cadence may be omitted (the campaign manifest restores them).
 //! `--pause-after-checkpoints N` stops cleanly after N checkpoints of
 //! this invocation (the kill/resume test hook).
 
+use std::fmt;
+use std::io::{self, Write as _};
 use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use kset_core::cli::{self, usage_error};
@@ -94,6 +97,29 @@ const BIN: &str = "model_check";
 /// (0), failure (1) and usage errors (2), because a bounded "holds" is
 /// not a certification.
 const EXIT_BOUNDED: u8 = 3;
+
+/// Prints one line to stdout like `println!`, through [`say_line`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes one stdout line. A closed stdout (a reader such as `head -1`
+/// that has gone) stops the output quietly instead of panicking: later
+/// lines are dropped and the checks run on, so a campaign still finishes
+/// its MANIFEST and the exit status still reports the verdict.
+fn say_line(line: fmt::Arguments) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match writeln!(io::stdout().lock(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => CLOSED.store(true, Ordering::Relaxed),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
 
 /// What the checked cells add up to.
 #[derive(Clone, Copy)]
@@ -138,8 +164,6 @@ struct Args {
     byz_silence: bool,
     loss_budget: Option<u64>,
     inputs: Option<Vec<u64>>,
-    depth: Option<usize>,
-    preemptions: Option<usize>,
     max_runs: Option<u64>,
     max_states: Option<usize>,
     no_por: bool,
@@ -182,8 +206,6 @@ fn parse_args() -> Args {
             "--byz-silence" => parsed.byz_silence = true,
             "--loss-budget" => parsed.loss_budget = Some(args.number("--loss-budget")),
             "--inputs" => parsed.inputs = Some(u64_list(&mut args, "--inputs")),
-            "--depth" => parsed.depth = Some(args.number("--depth")),
-            "--preemptions" => parsed.preemptions = Some(args.number("--preemptions")),
             "--max-runs" => parsed.max_runs = Some(args.number("--max-runs")),
             "--max-states" => parsed.max_states = Some(args.number("--max-states")),
             "--no-por" => parsed.no_por = true,
@@ -252,10 +274,6 @@ fn apply_adversary(cfg: &mut CheckerConfig, args: &Args) {
 }
 
 fn apply_bounds(cfg: &mut CheckerConfig, args: &Args) {
-    if let Some(d) = args.depth {
-        cfg.depth = d;
-    }
-    cfg.preemptions = args.preemptions.or(cfg.preemptions);
     if let Some(r) = args.max_runs {
         cfg.max_runs = r;
     }
@@ -327,7 +345,7 @@ fn run_cell(
             });
             match outcome {
                 (CampaignOutcome::Paused { checkpoints, runs }, _, _) => {
-                    println!(
+                    say!(
                         "campaign paused at checkpoint {checkpoints} with {runs} run(s) recorded; \
                          continue with --resume"
                     );
@@ -339,7 +357,7 @@ fn run_cell(
     };
     let wall_s = started.elapsed().as_secs_f64();
     bench.push(BenchCell::of(cfg, &verdict, visited, runs, wall_s));
-    println!(
+    say!(
         "SC(k={}, t={}, {}) for {} at n={}: {}",
         cfg.k,
         cfg.t,
@@ -357,7 +375,7 @@ fn run_cell(
         write_counterexample(&path, cfg, ce).expect("write counterexample");
         let saved = read_counterexample(&path).expect("re-read counterexample");
         let (violation, divergences) = replay_fired(&saved);
-        println!(
+        say!(
             "  counterexample written to {} ({} choices, {} events); replay: {} with {} divergence(s)",
             path.display(),
             ce.choices.len(),
@@ -376,11 +394,11 @@ fn run_cell(
     if let Some(json) = &args.json {
         let records = to_run_records(cfg, &verdict);
         let written = write_jsonl(json, &records).expect("write --json records");
-        println!("  ({written} run records written to {})", json.display());
+        say!("  ({written} run records written to {})", json.display());
     }
     if let Some(expected) = expect_holds {
         if verdict.holds() != expected {
-            println!(
+            say!(
                 "  UNEXPECTED: this cell should {}",
                 if expected { "hold" } else { "be violated" }
             );
@@ -389,7 +407,7 @@ fn run_cell(
     }
     if let Some((dir, _)) = campaign {
         if let Ok(manifest) = read_manifest(dir) {
-            println!(
+            say!(
                 "  campaign manifest: {} (status {}, {} checkpoint(s), {} resume(s))",
                 dir.join("MANIFEST").display(),
                 manifest.status,
@@ -407,11 +425,11 @@ fn run_cell(
 fn run_cross_validation(cfg: &CheckerConfig, verdict: &CellVerdict) -> bool {
     let disagreements = cross_validate(cfg, verdict);
     if disagreements.is_empty() {
-        println!("  cross-validation vs exhaustive enumeration: agree on every crash pattern");
+        say!("  cross-validation vs exhaustive enumeration: agree on every crash pattern");
         true
     } else {
         for d in &disagreements {
-            println!("  DISAGREEMENT: {d}");
+            say!("  DISAGREEMENT: {d}");
         }
         false
     }
@@ -428,7 +446,7 @@ fn main() -> ExitCode {
             )
         });
         let (violation, divergences) = replay_fired(&saved);
-        println!(
+        say!(
             "replayed {} ({} at n={}, k={}, t={}, {}; model={}; crashed={:?}; byzantine={:?}): {} divergence(s)",
             path.display(),
             saved.protocol.name(),
@@ -443,11 +461,11 @@ fn main() -> ExitCode {
         );
         return match violation {
             Some(message) => {
-                println!("violation reproduced: {message}");
+                say!("violation reproduced: {message}");
                 ExitCode::SUCCESS
             }
             None => {
-                println!("violation NOT reproduced — protocol or kernel changed since recording");
+                say!("violation NOT reproduced — protocol or kernel changed since recording");
                 ExitCode::FAILURE
             }
         };
@@ -461,7 +479,7 @@ fn main() -> ExitCode {
             }
             let report = bench_report(threads, fork, cells) + "\n";
             std::fs::write(path, report).expect("write --bench-json");
-            println!("  (timing summary written to {})", path.display());
+            say!("  (timing summary written to {})", path.display());
         }
     };
 
@@ -488,27 +506,34 @@ fn main() -> ExitCode {
         // Campaign mode: an explicit cell driven as a checkpointed,
         // resumable on-disk job (see CAMPAIGNS.md). On --resume the cell
         // may be omitted; the campaign manifest restores it.
-        let cfg = if let Some(cfg) = explicit {
-            cfg
-        } else if args.resume {
-            let manifest = read_manifest(dir).unwrap_or_else(|e| {
+        let recorded = args.resume.then(|| {
+            read_manifest(dir).unwrap_or_else(|e| {
                 eprintln!("model_check: cannot resume: {e}");
                 std::process::exit(2);
-            });
-            let mut cfg = manifest.checker_config();
-            // The cell and bounds come from the manifest.
-            apply_execution(&mut cfg, &args);
-            cfg
-        } else {
-            eprintln!(
-                "model_check: --campaign-dir needs an explicit cell \
-                 (--protocol/--n/--k/--t/--validity), or --resume"
-            );
-            std::process::exit(2);
+            })
+        });
+        let cfg = match (explicit, &recorded) {
+            (Some(cfg), _) => cfg,
+            // The cell and its bound come from the manifest.
+            (None, Some(manifest)) => {
+                let mut cfg = manifest.config.clone();
+                apply_execution(&mut cfg, &args);
+                cfg
+            }
+            (None, None) => {
+                eprintln!(
+                    "model_check: --campaign-dir needs an explicit cell \
+                     (--protocol/--n/--k/--t/--validity), or --resume"
+                );
+                std::process::exit(2);
+            }
         };
+        // A resume keeps the campaign's recorded cadence unless the flag
+        // sets another.
         let opts = CampaignOptions {
             checkpoint_every: args
                 .checkpoint_every
+                .or(recorded.map(|manifest| manifest.checkpoint_every))
                 .unwrap_or(CampaignOptions::default().checkpoint_every),
             pause_after_checkpoints: args.pause_after_checkpoints,
         };
@@ -533,8 +558,8 @@ fn main() -> ExitCode {
     // replay of the emitted deviation script as the oracle.
     let (n_holds, n_viol) = if args.smoke { (3, 3) } else { (4, 4) };
 
-    println!("=== model_check: systematic schedule exploration of the real kernel ===\n");
-    println!("[1/4] solvable crash cell (FloodMin, t < k — Lemma 3.1):");
+    say!("=== model_check: systematic schedule exploration of the real kernel ===\n");
+    say!("[1/4] solvable crash cell (FloodMin, t < k — Lemma 3.1):");
     let mut holds_cfg = CheckerConfig::new(
         QuorumProtocol::FloodMin,
         n_holds,
@@ -547,7 +572,7 @@ fn main() -> ExitCode {
     let verdict = verdict.expect("an in-memory check never pauses");
     status.ok &= run_cross_validation(&holds_cfg, &verdict);
 
-    println!("\n[2/4] unsolvable crash cell (FloodMin, t >= k — outside Lemma 3.1):");
+    say!("\n[2/4] unsolvable crash cell (FloodMin, t >= k — outside Lemma 3.1):");
     let mut viol_cfg = CheckerConfig::new(
         QuorumProtocol::FloodMin,
         n_viol,
@@ -562,7 +587,7 @@ fn main() -> ExitCode {
     // all-equal inputs: every correct process must decide the proposed 1,
     // but a forged 0 drags FloodMin's minimum down — SC(1-set consensus,
     // RV1) is violated for any t >= 1 in MP/Byz (Lemma 3.10).
-    println!("\n[3/4] unsolvable Byzantine MP cell (FloodMin under mp_byz — Lemma 3.10):");
+    say!("\n[3/4] unsolvable Byzantine MP cell (FloodMin under mp_byz — Lemma 3.10):");
     let mut mp_byz_cfg =
         CheckerConfig::new(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
     mp_byz_cfg.adversary = AdversaryModel::MpByz;
@@ -576,7 +601,7 @@ fn main() -> ExitCode {
     // registers for k >= 2 (Lemma 4.10): WV2 only binds when *all*
     // processes are correct, so forged reads cannot manufacture a
     // violation.
-    println!("\n[4/4] solvable Byzantine SM cell (Protocol E under sm_byz — Lemma 4.10):");
+    say!("\n[4/4] solvable Byzantine SM cell (Protocol E under sm_byz — Lemma 4.10):");
     let mut sm_byz_cfg =
         CheckerConfig::new(QuorumProtocol::ProtocolE, 3, 2, 2, ValidityCondition::WV2);
     sm_byz_cfg.adversary = AdversaryModel::SmByz;
@@ -586,7 +611,7 @@ fn main() -> ExitCode {
     status = status.and(run_cell(&sm_byz_cfg, &args, Some(true), &mut bench, None).0);
     report_bench(&bench, sm_byz_cfg.threads, sm_byz_cfg.fork);
 
-    println!(
+    say!(
         "\n{}",
         match status {
             Status { ok: false, .. } => "model_check: FAILURES (see above)",

@@ -2,10 +2,10 @@
 //! campaign is checking and how far it has come.
 //!
 //! The manifest is the campaign's audit surface (`OBSERVABILITY.md`
-//! documents the schema): the cell and bounds it was created with, the
-//! lifecycle status and the bound that cut a bounded campaign short, and
-//! cumulative counters (runs, states, dedup hits, checkpoints and their
-//! cost, resume lineage). It is rewritten
+//! documents the schema): the checker configuration and checkpoint
+//! cadence it was created with, the lifecycle status and the bound that
+//! cut a bounded campaign short, and cumulative counters (runs, states,
+//! dedup hits, checkpoints and their cost, resume lineage). It is rewritten
 //! atomically at every checkpoint, and CI uploads it as an artifact next
 //! to the bench JSONs.
 //!
@@ -24,8 +24,6 @@ use crate::checker::{
     numbers, parse_adversary_model, parse_protocol, parse_validity, AdversaryModel, CheckerConfig,
     Header,
 };
-use crate::exhaustive::QuorumProtocol;
-use kset_core::ValidityCondition;
 use kset_sim::DigestMode;
 
 use super::snapshot::fnv1a;
@@ -37,8 +35,9 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 /// Current manifest schema version (the `# kset campaign manifest vN`
 /// header line). Bump on any field change; readers reject other versions.
 /// v2 dropped the append-log store's `shards` and `store_log_bytes` keys
-/// and added `bound`, `checkpoint_bytes` and `checkpoint_ms`.
-pub const MANIFEST_VERSION: u64 = 2;
+/// and added `bound`, `checkpoint_bytes` and `checkpoint_ms`; v3 dropped
+/// the `depth` and `preemptions` bounds and added `checkpoint_every`.
+pub const MANIFEST_VERSION: u64 = 3;
 
 /// Lifecycle status of a campaign.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -48,9 +47,8 @@ pub enum CampaignStatus {
     /// Finished with no violation in any crash pattern, every pattern
     /// explored in full.
     Holds,
-    /// Finished with no violation, but a bound (`--max-runs`, `--depth`,
-    /// `--preemptions`) cut at least one pattern short: not a
-    /// certification.
+    /// Finished with no violation, but the run bound (`--max-runs`) cut
+    /// at least one pattern short: not a certification.
     Bounded,
     /// Finished at a violation; the counterexample is in the snapshot and
     /// (if requested) the emitted script.
@@ -84,51 +82,30 @@ impl CampaignStatus {
 /// field-by-field semantics).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Manifest {
-    /// Protocol under test.
-    pub protocol: QuorumProtocol,
-    /// System size.
-    pub n: usize,
-    /// Agreement bound.
-    pub k: usize,
-    /// Fault budget.
-    pub t: usize,
-    /// Validity condition.
-    pub validity: ValidityCondition,
+    /// The checker configuration the campaign was created with. Its
+    /// execution fields (`threads`, `progress`, `fork`) are not recorded:
+    /// they hold [`CheckerConfig::new`]'s defaults, and `model_check
+    /// --resume` sets them from its own flags, since they reach no
+    /// verdict or counter.
+    pub config: CheckerConfig,
     /// Whether the campaign runs on canonical (symmetry-reduced) digests.
     /// Derived from the inputs when the campaign is created
     /// ([`CheckerConfig::digest`]) and recorded so that resume can refuse a
     /// campaign an older build explored under the other mode.
     pub symmetry: bool,
-    /// Depth bound (`usize::MAX` = unbounded).
-    pub depth: usize,
-    /// Preemption bound (`None` = unbounded).
-    pub preemptions: Option<usize>,
-    /// Per-pattern run budget.
-    pub max_runs: u64,
-    /// Per-task memoization budget.
-    pub max_states: usize,
-    /// Partial-order reduction switch.
-    pub por: bool,
-    /// State-digest deduplication switch.
-    pub dedup: bool,
-    /// Adversary model of the cell.
-    pub adversary: AdversaryModel,
-    /// Byzantine forged-value menu (empty for crash/lossy adversaries).
-    pub byz_menu: Vec<u64>,
-    /// Whether selective silence is in the Byzantine behaviour space.
-    pub byz_silence: bool,
-    /// Per-run drop budget of the lossy adversary.
-    pub loss_budget: u64,
-    /// Input override (`None` = canonical inputs).
-    pub inputs: Option<Vec<u64>>,
     /// FNV-1a digest of the exploration-relevant configuration
     /// ([`config_digest`]); resume refuses a mismatch.
     pub config_digest: u64,
+    /// The checkpoint cadence in runs
+    /// ([`CampaignOptions::checkpoint_every`](super::CampaignOptions::checkpoint_every)):
+    /// the one the campaign was created with, or the last resume's.
+    /// `model_check --resume` without `--checkpoint-every` keeps it.
+    pub checkpoint_every: u64,
     /// Lifecycle status.
     pub status: CampaignStatus,
-    /// The bounds that cut a [bounded](CampaignStatus::Bounded) campaign
-    /// short, as [`CellVerdict::bounds`](crate::checker::CellVerdict::bounds)
-    /// names them, joined by ` or `; `None` otherwise.
+    /// The bound that cut a [bounded](CampaignStatus::Bounded) campaign
+    /// short, as [`CellVerdict::bound`](crate::checker::CellVerdict::bound)
+    /// names it; `None` otherwise.
     pub bound: Option<String>,
     /// Times this campaign has been resumed (lineage).
     pub resumes: u64,
@@ -155,12 +132,9 @@ pub struct Manifest {
 
 /// Digest of every configuration field that can change verdicts,
 /// counters, or counterexample bytes: the cell coordinates, the digest
-/// mode, and all exploration bounds and reduction switches.
-///
-/// The text layout predates derived digest modes: `symmetry=` now holds
-/// the mode [`CheckerConfig::digest`] derives from the inputs, so a
-/// distinct-input campaign written when the mode was a flag (always off)
-/// hashes identically and still resumes.
+/// mode ([`CheckerConfig::digest`], derived from the inputs), the run
+/// bound, the reduction switches and the adversary space, each written
+/// the same way for every cell.
 ///
 /// Deliberately **excluded**: `threads` (the determinism contract already
 /// covers every thread count), `fork` (execution strategy, not search
@@ -171,34 +145,25 @@ pub struct Manifest {
 /// be resumed with a different `--threads`, `--fork-mode`, `--progress`,
 /// or `--checkpoint-every` and still produce bit-identical results.
 pub fn config_digest(cfg: &CheckerConfig) -> u64 {
-    let mut text = format!(
-        "protocol={};n={};k={};t={};validity={};symmetry={};depth={};preemptions={};max_runs={};max_states={};por={};dedup={}",
+    let text = format!(
+        "protocol={};n={};k={};t={};validity={};symmetry={};max_runs={};max_states={};\
+         por={};dedup={};model={};byz_menu={:?};byz_silence={};loss_budget={};inputs={:?}",
         cfg.protocol.name(),
         cfg.n,
         cfg.k,
         cfg.t,
         cfg.validity,
         uses_canonical_digests(cfg),
-        cfg.depth,
-        cfg.preemptions.map_or(-1i64, |p| p as i64),
         cfg.max_runs,
         cfg.max_states,
         cfg.por,
         cfg.dedup,
+        cfg.adversary,
+        cfg.byz_menu,
+        cfg.byz_silence,
+        cfg.loss_budget,
+        cfg.inputs,
     );
-    // The adversary space widens the digest *append-only and only when it
-    // differs from the substrate-default crash adversary*: a crash-model
-    // campaign's digest string — and with it every checkpoint recorded
-    // before adversary models existed — is bit-for-bit unchanged.
-    if adversary_is_non_default(cfg) {
-        text.push_str(&format!(
-            ";model={};byz_menu={:?};byz_silence={};loss_budget={}",
-            cfg.adversary, cfg.byz_menu, cfg.byz_silence, cfg.loss_budget,
-        ));
-    }
-    if let Some(inputs) = &cfg.inputs {
-        text.push_str(&format!(";inputs={inputs:?}"));
-    }
     fnv1a(text.as_bytes())
 }
 
@@ -208,35 +173,22 @@ pub(crate) fn uses_canonical_digests(cfg: &CheckerConfig) -> bool {
     cfg.digest() == DigestMode::Canonical
 }
 
-/// Whether `cfg`'s adversary differs from the protocol substrate's
-/// default crash adversary (the pre-adversary-model behaviour).
-fn adversary_is_non_default(cfg: &CheckerConfig) -> bool {
-    cfg.adversary != AdversaryModel::crash_for(cfg.protocol)
-}
-
 impl Manifest {
-    /// A fresh manifest for a campaign just created from `cfg`: status
-    /// running, no bound, all counters zero.
-    pub fn new(cfg: &CheckerConfig) -> Self {
+    /// A fresh manifest for a campaign just created from `cfg` with
+    /// checkpoints every `checkpoint_every` runs: status running, no
+    /// bound, all counters zero.
+    pub fn new(cfg: &CheckerConfig, checkpoint_every: u64) -> Self {
+        let defaults = CheckerConfig::new(cfg.protocol, cfg.n, cfg.k, cfg.t, cfg.validity);
         Manifest {
-            protocol: cfg.protocol,
-            n: cfg.n,
-            k: cfg.k,
-            t: cfg.t,
-            validity: cfg.validity,
+            config: CheckerConfig {
+                threads: defaults.threads,
+                progress: defaults.progress,
+                fork: defaults.fork,
+                ..cfg.clone()
+            },
             symmetry: uses_canonical_digests(cfg),
-            depth: cfg.depth,
-            preemptions: cfg.preemptions,
-            max_runs: cfg.max_runs,
-            max_states: cfg.max_states,
-            por: cfg.por,
-            dedup: cfg.dedup,
-            adversary: cfg.adversary,
-            byz_menu: cfg.byz_menu.clone(),
-            byz_silence: cfg.byz_silence,
-            loss_budget: cfg.loss_budget,
-            inputs: cfg.inputs.clone(),
             config_digest: config_digest(cfg),
+            checkpoint_every,
             status: CampaignStatus::Running,
             bound: None,
             resumes: 0,
@@ -253,29 +205,6 @@ impl Manifest {
     }
 }
 
-impl Manifest {
-    /// Reconstructs the checker configuration the campaign was created
-    /// with (exploration-relevant fields only; `threads`/`progress` take
-    /// their defaults — the caller sets them freely, they are outside the
-    /// determinism contract's inputs). `model_check --resume` uses this
-    /// so a resume does not have to restate the cell and bounds.
-    pub fn checker_config(&self) -> CheckerConfig {
-        let mut cfg = CheckerConfig::new(self.protocol, self.n, self.k, self.t, self.validity);
-        cfg.depth = self.depth;
-        cfg.preemptions = self.preemptions;
-        cfg.max_runs = self.max_runs;
-        cfg.max_states = self.max_states;
-        cfg.por = self.por;
-        cfg.dedup = self.dedup;
-        cfg.adversary = self.adversary;
-        cfg.byz_menu = self.byz_menu.clone();
-        cfg.byz_silence = self.byz_silence;
-        cfg.loss_budget = self.loss_budget;
-        cfg.inputs = self.inputs.clone();
-        cfg
-    }
-}
-
 /// `path` of the manifest inside campaign directory `dir`.
 pub fn manifest_path(dir: &Path) -> PathBuf {
     dir.join(MANIFEST_FILE)
@@ -288,62 +217,39 @@ pub fn manifest_path(dir: &Path) -> PathBuf {
 ///
 /// Propagates I/O errors.
 pub fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
+    let cfg = &manifest.config;
     let mut out = Vec::new();
     writeln!(out, "# kset campaign manifest v{MANIFEST_VERSION}")?;
-    writeln!(out, "protocol: {}", manifest.protocol.name())?;
-    writeln!(out, "n: {}", manifest.n)?;
-    writeln!(out, "k: {}", manifest.k)?;
-    writeln!(out, "t: {}", manifest.t)?;
-    writeln!(out, "validity: {}", manifest.validity)?;
+    writeln!(out, "protocol: {}", cfg.protocol.name())?;
+    writeln!(out, "n: {}", cfg.n)?;
+    writeln!(out, "k: {}", cfg.k)?;
+    writeln!(out, "t: {}", cfg.t)?;
+    writeln!(out, "validity: {}", cfg.validity)?;
     writeln!(out, "symmetry: {}", manifest.symmetry)?;
-    if manifest.depth == usize::MAX {
-        writeln!(out, "depth: unbounded")?;
-    } else {
-        writeln!(out, "depth: {}", manifest.depth)?;
-    }
-    match manifest.preemptions {
-        None => writeln!(out, "preemptions: unbounded")?,
-        Some(p) => writeln!(out, "preemptions: {p}")?,
-    }
-    writeln!(out, "max_runs: {}", manifest.max_runs)?;
-    writeln!(out, "max_states: {}", manifest.max_states)?;
-    writeln!(out, "por: {}", manifest.por)?;
-    writeln!(out, "dedup: {}", manifest.dedup)?;
+    writeln!(out, "max_runs: {}", cfg.max_runs)?;
+    writeln!(out, "max_states: {}", cfg.max_states)?;
+    writeln!(out, "por: {}", cfg.por)?;
+    writeln!(out, "dedup: {}", cfg.dedup)?;
     // Adversary-space fields are written only when they deviate from the
     // crash-model defaults, so crash-campaign manifests keep their
     // field set; readers default the absent keys.
-    let default_crash = matches!(
-        manifest.adversary,
-        AdversaryModel::MpCrash | AdversaryModel::SmCrash
-    );
-    if !default_crash {
-        writeln!(out, "model: {}", manifest.adversary)?;
+    if cfg.adversary != AdversaryModel::crash_for(cfg.protocol) {
+        writeln!(out, "model: {}", cfg.adversary)?;
     }
-    if !manifest.byz_menu.is_empty() {
-        writeln!(
-            out,
-            "byz_menu:{}",
-            manifest
-                .byz_menu
-                .iter()
-                .map(|v| format!(" {v}"))
-                .collect::<String>()
-        )?;
+    if !cfg.byz_menu.is_empty() {
+        writeln!(out, "byz_menu:{}", spaced(&cfg.byz_menu))?;
     }
-    if manifest.byz_silence {
+    if cfg.byz_silence {
         writeln!(out, "byz_silence: true")?;
     }
-    if manifest.loss_budget != 0 {
-        writeln!(out, "loss_budget: {}", manifest.loss_budget)?;
+    if cfg.loss_budget != 0 {
+        writeln!(out, "loss_budget: {}", cfg.loss_budget)?;
     }
-    if let Some(inputs) = &manifest.inputs {
-        writeln!(
-            out,
-            "inputs:{}",
-            inputs.iter().map(|v| format!(" {v}")).collect::<String>()
-        )?;
+    if let Some(inputs) = &cfg.inputs {
+        writeln!(out, "inputs:{}", spaced(inputs))?;
     }
     writeln!(out, "config_digest: {:016x}", manifest.config_digest)?;
+    writeln!(out, "checkpoint_every: {}", manifest.checkpoint_every)?;
     writeln!(out, "status: {}", manifest.status)?;
     writeln!(
         out,
@@ -363,6 +269,11 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
     let tmp = dir.join("MANIFEST.tmp");
     fs::write(&tmp, &out)?;
     fs::rename(&tmp, manifest_path(dir))
+}
+
+/// `values` as a manifest list: each value after a space.
+fn spaced(values: &[u64]) -> String {
+    values.iter().map(|v| format!(" {v}")).collect()
 }
 
 /// Reads `dir/MANIFEST`.
@@ -400,38 +311,36 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
         }
         header.insert_once(line)?;
     }
-    // `unbounded` or a number.
-    let bound = |value: &str| match value {
-        "unbounded" => Some(None),
-        other => other.parse().ok().map(Some),
-    };
     let protocol = header.required("protocol", parse_protocol)?;
     let manifest = Manifest {
-        protocol,
-        n: header.parse("n")?,
-        k: header.parse("k")?,
-        t: header.parse("t")?,
-        validity: header.required("validity", parse_validity)?,
+        config: CheckerConfig {
+            max_runs: header.parse("max_runs")?,
+            max_states: header.parse("max_states")?,
+            por: header.parse("por")?,
+            dedup: header.parse("dedup")?,
+            // The adversary-space fields are absent in crash-model manifests.
+            adversary: header
+                .optional("model", parse_adversary_model)?
+                .unwrap_or(AdversaryModel::crash_for(protocol)),
+            byz_menu: header.optional("byz_menu", numbers)?.unwrap_or_default(),
+            byz_silence: header
+                .optional("byz_silence", |v| v.parse().ok())?
+                .unwrap_or(false),
+            loss_budget: header
+                .optional("loss_budget", |v| v.parse().ok())?
+                .unwrap_or(0),
+            inputs: header.optional("inputs", numbers)?,
+            ..CheckerConfig::new(
+                protocol,
+                header.parse("n")?,
+                header.parse("k")?,
+                header.parse("t")?,
+                header.required("validity", parse_validity)?,
+            )
+        },
         symmetry: header.parse("symmetry")?,
-        depth: header.required("depth", bound)?.unwrap_or(usize::MAX),
-        preemptions: header.required("preemptions", bound)?,
-        max_runs: header.parse("max_runs")?,
-        max_states: header.parse("max_states")?,
-        por: header.parse("por")?,
-        dedup: header.parse("dedup")?,
-        // The adversary-space fields are absent in crash-model manifests.
-        adversary: header
-            .optional("model", parse_adversary_model)?
-            .unwrap_or(AdversaryModel::crash_for(protocol)),
-        byz_menu: header.optional("byz_menu", numbers)?.unwrap_or_default(),
-        byz_silence: header
-            .optional("byz_silence", |v| v.parse().ok())?
-            .unwrap_or(false),
-        loss_budget: header
-            .optional("loss_budget", |v| v.parse().ok())?
-            .unwrap_or(0),
-        inputs: header.optional("inputs", numbers)?,
         config_digest: header.required("config_digest", |v| u64::from_str_radix(v, 16).ok())?,
+        checkpoint_every: header.parse("checkpoint_every")?,
         status: header.required("status", CampaignStatus::parse)?,
         bound: header.required("bound", |v| match v {
             "" => None,
@@ -452,7 +361,7 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
     header.refuse_unread()?;
     // `--resume` builds the cell and the store from these values, so a
     // manifest that would make it panic is refused here.
-    if let Err(message) = manifest.checker_config().validate() {
+    if let Err(message) = manifest.config.validate() {
         return Err(header.bad(format_args!("invalid configuration: {message}")));
     }
     Ok(manifest)
@@ -461,11 +370,13 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exhaustive::QuorumProtocol;
+    use kset_core::ValidityCondition;
 
     fn sample_config() -> CheckerConfig {
         let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 4, 2, 1, ValidityCondition::RV1);
-        cfg.preemptions = Some(3);
         cfg.max_runs = 123_456;
+        cfg.por = false;
         cfg
     }
 
@@ -474,7 +385,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kset_manifest_status_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let mut manifest = Manifest::new(&sample_config());
+        let mut manifest = Manifest::new(&sample_config(), 250_000);
         for (status, word) in [
             (CampaignStatus::Running, "running"),
             (CampaignStatus::Holds, "holds"),
@@ -495,9 +406,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kset_manifest_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let cfg = sample_config();
-        let mut manifest = Manifest::new(&cfg);
-        manifest.status = CampaignStatus::Running;
+        let mut manifest = Manifest::new(&sample_config(), 1_000_000);
         manifest.resumes = 2;
         manifest.checkpoints = 7;
         manifest.runs = 1_000_000;
@@ -505,25 +414,11 @@ mod tests {
         manifest.bound = Some("--max-runs 123456".to_string());
         write_manifest(&dir, &manifest).unwrap();
         let back = read_manifest(&dir).unwrap();
-        assert_eq!(back.protocol, manifest.protocol);
-        assert_eq!(back.n, manifest.n);
-        assert_eq!(back.validity, manifest.validity);
-        assert_eq!(back.depth, usize::MAX);
-        assert_eq!(back.preemptions, Some(3));
-        assert_eq!(back.max_runs, 123_456);
-        assert_eq!(back.config_digest, manifest.config_digest);
-        assert_eq!(back.status, CampaignStatus::Running);
-        assert_eq!(back.resumes, 2);
-        assert_eq!(back.checkpoints, 7);
-        assert_eq!(back.runs, 1_000_000);
-        assert_eq!(back.store_entries, 42);
-        assert_eq!(back.bound.as_deref(), Some("--max-runs 123456"));
-        // The reconstructed configuration digests back to the original —
-        // the property `--resume` without restated flags relies on.
-        assert_eq!(
-            config_digest(&back.checker_config()),
-            manifest.config_digest
-        );
+        assert_eq!(back, manifest);
+        assert_eq!(back.checkpoint_every, 1_000_000);
+        // The restored configuration digests back to the original — the
+        // property `--resume` without restated flags relies on.
+        assert_eq!(config_digest(&back.config), manifest.config_digest);
         assert!(!dir.join("MANIFEST.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -548,7 +443,7 @@ mod tests {
         other.max_runs += 1;
         assert_ne!(config_digest(&other), d0);
         let mut other = base.clone();
-        other.preemptions = None;
+        other.por = true;
         assert_ne!(config_digest(&other), d0);
         let mut other = base.clone();
         other.protocol = QuorumProtocol::ProtocolA;
@@ -557,29 +452,29 @@ mod tests {
 
     #[test]
     fn derived_digest_mode_keeps_the_digest_text_layout() {
-        // Campaigns created while the mode was a flag (off by default)
-        // hashed this exact text; a distinct-input cell reproduces it.
+        // The digest hashes the mode the inputs select, and every other
+        // exploration field the same way for every cell.
         let cfg = sample_config();
         let layout = |symmetry: bool, inputs: &str| {
             format!(
-                "protocol=FloodMin;n=4;k=2;t=1;validity=RV1;symmetry={symmetry};depth={};\
-                 preemptions=3;max_runs=123456;max_states={};por=true;dedup=true{inputs}",
-                usize::MAX,
+                "protocol=FloodMin;n=4;k=2;t=1;validity=RV1;symmetry={symmetry};\
+                 max_runs=123456;max_states={};por=false;dedup=true;model=mp_crash;\
+                 byz_menu=[];byz_silence=false;loss_budget=0;inputs={inputs}",
                 cfg.max_states,
             )
         };
-        assert_eq!(config_digest(&cfg), fnv1a(layout(false, "").as_bytes()));
-        // The digest an n = 3 FloodMin campaign has always recorded.
+        assert_eq!(config_digest(&cfg), fnv1a(layout(false, "None").as_bytes()));
+        // The digest of an n = 3 FloodMin campaign.
         let n3 = CheckerConfig::new(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
-        assert_eq!(config_digest(&n3), 0x55df_527f_019e_ffa4);
-        assert!(!Manifest::new(&cfg).symmetry);
+        assert_eq!(config_digest(&n3), 0x59c6_9a95_0a91_08e1);
+        assert!(!Manifest::new(&cfg, 250_000).symmetry);
         let mut unanimous = cfg.clone();
         unanimous.inputs = Some(vec![1, 1, 1, 1]);
         assert_eq!(
             config_digest(&unanimous),
-            fnv1a(layout(true, ";inputs=[1, 1, 1, 1]").as_bytes())
+            fnv1a(layout(true, "Some([1, 1, 1, 1])").as_bytes())
         );
-        assert!(Manifest::new(&unanimous).symmetry);
+        assert!(Manifest::new(&unanimous, 250_000).symmetry);
     }
 
     #[test]
@@ -599,18 +494,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kset_manifest_byz_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let manifest = Manifest::new(&cfg);
+        let manifest = Manifest::new(&cfg, 250_000);
         write_manifest(&dir, &manifest).unwrap();
-        let back = read_manifest(&dir).unwrap();
-        assert_eq!(back.adversary, AdversaryModel::MpByz);
-        assert_eq!(back.byz_menu, vec![0]);
-        assert!(back.byz_silence);
-        assert_eq!(back.inputs, Some(vec![1, 1, 1]));
         // `--resume` reconstruction carries the adversary space.
-        assert_eq!(
-            config_digest(&back.checker_config()),
-            manifest.config_digest
-        );
+        let back = read_manifest(&dir).unwrap();
+        assert_eq!(back.config, cfg);
+        assert_eq!(config_digest(&back.config), manifest.config_digest);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -623,8 +512,8 @@ mod tests {
         let mut lossy = sample_config();
         lossy.adversary = AdversaryModel::MpLossy;
         lossy.loss_budget = 2;
-        write_manifest(&dir, &Manifest::new(&lossy)).unwrap();
-        assert_eq!(read_manifest(&dir).unwrap().loss_budget, 2);
+        write_manifest(&dir, &Manifest::new(&lossy, 250_000)).unwrap();
+        assert_eq!(read_manifest(&dir).unwrap().config.loss_budget, 2);
         let path = manifest_path(&dir);
         let text = fs::read_to_string(&path).unwrap();
         for (edited, refusal) in [
@@ -645,7 +534,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kset_manifest_skew_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        write_manifest(&dir, &Manifest::new(&sample_config())).unwrap();
+        write_manifest(&dir, &Manifest::new(&sample_config(), 250_000)).unwrap();
         let path = manifest_path(&dir);
         let text = fs::read_to_string(&path).unwrap();
         let skewed = text.replace(

@@ -126,7 +126,8 @@ impl std::error::Error for DigestModeMismatch {}
 
 /// Why a campaign file was refused: another build wrote it in a format
 /// version this one does not read — for example a directory of the
-/// append-log store, MANIFEST v1 and snapshot v2. Carried as the payload
+/// append-log store (MANIFEST v1, snapshot v2), or one that recorded the
+/// depth and preemption bounds (MANIFEST v2, snapshot v3). Carried as the payload
 /// of the [`io::ErrorKind::InvalidData`] error; the directory is left
 /// untouched.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -203,7 +204,7 @@ pub fn run_campaign_gauged(
         ));
     }
     fs::create_dir_all(dir)?;
-    let manifest = Manifest::new(cfg);
+    let manifest = Manifest::new(cfg, opts.checkpoint_every);
     write_manifest(dir, &manifest)?;
     drive(
         Checkpoints::new(cfg, dir, opts, manifest, 0),
@@ -217,8 +218,8 @@ pub fn run_campaign_gauged(
 /// The exploration-relevant configuration must match the campaign's
 /// (config digest); `--threads`, `--progress` and the checkpoint cadence
 /// may differ freely — they are outside the determinism contract's
-/// inputs. A campaign killed before its first checkpoint resumes from
-/// the beginning.
+/// inputs. The MANIFEST records `opts`' cadence from here on. A campaign
+/// killed before its first checkpoint resumes from the beginning.
 ///
 /// # Errors
 ///
@@ -255,7 +256,7 @@ pub fn resume_campaign_gauged(
         ));
     }
     let mut manifest = read_manifest(dir)?;
-    let derived = uses_canonical_digests(&manifest.checker_config());
+    let derived = uses_canonical_digests(&manifest.config);
     if manifest.symmetry != derived {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -296,6 +297,7 @@ pub fn resume_campaign_gauged(
         Err(e) => return Err(e),
     };
     manifest.resumes += 1;
+    manifest.checkpoint_every = opts.checkpoint_every;
     write_manifest(dir, &manifest)?;
     // Runs recorded so far: finished patterns plus the in-progress partial.
     let runs = patterns_done.iter().map(|p| p.runs).sum::<u64>()
@@ -423,8 +425,7 @@ impl CellHooks for Checkpoints<'_> {
             } else {
                 CampaignStatus::Holds
             };
-            let bounds = verdict.bounds(self.cfg);
-            self.manifest.bound = (!bounds.is_empty()).then(|| bounds.join(" or "));
+            self.manifest.bound = verdict.bound(self.cfg);
         }
         let runs = done.iter().map(|p| p.runs).sum();
         self.checkpoint(done, None, runs)

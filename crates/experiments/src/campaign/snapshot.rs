@@ -44,8 +44,9 @@ const MAGIC: &[u8; 8] = b"KSETCKPT";
 /// reject other versions rather than guessing. v2 added the Byzantine
 /// slot list and per-fired-event deviations to serialized
 /// counterexamples (the adversary-model work); v3 replaced the shard-log
-/// generation and watermarks with the in-progress pattern's store.
-pub(crate) const SNAPSHOT_VERSION: u64 = 3;
+/// generation and watermarks with the in-progress pattern's store; v4
+/// dropped each work item's preemption count.
+pub(crate) const SNAPSHOT_VERSION: u64 = 4;
 
 /// File name of the current snapshot inside a campaign directory.
 pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -412,7 +413,6 @@ fn encode_work_item(out: &mut Vec<u8>, item: &WorkItem) {
         put_u64(out, entry.id.as_u64());
         put_u64(out, entry.target as u64);
     }
-    put_u64(out, item.preemptions as u64);
 }
 
 fn decode_work_item(bytes: &[u8], at: &mut usize) -> Option<WorkItem> {
@@ -427,12 +427,7 @@ fn decode_work_item(bytes: &[u8], at: &mut usize) -> Option<WorkItem> {
             target,
         });
     }
-    let preemptions = take_u64(bytes, at)? as usize;
-    Some(WorkItem {
-        prefix,
-        sleep,
-        preemptions,
-    })
+    Some(WorkItem { prefix, sleep })
 }
 
 #[cfg(test)]
@@ -506,18 +501,15 @@ mod tests {
             vec![WorkItem {
                 prefix: vec![0, 2, 1],
                 sleep: vec![entry(7, 2)],
-                preemptions: 1,
             }],
             vec![
                 WorkItem {
                     prefix: vec![4],
                     sleep: vec![],
-                    preemptions: 0,
                 },
                 WorkItem {
                     prefix: vec![],
                     sleep: vec![entry(1, 0), entry(2, 1)],
-                    preemptions: 2,
                 },
             ],
         ])
@@ -637,7 +629,7 @@ mod tests {
         }
         // Another version is refused even with a valid checksum, with a
         // typed error.
-        for version in [2, SNAPSHOT_VERSION + 1] {
+        for version in [2, 3, SNAPSHOT_VERSION + 1] {
             let mut skewed = good.clone();
             skewed[8..16].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, rechecksummed(skewed)).unwrap();

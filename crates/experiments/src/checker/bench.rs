@@ -17,8 +17,8 @@ pub struct BenchCell {
     pub model: String,
     /// `holds` or `violated`.
     pub verdict: String,
-    /// A bound (`max_runs`, `depth` or `preemptions`) cut the
-    /// exploration short: a bounded "holds" is *not* a certification.
+    /// The run bound (`max_runs`) cut the exploration short: a bounded
+    /// "holds" is *not* a certification.
     pub bounded: bool,
     /// The digest mode the cell's inputs selected: `plain` or `canonical`.
     pub digest: String,

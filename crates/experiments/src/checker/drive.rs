@@ -44,8 +44,6 @@ pub(crate) struct WorkItem {
     pub prefix: Vec<usize>,
     /// Events asleep at the item's branch point.
     pub sleep: Vec<SleepEntry>,
-    /// Preemptions already spent by the prefix.
-    pub preemptions: usize,
 }
 
 /// The resumable state of one crash pattern's exploration at a wave
@@ -136,7 +134,6 @@ fn seed_pattern(
     let root = WorkItem {
         prefix: Vec::new(),
         sleep: Vec::new(),
-        preemptions: 0,
     };
     let task = Task {
         cfg: &root_cfg,
@@ -588,53 +585,33 @@ impl CellVerdict {
         self.holds() && !self.complete
     }
 
-    /// The bounds of `cfg` that can have cut the exploration short, as
-    /// the flags that set them (`--max-runs 0`); empty unless the verdict
-    /// is [bounded](CellVerdict::bounded). `--max-states` never cuts it:
-    /// past it a task only stops memoizing.
-    pub fn bounds(&self, cfg: &CheckerConfig) -> Vec<String> {
-        let mut bounds = Vec::new();
-        if !self.bounded() {
-            return bounds;
-        }
-        if self.cut_by_max_runs(cfg) {
-            bounds.push(format!("--max-runs {}", cfg.max_runs));
-        }
-        if cfg.depth != usize::MAX {
-            bounds.push(format!("--depth {}", cfg.depth));
-        }
-        if let Some(preemptions) = cfg.preemptions {
-            bounds.push(format!("--preemptions {preemptions}"));
-        }
-        bounds
-    }
-
-    /// Whether some pattern stopped incomplete at `cfg`'s run budget.
-    fn cut_by_max_runs(&self, cfg: &CheckerConfig) -> bool {
-        self.patterns
-            .iter()
-            .any(|p| !p.complete && p.runs >= cfg.max_runs)
+    /// The bound of `cfg` that cut the exploration short, as the flag
+    /// that sets it (`--max-runs 0`); `None` unless the verdict is
+    /// [bounded](CellVerdict::bounded). `--max-runs` is the checker's one
+    /// bound: past `--max-states` a task only stops memoizing.
+    pub fn bound(&self, cfg: &CheckerConfig) -> Option<String> {
+        self.bounded()
+            .then(|| format!("--max-runs {}", cfg.max_runs))
     }
 
     /// The verdict line of the cell checked under `cfg`: the display, a
-    /// bounded verdict naming its [bounds](CellVerdict::bounds).
+    /// bounded verdict naming its [bound](CellVerdict::bound).
     pub fn line(&self, cfg: &CheckerConfig) -> String {
-        let mut bounds = self.bounds(cfg);
-        if self.bounded() && self.cut_by_max_runs(cfg) {
-            bounds[0].push_str(" (each pattern stops at the first wave barrier past it)");
-        }
+        let bound = self.bound(cfg).map_or(String::new(), |bound| {
+            bound + " (each pattern stops at the first wave barrier past it)"
+        });
         let mut line = String::new();
-        self.write(&mut line, &bounds.join(" or "))
+        self.write(&mut line, &bound)
             .expect("a String takes any line");
         line
     }
 
-    /// Writes the verdict line, a bounded verdict `BOUNDED by {bounds}`.
-    fn write(&self, out: &mut impl fmt::Write, bounds: &str) -> fmt::Result {
+    /// Writes the verdict line, a bounded verdict `BOUNDED by {bound}`.
+    fn write(&self, out: &mut impl fmt::Write, bound: &str) -> fmt::Result {
         match (self.holds(), self.bounded()) {
             (true, false) => out.write_str("HOLDS")?,
-            (true, true) if bounds.is_empty() => out.write_str("BOUNDED")?,
-            (true, true) => write!(out, "BOUNDED by {bounds}")?,
+            (true, true) if bound.is_empty() => out.write_str("BOUNDED")?,
+            (true, true) => write!(out, "BOUNDED by {bound}")?,
             (false, _) => out.write_str("VIOLATED")?,
         }
         write!(
@@ -663,7 +640,7 @@ impl CellVerdict {
 }
 
 impl fmt::Display for CellVerdict {
-    /// The verdict line; [`CellVerdict::line`] also names the bounds of a
+    /// The verdict line; [`CellVerdict::line`] also names the bound of a
     /// bounded one.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.write(f, "")

@@ -116,8 +116,7 @@ struct WalkScratch {
 /// caller's DFS stack; the explorer pairs it with the snapshot taken at
 /// its branch point, if any.
 ///
-/// `prefix_len`, `preemptions` and `sleep` are the executed work item's
-/// fields; the prefix itself was consumed by the session's scheduler, and
+/// `prefix_len` and `sleep` are the executed work item's fields; the prefix itself was consumed by the session's scheduler, and
 /// only its length matters here (in-prefix points were already walked when
 /// the prefix was recorded — the [`kset_sim::ChoiceScheduler`] does not
 /// even log their options). `proof` is what the run's [`WalkGate`]
@@ -126,7 +125,6 @@ struct WalkScratch {
 fn walk_run(
     cfg: &CheckerConfig,
     prefix_len: usize,
-    preemptions: usize,
     sleep: Vec<SleepEntry>,
     log: &ChoiceLog,
     digests: &[u64],
@@ -185,79 +183,50 @@ fn walk_run(
 
         let taken_meta = point.taken_meta();
         if !point.forced {
-            if d >= cfg.depth {
-                // Depth bound: drop this point's alternatives.
-                let dropped = point.options.iter().enumerate().any(|(i, o)| {
-                    i != point.taken && !o.noop && !sleep.iter().any(|s| s.id == o.meta.id)
-                });
-                if dropped {
-                    out.complete = false;
+            // Alternatives in canonical order; `explored` grows so each
+            // later sibling sleeps on the earlier ones (their subtrees
+            // complete first under LIFO scheduling).
+            explored.clear();
+            explored.push(SleepEntry {
+                id: taken_meta.id,
+                target: taken_meta.target,
+            });
+            for (i, opt) in point.options.iter().enumerate() {
+                if i == point.taken || opt.noop {
+                    continue;
                 }
-            } else {
-                let prev_target = (d > 0).then(|| log.point(d - 1).taken_meta().target);
-                // Alternatives in canonical order; `explored` grows so
-                // each later sibling sleeps on the earlier ones (their
-                // subtrees complete first under LIFO scheduling).
-                explored.clear();
+                if sleep.iter().any(|s| s.id == opt.meta.id) {
+                    out.sleep_skips += 1;
+                    continue;
+                }
+                let mut prefix = prefixes.pop().unwrap_or_default();
+                prefix.clear();
+                prefix.reserve(d + 1);
+                prefix.extend_from_slice(&taken[..d]);
+                prefix.push(i);
+                let mut child_sleep = sleeps.pop().unwrap_or_default();
+                child_sleep.clear();
+                child_sleep.extend(
+                    sleep
+                        .iter()
+                        .chain(explored.iter())
+                        .filter(|s| s.target != opt.meta.target)
+                        .copied(),
+                );
+                children.push(WorkItem {
+                    prefix,
+                    sleep: child_sleep,
+                });
                 explored.push(SleepEntry {
-                    id: taken_meta.id,
-                    target: taken_meta.target,
+                    id: opt.meta.id,
+                    target: opt.meta.target,
                 });
-                for (i, opt) in point.options.iter().enumerate() {
-                    if i == point.taken || opt.noop {
-                        continue;
-                    }
-                    if sleep.iter().any(|s| s.id == opt.meta.id) {
-                        out.sleep_skips += 1;
-                        continue;
-                    }
-                    let mut preemptions = preemptions;
-                    if let Some(bound) = cfg.preemptions {
-                        let preempts = prev_target.is_some_and(|prev| {
-                            opt.meta.target != prev
-                                && point
-                                    .options
-                                    .iter()
-                                    .any(|o| !o.noop && o.meta.target == prev)
-                        });
-                        if preempts {
-                            preemptions += 1;
-                        }
-                        if preemptions > bound {
-                            out.complete = false;
-                            continue;
-                        }
-                    }
-                    let mut prefix = prefixes.pop().unwrap_or_default();
-                    prefix.clear();
-                    prefix.reserve(d + 1);
-                    prefix.extend_from_slice(&taken[..d]);
-                    prefix.push(i);
-                    let mut child_sleep = sleeps.pop().unwrap_or_default();
-                    child_sleep.clear();
-                    child_sleep.extend(
-                        sleep
-                            .iter()
-                            .chain(explored.iter())
-                            .filter(|s| s.target != opt.meta.target)
-                            .copied(),
-                    );
-                    children.push(WorkItem {
-                        prefix,
-                        sleep: child_sleep,
-                        preemptions,
-                    });
-                    explored.push(SleepEntry {
-                        id: opt.meta.id,
-                        target: opt.meta.target,
-                    });
-                }
-                // Reverse so the canonically-first sibling pops first;
-                // its whole subtree finishes before the next sibling,
-                // which is what the accumulated sleep sets assume.
-                for child in children.drain(..).rev() {
-                    push(child);
-                }
+            }
+            // Reverse so the canonically-first sibling pops first; its
+            // whole subtree finishes before the next sibling, which is
+            // what the accumulated sleep sets assume.
+            for child in children.drain(..).rev() {
+                push(child);
             }
         }
         // Firing the taken event wakes its dependents.
@@ -278,7 +247,7 @@ fn walk_run(
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum GateProof {
     /// Nothing: the gate does not stop runs early ([`ForkMode::Replay`],
-    /// or a bounded search). The walk probes both stores.
+    /// or a search without dedup). The walk probes both stores.
     None,
     /// The frozen wave store missed at every beyond-prefix state the run
     /// reached, and the run ran to termination.
@@ -370,11 +339,9 @@ where
 ///
 /// Stopping at a covered state rests on the premise dedup already rests
 /// on: the first expansion of `(fingerprint, sleep ⊆ current)` explores
-/// every continuation, the canonical one included. Depth- and
-/// preemption-bounded searches do not guarantee that premise, so `active`
-/// is off for them (and without dedup), and under [`ForkMode::Replay`],
-/// which runs every schedule to termination; the gate then never stops a
-/// run.
+/// every continuation, the canonical one included. So `active` is off
+/// without dedup, and under [`ForkMode::Replay`], which runs every
+/// schedule to termination; the gate then never stops a run.
 struct WalkGate<'a> {
     active: bool,
     global: &'a Sharded,
@@ -451,12 +418,9 @@ where
     let mut scratch = WalkScratch::default();
     // The gate's copy of each item's sleep set, refilled in place per run.
     let mut gate_sleep = Vec::new();
-    // Derived, not a knob: see [`WalkGate`] for why replay and bounded
-    // searches run every schedule to termination.
-    let truncate = cfg.fork == ForkMode::Auto
-        && cfg.dedup
-        && cfg.depth == usize::MAX
-        && cfg.preemptions.is_none();
+    // Derived, not a knob: see [`WalkGate`] for why replay and searches
+    // without dedup run every schedule to termination.
+    let truncate = cfg.fork == ForkMode::Auto && cfg.dedup;
     while let Some((item, snap)) = stack.pop() {
         if out.runs >= cfg.max_runs {
             out.complete = false;
@@ -470,11 +434,7 @@ where
             out.spill = stack.into_iter().map(|(item, _)| item).collect();
             break;
         }
-        let WorkItem {
-            prefix,
-            sleep,
-            preemptions,
-        } = item;
+        let WorkItem { prefix, sleep } = item;
         let prefix_len = prefix.len();
         let resumed_at = snap.as_ref().map_or(0, |snapshot| snapshot.depth());
         gate_sleep.clear();
@@ -535,7 +495,6 @@ where
         walk_run(
             cfg,
             prefix_len,
-            preemptions,
             sleep,
             &log,
             session.digests(),

@@ -148,8 +148,8 @@ pub use run::{
 pub(crate) use script::{numbers, Header};
 pub use script::{read_counterexample, write_counterexample, SavedCounterexample};
 
-/// The checker's input: a cell plus exploration bounds and switches.
-#[derive(Clone, Debug)]
+/// The checker's input: a cell plus its run bound and switches.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CheckerConfig {
     /// Protocol under test.
     pub protocol: QuorumProtocol,
@@ -161,18 +161,11 @@ pub struct CheckerConfig {
     pub t: usize,
     /// Validity condition of the specification.
     pub validity: ValidityCondition,
-    /// Maximum decision depth at which the explorer still branches;
-    /// beyond it, runs continue with defaults (the verdict is then marked
-    /// incomplete if alternatives were dropped).
-    pub depth: usize,
-    /// CHESS-style preemption bound: maximum number of branch decisions
-    /// that switch away from a process which still had an enabled event.
-    /// `None` means unbounded.
-    pub preemptions: Option<usize>,
-    /// Run budget of one crash pattern's exploration. Enforced per task
-    /// and, deterministically, at every wave boundary of the parallel
-    /// drain (see the module docs), so the total may overshoot by at most
-    /// one wave of task budgets; hitting it marks the verdict incomplete.
+    /// Run budget of one crash pattern's exploration, and the checker's
+    /// one bound. Enforced per task and, deterministically, at every wave
+    /// boundary of the parallel drain (see the module docs), so the total
+    /// may overshoot by at most one wave of task budgets; hitting it marks
+    /// the verdict incomplete.
     pub max_runs: u64,
     /// Maximum number of sleep-set entries cached per task's visited
     /// table; when full, exploration continues but stops memoizing
@@ -240,11 +233,10 @@ pub enum ForkMode {
     /// Resume every work item from the snapshot taken at its branch
     /// point. Items whose snapshot was elided replay: spilled
     /// continuations, and points reached while a task's live snapshot
-    /// bytes exceed a fixed budget. Unless the search is depth- or
-    /// preemption-bounded, a run stops at its first state the visited
-    /// stores already cover, where the walk would stop reading it: all of
-    /// its continuations are explored from the covering state. The
-    /// default.
+    /// bytes exceed a fixed budget. With deduplication on, a run stops at
+    /// its first state the visited stores already cover, where the walk
+    /// would stop reading it: all of its continuations are explored from
+    /// the covering state. The default.
     Auto,
 }
 
@@ -378,8 +370,6 @@ impl CheckerConfig {
             k,
             t,
             validity,
-            depth: usize::MAX,
-            preemptions: None,
             max_runs: 10_000_000,
             max_states: 1 << 22,
             por: true,
@@ -539,10 +529,8 @@ impl CheckerConfig {
 
     /// The fork session's configuration for an exploration over `inputs`:
     /// the cell's `n`, reductions and digest mode, the [`ForkMode::Auto`]
-    /// byte budget, and branch snapshots cut off at the explorer's depth
-    /// bound (beyond it nothing branches, so a snapshot could never be
-    /// consumed) — or at depth 0 under [`ForkMode::Replay`], so that no
-    /// snapshot is taken and every run replays from the root.
+    /// byte budget, and branch snapshots at every depth — or at none under
+    /// [`ForkMode::Replay`], so that every run replays from the root.
     pub(super) fn fork_config(&self, inputs: &[u64]) -> ForkConfig {
         ForkConfig {
             n: self.n,
@@ -551,7 +539,7 @@ impl CheckerConfig {
             event_limit: None,
             max_branch_depth: match self.fork {
                 ForkMode::Replay => 0,
-                ForkMode::Auto => self.depth,
+                ForkMode::Auto => usize::MAX,
             },
             budget_bytes: Some(AUTO_FORK_BUDGET),
         }

@@ -176,24 +176,6 @@ fn repeated_inputs_select_canonical_digests() {
 }
 
 #[test]
-fn depth_bound_marks_verdict_incomplete() {
-    let mut shallow = cfg(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
-    shallow.depth = 1;
-    let verdict = check_cell(&shallow);
-    assert!(!verdict.complete);
-}
-
-#[test]
-fn preemption_bound_zero_explores_fewer_schedules() {
-    let full = cfg(QuorumProtocol::FloodMin, 3, 2, 1, ValidityCondition::RV1);
-    let mut bounded = full.clone();
-    bounded.preemptions = Some(0);
-    let fv = check_cell(&full);
-    let bv = check_cell(&bounded);
-    assert!(bv.runs <= fv.runs);
-}
-
-#[test]
 fn parsers_accept_the_documented_forms() {
     assert_eq!(parse_protocol("FloodMin"), Some(QuorumProtocol::FloodMin));
     assert_eq!(

@@ -515,3 +515,65 @@ fn model_check_resume_refuses_unknown_and_repeated_manifest_keys() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn model_check_resume_keeps_the_recorded_checkpoint_cadence() {
+    // A resume without `--checkpoint-every` checkpoints at the cadence the
+    // MANIFEST records, so an interrupted campaign takes as many
+    // checkpoints as an uninterrupted one. At 1,000 the n = 3 cell
+    // checkpoints inside its patterns, where the default 250,000 would not.
+    let bin = env!("CARGO_BIN_EXE_model_check");
+    let cell = [
+        "--protocol",
+        "floodmin",
+        "--n",
+        "3",
+        "--k",
+        "2",
+        "--t",
+        "1",
+        "--validity",
+        "RV1",
+        "--threads",
+        "1",
+    ];
+    for every in ["1000000", "1000"] {
+        let create = |dir: &Path, pause: &[&str]| {
+            let out = Command::new(bin)
+                .args(cell)
+                .arg("--campaign-dir")
+                .arg(dir)
+                .args(["--checkpoint-every", every])
+                .args(pause)
+                .output()
+                .expect("create campaign");
+            assert!(out.status.success(), "{out:?}");
+            String::from_utf8(out.stdout).unwrap()
+        };
+        let whole = tmp_dir(&format!("cadence_whole_{every}"));
+        create(&whole, &[]);
+        let uninterrupted = read_manifest(&whole).unwrap();
+        assert_eq!(uninterrupted.checkpoint_every.to_string(), every);
+
+        let dir = tmp_dir(&format!("cadence_{every}"));
+        let paused = create(&dir, &["--pause-after-checkpoints", "1"]);
+        assert!(paused.contains("campaign paused"), "{paused}");
+        let resume = Command::new(bin)
+            .arg("--campaign-dir")
+            .arg(&dir)
+            .args(["--resume", "--threads", "1"])
+            .output()
+            .expect("resume campaign");
+        assert!(resume.status.success(), "{resume:?}");
+        let resumed = read_manifest(&dir).unwrap();
+        assert_eq!(resumed.checkpoint_every.to_string(), every);
+        assert_eq!(resumed.resumes, 1);
+        assert_eq!(resumed.status, CampaignStatus::Holds);
+        assert_eq!(
+            resumed.checkpoints, uninterrupted.checkpoints,
+            "--checkpoint-every {every}"
+        );
+        let _ = fs::remove_dir_all(&whole);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

@@ -1,8 +1,10 @@
 //! Argument errors in the sweep, inventory and figure binaries are usage
 //! errors (exit 2, nothing on stdout), not panics (exit 101), and a binary
-//! that takes no arguments refuses one.
+//! that takes no arguments refuses one. `model_check` stops printing
+//! quietly when its reader goes.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 #[test]
 fn exhaustive_check_rejects_bad_positionals_with_exit_2() {
@@ -51,8 +53,6 @@ fn model_check_rejects_bad_flag_values_with_exit_2() {
         "--k",
         "--t",
         "--loss-budget",
-        "--depth",
-        "--preemptions",
         "--max-runs",
         "--max-states",
         "--progress",
@@ -87,20 +87,47 @@ fn model_check_rejects_bad_flag_values_with_exit_2() {
     ] {
         assert_usage_error(bin, "model_check", args);
     }
-    // Retired with the append-log store: a campaign's store has the
-    // checker's fixed shard count.
-    for args in [&["--campaign-shards", "4"][..], &["--campaign-shards"]] {
-        assert_usage_error(bin, "model_check", args);
-        let out = Command::new(bin)
-            .args(args)
-            .output()
-            .expect("run model_check");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.starts_with("model_check: usage error: unknown argument \"--campaign-shards\""),
-            "{stderr}"
-        );
+    // Retired: a campaign's store has the checker's fixed shard count
+    // (the append-log store's `--campaign-shards`), and `--max-runs` is
+    // the checker's one bound (`--depth`, `--preemptions`).
+    for flag in ["--campaign-shards", "--depth", "--preemptions"] {
+        for args in [&[flag, "4"][..], &[flag]] {
+            assert_usage_error(bin, "model_check", args);
+            let out = Command::new(bin)
+                .args(args)
+                .output()
+                .expect("run model_check");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.starts_with(&format!(
+                    "model_check: usage error: unknown argument \"{flag}\""
+                )),
+                "{stderr}"
+            );
+        }
     }
+}
+
+#[test]
+fn model_check_stops_quietly_when_stdout_closes() {
+    // `model_check --smoke | head -1`: the reader goes after one line,
+    // while the certification still has lines to print.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_model_check"))
+        .args(["--smoke", "--threads", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run model_check");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read one line");
+    assert!(first.starts_with("=== model_check"), "{first}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait for model_check");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{out:?}");
 }
 
 #[test]

@@ -130,18 +130,16 @@ fn expected(cfg: &CheckerConfig, ce: &Counterexample) -> SavedCounterexample {
 }
 
 /// Manifests of a crash cell (no adversary keys), a Byzantine cell with
-/// inputs, a lossy cell, and a finished crash campaign of a bounded cell,
-/// as it finished holding and as it finished bounded.
+/// inputs, a lossy cell, and a finished crash campaign of a cell with a
+/// run bound, as it finished holding and as `--max-runs` cut it short.
 fn manifests() -> Vec<Manifest> {
     let (mp_byz, lossy) = (&scripts()[1].0, &scripts()[3].0);
     let crash = CheckerConfig::new(QuorumProtocol::FloodMin, 4, 2, 1, ValidityCondition::RV1);
     let mut bounded =
         CheckerConfig::new(QuorumProtocol::ProtocolF, 3, 3, 1, ValidityCondition::SV2);
-    bounded.depth = 12;
-    bounded.preemptions = Some(2);
     bounded.max_runs = 5_000;
     bounded.por = false;
-    let mut finished = Manifest::new(&bounded);
+    let mut finished = Manifest::new(&bounded, 1_000);
     finished.status = CampaignStatus::Holds;
     finished.resumes = 2;
     finished.checkpoints = 9;
@@ -155,11 +153,11 @@ fn manifests() -> Vec<Manifest> {
     finished.checkpoint_ms = 67;
     let mut cut_short = finished.clone();
     cut_short.status = CampaignStatus::Bounded;
-    cut_short.bound = Some("--depth 12 or --preemptions 2".to_string());
+    cut_short.bound = Some("--max-runs 5000".to_string());
     vec![
-        Manifest::new(&crash),
-        Manifest::new(mp_byz),
-        Manifest::new(lossy),
+        Manifest::new(&crash, 250_000),
+        Manifest::new(mp_byz, 0),
+        Manifest::new(lossy, 250_000),
         finished,
         cut_short,
     ]
@@ -226,7 +224,7 @@ fn manifest_fails_closed(dir: &Path, bytes: &[u8]) -> Result<(), String> {
     match read_manifest(dir) {
         Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(()),
         Err(e) => Err(format!("wrong error kind: {e:?}")),
-        Ok(manifest) => manifest.checker_config().validate(),
+        Ok(manifest) => manifest.config.validate(),
     }
 }
 
@@ -505,7 +503,7 @@ fn model_check_resume_refuses_a_corrupt_snapshot_and_changes_nothing() {
 
 #[test]
 fn model_check_resume_refuses_a_directory_of_the_append_log_store() {
-    // What the previous format left behind: a MANIFEST v1 with `shards`
+    // What the append-log store left behind: a MANIFEST v1 with `shards`
     // and `store_log_bytes`, a snapshot v2 of log coordinates, and one
     // append log per shard.
     let dir = tmp_dir("cli_old_format");
@@ -536,9 +534,65 @@ fn model_check_resume_refuses_a_directory_of_the_append_log_store() {
         .and_then(|e| e.downcast_ref::<UnsupportedVersion>());
     assert_eq!(
         skew.map(|skew| (skew.found, skew.supported)),
-        Some((1, 2)),
+        Some((1, 3)),
         "{err}"
     );
     assert_resume_refused(&dir, "unsupported format version 1");
+    let _ = fs::remove_dir_all(&dir);
+
+    // What the format with the depth and preemption bounds left behind: a
+    // MANIFEST v2 recording both, and a snapshot v3 whose work items
+    // carry a preemption count.
+    let dir = tmp_dir("cli_bounds_format");
+    let manifest = "# kset campaign manifest v2\nprotocol: FloodMin\nn: 3\nk: 2\nt: 1\n\
+        validity: RV1\nsymmetry: false\ndepth: unbounded\npreemptions: unbounded\n\
+        max_runs: 10000000\nmax_states: 4194304\npor: true\ndedup: true\n\
+        config_digest: 55df527f019effa4\nstatus: running\nbound: none\nresumes: 0\n\
+        checkpoints: 1\nruns: 5639\nstates: 5358\ndedup_hits: 5000\nsleep_skips: 3246\n\
+        patterns_done: 1\nstore_entries: 0\ncheckpoint_bytes: 400\ncheckpoint_ms: 1\n";
+    fs::write(manifest_path(&dir), manifest).unwrap();
+    let mut snapshot = b"KSETCKPT".to_vec();
+    for word in [3, 0x55df_527f_019e_ffa4, 0, 0] {
+        snapshot.extend_from_slice(&u64::to_le_bytes(word));
+    }
+    let sum = checksum(&snapshot);
+    snapshot.extend_from_slice(&sum.to_le_bytes());
+    fs::write(dir.join("snapshot.bin"), &snapshot).unwrap();
+    let err = read_manifest(&dir).unwrap_err();
+    let skew = err
+        .get_ref()
+        .and_then(|e| e.downcast_ref::<UnsupportedVersion>());
+    assert_eq!(
+        skew.map(|skew| (skew.found, skew.supported)),
+        Some((2, 3)),
+        "{err}"
+    );
+    assert_resume_refused(&dir, "unsupported format version 2");
+
+    // A snapshot v3 behind a current MANIFEST is refused by its own
+    // version, before any of its words are read.
+    let mut bytes = paused_with_a_store(&dir);
+    bytes[8..16].copy_from_slice(&3u64.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    fs::write(dir.join("snapshot.bin"), &bytes).unwrap();
+    let before = tree_bytes(&dir);
+    let err = resume_campaign(&snapshot_cell(), &dir, &pause_at_every_checkpoint()).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    let skew = err
+        .get_ref()
+        .and_then(|e| e.downcast_ref::<UnsupportedVersion>());
+    assert_eq!(
+        skew.map(|skew| (skew.found, skew.supported)),
+        Some((3, 4)),
+        "{err}"
+    );
+    assert_eq!(
+        tree_bytes(&dir),
+        before,
+        "the refused resume changed the campaign"
+    );
+    assert_resume_refused(&dir, "unsupported format version 3");
     let _ = fs::remove_dir_all(&dir);
 }

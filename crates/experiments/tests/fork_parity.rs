@@ -45,8 +45,7 @@ impl XorShift {
 fn random_configurations_match_replay() {
     // A deterministic sweep over the configuration space: protocol,
     // cell shape, POR/dedup toggles, repeated inputs (1 in 3 cells, which
-    // then run on canonical digests), depth and preemption bounds, run
-    // truncation, thread count. Every sampled point must be
+    // then run on canonical digests), run truncation, thread count. Every sampled point must be
     // mode-invariant — including truncated (incomplete) verdicts, where
     // the exact cut depends on run order and would expose any divergence
     // between the executors.
@@ -70,11 +69,13 @@ fn random_configurations_match_replay() {
             // The last two processes share a value: canonical digests.
             cfg.inputs = Some((0..n as u64).map(|p| p.min(n as u64 - 2)).collect());
         }
+        // The draws of the retired depth and preemption bounds, kept so
+        // every other field of the 24 cells stays as it was drawn.
         if rng.below(3) == 0 {
-            cfg.depth = 4 + rng.below(8) as usize;
+            rng.below(8);
         }
         if rng.below(3) == 0 {
-            cfg.preemptions = Some(rng.below(3) as usize);
+            rng.below(3);
         }
         cfg.max_runs = 500 + rng.below(4_000);
         cfg.threads = 1 + rng.below(3) as usize;
@@ -84,12 +85,10 @@ fn random_configurations_match_replay() {
             check_cell(&cfg),
             check_cell(&replay_cfg),
             "sample {sample}: {protocol:?} n={n} k={k} t={t} por={} dedup={} inputs={:?} \
-             depth={} preempt={:?} max_runs={} threads={}",
+             max_runs={} threads={}",
             cfg.por,
             cfg.dedup,
             cfg.inputs,
-            cfg.depth,
-            cfg.preemptions,
             cfg.max_runs,
             cfg.threads
         );

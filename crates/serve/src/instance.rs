@@ -98,7 +98,8 @@ impl Instance {
     /// Fails with [`SimError::InvalidConfig`] if the input arity does not
     /// match `workload.n` or the workload itself is invalid (see
     /// [`Workload::check`]); the proposal is handed back alongside the
-    /// error so the caller can still answer it (see [`Instance::refuse`]).
+    /// error so the caller can still answer it (a worker answers with a
+    /// non-terminated decision).
     /// The [`crate::ServeClient`] checks arity before enqueueing, so
     /// workers treat this path as unreachable-but-handled.
     ///
@@ -199,14 +200,5 @@ impl Instance {
         let mut batch = DecisionBatch::new();
         self.finish_into(&mut batch);
         batch.next().expect("finish_into pushed one decision")
-    }
-
-    /// Turns a proposal that could not even start (bad arity reaching a
-    /// worker) into a non-terminated decision, so the submitter still gets
-    /// an answer for every accepted id.
-    pub fn refuse(propose: Propose) -> Decision {
-        let mut batch = DecisionBatch::new();
-        batch.push_refusal(propose);
-        batch.next().expect("push_refusal pushed one decision")
     }
 }

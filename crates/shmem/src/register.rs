@@ -44,35 +44,28 @@ impl fmt::Display for RegisterId {
 #[derive(PartialEq, Eq, Debug, Default)]
 pub struct Memory<V> {
     cells: Vec<(RegisterId, V)>,
-    writes: u64,
 }
 
 impl<V: Clone> Clone for Memory<V> {
     fn clone(&self) -> Self {
         Memory {
             cells: self.cells.clone(),
-            writes: self.writes,
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.cells.clone_from(&source.cells);
-        self.writes = source.writes;
     }
 }
 
 impl<V: Clone> Memory<V> {
     /// An empty memory.
     pub fn new() -> Self {
-        Memory {
-            cells: Vec::new(),
-            writes: 0,
-        }
+        Memory { cells: Vec::new() }
     }
 
     /// Stores `value` into `reg`, overwriting any previous value.
     pub fn write(&mut self, reg: RegisterId, value: V) {
-        self.writes += 1;
         match self.position(reg) {
             Ok(at) => self.cells[at].1 = value,
             Err(at) => self.cells.insert(at, (reg, value)),
@@ -82,11 +75,6 @@ impl<V: Clone> Memory<V> {
     /// Current content of `reg`, or `None` if never written.
     pub fn read(&self, reg: RegisterId) -> Option<V> {
         self.position(reg).ok().map(|at| self.cells[at].1.clone())
-    }
-
-    /// Total number of writes ever applied (for statistics).
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     /// Snapshot of all written registers, for post-run inspection.
@@ -135,7 +123,8 @@ mod tests {
         assert_eq!(mem.read(r), Some(5));
         mem.write(r, 6);
         assert_eq!(mem.read(r), Some(6));
-        assert_eq!(mem.write_count(), 2);
+        // Two writes to one register store one cell.
+        assert_eq!(mem.snapshot().len(), 1);
     }
 
     #[test]

@@ -168,14 +168,6 @@ impl ChoiceLog {
         }
     }
 
-    /// Overwrites this log with the contents of `other`, reusing this
-    /// log's existing capacity (no allocation once grown). Used to copy a
-    /// forked run's log out of the session into a recycled per-run buffer.
-    pub fn copy_from(&mut self, other: &Self) {
-        self.options.clone_from(&other.options);
-        self.points.clone_from(&other.points);
-    }
-
     /// The canonical index taken at every point — the full schedule of the
     /// run as a prefix that replays it exactly.
     pub fn taken_indices(&self) -> Vec<usize> {

@@ -65,7 +65,7 @@ use std::marker::PhantomData;
 use std::mem::size_of;
 use std::rc::Rc;
 
-use crate::arena::{DigestMode, RunArena};
+use crate::arena::DigestMode;
 use crate::choice::{ChoiceLog, ChoiceScheduler};
 use crate::deviate::DeviationPolicy;
 use crate::digest::StateDigest;
@@ -569,28 +569,9 @@ where
             .map(|i| Rc::clone(&self.snaps[i]))
     }
 
-    /// Copies the just-finished run out of the session into recycled
-    /// buffers from `arena`: the choice log, the digest sequence, and an
-    /// [`Outcome`] shaped exactly like `System::run_digested_in`'s. Return the
-    /// log and digests to the arena once consumed, as with
-    /// `System::run_digested_in`.
-    ///
-    /// The explorer's hot loop avoids these copies: it reads the log and
-    /// digests in place via [`ForkSession::log`] and
-    /// [`ForkSession::digests`] and takes only the
-    /// [`ForkSession::export_outcome`] scalars.
-    pub fn export_run(&self, arena: &mut RunArena) -> (Outcome<S::Output>, Vec<u64>, ChoiceLog) {
-        let mut log = arena.take_log();
-        log.copy_from(&self.log.borrow());
-        let mut digests = std::mem::take(&mut arena.digests);
-        digests.clear();
-        digests.extend_from_slice(&self.dig.digests);
-        (self.export_outcome(), digests, log)
-    }
-
     /// The scalar observables of the just-finished run — decisions, fault
-    /// sets, termination flag, kernel statistics — without the per-run log
-    /// and digest copies of [`ForkSession::export_run`].
+    /// sets, termination flag, kernel statistics; the log and digests are
+    /// read in place via [`ForkSession::log`] and [`ForkSession::digests`].
     pub fn export_outcome(&self) -> Outcome<S::Output> {
         session::outcome_of(
             &self.kernel,

@@ -99,7 +99,7 @@ pub use gate::{DelayRule, GatedScheduler, Until};
 pub use kernel::{EventHasher, Kernel, KernelSnapshot};
 pub use metrics::{Histogram, MetricsConfig, ProcessMetrics, RunMetrics, HISTOGRAM_BUCKETS};
 pub use outcome::Outcome;
-pub use replay::{RecordingScheduler, ReplayScheduler};
+pub use replay::ReplayScheduler;
 pub use sched::{
     FifoScheduler, LifoScheduler, RandomScheduler, Scheduler, ScriptedScheduler,
     StarvationScheduler,

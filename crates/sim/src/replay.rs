@@ -1,8 +1,7 @@
-//! Schedule recording and replay.
+//! Schedule replay.
 //!
 //! A run is fully determined by the order in which event ids fire, so a
 //! recorded id sequence is a portable, minimal witness of a schedule.
-//! [`RecordingScheduler`] wraps any scheduler and captures that sequence;
 //! [`ReplayScheduler`] plays one back — e.g. to re-examine a violating run
 //! found by a seed sweep under tracing, or to pin a regression test to the
 //! exact schedule that once broke.
@@ -18,63 +17,19 @@ use crate::event::{EventId, EventMeta};
 use crate::sched::Scheduler;
 use crate::state::RunState;
 
-/// Wraps a scheduler and records the id sequence it fires.
-#[derive(Debug)]
-pub struct RecordingScheduler<S> {
-    inner: S,
-    fired: Vec<EventId>,
-}
-
-impl<S: Scheduler> RecordingScheduler<S> {
-    /// Wraps `inner`.
-    pub fn new(inner: S) -> Self {
-        RecordingScheduler {
-            inner,
-            fired: Vec::new(),
-        }
-    }
-
-    /// The ids fired so far, in order.
-    pub fn recorded(&self) -> &[EventId] {
-        &self.fired
-    }
-
-    /// Consumes the recorder and returns the full schedule.
-    pub fn into_schedule(self) -> Vec<EventId> {
-        self.fired
-    }
-}
-
-impl<S: Scheduler> Scheduler for RecordingScheduler<S> {
-    fn pick(&mut self, pending: &[EventMeta], state: &RunState) -> usize {
-        let idx = self.inner.pick(pending, state);
-        self.fired.push(pending[idx].id);
-        idx
-    }
-
-    fn deviation(&mut self) -> Deviation {
-        self.inner.deviation()
-    }
-
-    fn label(&self) -> &'static str {
-        "recording"
-    }
-}
-
 /// Replays a recorded id sequence.
 ///
 /// # Worked example: record → replay → [`ReplayScheduler::divergences`]
 ///
-/// Schedulers are consumed by the kernel, so to read a scheduler's state
-/// back *after* the run, wrap it in `Rc<RefCell<_>>` (which also implements
-/// [`Scheduler`]) and keep a clone:
+/// The kernel hands back each fired event's metadata, so the ids it fires
+/// are the schedule. Schedulers are consumed by the kernel, so to read a
+/// scheduler's state back *after* the run, wrap it in `Rc<RefCell<_>>`
+/// (which also implements [`Scheduler`]) and keep a clone:
 ///
 /// ```
 /// use std::cell::RefCell;
 /// use std::rc::Rc;
-/// use kset_sim::{
-///     EventKind, EventMeta, Kernel, RandomScheduler, RecordingScheduler, ReplayScheduler,
-/// };
+/// use kset_sim::{EventKind, EventMeta, Kernel, RandomScheduler, ReplayScheduler};
 ///
 /// let post_workload = |k: &mut Kernel<u32>| {
 ///     for i in 0..10u32 {
@@ -82,17 +37,14 @@ impl<S: Scheduler> Scheduler for RecordingScheduler<S> {
 ///     }
 /// };
 ///
-/// // 1. Record: capture the schedule a random adversary produces.
-/// let recorder = Rc::new(RefCell::new(RecordingScheduler::new(
-///     RandomScheduler::from_seed(42),
-/// )));
-/// let mut kernel: Kernel<u32> = Kernel::new(Rc::clone(&recorder));
+/// // 1. Record: the ids a random adversary fires, in order.
+/// let mut kernel: Kernel<u32> = Kernel::new(RandomScheduler::from_seed(42));
 /// post_workload(&mut kernel);
-/// let mut original = Vec::new();
-/// while let Some((_, payload)) = kernel.next_event() {
+/// let (mut schedule, mut original) = (Vec::new(), Vec::new());
+/// while let Some((meta, payload)) = kernel.next_event() {
+///     schedule.push(meta.id);
 ///     original.push(payload);
 /// }
-/// let schedule = recorder.borrow().recorded().to_vec();
 ///
 /// // 2. Replay: the same workload under the recorded schedule fires the
 /// //    same payloads in the same order.
@@ -117,9 +69,8 @@ pub struct ReplayScheduler {
 }
 
 impl ReplayScheduler {
-    /// Creates a replayer for `schedule` (as produced by
-    /// [`RecordingScheduler::into_schedule`]); every step is delivered
-    /// faithfully.
+    /// Creates a replayer for `schedule`, the ids a run fired in order;
+    /// every step is delivered faithfully.
     pub fn new(schedule: impl IntoIterator<Item = EventId>) -> Self {
         Self::with_deviations(schedule.into_iter().map(|id| (id, Deviation::Faithful)))
     }
@@ -196,8 +147,7 @@ mod tests {
 
     #[test]
     fn record_then_replay_reproduces_the_run_exactly() {
-        let recorder = RecordingScheduler::new(RandomScheduler::from_seed(99));
-        let mut k: Kernel<u32> = Kernel::new(recorder);
+        let mut k: Kernel<u32> = Kernel::new(RandomScheduler::from_seed(99));
         post_workload(&mut k);
         let mut original = Vec::new();
         let schedule: Vec<EventId> = {
@@ -213,15 +163,6 @@ mod tests {
         post_workload(&mut k2);
         let replayed = run_collect(k2);
         assert_eq!(original, replayed);
-    }
-
-    #[test]
-    fn recording_scheduler_captures_fired_ids() {
-        let recorder = RecordingScheduler::new(RandomScheduler::from_seed(1));
-        let mut k: Kernel<u32> = Kernel::new(recorder);
-        post_workload(&mut k);
-        let n_fired = run_collect(k).len();
-        assert_eq!(n_fired, 40);
     }
 
     #[test]
@@ -245,10 +186,6 @@ mod tests {
 
     #[test]
     fn labels() {
-        assert_eq!(
-            RecordingScheduler::new(RandomScheduler::from_seed(0)).label(),
-            "recording"
-        );
         assert_eq!(ReplayScheduler::new(Vec::new()).label(), "replay");
     }
 }

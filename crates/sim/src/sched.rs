@@ -99,8 +99,7 @@ impl Scheduler for Box<dyn Scheduler> {
 
 /// A shared scheduler handle. Systems consume their scheduler by value, so a
 /// caller that needs to inspect scheduler state *after* the run (a
-/// [`crate::ReplayScheduler`]'s divergence count, a
-/// [`crate::RecordingScheduler`]'s captured schedule) wraps it in
+/// [`crate::ReplayScheduler`]'s divergence count) wraps it in
 /// `Rc<RefCell<_>>`, passes a clone to the system, and keeps the other.
 impl<S: Scheduler> Scheduler for std::rc::Rc<std::cell::RefCell<S>> {
     fn pick(&mut self, pending: &[EventMeta], state: &RunState) -> usize {

@@ -123,14 +123,6 @@ impl RunState {
         (0..self.n()).all(|p| self.decided[p] || self.crashed[p] || self.byzantine[p])
     }
 
-    /// Iterator over the processes currently marked crashed.
-    pub fn crashed_set(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.crashed
-            .iter()
-            .enumerate()
-            .filter_map(|(p, &c)| c.then_some(p))
-    }
-
     /// Records that `pid` decided.
     pub fn mark_decided(&mut self, pid: ProcessId) {
         self.decided[pid] = true;
@@ -271,14 +263,5 @@ mod tests {
         s.reset();
         assert_eq!(s, RunState::new(3));
         assert_eq!(s.actions.as_ptr(), actions);
-    }
-
-    #[test]
-    fn crashed_set_enumerates_crashed_processes() {
-        let mut s = RunState::new(5);
-        s.mark_crashed(1);
-        s.mark_crashed(4);
-        let set: Vec<_> = s.crashed_set().collect();
-        assert_eq!(set, vec![1, 4]);
     }
 }
